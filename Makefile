@@ -5,6 +5,11 @@ GO ?= go
 
 # Hot-path benchmarks captured into BENCH_retrieval.json.
 BENCH_PATTERN := BenchmarkF2RetrievalGreedy$$|BenchmarkF5PaperQuery$$|BenchmarkParallelRetrieval|BenchmarkSimCache
+# BENCH_NOTE, when set, names the change a `make bench` / `make
+# bench-million` re-record belongs to; it is appended to every record's
+# note in BENCH_retrieval.json.
+BENCH_NOTE ?=
+note = $(1)$(if $(BENCH_NOTE),; $(BENCH_NOTE))
 # Offline-pipeline benchmarks captured into BENCH_build.json.
 BENCH_BUILD_PATTERN := BenchmarkBuildPaperScale|BenchmarkRetrainPaperScale
 
@@ -132,13 +137,13 @@ fuzz:
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime=200x -count=1 . \
-		| $(GO) run ./cmd/benchjson -out BENCH_retrieval.json
+		| $(GO) run ./cmd/benchjson -out BENCH_retrieval.json -note "$(call note,hot-path retrieval benches)"
 	$(GO) test -run '^$$' -bench 'BenchmarkQueryWithMiddleware' -benchmem -benchtime=200x -count=1 ./internal/server/ \
-		| $(GO) run ./cmd/benchjson -out BENCH_retrieval.json -note "resilience middleware overhead vs F5PaperQuery"
+		| $(GO) run ./cmd/benchjson -out BENCH_retrieval.json -note "$(call note,resilience middleware overhead vs F5PaperQuery)"
 	$(GO) test -run '^$$' -bench 'BenchmarkQueryWithObs' -benchmem -benchtime=200x -count=1 ./internal/server/ \
-		| $(GO) run ./cmd/benchjson -out BENCH_retrieval.json -note "observability overhead vs QueryWithMiddleware baseline (budget <=5%)"
+		| $(GO) run ./cmd/benchjson -out BENCH_retrieval.json -note "$(call note,observability overhead vs QueryWithMiddleware baseline (budget <=5%))"
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedRetrieval' -benchmem -benchtime=200x -count=1 . \
-		| $(GO) run ./cmd/benchjson -out BENCH_retrieval.json -note "sharded scatter-gather vs single engine; K=1 overhead budget <=10%"
+		| $(GO) run ./cmd/benchjson -out BENCH_retrieval.json -note "$(call note,sharded scatter-gather vs single engine; K=1 overhead budget <=10%)"
 	@echo "appended to BENCH_retrieval.json"
 
 # CI smoke for the coarse→fine pipeline: the differential recall gate
@@ -155,7 +160,7 @@ bench-scale:
 # model build takes a few minutes on one core.
 bench-million:
 	$(GO) test -run '^$$' -bench BenchmarkMillionShot -benchtime=100x -count=1 -timeout 30m . \
-		| $(GO) run ./cmd/benchjson -out BENCH_retrieval.json -note "coarse->fine two-stage retrieval + compact layout scale curve"
+		| $(GO) run ./cmd/benchjson -out BENCH_retrieval.json -note "$(call note,coarse->fine two-stage retrieval + compact layout scale curve)"
 	@echo "appended to BENCH_retrieval.json"
 
 bench-build:

@@ -96,6 +96,42 @@ func BenchmarkMillionShot(b *testing.B) {
 			}
 		})
 
+		// The Step-2 order memo on either side of the exact point above
+		// (which, cycling three first steps on one engine, runs on hits):
+		// a fresh engine per iteration walks Π2/A2 every time — its cache
+		// builds happen off the clock — while a warmed one never does.
+		b.Run(fmt.Sprintf("scale=%dx/order=miss", pt.factor), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng, err := retrieval.NewEngine(m, base)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := eng.Retrieve(queries[i%len(queries)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+
+		b.Run(fmt.Sprintf("scale=%dx/order=hit", pt.factor), func(b *testing.B) {
+			eng, err := retrieval.NewEngine(m, base)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, q := range queries {
+				if _, err := eng.Retrieve(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Retrieve(queries[i%len(queries)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+
 		b.Run(fmt.Sprintf("scale=%dx/coarse=%d", pt.factor, pt.limit), func(b *testing.B) {
 			opts := base
 			opts.CoarseCandidates = pt.limit

@@ -99,7 +99,8 @@ func TestCacheBuildBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		if !reflect.DeepEqual(ref.shared.sim, eng.shared.sim) {
 			t.Errorf("BuildWorkers=%d: similarity table differs from serial build", workers)
 		}
-		if !reflect.DeepEqual(ref.shared.index, eng.shared.index) {
+		if !reflect.DeepEqual(ref.shared.postings, eng.shared.postings) || !reflect.DeepEqual(ref.shared.postOff, eng.shared.postOff) ||
+			!reflect.DeepEqual(ref.shared.startMS, eng.shared.startMS) {
 			t.Errorf("BuildWorkers=%d: event index differs from serial build", workers)
 		}
 	}

@@ -3,7 +3,6 @@ package retrieval
 import (
 	"context"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"github.com/videodb/hmmm/internal/videomodel"
@@ -30,7 +29,7 @@ type arena struct {
 	cells      []cell
 	bufA, bufB []int32 // current / next stage cell refs
 	entry      []int32 // cross-video entry refs (copied, so stage buffers stay free)
-	cand       []int   // stepCandidates output buffer
+	cand       []int32 // stepCandidates filter buffer
 	visited    []bool  // per-video visited flags for cross-video hops
 	touched    []int32 // videos to clear from visited on beginVideo
 	// Dense relaxation: local state li's next-stage slot is relaxSlot[li],
@@ -200,20 +199,21 @@ func (e *Engine) lattice(vi, j0 int, entry []int32, ctx *searchCtx) []int32 {
 			return nil
 		}
 
-		// Stage j0: enter the video.
+		// Stage j0: enter the video. lo turns a global state index into
+		// the local one LocalA is addressed by (validateModel's invariant).
+		lo, _ := e.m.VideoStates(vi)
 		st := ctx.steps[j0]
 		cur = cur[:0]
-		ar.cand = e.stepCandidates(ar.cand[:0], vi, -1, st, ctx.scope)
-		for _, s := range ar.cand {
+		for _, s := range e.stepCandidates(ar, vi, -1, st, ctx.scope) {
 			if ctx.tick() {
 				save()
 				return nil
 			}
-			sim := e.simCounted(s, st, cost)
+			sim := e.simCounted(int(s), st, cost)
 			if entry == nil {
 				// Eq. 12: w1 = Π1(s1) · sim(s1, e1).
 				w := e.m.Pi1[s] * sim
-				cur = append(cur, ar.push(cell{state: int32(s), vi: int32(vi), prev: -1, w: w, score: w}))
+				cur = append(cur, ar.push(cell{state: s, vi: int32(vi), prev: -1, w: w, score: w}))
 				continue
 			}
 			// Cross-video entry: the transition factor is the level-2
@@ -229,7 +229,7 @@ func (e *Engine) lattice(vi, j0 int, entry []int32, ctx *searchCtx) []int32 {
 				}
 			}
 			if best != -1 {
-				cur = append(cur, ar.push(cell{state: int32(s), vi: int32(vi), prev: best, w: bestW, score: bestScore + bestW}))
+				cur = append(cur, ar.push(cell{state: s, vi: int32(vi), prev: best, w: bestW, score: bestScore + bestW}))
 			}
 		}
 		if len(cur) == 0 {
@@ -253,29 +253,28 @@ func (e *Engine) lattice(vi, j0 int, entry []int32, ctx *searchCtx) []int32 {
 			ar.epoch++
 			for _, ci := range cur {
 				c := ar.cells[ci] // copy: pushes below may grow the slab
-				ar.cand = e.stepCandidates(ar.cand[:0], vi, int(c.state), st, ctx.scope)
 				// One bounds-checked row fetch per cell; per-edge A1
 				// lookups index the row directly.
-				aRow := e.m.LocalA[vi].Row(e.m.States[c.state].LocalIdx)
-				for _, s := range ar.cand {
+				aRow := e.m.LocalA[vi].Row(int(c.state) - lo)
+				for _, s := range e.stepCandidates(ar, vi, int(c.state), st, ctx.scope) {
 					if ctx.tick() {
 						save()
 						return nil
 					}
 					cost.EdgeEvals++
-					li := e.m.States[s].LocalIdx
-					w := c.w * aRow[li] * e.simCounted(s, st, cost)
+					li := int(s) - lo
+					w := c.w * aRow[li] * e.simCounted(int(s), st, cost)
 					if ar.relaxEpoch[li] == ar.epoch {
 						// Viterbi relaxation: keep the best path per state.
 						old := &ar.cells[next[ar.relaxSlot[li]]]
 						if w > old.w {
-							*old = cell{state: int32(s), vi: int32(vi), prev: ci, w: w, score: c.score + w}
+							*old = cell{state: s, vi: int32(vi), prev: ci, w: w, score: c.score + w}
 						}
 						continue
 					}
 					ar.relaxEpoch[li] = ar.epoch
 					ar.relaxSlot[li] = int32(len(next))
-					next = append(next, ar.push(cell{state: int32(s), vi: int32(vi), prev: ci, w: w, score: c.score + w}))
+					next = append(next, ar.push(cell{state: s, vi: int32(vi), prev: ci, w: w, score: c.score + w}))
 				}
 			}
 			if len(next) == 0 {
@@ -413,69 +412,61 @@ func (e *Engine) materialize(ci int32, ar *arena) Match {
 	return m
 }
 
-// stepCandidates appends to buf the global state indices of video vi that
-// can serve the step after global state after (-1 for "any"). States
+// stepCandidates returns the global state indices of video vi that can
+// serve the step after global state after (-1 for "any"). States
 // annotated with every step event are preferred and found through the
 // inverted event index; without AnnotatedOnly, all remaining states
-// compete when no annotated one exists. buf is the arena's reused
-// candidate buffer — callers pass it re-sliced to length zero.
-func (e *Engine) stepCandidates(buf []int, vi, after int, step Step, scope *Scope) []int {
-	lo, hi := e.m.VideoStates(vi)
-	start := lo
-	prevMS := -1
-	if after >= 0 {
-		start = after + 1
-		prevMS = e.m.States[after].StartMS
+// compete when no annotated one exists. A single-event step with no
+// negation, scope window, or gap constraint needs no per-state check, so
+// its candidates are returned as a read-only alias of the posting list;
+// every other result lives in the arena's candidate buffer and is valid
+// until the next call. Start times are consulted only when a window or a
+// gap is actually present.
+func (e *Engine) stepCandidates(ar *arena, vi, after int, step Step, scope *Scope) []int32 {
+	sh := e.shared
+	windowed := scope != nil && (scope.FromMS > 0 || scope.ToMS > 0)
+	gapped := after >= 0 && (step.MinGapMS > 0 || step.MaxGapMS > 0)
+	// timeOK applies the scope window and the gap constraint to state s.
+	timeOK := func(s int32) bool {
+		if windowed && !scope.contains(int(sh.startMS[s])) {
+			return false
+		}
+		return !gapped || step.gapOK(int(sh.startMS[after]), int(sh.startMS[s]))
 	}
 
-	// Annotated candidates via the index: walk the (shortest) posting
-	// list of the step's events, filtering by position, conjunction, and
-	// gap constraints.
+	buf := ar.cand[:0]
 	if len(step.Events) > 0 {
-		posting := e.shared.index[vi][step.Events[0].Index()]
-		for _, ev := range step.Events[1:] {
-			if alt := e.shared.index[vi][ev.Index()]; len(alt) < len(posting) {
-				posting = alt
-			}
+		// Annotated candidates via the index: walk the shortest posting
+		// list of the step's events from the first posting past after.
+		posting := sh.stepPosting(vi, step)
+		if after >= 0 {
+			i, _ := slices.BinarySearch(posting, int32(after+1))
+			posting = posting[i:]
 		}
-		// Binary search the first posting >= start.
-		i := sort.SearchInts(posting, start)
-		for ; i < len(posting); i++ {
-			s := posting[i]
-			if !scope.contains(e.m.States[s].StartMS) {
-				continue
+		conj := len(step.Events) > 1 || len(step.Not) > 0
+		if !windowed && !gapped && !conj && (len(posting) > 0 || e.opts.AnnotatedOnly) {
+			return posting
+		}
+		for _, s := range posting {
+			if timeOK(s) && (!conj || stateHasStep(&e.m.States[s], step)) {
+				buf = append(buf, s)
 			}
-			if prevMS >= 0 && !step.gapOK(prevMS, e.m.States[s].StartMS) {
-				continue
-			}
-			if (len(step.Events) > 1 || len(step.Not) > 0) && !stateHasStep(&e.m.States[s], step) {
-				continue
-			}
-			buf = append(buf, s)
 		}
 	}
-	if len(buf) > 0 || e.opts.AnnotatedOnly {
-		return buf
-	}
-	// Similarity fallback: every remaining state that is NOT a full
-	// annotation match (those were exhausted above) competes by features.
-	// Negated events still exclude here — "!" means the shot must not
-	// carry the annotation, in the fallback set as much as the annotated
-	// one — so the two sets stay disjoint and together cover exactly the
-	// non-excluded states.
-	for s := start; s < hi; s++ {
-		if !scope.contains(e.m.States[s].StartMS) {
-			continue
-		}
-		if prevMS >= 0 && !step.gapOK(prevMS, e.m.States[s].StartMS) {
-			continue
-		}
-		if stateExcluded(&e.m.States[s], step) {
-			continue
-		}
-		if !stateHasStep(&e.m.States[s], step) {
-			buf = append(buf, s)
+	if len(buf) == 0 && !e.opts.AnnotatedOnly {
+		// Similarity fallback: every remaining state that is NOT a full
+		// annotation match (those were exhausted above) competes by
+		// features. Negated events still exclude here — "!" means the shot
+		// must not carry the annotation, in the fallback set as much as the
+		// annotated one — so the two sets stay disjoint and together cover
+		// exactly the non-excluded states.
+		lo, hi := e.m.VideoStates(vi)
+		for s := int32(max(lo, after+1)); s < int32(hi); s++ {
+			if timeOK(s) && !stateExcluded(&e.m.States[s], step) && !stateHasStep(&e.m.States[s], step) {
+				buf = append(buf, s)
+			}
 		}
 	}
+	ar.cand = buf
 	return buf
 }

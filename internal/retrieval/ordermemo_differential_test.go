@@ -1,0 +1,170 @@
+// Differential tests of the Step-2 order memo: an engine that answers
+// from the memo must be indistinguishable — matches and Cost — from one
+// that walks Π2/A2 on every query. A freshly built engine has an empty
+// memo, so its first query is the bypassed reference.
+package retrieval_test
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"github.com/videodb/hmmm/internal/feedback"
+	"github.com/videodb/hmmm/internal/hmmm"
+	"github.com/videodb/hmmm/internal/retrieval"
+	"github.com/videodb/hmmm/internal/retrieval/retrievaltest"
+	"github.com/videodb/hmmm/internal/videomodel"
+)
+
+// memoQueries extends the shared corpora with the first-step shapes the
+// memo key distinguishes: a conjunction first step, its permutation, and
+// a window-scoped query.
+func memoQueries(m *hmmm.Model) []retrieval.Query {
+	qs := append(retrievaltest.Queries(m), retrievaltest.NegationQueries(m)...)
+	present := retrievaltest.PresentEvents(m)
+	if len(present) < 2 {
+		return qs
+	}
+	e0, e1 := present[0], present[1]
+	return append(qs,
+		retrieval.Query{Steps: []retrieval.Step{
+			{Events: []videomodel.Event{e0, e1}},
+			{Events: []videomodel.Event{e1}},
+		}},
+		retrieval.Query{Steps: []retrieval.Step{
+			{Events: []videomodel.Event{e1, e0}},
+		}},
+		retrieval.Query{
+			Events: []videomodel.Event{e0, e1},
+			Scope:  &retrieval.Scope{FromMS: 1000, ToMS: 20000},
+		},
+	)
+}
+
+// requireSameResult is bit-identity of the whole result: ranking and
+// every Cost counter.
+func requireSameResult(t *testing.T, label string, want, got *retrieval.Result) {
+	t.Helper()
+	retrievaltest.RequireSameMatches(t, label, want.Matches, got.Matches)
+	if want.Cost != got.Cost {
+		t.Fatalf("%s: cost %+v, want %+v", label, got.Cost, want.Cost)
+	}
+}
+
+func mustRetrieve(t *testing.T, eng *retrieval.Engine, q retrieval.Query) *retrieval.Result {
+	t.Helper()
+	res, err := eng.Retrieve(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestOrderMemoBitIdenticalToBypass(t *testing.T) {
+	// Engines derived from one base share its memo; each is compared with
+	// a fresh engine under the same options.
+	variants := []retrieval.Options{
+		{TopK: 10, Beam: 10},
+		{TopK: 3, Beam: 1, CrossVideo: true},
+		{TopK: 2, StopAfterMatches: true},
+		{TopK: 10, Beam: 4, Parallel: 3, MinParallelWork: -1},
+	}
+	for _, d := range retrievaltest.Domains() {
+		for seed := uint64(1); seed <= 3; seed++ {
+			m := retrievaltest.RandomModel(t, retrievaltest.Config{
+				Seed: seed, Videos: int(seed) + 5, MaxShots: 10,
+				Events: d.NumEvents(), Domain: d, LearnP12: seed%2 == 0,
+			})
+			for _, annotatedOnly := range []bool{true, false} {
+				base, err := retrieval.NewEngine(m, retrieval.Options{AnnotatedOnly: annotatedOnly})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for qi, q := range memoQueries(m) {
+					for vi, opts := range variants {
+						opts.AnnotatedOnly = annotatedOnly
+						fresh, err := retrieval.NewEngine(m, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := mustRetrieve(t, fresh, q)
+						warm := base.WithOptions(opts)
+						// Variant 0 misses; every later query of the same
+						// first step, on any derived engine, hits.
+						for pass := 0; pass < 3; pass++ {
+							label := fmt.Sprintf("domain=%s seed=%d annotated=%v q=%d variant=%d pass=%d",
+								d.Name, seed, annotatedOnly, qi, vi, pass)
+							requireSameResult(t, label, want, mustRetrieve(t, warm, q))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// visitOrder returns the videos a retrieval entered, in order.
+func visitOrder(t *testing.T, eng *retrieval.Engine, q retrieval.Query) []int {
+	t.Helper()
+	var tr retrieval.CollectTracer
+	opts := retrieval.Options{AnnotatedOnly: true, Tracer: &tr}
+	mustRetrieve(t, eng.WithOptions(opts), q)
+	var order []int
+	for _, ev := range tr.Events() {
+		if ev.Kind == retrieval.TraceVideoEnter {
+			order = append(order, ev.Video)
+		}
+	}
+	return order
+}
+
+// TestOrderMemoFollowsInPlaceRetrain pins the live-read contract: an
+// in-place feedback.Trainer.Retrain changes A2/Π2 without Invalidate,
+// and the very next identical query must visit videos in the order a
+// fresh engine computes — not the memoized pre-retrain one.
+func TestOrderMemoFollowsInPlaceRetrain(t *testing.T) {
+	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 11, Videos: 9, MaxShots: 10, Events: 2})
+	eng, err := retrieval.NewEngine(m, retrieval.Options{AnnotatedOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := retrieval.NewQuery(retrievaltest.PresentEvents(m)[0])
+	before := visitOrder(t, eng, q)
+	if len(before) < 3 {
+		t.Fatalf("fixture visits only %d videos", len(before))
+	}
+	if again := visitOrder(t, eng, q); !reflect.DeepEqual(before, again) {
+		t.Fatalf("memo hit changed the order: %v then %v", before, again)
+	}
+
+	// Positive feedback on a shot of the last-visited video makes it the
+	// Π2 favourite.
+	last := before[len(before)-1]
+	lo, _ := m.VideoStates(last)
+	log := feedback.NewLog()
+	for i := 0; i < 3; i++ {
+		if err := log.MarkPositive(m, []int{lo}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	version := m.Version()
+	if err := feedback.NewTrainer(1).Retrain(m, log); err != nil {
+		t.Fatal(err)
+	}
+	if m.Version() == version {
+		t.Fatal("retrain did not bump the model version")
+	}
+
+	after := visitOrder(t, eng, q)
+	fresh, err := retrieval.NewEngine(m, retrieval.Options{AnnotatedOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := visitOrder(t, fresh, q); !reflect.DeepEqual(after, want) {
+		t.Fatalf("order after in-place retrain %v, a fresh engine visits %v", after, want)
+	}
+	if after[0] != last {
+		t.Fatalf("retrain did not move video %d to the front: before %v, after %v", last, before, after)
+	}
+	requireSameResult(t, "after retrain", mustRetrieve(t, fresh, q), mustRetrieve(t, eng, q))
+}

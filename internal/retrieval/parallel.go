@@ -34,12 +34,7 @@ func (e *Engine) estimateVideoWork(vi int, steps []Step) int {
 	for _, st := range steps {
 		cand := nLocal
 		if len(st.Events) > 0 {
-			n := len(e.shared.index[vi][st.Events[0].Index()])
-			for _, ev := range st.Events[1:] {
-				if alt := len(e.shared.index[vi][ev.Index()]); alt < n {
-					n = alt
-				}
-			}
+			n := len(e.shared.stepPosting(vi, st))
 			if n > 0 || e.opts.AnnotatedOnly {
 				cand = n
 			}

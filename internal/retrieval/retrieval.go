@@ -7,24 +7,33 @@
 //
 // # Query execution path
 //
-// The engine is built once per model and reused across queries. Two
-// derived caches make the hot path cheap: an inverted event index
-// (video × concept → annotated state postings) and a dense similarity
-// table holding every Eq. 14 sim(s, e) value, both computed at NewEngine
-// time. During retrieval the lattice runs on a pooled arena — cells are
-// indices into a reusable slab, Viterbi relaxation is a dense per-state
-// slot array, and candidate/stage scratch is recycled — so a Retrieve
-// performs no per-edge heap allocation. See DESIGN.md §"Query execution
-// path" for cache lifetimes and invalidation rules.
+// The engine is built once per model and reused across queries. Three
+// derived caches make the hot path cheap, each laid out the way the
+// lattice reads it: a CSR inverted event index (one flat postings array
+// addressed by video × concept offsets) with a packed start-time column
+// beside it, a dense concept-major similarity table holding every Eq. 14
+// sim(s, e) value — a posting list walks one concept over ascending
+// states, so its lookups share cache lines — and a memo of the Step-2
+// Π2/A2 video orders, which depend only on the first step's event set
+// and the model generation. The first two are computed at NewEngine
+// time; the memo fills on demand and charges the stored edge count on a
+// hit, so Cost never depends on cache state. During retrieval the
+// lattice runs on a pooled arena — cells are indices into a reusable
+// slab, Viterbi relaxation is a dense per-state slot array, and
+// candidate/stage scratch is recycled — so a Retrieve performs no
+// per-edge heap allocation. See DESIGN.md §"Query execution path" for
+// cache lifetimes and invalidation rules.
 package retrieval
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/videodb/hmmm/internal/hmmm"
@@ -378,7 +387,9 @@ type Options struct {
 	// recomputes Eq. 14 from the raw B1/B1'/P12 rows on every evaluation.
 	// The cached and uncached paths produce bit-identical scores; the
 	// escape hatch exists for memory-constrained deployments (the table
-	// is NumStates × NumConcepts float64s) and for verification tests.
+	// is NumConcepts × NumStates float64s, concept-major) and for
+	// verification tests. The event index and the video-order memo are
+	// unaffected.
 	NoSimCache bool
 	// Metrics, when non-nil, receives per-retrieval observations (query
 	// count and latency, sim-cache hits/misses, edges relaxed, videos
@@ -432,16 +443,25 @@ type Engine struct {
 
 // engineShared bundles the caches that depend only on the model and the
 // cache-affecting options (SimEpsilon, NoSimCache), not on per-query
-// tuning. It is immutable after construction; Invalidate swaps in a
-// freshly built instance.
+// tuning. Everything but the order memo and the arena free list is
+// immutable after construction; Invalidate swaps in a freshly built
+// instance.
 type engineShared struct {
-	// index[vi][ci] holds the ascending global state indices of video vi
-	// annotated with concept ci: the inverted event index behind Step 3's
-	// candidate lookups.
-	index [][][]int
-	// sim is the dense NumStates × NumConcepts Eq. 14 table (row-major by
-	// state); nil when Options.NoSimCache is set.
+	// postings / postOff are the CSR inverted event index behind Step 3's
+	// candidate lookups: the ascending global state indices of video vi
+	// annotated with concept ci are
+	// postings[postOff[vi*concepts+ci]:postOff[vi*concepts+ci+1]], so one
+	// video's lists are contiguous and a stage reads a few cache lines.
+	postings []int32
+	postOff  []int32
+	// startMS[s] is States[s].StartMS packed beside the postings; only
+	// scope windows and gap constraints read it.
+	startMS []int32
+	// sim is the dense Eq. 14 table, concept-major: sim(s, e) lives at
+	// sim[e.Index()*states+s], so the lookups of one posting list stay
+	// within one concept's row. nil when Options.NoSimCache is set.
 	sim      []float64
+	states   int
 	concepts int
 	// coarse is the candidate-generation prefilter; nil unless
 	// Options.CoarseCandidates > 0.
@@ -452,6 +472,8 @@ type engineShared struct {
 	// nVideos / maxLocal size the pooled search arenas.
 	nVideos  int
 	maxLocal int
+	// orders memoizes the exact-mode Step-2 video orders; see orderMemo.
+	orders orderMemo
 	// arenas is a bounded free list of search scratch: a buffered channel
 	// holding idle arenas. Unlike sync.Pool it is never drained by GC and
 	// never grows past its capacity (Options.ScratchArenas), so the
@@ -460,6 +482,81 @@ type engineShared struct {
 	// to reclaim — a counted event, so a chronically undersized pool is
 	// visible in metrics rather than silent re-allocation churn.
 	arenas chan *arena
+}
+
+// posting returns the ascending global state indices of video vi
+// annotated with concept ci. The slice aliases the shared index: callers
+// must not write through it.
+func (sh *engineShared) posting(vi, ci int) []int32 {
+	k := vi*sh.concepts + ci
+	return sh.postings[sh.postOff[k]:sh.postOff[k+1]]
+}
+
+// stepPosting returns the shortest posting list among the step's positive
+// events in video vi: the candidate superset a conjunction is filtered
+// from, and the length the work estimates count.
+func (sh *engineShared) stepPosting(vi int, step Step) []int32 {
+	posting := sh.posting(vi, step.Events[0].Index())
+	for _, ev := range step.Events[1:] {
+		if alt := sh.posting(vi, ev.Index()); len(alt) < len(posting) {
+			posting = alt
+		}
+	}
+	return posting
+}
+
+// maxMemoOrders bounds the order memo's entry count. A key is a first
+// step's event set plus AnnotatedOnly, so real traffic uses a few entries
+// per concept; an adversarial stream of distinct conjunctions costs one
+// drop-all per maxMemoOrders misses and never more than
+// maxMemoOrders × NumVideos ints of memory.
+const maxMemoOrders = 64
+
+// orderMemo caches videoOrder's exact-mode result. The Π2/A2 greedy walk
+// depends only on the first step's positive event set (the B2 check),
+// AnnotatedOnly (the trailing non-candidate append), and the model's
+// B2/Π2/A2 — every mutation of which bumps hmmm.Model.Version — so an
+// entry is valid exactly while the version it was computed at is current.
+// An entry stores the walk's edge evaluations beside the order: a hit
+// charges them to the query's Cost, keeping Cost a function of (model,
+// query, options) and never of cache state.
+type orderMemo struct {
+	mu      sync.Mutex
+	version uint64
+	entries map[orderKey]orderEntry
+}
+
+type orderKey struct {
+	events        uint16 // bitmask over concept indices (videomodel.MaxEvents = 16)
+	annotatedOnly bool
+}
+
+// orderEntry's order slice is shared by every hit and must stay read-only.
+type orderEntry struct {
+	order     []int
+	edgeEvals int
+}
+
+func (om *orderMemo) get(version uint64, k orderKey) (orderEntry, bool) {
+	om.mu.Lock()
+	defer om.mu.Unlock()
+	if om.version != version {
+		return orderEntry{}, false
+	}
+	ent, ok := om.entries[k]
+	return ent, ok
+}
+
+// put stores an entry computed at the given model version, dropping every
+// entry first when the version moved on or the memo is full.
+func (om *orderMemo) put(version uint64, k orderKey, ent orderEntry) {
+	om.mu.Lock()
+	defer om.mu.Unlock()
+	if om.version != version || len(om.entries) >= maxMemoOrders || om.entries == nil {
+		om.entries = make(map[orderKey]orderEntry)
+		om.version = version
+	}
+	om.entries[k] = ent
 }
 
 // DefaultScratchArenas is the arena free-list capacity used when
@@ -475,56 +572,58 @@ func DefaultScratchArenas() int {
 }
 
 // NewEngine returns an engine over the model. The model is not copied.
-// Retrieval reads A1/A2/Π1/Π2 live, so feedback training the model
-// re-tunes subsequent retrievals without any cache work; mutations that
-// touch B1, B1', P12, or the state set (RefreshDerived, LearnP12,
+// Retrieval reads A1/Π1 live and re-derives the memoized A2/Π2 video
+// orders whenever the model's Version has moved, so feedback training the
+// model re-tunes subsequent retrievals without any cache work; mutations
+// that touch B1, B1', P12, or the state set (RefreshDerived, LearnP12,
 // AddVideo) require Invalidate (or a new engine) so the event index and
 // similarity table match the model again.
 func NewEngine(m *hmmm.Model, opts Options) (*Engine, error) {
 	if m == nil {
 		return nil, errors.New("retrieval: nil model")
 	}
-	if err := m.Validate(1e-6); err != nil {
-		return nil, fmt.Errorf("retrieval: invalid model: %w", err)
+	if err := validateModel(m); err != nil {
+		return nil, err
 	}
 	e := &Engine{m: m, opts: opts.withDefaults()}
 	e.shared = buildShared(m, e.opts)
 	return e, nil
 }
 
+// validateModel checks what the derived caches rely on: the model's own
+// invariants — among them that a state's local index is its global index
+// minus its video's first, which lets the lattice derive one from the
+// other without loading the state — and start times in [0, 2³¹): they fit
+// the packed column, and none is negative, which is what lets a scope
+// without a window skip the column altogether.
+func validateModel(m *hmmm.Model) error {
+	if err := m.Validate(1e-6); err != nil {
+		return fmt.Errorf("retrieval: invalid model: %w", err)
+	}
+	for s := range m.States {
+		if ms := m.States[s].StartMS; ms < 0 || ms > math.MaxInt32 {
+			return fmt.Errorf("retrieval: invalid model: state %d starts at %dms, outside [0, 2^31)", s, ms)
+		}
+	}
+	return nil
+}
+
 // buildShared computes the derived caches for the model under the given
 // (defaulted) options.
 func buildShared(m *hmmm.Model, opts Options) *engineShared {
 	sh := &engineShared{
+		states:       m.NumStates(),
 		concepts:     m.NumConcepts(),
 		modelVersion: m.Version(),
 		nVideos:      m.NumVideos(),
 	}
-	sh.index = make([][][]int, m.NumVideos())
-	for vi := range sh.index {
+	for vi := 0; vi < sh.nVideos; vi++ {
 		lo, hi := m.VideoStates(vi)
 		if n := hi - lo; n > sh.maxLocal {
 			sh.maxLocal = n
 		}
 	}
-	// Each video's posting lists are independent and land in the video's
-	// own index slot, so the fill fans out over BuildWorkers with
-	// bit-identical contents for any worker count (postings stay in
-	// ascending state order because each worker scans its video's state
-	// range forward).
-	par.For(opts.BuildWorkers, len(sh.index), func(vi int) {
-		idx := make([][]int, m.NumConcepts())
-		lo, hi := m.VideoStates(vi)
-		for s := lo; s < hi; s++ {
-			for _, ev := range m.States[s].Events {
-				if ev.Valid() {
-					ci := ev.Index()
-					idx[ci] = append(idx[ci], s)
-				}
-			}
-		}
-		sh.index[vi] = idx
-	})
+	sh.buildIndex(m, opts.BuildWorkers)
 	if !opts.NoSimCache {
 		sh.sim = buildSimTable(m, opts.SimEpsilon, opts.BuildWorkers)
 	}
@@ -537,6 +636,48 @@ func buildShared(m *hmmm.Model, opts Options) *engineShared {
 	}
 	sh.arenas = make(chan *arena, poolCap)
 	return sh
+}
+
+// buildIndex fills the CSR event index and the start-time column in two
+// passes over the states: count each (video, concept) list, prefix-sum the
+// counts into offsets, then write the postings. Every video owns its
+// offset slots and its postings range, so both passes fan out over
+// workers with bit-identical contents for any count, and each list is
+// ascending because a video's states are scanned forward.
+func (sh *engineShared) buildIndex(m *hmmm.Model, workers int) {
+	c := sh.concepts
+	sh.postOff = make([]int32, sh.nVideos*c+1)
+	sh.startMS = make([]int32, sh.states)
+	par.For(workers, sh.nVideos, func(vi int) {
+		counts := sh.postOff[vi*c+1 : (vi+1)*c+1]
+		lo, hi := m.VideoStates(vi)
+		for s := lo; s < hi; s++ {
+			sh.startMS[s] = int32(m.States[s].StartMS)
+			for _, ev := range m.States[s].Events {
+				if ev.Valid() {
+					counts[ev.Index()]++
+				}
+			}
+		}
+	})
+	for k := 1; k < len(sh.postOff); k++ {
+		sh.postOff[k] += sh.postOff[k-1]
+	}
+	sh.postings = make([]int32, sh.postOff[len(sh.postOff)-1])
+	par.For(workers, sh.nVideos, func(vi int) {
+		var next [videomodel.MaxEvents]int32
+		copy(next[:], sh.postOff[vi*c:(vi+1)*c])
+		lo, hi := m.VideoStates(vi)
+		for s := lo; s < hi; s++ {
+			for _, ev := range m.States[s].Events {
+				if ev.Valid() {
+					ci := ev.Index()
+					sh.postings[next[ci]] = int32(s)
+					next[ci]++
+				}
+			}
+		}
+	})
 }
 
 // WithOptions returns an engine over the same model with different
@@ -568,8 +709,8 @@ func (e *Engine) WithOptions(opts Options) *Engine {
 // (the server holds its write lock). Engines previously derived via
 // WithOptions keep the old caches — re-derive them afterwards.
 func (e *Engine) Invalidate() error {
-	if err := e.m.Validate(1e-6); err != nil {
-		return fmt.Errorf("retrieval: invalid model: %w", err)
+	if err := validateModel(e.m); err != nil {
+		return err
 	}
 	e.shared = buildShared(e.m, e.opts)
 	return nil
@@ -736,13 +877,34 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 // first pruned to the prefilter's survivors — except for queries scoped
 // to a single video, which skip the prefilter (the scope already prunes
 // harder than the index could, and bypassing keeps scoped results
-// bit-identical to the exact engine's).
+// bit-identical to the exact engine's). The exact order is memoized on the
+// shared caches (see orderMemo); the returned slice is shared and must not
+// be modified.
 func (e *Engine) videoOrder(steps []Step, scope *Scope, cost *Cost) []int {
 	if e.opts.CoarseCandidates > 0 && e.shared.coarse != nil &&
 		(scope == nil || scope.Video == 0) {
 		return e.coarseOrder(steps, cost)
 	}
-	first := steps[0]
+	key := orderKey{annotatedOnly: e.opts.AnnotatedOnly}
+	for _, ev := range steps[0].Events {
+		key.events |= 1 << ev.Index()
+	}
+	// Model writers are serialized against retrievals, so the version read
+	// here stamps everything this call reads from A2/Π2/B2.
+	version := e.m.Version()
+	ent, ok := e.shared.orders.get(version, key)
+	if !ok {
+		ent = e.exactOrder(steps[0])
+		e.shared.orders.put(version, key, ent)
+	}
+	cost.EdgeEvals += ent.edgeEvals
+	return ent.order
+}
+
+// exactOrder computes videoOrder's exact-mode result for a first step: the
+// greedy Π2/A2 walk over the videos passing the B2 check, then (without
+// AnnotatedOnly) the remaining videos in ascending order.
+func (e *Engine) exactOrder(first Step) orderEntry {
 	mv := e.m.NumVideos()
 	candidates := make([]int, 0, mv)
 	isCandidate := make([]bool, mv)
@@ -752,7 +914,8 @@ func (e *Engine) videoOrder(steps []Step, scope *Scope, cost *Cost) []int {
 			isCandidate[v] = true
 		}
 	}
-	order := e.greedyOrder(candidates, cost)
+	var walk Cost
+	order := e.greedyOrder(candidates, &walk)
 	if !e.opts.AnnotatedOnly {
 		for v := 0; v < mv; v++ {
 			if !isCandidate[v] {
@@ -760,7 +923,7 @@ func (e *Engine) videoOrder(steps []Step, scope *Scope, cost *Cost) []int {
 			}
 		}
 	}
-	return order
+	return orderEntry{order: order, edgeEvals: walk.EdgeEvals}
 }
 
 // coarseOrder is the two-stage variant of videoOrder: the internal/index

@@ -18,7 +18,7 @@ import (
 // filled by the same kernel.
 func (e *Engine) Sim(s int, ev videomodel.Event) float64 {
 	if sh := e.shared; sh.sim != nil {
-		return sh.sim[s*sh.concepts+ev.Index()]
+		return sh.sim[ev.Index()*sh.states+s]
 	}
 	ci := ev.Index()
 	return simKernel(e.m.B1.Row(s), e.m.B1Prime.Row(ci), e.m.P12.Row(ci), e.opts.SimEpsilon)
@@ -43,10 +43,13 @@ func simKernel(bRow, meanRow, pRow []float64, eps float64) float64 {
 }
 
 // buildSimTable precomputes sim(s, e) for every (state, concept) pair into
-// a row-major NumStates × NumConcepts table. States are independent and
-// each writes only its own table row, so the fill fans out over the
-// requested worker count (0 = GOMAXPROCS) in contiguous chunks with
-// bit-identical output for any count.
+// a concept-major NumConcepts × NumStates table (sim(s, e) at
+// table[e.Index()*NumStates+s]): a posting list walks ascending states of
+// one concept, so its lookups are near-sequential. States are independent
+// and each writes only its own column, so the fill fans out over the
+// requested worker count (0 = GOMAXPROCS) in contiguous state chunks —
+// contiguous within every concept row — with bit-identical output for
+// any count.
 func buildSimTable(m *hmmm.Model, eps float64, workers int) []float64 {
 	n, c, k := m.NumStates(), m.NumConcepts(), m.K()
 	table := make([]float64, n*c)
@@ -54,9 +57,8 @@ func buildSimTable(m *hmmm.Model, eps float64, workers int) []float64 {
 	par.ForChunks(workers, n, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			bRow := b1[s*k : (s+1)*k]
-			out := table[s*c : (s+1)*c]
 			for ci := 0; ci < c; ci++ {
-				out[ci] = simKernel(bRow, bp[ci*k:(ci+1)*k], p12[ci*k:(ci+1)*k], eps)
+				table[ci*n+s] = simKernel(bRow, bp[ci*k:(ci+1)*k], p12[ci*k:(ci+1)*k], eps)
 			}
 		}
 	})

@@ -8,9 +8,11 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -55,6 +57,11 @@ type liveState struct {
 	journalLen atomic.Int64
 	// compacting is the background-compaction single-flight flag.
 	compacting atomic.Bool
+	// bgDone is closed when the background compaction that set compacting
+	// finishes: what Shutdown waits on. Guarded by bgMu; nil until the
+	// first background compaction starts.
+	bgMu   sync.Mutex
+	bgDone chan struct{}
 	// lastCompactMS is the wall clock of the last successful compaction.
 	lastCompactMS atomic.Int64
 }
@@ -349,7 +356,12 @@ func (s *Server) maybeCompactAsync() {
 	if !ls.compacting.CompareAndSwap(false, true) {
 		return
 	}
+	done := make(chan struct{})
+	ls.bgMu.Lock()
+	ls.bgDone = done
+	ls.bgMu.Unlock()
 	go func() {
+		defer close(done)
 		defer ls.compacting.Store(false)
 		s.retrainMu.Lock()
 		defer s.retrainMu.Unlock()
@@ -360,6 +372,28 @@ func (s *Server) maybeCompactAsync() {
 			s.logf("server: background compaction failed (delta keeps serving): %v", err)
 		}
 	}()
+}
+
+// waitCompaction blocks until the background compaction in flight when
+// it is called — queued on retrainMu or already folding — has finished,
+// or ctx expires. Shutdown calls it after the HTTP drain, when no accept
+// can start another one.
+func (s *Server) waitCompaction(ctx context.Context) error {
+	if s.live == nil {
+		return nil
+	}
+	s.live.bgMu.Lock()
+	done := s.live.bgDone
+	s.live.bgMu.Unlock()
+	if done == nil {
+		return nil
+	}
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("background compaction still running: %w", ctx.Err())
+	}
 }
 
 // compactDue evaluates the compaction triggers against the published

@@ -484,6 +484,63 @@ func TestCompactionSizeTriggerRuns(t *testing.T) {
 	}
 }
 
+// TestShutdownWaitsForBackgroundCompaction: a compaction started by the
+// last accepted video may still be queued on retrainMu — or writing the
+// corpus snapshot — when the HTTP drain completes. Shutdown must not
+// return before it has finished: callers remove the live directory next
+// (hmmmload's ingest mode did, and logged "corpus.snapshot.tmp: no such
+// file or directory").
+func TestShutdownWaitsForBackgroundCompaction(t *testing.T) {
+	dir := t.TempDir()
+	snapPath := filepath.Join(dir, "corpus.snapshot")
+	s, ts := newLiveServer(t, live.Config{
+		LogPath: filepath.Join(dir, "ingest.journal"), SnapshotPath: snapPath,
+	}, Config{})
+	mustIngest(t, ts, "down-a", 41)
+	mustIngest(t, ts, "down-b", 52)
+
+	// Queue a background compaction behind a held retrainMu: the state an
+	// accept leaves behind when the trigger fires as the drain begins.
+	s.retrainMu.Lock()
+	s.live.cfg.CompactAfter = 2
+	s.maybeCompactAsync()
+	if !s.live.compacting.Load() {
+		s.retrainMu.Unlock()
+		t.Fatal("size trigger did not start a background compaction")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	err := s.waitCompaction(ctx)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		s.retrainMu.Unlock()
+		t.Fatalf("wait on a queued compaction returned %v, want the grace to expire", err)
+	}
+	down := make(chan error, 1)
+	go func() { down <- s.Shutdown(ts.Config, 30*time.Second) }()
+	s.retrainMu.Unlock()
+	if err := <-down; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	// Everything below is read the instant Shutdown returns.
+	if s.live.compacting.Load() {
+		t.Fatal("Shutdown returned with the compaction still in flight")
+	}
+	if got := s.ingestStats(s.current.Load()); got.Compactions != 1 || got.CompactFailures != 0 {
+		t.Fatalf("compactions = %d, compact_failures = %d, want 1 and 0", got.Compactions, got.CompactFailures)
+	}
+	corpus, from, err := store.LoadCorpusRecover(snapPath)
+	if err != nil || from != snapPath {
+		t.Fatalf("snapshot after shutdown: loaded from %q, err %v", from, err)
+	}
+	if got, want := len(corpus.Archive.Videos), len(liveCorpus.Archive.Videos)+2; got != want {
+		t.Fatalf("snapshot holds %d videos, want %d", got, want)
+	}
+	if _, err := os.Stat(snapPath + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("snapshot temp file left behind (stat err %v)", err)
+	}
+}
+
 // TestIngestReplayAfterRestart: without a snapshot path the journal is
 // the only durable copy; a restart replays every record into the delta
 // with stable IDs.

@@ -1352,14 +1352,20 @@ func (s *Server) PersistNow() error {
 
 // Shutdown gracefully stops the given http.Server serving this Server's
 // handler: readiness goes false, in-flight requests get up to grace to
-// finish, then the feedback log is persisted one final time. Both the
-// drain error (deadline exceeded with requests still running) and the
-// persist error matter; the persist always runs.
+// finish, a background compaction started by one of them gets the rest
+// of the grace to finish — so a caller that removes the live directory
+// afterwards does not pull it out from under the snapshot write — and
+// then the feedback log is persisted one final time. The drain error
+// (deadline exceeded with requests or the compaction still running) and
+// the persist error both matter; the persist always runs.
 func (s *Server) Shutdown(hs *http.Server, grace time.Duration) error {
 	s.BeginDrain()
 	ctx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
 	drainErr := hs.Shutdown(ctx)
+	if err := s.waitCompaction(ctx); err != nil && drainErr == nil {
+		drainErr = err
+	}
 	persistErr := s.PersistNow()
 	if persistErr != nil {
 		return fmt.Errorf("final feedback-log persist: %w", persistErr)
