@@ -1,5 +1,5 @@
 # Build / verification entry points. `make verify` is the tier-1 loop:
-# vet + build + full tests + race on the retrieval hot path.
+# vet + build + full tests + race on the concurrency-bearing packages.
 
 GO ?= go
 
@@ -13,7 +13,7 @@ note = $(1)$(if $(BENCH_NOTE),; $(BENCH_NOTE))
 # Offline-pipeline benchmarks captured into BENCH_build.json.
 BENCH_BUILD_PATTERN := BenchmarkBuildPaperScale|BenchmarkRetrainPaperScale
 
-.PHONY: build vet test race race-server race-obs race-shard race-live race-fed race-all verify e2e bench bench-build bench-scale bench-million bench-serving bench-serving-smoke bench-ingest bench-federated cover fuzz clean
+.PHONY: build vet test race race-all verify e2e bench bench-build bench-scale bench-million bench-serving bench-serving-smoke bench-ingest bench-federated cover fuzz clean
 
 # Packages whose per-package coverage `make cover` gates at 80%.
 COVER_GATED := internal/shard internal/retrieval internal/matn internal/index internal/coord internal/rpc internal/live internal/videomodel internal/fed
@@ -28,37 +28,22 @@ vet:
 test:
 	$(GO) test ./...
 
+# The packages whose job is concurrency, under the race detector: the
+# retrieval hot path, the server (incl. the ingest/compaction hammer),
+# the metrics registry, the in-process and federated scatter-gathers,
+# the live-ingest journal and delta, and the network path — rpc and
+# coord share connection-owned buffers across exchanges and run the
+# chaos suite.
+RACE_PKGS := retrieval server obs shard live fed rpc coord
 race:
-	$(GO) test -race ./internal/retrieval/...
+	$(GO) test -race $(RACE_PKGS:%=./internal/%/...)
 
-race-server:
-	$(GO) test -race ./internal/server/...
-
-# The metrics registry and histogram invariants under concurrency.
-race-obs:
-	$(GO) test -race ./internal/obs/...
-
-# The sharded scatter-gather path under the race detector: the
-# differential suite plus the concurrent query/retrain/re-split hammer.
-race-shard:
-	$(GO) test -race ./internal/shard/...
-
-# The live-ingest journal and delta sub-model under the race detector
-# (the server-side ingest/compaction hammer runs in race-server).
-race-live:
-	$(GO) test -race ./internal/live/...
-
-# The federation scatter/merge layer under the race detector (members
-# fan out via par.For; the suite pins worker-count determinism).
-race-fed:
-	$(GO) test -race ./internal/fed/...
-
-# Full-repo race sweep; slower than the targeted race targets, meant
+# Full-repo race sweep; slower than the targeted race target, meant
 # for CI and pre-release checks.
 race-all:
 	$(GO) test -race ./...
 
-verify: vet build test race race-server race-obs race-shard race-live race-fed
+verify: vet build test race
 
 # End-to-end distributed serving: builds cmd/hmmm-shardd, boots 3 real
 # shard processes plus an in-process coordinator, and proves the
@@ -127,13 +112,14 @@ cover:
 		else echo "cover: $$pkg at $$pct% (floor $(COVER_MIN)%)"; fi; \
 	done; [ $$ok -eq 1 ]
 
-# Brief native-fuzz runs of the parser and log-decoder targets; CI runs
-# the same budget.
+# Brief native-fuzz runs of the parser, log-decoder, and wire-codec
+# targets; CI runs the same budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzMATNParse -fuzztime=$(FUZZTIME) ./internal/matn/
 	$(GO) test -fuzz=FuzzFeedbackLogDecode -fuzztime=$(FUZZTIME) ./internal/feedback/
 	$(GO) test -fuzz=FuzzJournalDecode -fuzztime=$(FUZZTIME) ./internal/live/
+	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/rpc/
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime=200x -count=1 . \

@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"github.com/videodb/hmmm/internal/api"
-	"github.com/videodb/hmmm/internal/par"
 	"github.com/videodb/hmmm/internal/retrieval"
 	"github.com/videodb/hmmm/internal/rpc"
 )
@@ -72,9 +71,6 @@ type Options struct {
 	// GenRetries bounds re-query rounds for generation-stale shards
 	// before they are dropped as degraded. Default 2.
 	GenRetries int
-	// Workers bounds the scatter fan-out (0 = one goroutine per shard,
-	// capped by GOMAXPROCS via par.For).
-	Workers int
 	// Seed seeds the jitter RNG (0 = a fixed default; determinism in
 	// tests, decorrelation in production comes from per-process seeds).
 	Seed uint64
@@ -255,24 +251,12 @@ func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*
 		c.met.Queries.Inc()
 	}
 	req := &rpc.RetrieveRequest{Query: q, Options: rpc.FromOptions(c.opts)}
-
-	type shardOut struct {
-		resp *rpc.RetrieveResponse
-		err  error
-	}
 	outs := make([]shardOut, len(c.sets))
-	scatter := func(idxs []int) {
-		par.For(c.copts.Workers, len(idxs), func(j int) {
-			i := idxs[j]
-			resp, err := c.queryShard(ctx, i, req)
-			outs[i] = shardOut{resp, err}
-		})
-	}
 	all := make([]int, len(c.sets))
 	for i := range all {
 		all[i] = i
 	}
-	scatter(all)
+	c.scatter(ctx, req, outs, all)
 
 	// Generation consistency: never merge rankings computed on
 	// different model generations. Stale shards are re-queried (a
@@ -298,7 +282,7 @@ func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*
 		if len(stale) == 0 {
 			break
 		}
-		scatter(stale)
+		c.scatter(ctx, req, outs, stale)
 	}
 
 	target := maxGen()
@@ -345,6 +329,35 @@ func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*
 	return out, nil
 }
 
+// shardOut is the outcome of one shard's retry loop.
+type shardOut struct {
+	resp *rpc.RetrieveResponse
+	err  error
+}
+
+// scatter runs the retry loop of every shard in idxs concurrently and
+// returns when all have an outcome. The wait is network I/O, not CPU, so
+// the fan-out is one goroutine per shard whatever GOMAXPROCS is — a
+// bounded pool would queue the later shards' round trips (and start
+// their retry and hedge clocks late) behind the earlier ones. The last
+// shard runs on the caller's goroutine, which would otherwise only wait.
+func (c *Coordinator) scatter(ctx context.Context, req *rpc.RetrieveRequest, outs []shardOut, idxs []int) {
+	var wg sync.WaitGroup
+	for n, i := range idxs {
+		o := &outs[i]
+		if n == len(idxs)-1 {
+			o.resp, o.err = c.queryShard(ctx, i, req)
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o.resp, o.err = c.queryShard(ctx, i, req)
+		}()
+	}
+	wg.Wait()
+}
+
 // queryShard runs the retry loop for one shard: pick a replica, attempt
 // (with hedging), back off with jitter on transient failure.
 func (c *Coordinator) queryShard(ctx context.Context, shardIdx int, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error) {
@@ -384,133 +397,114 @@ func (c *Coordinator) queryShard(ctx context.Context, shardIdx int, req *rpc.Ret
 	return nil, lastErr
 }
 
-// attemptResult is one exchange's outcome flowing back to attempt() —
-// or, when attempt() already returned, to drainAbandoned().
-type attemptResult struct {
-	resp   *rpc.RetrieveResponse
-	err    error
-	ep     *endpoint
-	hedged bool
-}
-
-// attempt runs one (possibly hedged) exchange against ep. After the
-// p95-derived hedge delay with no response, a speculative second
-// request goes to another replica; the first response wins, the shared
-// cancel abandons the loser, and drainAbandoned resolves the loser's
-// outcome so its endpoint's health state (in particular a half-open
-// probe) never dangles.
+// attempt runs one (possibly hedged) exchange against primary, on the
+// calling goroutine. A shard with a single replica can never hedge, so
+// that is all it costs. With replicas, a timer armed at the p95-derived
+// hedge delay launches — only if it fires — a speculative second request
+// to another replica on the timer's goroutine; the first success wins
+// and the shared cancel abandons the loser.
 func (c *Coordinator) attempt(ctx context.Context, shardIdx int, set *shardSet, primary *endpoint, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error) {
+	if len(set.endpoints) == 1 {
+		return c.exchange(ctx, shardIdx, primary, req)
+	}
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	ch := make(chan attemptResult, 2)
-	run := func(ep *endpoint, hedged bool) {
+	// hedged carries the timer goroutine's report — the hedge's response,
+	// nil when it failed or found no replica: exactly one send once the
+	// timer has fired, buffered so an abandoned hedge never blocks.
+	hedged := make(chan *rpc.RetrieveResponse, 1)
+	timer := time.AfterFunc(c.hedgeDelay(primary), func() {
+		var won *rpc.RetrieveResponse
+		defer func() { hedged <- won }()
+		// Once pickOther hands out an endpoint (possibly half-opening its
+		// probe) the exchange must run, so the cancel check comes first.
+		if hctx.Err() != nil {
+			return
+		}
+		other := set.pickOther(time.Now(), primary)
+		if other == nil {
+			return
+		}
 		if c.met != nil {
-			c.met.ShardRequests.Inc()
+			c.met.Hedges.Inc()
 		}
-		go func() {
-			actx, acancel := context.WithTimeout(hctx, c.copts.AttemptTimeout)
-			defer acancel()
-			// The server gets 80% of the attempt window as execution
-			// budget, so a truncated partial still has time to travel
-			// back before the client abandons the attempt.
-			r := *req
-			if d, ok := actx.Deadline(); ok {
-				if budget := time.Until(d) * 8 / 10; budget > 0 {
-					if r.BudgetNS == 0 || int64(budget) < r.BudgetNS {
-						r.BudgetNS = int64(budget)
-					}
-				}
-			}
-			start := time.Now()
-			resp, err := ep.tr.Retrieve(actx, &r)
-			elapsed := time.Since(start)
-			if c.met != nil {
-				c.met.ShardSeconds.ObserveDuration(elapsed)
-			}
-			if err == nil {
-				err = c.identityErr(shardIdx, ep, resp)
-			}
-			if err == nil {
-				ep.lat.ObserveDuration(elapsed)
-			} else if resp == nil && actx.Err() != nil && hctx.Err() == nil {
-				// The attempt cap fired while the query still had
-				// budget: retryable, unlike a parent deadline.
-				err = errAttemptTimeout
-			}
-			ch <- attemptResult{resp, err, ep, hedged}
-		}()
-	}
-	run(primary, false)
-
-	var hedgeC <-chan time.Time
-	if len(set.endpoints) > 1 {
-		timer := time.NewTimer(c.hedgeDelay(primary))
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-
-	pending := 1
-	var firstErr error
-	for pending > 0 {
-		select {
-		case r := <-ch:
-			pending--
-			if r.err == nil {
-				if r.ep.success(r.resp.Generation) && c.met != nil {
-					c.met.Readmissions.Inc()
-				}
-				if r.hedged && c.met != nil {
-					c.met.HedgeWins.Inc()
-				}
-				if pending > 0 {
-					go c.drainAbandoned(ch, pending)
-				}
-				return r.resp, nil
-			}
-			c.noteFailure(r.ep, r.err)
-			if firstErr == nil {
-				firstErr = r.err
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if other := set.pickOther(time.Now(), primary); other != nil {
-				if c.met != nil {
-					c.met.Hedges.Inc()
-				}
-				run(other, true)
-				pending++
-			}
+		if resp, err := c.exchange(hctx, shardIdx, other, req); err == nil {
+			won = resp
+			cancel() // unblock the primary's goroutine
 		}
+	})
+
+	resp, err := c.exchange(hctx, shardIdx, primary, req)
+	if timer.Stop() || err == nil {
+		// No hedge was launched, or the primary answered anyway: a hedge
+		// still in flight is abandoned by the deferred cancel and settles
+		// its own outcome.
+		return resp, err
 	}
-	return nil, firstErr
+	if won := <-hedged; won != nil {
+		if c.met != nil {
+			c.met.HedgeWins.Inc()
+		}
+		return won, nil
+	}
+	return nil, err
 }
 
-// drainAbandoned resolves exchanges still in flight when attempt()
-// returned early (the hedge loser after a winner came back). Every
-// outcome must reach the health machine: an abandoned half-open probe
-// would otherwise wedge its endpoint in probing, where usable() refuses
-// it forever and — with one replica per shard — silently drops the
-// recovered shard from every future query. The attempt timeout bounds
-// how long this goroutine lives; the shared cancel usually resolves it
-// immediately.
-func (c *Coordinator) drainAbandoned(ch <-chan attemptResult, pending int) {
-	for ; pending > 0; pending-- {
-		r := <-ch
-		if r.err == nil {
-			if r.ep.success(r.resp.Generation) && c.met != nil {
-				c.met.Readmissions.Inc()
-			}
-		} else {
-			c.noteFailure(r.ep, r.err)
-		}
+// exchange runs one request against ep under the attempt cap and
+// settles its outcome — metrics, latency history, and above all the
+// endpoint's health machine — before returning, on whichever goroutine
+// ran it. That holds for an abandoned exchange too (a hedge's loser, a
+// probe cut short by the parent deadline): an outcome that never
+// reached the health machine would wedge a half-open probe in probing,
+// where usable() refuses it forever and — with one replica per shard —
+// silently drops the recovered shard from every future query. The
+// attempt timeout bounds how long an abandoned exchange lives; the
+// shared cancel usually ends it at once.
+func (c *Coordinator) exchange(hctx context.Context, shardIdx int, ep *endpoint, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error) {
+	if c.met != nil {
+		c.met.ShardRequests.Inc()
 	}
+	actx, acancel := context.WithTimeout(hctx, c.copts.AttemptTimeout)
+	defer acancel()
+	// The server gets 80% of the attempt window as execution budget, so
+	// a truncated partial still has time to travel back before the
+	// client abandons the attempt. req is shared by every shard and
+	// hedge of the query, so the budget goes into a copy.
+	r := *req
+	d, _ := actx.Deadline()
+	if budget := time.Until(d) * 8 / 10; budget > 0 {
+		r.BudgetNS = int64(budget)
+	}
+	start := time.Now()
+	resp, err := ep.tr.Retrieve(actx, &r)
+	elapsed := time.Since(start)
+	if c.met != nil {
+		c.met.ShardSeconds.ObserveDuration(elapsed)
+	}
+	if err == nil {
+		err = c.identityErr(shardIdx, ep, resp)
+	}
+	if err != nil {
+		if resp == nil && actx.Err() != nil && hctx.Err() == nil {
+			// The attempt cap fired while the query still had budget:
+			// retryable, unlike a parent deadline.
+			err = errAttemptTimeout
+		}
+		c.noteFailure(ep, err)
+		return nil, err
+	}
+	ep.lat.ObserveDuration(elapsed)
+	if ep.success(resp.Generation) && c.met != nil {
+		c.met.Readmissions.Inc()
+	}
+	return resp, nil
 }
 
 // identityErr rejects a response stamped with the wrong shard identity:
 // a mis-wired replica answering for another partition must degrade the
-// shard, never merge. Responses without a stamp (OfShards == 0, an
-// older server during rolling rollout) pass — WaitReady still covers
+// shard, never merge. Responses without a stamp (OfShards == 0: a
+// Transport whose Handler does not stamp) pass — WaitReady still covers
 // those at startup.
 func (c *Coordinator) identityErr(shardIdx int, ep *endpoint, resp *rpc.RetrieveResponse) error {
 	if resp.OfShards == 0 || (resp.Shard == shardIdx && resp.OfShards == len(c.sets)) {

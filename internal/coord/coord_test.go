@@ -159,6 +159,55 @@ func TestCoordinatorBitIdentical(t *testing.T) {
 	}
 }
 
+// TestScatterOverlapsNetworkWaits pins the fan-out rule: the scatter is
+// I/O-bound, so every shard's round trip is in flight at once even when
+// shards outnumber GOMAXPROCS. Seven shards that each take 20 ms behind
+// a one-core coordinator answer in about one transport latency, not
+// seven (a GOMAXPROCS-sized worker pool ran them back to back, and
+// started the later shards' retry and hedge clocks late).
+func TestScatterOverlapsNetworkWaits(t *testing.T) {
+	const k, latency = 7, 20 * time.Millisecond
+	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 36, Videos: 14, MaxShots: 10})
+	shards, err := shard.Split(m, k)
+	if err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	if len(shards) != k {
+		t.Fatalf("got %d shards, want %d", len(shards), k)
+	}
+	c, flaky := loopbackCoordinator(t, services(t, shards, 1), retrieval.Options{}, fastOptions(nil))
+	eng, err := retrieval.NewEngine(m, retrieval.Options{})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	q := retrievaltest.Queries(m)[0]
+	want, err := eng.Retrieve(q)
+	if err != nil {
+		t.Fatalf("unsharded: %v", err)
+	}
+	if _, err := c.Retrieve(q); err != nil { // warm the shard engines
+		t.Fatalf("warm-up: %v", err)
+	}
+	for _, ft := range flaky {
+		ft.delay.Store(int64(latency))
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	start := time.Now()
+	got, err := c.RetrieveContext(context.Background(), q)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("coord: %v", err)
+	}
+	if elapsed >= 2*latency {
+		t.Fatalf("%d shards at %v each took %v: the scatter serialised its network waits", k, latency, elapsed)
+	}
+	retrievaltest.RequireSameMatches(t, "k=7 on one core", want.Matches, got.Matches)
+	if got.Cost.Truncated || got.Cost.DegradedShards != 0 {
+		t.Fatalf("healthy scatter degraded: %+v", got.Cost)
+	}
+}
+
 // TestDegradedShardDown pins graceful degradation: a shard that fails
 // past the retry budget is dropped, the query returns the committed
 // partial with Truncated + DegradedShards — never an error — and the

@@ -29,8 +29,14 @@ type Client struct {
 	maxIdle     int
 
 	mu     sync.Mutex
-	idle   []net.Conn
+	idle   []*clientConn
 	closed bool
+}
+
+// clientConn is one pooled connection and the frame buffers it owns.
+type clientConn struct {
+	net.Conn
+	frameBufs
 }
 
 // NewClient returns a client for addr. dialTimeout bounds each dial (0
@@ -104,7 +110,7 @@ func (c *Client) call(ctx context.Context, reqTag byte, req any, respTag byte, r
 }
 
 // conn pops an idle connection or dials a fresh one.
-func (c *Client) conn(ctx context.Context) (conn net.Conn, pooled bool, err error) {
+func (c *Client) conn(ctx context.Context) (conn *clientConn, pooled bool, err error) {
 	c.mu.Lock()
 	if n := len(c.idle); n > 0 {
 		conn = c.idle[n-1]
@@ -114,17 +120,17 @@ func (c *Client) conn(ctx context.Context) (conn net.Conn, pooled bool, err erro
 	}
 	c.mu.Unlock()
 	d := net.Dialer{Timeout: c.dialTimeout}
-	conn, err = d.DialContext(ctx, "tcp", c.addr)
+	nc, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		return nil, false, fmt.Errorf("rpc: dial %s: %w", c.addr, err)
 	}
-	return conn, false, nil
+	return &clientConn{Conn: nc}, false, nil
 }
 
 // roundTrip writes one frame and reads the reply on conn, honoring ctx.
 // On success the connection returns to the idle pool; on any failure it
 // is closed.
-func (c *Client) roundTrip(ctx context.Context, conn net.Conn, reqTag byte, req any, respTag byte, resp any) (err error) {
+func (c *Client) roundTrip(ctx context.Context, conn *clientConn, reqTag byte, req any, respTag byte, resp any) (err error) {
 	// Arm cancellation: the deadline covers ctx's deadline, and the
 	// AfterFunc covers explicit cancel. poked records that the deadline
 	// was yanked so a completed-anyway response cannot park a poisoned
@@ -160,10 +166,10 @@ func (c *Client) roundTrip(ctx context.Context, conn net.Conn, reqTag byte, req 
 		}
 	}()
 
-	if err = writeFrame(conn, reqTag, req); err != nil {
+	if err = conn.writeFrame(conn, reqTag, req); err != nil {
 		return err
 	}
-	tag, body, err := readFrame(conn)
+	tag, body, err := conn.readFrame(conn)
 	if err != nil {
 		return err
 	}
@@ -183,7 +189,8 @@ func (c *Client) roundTrip(ctx context.Context, conn net.Conn, reqTag byte, req 
 
 // park returns a clean connection to the idle pool, or closes it when
 // the pool is full or the client closed.
-func (c *Client) park(conn net.Conn) {
+func (c *Client) park(conn *clientConn) {
+	conn.trim()
 	conn.SetDeadline(time.Time{})
 	c.mu.Lock()
 	if c.closed || len(c.idle) >= c.maxIdle {

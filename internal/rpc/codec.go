@@ -1,0 +1,428 @@
+package rpc
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+
+	"github.com/videodb/hmmm/internal/retrieval"
+	"github.com/videodb/hmmm/internal/videomodel"
+)
+
+// The body codec. Conventions shared by all five messages:
+//
+//	u8/bool  1 byte (a bool is exactly 0 or 1)
+//	i64/u64  8 bytes little-endian (every int that is not an id)
+//	f64      8 bytes little-endian math.Float64bits
+//	id       4 bytes little-endian int32 (events, states, shots, videos)
+//	count    4 bytes little-endian uint32, followed by that many items
+//	str      count + bytes
+//
+// Variable-length messages put every fixed-size header before any
+// variable-size data (all step headers, then every step's event ids; all
+// match headers, then every match's states, shots, videos, weights), so
+// a decoder can total the counts, require exactly that many bytes to
+// remain, and only then carve every slice out of a handful of backing
+// arrays. A count needs no width check on encode: four billion items
+// cannot fit under MaxFrame, which writeFrame enforces on the finished
+// frame.
+
+// wireVersion leads every body. A gob-era body starts with a gob
+// message length (never 1), so an old peer is refused by errWireVersion
+// instead of being mis-parsed.
+const wireVersion = 1
+
+// Decode failures. None is transient: the frame arrived whole (a torn
+// one fails in readFrame), so a retry would decode the same bytes.
+var (
+	errWireVersion = errors.New("unsupported wire version")
+	errShort       = errors.New("body shorter than its fields and counts require")
+	errTrailing    = errors.New("trailing bytes after the message")
+	errBadValue    = errors.New("field outside its domain")
+)
+
+const (
+	stepHeaderSize  = 4 + 4 + 8 + 8     // nEvents, nNot, MinGapMS, MaxGapMS
+	matchHeaderSize = 8 + 4 + 4 + 4 + 4 // Score, nStates, nShots, nVideos, nWeights
+	idSize          = 4
+	f64Size         = 8
+)
+
+// QueryOptions' three bools share one flags byte.
+const (
+	flagCrossVideo = 1 << iota
+	flagAnnotatedOnly
+	flagStopAfterMatches
+	flagsKnown = flagCrossVideo | flagAnnotatedOnly | flagStopAfterMatches
+)
+
+var le = binary.LittleEndian
+
+// writer appends to a frame with a sticky error — reader's mirror image:
+// after the first failure (only an id can fail) nothing more is
+// written, so callers check err once.
+type writer struct {
+	b   []byte
+	err error
+}
+
+func (w *writer) u8(v byte)     { w.b = append(w.b, v) }
+func (w *writer) u64(v uint64)  { w.b = le.AppendUint64(w.b, v) }
+func (w *writer) i64(v int)     { w.u64(uint64(int64(v))) }
+func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
+func (w *writer) count(n int)   { w.b = le.AppendUint32(w.b, uint32(n)) }
+
+func (w *writer) bool(v bool) {
+	if v {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+}
+
+func (w *writer) str(s string) {
+	w.count(len(s))
+	w.b = append(w.b, s...)
+}
+
+// id appends id at the 32-bit wire width, refusing one that does not fit
+// rather than wrapping it.
+func (w *writer) id(id int) {
+	if int(int32(id)) != id && w.err == nil {
+		w.err = fmt.Errorf("id %d does not fit the 32-bit wire width", id)
+	}
+	w.b = le.AppendUint32(w.b, uint32(int32(id)))
+}
+
+func putIDs[T ~int](w *writer, ids []T) {
+	for _, id := range ids {
+		w.id(int(id))
+	}
+}
+
+// appendBody appends msg's versioned body to b. msg is a pointer to one
+// of the five message types.
+func appendBody(b []byte, msg any) ([]byte, error) {
+	w := writer{b: append(b, wireVersion)}
+	switch m := msg.(type) {
+	case *RetrieveRequest:
+		appendRetrieveRequest(&w, m)
+	case *RetrieveResponse:
+		appendRetrieveResponse(&w, m)
+	case *StatusRequest:
+	case *StatusResponse:
+		w.u64(m.Generation)
+		w.i64(m.Shard)
+		w.i64(m.OfShards)
+		w.i64(m.Videos)
+		w.i64(m.States)
+		w.str(m.State)
+	case *ErrorResponse:
+		w.str(m.Code)
+		w.str(m.Msg)
+	default:
+		w.err = fmt.Errorf("no wire form for %T", msg)
+	}
+	return w.b, w.err
+}
+
+func appendRetrieveRequest(w *writer, m *RetrieveRequest) {
+	w.u64(uint64(m.BudgetNS))
+	o := &m.Options
+	w.i64(o.TopK)
+	w.i64(o.Beam)
+	w.i64(o.CoarseCandidates)
+	w.f64(o.SimEpsilon)
+	var flags byte
+	if o.CrossVideo {
+		flags |= flagCrossVideo
+	}
+	if o.AnnotatedOnly {
+		flags |= flagAnnotatedOnly
+	}
+	if o.StopAfterMatches {
+		flags |= flagStopAfterMatches
+	}
+	w.u8(flags)
+
+	q := &m.Query
+	w.bool(q.Scope != nil)
+	if sc := q.Scope; sc != nil {
+		w.id(int(sc.Video))
+		w.i64(sc.FromMS)
+		w.i64(sc.ToMS)
+	}
+	w.count(len(q.Events))
+	w.count(len(q.Steps))
+	for i := range q.Steps {
+		st := &q.Steps[i]
+		w.count(len(st.Events))
+		w.count(len(st.Not))
+		w.i64(st.MinGapMS)
+		w.i64(st.MaxGapMS)
+	}
+	putIDs(w, q.Events)
+	for i := range q.Steps {
+		putIDs(w, q.Steps[i].Events)
+		putIDs(w, q.Steps[i].Not)
+	}
+}
+
+func appendRetrieveResponse(w *writer, m *RetrieveResponse) {
+	w.u64(m.Generation)
+	w.i64(m.Shard)
+	w.i64(m.OfShards)
+	w.i64(m.Cost.SimEvals)
+	w.i64(m.Cost.EdgeEvals)
+	w.i64(m.Cost.VideosSeen)
+	w.i64(m.Cost.DegradedShards)
+	w.bool(m.Cost.Truncated)
+	w.count(len(m.Matches))
+	for i := range m.Matches {
+		mt := &m.Matches[i]
+		w.f64(mt.Score)
+		w.count(len(mt.States))
+		w.count(len(mt.Shots))
+		w.count(len(mt.Videos))
+		w.count(len(mt.Weights))
+	}
+	for i := range m.Matches {
+		mt := &m.Matches[i]
+		putIDs(w, mt.States)
+		putIDs(w, mt.Shots)
+		putIDs(w, mt.Videos)
+		for _, f := range mt.Weights {
+			w.f64(f)
+		}
+	}
+}
+
+// reader is a cursor over a frame body with a sticky error: after the
+// first failure every read returns zero, so callers check err once.
+type reader struct {
+	b   []byte
+	err error
+}
+
+// take consumes n bytes, or fails with errShort.
+func (r *reader) take(n int) []byte {
+	if r.err == nil && n > len(r.b) {
+		r.err = errShort
+	}
+	if r.err != nil {
+		return nil
+	}
+	out := r.b[:n:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *reader) u8() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *reader) bool() bool {
+	v := r.u8()
+	if v > 1 && r.err == nil {
+		r.err = errBadValue
+	}
+	return v == 1
+}
+
+func (r *reader) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return le.Uint32(b)
+	}
+	return 0
+}
+
+func (r *reader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return le.Uint64(b)
+	}
+	return 0
+}
+
+func (r *reader) i64() int {
+	v := int64(r.u64())
+	if int64(int(v)) != v && r.err == nil { // a 32-bit host cannot hold it
+		r.err = errBadValue
+	}
+	return int(v)
+}
+
+func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+// count reads an item count and checks it against the bytes that remain
+// at itemSize bytes per item, so nothing is ever allocated on the word
+// of a count alone.
+func (r *reader) count(itemSize int) int {
+	n := r.u32()
+	if r.err == nil && uint64(n)*uint64(itemSize) > uint64(len(r.b)) {
+		r.err = errShort
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+func (r *reader) str() string { return string(r.take(r.count(1))) }
+
+// exact requires that exactly need bytes remain: the totalled counts of
+// a message must account for the rest of its body.
+func (r *reader) exact(need uint64) {
+	if r.err != nil {
+		return
+	}
+	if have := uint64(len(r.b)); need > have {
+		r.err = errShort
+	} else if need < have {
+		r.err = errTrailing
+	}
+}
+
+// getIDs decodes n ids into the front of backing and returns that prefix
+// (capacity-capped, so an append by the caller cannot run into the next
+// carve) and the rest of backing. Zero ids decode as nil. The caller
+// has already checked that backing and the body hold n.
+func getIDs[T ~int](r *reader, backing []T, n uint32) (out, rest []T) {
+	if n == 0 {
+		return nil, backing
+	}
+	b := r.take(int(n) * idSize)
+	out, rest = backing[:n:n], backing[n:]
+	for i := range out {
+		out[i] = T(int32(le.Uint32(b[i*idSize:])))
+	}
+	return out, rest
+}
+
+// decodeFrame decodes a frame body into msg, a pointer to a zero value
+// of the message type the frame's tag names.
+func decodeFrame(body []byte, msg any) error {
+	r := reader{b: body}
+	if v := r.u8(); r.err == nil && v != wireVersion {
+		return fmt.Errorf("rpc: decoding frame: %w %d (this side speaks %d)", errWireVersion, v, wireVersion)
+	}
+	switch m := msg.(type) {
+	case *RetrieveRequest:
+		decodeRetrieveRequest(&r, m)
+	case *RetrieveResponse:
+		decodeRetrieveResponse(&r, m)
+	case *StatusRequest:
+	case *StatusResponse:
+		m.Generation = r.u64()
+		m.Shard = r.i64()
+		m.OfShards = r.i64()
+		m.Videos = r.i64()
+		m.States = r.i64()
+		m.State = r.str()
+	case *ErrorResponse:
+		m.Code = r.str()
+		m.Msg = r.str()
+	default:
+		return fmt.Errorf("rpc: decoding frame: no wire form for %T", msg)
+	}
+	if r.exact(0); r.err != nil {
+		return fmt.Errorf("rpc: decoding frame: %w", r.err)
+	}
+	return nil
+}
+
+func decodeRetrieveRequest(r *reader, m *RetrieveRequest) {
+	m.BudgetNS = int64(r.u64())
+	o := &m.Options
+	o.TopK = r.i64()
+	o.Beam = r.i64()
+	o.CoarseCandidates = r.i64()
+	o.SimEpsilon = r.f64()
+	flags := r.u8()
+	if flags&^flagsKnown != 0 && r.err == nil {
+		r.err = errBadValue
+	}
+	o.CrossVideo = flags&flagCrossVideo != 0
+	o.AnnotatedOnly = flags&flagAnnotatedOnly != 0
+	o.StopAfterMatches = flags&flagStopAfterMatches != 0
+
+	q := &m.Query
+	if r.bool() {
+		q.Scope = &retrieval.Scope{Video: videomodel.VideoID(int32(r.u32())), FromMS: r.i64(), ToMS: r.i64()}
+	}
+	nEvents := r.count(idSize)
+	nSteps := r.count(stepHeaderSize)
+	hdr := reader{b: r.take(nSteps * stepHeaderSize)}
+	nIDs := uint64(nEvents)
+	for i := 0; i < nSteps; i++ {
+		h := hdr.b[i*stepHeaderSize:]
+		nIDs += uint64(le.Uint32(h)) + uint64(le.Uint32(h[4:]))
+	}
+	if r.exact(nIDs * idSize); r.err != nil {
+		return
+	}
+	// One backing array holds the pattern's events and every step's.
+	backing := make([]videomodel.Event, nIDs)
+	q.Events, backing = getIDs(r, backing, uint32(nEvents))
+	if nSteps > 0 {
+		q.Steps = make([]retrieval.Step, nSteps)
+	}
+	for i := range q.Steps {
+		st := &q.Steps[i]
+		nEv, nNot := hdr.u32(), hdr.u32()
+		st.MinGapMS, st.MaxGapMS = hdr.i64(), hdr.i64()
+		st.Events, backing = getIDs(r, backing, nEv)
+		st.Not, backing = getIDs(r, backing, nNot)
+	}
+	if hdr.err != nil {
+		r.err = hdr.err
+	}
+}
+
+func decodeRetrieveResponse(r *reader, m *RetrieveResponse) {
+	m.Generation = r.u64()
+	m.Shard = r.i64()
+	m.OfShards = r.i64()
+	m.Cost.SimEvals = r.i64()
+	m.Cost.EdgeEvals = r.i64()
+	m.Cost.VideosSeen = r.i64()
+	m.Cost.DegradedShards = r.i64()
+	m.Cost.Truncated = r.bool()
+	n := r.count(matchHeaderSize)
+	hdr := reader{b: r.take(n * matchHeaderSize)}
+	var nStates, nShots, nVideos, nWeights uint64
+	for i := 0; i < n; i++ {
+		h := hdr.b[i*matchHeaderSize:]
+		nStates += uint64(le.Uint32(h[8:]))
+		nShots += uint64(le.Uint32(h[12:]))
+		nVideos += uint64(le.Uint32(h[16:]))
+		nWeights += uint64(le.Uint32(h[20:]))
+	}
+	if r.exact((nStates+nShots+nVideos)*idSize + nWeights*f64Size); r.err != nil || n == 0 {
+		return
+	}
+	// Four flat backing arrays, whatever TopK is.
+	m.Matches = make([]retrieval.Match, n)
+	states := make([]int, nStates)
+	shots := make([]videomodel.ShotID, nShots)
+	videos := make([]videomodel.VideoID, nVideos)
+	weights := make([]float64, nWeights)
+	for i := range m.Matches {
+		mt := &m.Matches[i]
+		mt.Score = hdr.f64()
+		nSt, nSh, nVi, nWe := hdr.u32(), hdr.u32(), hdr.u32(), hdr.u32()
+		mt.States, states = getIDs(r, states, nSt)
+		mt.Shots, shots = getIDs(r, shots, nSh)
+		mt.Videos, videos = getIDs(r, videos, nVi)
+		if nWe > 0 {
+			mt.Weights, weights = weights[:nWe:nWe], weights[nWe:]
+			b := r.take(int(nWe) * f64Size)
+			for j := range mt.Weights {
+				mt.Weights[j] = math.Float64frombits(le.Uint64(b[j*f64Size:]))
+			}
+		}
+	}
+}

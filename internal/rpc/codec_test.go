@@ -1,0 +1,695 @@
+package rpc
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"io"
+	"math"
+	"net"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/videodb/hmmm/internal/retrieval"
+	"github.com/videodb/hmmm/internal/videomodel"
+)
+
+// stubHandler answers every retrieval with a fixed response.
+type stubHandler struct{ resp *RetrieveResponse }
+
+func (h stubHandler) Retrieve(context.Context, *RetrieveRequest) (*RetrieveResponse, error) {
+	return h.resp, nil
+}
+func (h stubHandler) Status() StatusResponse { return StatusResponse{State: StateReady, OfShards: 1} }
+
+// startStub serves h on a loopback listener and returns its address.
+func startStub(t testing.TB, h Handler) string {
+	t.Helper()
+	srv := NewServer(h, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	return ln.Addr().String()
+}
+
+// fullRequest exercises every field of the request codec: a scoped,
+// negated, gap-constrained pattern with both query forms filled.
+func fullRequest() *RetrieveRequest {
+	return &RetrieveRequest{
+		Query: retrieval.Query{
+			Events: []videomodel.Event{3, 1},
+			Steps: []retrieval.Step{
+				{Events: []videomodel.Event{3, 4}},
+				{Events: []videomodel.Event{1}, Not: []videomodel.Event{2, 5}, MinGapMS: 500, MaxGapMS: 90000},
+			},
+			Scope: &retrieval.Scope{Video: 7, FromMS: 1000, ToMS: 1 << 40},
+		},
+		Options: QueryOptions{
+			TopK: 10, Beam: 4, CrossVideo: true, SimEpsilon: 0.125,
+			AnnotatedOnly: true, StopAfterMatches: true, CoarseCandidates: 64,
+		},
+		BudgetNS: int64(1600 * time.Millisecond),
+	}
+}
+
+// rankedResponse builds a topK-match, two-step ranking.
+func rankedResponse(topK int) *RetrieveResponse {
+	resp := &RetrieveResponse{
+		Cost:       retrieval.Cost{SimEvals: 15786, EdgeEvals: 181221, VideosSeen: 647, Truncated: true, DegradedShards: 1},
+		Generation: 9, Shard: 1, OfShards: 2,
+	}
+	for i := 0; i < topK; i++ {
+		resp.Matches = append(resp.Matches, retrieval.Match{
+			States:  []int{100 + i, 101 + i},
+			Shots:   []videomodel.ShotID{videomodel.ShotID(5000 + i), videomodel.ShotID(5001 + i)},
+			Videos:  []videomodel.VideoID{videomodel.VideoID(1 + i%3), videomodel.VideoID(1 + i%3)},
+			Weights: []float64{0.5 / float64(i+1), 0.25 / float64(i+1)},
+			Score:   0.75 / float64(i+1),
+		})
+	}
+	return resp
+}
+
+// Frame offsets of a response's match count and of its first match's
+// state count: envelope, version, generation, shard, of, four cost
+// ints, truncated; then the count and the first header's score.
+const (
+	respMatchCountAt = 5 + 1 + 8 + 8 + 8 + 4*8 + 1
+	respStateCountAt = respMatchCountAt + 4 + 8
+)
+
+// frameOf encodes msg as one frame.
+func frameOf(t testing.TB, tag byte, msg any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	var fb frameBufs
+	if err := fb.writeFrame(&buf, tag, msg); err != nil {
+		t.Fatalf("writeFrame %c: %v", tag, err)
+	}
+	return buf.Bytes()
+}
+
+// messageFor returns an empty message of the type tag names.
+func messageFor(tag byte) any {
+	switch tag {
+	case tagRetrieveReq:
+		return new(RetrieveRequest)
+	case tagRetrieveResp:
+		return new(RetrieveResponse)
+	case tagStatusReq:
+		return new(StatusRequest)
+	case tagStatusResp:
+		return new(StatusResponse)
+	case tagError:
+		return new(ErrorResponse)
+	}
+	return nil
+}
+
+// sameBits compares two responses with floats by their bits, so NaN
+// payloads and the sign of zero count.
+func sameBits(t *testing.T, label string, want, got *RetrieveResponse) {
+	t.Helper()
+	if got.Cost != want.Cost || got.Generation != want.Generation || got.Shard != want.Shard || got.OfShards != want.OfShards {
+		t.Fatalf("%s: header = %+v, want %+v", label, got, want)
+	}
+	if len(got.Matches) != len(want.Matches) {
+		t.Fatalf("%s: %d matches, want %d", label, len(got.Matches), len(want.Matches))
+	}
+	for i, w := range want.Matches {
+		g := got.Matches[i]
+		if math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+			t.Fatalf("%s: match %d score bits %#x, want %#x", label, i, math.Float64bits(g.Score), math.Float64bits(w.Score))
+		}
+		if len(g.Weights) != len(w.Weights) {
+			t.Fatalf("%s: match %d has %d weights, want %d", label, i, len(g.Weights), len(w.Weights))
+		}
+		for j := range w.Weights {
+			if math.Float64bits(g.Weights[j]) != math.Float64bits(w.Weights[j]) {
+				t.Fatalf("%s: match %d weight %d bits %#x, want %#x", label, i, j, math.Float64bits(g.Weights[j]), math.Float64bits(w.Weights[j]))
+			}
+		}
+		if !reflect.DeepEqual(g.States, w.States) || !reflect.DeepEqual(g.Shots, w.Shots) || !reflect.DeepEqual(g.Videos, w.Videos) {
+			t.Fatalf("%s: match %d ids = %+v, want %+v", label, i, g, w)
+		}
+	}
+}
+
+// specialsResponse carries the floats a text or tolerance-based encoding
+// would lose (±0, ±Inf, NaNs with distinct payloads, denormals) and the
+// extreme ids the 32-bit wire width holds.
+func specialsResponse() *RetrieveResponse {
+	floats := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff4000000abcdef),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64 * 3, math.MaxFloat64, 1.0 / 3,
+	}
+	resp := &RetrieveResponse{
+		Cost:       retrieval.Cost{SimEvals: math.MaxInt, EdgeEvals: math.MinInt, VideosSeen: -1},
+		Generation: math.MaxUint64, Shard: math.MaxInt, OfShards: math.MaxInt,
+	}
+	for i, f := range floats {
+		resp.Matches = append(resp.Matches, retrieval.Match{
+			States:  []int{math.MaxInt32, math.MinInt32, i},
+			Shots:   []videomodel.ShotID{math.MaxInt32},
+			Videos:  []videomodel.VideoID{math.MinInt32, 0},
+			Weights: []float64{f, floats[(i+1)%len(floats)]},
+			Score:   f,
+		})
+	}
+	return resp
+}
+
+// TestCodecRoundTrip pins decode(encode(x)) == x for all five messages,
+// the nil-vs-empty rule, and Scope's nil-ness.
+func TestCodecRoundTrip(t *testing.T) {
+	msgs := []struct {
+		tag byte
+		msg any
+	}{
+		{tagRetrieveReq, fullRequest()},
+		{tagRetrieveReq, &RetrieveRequest{Query: retrieval.NewQuery(2, 6)}},
+		{tagRetrieveReq, &RetrieveRequest{}},
+		{tagRetrieveResp, rankedResponse(10)},
+		{tagRetrieveResp, &RetrieveResponse{Generation: 1, OfShards: 2}}, // empty ranking
+		{tagStatusReq, &StatusRequest{}},
+		{tagStatusResp, &StatusResponse{State: StateDraining, Generation: 3, Shard: 2, OfShards: 5, Videos: 171, States: 115670}},
+		{tagError, &ErrorResponse{Code: CodeBadRequest, Msg: "retrieval: empty query pattern"}},
+		{tagError, &ErrorResponse{}},
+	}
+	for _, tc := range msgs {
+		frame := frameOf(t, tc.tag, tc.msg)
+		got := messageFor(tc.tag)
+		if err := decodeFrame(frame[5:], got); err != nil {
+			t.Fatalf("%c %+v: decode: %v", tc.tag, tc.msg, err)
+		}
+		if !reflect.DeepEqual(got, tc.msg) {
+			t.Fatalf("%c: decoded %+v, want %+v", tc.tag, got, tc.msg)
+		}
+	}
+
+	// Empty slices collapse to nil (as they did under gob); a nil Scope
+	// stays nil and a zero Scope stays non-nil.
+	in := &RetrieveRequest{Query: retrieval.Query{
+		Events: []videomodel.Event{},
+		Steps:  []retrieval.Step{{Events: []videomodel.Event{1}, Not: []videomodel.Event{}}},
+		Scope:  &retrieval.Scope{},
+	}}
+	var out RetrieveRequest
+	if err := decodeFrame(frameOf(t, tagRetrieveReq, in)[5:], &out); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if out.Query.Events != nil || out.Query.Steps[0].Not != nil {
+		t.Fatalf("empty slices must decode as nil: %+v", out.Query)
+	}
+	if out.Query.Scope == nil || *out.Query.Scope != (retrieval.Scope{}) {
+		t.Fatalf("zero Scope must stay non-nil: %+v", out.Query.Scope)
+	}
+	var resp RetrieveResponse
+	if err := decodeFrame(frameOf(t, tagRetrieveResp, &RetrieveResponse{Matches: []retrieval.Match{{States: []int{}}}})[5:], &resp); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if len(resp.Matches) != 1 || resp.Matches[0].States != nil || resp.Matches[0].Weights != nil {
+		t.Fatalf("empty match slices must decode as nil: %+v", resp.Matches)
+	}
+}
+
+// TestCodecRejects pins the classified decode failures: a gob-era body,
+// counts that outrun the body, trailing bytes, and out-of-domain flag
+// bytes are all permanent errors, reported before anything is allocated
+// on their word.
+func TestCodecRejects(t *testing.T) {
+	resp := frameOf(t, tagRetrieveResp, rankedResponse(2))
+	patch := func(frame []byte, at int, v uint32) []byte {
+		out := append([]byte(nil), frame...)
+		binary.LittleEndian.PutUint32(out[at:], v)
+		return out
+	}
+	req := frameOf(t, tagRetrieveReq, fullRequest())
+	const flagsAt = 5 + 1 + 8 + 3*8 + 8
+
+	cases := []struct {
+		name string
+		tag  byte
+		body []byte
+		want error
+	}{
+		{"wrong-version", tagRetrieveResp, append([]byte{2}, resp[6:]...), errWireVersion},
+		{"gob-era", tagRetrieveResp, gobEraFrame(t, gobResponseFrame)[5:], errWireVersion},
+		{"empty-body", tagStatusReq, nil, errShort},
+		{"matches-count-huge", tagRetrieveResp, patch(resp, respMatchCountAt, math.MaxInt32)[5:], errShort},
+		{"matches-count-max", tagRetrieveResp, patch(resp, respMatchCountAt, math.MaxUint32)[5:], errShort},
+		{"matches-count-low", tagRetrieveResp, patch(resp, respMatchCountAt, 1)[5:], errTrailing},
+		{"state-count-huge", tagRetrieveResp, patch(resp, respStateCountAt, math.MaxInt32)[5:], errShort},
+		{"state-count-low", tagRetrieveResp, patch(resp, respStateCountAt, 1)[5:], errTrailing},
+		{"truncated-body", tagRetrieveResp, resp[5 : len(resp)-1], errShort},
+		{"trailing-byte", tagRetrieveResp, append(append([]byte(nil), resp[5:]...), 0), errTrailing},
+		{"status-trailing", tagStatusReq, []byte{wireVersion, 0}, errTrailing},
+		{"unknown-flag", tagRetrieveReq, append(append(append([]byte(nil), req[5:flagsAt]...), 0x80), req[flagsAt+1:]...), errBadValue},
+		{"bool-not-0-or-1", tagRetrieveReq, append(append(append([]byte(nil), req[5:flagsAt+1]...), 2), req[flagsAt+2:]...), errBadValue},
+		{"string-count-huge", tagError, []byte{wireVersion, 0xff, 0xff, 0xff, 0x7f, 'x'}, errShort},
+	}
+	for _, tc := range cases {
+		err := decodeFrame(tc.body, messageFor(tc.tag))
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if IsTransient(err) {
+			t.Errorf("%s: a decode failure must be permanent, got transient %v", tc.name, err)
+		}
+	}
+
+	// An id past the 32-bit wire width is refused on encode, not wrapped.
+	var fb frameBufs
+	for _, bad := range []*RetrieveResponse{
+		{Matches: []retrieval.Match{{States: []int{math.MaxInt}}}},
+		{Matches: []retrieval.Match{{Shots: []videomodel.ShotID{math.MaxInt}}}},
+		{Matches: []retrieval.Match{{Videos: []videomodel.VideoID{math.MinInt}}}},
+	} {
+		if err := fb.writeFrame(io.Discard, tagRetrieveResp, bad); err == nil {
+			t.Errorf("encoding %+v: want an id-width error", bad.Matches[0])
+		}
+	}
+	if err := fb.writeFrame(io.Discard, tagRetrieveReq, &RetrieveRequest{Query: retrieval.NewQuery(math.MaxInt)}); err == nil {
+		t.Error("encoding an event id past int32: want an id-width error")
+	}
+}
+
+// TestCodecAllocs pins the codec's allocation profile: encoding into a
+// connection's warmed buffer allocates nothing, and decoding a response
+// costs the same handful of allocations whatever TopK is.
+func TestCodecAllocs(t *testing.T) {
+	var fb frameBufs
+	req := fullRequest()
+	for _, topK := range []int{10, 100} {
+		resp := rankedResponse(topK)
+		if n := testing.AllocsPerRun(100, func() {
+			if err := fb.writeFrame(io.Discard, tagRetrieveReq, req); err != nil {
+				t.Fatal(err)
+			}
+			if err := fb.writeFrame(io.Discard, tagRetrieveResp, resp); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("topK %d: encoding request+response into a reused buffer = %v allocs, want 0", topK, n)
+		}
+		body := frameOf(t, tagRetrieveResp, resp)[5:]
+		if n := testing.AllocsPerRun(100, func() {
+			var got RetrieveResponse
+			if err := decodeFrame(body, &got); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 8 {
+			t.Errorf("topK %d: response decode = %v allocs, want <= 8", topK, n)
+		}
+	}
+	body := frameOf(t, tagRetrieveReq, req)[5:]
+	if n := testing.AllocsPerRun(100, func() {
+		var got RetrieveRequest
+		if err := decodeFrame(body, &got); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Errorf("request decode = %v allocs, want <= 4", n)
+	}
+}
+
+// TestRoundTripAllocs pins a whole loopback exchange — client encode,
+// server decode, stub handler, server encode, client decode, both
+// sides' deadline and cancellation plumbing — at a few dozen
+// allocations (the per-frame gob streams cost about 850).
+func TestRoundTripAllocs(t *testing.T) {
+	cl := NewClient(startStub(t, stubHandler{rankedResponse(10)}), time.Second, 1)
+	defer cl.Close()
+	req := fullRequest()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := cl.Retrieve(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 40 {
+		t.Errorf("one loopback Client.Retrieve = %v allocs, want <= 40", n)
+	}
+}
+
+// TestLargeFrameDoesNotPinBuffers sends a 1 MiB request and receives a
+// 1 MiB response: the exchange works, and afterwards neither buffer of
+// the parked connection is still that large.
+func TestLargeFrameDoesNotPinBuffers(t *testing.T) {
+	big := &RetrieveResponse{Matches: []retrieval.Match{{States: make([]int, 1<<18)}}}
+	cl := NewClient(startStub(t, stubHandler{big}), time.Second, 1)
+	defer cl.Close()
+	got, err := cl.Retrieve(context.Background(), &RetrieveRequest{Query: retrieval.Query{Events: make([]videomodel.Event, 1<<18)}})
+	if err != nil {
+		t.Fatalf("retrieve: %v", err)
+	}
+	if len(got.Matches) != 1 || len(got.Matches[0].States) != 1<<18 {
+		t.Fatalf("large response mangled: %d matches", len(got.Matches))
+	}
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	if len(cl.idle) != 1 {
+		t.Fatalf("%d idle connections, want the one that ran the exchange", len(cl.idle))
+	}
+	if r, w := cap(cl.idle[0].r), cap(cl.idle[0].w); r > maxKeptBuf || w > maxKeptBuf {
+		t.Fatalf("parked connection still holds %d B read / %d B write buffers (cap %d)", r, w, maxKeptBuf)
+	}
+
+	// The server side runs the same trim after every dispatch.
+	var fb frameBufs
+	frame := frameOf(t, tagRetrieveResp, big)
+	if _, _, err := fb.readFrame(bytes.NewReader(frame)); err != nil {
+		t.Fatalf("readFrame: %v", err)
+	}
+	if fb.trim(); fb.r != nil {
+		t.Fatalf("trim kept a %d B read buffer", cap(fb.r))
+	}
+}
+
+// TestConcurrentExchangesKeepBuffersApart hammers one pooled client
+// from several goroutines with two differently sized rankings: buffers
+// are owned per connection, so no exchange may ever see another's bytes
+// (run under -race by `make race`).
+func TestConcurrentExchangesKeepBuffersApart(t *testing.T) {
+	small, large := rankedResponse(1), rankedResponse(100)
+	clients := []*Client{
+		NewClient(startStub(t, stubHandler{small}), time.Second, 2),
+		NewClient(startStub(t, stubHandler{large}), time.Second, 2),
+	}
+	want := []*RetrieveResponse{small, large}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				k := (g + i) % 2
+				got, err := clients[k].Retrieve(context.Background(), fullRequest())
+				if err != nil {
+					t.Errorf("goroutine %d call %d: %v", g, i, err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[k]) {
+					t.Errorf("goroutine %d call %d: response differs from what its server sent", g, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, cl := range clients {
+		cl.Close()
+	}
+}
+
+// Frames recorded from the gob-era protocol (one fresh gob stream per
+// frame): the version byte must refuse them.
+const (
+	gobRequestFrame  = "000001cc52417f0301010f52657472696576655265717565737401ff800001030105517565727901ff820001074f7074696f6e7301ff8c0001084275646765744e53010400000035ff8103010105517565727901ff8200010301064576656e747301ff84000105537465707301ff8800010553636f706501ff8a00000020ff83020101125b5d766964656f6d6f64656c2e4576656e7401ff8400010400001fff87020101105b5d72657472696576616c2e5374657001ff880001ff86000041ff85030101045374657001ff8600010401064576656e747301ff840001034e6f7401ff840001084d696e4761704d5301040001084d61784761704d53010400000031ff890301010553636f706501ff8a0001030105566964656f010400010646726f6d4d530104000104546f4d530104000000ff86ff8b0301010c51756572794f7074696f6e7301ff8c0001070104546f704b01040001044265616d010400010a43726f7373566964656f010200010a53696d457073696c6f6e010800010d416e6e6f74617465644f6e6c79010200011053746f7041667465724d6174636865730102000110436f6172736543616e64696461746573010400000015ff8001010202040001011401020001fcbebc200000"
+	gobResponseFrame = "000001c6725bff8d030101105265747269657665526573706f6e736501ff8e00010501074d61746368657301ff9a000104436f737401ff9c00010a47656e65726174696f6e0106000105536861726401040001084f66536861726473010400000020ff99020101115b5d72657472696576616c2e4d6174636801ff9a0001ff9000004dff8f030101054d6174636801ff90000105010653746174657301ff9200010553686f747301ff94000106566964656f7301ff960001075765696768747301ff9800010553636f7265010800000013ff91020101055b5d696e7401ff92000104000021ff93020101135b5d766964656f6d6f64656c2e53686f74494401ff94000104000022ff95020101145b5d766964656f6d6f64656c2e566964656f494401ff96000104000017ff97020101095b5d666c6f6174363401ff9800010800005dff9b03010104436f737401ff9c000105010853696d4576616c730104000109456467654576616c73010400010a566964656f735365656e01040001095472756e6361746564010200010e446567726164656453686172647301040000002aff8e01010102020401020608010202020102fee03ffed03f01fee83f0001010601080102000101020400"
+	gobStatusFrame   = "0000001f5319ff9d0301010d5374617475735265717565737401ff9e00000003ff9e00"
+	gobErrorFrame    = "0000004d452cff9f0301010d4572726f72526573706f6e736501ffa00001020104436f6465010c0001034d7367010c0000001effa00108647261696e696e67010f73657276657220647261696e696e6700"
+)
+
+func gobEraFrame(t testing.TB, h string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(h)
+	if err != nil {
+		t.Fatalf("bad recorded frame: %v", err)
+	}
+	return b
+}
+
+// TestGobEraPeerRefused drives recorded gob-era request frames at a
+// real server: each is answered with a bad_request error frame naming
+// the version, never mis-parsed into a query.
+func TestGobEraPeerRefused(t *testing.T) {
+	addr := startStub(t, stubHandler{rankedResponse(1)})
+	for _, h := range []string{gobRequestFrame, gobStatusFrame} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		if _, err := conn.Write(gobEraFrame(t, h)); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		var fb frameBufs
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		tag, body, err := fb.readFrame(conn)
+		if err != nil || tag != tagError {
+			t.Fatalf("reply tag %q, err %v; want an error frame", tag, err)
+		}
+		var e ErrorResponse
+		if err := decodeFrame(body, &e); err != nil {
+			t.Fatalf("decoding the refusal: %v", err)
+		}
+		if e.Code != CodeBadRequest || !bytes.Contains([]byte(e.Msg), []byte("wire version")) {
+			t.Fatalf("refusal = %+v, want bad_request naming the wire version", e)
+		}
+		conn.Close()
+	}
+}
+
+// FuzzFrameDecode feeds arbitrary bytes through the envelope and the
+// body codec of whichever message the tag names. It must never panic,
+// never allocate more than a small multiple of the frame's own length
+// (counts are checked against the remaining bytes before any make), and
+// whatever it accepts must re-encode to exactly the bytes it was given —
+// the decoder admits one spelling per message.
+func FuzzFrameDecode(f *testing.F) {
+	seeds := [][]byte{
+		frameOf(f, tagRetrieveReq, fullRequest()),
+		frameOf(f, tagRetrieveReq, &RetrieveRequest{Query: retrieval.NewQuery(2, 6)}),
+		frameOf(f, tagRetrieveResp, rankedResponse(3)),
+		frameOf(f, tagRetrieveResp, specialsResponse()),
+		frameOf(f, tagRetrieveResp, &RetrieveResponse{Generation: 1, OfShards: 2}), // empty ranking
+		frameOf(f, tagStatusReq, &StatusRequest{}),
+		frameOf(f, tagStatusResp, &StatusResponse{State: StateReady, Generation: 1, OfShards: 2, Videos: 86, States: 57835}),
+		frameOf(f, tagError, &ErrorResponse{Code: CodeDraining, Msg: "server draining"}),
+		gobEraFrame(f, gobRequestFrame), gobEraFrame(f, gobResponseFrame),
+		gobEraFrame(f, gobStatusFrame), gobEraFrame(f, gobErrorFrame),
+	}
+	// Length and count fields at 0, 1, and 2^31-1: the envelope's, the
+	// response's match count, and a match's state count.
+	resp := frameOf(f, tagRetrieveResp, rankedResponse(2))
+	for _, v := range []uint32{0, 1, math.MaxInt32} {
+		for _, at := range []int{respMatchCountAt, respStateCountAt} {
+			s := append([]byte(nil), resp...)
+			binary.LittleEndian.PutUint32(s[at:], v)
+			seeds = append(seeds, s)
+		}
+		s := append([]byte(nil), resp...)
+		binary.BigEndian.PutUint32(s, v)
+		seeds = append(seeds, s)
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		var fb frameBufs
+		tag, body, err := fb.readFrame(bytes.NewReader(frame))
+		if err != nil {
+			return
+		}
+		msg := messageFor(tag)
+		if msg == nil {
+			return
+		}
+		// The widest blow-up is a 24-byte match header becoming a
+		// 104-byte Match; 8x plus the fixed structs is generous.
+		// TotalAlloc is process-wide and the fuzz worker allocates in the
+		// background, so only a reading that repeats counts.
+		limit := uint64(8*len(frame) + 4096)
+		grew := limit + 1
+		for try := 0; try < 3 && grew > limit; try++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			err = decodeFrame(body, msg)
+			runtime.ReadMemStats(&m1)
+			grew = m1.TotalAlloc - m0.TotalAlloc
+		}
+		if grew > limit {
+			t.Fatalf("decoding a %d-byte frame allocated %d bytes (limit %d)", len(frame), grew, limit)
+		}
+		if err != nil {
+			if IsTransient(err) {
+				t.Fatalf("decode failure classified transient: %v", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		var enc frameBufs
+		if err := enc.writeFrame(&out, tag, msg); err != nil {
+			t.Fatalf("re-encoding an accepted %c frame: %v", tag, err)
+		}
+		if used := frame[:4+1+len(body)]; !bytes.Equal(out.Bytes(), used) {
+			t.Fatalf("accepted frame does not re-encode to itself:\n in  %x\n out %x", used, out.Bytes())
+		}
+	})
+}
+
+// corruptingProxy sits between a real Client and a real Server and
+// rewrites one response frame on its way back: mangle is applied to the
+// next response and then cleared, so the exchange after a corrupted one
+// is clean. A rewrite that returns fewer bytes than the frame models a
+// cut: the proxy closes the connection after delivering them. So does
+// one that changed the length prefix — the stream cannot be in step
+// after that, and without the close only the caller's own deadline
+// would end the client's wait for bytes that never come
+// (TestClientDeadline covers that path).
+type corruptingProxy struct {
+	ln       net.Listener
+	upstream string
+	wg       sync.WaitGroup
+
+	mu     sync.Mutex
+	mangle func(frame []byte) []byte
+}
+
+func startCorruptingProxy(t *testing.T, upstream string) *corruptingProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	p := &corruptingProxy{ln: ln, upstream: upstream}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			p.wg.Add(1)
+			go func() {
+				defer p.wg.Done()
+				p.relay(conn)
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		p.wg.Wait()
+	})
+	return p
+}
+
+// rawFrame reads one whole frame, prefix included.
+func rawFrame(r io.Reader) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	frame := make([]byte, 4+binary.BigEndian.Uint32(hdr[:]))
+	copy(frame, hdr[:])
+	_, err := io.ReadFull(r, frame[4:])
+	return frame, err
+}
+
+func (p *corruptingProxy) relay(client net.Conn) {
+	defer client.Close()
+	server, err := net.Dial("tcp", p.upstream)
+	if err != nil {
+		return
+	}
+	defer server.Close()
+	// Idle relays end when the test's client closes its pool, or here.
+	client.SetDeadline(time.Now().Add(30 * time.Second))
+	for {
+		req, err := rawFrame(client)
+		if err != nil {
+			return
+		}
+		if _, err := server.Write(req); err != nil {
+			return
+		}
+		resp, err := rawFrame(server)
+		if err != nil {
+			return
+		}
+		p.mu.Lock()
+		mangle := p.mangle
+		p.mangle = nil
+		p.mu.Unlock()
+		out := resp
+		if mangle != nil {
+			out = mangle(append([]byte(nil), resp...))
+		}
+		if _, err := client.Write(out); err != nil {
+			return
+		}
+		if len(out) != len(resp) || !bytes.Equal(out[:4], resp[:4]) {
+			return
+		}
+	}
+}
+
+// TestCorruptionSweep flips every byte and cuts at every offset of a
+// valid response frame between a real Client and Server. Every case
+// must end promptly as a decoded response, a transient torn-frame
+// error, or a permanent decode error; a cut is always transient and a
+// body flip never is; and the next exchange on the same client must be
+// clean — no corrupted exchange may leave a poisoned connection parked
+// in the pool.
+func TestCorruptionSweep(t *testing.T) {
+	want := rankedResponse(2)
+	proxy := startCorruptingProxy(t, startStub(t, stubHandler{want}))
+	req := fullRequest()
+	frame := frameOf(t, tagRetrieveResp, want)
+
+	// Each case gets a client of its own: the corrupted exchange runs on
+	// a fresh dial (Client.call would transparently redo a transient
+	// failure on a pooled connection, hiding its classification), the
+	// clean one on whatever the first left in the pool.
+	sweep := func(label string, mangle func([]byte) []byte, check func(err error)) {
+		t.Helper()
+		cl := NewClient(proxy.ln.Addr().String(), time.Second, 1)
+		defer cl.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		proxy.mu.Lock()
+		proxy.mangle = mangle
+		proxy.mu.Unlock()
+		_, err := cl.Retrieve(ctx, req)
+		if errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: hung until the caller's deadline", label)
+		}
+		check(err)
+		got, err := cl.Retrieve(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: clean exchange after the corrupted one failed: %v", label, err)
+		}
+		sameBits(t, label, want, got)
+	}
+
+	sweep("clean", nil, func(err error) {
+		if err != nil {
+			t.Fatalf("uncorrupted exchange: %v", err)
+		}
+	})
+	for at := range frame {
+		for _, mask := range []byte{0xff, 0x01} {
+			sweep("flip", func(f []byte) []byte { f[at] ^= mask; return f }, func(err error) {
+				if at >= 5 && IsTransient(err) {
+					t.Fatalf("flip %#x at offset %d: classified transient (%v); a whole frame that fails to decode is permanent", mask, at, err)
+				}
+			})
+		}
+		sweep("cut", func(f []byte) []byte { return f[:at] }, func(err error) {
+			if !IsTransient(err) {
+				t.Fatalf("cut at offset %d: err = %v, want a transient torn-frame error", at, err)
+			}
+		})
+	}
+}

@@ -6,21 +6,33 @@
 //
 //	uint32 big-endian payload length (tag byte included)
 //	1 tag byte naming the message type
-//	gob-encoded message struct
+//	body: 1 wire-version byte, then the message's fields (codec.go)
 //
-// Each frame is a self-contained gob stream (a fresh encoder per
-// frame), so a reader never depends on type descriptors from an earlier
-// frame — a connection can be picked up, cut, or replayed at any frame
-// boundary, which is what makes the fault-injection proxy's mid-stream
-// cuts recoverable by a plain retry on a new connection. Frames are
-// capped at MaxFrame to bound the damage of a corrupt or hostile length
-// prefix.
+// Bodies are written by one hand-rolled codec: fixed-width little-endian
+// integers (64-bit, except the ids inside queries and matches, which
+// are 32-bit — an id that does not fit is an encode error, never a
+// wrap), math.Float64bits for every score and weight so a float crosses
+// the wire bit for bit, and uint32-length-prefixed strings and arrays.
+// A decoder checks every count against the bytes that actually remain
+// before it allocates, rejects trailing bytes and out-of-domain flag
+// bytes, and refuses a body whose version byte it does not speak (a
+// gob-era peer) with a permanent error. Empty slices decode as nil;
+// Query.Scope == nil survives exactly.
+//
+// Every frame is self-contained — a reader never depends on state from
+// an earlier frame — so a connection can be picked up, cut, or replayed
+// at any frame boundary, which is what makes the fault-injection
+// proxy's mid-stream cuts recoverable by a plain retry on a new
+// connection. Frames are capped at MaxFrame to bound the damage of a
+// corrupt or hostile length prefix.
 //
 // The protocol is strictly request/response per connection (no
 // multiplexing): the client owns a small pool of connections and runs
 // one request on each at a time. That keeps cancellation exact — a
 // hedged request's loser is abandoned by poking the connection deadline,
-// and the connection is discarded rather than resynchronized.
+// and the connection is discarded rather than resynchronized — and it
+// lets each connection own one read and one write frame buffer for its
+// lifetime (frameBufs) instead of allocating per frame.
 //
 // Semantics carried by the protocol, not just bytes:
 //
@@ -39,10 +51,8 @@
 package rpc
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -53,7 +63,7 @@ import (
 	"github.com/videodb/hmmm/internal/retrieval"
 )
 
-// MaxFrame bounds a frame's payload (tag + gob body). Retrieval
+// MaxFrame bounds a frame's payload (tag + body). Retrieval
 // responses are a few KiB; 16 MiB leaves three orders of magnitude of
 // headroom while keeping a corrupt length prefix from allocating the
 // machine away.
@@ -89,8 +99,9 @@ const (
 // QueryOptions is the result-affecting slice of retrieval.Options a
 // request carries over the wire: exactly the fields covered by
 // coalesce.OptionsKey, because those are the fields that can change the
-// ranking. Execution plumbing (workers, arenas, caches,
-// observers) stays a per-server concern.
+// ranking. Execution plumbing (workers, arenas, caches, observers) has
+// no wire representation at all — the codec writes these seven fields
+// and nothing else — and stays a per-server concern.
 type QueryOptions struct {
 	TopK             int
 	Beam             int
@@ -149,9 +160,10 @@ type RetrieveResponse struct {
 	Generation uint64
 	// Shard / OfShards echo the serving shard's identity so the
 	// coordinator can reject a mis-wired replica on every response, not
-	// only during the startup WaitReady sweep. OfShards == 0 means an
-	// older server that does not stamp (gob omits zero fields); the
-	// coordinator skips the check for those.
+	// only during the startup WaitReady sweep. Both always travel (the
+	// codec has no optional fields); OfShards == 0 can only come from a
+	// Handler that does not stamp, and the coordinator skips the check
+	// for those.
 	Shard    int
 	OfShards int
 }
@@ -219,42 +231,65 @@ func IsTransient(err error) bool {
 	return errors.As(err, &oe)
 }
 
-// writeFrame writes one length-prefixed frame. The length prefix and
-// body go out in a single Write so a mid-stream cut can only tear a
-// frame, never interleave two.
-func writeFrame(w io.Writer, tag byte, msg any) error {
-	var body bytes.Buffer
-	body.Write(make([]byte, 4)) // length placeholder
-	body.WriteByte(tag)
-	if msg != nil {
-		if err := gob.NewEncoder(&body).Encode(msg); err != nil {
-			return fmt.Errorf("rpc: encoding %c frame: %w", tag, err)
-		}
+// maxKeptBuf is the largest frame buffer a connection keeps between
+// exchanges. Retrieval frames are a few KiB; a buffer grown past this by
+// one large (or hostile, up to MaxFrame) frame is dropped after the
+// exchange instead of staying pinned to an idle connection.
+const maxKeptBuf = 64 << 10
+
+// frameBufs are the read and write frame buffers one connection owns
+// for its lifetime: the server's per-connection goroutine and each
+// pooled client connection hold one. Sharing them across frames is safe
+// because a connection runs one exchange at a time; a body returned by
+// readFrame aliases the read buffer and must be decoded before the next
+// readFrame or trim.
+type frameBufs struct {
+	r, w []byte
+}
+
+// trim ends an exchange: a buffer grown past maxKeptBuf is released.
+func (fb *frameBufs) trim() {
+	if cap(fb.r) > maxKeptBuf {
+		fb.r = nil
 	}
-	b := body.Bytes()
+	if cap(fb.w) > maxKeptBuf {
+		fb.w = nil
+	}
+}
+
+// writeFrame encodes msg and writes it as one length-prefixed frame. The
+// length prefix and body go out in a single Write so a mid-stream cut
+// can only tear a frame, never interleave two.
+func (fb *frameBufs) writeFrame(w io.Writer, tag byte, msg any) error {
+	b, err := appendBody(append(fb.w[:0], 0, 0, 0, 0, tag), msg)
+	fb.w = b
+	if err != nil {
+		return fmt.Errorf("rpc: encoding %c frame: %w", tag, err)
+	}
 	n := len(b) - 4
 	if n > MaxFrame {
 		return fmt.Errorf("rpc: frame of %d bytes exceeds MaxFrame", n)
 	}
-	binary.BigEndian.PutUint32(b[:4], uint32(n))
-	_, err := w.Write(b)
+	binary.BigEndian.PutUint32(b, uint32(n))
+	_, err = w.Write(b)
 	return err
 }
 
-// readFrame reads one frame, returning its tag and gob body.
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one frame, returning its tag and body. The body
+// aliases the connection's read buffer.
+func (fb *frameBufs) readFrame(r io.Reader) (byte, []byte, error) {
+	hdr := fb.grow(4)
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 {
 		return 0, nil, errors.New("rpc: empty frame")
 	}
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("rpc: frame length %d exceeds MaxFrame", n)
 	}
-	buf := make([]byte, n)
+	buf := fb.grow(int(n))
 	if _, err := io.ReadFull(r, buf); err != nil {
 		// A frame torn mid-body is an unexpected EOF even when the
 		// underlying read reports a bare EOF.
@@ -266,10 +301,11 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	return buf[0], buf[1:], nil
 }
 
-// decodeFrame decodes a frame body into msg.
-func decodeFrame(body []byte, msg any) error {
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(msg); err != nil {
-		return fmt.Errorf("rpc: decoding frame: %w", err)
+// grow returns the read buffer resized to n bytes, reallocating only
+// when a frame outgrows it.
+func (fb *frameBufs) grow(n int) []byte {
+	if cap(fb.r) < n {
+		fb.r = make([]byte, n, max(n, 512))
 	}
-	return nil
+	return fb.r[:n]
 }

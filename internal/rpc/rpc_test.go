@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"os"
 	"runtime"
@@ -45,8 +46,8 @@ func startShard(t *testing.T, sh *shard.Shard, index, of int, gen uint64) (*Serv
 
 // TestRetrieveBitIdentical is the loopback differential: every query of
 // the corpus answered over the wire must be bit-identical to the same
-// shard engine answered in-process — gob carries float64 exactly, and
-// the ShardService remap is the Group remap.
+// shard engine answered in-process — the codec carries float64 by its
+// bits, and the ShardService remap is the Group remap.
 func TestRetrieveBitIdentical(t *testing.T) {
 	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 11, Videos: 5})
 	shards, err := shard.Split(m, 2)
@@ -81,6 +82,18 @@ func TestRetrieveBitIdentical(t *testing.T) {
 			t.Fatalf("query %d: cost = %+v, want %+v", qi, got.Cost, want.Cost)
 		}
 	}
+
+	// What no engine produces but the wire must still carry exactly: ±0,
+	// ±Inf, NaN payloads, denormals, and ids at the edge of the wire
+	// width, through a real client and server.
+	specials := specialsResponse()
+	stub := NewClient(startStub(t, stubHandler{specials}), time.Second, 1)
+	defer stub.Close()
+	got, err := stub.Retrieve(context.Background(), &RetrieveRequest{Query: retrievaltest.Queries(m)[0]})
+	if err != nil {
+		t.Fatalf("specials: %v", err)
+	}
+	sameBits(t, "specials over loopback", specials, got)
 }
 
 func TestStatusAndDraining(t *testing.T) {
@@ -308,11 +321,12 @@ func TestCloseCancelsUnbudgetedRequest(t *testing.T) {
 
 func TestFrameRoundTripAndLimits(t *testing.T) {
 	var buf bytes.Buffer
+	var fb frameBufs
 	want := RetrieveResponse{Generation: 9, Cost: retrieval.Cost{SimEvals: 3}}
-	if err := writeFrame(&buf, tagRetrieveResp, &want); err != nil {
+	if err := fb.writeFrame(&buf, tagRetrieveResp, &want); err != nil {
 		t.Fatalf("writeFrame: %v", err)
 	}
-	tag, body, err := readFrame(&buf)
+	tag, body, err := fb.readFrame(&buf)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
@@ -327,12 +341,35 @@ func TestFrameRoundTripAndLimits(t *testing.T) {
 		t.Fatalf("got %+v", got)
 	}
 
+	// Floats travel as their bits and ints at full width: the values a
+	// text or tolerance-based encoding would lose come back bitwise
+	// equal, math.MaxInt counters included.
+	specials := specialsResponse()
+	buf.Reset()
+	if err := fb.writeFrame(&buf, tagRetrieveResp, specials); err != nil {
+		t.Fatalf("writeFrame specials: %v", err)
+	}
+	if _, body, err = fb.readFrame(&buf); err != nil {
+		t.Fatalf("readFrame specials: %v", err)
+	}
+	var back RetrieveResponse
+	if err := decodeFrame(body, &back); err != nil {
+		t.Fatalf("decodeFrame specials: %v", err)
+	}
+	sameBits(t, "specials", specials, &back)
+	// An id that does not fit the 32-bit wire width is an encode error,
+	// never a wrap.
+	wide := RetrieveResponse{Matches: []retrieval.Match{{States: []int{math.MaxInt}}}}
+	if err := fb.writeFrame(io.Discard, tagRetrieveResp, &wide); err == nil || !strings.Contains(err.Error(), "wire width") {
+		t.Fatalf("math.MaxInt state id: err = %v, want a wire-width encode error", err)
+	}
+
 	// Oversized length prefix must be rejected before allocation.
 	var big bytes.Buffer
 	hdr := make([]byte, 4)
 	binary.BigEndian.PutUint32(hdr, MaxFrame+1)
 	big.Write(hdr)
-	if _, _, err := readFrame(&big); err == nil || !strings.Contains(err.Error(), "MaxFrame") {
+	if _, _, err := fb.readFrame(&big); err == nil || !strings.Contains(err.Error(), "MaxFrame") {
 		t.Fatalf("oversized frame: err = %v", err)
 	}
 
@@ -341,7 +378,7 @@ func TestFrameRoundTripAndLimits(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr, 100)
 	torn.Write(hdr)
 	torn.WriteString("short")
-	if _, _, err := readFrame(&torn); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, _, err := fb.readFrame(&torn); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("torn frame: err = %v, want unexpected EOF", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -30,12 +31,14 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	draining bool
-	closed   bool
-	wg       sync.WaitGroup
+	// draining is read on every request, so it stays off mu.
+	draining atomic.Bool
+
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewServer returns a server dispatching to h. logf, when non-nil,
@@ -91,11 +94,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // retrieve requests are refused with CodeDraining while in-flight ones
 // finish. Draining is one-way; a drained server is shut down, not
 // readmitted.
-func (s *Server) Drain() {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-}
+func (s *Server) Drain() { s.draining.Store(true) }
 
 // Close stops the listener, cancels every in-flight handler (budgeted
 // or not), closes every live connection, and waits for all connection
@@ -134,8 +133,9 @@ func (s *Server) Addr() net.Addr {
 // serveConn runs the request/response loop for one connection until the
 // peer hangs up, a protocol error occurs, or the server closes.
 func (s *Server) serveConn(conn net.Conn) {
+	var fb frameBufs // this connection's, for its lifetime
 	for {
-		tag, body, err := readFrame(conn)
+		tag, body, err := fb.readFrame(conn)
 		if err != nil {
 			// EOF, reset, and closed-connection errors are the normal
 			// end of a connection; anything else is a protocol error
@@ -146,10 +146,11 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		if err := s.dispatch(conn, tag, body); err != nil {
+		if err := s.dispatch(conn, &fb, tag, body); err != nil {
 			s.logf("rpc: %s: %v", conn.RemoteAddr(), err)
 			return
 		}
+		fb.trim()
 	}
 }
 
@@ -165,27 +166,25 @@ func quietClose(err error) bool {
 // dispatch handles one decoded frame. A returned error tears down the
 // connection (protocol-level failure); request-level failures are
 // answered with an ErrorResponse frame and keep the connection.
-func (s *Server) dispatch(conn net.Conn, tag byte, body []byte) error {
+func (s *Server) dispatch(conn net.Conn, fb *frameBufs, tag byte, body []byte) error {
 	switch tag {
 	case tagStatusReq:
+		if err := decodeFrame(body, &StatusRequest{}); err != nil {
+			return fb.writeFrame(conn, tagError, &ErrorResponse{Code: CodeBadRequest, Msg: err.Error()})
+		}
 		st := s.handler.Status()
-		s.mu.Lock()
-		if s.draining {
+		if s.draining.Load() {
 			st.State = StateDraining
 		}
-		s.mu.Unlock()
-		return writeFrame(conn, tagStatusResp, &st)
+		return fb.writeFrame(conn, tagStatusResp, &st)
 
 	case tagRetrieveReq:
-		s.mu.Lock()
-		draining := s.draining
-		s.mu.Unlock()
-		if draining {
-			return writeFrame(conn, tagError, &ErrorResponse{Code: CodeDraining, Msg: "server draining"})
+		if s.draining.Load() {
+			return fb.writeFrame(conn, tagError, &ErrorResponse{Code: CodeDraining, Msg: "server draining"})
 		}
 		var req RetrieveRequest
 		if err := decodeFrame(body, &req); err != nil {
-			return writeFrame(conn, tagError, &ErrorResponse{Code: CodeBadRequest, Msg: err.Error()})
+			return fb.writeFrame(conn, tagError, &ErrorResponse{Code: CodeBadRequest, Msg: err.Error()})
 		}
 		// The handler context descends from baseCtx so Close bounds even
 		// unbudgeted requests; BudgetNS layers the per-request deadline
@@ -203,12 +202,12 @@ func (s *Server) dispatch(conn net.Conn, tag byte, body []byte) error {
 			if errors.As(err, &se) {
 				code = se.Code
 			}
-			return writeFrame(conn, tagError, &ErrorResponse{Code: code, Msg: err.Error()})
+			return fb.writeFrame(conn, tagError, &ErrorResponse{Code: code, Msg: err.Error()})
 		}
-		return writeFrame(conn, tagRetrieveResp, resp)
+		return fb.writeFrame(conn, tagRetrieveResp, resp)
 
 	default:
-		return writeFrame(conn, tagError, &ErrorResponse{Code: CodeBadRequest, Msg: "unknown frame tag"})
+		return fb.writeFrame(conn, tagError, &ErrorResponse{Code: CodeBadRequest, Msg: "unknown frame tag"})
 	}
 }
 
