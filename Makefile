@@ -4,7 +4,7 @@
 GO ?= go
 
 # Hot-path benchmarks captured into BENCH_retrieval.json.
-BENCH_PATTERN := BenchmarkF2RetrievalGreedy$$|BenchmarkF5PaperQuery$$|BenchmarkParallelRetrieval|BenchmarkSimCache
+BENCH_PATTERN := BenchmarkF2RetrievalGreedy$$|BenchmarkF5PaperQuery$$|BenchmarkSimCache
 # BENCH_NOTE, when set, names the change a `make bench` / `make
 # bench-million` re-record belongs to; it is appended to every record's
 # note in BENCH_retrieval.json.

@@ -289,41 +289,6 @@ func BenchmarkModelBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelRetrieval measures the fan-out retrieval path against
-// the serial engine on the paper-scale archive. "workers=N" forces the
-// pipeline (the heuristic disabled); "workers=N/auto" lets the per-query
-// work estimate pick the effective count — for this small query it falls
-// back to the serial loop, which is the fix for fan-out costing more
-// than it saves on small work.
-func BenchmarkParallelRetrieval(b *testing.B) {
-	_, m := paperModel(b)
-	q := retrieval.NewQuery(videomodel.EventGoal, videomodel.EventFreeKick)
-	run := func(name string, opts retrieval.Options) {
-		eng, err := retrieval.NewEngine(m, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Retrieve(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	base := retrieval.Options{AnnotatedOnly: true, Beam: 4, TopK: 10}
-	for _, par := range []int{1, 4} {
-		opts := base
-		opts.Parallel = par
-		opts.MinParallelWork = -1
-		run(fmt.Sprintf("workers=%d", par), opts)
-	}
-	auto := base
-	auto.Parallel = 4
-	run("workers=4/auto", auto)
-}
-
 // BenchmarkBuildPaperScale measures the parallel offline model build
 // (per-video A1/B1/B2 fill, P1,2 learning, B1') across worker counts at
 // paper scale. Output is bit-identical for every count, so the sweep is

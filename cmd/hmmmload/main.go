@@ -325,15 +325,8 @@ func main() {
 // workload's own cost estimates when the flag leaves it 0.
 func selfServe(model *hmmm.Model, o opts, coalesce bool) (string, func(), error) {
 	cfg := server.Config{
-		Model: model,
-		// Parallel per-video fan-out: the same ranking, but handlers
-		// yield at the worker joins, so concurrent queries genuinely
-		// interleave even on a single-core host — which is what gives
-		// admission lanes and coalescing traffic to work with.
-		Options: retrieval.Options{
-			Beam: 4, TopK: 10,
-			Parallel: 4, MinParallelWork: -1,
-		},
+		Model:        model,
+		Options:      retrieval.Options{Beam: 4, TopK: 10},
 		MaxInflight:  o.maxInflight,
 		QueryTimeout: time.Duration(o.timeoutMS) * time.Millisecond,
 	}
@@ -418,10 +411,8 @@ func runCoord(model *hmmm.Model, o opts) *report {
 	}
 
 	srv, err := server.New(server.Config{
-		Model: model,
-		Options: retrieval.Options{
-			Beam: 4, TopK: 10, Parallel: 4, MinParallelWork: -1,
-		},
+		Model:        model,
+		Options:      retrieval.Options{Beam: 4, TopK: 10},
 		MaxInflight:  o.maxInflight,
 		QueryTimeout: time.Duration(o.timeoutMS) * time.Millisecond,
 		Registry:     reg,

@@ -32,10 +32,10 @@ var OptionsIdentityFields = []string{
 // (Metrics, Trace, Tracer) record what happened without affecting it, so
 // an instrumented request and a bare one coalesce together — the
 // explicit requirement the classification test pins. Execution-plumbing
-// fields (Parallel, MinParallelWork, BuildWorkers, NoSimCache,
-// ScratchArenas) select how the work runs, and the engine's differential
-// suites pin their results bit-identical across every setting, so they
-// cannot change what a waiter receives.
+// fields (BuildWorkers, NoSimCache, ScratchArenas) select how the work
+// runs, and the engine's differential suites pin their results
+// bit-identical across every setting, so they cannot change what a
+// waiter receives.
 //
 // Every retrieval.Options field MUST appear in exactly one of these two
 // lists; TestOptionsKeyCoversEveryField fails the build of any new field
@@ -47,8 +47,6 @@ var OptionsIgnoredFields = []string{
 	"Trace",
 	"Tracer",
 	// Execution-only, pinned bit-identical by the differential suites.
-	"Parallel",
-	"MinParallelWork",
 	"BuildWorkers",
 	"NoSimCache",
 	"ScratchArenas",

@@ -53,8 +53,6 @@ func TestOptionsKeyIgnoresObserverFields(t *testing.T) {
 	reg := obs.NewRegistry()
 	instrumented.Metrics = retrieval.NewMetrics(reg)
 	instrumented.Trace = obs.NewTrace()
-	instrumented.Parallel = 8
-	instrumented.MinParallelWork = -1
 	instrumented.BuildWorkers = 2
 	instrumented.NoSimCache = true
 	instrumented.ScratchArenas = 3

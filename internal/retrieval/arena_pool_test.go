@@ -136,3 +136,29 @@ func TestEstimateCost(t *testing.T) {
 			cr, fb.EstimateCost(one))
 	}
 }
+
+// TestEstimateCostSumsPerVideo pins the estimate's decomposition: the
+// archive-wide cost is exactly the sum of the single-video scoped costs,
+// in both annotated and similarity-fallback mode.
+func TestEstimateCostSumsPerVideo(t *testing.T) {
+	m := equivModel(t)
+	for _, annotatedOnly := range []bool{true, false} {
+		e, err := NewEngine(m, Options{AnnotatedOnly: annotatedOnly, Beam: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, q := range equivQueries(m) {
+			q.Scope = nil
+			sum := 0
+			for _, vid := range m.VideoIDs {
+				scoped := q
+				scoped.Scope = &Scope{Video: vid}
+				sum += e.EstimateCost(scoped)
+			}
+			if got := e.EstimateCost(q); got != sum || got <= 0 {
+				t.Errorf("annotated=%v q=%d: archive cost %d, per-video sum %d",
+					annotatedOnly, qi, got, sum)
+			}
+		}
+	}
+}

@@ -3,7 +3,6 @@ package retrieval
 import (
 	"context"
 	"slices"
-	"sync/atomic"
 
 	"github.com/videodb/hmmm/internal/videomodel"
 )
@@ -112,17 +111,16 @@ func (e *Engine) putArena(ar *arena) {
 const ctxPollEdges = 512
 
 // searchCtx carries one retrieval's per-search state: the normalized
-// steps, scope, cost counters, the arena, the top-K admission filter
-// (prunes materialization of matches that cannot reach the final
-// ranking), the parallel pipeline's cancellation flag, and the request
-// context honored at bounded intervals.
+// steps, scope, cost counters, the arena, the top-K accumulator (its
+// admission filter prunes materialization of matches that cannot reach
+// the final ranking), and the request context honored at bounded
+// intervals.
 type searchCtx struct {
-	steps  []Step
-	scope  *Scope
-	cost   *Cost
-	ar     *arena
-	admit  func(score float64) bool
-	cancel *atomic.Bool
+	steps []Step
+	scope *Scope
+	cost  *Cost
+	ar    *arena
+	acc   *topAccum
 	// ctx, when non-nil, is the per-request context; expired() polls it.
 	ctx   context.Context
 	polls int
@@ -134,25 +132,15 @@ func (sc *searchCtx) expired() bool {
 	return sc.ctx != nil && sc.ctx.Err() != nil
 }
 
-// stopped reports whether the search should abandon further lattice work:
-// the parallel pipeline's speculative-work cancellation, or the request
-// context having expired.
-func (sc *searchCtx) stopped() bool {
-	if sc.cancel != nil && sc.cancel.Load() {
-		return true
-	}
-	return sc.expired()
-}
-
 // tick is the per-edge-relaxation check: a cheap counter that polls the
-// full stop conditions every ctxPollEdges calls, bounding both the poll
+// request context every ctxPollEdges calls, bounding both the poll
 // overhead and the post-cancellation overrun.
 func (sc *searchCtx) tick() bool {
 	sc.polls++
 	if sc.polls%ctxPollEdges != 0 {
 		return false
 	}
-	return sc.stopped()
+	return sc.expired()
 }
 
 // searchVideo runs the Figure-3 lattice over one entry video: every stage
@@ -172,7 +160,7 @@ func (e *Engine) searchVideo(vi int, ctx *searchCtx) ([]Match, int) {
 	for _, ci := range final {
 		c := ar.cells[ci]
 		e.emit(TraceEvent{Kind: TraceComplete, Video: vi, State: int(c.state), Value: c.score})
-		if ctx.admit == nil || ctx.admit(c.score) {
+		if ctx.acc.admit(c.score) {
 			matches = append(matches, e.materialize(ci, ar))
 		}
 	}
@@ -194,7 +182,7 @@ func (e *Engine) lattice(vi, j0 int, entry []int32, ctx *searchCtx) []int32 {
 	save := func() { ar.bufA, ar.bufB = cur, next }
 
 	for {
-		if ctx.stopped() {
+		if ctx.expired() {
 			save()
 			return nil
 		}
@@ -244,7 +232,7 @@ func (e *Engine) lattice(vi, j0 int, entry []int32, ctx *searchCtx) []int32 {
 		// the video runs out of candidates (Figure 3's "end of one video").
 		hopped := false
 		for j := j0 + 1; j < len(ctx.steps); j++ {
-			if ctx.stopped() {
+			if ctx.expired() {
 				save()
 				return nil
 			}

@@ -67,7 +67,6 @@ func TestOrderMemoBitIdenticalToBypass(t *testing.T) {
 		{TopK: 10, Beam: 10},
 		{TopK: 3, Beam: 1, CrossVideo: true},
 		{TopK: 2, StopAfterMatches: true},
-		{TopK: 10, Beam: 4, Parallel: 3, MinParallelWork: -1},
 	}
 	for _, d := range retrievaltest.Domains() {
 		for seed := uint64(1); seed <= 3; seed++ {

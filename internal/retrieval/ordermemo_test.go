@@ -145,7 +145,6 @@ func TestOrderMemoConcurrentHammer(t *testing.T) {
 	engines := []*Engine{
 		base,
 		base.WithOptions(Options{AnnotatedOnly: true, Beam: 1, TopK: 3}),
-		base.WithOptions(Options{Parallel: 3, MinParallelWork: -1}),
 	}
 	queries := equivQueries(m)
 	want := make([][]*Result, len(engines))

@@ -304,31 +304,6 @@ type Options struct {
 	// the sought event. When false, unannotated states compete purely by
 	// feature similarity ("or similar to event e_j", Step 3).
 	AnnotatedOnly bool
-	// Parallel fans the per-video lattice searches out over up to this
-	// many worker goroutines (the model is read-only during retrieval).
-	// Values <= 1 search serially. Workers pull videos in the Π2/A2
-	// affinity order and results are committed in that order, so the
-	// returned matches and cost counters are identical to a serial run.
-	// Composes with StopAfterMatches: once the committed in-order prefix
-	// has accumulated 3×TopK matches, outstanding workers are cancelled
-	// and their speculative results discarded, returning exactly the
-	// serial early-stop result set.
-	//
-	// Parallel is a ceiling, not a mandate: per query, the engine
-	// estimates the lattice work from the candidate posting lists and
-	// uses only as many workers as have at least MinParallelWork
-	// estimated edge evaluations each — falling back to the serial loop
-	// when the query is too small for fan-out to pay for goroutine and
-	// commit overhead. The choice depends only on the model and query
-	// (never on timing), and both paths are bit-identical, so results
-	// are unaffected.
-	Parallel int
-	// MinParallelWork is the minimum estimated per-worker work (in edge
-	// evaluations) required before Retrieve fans out; see Parallel. 0
-	// means DefaultMinParallelWork; negative disables the estimate and
-	// always uses Parallel workers (tests use this to force the pipeline
-	// on small fixtures).
-	MinParallelWork int
 	// BuildWorkers bounds the parallelism of the derived-cache builds
 	// (the dense Eq. 14 similarity table and the inverted event index)
 	// at NewEngine / WithOptions / Invalidate time. 0 means GOMAXPROCS;
@@ -347,21 +322,14 @@ type Options struct {
 	// Metrics arena counters.
 	ScratchArenas int
 	// Tracer, when non-nil, receives TraceEvent s during retrieval: the
-	// EXPLAIN ANALYZE view of the traversal. Must be concurrency-safe
-	// when combined with Parallel. With Parallel > 1, events from
-	// different videos interleave, and under StopAfterMatches cancelled
-	// speculative videos may emit events even though their results are
-	// discarded.
+	// EXPLAIN ANALYZE view of the traversal.
 	Tracer Tracer
 	// StopAfterMatches stops expanding further videos once 3×TopK matches
 	// have been collected (a margin that keeps the final top-K ranking
 	// close to exhaustive). Videos are visited in Π2/A2 affinity order
 	// (most promising first), so this is the paper's "traverse the right
 	// path ... with lower computational costs" mode; the returned set can
-	// miss high-scoring patterns hiding in low-affinity videos. Works
-	// with Parallel: the pipeline commits results in affinity order and
-	// cancels outstanding workers once the threshold is reached, so the
-	// result set equals the serial early-stop run.
+	// miss high-scoring patterns hiding in low-affinity videos.
 	StopAfterMatches bool
 	// CoarseCandidates, when positive, enables the coarse→fine two-stage
 	// pipeline: the compressed internal/index prefilter ranks videos by
@@ -411,12 +379,6 @@ const (
 	DefaultTopK       = 10
 	DefaultBeam       = 4
 	DefaultSimEpsilon = 1e-9
-	// DefaultMinParallelWork is the estimated per-worker edge-evaluation
-	// count below which Retrieve does not fan out; see
-	// Options.MinParallelWork. Calibrated against the parallel-retrieval
-	// benchmark: fan-out costs a few µs of goroutine + ordered-commit
-	// overhead, which a worker amortizes only over a few thousand edges.
-	DefaultMinParallelWork = 2048
 )
 
 func (o Options) withDefaults() Options {
@@ -820,34 +782,30 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 		t1 = time.Now()
 	}
 	acc := &topAccum{limit: e.opts.TopK}
-	if workers := e.effectiveParallel(order, steps); workers > 1 {
-		e.retrieveParallel(ctx, workers, order, q, steps, res, acc)
-	} else {
-		stopAt := 0
-		if e.opts.StopAfterMatches {
-			stopAt = 3 * e.opts.TopK
-		}
-		ar := e.getArena()
-		sctx := &searchCtx{steps: steps, scope: q.Scope, cost: &res.Cost, ar: ar, admit: acc.admit, ctx: ctx}
-		for oi, vi := range order {
-			if sctx.expired() {
-				break
-			}
-			res.Cost.VideosSeen++
-			e.emit(TraceEvent{Kind: TraceVideoEnter, Video: vi, N: oi})
-			ar.beginVideo()
-			matches, raw := e.searchVideo(vi, sctx)
-			for _, m := range matches {
-				acc.add(m)
-			}
-			acc.raw += raw
-			if stopAt > 0 && acc.raw >= stopAt {
-				e.emit(TraceEvent{Kind: TraceEarlyStop, N: acc.raw})
-				break
-			}
-		}
-		e.putArena(ar)
+	stopAt := 0
+	if e.opts.StopAfterMatches {
+		stopAt = 3 * e.opts.TopK
 	}
+	ar := e.getArena()
+	sctx := &searchCtx{steps: steps, scope: q.Scope, cost: &res.Cost, ar: ar, acc: acc, ctx: ctx}
+	for oi, vi := range order {
+		if sctx.expired() {
+			break
+		}
+		res.Cost.VideosSeen++
+		e.emit(TraceEvent{Kind: TraceVideoEnter, Video: vi, N: oi})
+		ar.beginVideo()
+		matches, raw := e.searchVideo(vi, sctx)
+		for _, m := range matches {
+			acc.add(m)
+		}
+		acc.raw += raw
+		if stopAt > 0 && acc.raw >= stopAt {
+			e.emit(TraceEvent{Kind: TraceEarlyStop, N: acc.raw})
+			break
+		}
+	}
+	e.putArena(ar)
 	if timed {
 		t2 = time.Now()
 	}

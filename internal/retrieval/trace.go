@@ -50,13 +50,15 @@ func (k TraceKind) String() string {
 	}
 }
 
-// Tracer receives trace events during retrieval. Implementations must be
-// safe for concurrent use when the engine runs with Parallel > 1.
+// Tracer receives trace events during retrieval. One retrieval emits its
+// events from a single goroutine, in traversal order; a Tracer shared
+// across concurrent requests must be safe for concurrent use.
 type Tracer interface {
 	Event(TraceEvent)
 }
 
-// CollectTracer accumulates events in memory.
+// CollectTracer accumulates events in memory. Its mutex makes one
+// collector safe to share across concurrent requests.
 type CollectTracer struct {
 	mu     sync.Mutex
 	events []TraceEvent

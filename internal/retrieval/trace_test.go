@@ -49,23 +49,29 @@ func TestTracerHopEvents(t *testing.T) {
 	}
 }
 
-func TestTracerParallelMatchesSerialCounts(t *testing.T) {
-	m := fixtureModel(t)
-	q := NewQuery(videomodel.EventGoal)
-	serial := &CollectTracer{}
-	es, _ := NewEngine(m, Options{AnnotatedOnly: true, Beam: 4, Tracer: serial})
-	if _, err := es.Retrieve(q); err != nil {
-		t.Fatal(err)
-	}
-	par := &CollectTracer{}
-	ep, _ := NewEngine(m, Options{AnnotatedOnly: true, Beam: 4, Parallel: 4, Tracer: par})
-	if _, err := ep.Retrieve(q); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []TraceKind{TraceVideoEnter, TraceComplete, TraceStage} {
-		if serial.Count(k) != par.Count(k) {
-			t.Errorf("%v: serial %d vs parallel %d", k, serial.Count(k), par.Count(k))
+// TestTracerDoesNotPerturbResult checks that attaching a tracer leaves
+// matches and Cost bit-identical, and that the video-enter events number
+// the visit order 0, 1, 2, … with one event per expanded video.
+func TestTracerDoesNotPerturbResult(t *testing.T) {
+	m := equivModel(t)
+	q := NewQuery(videomodel.EventCornerKick, videomodel.EventGoal, videomodel.EventFoul)
+	opts := Options{TopK: 5, Beam: 4, CrossVideo: true, AnnotatedOnly: true}
+	plain := mustRetrieve(t, m, opts, q)
+	tracer := &CollectTracer{}
+	opts.Tracer = tracer
+	requireEqualResults(t, plain, mustRetrieve(t, m, opts, q))
+	pos := 0
+	for _, ev := range tracer.Events() {
+		if ev.Kind != TraceVideoEnter {
+			continue
 		}
+		if ev.N != pos {
+			t.Fatalf("video-enter %d carries position %d", pos, ev.N)
+		}
+		pos++
+	}
+	if pos != plain.Cost.VideosSeen {
+		t.Errorf("video-enter events = %d, videos seen = %d", pos, plain.Cost.VideosSeen)
 	}
 }
 
