@@ -1,5 +1,6 @@
 # Build / verification entry points. `make verify` is the tier-1 loop:
-# vet + build + full tests + race on the concurrency-bearing packages.
+# vet + build + full tests + race on the concurrency-bearing packages +
+# the benchmark smoke.
 
 GO ?= go
 
@@ -13,7 +14,7 @@ note = $(1)$(if $(BENCH_NOTE),; $(BENCH_NOTE))
 # Offline-pipeline benchmarks captured into BENCH_build.json.
 BENCH_BUILD_PATTERN := BenchmarkBuildPaperScale|BenchmarkRetrainPaperScale
 
-.PHONY: build vet test race race-all verify e2e bench bench-build bench-scale bench-million bench-serving bench-serving-smoke bench-ingest bench-federated cover fuzz clean
+.PHONY: build vet test race race-all smoke verify e2e bench bench-build bench-scale bench-million bench-serving bench-serving-smoke bench-ingest bench-federated cover fuzz clean
 
 # Packages whose per-package coverage `make cover` gates at 80%.
 COVER_GATED := internal/shard internal/retrieval internal/matn internal/index internal/coord internal/rpc internal/live internal/videomodel internal/fed
@@ -43,7 +44,13 @@ race:
 race-all:
 	$(GO) test -race ./...
 
-verify: vet build test race
+# The end-to-end /api/query benchmark in smoke mode: every serving shape
+# on a paper-scale archive, checked against a direct engine call, the
+# brute-force oracle and the byte-identical-body gate (about 12 s).
+smoke:
+	$(GO) run ./benchmark -smoke
+
+verify: vet build test race smoke
 
 # End-to-end distributed serving: builds cmd/hmmm-shardd, boots 3 real
 # shard processes plus an in-process coordinator, and proves the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -91,11 +92,20 @@ func (s *Server) withMaxBytes(h http.Handler) http.Handler {
 	})
 }
 
-// decodeJSON decodes a request body into v, writing the error response
-// itself on failure: 413 when the body blew the size cap, 400 for
-// malformed JSON. Returns false when the caller should stop.
+// decodeJSON decodes a request body holding exactly one JSON value into
+// v, writing the error response itself on failure: 413 when the body
+// blew the size cap, 400 for malformed JSON, including anything but
+// whitespace after the value. Returns false when the caller should stop.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	err := dec.Decode(v)
+	if err == nil {
+		err = onlyWhitespace(dec.Buffered())
+	}
+	if err == nil {
+		err = onlyWhitespace(r.Body)
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
@@ -106,4 +116,28 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
+}
+
+// errTrailingData rejects a body with more than one JSON value in it.
+var errTrailingData = errors.New("unexpected data after the JSON value")
+
+// onlyWhitespace reads rd to EOF and fails at its first byte that is not
+// JSON whitespace. It reads in fixed chunks and keeps nothing, so a body
+// with the size cap disabled cannot make it buffer a trailing stream.
+func onlyWhitespace(rd io.Reader) error {
+	var chunk [512]byte
+	for {
+		n, err := rd.Read(chunk[:])
+		for _, c := range chunk[:n] {
+			if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+				return errTrailingData
+			}
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
 }

@@ -135,6 +135,68 @@ func TestRequestBodyLimit(t *testing.T) {
 	if json.NewDecoder(resp.Body).Decode(&e) != nil || !strings.Contains(e.Error, "256") {
 		t.Errorf("413 error should name the limit: %+v", e)
 	}
+
+	// The whole body counts: a valid object followed by bytes past the
+	// cap is oversized too, not a success on its first value.
+	padded := `{"pattern":"goal"}` + strings.Repeat(" ", 300)
+	resp, err = http.Post(ts.URL+"/api/query", "application/json", strings.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("padded body status = %d, want 413", resp.StatusCode)
+	}
+	// Trailing whitespace within the cap is still one JSON value.
+	resp, err = http.Post(ts.URL+"/api/query", "application/json", strings.NewReader(`{"pattern":"goal"}`+" \n\t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("trailing-whitespace body status = %d, want 200", resp.StatusCode)
+	}
+}
+
+// countingTail is a request body: a prefix, then an endless run of one
+// byte. It counts what the handler read of it.
+type countingTail struct {
+	prefix string
+	fill   byte
+	read   int
+}
+
+func (c *countingTail) Read(p []byte) (int, error) {
+	n := copy(p, c.prefix)
+	c.prefix = c.prefix[n:]
+	for i := n; i < len(p); i++ {
+		p[i] = c.fill
+	}
+	c.read += len(p)
+	return len(p), nil
+}
+
+// TestUncappedBodyTrailingStream: with the body cap disabled, a valid
+// object followed by an endless stream is rejected at the stream's first
+// byte instead of being read, and buffered, until the client stops.
+func TestUncappedBodyTrailingStream(t *testing.T) {
+	s, err := New(Config{Model: testModel(t), MaxRequestBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := &countingTail{prefix: `{"pattern":"goal"}`, fill: 'x'}
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/query", body))
+	if w.Code != http.StatusBadRequest {
+		t.Errorf("object + endless tail status = %d, want 400: %s", w.Code, w.Body)
+	}
+	if body.read > 64<<10 {
+		t.Errorf("handler read %d bytes of the tail before rejecting it", body.read)
+	}
+	if code, out := serve(s.Handler(), http.MethodPost, "/api/query",
+		[]byte(`{"pattern":"goal"}`+strings.Repeat(" ", 1<<20))); code != http.StatusOK {
+		t.Errorf("object + 1 MiB of whitespace status = %d, want 200: %s", code, out)
+	}
 }
 
 // TestErrorPaths drives every client-error route through the full
@@ -151,6 +213,11 @@ func TestErrorPaths(t *testing.T) {
 		{"query malformed json", "POST", "/api/query", "{not json", http.StatusBadRequest},
 		{"query unknown event", "POST", "/api/query", `{"pattern":"not_an_event"}`, http.StatusBadRequest},
 		{"query empty pattern", "POST", "/api/query", `{"pattern":""}`, http.StatusBadRequest},
+		{"query empty body", "POST", "/api/query", "", http.StatusBadRequest},
+		{"query trailing garbage", "POST", "/api/query", `{"pattern":"goal"}xyz`, http.StatusBadRequest},
+		{"query second value", "POST", "/api/query", `{"pattern":"goal"} {}`, http.StatusBadRequest},
+		{"rank trailing garbage", "POST", "/api/videos/rank", `{"pattern":"goal"}]`, http.StatusBadRequest},
+		{"feedback trailing garbage", "POST", "/api/feedback", `{"states":[0]}0`, http.StatusBadRequest},
 		{"parse malformed json", "POST", "/api/parse", "{", http.StatusBadRequest},
 		{"rank malformed json", "POST", "/api/videos/rank", "]", http.StatusBadRequest},
 		{"feedback malformed json", "POST", "/api/feedback", "{bad", http.StatusBadRequest},

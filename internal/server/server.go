@@ -6,6 +6,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -109,6 +110,10 @@ type Server struct {
 	// internal/fed). The main model remains one ordinary member-shaped
 	// archive; federation members carry their own models.
 	federation *fed.Federation
+
+	// patterns memoizes MATN parse + compile + canonical rendering for
+	// /api/query and /api/videos/rank (see pattern.go).
+	patterns patternMemo
 }
 
 // snapshot is one immutable published generation: a trained model, the
@@ -694,7 +699,7 @@ func (s *Server) handleRankVideos(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.current.Load()
-	queries, err := matn.CompileStringDomain(req.Pattern, snap.domain)
+	pattern, err := s.patterns.compile(req.Pattern, snap.domain)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -702,7 +707,7 @@ func (s *Server) handleRankVideos(w http.ResponseWriter, r *http.Request) {
 	engine := snap.engine
 	// Merge alternation branches by max score per video.
 	best := make(map[int]float64)
-	for _, q := range queries {
+	for _, q := range pattern.queries {
 		ranks, err := engine.RankVideos(q)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err)
@@ -941,22 +946,38 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
 	}
 
 	// An MATN may compile to several linear patterns (alternation,
-	// optional steps); results are merged and deduplicated by state
-	// sequence, keeping the best score.
+	// optional steps), and a live delta adds one more list per pattern;
+	// those lists are merged and deduplicated by state sequence, keeping
+	// the best score. A single list needs no merge: the engine, the shard
+	// group and the coordinator each return one already ranked by
+	// sortMatches (score descending, ties broken by comparing the state
+	// sequences, so the order is total over distinct sequences), free of
+	// duplicate state sequences and cut to TopK — exactly what
+	// MergeRanked would return for it. The merge-skip differential test
+	// in internal/coord pins that equality for all three.
 	var all []retrieval.Match
 	var cost retrieval.Cost
+	lists := 0
+	add := func(res *retrieval.Result) {
+		if lists == 0 {
+			all = res.Matches // this call's own slice: adopt it
+		} else {
+			all = append(all, res.Matches...)
+		}
+		lists++
+		cost.SimEvals += res.Cost.SimEvals
+		cost.EdgeEvals += res.Cost.EdgeEvals
+		cost.VideosSeen += res.Cost.VideosSeen
+		cost.Truncated = cost.Truncated || res.Cost.Truncated
+		cost.DegradedShards += res.Cost.DegradedShards
+	}
 	for _, q := range queries {
 		q.Scope = scope
 		res, err := search.RetrieveContext(ctx, q)
 		if err != nil {
 			return nil, err
 		}
-		all = append(all, res.Matches...)
-		cost.SimEvals += res.Cost.SimEvals
-		cost.EdgeEvals += res.Cost.EdgeEvals
-		cost.VideosSeen += res.Cost.VideosSeen
-		cost.Truncated = cost.Truncated || res.Cost.Truncated
-		cost.DegradedShards += res.Cost.DegradedShards
+		add(res)
 		if cost.Truncated {
 			// The deadline is spent; later alternation branches would each
 			// pay a poll round-trip just to return empty.
@@ -983,17 +1004,16 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
 				return nil, err
 			}
 			live.RemapMatches(res.Matches, snap.delta.Offset)
-			all = append(all, res.Matches...)
-			cost.SimEvals += res.Cost.SimEvals
-			cost.EdgeEvals += res.Cost.EdgeEvals
-			cost.VideosSeen += res.Cost.VideosSeen
-			cost.Truncated = cost.Truncated || res.Cost.Truncated
+			add(res)
 			if cost.Truncated {
 				break
 			}
 		}
 	}
-	merged := retrieval.MergeRanked(all, opts.TopK)
+	merged := all
+	if lists > 1 {
+		merged = retrieval.MergeRanked(all, opts.TopK)
+	}
 	if qtrace != nil {
 		s.recordSlowQuery(req, qtrace, time.Since(qstart), len(merged), len(queries), cost, opts)
 	}
@@ -1005,24 +1025,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	network, err := matn.ParseDomain(req.Pattern, s.current.Load().domain)
+	pattern, err := s.patterns.compile(req.Pattern, s.current.Load().domain)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	queries, err := network.Compile()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// The coalesce key uses the canonical rendering, so spelling variants
-	// of the same network ("a->b", "a -> b") share one execution. Format
-	// round-trips anything Parse accepts; the raw text is a safe
-	// fallback (worst case: a missed coalescing opportunity).
-	canonical, err := network.Format()
-	if err != nil {
-		canonical = req.Pattern
-	}
+	queries := pattern.queries
 
 	var scope *retrieval.Scope
 	if req.ScopeVideo != 0 || req.ScopeFromMS != 0 || req.ScopeToMS != 0 {
@@ -1053,7 +1061,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// runQuery, after admission. It participates in the coalesce key so
 	// every rider shares the leader's truncation behavior.
 	budget := s.effectiveQueryTimeout(req.TimeoutMS)
-	out, err := s.executeQuery(r.Context(), req, canonical, queries, scope, opts, budget)
+	out, err := s.executeQuery(r.Context(), req, pattern.canonical, queries, scope, opts, budget)
 	if err != nil {
 		var shed *shedError
 		switch {
@@ -1120,40 +1128,68 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	resp := QueryResponse{
-		Pattern:  req.Pattern,
-		Expanded: len(queries),
-		Cost: CostJSON{
-			SimEvals: cost.SimEvals, EdgeEvals: cost.EdgeEvals,
-			VideosSeen: cost.VideosSeen, Truncated: cost.Truncated,
-			DegradedShards: cost.DegradedShards,
-		},
+	writeJSON(w, http.StatusOK, QueryResponse{
+		Pattern:     req.Pattern,
+		Expanded:    len(queries),
+		Matches:     matchesJSON(snap, merged, explain),
+		Cost:        costJSON(cost),
 		FreshVideos: out.fresh,
+	})
+}
+
+// matchesJSON renders a ranking for the wire. Three slabs back every
+// match's slices: one []int for Shots and Videos, one [][]string for
+// the Events rows, one []string for the event names. A slice is nil
+// exactly where a per-match append build would leave it nil, so the
+// body keeps its nulls: an events row for a state without events, and
+// an empty ranking.
+func matchesJSON(snap *snapshot, merged []retrieval.Match, explain func(retrieval.Match) []api.StepExplanationJSON) []MatchJSON {
+	var nInts, nRows, nNames int
+	for _, match := range merged {
+		nInts += 2 * len(match.Shots)
+		nRows += len(match.States)
+		for _, st := range match.States {
+			nNames += len(snap.stateEvents(st))
+		}
+	}
+	ints := make([]int, nInts)
+	rows := make([][]string, nRows)
+	names := make([]string, nNames)
+	var out []MatchJSON
+	if len(merged) > 0 {
+		out = make([]MatchJSON, len(merged))
 	}
 	for i, match := range merged {
-		mj := MatchJSON{
-			Rank:    i + 1,
-			Score:   match.Score,
-			States:  match.States,
-			Weights: match.Weights,
-		}
-		for j, shot := range match.Shots {
-			mj.Shots = append(mj.Shots, int(shot))
-			mj.Videos = append(mj.Videos, int(match.Videos[j]))
-		}
-		for _, st := range match.States {
-			var names []string
-			for _, e := range snap.stateEvents(st) {
-				names = append(names, snap.domain.EventName(e))
+		mj := &out[i]
+		mj.Rank, mj.Score = i+1, match.Score
+		mj.States, mj.Weights = match.States, match.Weights
+		if n := len(match.Shots); n > 0 {
+			mj.Shots, mj.Videos, ints = ints[:n:n], ints[n:2*n:2*n], ints[2*n:]
+			for j, shot := range match.Shots {
+				mj.Shots[j] = int(shot)
+				mj.Videos[j] = int(match.Videos[j])
 			}
-			mj.Events = append(mj.Events, names)
+		}
+		if n := len(match.States); n > 0 {
+			mj.Events, rows = rows[:n:n], rows[n:]
+			for j, st := range match.States {
+				events := snap.stateEvents(st)
+				if len(events) == 0 {
+					continue
+				}
+				row := names[:len(events):len(events)]
+				names = names[len(events):]
+				for k, e := range events {
+					row[k] = snap.domain.EventName(e)
+				}
+				mj.Events[j] = row
+			}
 		}
 		if explain != nil {
 			mj.Explanation = explain(match)
 		}
-		resp.Matches = append(resp.Matches, mj)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return out
 }
 
 // handleFederatedQuery fans one MATN pattern over the configured
@@ -1373,10 +1409,41 @@ func (s *Server) Shutdown(hs *http.Server, grace time.Duration) error {
 	return drainErr
 }
 
+// maxKeptBuf is the largest response buffer returned to jsonBufs.
+// API responses are a few KiB; a buffer grown past this by one large
+// response is dropped instead of staying pooled.
+const maxKeptBuf = 64 << 10
+
+// jsonBuf is a response encode buffer with an encoder bound to it, so a
+// response borrows both from jsonBufs instead of allocating them.
+type jsonBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBufs = sync.Pool{New: func() any {
+	jb := new(jsonBuf)
+	jb.enc = json.NewEncoder(&jb.Buffer)
+	return jb
+}}
+
+// writeJSON writes v as the response body, in json.Encoder's framing
+// (one value and a trailing newline). An unencodable v leaves the body
+// empty, as Encoder.Encode would.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	jb := jsonBufs.Get().(*jsonBuf)
+	defer func() {
+		if jb.Cap() <= maxKeptBuf {
+			jb.Reset()
+			jsonBufs.Put(jb)
+		}
+	}()
+	err := jb.enc.Encode(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	if err == nil {
+		_, _ = w.Write(jb.Bytes())
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -1,0 +1,397 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/videodb/hmmm/internal/matn"
+	"github.com/videodb/hmmm/internal/retrieval"
+	"github.com/videodb/hmmm/internal/videomodel"
+)
+
+// serve runs one request through h without a network and returns the
+// status and body.
+func serve(h http.Handler, method, path string, body []byte) (int, []byte) {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return w.Code, w.Body.Bytes()
+}
+
+func queryBody(t testing.TB, req QueryRequest) []byte {
+	t.Helper()
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// maxQueryAllocs is the allocation ceiling of one warm /api/query
+// through the full middleware stack, configured as hmmmd serves by
+// default: 60–61 measured with go1.24.0 on linux/amd64 (122–123 before
+// the pattern memo, merge skip and slab build), plus 5% slack. It counts
+// what the server allocates — decode, coalescing, lane admission,
+// retrieval, response build and encode — and not the test's request or
+// response writer, whose construction varies between Go releases.
+const maxQueryAllocs = 64
+
+// sinkWriter is a ResponseWriter that keeps the status and body length
+// only, so an allocation count sees the handler and not a recorder.
+type sinkWriter struct {
+	header http.Header
+	code   int
+	n      int
+}
+
+func (w *sinkWriter) Header() http.Header         { return w.header }
+func (w *sinkWriter) WriteHeader(code int)        { w.code = code }
+func (w *sinkWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// TestQueryHandlerAllocs pins the /api/query path's allocation count so
+// a regression in the shell (a per-match or per-step allocation, a
+// per-request parse) fails the build rather than a benchmark.
+func TestQueryHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	s, err := New(Config{Model: testModel(t), Coalesce: true, FastLaneCost: 1000,
+		MaxInflight: 64, QueryTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	body := queryBody(t, QueryRequest{Pattern: "goal -> free_kick", TopK: 10})
+	// One request and one writer serve every run; the body-cap middleware
+	// rewraps r.Body, so each run starts from a copy of the template.
+	tmpl := httptest.NewRequest(http.MethodPost, "/api/query", nil)
+	rd := bytes.NewReader(body)
+	rc := io.NopCloser(rd)
+	w := &sinkWriter{header: make(http.Header)}
+	req := new(http.Request)
+	run := func() {
+		rd.Reset(body)
+		*req = *tmpl
+		req.Body = rc
+		clear(w.header)
+		w.code, w.n = 0, 0
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK || w.n == 0 {
+			t.Fatalf("query: status %d, %d body bytes", w.code, w.n)
+		}
+	}
+	run() // warm the pattern memo, the engine's caches and the buffer pool
+	if got := testing.AllocsPerRun(200, run); got > maxQueryAllocs {
+		t.Errorf("/api/query allocates %.1f times per request, ceiling %d (measured with go1.24.0, running %s)",
+			got, maxQueryAllocs, runtime.Version())
+	} else {
+		t.Logf("/api/query allocates %.1f times per request (ceiling %d)", got, maxQueryAllocs)
+	}
+}
+
+// TestPatternMemo pins the memo's contract: a repeated pattern is served
+// from the memo without re-parsing, both drop-all bounds hold, and a
+// pattern too large to retain is still served correctly.
+func TestPatternMemo(t *testing.T) {
+	s, err := New(Config{Model: testModel(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	d := s.current.Load().domain
+	pm := &s.patterns
+
+	t.Run("hit does not re-parse", func(t *testing.T) {
+		const pattern = "goal -> free_kick"
+		body := queryBody(t, QueryRequest{Pattern: pattern, TopK: 5})
+		code, first := serve(h, http.MethodPost, "/api/query", body)
+		if code != http.StatusOK {
+			t.Fatalf("status %d: %s", code, first)
+		}
+		entry := pm.entries[patternKey{domain: d, text: pattern}]
+		if entry == nil {
+			t.Fatal("served pattern not memoized")
+		}
+		if code, again := serve(h, http.MethodPost, "/api/query", body); code != http.StatusOK || !bytes.Equal(again, first) {
+			t.Fatalf("repeat: status %d, body changed:\n%s\nvs\n%s", code, again, first)
+		}
+		if pm.entries[patternKey{domain: d, text: pattern}] != entry {
+			t.Error("repeat request replaced the memo entry")
+		}
+		// A parse allocates; a memo hit must not.
+		if n := testing.AllocsPerRun(20, func() {
+			if _, err := pm.compile(pattern, d); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("memo hit allocates %.1f times: it re-parsed", n)
+		}
+	})
+
+	t.Run("errors are not memoized", func(t *testing.T) {
+		before := len(pm.entries)
+		for i := 0; i < 2; i++ {
+			if _, err := pm.compile("goal -> not_an_event", d); err == nil {
+				t.Fatal("unknown event accepted")
+			}
+		}
+		if len(pm.entries) != before {
+			t.Errorf("a failed compile was memoized: %d entries, want %d", len(pm.entries), before)
+		}
+	})
+
+	t.Run("entry-count bound", func(t *testing.T) {
+		pm.entries, pm.bytes = nil, 0
+		for i := 0; i < maxMemoPatterns; i++ {
+			mustCompile(t, pm, "goal"+strings.Repeat(" ", i+1), d)
+		}
+		if len(pm.entries) > maxMemoPatterns {
+			t.Fatalf("%d entries, bound %d", len(pm.entries), maxMemoPatterns)
+		}
+		full := len(pm.entries)
+		mustCompile(t, pm, "foul", d)
+		if len(pm.entries) >= full {
+			t.Errorf("a put into a full memo kept %d entries (was %d): no drop-all", len(pm.entries), full)
+		}
+	})
+
+	t.Run("byte bound", func(t *testing.T) {
+		pm.entries, pm.bytes = nil, 0
+		pad := strings.Repeat(" ", maxMemoPatternBytes/3)
+		for i := 0; i < 8; i++ {
+			mustCompile(t, pm, fmt.Sprintf("goal%s%s", strings.Repeat(" ", i), pad), d)
+			if pm.bytes > maxMemoPatternBytes {
+				t.Fatalf("memo holds %d pattern bytes, bound %d", pm.bytes, maxMemoPatternBytes)
+			}
+			if len(pm.entries) > 2 {
+				t.Fatalf("%d entries of over a third of the byte bound each", len(pm.entries))
+			}
+		}
+	})
+
+	t.Run("over-long pattern served, not retained", func(t *testing.T) {
+		mustCompile(t, pm, "foul", d)
+		before := len(pm.entries)
+		long := "goal -> free_kick" + strings.Repeat(" ", maxMemoPatternBytes+1)
+		code, got := serve(h, http.MethodPost, "/api/query", queryBody(t, QueryRequest{Pattern: long, TopK: 5}))
+		if code != http.StatusOK {
+			t.Fatalf("status %d: %s", code, got)
+		}
+		if _, ok := pm.entries[patternKey{domain: d, text: long}]; ok {
+			t.Error("over-long pattern retained")
+		}
+		if len(pm.entries) != before {
+			t.Errorf("over-long pattern disturbed the memo: %d entries, want %d", len(pm.entries), before)
+		}
+		_, short := serve(h, http.MethodPost, "/api/query", queryBody(t, QueryRequest{Pattern: "goal -> free_kick", TopK: 5}))
+		var gotResp, wantResp QueryResponse
+		if err := json.Unmarshal(got, &gotResp); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(short, &wantResp); err != nil {
+			t.Fatal(err)
+		}
+		gotResp.Pattern, wantResp.Pattern = "", ""
+		if !reflect.DeepEqual(gotResp, wantResp) || len(gotResp.Matches) == 0 {
+			t.Errorf("over-long spelling of a pattern answered differently:\n%+v\nvs\n%+v", gotResp, wantResp)
+		}
+	})
+}
+
+func mustCompile(t *testing.T, pm *patternMemo, text string, d *videomodel.Domain) {
+	t.Helper()
+	if _, err := pm.compile(text, d); err != nil {
+		t.Fatalf("compile %q: %v", text, err)
+	}
+}
+
+// TestPatternMemoConcurrent runs many goroutines over distinct and
+// repeated patterns — more of them, and more bytes, than the memo holds,
+// so drop-alls race with hits — and requires every response to be
+// byte-identical to a fresh-compile response. Under -race it is also the
+// memo's data-race check.
+func TestPatternMemoConcurrent(t *testing.T) {
+	model := testModel(t)
+	fresh, err := New(Config{Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := []string{"goal", "goal -> free_kick", "foul | corner_kick", "goal -> free_kick?", "goal & !foul"}
+	const distinct = 2*maxMemoPatterns + 17
+	bodies := make([][]byte, distinct)
+	want := make([][]byte, distinct)
+	freshH := fresh.Handler()
+	for i := range bodies {
+		// Whitespace padding gives distinct texts of growing size, so the
+		// byte bound trips as well as the entry bound.
+		text := bases[i%len(bases)] + strings.Repeat(" ", 4*i)
+		bodies[i] = queryBody(t, QueryRequest{Pattern: text, TopK: 1 + i%7})
+		// Each text reaches the reference server once: a fresh compile.
+		code, body := serve(freshH, http.MethodPost, "/api/query", bodies[i])
+		if code != http.StatusOK {
+			t.Fatalf("reference %d: status %d: %s", i, code, body)
+		}
+		want[i] = append([]byte(nil), body...)
+	}
+
+	h := s.Handler()
+	const workers, perWorker = 8, 300
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for n := 0; n < perWorker; n++ {
+				i := rng.Intn(distinct)
+				if n%2 == 1 {
+					i = rng.Intn(len(bases)) // a hot, repeated few
+				}
+				code, body := serve(h, http.MethodPost, "/api/query", bodies[i])
+				if code != http.StatusOK || !bytes.Equal(body, want[i]) {
+					t.Errorf("pattern %d: status %d, body differs from a fresh compile:\n%s\nvs\n%s", i, code, body, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if s.patterns.bytes > maxMemoPatternBytes || len(s.patterns.entries) > maxMemoPatterns {
+		t.Errorf("memo over its bounds: %d entries, %d bytes", len(s.patterns.entries), s.patterns.bytes)
+	}
+}
+
+// appendMatchesJSON is the per-match append build matchesJSON replaced,
+// kept as the reference its output must equal byte for byte.
+func appendMatchesJSON(snap *snapshot, merged []retrieval.Match) []MatchJSON {
+	var out []MatchJSON
+	for i, match := range merged {
+		mj := MatchJSON{Rank: i + 1, Score: match.Score, States: match.States, Weights: match.Weights}
+		for j, shot := range match.Shots {
+			mj.Shots = append(mj.Shots, int(shot))
+			mj.Videos = append(mj.Videos, int(match.Videos[j]))
+		}
+		for _, st := range match.States {
+			var names []string
+			for _, e := range snap.stateEvents(st) {
+				names = append(names, snap.domain.EventName(e))
+			}
+			mj.Events = append(mj.Events, names)
+		}
+		out = append(out, mj)
+	}
+	return out
+}
+
+// TestMatchesJSONBytes pins the slab build's body to the append build's,
+// nulls included: an events row for a state without events (here, an
+// index past the model), a match with no steps, and an empty ranking.
+func TestMatchesJSONBytes(t *testing.T) {
+	s, err := New(Config{Model: testModel(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := s.current.Load()
+	var rankings [][]retrieval.Match
+	for _, pattern := range []string{"goal", "goal -> free_kick", "goal -> free_kick -> goal | foul"} {
+		queries, err := matn.CompileStringDomain(pattern, snap.domain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := snap.engine.Retrieve(queries[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Matches) == 0 {
+			t.Fatalf("%q: no matches", pattern)
+		}
+		rankings = append(rankings, res.Matches)
+	}
+	top := rankings[1][0]
+	odd := top
+	odd.States = append([]int{snap.model.NumStates() + 5}, top.States[1:]...)
+	rankings = append(rankings,
+		nil,
+		[]retrieval.Match{{Score: 0.5}},
+		[]retrieval.Match{top, odd, {Score: 0.25}},
+	)
+	for i, merged := range rankings {
+		want, err := json.Marshal(QueryResponse{Matches: appendMatchesJSON(snap, merged)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(QueryResponse{Matches: matchesJSON(snap, merged, nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("ranking %d:\n got %s\nwant %s", i, got, want)
+		}
+	}
+	if got, _ := json.Marshal(matchesJSON(snap, rankings[len(rankings)-1], nil)); !bytes.Contains(got, []byte(`"events":[null,`)) {
+		t.Errorf("state without events should render a null row: %s", got)
+	}
+	if got, _ := json.Marshal(QueryResponse{Matches: matchesJSON(snap, nil, nil)}); !bytes.Contains(got, []byte(`"matches":null`)) {
+		t.Errorf("empty ranking should render \"matches\":null: %s", got)
+	}
+}
+
+// TestAlternationIsMerged pins the other side of the merge skip: a
+// pattern compiling to several linear queries is served as MergeRanked
+// over every branch's ranking, deduplicated and cut to top_k.
+func TestAlternationIsMerged(t *testing.T) {
+	s, err := New(Config{Model: testModel(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := s.current.Load()
+	const pattern, topK = "goal | foul -> free_kick?", 4
+	queries, err := matn.CompileStringDomain(pattern, snap.domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(queries) < 2 {
+		t.Fatalf("%q compiles to %d queries; the test needs an alternation", pattern, len(queries))
+	}
+	engine := snap.engine.WithOptions(retrieval.Options{TopK: topK, AnnotatedOnly: true})
+	var all []retrieval.Match
+	for _, q := range queries {
+		res, err := engine.Retrieve(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, res.Matches...)
+	}
+	want := retrieval.MergeRanked(all, topK)
+
+	code, body := serve(s.Handler(), http.MethodPost, "/api/query", queryBody(t, QueryRequest{Pattern: pattern, TopK: topK}))
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	var resp QueryResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Matches) != len(want) || len(want) == 0 {
+		t.Fatalf("%d matches served, want %d", len(resp.Matches), len(want))
+	}
+	for i, m := range resp.Matches {
+		if m.Score != want[i].Score || !reflect.DeepEqual(m.States, want[i].States) {
+			t.Errorf("rank %d: served %v %.6g, want %v %.6g", i+1, m.States, m.Score, want[i].States, want[i].Score)
+		}
+	}
+}
