@@ -225,8 +225,15 @@ func (s *Suite) F2RetrievalTrace() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	candidates := 0
+	for v := 0; v < s.Model.NumVideos(); v++ {
+		if s.Model.B2.At(v, q.Events[0].Index()) > 0 {
+			candidates++
+		}
+	}
 	r.Printf("Step 1   initialize: query R = {%s}, C = %d", queryString(q), q.Len())
-	r.Printf("Step 2   video-level scan (B2 feature check + A2 affinity order): %d candidate videos expanded", res.Cost.VideosSeen)
+	r.Printf("Step 2   video-level scan (B2 feature check, certified-bound order): %d of %d candidate videos expanded", res.Cost.VideosSeen, candidates)
+	r.Printf("         (the rest bound strictly below the 10th-best score, so they cannot change the ranking)")
 	r.Printf("Step 3-4 lattice traversal: %d edges considered, %d sim() evaluations (Eqs. 12-14)", res.Cost.EdgeEvals, res.Cost.SimEvals)
 	r.Printf("Step 5-6 candidate sequences completed and scored with SS (Eq. 15)")
 	r.Printf("Step 7-9 ranked results: %d patterns", len(res.Matches))

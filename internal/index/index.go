@@ -25,13 +25,16 @@
 //     A1(s, s')·sim(s', c2) from a c1-annotated to a c2-annotated
 //     state. A query's proxy score multiplies, per step,
 //     avg_c maxΠ1Sim(v, c) for the entry step and avg_c of the joint
-//     edge bound for each transition. Every factor upper-bounds the
-//     corresponding factor of the exact Eq. 15 path score, so the
-//     proxy is an optimistic bound on the best sequence inside v. The
-//     A1 edge table is what makes the bound discriminate on archives
-//     whose per-class features cluster tightly (similarities nearly
-//     uniform across videos): there the exact ranking is driven by
-//     temporal-affinity decay, which a sim-only proxy cannot see.
+//     edge table for each transition. The proxy is a heuristic ranking
+//     signal, not a bound: the product of per-step factors tracks only
+//     the last prefix product of a path's weights, not Eq. 15's sum of
+//     all of them, and the float32 tables round to nearest. The
+//     certified per-video bound exact search prunes with lives in
+//     package retrieval (bound.go). The A1 edge table is what makes the
+//     proxy discriminate on archives whose per-class features cluster
+//     tightly (similarities nearly uniform across videos): there the
+//     exact ranking is driven by temporal-affinity decay, which a
+//     sim-only proxy cannot see.
 //
 // The proxy never replaces exact scoring — it only chooses which videos
 // the exact lattice visits — so coarse→fine results are always a subset
@@ -227,19 +230,20 @@ func (ix *Coarse) Postings(ci int, buf []int) []int {
 	return buf
 }
 
-// Score returns the approximate upper-bound path score of video v for a
-// query whose steps are given as concept-index lists. The first
-// (non-empty) step contributes avg_c maxΠ1Sim(v, c) — the best entry
-// mass times similarity any of v's states offers; each following step
-// contributes avg_c of the joint edge table, minimized over the
-// previous step's concepts (a matched state pair carries every concept
-// of its steps, so each pairwise entry bounds it and the minimum is
-// the tightest valid bound). Every factor upper-bounds its exact
-// Eq. 15 counterpart over any state sequence inside v, so ranking by
-// Score is ranking by an optimistic per-video bound. Videos with no
-// annotated state for a step's concepts (or no connecting A1 edge)
-// contribute that factor as 0. Empty steps contribute no factor; a
-// query of only empty steps falls back to maxΠ1(v).
+// Score returns the heuristic proxy score of video v for a query whose
+// steps are given as concept-index lists. The first (non-empty) step
+// contributes avg_c maxΠ1Sim(v, c) — the best entry mass times
+// similarity any of v's states offers; each following step contributes
+// avg_c of the joint edge table, minimized over the previous step's
+// concepts (a matched state pair carries every concept of its steps, so
+// each pairwise entry is optimistic for it). The product of the factors
+// is not an upper bound on Eq. 15's score — that score sums every
+// prefix product, and the float32 tables round to nearest — so Score is
+// a ranking proxy only; retrieval's certified bound (bound.go) sums the
+// prefix products over tables rounded up. Videos with no annotated state
+// for a step's concepts (or no connecting A1 edge) contribute that
+// factor as 0. Empty steps contribute no factor; a query of only empty
+// steps falls back to maxΠ1(v).
 func (ix *Coarse) Score(v int, steps [][]int) float64 {
 	score := 1.0
 	var prev []int

@@ -26,9 +26,10 @@ func (e *Engine) estimateVideoWork(vi int, steps []Step) int {
 
 // EstimateCost approximates the lattice edge evaluations q would perform
 // — the posting-length × steps × beam estimate of estimateVideoWork,
-// summed over the videos the query's scope admits. It reads only the
-// engine's immutable index, so it is deterministic for a given model and
-// query and costs a few index-length lookups per video — cheap enough to
+// summed over the videos the query's scope admits, as if no certified
+// cut were taken (an over-estimate for pruning exact search). It reads
+// only the engine's immutable index, so it is deterministic for a given
+// model and query and costs a few index-length lookups per video — cheap enough to
 // run on every request. The server's admission lanes use it to split
 // traffic into cheap (fast-lane) and heavy (queued) classes before
 // committing any search work. An invalid query estimates to 0: it will

@@ -7,3 +7,31 @@ package retrieval
 func (e *Engine) Posting(vi, ci int) []int32 { return e.shared.posting(vi, ci) }
 
 func (e *Engine) StartMSColumn() []int32 { return e.shared.startMS }
+
+// VideoBound is the certified bound on q's score in video vi, as the
+// pruned visit order keys it.
+func (e *Engine) VideoBound(vi int, q Query) float64 {
+	steps := q.steps()
+	return e.shared.bound.videoBound(vi, steps, boundSlack(steps))
+}
+
+// Unpruned returns an engine over the same model and options whose caches
+// carry no bound tables, so it never prunes: the exhaustive reference the
+// pruning differentials compare against.
+func (e *Engine) Unpruned() *Engine {
+	ne := &Engine{m: e.m, opts: e.opts, shared: buildShared(e.m, e.opts)}
+	ne.shared.bound = nil
+	return ne
+}
+
+// Step2Candidates counts the videos passing q's first-step B2 check: the
+// videos an exhaustive annotation-only search expands.
+func (e *Engine) Step2Candidates(q Query) int {
+	n := 0
+	for v := 0; v < e.m.NumVideos(); v++ {
+		if e.videoHasStep(v, q.steps()[0]) {
+			n++
+		}
+	}
+	return n
+}

@@ -87,20 +87,28 @@ func requireEqualResults(t *testing.T, want, got *Result) {
 
 // TestEarlyStopStopsEarly checks StopAfterMatches on the paper's
 // goal -> free-kick query: the early-stop run still returns matches, and
-// for at least one K it expands fewer videos than the exhaustive run.
+// for at least one K it expands fewer videos than the Step-2 candidate
+// count — the videos an exhaustive search expands. (Certified pruning
+// may expand fewer still, so the exhaustive run is no longer the
+// reference.)
 func TestEarlyStopStopsEarly(t *testing.T) {
 	m := equivModel(t)
 	q := NewQuery(videomodel.EventGoal, videomodel.EventFreeKick)
 	triggered := false
 	for _, topK := range []int{1, 2, 3} {
-		base := Options{TopK: topK, Beam: 4, AnnotatedOnly: true, StopAfterMatches: true}
-		stopped := mustRetrieve(t, m, base, q)
+		opts := Options{TopK: topK, Beam: 4, AnnotatedOnly: true, StopAfterMatches: true}
+		eng, err := NewEngine(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stopped, err := eng.Retrieve(q)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(stopped.Matches) == 0 {
 			t.Fatal("fixture query returned no matches")
 		}
-		full := base
-		full.StopAfterMatches = false
-		if mustRetrieve(t, m, full, q).Cost.VideosSeen > stopped.Cost.VideosSeen {
+		if eng.Step2Candidates(q) > stopped.Cost.VideosSeen {
 			triggered = true
 		}
 	}
@@ -127,8 +135,9 @@ func TestEarlyStopEmitsTrace(t *testing.T) {
 
 // TestCacheBuildBitIdenticalAcrossWorkerCounts is the satellite
 // determinism check for the engine's derived caches: the dense Eq. 14
-// similarity table and the inverted event index must be byte-for-byte
-// identical whether built serially or with any worker count.
+// similarity table, the inverted event index and the bound tables must
+// be byte-for-byte identical whether built serially or with any worker
+// count.
 func TestCacheBuildBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	m := equivModel(t)
 	ref, err := NewEngine(m, Options{BuildWorkers: 1})
@@ -147,6 +156,9 @@ func TestCacheBuildBitIdenticalAcrossWorkerCounts(t *testing.T) {
 			!reflect.DeepEqual(ref.shared.startMS, eng.shared.startMS) {
 			t.Errorf("BuildWorkers=%d: event index differs from serial build", workers)
 		}
+		if ref.shared.bound == nil || !reflect.DeepEqual(ref.shared.bound, eng.shared.bound) {
+			t.Errorf("BuildWorkers=%d: bound tables differ from serial build", workers)
+		}
 	}
 }
 
@@ -155,8 +167,10 @@ func TestCacheBuildBitIdenticalAcrossWorkerCounts(t *testing.T) {
 // corpus where beams fill, hops happen and early stop triggers: a repeat
 // query on the same engine (order-memo hit, recycled arena), a NoSimCache
 // view and a Background-context call all return the cold result bit for
-// bit, and the result is a ranked, untruncated top-K whose early-stop run
-// never expands more videos than the exhaustive one.
+// bit, and the result is a ranked, untruncated top-K. Every mode expands
+// at most the Step-2 candidate count (one video under a video scope), the
+// never-pruning reference expands exactly that many without early stop,
+// and the ranking equals the reference's whenever early stop is off.
 func TestSerialInvariantMatrix(t *testing.T) {
 	m := equivModel(t)
 	for _, beam := range []int{1, 4, 16} {
@@ -209,12 +223,23 @@ func TestSerialInvariantMatrix(t *testing.T) {
 								}
 							}
 						}
-						if stop {
-							full := opts
-							full.StopAfterMatches = false
-							if n := mustRetrieve(t, m, full, q).Cost.VideosSeen; cold.Cost.VideosSeen > n {
-								t.Errorf("early stop expanded %d videos, exhaustive run %d", cold.Cost.VideosSeen, n)
+						limit := eng.Step2Candidates(q)
+						if q.Scope != nil {
+							limit = 1
+						}
+						if cold.Cost.VideosSeen > limit {
+							t.Errorf("expanded %d videos, Step-2 candidate count %d", cold.Cost.VideosSeen, limit)
+						}
+						if !stop {
+							ref, err := eng.Unpruned().Retrieve(q)
+							if err != nil {
+								t.Fatal(err)
 							}
+							if ref.Cost.VideosSeen != limit {
+								t.Errorf("reference expanded %d videos, Step-2 candidate count %d", ref.Cost.VideosSeen, limit)
+							}
+							ref.Cost = cold.Cost // only the work may differ
+							requireEqualResults(t, ref, cold)
 						}
 					})
 				}
@@ -253,13 +278,21 @@ func TestSimilarityModeRepeatable(t *testing.T) {
 
 // TestSharedEngineConcurrentMatchesSerial runs the equivalence queries
 // from several goroutines against one engine — how the server uses it,
-// sharing the order memo, similarity table and arena pool — and checks
-// every result against a serial run. Under -race this covers the shared
-// caches' concurrent reads and the memo's and pool's writes.
+// sharing the order memo, similarity and bound tables and arena pool —
+// and checks every result against a serial run, with the greedy order
+// (CrossVideo) and with certified pruning. Under -race this covers the
+// shared caches' concurrent reads and the memo's and pool's writes.
 func TestSharedEngineConcurrentMatchesSerial(t *testing.T) {
+	for _, cross := range []bool{true, false} {
+		t.Run(fmt.Sprintf("cross=%v", cross), func(t *testing.T) {
+			concurrentMatchesSerial(t, Options{TopK: 5, Beam: 4, CrossVideo: cross, AnnotatedOnly: true})
+		})
+	}
+}
+
+func concurrentMatchesSerial(t *testing.T, opts Options) {
 	m := equivModel(t)
 	qs := equivQueries(m)
-	opts := Options{TopK: 5, Beam: 4, CrossVideo: true, AnnotatedOnly: true}
 	want := make([]*Result, len(qs))
 	for i, q := range qs {
 		want[i] = mustRetrieve(t, m, opts, q)

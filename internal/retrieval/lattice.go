@@ -37,6 +37,10 @@ type arena struct {
 	relaxEpoch []int64
 	relaxSlot  []int32
 	epoch      int64
+	// Certified pruning (bound.go): queue is the max-heap of candidate
+	// videos by bound, best the min-heap of the K best admitted scores.
+	queue []videoBoundEntry
+	best  []float64
 }
 
 // ensure sizes the arena for a model with nVideos videos and at most

@@ -102,11 +102,13 @@ func TestOrderMemoBitIdenticalToBypass(t *testing.T) {
 	}
 }
 
-// visitOrder returns the videos a retrieval entered, in order.
+// visitOrder returns the videos a retrieval entered, in order, in a
+// greedy-order mode: CrossVideo never prunes, so every Step-2 candidate
+// is entered in the Π2/A2 walk's order.
 func visitOrder(t *testing.T, eng *retrieval.Engine, q retrieval.Query) []int {
 	t.Helper()
 	var tr retrieval.CollectTracer
-	opts := retrieval.Options{AnnotatedOnly: true, Tracer: &tr}
+	opts := retrieval.Options{AnnotatedOnly: true, CrossVideo: true, Tracer: &tr}
 	mustRetrieve(t, eng.WithOptions(opts), q)
 	var order []int
 	for _, ev := range tr.Events() {
@@ -119,8 +121,10 @@ func visitOrder(t *testing.T, eng *retrieval.Engine, q retrieval.Query) []int {
 
 // TestOrderMemoFollowsInPlaceRetrain pins the live-read contract: an
 // in-place feedback.Trainer.Retrain changes A2/Π2 without Invalidate,
-// and the very next identical query must visit videos in the order a
-// fresh engine computes — not the memoized pre-retrain one.
+// and the very next identical query must visit videos in the greedy
+// order a fresh engine computes — not the memoized pre-retrain one — and
+// return the fresh engine's exhaustive result, Cost included: a stale
+// engine does not prune.
 func TestOrderMemoFollowsInPlaceRetrain(t *testing.T) {
 	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 11, Videos: 9, MaxShots: 10, Events: 2})
 	eng, err := retrieval.NewEngine(m, retrieval.Options{AnnotatedOnly: true})
@@ -165,5 +169,5 @@ func TestOrderMemoFollowsInPlaceRetrain(t *testing.T) {
 	if after[0] != last {
 		t.Fatalf("retrain did not move video %d to the front: before %v, after %v", last, before, after)
 	}
-	requireSameResult(t, "after retrain", mustRetrieve(t, fresh, q), mustRetrieve(t, eng, q))
+	requireSameResult(t, "after retrain", mustRetrieve(t, fresh.Unpruned(), q), mustRetrieve(t, eng, q))
 }

@@ -4,25 +4,31 @@
 // the Eq. 12-13 edge weights, the Eq. 14 similarity function, and the
 // Eq. 15 pattern score, plus an exhaustive baseline used by the
 // evaluation to quantify the paper's "lower computational costs" claim.
+// Exact annotation-only search visits videos in the order of a certified
+// per-video bound on Eq. 15 and stops once no remaining video can reach
+// the K-th best score (bound.go): the exhaustive ranking at a fraction of
+// the lattice work.
 //
 // # Query execution path
 //
-// The engine is built once per model and reused across queries. Three
+// The engine is built once per model and reused across queries. Four
 // derived caches make the hot path cheap, each laid out the way the
 // lattice reads it: a CSR inverted event index (one flat postings array
 // addressed by video × concept offsets) with a packed start-time column
 // beside it, a dense concept-major similarity table holding every Eq. 14
 // sim(s, e) value — a posting list walks one concept over ascending
-// states, so its lookups share cache lines — and a memo of the Step-2
-// Π2/A2 video orders, which depend only on the first step's event set
-// and the model generation. The first two are computed at NewEngine
-// time; the memo fills on demand and charges the stored edge count on a
-// hit, so Cost never depends on cache state. During retrieval the
-// lattice runs on a pooled arena — cells are indices into a reusable
-// slab, Viterbi relaxation is a dense per-state slot array, and
-// candidate/stage scratch is recycled — so a Retrieve performs no
-// per-edge heap allocation. See DESIGN.md §"Query execution path" for
-// cache lifetimes and invalidation rules.
+// states, so its lookups share cache lines — compact per-video bound
+// tables for certified pruning, and a memo of the Step-2 Π2/A2 video
+// orders the modes that visit in affinity order use, which depend only
+// on the first step's event set and the model generation. The index, the
+// table and the bound tables are computed at NewEngine time; the memo
+// fills on demand and charges the stored edge count on a hit, so Cost
+// never depends on cache state. During retrieval the lattice runs on a
+// pooled arena — cells are indices into a reusable slab, Viterbi
+// relaxation is a dense per-state slot array, and candidate/stage/
+// visit-queue scratch is recycled — so a Retrieve performs no per-edge
+// heap allocation. See DESIGN.md §"Query
+// execution path" for cache lifetimes and invalidation rules.
 package retrieval
 
 import (
@@ -333,14 +339,15 @@ type Options struct {
 	StopAfterMatches bool
 	// CoarseCandidates, when positive, enables the coarse→fine two-stage
 	// pipeline: the compressed internal/index prefilter ranks videos by
-	// an approximate upper-bound path score (per-concept max Π1·sim entry
-	// factors chained through per-video max A1·sim transition tables) and
-	// the exact lattice runs only on the survivors, in the usual greedy
+	// a heuristic proxy score (per-concept max Π1·sim entry factors
+	// chained through per-video max A1·sim transition tables) and the
+	// exact lattice runs only on the survivors, in the usual greedy
 	// Π2/A2 order. The value is a per-step budget: a k-step pattern keeps
-	// up to k×CoarseCandidates videos, because the upper bound's slack
+	// up to k×CoarseCandidates videos, because the proxy's slack
 	// compounds with every transition and longer patterns need
 	// proportionally more headroom to keep recall.
-	// 0 (the default) is exact-only and bit-identical to today's engine.
+	// 0 (the default) is exact search, which prunes only with the
+	// certified bound (see bound.go) and returns the exhaustive ranking.
 	// When the limit covers the whole candidate pool no pruning happens
 	// and results stay bit-identical too; with real pruning the ranking
 	// is the exact engine's restricted to the surviving videos — scores
@@ -428,6 +435,11 @@ type engineShared struct {
 	// coarse is the candidate-generation prefilter; nil unless
 	// Options.CoarseCandidates > 0.
 	coarse *index.Coarse
+	// bound holds the certified per-video score bounds exact search prunes
+	// with (see bound.go); nil means the engine never prunes. Like sim it
+	// snapshots the model: Π1 and A1 as of modelVersion, so a stale
+	// engine does not prune.
+	bound *bounds
 	// modelVersion is hmmm.Model.Version() at build time; Stale compares
 	// against it.
 	modelVersion uint64
@@ -536,10 +548,12 @@ func DefaultScratchArenas() int {
 // NewEngine returns an engine over the model. The model is not copied.
 // Retrieval reads A1/Π1 live and re-derives the memoized A2/Π2 video
 // orders whenever the model's Version has moved, so feedback training the
-// model re-tunes subsequent retrievals without any cache work; mutations
-// that touch B1, B1', P12, or the state set (RefreshDerived, LearnP12,
-// AddVideo) require Invalidate (or a new engine) so the event index and
-// similarity table match the model again.
+// model re-tunes subsequent retrievals without any cache work (a stale
+// engine stops pruning, since its bound tables hold the old Π1/A1, until
+// Invalidate rebuilds them); mutations that touch B1, B1', P12, or the
+// state set (RefreshDerived, LearnP12, AddVideo) require Invalidate (or a
+// new engine) so the event index and similarity table match the model
+// again.
 func NewEngine(m *hmmm.Model, opts Options) (*Engine, error) {
 	if m == nil {
 		return nil, errors.New("retrieval: nil model")
@@ -592,6 +606,9 @@ func buildShared(m *hmmm.Model, opts Options) *engineShared {
 	if opts.CoarseCandidates > 0 {
 		sh.coarse = index.Build(m, opts.SimEpsilon)
 	}
+	// The bound tables read Eq. 14 through Sim, so they see the values
+	// the lattice will: from the table just built, or computed directly.
+	sh.bound = (&Engine{m: m, opts: opts, shared: sh}).buildBounds(opts.BuildWorkers)
 	poolCap := opts.ScratchArenas
 	if poolCap <= 0 {
 		poolCap = DefaultScratchArenas()
@@ -661,12 +678,13 @@ func (e *Engine) WithOptions(opts Options) *Engine {
 }
 
 // Invalidate rebuilds the engine's derived caches (event index, similarity
-// table, arena sizing) from the model's current contents, re-validating
-// the model first. It must be called after mutations that change B1, B1',
-// P12, or the state set: RefreshDerived, LearnP12, and AddVideo. Feedback
-// retraining (feedback.Trainer.Retrain) only mutates A1, A2, Π1, and Π2 —
-// which the engine reads live — so retraining alone does not strictly
-// require it; calling it after every retrain is cheap and always safe.
+// table, bound tables, arena sizing) from the model's current contents,
+// re-validating the model first. It must be called after mutations that
+// change B1, B1', P12, or the state set: RefreshDerived, LearnP12, and
+// AddVideo. Feedback retraining (feedback.Trainer.Retrain) only mutates
+// A1, A2, Π1, and Π2 — which the engine reads live — so retraining alone
+// does not strictly require it, but exact search prunes again only after
+// it; calling it after every retrain is cheap and always safe.
 // Invalidate is not safe concurrently with Retrieve; callers serialize
 // (the server holds its write lock). Engines previously derived via
 // WithOptions keep the old caches — re-derive them afterwards.
@@ -681,7 +699,8 @@ func (e *Engine) Invalidate() error {
 // Stale reports whether the model has been mutated since the engine's
 // caches were built. A stale engine still retrieves safely as long as the
 // state set is unchanged, but its similarity table may no longer reflect
-// B1/B1'/P12; see Invalidate.
+// B1/B1'/P12 and its bound tables no longer Π1/A1, so it does not prune;
+// see Invalidate.
 func (e *Engine) Stale() bool { return e.m.Version() != e.shared.modelVersion }
 
 // Model returns the engine's underlying model.
@@ -758,7 +777,13 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 	}
 	res := &Result{}
 	steps := q.steps()
-	order := e.videoOrder(steps, q.Scope, &res.Cost)
+	// With certified pruning, videos come off the arena's bound queue
+	// instead of the Step-2 order, and the visit stops at the cut.
+	pruning := e.prunes(q.Scope)
+	var order []int
+	if !pruning {
+		order = e.videoOrder(steps, q.Scope, &res.Cost)
+	}
 	if q.Scope != nil && q.Scope.Video != 0 {
 		scoped := order[:0:0]
 		for _, vi := range order {
@@ -778,18 +803,31 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 		}
 		order = scoped
 	}
+	ar := e.getArena()
+	if pruning {
+		e.queueBounds(ar, steps)
+	}
 	if timed {
 		t1 = time.Now()
 	}
-	acc := &topAccum{limit: e.opts.TopK}
+	k := e.opts.TopK
+	acc := &topAccum{limit: k}
 	stopAt := 0
 	if e.opts.StopAfterMatches {
-		stopAt = 3 * e.opts.TopK
+		stopAt = 3 * k
 	}
-	ar := e.getArena()
 	sctx := &searchCtx{steps: steps, scope: q.Scope, cost: &res.Cost, ar: ar, acc: acc, ctx: ctx}
-	for oi, vi := range order {
-		if sctx.expired() {
+	for oi := 0; ; oi++ {
+		vi := -1
+		switch {
+		case pruning:
+			if vi = ar.nextBounded(k); vi < 0 && len(ar.queue) > 0 {
+				e.emit(TraceEvent{Kind: TracePrune, N: len(ar.queue), Value: ar.best[0]})
+			}
+		case oi < len(order):
+			vi = order[oi]
+		}
+		if vi < 0 || sctx.expired() {
 			break
 		}
 		res.Cost.VideosSeen++
@@ -798,6 +836,9 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 		matches, raw := e.searchVideo(vi, sctx)
 		for _, m := range matches {
 			acc.add(m)
+			if pruning {
+				ar.keepBest(m.Score, k)
+			}
 		}
 		acc.raw += raw
 		if stopAt > 0 && acc.raw >= stopAt {
@@ -901,9 +942,9 @@ func (e *Engine) coarseOrder(steps []Step, cost *Cost) []int {
 			cs[i][j] = ev.Index()
 		}
 	}
-	// The proxy's upper-bound slack compounds per transition, so the
-	// candidate budget scales with pattern length: a k-step query keeps
-	// up to k×CoarseCandidates survivors.
+	// The proxy's slack compounds per transition, so the candidate budget
+	// scales with pattern length: a k-step query keeps up to
+	// k×CoarseCandidates survivors.
 	limit := e.opts.CoarseCandidates
 	if len(steps) > 1 {
 		limit *= len(steps)

@@ -29,6 +29,7 @@ const (
 	TraceComplete                    // a candidate sequence completed; Value = SS score
 	TraceDeadEnd                     // a video's lattice died before the final stage
 	TraceEarlyStop                   // StopAfterMatches threshold reached; N = raw matches collected
+	TracePrune                       // certified cut; N = candidate videos skipped, Value = K-th best score
 )
 
 func (k TraceKind) String() string {
@@ -45,6 +46,8 @@ func (k TraceKind) String() string {
 		return "dead-end"
 	case TraceEarlyStop:
 		return "early-stop"
+	case TracePrune:
+		return "prune"
 	default:
 		return fmt.Sprintf("trace(%d)", int(k))
 	}
@@ -114,6 +117,8 @@ func (w *WriterTracer) Event(ev TraceEvent) {
 		fmt.Fprintf(w.W, "  dead end in video %d at stage %d\n", ev.Video, ev.Stage)
 	case TraceEarlyStop:
 		fmt.Fprintf(w.W, "early stop after %d raw matches\n", ev.N)
+	case TracePrune:
+		fmt.Fprintf(w.W, "pruned %d videos: no bound reaches the K-th best score %.5f\n", ev.N, ev.Value)
 	}
 }
 

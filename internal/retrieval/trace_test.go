@@ -75,6 +75,52 @@ func TestTracerDoesNotPerturbResult(t *testing.T) {
 	}
 }
 
+// TestTracePruneMarksTheCut checks the certified cut's trace event: one
+// per pruned retrieval, N the Step-2 candidates left unexpanded, Value
+// the K-th best score — the last returned match's — which every skipped
+// video's bound falls strictly below.
+func TestTracePruneMarksTheCut(t *testing.T) {
+	m := equivModel(t)
+	q := NewQuery(videomodel.EventGoal, videomodel.EventFreeKick)
+	tracer := &CollectTracer{}
+	eng, err := NewEngine(m, Options{TopK: 2, Beam: 4, AnnotatedOnly: true, Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Retrieve(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cuts []TraceEvent
+	entered := make(map[int]bool)
+	for _, ev := range tracer.Events() {
+		switch ev.Kind {
+		case TracePrune:
+			cuts = append(cuts, ev)
+		case TraceVideoEnter:
+			entered[ev.Video] = true
+		}
+	}
+	if len(cuts) != 1 {
+		t.Fatalf("%d prune events, want 1", len(cuts))
+	}
+	cut := cuts[0]
+	if want := eng.Step2Candidates(q) - res.Cost.VideosSeen; cut.N != want || want == 0 {
+		t.Errorf("prune skipped %d videos, want %d (> 0)", cut.N, want)
+	}
+	if len(res.Matches) != 2 {
+		t.Fatalf("%d matches, want 2", len(res.Matches))
+	}
+	if cut.Value != res.Matches[1].Score {
+		t.Errorf("prune threshold %v, want the K-th best score %v", cut.Value, res.Matches[1].Score)
+	}
+	for v := 0; v < m.NumVideos(); v++ {
+		if eng.videoHasStep(v, q.steps()[0]) && !entered[v] && eng.VideoBound(v, q) >= cut.Value {
+			t.Errorf("skipped video %d has bound %v >= threshold %v", v, eng.VideoBound(v, q), cut.Value)
+		}
+	}
+}
+
 func TestWriterTracerRendering(t *testing.T) {
 	var buf bytes.Buffer
 	w := &WriterTracer{W: &buf}
@@ -83,8 +129,10 @@ func TestWriterTracerRendering(t *testing.T) {
 	w.Event(TraceEvent{Kind: TraceHop, Video: 5, Stage: 1})
 	w.Event(TraceEvent{Kind: TraceComplete, State: 7, Value: 0.5})
 	w.Event(TraceEvent{Kind: TraceDeadEnd, Video: 3, Stage: 2})
+	w.Event(TraceEvent{Kind: TracePrune, N: 9, Value: 0.25})
 	out := buf.String()
-	for _, want := range []string{"enter video 3", "stage 1: 2 cells", "hop -> video 5", "state 7 score 0.50000", "dead end"} {
+	for _, want := range []string{"enter video 3", "stage 1: 2 cells", "hop -> video 5", "state 7 score 0.50000", "dead end",
+		"pruned 9 videos: no bound reaches the K-th best score 0.25000"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace output missing %q:\n%s", want, out)
 		}
@@ -92,7 +140,7 @@ func TestWriterTracerRendering(t *testing.T) {
 }
 
 func TestTraceKindString(t *testing.T) {
-	if TraceVideoEnter.String() != "video-enter" || TraceKind(99).String() != "trace(99)" {
+	if TraceVideoEnter.String() != "video-enter" || TracePrune.String() != "prune" || TraceKind(99).String() != "trace(99)" {
 		t.Error("TraceKind rendering wrong")
 	}
 }

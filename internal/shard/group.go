@@ -62,9 +62,10 @@ type GroupOptions struct {
 //     shard.
 //   - Cost is the sum over shards (SimEvals/EdgeEvals/VideosSeen), and
 //     Truncated is the OR: one expired shard marks the whole result
-//     partial. Because every shard orders its own videos greedily,
-//     the summed EdgeEvals of the K orderings legitimately differs
-//     from the single engine's one global ordering.
+//     partial. Every shard orders its own videos — greedily, or by its
+//     certified bounds in exact search, where it also prunes against
+//     its own K-th best score — so the summed counters legitimately
+//     differ from the single engine's one global traversal.
 //
 // A Group is immutable after construction and safe for concurrent use;
 // the server swaps whole groups when the model retrains.
