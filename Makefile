@@ -1,6 +1,6 @@
 # Build / verification entry points. `make verify` is the tier-1 loop:
 # vet + build + full tests + race on the concurrency-bearing packages +
-# the benchmark smoke.
+# the benchmark smoke + every example.
 
 GO ?= go
 
@@ -14,7 +14,7 @@ note = $(1)$(if $(BENCH_NOTE),; $(BENCH_NOTE))
 # Offline-pipeline benchmarks captured into BENCH_build.json.
 BENCH_BUILD_PATTERN := BenchmarkBuildPaperScale|BenchmarkRetrainPaperScale
 
-.PHONY: build vet test race race-all smoke verify e2e bench bench-build bench-scale bench-million bench-serving bench-serving-smoke bench-ingest bench-federated cover fuzz clean
+.PHONY: build vet test race race-all smoke examples verify e2e bench bench-build bench-scale bench-million bench-serving bench-serving-smoke bench-ingest bench-federated cover fuzz clean
 
 # Packages whose per-package coverage `make cover` gates at 80%.
 COVER_GATED := internal/shard internal/retrieval internal/matn internal/index internal/coord internal/rpc internal/live internal/videomodel internal/fed
@@ -50,7 +50,16 @@ race-all:
 smoke:
 	$(GO) run ./benchmark -smoke
 
-verify: vet build test race smoke
+# Every program under examples/, run to completion (a few seconds warm);
+# a build alone would not notice an example that fails at run time.
+EXAMPLES := $(notdir $(wildcard examples/*))
+examples:
+	@for ex in $(EXAMPLES); do \
+		echo "examples/$$ex"; \
+		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
+	done
+
+verify: vet build test race smoke examples
 
 # End-to-end distributed serving: builds cmd/hmmm-shardd, boots 3 real
 # shard processes plus an in-process coordinator, and proves the

@@ -16,6 +16,7 @@ import (
 	"github.com/videodb/hmmm/internal/feedback"
 	core "github.com/videodb/hmmm/internal/hmmm"
 	"github.com/videodb/hmmm/internal/ingest"
+	"github.com/videodb/hmmm/internal/live"
 	"github.com/videodb/hmmm/internal/matn"
 	"github.com/videodb/hmmm/internal/mining"
 	"github.com/videodb/hmmm/internal/retrieval"
@@ -248,8 +249,7 @@ func BenchmarkX2FeedbackRetrain(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		work := m.Clone()
-		if err := trainer.Retrain(work, log); err != nil {
+		if _, err := trainer.Retrain(m, log); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -336,7 +336,7 @@ func BenchmarkRetrainPaperScale(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				next, err := trainer.RetrainSnapshot(m, log)
+				next, err := trainer.Retrain(m, log)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -424,15 +424,11 @@ func BenchmarkShardedRetrieval(b *testing.B) {
 	}
 }
 
-// BenchmarkIngest measures ingesting one ~40s raw video (segmentation,
-// extraction, classification, model extension) into a copy of a small
-// model.
+// BenchmarkIngest measures growing a small archive by one ~40s raw video
+// with the calls compaction makes: segmentation (extraction,
+// classification), the union corpus, and a full model build over it.
 func BenchmarkIngest(b *testing.B) {
 	corpus, err := dataset.Build(dataset.Config{Seed: 21, Videos: 4, Shots: 120, Annotated: 24, Fast: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	base, err := core.Build(corpus.Archive, corpus.Features, core.BuildOptions{LearnP12: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -448,16 +444,27 @@ func BenchmarkIngest(b *testing.B) {
 		videomodel.EventGoal, videomodel.EventGoalKick, videomodel.EventGoal,
 		videomodel.EventYellowCard, videomodel.EventPlayerChange,
 	}
+	var maxVideo videomodel.VideoID
+	var maxShot videomodel.ShotID
+	for _, v := range corpus.Archive.Videos {
+		maxVideo = max(maxVideo, v.ID)
+		for _, s := range v.Shots {
+			maxShot = max(maxShot, s.ID)
+		}
+	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		raw := ingest.SynthesizeRaw(uint64(i), "bench", classes, 4000)
-		m := base.Clone()
-		a, err := videomodel.NewArchive(corpus.Archive.Videos)
+		res, err := pipe.Segment(raw, maxVideo+1, maxShot+1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := pipe.Ingest(m, a, raw, false); err != nil {
+		union, feats, err := live.Union(corpus.Archive, corpus.Features, []live.Record{live.NewRecord(res, 0)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.Build(union, feats, core.BuildOptions{LearnP12: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -66,15 +66,19 @@ func main() {
 			break
 		}
 
-		// The user marks the ground-truth-correct patterns positive; the
-		// trainer rebuilds A1, Π1, A2, Π2 from the accumulated log.
+		// The user marks the ground-truth-correct patterns positive; once
+		// enough accumulate, the trainer returns a new model with A1, Π1,
+		// A2, Π2 retrained from the log, and the next round serves it.
 		for _, states := range judged {
 			if err := logbook.MarkPositive(model, states); err != nil {
 				log.Fatal(err)
 			}
 		}
-		if _, err := trainer.MaybeRetrain(model, logbook); err != nil {
-			log.Fatal(err)
+		if trainer.Due(logbook) {
+			if model, err = trainer.Retrain(model, logbook); err != nil {
+				log.Fatal(err)
+			}
+			logbook.ResetPending()
 		}
 	}
 	fmt.Println("\nconfirmed patterns accumulate probability mass: scores and early precision rise.")

@@ -1,8 +1,9 @@
-// Ingest demonstrates growing a live archive: a new raw video (continuous
-// frames + audio, standing in for a camera feed) is segmented into shots,
-// auto-annotated by a decision-tree event classifier, and folded into an
-// existing HMMM without rebuilding it — after which queries immediately
-// see the new material.
+// Ingest demonstrates growing an archive: a new raw video (continuous
+// frames + audio, standing in for a camera feed) is segmented into shots
+// and auto-annotated by a decision-tree event classifier, and a new HMMM
+// is built over the old archive plus the new video — the same three calls
+// (Segment, live.Union, hmmm.Build) a live server's compaction makes —
+// after which queries see the new material.
 package main
 
 import (
@@ -10,6 +11,8 @@ import (
 	"log"
 
 	hmmm "github.com/videodb/hmmm"
+	core "github.com/videodb/hmmm/internal/hmmm"
+	"github.com/videodb/hmmm/internal/live"
 )
 
 func main() {
@@ -18,7 +21,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, err := hmmm.BuildModel(corpus, hmmm.ModelOptions{LearnFeatureWeights: true})
+	build := core.BuildOptions{LearnP12: true}
+	model, err := core.Build(corpus.Archive, corpus.Features, build)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +50,16 @@ func main() {
 	fmt.Printf("ingesting %q: %d frames, %.0fs of audio\n",
 		raw.Name, len(raw.Frames), raw.Audio.Duration().Seconds())
 
-	res, err := pipeline.Ingest(model, corpus.Archive, raw, true)
+	// The new video's ID and shot IDs continue past the archive's.
+	first := corpus.Archive.Videos[0]
+	maxVideo, maxShot := first.ID, first.Shots[0].ID
+	for _, v := range corpus.Archive.Videos {
+		maxVideo = max(maxVideo, v.ID)
+		for _, s := range v.Shots {
+			maxShot = max(maxShot, s.ID)
+		}
+	}
+	res, err := pipeline.Segment(raw, maxVideo+1, maxShot+1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,10 +70,19 @@ func main() {
 			fmt.Printf("  shot %d [%dms-%dms]: %v\n", s.ID, s.StartMS, s.EndMS, s.Events)
 		}
 	}
-	fmt.Printf("model now has %d states across %d videos\n", model.NumStates(), model.NumVideos())
 
-	// The new video is immediately queryable.
-	engine, err := hmmm.NewEngine(model, hmmm.SearchOptions{TopK: 5, Beam: 4})
+	// A model is never extended in place: build a new one over the union.
+	union, feats, err := live.Union(corpus.Archive, corpus.Features, []live.Record{live.NewRecord(res, 0)})
+	if err != nil {
+		log.Fatal(err)
+	}
+	grown, err := core.Build(union, feats, build)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("new model has %d states across %d videos\n", grown.NumStates(), grown.NumVideos())
+
+	engine, err := hmmm.NewEngine(grown, hmmm.SearchOptions{TopK: 5, Beam: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

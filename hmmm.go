@@ -198,10 +198,11 @@ func SaveCorpus(path string, c *Corpus) error { return store.SaveCorpus(path, c)
 // LoadCorpus restores a corpus snapshot written by SaveCorpus.
 func LoadCorpus(path string) (*Corpus, error) { return store.LoadCorpus(path) }
 
-// Ingestion API: grow an existing archive and model with new raw footage.
+// Ingestion API: turn new raw footage into archive videos. A model is
+// never extended in place; build a new one over the grown archive.
 
-// IngestPipeline segments raw footage, auto-annotates events with a
-// decision-tree classifier, and extends a model in place.
+// IngestPipeline segments raw footage and auto-annotates events with a
+// decision-tree classifier.
 type IngestPipeline = ingest.Pipeline
 
 // RawVideo is un-segmented source material: a frame stream plus audio.

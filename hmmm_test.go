@@ -63,12 +63,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 		}
 	}
 	trainer := NewTrainer(1)
-	did, err := trainer.MaybeRetrain(model, log)
-	if err != nil {
-		t.Fatal(err)
+	if !trainer.Due(log) {
+		t.Fatal("trainer not due at threshold")
 	}
-	if !did {
-		t.Fatal("trainer did not fire at threshold")
+	if model, err = trainer.Retrain(model, log); err != nil {
+		t.Fatal(err)
 	}
 
 	path := filepath.Join(t.TempDir(), "model.gob")

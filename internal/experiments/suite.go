@@ -175,9 +175,3 @@ func (s *Suite) Run(id string) (*Report, error) {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (want T1, F1-F5, X1-X5)", id)
 	}
 }
-
-// freshModel returns an independent trained-from-scratch copy of the
-// suite's model for experiments that mutate it.
-func (s *Suite) freshModel() *hmmm.Model {
-	return s.Model.Clone()
-}

@@ -87,7 +87,7 @@ func (s *Suite) X1CostComparison() (*Report, error) {
 // simulated relevance feedback and offline retraining.
 func (s *Suite) X2FeedbackLearning() (*Report, error) {
 	r := &Report{ID: "X2", Title: "Claim — continuous improvement from feedback (learning curve)"}
-	model := s.freshModel()
+	model := s.Model
 	queries := QuerySet()
 	user := feedback.NewSimulatedUser(s.Seed+7, 0)
 	log := feedback.NewLog()
@@ -123,7 +123,7 @@ func (s *Suite) X2FeedbackLearning() (*Report, error) {
 				return nil, err
 			}
 		}
-		if err := trainer.Retrain(model, log); err != nil {
+		if model, err = trainer.Retrain(model, log); err != nil {
 			return nil, err
 		}
 	}
@@ -159,7 +159,7 @@ func (s *Suite) X3Ablation() (*Report, error) {
 		nu.ndcg, nu.prec, nl.ndcg, nl.prec)
 
 	// (b) A1/Π1: untrained vs after 5 feedback rounds.
-	trained := s.freshModel()
+	trained := s.Model
 	user := feedback.NewSimulatedUser(s.Seed+13, 0)
 	log := feedback.NewLog()
 	trainer := feedback.NewTrainer(1)
@@ -179,7 +179,7 @@ func (s *Suite) X3Ablation() (*Report, error) {
 				}
 			}
 		}
-		if err := trainer.Retrain(trained, log); err != nil {
+		if trained, err = trainer.Retrain(trained, log); err != nil {
 			return nil, err
 		}
 	}

@@ -165,12 +165,12 @@ func (l *Log) Len() int {
 	return len(l.shots)
 }
 
-// Trainer triggers offline retraining once enough new feedback
-// accumulates, as Section 4.2.1.1 (2) prescribes ("once the number of
-// newly achieved feedbacks reaches a certain threshold, the update ...
-// can be triggered automatically").
+// Trainer retrains a model offline from the feedback log once enough new
+// feedback accumulates, as Section 4.2.1.1 (2) prescribes ("once the
+// number of newly achieved feedbacks reaches a certain threshold, the
+// update ... can be triggered automatically").
 type Trainer struct {
-	Threshold int // retrain when Log.Pending() >= Threshold; <= 0 means 1
+	Threshold int // Due once Log.Pending() >= Threshold; <= 0 means 1
 	Options   hmmm.TrainOptions
 	// Metrics, when set, receives retrain outcomes and durations. nil
 	// disables instrumentation.
@@ -203,66 +203,29 @@ func NewTrainer(threshold int) *Trainer {
 	return &Trainer{Threshold: threshold, Options: hmmm.DefaultTrainOptions()}
 }
 
-// MaybeRetrain retrains the model from the full accumulated log when the
-// pending count has reached the threshold, and reports whether it did.
-func (t *Trainer) MaybeRetrain(m *hmmm.Model, log *Log) (bool, error) {
+// Due reports whether the pending feedback has reached the threshold.
+func (t *Trainer) Due(log *Log) bool {
 	threshold := t.Threshold
 	if threshold <= 0 {
 		threshold = 1
 	}
-	if log.Pending() < threshold {
-		return false, nil
-	}
-	if err := t.Retrain(m, log); err != nil {
-		return false, err
-	}
-	return true, nil
+	return log.Pending() >= threshold
 }
 
-// Retrain unconditionally applies the accumulated feedback to the model:
-// the shot level per Eqs. (1)-(2) and (4), the video level per
-// Eqs. (5)-(6). The pending counter is reset on success.
-func (t *Trainer) Retrain(m *hmmm.Model, log *Log) error {
+// Retrain applies the accumulated feedback to the model — the shot level
+// per Eqs. (1)-(2) and (4), the video level per Eqs. (5)-(6) — and returns
+// the trained model, leaving m untouched: queries keep reading m while
+// the new model trains off to the side. The pending counter is NOT reset;
+// the caller resets it once the new model is in use, so a failed publish
+// leaves the feedback eligible for the next retrain.
+func (t *Trainer) Retrain(m *hmmm.Model, log *Log) (*hmmm.Model, error) {
 	start := time.Now()
-	err := t.retrain(m, log)
-	t.Metrics.observe(time.Since(start), err)
-	return err
-}
-
-func (t *Trainer) retrain(m *hmmm.Model, log *Log) error {
-	if err := m.TrainShotLevel(log.ShotPatterns(), t.Options); err != nil {
-		return fmt.Errorf("feedback: shot level: %w", err)
+	next, err := m.Train(log.ShotPatterns(), log.VideoPatterns(), t.Options)
+	if err != nil {
+		err = fmt.Errorf("feedback: %w", err)
 	}
-	if err := m.TrainVideoLevel(log.VideoPatterns(), t.Options); err != nil {
-		return fmt.Errorf("feedback: video level: %w", err)
-	}
-	log.ResetPending()
-	return nil
-}
-
-// RetrainSnapshot applies the accumulated feedback to a deep copy of the
-// model and returns the trained copy, leaving m untouched. This is the
-// copy-on-write half of the server's stall-free retrain: the clone
-// trains off to the side while queries keep reading the published model.
-// The pending counter is NOT reset — the caller resets it only after the
-// new model is published, so a failed publish leaves the feedback
-// eligible for the next retrain.
-func (t *Trainer) RetrainSnapshot(m *hmmm.Model, log *Log) (*hmmm.Model, error) {
-	start := time.Now()
-	next, err := t.retrainSnapshot(m, log)
 	t.Metrics.observe(time.Since(start), err)
 	return next, err
-}
-
-func (t *Trainer) retrainSnapshot(m *hmmm.Model, log *Log) (*hmmm.Model, error) {
-	next := m.Clone()
-	if err := next.TrainShotLevel(log.ShotPatterns(), t.Options); err != nil {
-		return nil, fmt.Errorf("feedback: shot level: %w", err)
-	}
-	if err := next.TrainVideoLevel(log.VideoPatterns(), t.Options); err != nil {
-		return nil, fmt.Errorf("feedback: video level: %w", err)
-	}
-	return next, nil
 }
 
 // SimulatedUser stands in for the paper's human feedback provider: it

@@ -2,12 +2,14 @@ package feedback
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/videodb/hmmm/internal/dataset"
 	"github.com/videodb/hmmm/internal/hmmm"
+	"github.com/videodb/hmmm/internal/obs"
 	"github.com/videodb/hmmm/internal/retrieval"
 	"github.com/videodb/hmmm/internal/videomodel"
 )
@@ -101,12 +103,8 @@ func TestTrainerThreshold(t *testing.T) {
 	if err := log.MarkPositive(m, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	did, err := tr.MaybeRetrain(m, log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if did {
-		t.Error("retrained below threshold")
+	if tr.Due(log) {
+		t.Error("due below threshold")
 	}
 	if err := log.MarkPositive(m, []int{0, 1}); err != nil {
 		t.Fatal(err)
@@ -114,17 +112,14 @@ func TestTrainerThreshold(t *testing.T) {
 	if err := log.MarkPositive(m, []int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	did, err = tr.MaybeRetrain(m, log)
+	if !tr.Due(log) {
+		t.Error("not due at threshold")
+	}
+	next, err := tr.Retrain(m, log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !did {
-		t.Error("did not retrain at threshold")
-	}
-	if log.Pending() != 0 {
-		t.Errorf("pending after retrain = %d, want 0", log.Pending())
-	}
-	if err := m.Validate(1e-9); err != nil {
+	if err := next.Validate(1e-9); err != nil {
 		t.Fatalf("model invalid after retrain: %v", err)
 	}
 }
@@ -153,12 +148,78 @@ func TestRetrainReinforcesPattern(t *testing.T) {
 		}
 	}
 	tr := NewTrainer(1)
-	if err := tr.Retrain(m, log); err != nil {
+	next, err := tr.Retrain(m, log)
+	if err != nil {
 		t.Fatal(err)
 	}
-	after := m.LocalA[vi].At(la, lb)
+	after := next.LocalA[vi].At(la, lb)
 	if after <= before {
 		t.Errorf("A1(%d,%d) = %v after retrain, want > %v", la, lb, after, before)
+	}
+}
+
+// TestRetrainLeavesInputUntouched pins Retrain's contract: the input model
+// stays bit-identical to a copy taken before the call, the pending count
+// is left for the caller to reset, and retraining the same model from the
+// same log twice yields the same model.
+func TestRetrainLeavesInputUntouched(t *testing.T) {
+	m := model(t)
+	log := NewLog()
+	for _, states := range [][]int{{0, 1}, {0, 1}, {2, 3}, {m.NumStates() - 1}} {
+		if err := log.MarkPositive(m, states); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := m.Clone()
+	tr := NewTrainer(1)
+	next, err := tr.Retrain(m, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m, want) {
+		t.Fatal("Retrain mutated its input model")
+	}
+	if next == m || reflect.DeepEqual(next, m) {
+		t.Fatal("Retrain returned the untrained model")
+	}
+	if log.Pending() != 4 {
+		t.Errorf("pending after retrain = %d, want 4 (the caller resets it)", log.Pending())
+	}
+	again, err := tr.Retrain(m, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, next) {
+		t.Error("retraining the same model from the same log is not deterministic")
+	}
+}
+
+// TestRetrainMetrics checks the trainer counts a successful retrain with
+// its duration, and a failed one (a log recorded against a larger model)
+// as a failure that returns no model.
+func TestRetrainMetrics(t *testing.T) {
+	m := model(t)
+	reg := obs.NewRegistry()
+	tr := NewTrainer(1)
+	tr.Metrics = &TrainerMetrics{
+		Retrains: reg.Counter("retrains_total", "r"),
+		Failures: reg.Counter("failures_total", "f"),
+		Seconds:  reg.Histogram("retrain_seconds", "s", nil),
+	}
+	log := NewLog()
+	if err := log.MarkPositive(m, []int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Retrain(m, log); err != nil {
+		t.Fatal(err)
+	}
+	small := m.Clone()
+	small.States = small.States[:1]
+	if next, err := tr.Retrain(small, log); err == nil || next != nil {
+		t.Fatalf("retrain against a smaller model: model %v, err %v", next, err)
+	}
+	if r, f := tr.Metrics.Retrains.Value(), tr.Metrics.Failures.Value(); r != 1 || f != 1 {
+		t.Errorf("retrains = %d, failures = %d, want 1 and 1", r, f)
 	}
 }
 
@@ -235,12 +296,14 @@ func TestTrainerDefaultThreshold(t *testing.T) {
 	m := model(t)
 	log := NewLog()
 	tr := NewTrainer(0)
+	if tr.Due(log) {
+		t.Error("due with no feedback")
+	}
 	if err := log.MarkPositive(m, []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	did, err := tr.MaybeRetrain(m, log)
-	if err != nil || !did {
-		t.Errorf("threshold<=0 should behave as 1: did=%v err=%v", did, err)
+	if !tr.Due(log) {
+		t.Error("threshold<=0 should behave as 1")
 	}
 }
 

@@ -16,7 +16,11 @@
 //     matrix L1,2.
 //
 // The model is a pure data structure plus construction and training rules;
-// traversal lives in package retrieval.
+// traversal lives in package retrieval. A model is a value: once built it
+// is never mutated. Training (Model.Train) returns a trained copy, and
+// growing the archive means building a new model over the union corpus,
+// so whatever a retrieval engine derived from a model stays valid for the
+// model's lifetime.
 package hmmm
 
 import (
@@ -73,7 +77,7 @@ type Model struct {
 	B1Prime *matrix.Dense // C×K per-event mean features (Eq. 11)
 
 	// Scaler holds the Eq. 3 normalization bounds so new feature vectors
-	// (query examples, ingested shots) can be mapped into B1 space.
+	// (query examples) can be mapped into B1 space.
 	Scaler matrix.MinMaxScaler
 
 	// Domain names the event vocabulary the model's concept axis was
@@ -93,23 +97,7 @@ type Model struct {
 
 	// offsets[v] is the global state index of video v's first state.
 	offsets []int
-
-	// version counts mutations of the model (training, derived-matrix
-	// refreshes, structural growth). Retrieval engines record the version
-	// of the model they built their caches from and use it to detect
-	// staleness. Mutation is not concurrency-safe; callers serialize
-	// writers (the server holds its write lock across retrains).
-	version uint64
 }
-
-// Version returns the model's mutation counter. It starts at whatever
-// Build left it at and increases on every training pass, derived-matrix
-// refresh, or structural extension (AddVideo).
-func (m *Model) Version() uint64 { return m.version }
-
-// noteMutation bumps the mutation counter; every method that changes
-// model parameters or structure calls it.
-func (m *Model) noteMutation() { m.version++ }
 
 // K is the feature dimensionality of the model.
 func (m *Model) K() int {
@@ -353,21 +341,15 @@ func (m *Model) eventPostings() [][]int {
 	return posts
 }
 
-// LearnP12 recomputes the feature-importance matrix from the current
-// annotations via Eqs. 8-10: for each event concept, the weight of a
-// feature is proportional to the inverse standard deviation of that
-// feature across the shots annotated with the event. Concepts with fewer
-// than two annotated shots keep the uniform Eq. 7 row.
-func (m *Model) LearnP12() {
-	m.learnP12(0, m.eventPostings())
-}
-
-// learnP12 is the Eqs. 8-10 kernel over precomputed event postings,
-// fanned out across concepts: each concept reads shared B1 rows and
-// writes only its own P1,2 row, so the result is worker-count
-// independent (the per-row summation order never changes).
+// learnP12 learns the feature-importance matrix from the annotations via
+// Eqs. 8-10: for each event concept, the weight of a feature is
+// proportional to the inverse standard deviation of that feature across
+// the shots annotated with the event. Concepts with fewer than two
+// annotated shots keep the uniform Eq. 7 row. The kernel fans out across
+// concepts: each reads shared B1 rows and writes only its own P1,2 row,
+// so the result is worker-count independent (the per-row summation order
+// never changes).
 func (m *Model) learnP12(workers int, posts [][]int) {
-	m.noteMutation()
 	k := m.K()
 	const minStd = 1e-6 // a zero std would make one weight infinite
 	par.For(workers, len(posts), func(ci int) {
@@ -424,17 +406,6 @@ func (m *Model) computeB1Prime(workers int, posts [][]int) *matrix.Dense {
 		}
 	})
 	return bp
-}
-
-// RefreshDerived recomputes B1' (and, when learn is true, P1,2) after
-// annotations or B1 change.
-func (m *Model) RefreshDerived(learn bool) {
-	m.noteMutation()
-	posts := m.eventPostings()
-	if learn {
-		m.learnP12(0, posts)
-	}
-	m.B1Prime = m.computeB1Prime(0, posts)
 }
 
 // Validate checks every structural and stochastic invariant of the model.

@@ -2,6 +2,7 @@ package hmmm
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/videodb/hmmm/internal/mmm"
@@ -281,24 +282,31 @@ func TestBuildNoAnnotations(t *testing.T) {
 	}
 }
 
+// train applies one round of feedback and fails the test on error.
+func train(t *testing.T, m *Model, shot, video []mmm.AccessPattern) *Model {
+	t.Helper()
+	next, err := m.Train(shot, video, DefaultTrainOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return next
+}
+
 func TestTrainShotLevelReinforces(t *testing.T) {
 	m := buildFixture(t, BuildOptions{})
 	before := m.LocalA[0].At(0, 1)
 	// Positive pattern: video 0 states 0 -> 1 (global 0 -> 1).
-	err := m.TrainShotLevel([]mmm.AccessPattern{{States: []int{0, 1}, Freq: 10}}, DefaultTrainOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := m.LocalA[0].At(0, 1)
+	next := train(t, m, []mmm.AccessPattern{{States: []int{0, 1}, Freq: 10}}, nil)
+	after := next.LocalA[0].At(0, 1)
 	if after <= before {
 		t.Errorf("A1(0,1) = %v after feedback, want > %v", after, before)
 	}
-	if err := m.Validate(1e-9); err != nil {
+	if err := next.Validate(1e-9); err != nil {
 		t.Fatalf("model invalid after training: %v", err)
 	}
 	// Π1 must now favor state 0 (the pattern's initial state).
-	if m.Pi1[0] <= m.Pi1[2] {
-		t.Errorf("Pi1[0] = %v should exceed Pi1[2] = %v", m.Pi1[0], m.Pi1[2])
+	if next.Pi1[0] <= next.Pi1[2] {
+		t.Errorf("Pi1[0] = %v should exceed Pi1[2] = %v", next.Pi1[0], next.Pi1[2])
 	}
 }
 
@@ -307,34 +315,53 @@ func TestTrainShotLevelCrossVideoPattern(t *testing.T) {
 	// Pattern spans videos 0 and 1: global states 2 (video 0) and 3
 	// (video 1). Neither local update may fail, and single-state
 	// fragments must not corrupt stochasticity.
-	err := m.TrainShotLevel([]mmm.AccessPattern{{States: []int{2, 3}, Freq: 5}}, DefaultTrainOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(1e-9); err != nil {
+	next := train(t, m, []mmm.AccessPattern{{States: []int{2, 3}, Freq: 5}}, nil)
+	if err := next.Validate(1e-9); err != nil {
 		t.Fatalf("model invalid after cross-video training: %v", err)
 	}
 }
 
 func TestTrainShotLevelRejectsBadState(t *testing.T) {
 	m := buildFixture(t, BuildOptions{})
-	err := m.TrainShotLevel([]mmm.AccessPattern{{States: []int{99}, Freq: 1}}, DefaultTrainOptions())
-	if err == nil {
-		t.Error("out-of-range state accepted")
+	next, err := m.Train([]mmm.AccessPattern{{States: []int{99}, Freq: 1}}, nil, DefaultTrainOptions())
+	if err == nil || next != nil {
+		t.Errorf("out-of-range state accepted: model %v, err %v", next, err)
 	}
 }
 
 func TestTrainVideoLevel(t *testing.T) {
 	m := buildFixture(t, BuildOptions{})
-	err := m.TrainVideoLevel([]mmm.AccessPattern{{States: []int{0, 1}, Freq: 4}}, DefaultTrainOptions())
-	if err != nil {
-		t.Fatal(err)
+	next := train(t, m, nil, []mmm.AccessPattern{{States: []int{0, 1}, Freq: 4}})
+	if next.A2.At(0, 1) <= next.A2.At(0, 2) {
+		t.Errorf("A2(0,1) = %v should exceed A2(0,2) = %v after co-access", next.A2.At(0, 1), next.A2.At(0, 2))
 	}
-	if m.A2.At(0, 1) <= m.A2.At(0, 2) {
-		t.Errorf("A2(0,1) = %v should exceed A2(0,2) = %v after co-access", m.A2.At(0, 1), m.A2.At(0, 2))
-	}
-	if err := m.Validate(1e-9); err != nil {
+	if err := next.Validate(1e-9); err != nil {
 		t.Fatalf("model invalid after video training: %v", err)
+	}
+}
+
+// TestTrainLeavesModelUntouched pins the value contract: training returns
+// a new model and the input stays bit-identical to a copy taken before,
+// including when training fails part-way.
+func TestTrainLeavesModelUntouched(t *testing.T) {
+	m := buildFixture(t, BuildOptions{LearnP12: true})
+	want := m.Clone()
+	next := train(t, m,
+		[]mmm.AccessPattern{{States: []int{0, 1}, Freq: 10}, {States: []int{3, 4}, Freq: 2}},
+		[]mmm.AccessPattern{{States: []int{0, 1}, Freq: 4}})
+	if !reflect.DeepEqual(m, want) {
+		t.Fatal("Train mutated its receiver")
+	}
+	if reflect.DeepEqual(next, want) {
+		t.Fatal("Train returned an untrained model")
+	}
+	// The shot level trains, then the video level rejects video 7.
+	if bad, err := m.Train([]mmm.AccessPattern{{States: []int{0, 1}, Freq: 1}},
+		[]mmm.AccessPattern{{States: []int{7}, Freq: 1}}, DefaultTrainOptions()); err == nil || bad != nil {
+		t.Fatalf("out-of-range video accepted: model %v, err %v", bad, err)
+	}
+	if !reflect.DeepEqual(m, want) {
+		t.Fatal("a failed Train mutated its receiver")
 	}
 }
 
@@ -344,29 +371,11 @@ func TestCloneIndependence(t *testing.T) {
 	if err := c.Validate(1e-9); err != nil {
 		t.Fatalf("clone invalid: %v", err)
 	}
-	origA := m.LocalA[0].At(0, 1)
-	err := c.TrainShotLevel([]mmm.AccessPattern{{States: []int{0, 1}, Freq: 10}}, DefaultTrainOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.LocalA[0].At(0, 1) != origA {
-		t.Error("training the clone mutated the original")
-	}
 	c.P12.Set(0, 0, 0.99)
-	if m.P12.At(0, 0) == 0.99 {
-		t.Error("clone shares P12 storage")
-	}
-}
-
-func TestRefreshDerived(t *testing.T) {
-	m := buildFixture(t, BuildOptions{})
-	uniform := m.P12.At(videomodel.EventFreeKick.Index(), 1)
-	m.RefreshDerived(true)
-	if m.P12.At(videomodel.EventFreeKick.Index(), 1) == uniform {
-		t.Error("RefreshDerived(true) did not learn P12")
-	}
-	if m.B1Prime == nil {
-		t.Error("RefreshDerived dropped B1'")
+	c.LocalA[0].Set(0, 1, 0.5)
+	c.States[0].Events[0] = videomodel.EventFoul
+	if m.P12.At(0, 0) == 0.99 || m.LocalA[0].At(0, 1) == 0.5 || m.States[0].Events[0] == videomodel.EventFoul {
+		t.Error("clone shares storage with the original")
 	}
 }
 
@@ -410,11 +419,8 @@ func TestMeanA1EntropyDropsWithTraining(t *testing.T) {
 	if before <= 0 {
 		t.Fatalf("initial entropy = %v, want > 0", before)
 	}
-	err := m.TrainShotLevel([]mmm.AccessPattern{{States: []int{0, 1}, Freq: 20}}, DefaultTrainOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after := m.MeanA1Entropy(); after >= before {
+	next := train(t, m, []mmm.AccessPattern{{States: []int{0, 1}, Freq: 20}}, nil)
+	if after := next.MeanA1Entropy(); after >= before {
 		t.Errorf("entropy after training = %v, want < %v", after, before)
 	}
 }

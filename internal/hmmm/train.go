@@ -34,12 +34,25 @@ func DefaultTrainOptions() TrainOptions {
 	}
 }
 
-// TrainShotLevel applies positive-pattern feedback to the shot level:
-// each video's local A1 is reinforced per Eqs. (1)-(2) using the pattern
-// fragments that fall inside that video, and Π1 is re-estimated per
-// Eq. (4). Pattern states are global state indices.
-func (m *Model) TrainShotLevel(patterns []mmm.AccessPattern, opts TrainOptions) error {
-	m.noteMutation()
+// Train returns a trained copy of the model, leaving m untouched: the
+// shot level learns from the shot patterns (global state indices) and the
+// video level from the video patterns (video indices), as offline
+// retraining from positive feedback prescribes.
+func (m *Model) Train(shot, video []mmm.AccessPattern, opts TrainOptions) (*Model, error) {
+	c := m.Clone()
+	if err := c.trainShotLevel(shot, opts); err != nil {
+		return nil, err
+	}
+	if err := c.trainVideoLevel(video, opts); err != nil {
+		return nil, fmt.Errorf("hmmm: video level: %w", err)
+	}
+	return c, nil
+}
+
+// trainShotLevel reinforces each video's local A1 per Eqs. (1)-(2) using
+// the pattern fragments that fall inside that video, and re-estimates Π1
+// per Eq. (4).
+func (m *Model) trainShotLevel(patterns []mmm.AccessPattern, opts TrainOptions) error {
 	n := m.NumStates()
 	for pi, p := range patterns {
 		for _, s := range p.States {
@@ -83,11 +96,9 @@ func (m *Model) TrainShotLevel(patterns []mmm.AccessPattern, opts TrainOptions) 
 	return nil
 }
 
-// TrainVideoLevel rebuilds the video level from the accumulated video
-// access patterns: A2 per Eqs. (5)-(6) and Π2 per the Section 4.2.2.3 rule.
-// Pattern states are video indices.
-func (m *Model) TrainVideoLevel(patterns []mmm.AccessPattern, opts TrainOptions) error {
-	m.noteMutation()
+// trainVideoLevel rebuilds A2 per Eqs. (5)-(6) and Π2 per the Section
+// 4.2.2.3 rule.
+func (m *Model) trainVideoLevel(patterns []mmm.AccessPattern, opts TrainOptions) error {
 	a2, err := mmm.BuildAffinityA(patterns, m.NumVideos())
 	if err != nil {
 		return err
@@ -114,31 +125,28 @@ func blendUniform(p []float64, s float64) []float64 {
 	return out
 }
 
-// Clone returns a deep copy of the model. Training the copy leaves the
-// original untouched, which the ablation experiments rely on.
+// Clone returns a deep copy of the model. It copies the struct first, so
+// every value field (Domain, Partial, ...) carries over without being
+// listed, then replaces each reference with a copy of its own.
 func (m *Model) Clone() *Model {
-	c := &Model{
-		States:   append([]State(nil), m.States...),
-		B1:       m.B1.Clone(),
-		Pi1:      append([]float64(nil), m.Pi1...),
-		VideoIDs: append([]videomodel.VideoID(nil), m.VideoIDs...),
-		A2:       m.A2.Clone(),
-		B2:       m.B2.Clone(),
-		Pi2:      append([]float64(nil), m.Pi2...),
-		P12:      m.P12.Clone(),
-		B1Prime:  m.B1Prime.Clone(),
-		offsets:  append([]int(nil), m.offsets...),
-		version:  m.version,
-		Partial:  m.Partial,
-	}
+	c := *m
+	c.States = append([]State(nil), m.States...)
 	for i := range c.States {
 		c.States[i].Events = append([]videomodel.Event(nil), m.States[i].Events...)
 	}
+	c.B1 = m.B1.Clone()
+	c.Pi1 = append([]float64(nil), m.Pi1...)
 	c.LocalA = make([]*matrix.Dense, len(m.LocalA))
 	for i, a := range m.LocalA {
 		c.LocalA[i] = a.Clone()
 	}
-	min, max := m.Scaler.Bounds()
-	c.Scaler.SetBounds(min, max)
-	return c
+	c.VideoIDs = append([]videomodel.VideoID(nil), m.VideoIDs...)
+	c.A2 = m.A2.Clone()
+	c.B2 = m.B2.Clone()
+	c.Pi2 = append([]float64(nil), m.Pi2...)
+	c.P12 = m.P12.Clone()
+	c.B1Prime = m.B1Prime.Clone()
+	c.Scaler.SetBounds(m.Scaler.Bounds())
+	c.offsets = append([]int(nil), m.offsets...)
+	return &c
 }

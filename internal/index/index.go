@@ -39,9 +39,8 @@
 // The proxy never replaces exact scoring — it only chooses which videos
 // the exact lattice visits — so coarse→fine results are always a subset
 // of the exact ranking, gated by the recall@K differential harness in
-// retrieval/retrievaltest. The structures are immutable after Build;
-// like the engine's similarity table they snapshot the model and must
-// be rebuilt (retrieval.Engine.Invalidate) after mutations.
+// retrieval/retrievaltest. The structures are immutable after Build, as
+// is the model they are derived from.
 package index
 
 import (

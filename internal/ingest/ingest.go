@@ -1,16 +1,17 @@
-// Package ingest turns raw video material into archive entries and live
-// model states: the online counterpart of the paper's Figure-1 pipeline.
-// Given a continuous frame stream and audio track, the pipeline
+// Package ingest turns raw video material into archive entries: the
+// online counterpart of the paper's Figure-1 pipeline. Given a continuous
+// frame stream and audio track, the pipeline
 //
 //  1. segments the stream into shots (shot boundary detection),
 //  2. extracts the 20 Table-1 features of every shot,
 //  3. annotates event shots with a trained decision-tree classifier
 //     (the Section-2 observation that "the computer may perform automatic
-//     annotation with limited semantic interpretation"),
-//  4. extends an existing HMMM with the new video (hmmm.Model.AddVideo).
+//     annotation with limited semantic interpretation").
 //
-// This is the "accumulate" axis of the paper's MMDBMS framing: archives
-// grow over time without rebuilding the model from scratch.
+// This is the "accumulate" axis of the paper's MMDBMS framing. A segmented
+// video never changes an existing model: package live serves it from a
+// delta sub-model and later folds it in with a full hmmm.Build over the
+// union corpus (live.Union), exactly as an offline build would.
 package ingest
 
 import (
@@ -18,7 +19,6 @@ import (
 	"fmt"
 
 	"github.com/videodb/hmmm/internal/features"
-	"github.com/videodb/hmmm/internal/hmmm"
 	"github.com/videodb/hmmm/internal/mining"
 	"github.com/videodb/hmmm/internal/par"
 	"github.com/videodb/hmmm/internal/shotdetect"
@@ -40,7 +40,7 @@ type RawVideo struct {
 // Duration returns the stream length in milliseconds.
 func (r *RawVideo) Duration() int { return len(r.Frames) * r.FramePeriodMS }
 
-// Pipeline ingests raw videos. Construct with NewPipeline.
+// Pipeline segments and annotates raw videos. Construct with NewPipeline.
 type Pipeline struct {
 	detector   *shotdetect.Detector
 	classifier *mining.Tree
@@ -86,8 +86,8 @@ type Result struct {
 
 // Segment runs stages 1-3 on a raw video: boundary detection, per-shot
 // feature extraction, and classifier annotation. Shot IDs start at
-// firstShotID; the caller (or Ingest) chooses them to avoid collisions
-// with the archive.
+// firstShotID; the caller chooses them to avoid collisions with the
+// archive.
 func (p *Pipeline) Segment(raw *RawVideo, id videomodel.VideoID, firstShotID videomodel.ShotID) (*Result, error) {
 	if raw == nil || len(raw.Frames) < 2 {
 		return nil, errors.New("ingest: raw video needs at least 2 frames")
@@ -150,42 +150,6 @@ func (p *Pipeline) Segment(raw *RawVideo, id videomodel.VideoID, firstShotID vid
 		}
 	}
 	return &Result{Video: v, Features: feats, AutoAnnotated: auto}, nil
-}
-
-// Ingest segments a raw video and extends the model with it. The new
-// video's ID and shot IDs are allocated past the archive's current
-// maxima. Raw videos whose classifier finds no events are rejected (an
-// HMMM state-less video cannot be modeled; the archive owner can lower
-// MinConfidence or annotate manually).
-func (p *Pipeline) Ingest(m *hmmm.Model, archive *videomodel.Archive, raw *RawVideo, learn bool) (*Result, error) {
-	maxVideo := videomodel.VideoID(0)
-	maxShot := videomodel.ShotID(-1)
-	for _, v := range archive.Videos {
-		if v.ID > maxVideo {
-			maxVideo = v.ID
-		}
-		for _, s := range v.Shots {
-			if s.ID > maxShot {
-				maxShot = s.ID
-			}
-		}
-	}
-	res, err := p.Segment(raw, maxVideo+1, maxShot+1)
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Features) == 0 {
-		return nil, fmt.Errorf("ingest: classifier annotated no shots of %q (min confidence %.2f)",
-			raw.Name, p.MinConfidence)
-	}
-	if err := m.AddVideo(res.Video, res.Features, learn); err != nil {
-		return nil, err
-	}
-	// Only mutate the archive once the model accepted the video.
-	if err := archive.AddVideo(res.Video); err != nil {
-		return nil, fmt.Errorf("ingest: model extended but archive rejected video: %w", err)
-	}
-	return res, nil
 }
 
 // sliceAudio cuts the [startMS, endMS) window out of a clip. The returned

@@ -164,82 +164,81 @@ func TestSegmentParallelBitIdentical(t *testing.T) {
 	}
 }
 
-func TestIngestExtendsModelAndArchive(t *testing.T) {
+// TestSegmentFeedsOfflineBuild grows an archive the only way a model
+// grows: segment the raw video, add it to the archive, and build a new
+// model over the union. The classifier's annotated shots become states of
+// the new video, and queries reach them.
+func TestSegmentFeedsOfflineBuild(t *testing.T) {
 	corpus, err := dataset.Build(dataset.Config{Seed: 21, Videos: 4, Shots: 120, Annotated: 24, Fast: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := hmmm.Build(corpus.Archive, corpus.Features, hmmm.BuildOptions{LearnP12: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	beforeStates := model.NumStates()
-	beforeVideos := model.NumVideos()
-	beforeShots := corpus.Archive.NumShots()
-
-	p := pipeline(t)
 	// Event-heavy raw footage so the classifier finds states to add.
 	classes := []videomodel.Event{
 		videomodel.EventGoal, videomodel.EventGoalKick, videomodel.EventGoal,
 		videomodel.EventYellowCard, videomodel.EventPlayerChange,
 	}
 	raw := SynthesizeRaw(31, "new-match", classes, 4000)
-	res, err := p.Ingest(model, corpus.Archive, raw, true)
+	res, err := pipeline(t).Segment(raw, 99, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AutoAnnotated == 0 {
-		t.Fatal("classifier annotated nothing")
+	if res.AutoAnnotated == 0 || len(res.Features) != res.AutoAnnotated {
+		t.Fatalf("annotated %d shots with %d feature vectors", res.AutoAnnotated, len(res.Features))
 	}
-	if model.NumVideos() != beforeVideos+1 {
-		t.Errorf("videos = %d, want %d", model.NumVideos(), beforeVideos+1)
-	}
-	if model.NumStates() <= beforeStates {
-		t.Errorf("states did not grow: %d", model.NumStates())
-	}
-	if corpus.Archive.NumShots() <= beforeShots {
-		t.Error("archive did not grow")
-	}
-	if err := model.Validate(1e-6); err != nil {
-		t.Fatalf("model invalid after ingest: %v", err)
-	}
-	// The archive index must know the new shots.
-	newShot := res.Video.Shots[0]
-	if corpus.Archive.Shot(newShot.ID) != newShot {
-		t.Error("archive index missing ingested shot")
-	}
-
-	// The extended model must still answer queries, including over the
-	// new video.
-	eng, err := retrieval.NewEngine(model, retrieval.Options{AnnotatedOnly: true, Beam: 4})
+	archive, err := videomodel.NewArchive(append(append([]*videomodel.Video(nil), corpus.Archive.Videos...), res.Video))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Retrieve(retrieval.NewQuery(videomodel.EventGoal)); err != nil {
-		t.Fatalf("query after ingest: %v", err)
+	feats := make(map[videomodel.ShotID][]float64)
+	for _, src := range []map[videomodel.ShotID][]float64{corpus.Features, res.Features} {
+		for id, f := range src {
+			feats[id] = f
+		}
 	}
+	model, err := hmmm.Build(archive, feats, hmmm.BuildOptions{LearnP12: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vi := model.NumVideos() - 1
+	if model.VideoIDs[vi] != 99 {
+		t.Fatalf("last video = %d, want the segmented one", model.VideoIDs[vi])
+	}
+	if lo, hi := model.VideoStates(vi); hi-lo != res.AutoAnnotated {
+		t.Errorf("segmented video has %d states, want %d", hi-lo, res.AutoAnnotated)
+	}
+	eng, err := retrieval.NewEngine(model, retrieval.Options{AnnotatedOnly: true, Beam: 4, TopK: model.NumStates()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.Retrieve(retrieval.NewQuery(res.Video.AnnotatedShots()[0].Events[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range got.Matches {
+		if m.Videos[0] == 99 {
+			return
+		}
+	}
+	t.Error("no match from the segmented video")
 }
 
-func TestIngestRejectsEventlessVideo(t *testing.T) {
-	corpus, err := dataset.Build(dataset.Config{Seed: 23, Videos: 3, Shots: 60, Annotated: 9, Fast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := hmmm.Build(corpus.Archive, corpus.Features, hmmm.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A pipeline with an impossible confidence threshold annotates nothing.
+// TestSegmentBelowConfidenceAnnotatesNothing checks the confidence floor:
+// a pipeline no classification can satisfy keeps every shot unannotated
+// and returns no feature vectors.
+func TestSegmentBelowConfidenceAnnotatesNothing(t *testing.T) {
 	p, err := NewPipeline(shotdetect.DefaultConfig(), classifier(t), 0.999999)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw := SynthesizeRaw(41, "quiet", []videomodel.Event{videomodel.EventNone, videomodel.EventNone}, 3000)
-	if _, err := p.Ingest(model, corpus.Archive, raw, false); err == nil {
-		t.Error("eventless ingest accepted")
+	res, err := p.Segment(raw, 1, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := model.Validate(1e-6); err != nil {
-		t.Fatalf("failed ingest corrupted model: %v", err)
+	if res.AutoAnnotated != 0 || len(res.Features) != 0 || len(res.Video.AnnotatedShots()) != 0 {
+		t.Errorf("annotated %d shots (%d feature vectors) at an unreachable confidence",
+			res.AutoAnnotated, len(res.Features))
 	}
 }
 

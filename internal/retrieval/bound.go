@@ -30,9 +30,8 @@ import (
 // w_j ≤ W_j = W_{j−1}·F_j and SS ≤ UB = Σ_j W_j. Negation, scope windows
 // and gap constraints only shrink the candidate sets the maxima range
 // over, so UB stays a bound under all of them. It does not cover
-// similarity-fallback candidates (AnnotatedOnly off), cross-video hops
-// (an A2 factor) or a retrained model (Π1/A1 are read live); the engine
-// does not prune there.
+// similarity-fallback candidates (AnnotatedOnly off) or cross-video hops
+// (an A2 factor); the engine does not prune there.
 //
 // Rounding. Π1, A1 and sim are float64 inputs shared by the lattice and
 // the tables, so only arithmetic rounding separates the computed score
@@ -62,7 +61,7 @@ type bounds struct {
 	vals []uint16
 }
 
-// buildBounds fills the bound tables from the model's current Π1/A1 and
+// buildBounds fills the bound tables from the model's Π1/A1 and
 // the engine's Eq. 14 values (read through Sim, so NoSimCache engines
 // build them too). buildShared calls it once per set of caches, so a
 // published engine never pays the build inside a query. Each video owns
@@ -252,11 +251,11 @@ func (b *bounds) videoBound(v int, steps []Step, slack float64) float64 {
 
 // prunes reports whether a retrieval under this engine and scope may skip
 // videos by bound: exact, annotation-only, within-video search over the
-// whole archive, with tables built from the model as it is now.
+// whole archive.
 func (e *Engine) prunes(scope *Scope) bool {
 	o := &e.opts
 	return o.AnnotatedOnly && !o.CrossVideo && !o.StopAfterMatches && o.CoarseCandidates == 0 &&
-		(scope == nil || scope.Video == 0) && !e.Stale() && e.shared.bound != nil
+		(scope == nil || scope.Video == 0) && e.shared.bound != nil
 }
 
 // videoBoundEntry is one candidate video on the certified visit queue.

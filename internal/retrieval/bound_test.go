@@ -179,11 +179,12 @@ func eventsByFrequency(m *hmmm.Model) []videomodel.Event {
 	return events
 }
 
-// TestInPlaceRetrainSuspendsPruning pins the staleness rule: the bound
-// tables snapshot Π1/A1, so after an in-place Retrain the engine must not
-// prune and answers exactly as a fresh never-pruning engine (Cost
-// included); after Invalidate it prunes again, exactly as a fresh engine.
-func TestInPlaceRetrainSuspendsPruning(t *testing.T) {
+// TestRetrainedModelEnginePrunes pins build → serve → replace for the
+// bound tables: retraining returns a new model, so the served engine keeps
+// answering exactly as before (Cost included), and a fresh engine over the
+// retrained model prunes, ranks exactly as its never-pruning twin, and
+// costs exactly what an engine over a copy of that model costs.
+func TestRetrainedModelEnginePrunes(t *testing.T) {
 	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 11, Videos: 12, MaxShots: 10, Events: 2})
 	opts := retrieval.Options{AnnotatedOnly: true, TopK: 1}
 	eng, err := retrieval.NewEngine(m, opts)
@@ -203,27 +204,26 @@ func TestInPlaceRetrainSuspendsPruning(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := feedback.NewTrainer(1).Retrain(m, log); err != nil {
-		t.Fatal(err)
-	}
-	if !eng.Stale() {
-		t.Fatal("retrain did not make the engine stale")
-	}
-	fresh, err := retrieval.NewEngine(m, opts)
+	next, err := feedback.NewTrainer(1).Retrain(m, log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := mustRetrieve(t, eng, q)
-	requireSameResult(t, "stale", mustRetrieve(t, fresh.Unpruned(), q), stale)
-	retrievaltest.RequireSameMatches(t, "stale vs fresh", mustRetrieve(t, fresh, q).Matches, stale.Matches)
+	requireSameResult(t, "served engine after retrain", before, mustRetrieve(t, eng, q))
 
-	if err := eng.Invalidate(); err != nil {
+	fresh, err := retrieval.NewEngine(next, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	again := mustRetrieve(t, eng, q)
-	requireSameResult(t, "invalidated", mustRetrieve(t, fresh, q), again)
-	if again.Cost.VideosSeen >= stale.Cost.VideosSeen {
-		t.Fatalf("invalidated engine expanded %d videos, stale %d: pruning did not resume",
-			again.Cost.VideosSeen, stale.Cost.VideosSeen)
+	got := mustRetrieve(t, fresh, q)
+	full := mustRetrieve(t, fresh.Unpruned(), q)
+	if got.Cost.VideosSeen >= full.Cost.VideosSeen {
+		t.Fatalf("engine over the retrained model expanded %d of %d videos: it does not prune",
+			got.Cost.VideosSeen, full.Cost.VideosSeen)
 	}
+	retrievaltest.RequireSameMatches(t, "retrained: pruned vs unpruned", full.Matches, got.Matches)
+	twin, err := retrieval.NewEngine(next.Clone(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "retrained: engine over a copy", got, mustRetrieve(t, twin, q))
 }

@@ -204,10 +204,9 @@ func TestSimilarVideos(t *testing.T) {
 }
 
 func TestSimilarVideosUsesA2(t *testing.T) {
-	m := fixtureModel(t)
 	// Train A2 so v0 co-accesses v2 heavily; with alpha=0 similarity is
 	// pure A2 and v2 must win despite dissimilar profiles.
-	err := m.TrainVideoLevel([]mmm.AccessPattern{{States: []int{0, 2}, Freq: 10}}, hmmm.DefaultTrainOptions())
+	m, err := fixtureModel(t).Train(nil, []mmm.AccessPattern{{States: []int{0, 2}, Freq: 10}}, hmmm.DefaultTrainOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

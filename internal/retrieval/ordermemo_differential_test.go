@@ -119,13 +119,13 @@ func visitOrder(t *testing.T, eng *retrieval.Engine, q retrieval.Query) []int {
 	return order
 }
 
-// TestOrderMemoFollowsInPlaceRetrain pins the live-read contract: an
-// in-place feedback.Trainer.Retrain changes A2/Π2 without Invalidate,
-// and the very next identical query must visit videos in the greedy
-// order a fresh engine computes — not the memoized pre-retrain one — and
-// return the fresh engine's exhaustive result, Cost included: a stale
-// engine does not prune.
-func TestOrderMemoFollowsInPlaceRetrain(t *testing.T) {
+// TestOrderMemoFollowsRetrainedModel pins the memo under build → serve →
+// replace: retraining returns a new model, so the served engine's memoized
+// order and its answers stay exactly as before (Cost included), while a
+// fresh engine over the retrained model walks the new Π2/A2 order — the
+// retrained favourite first — and in this never-pruning mode matches its
+// Unpruned twin, Cost included.
+func TestOrderMemoFollowsRetrainedModel(t *testing.T) {
 	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 11, Videos: 9, MaxShots: 10, Events: 2})
 	eng, err := retrieval.NewEngine(m, retrieval.Options{AnnotatedOnly: true})
 	if err != nil {
@@ -139,6 +139,7 @@ func TestOrderMemoFollowsInPlaceRetrain(t *testing.T) {
 	if again := visitOrder(t, eng, q); !reflect.DeepEqual(before, again) {
 		t.Fatalf("memo hit changed the order: %v then %v", before, again)
 	}
+	served := mustRetrieve(t, eng, q)
 
 	// Positive feedback on a shot of the last-visited video makes it the
 	// Π2 favourite.
@@ -150,24 +151,27 @@ func TestOrderMemoFollowsInPlaceRetrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	version := m.Version()
-	if err := feedback.NewTrainer(1).Retrain(m, log); err != nil {
-		t.Fatal(err)
-	}
-	if m.Version() == version {
-		t.Fatal("retrain did not bump the model version")
-	}
-
-	after := visitOrder(t, eng, q)
-	fresh, err := retrieval.NewEngine(m, retrieval.Options{AnnotatedOnly: true})
+	next, err := feedback.NewTrainer(1).Retrain(m, log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := visitOrder(t, fresh, q); !reflect.DeepEqual(after, want) {
-		t.Fatalf("order after in-place retrain %v, a fresh engine visits %v", after, want)
+	if got := visitOrder(t, eng, q); !reflect.DeepEqual(got, before) {
+		t.Fatalf("served engine's order moved after a retrain: %v, was %v", got, before)
 	}
-	if after[0] != last {
+	requireSameResult(t, "served engine after retrain", served, mustRetrieve(t, eng, q))
+
+	fresh, err := retrieval.NewEngine(next, retrieval.Options{AnnotatedOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := visitOrder(t, fresh, q)
+	if after[0] != last || reflect.DeepEqual(after, before) {
 		t.Fatalf("retrain did not move video %d to the front: before %v, after %v", last, before, after)
 	}
-	requireSameResult(t, "after retrain", mustRetrieve(t, fresh.Unpruned(), q), mustRetrieve(t, eng, q))
+	if again := visitOrder(t, fresh, q); !reflect.DeepEqual(after, again) {
+		t.Fatalf("memo hit changed the retrained order: %v then %v", after, again)
+	}
+	cross := retrieval.Options{AnnotatedOnly: true, CrossVideo: true}
+	requireSameResult(t, "retrained, cross-video",
+		mustRetrieve(t, fresh.Unpruned().WithOptions(cross), q), mustRetrieve(t, fresh.WithOptions(cross), q))
 }

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/videodb/hmmm/internal/hmmm"
-	"github.com/videodb/hmmm/internal/mmm"
 	"github.com/videodb/hmmm/internal/videomodel"
 )
 
@@ -99,37 +97,6 @@ func TestOrderMemoBounded(t *testing.T) {
 				t.Fatalf("memo grew to %d entries, bound is %d", n, maxMemoOrders)
 			}
 		}
-	}
-}
-
-// TestOrderMemoDropsOnModelMutation retrains the video level in place —
-// A2 and Π2 change, Version bumps, no Invalidate — and checks the next
-// query re-derives the order from the live matrices.
-func TestOrderMemoDropsOnModelMutation(t *testing.T) {
-	m := equivModel(t).Clone()
-	eng, err := NewEngine(m, Options{AnnotatedOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := NewQuery(videomodel.EventGoal).steps()
-	var c Cost
-	before := slices.Clone(eng.videoOrder(steps, nil, &c))
-	eng.videoOrder(NewQuery(videomodel.EventFoul).steps(), nil, &c)
-
-	// Feedback that makes the walk's last video the most accessed one.
-	last := before[len(before)-1]
-	if err := m.TrainVideoLevel([]mmm.AccessPattern{{States: []int{last}, Freq: 5}}, hmmm.DefaultTrainOptions()); err != nil {
-		t.Fatal(err)
-	}
-	after := eng.videoOrder(steps, nil, &c)
-	if want := eng.exactOrder(steps[0]).order; !slices.Equal(after, want) {
-		t.Fatalf("order after retrain %v, want %v", after, want)
-	}
-	if after[0] != last || slices.Equal(after, before) {
-		t.Fatalf("retrain did not move video %d to the front: before %v, after %v", last, before, after)
-	}
-	if n := memoLen(eng); n != 1 {
-		t.Errorf("memo holds %d entries after the version change, want 1", n)
 	}
 }
 

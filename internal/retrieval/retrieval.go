@@ -312,7 +312,7 @@ type Options struct {
 	AnnotatedOnly bool
 	// BuildWorkers bounds the parallelism of the derived-cache builds
 	// (the dense Eq. 14 similarity table and the inverted event index)
-	// at NewEngine / WithOptions / Invalidate time. 0 means GOMAXPROCS;
+	// at NewEngine / WithOptions time. 0 means GOMAXPROCS;
 	// 1 forces serial builds. Cache contents are bit-identical for every
 	// worker count.
 	BuildWorkers int
@@ -353,9 +353,6 @@ type Options struct {
 	// is the exact engine's restricted to the surviving videos — scores
 	// are never approximated, only the searched set shrinks (recall@10
 	// >= 0.95 on the retrievaltest corpora; see the recall harness).
-	// Like the similarity table, the coarse index snapshots Π1 and
-	// B1/B1'/P12 at build time: after training, pruning uses the stale
-	// snapshot until Invalidate, while exact scoring stays live.
 	// Queries scoped to a single video bypass the prefilter entirely.
 	CoarseCandidates int
 	// NoSimCache disables the engine's precomputed sim(s, e) table and
@@ -413,8 +410,8 @@ type Engine struct {
 // engineShared bundles the caches that depend only on the model and the
 // cache-affecting options (SimEpsilon, NoSimCache), not on per-query
 // tuning. Everything but the order memo and the arena free list is
-// immutable after construction; Invalidate swaps in a freshly built
-// instance.
+// immutable after construction, and so is the model it is derived from,
+// so none of it can go stale.
 type engineShared struct {
 	// postings / postOff are the CSR inverted event index behind Step 3's
 	// candidate lookups: the ascending global state indices of video vi
@@ -436,13 +433,8 @@ type engineShared struct {
 	// Options.CoarseCandidates > 0.
 	coarse *index.Coarse
 	// bound holds the certified per-video score bounds exact search prunes
-	// with (see bound.go); nil means the engine never prunes. Like sim it
-	// snapshots the model: Π1 and A1 as of modelVersion, so a stale
-	// engine does not prune.
+	// with (see bound.go); nil means the engine never prunes.
 	bound *bounds
-	// modelVersion is hmmm.Model.Version() at build time; Stale compares
-	// against it.
-	modelVersion uint64
 	// nVideos / maxLocal size the pooled search arenas.
 	nVideos  int
 	maxLocal int
@@ -489,14 +481,12 @@ const maxMemoOrders = 64
 // orderMemo caches videoOrder's exact-mode result. The Π2/A2 greedy walk
 // depends only on the first step's positive event set (the B2 check),
 // AnnotatedOnly (the trailing non-candidate append), and the model's
-// B2/Π2/A2 — every mutation of which bumps hmmm.Model.Version — so an
-// entry is valid exactly while the version it was computed at is current.
-// An entry stores the walk's edge evaluations beside the order: a hit
-// charges them to the query's Cost, keeping Cost a function of (model,
-// query, options) and never of cache state.
+// B2/Π2/A2, which never change, so an entry stays valid for the memo's
+// lifetime. An entry stores the walk's edge evaluations beside the order:
+// a hit charges them to the query's Cost, keeping Cost a function of
+// (model, query, options) and never of cache state.
 type orderMemo struct {
 	mu      sync.Mutex
-	version uint64
 	entries map[orderKey]orderEntry
 }
 
@@ -511,24 +501,19 @@ type orderEntry struct {
 	edgeEvals int
 }
 
-func (om *orderMemo) get(version uint64, k orderKey) (orderEntry, bool) {
+func (om *orderMemo) get(k orderKey) (orderEntry, bool) {
 	om.mu.Lock()
 	defer om.mu.Unlock()
-	if om.version != version {
-		return orderEntry{}, false
-	}
 	ent, ok := om.entries[k]
 	return ent, ok
 }
 
-// put stores an entry computed at the given model version, dropping every
-// entry first when the version moved on or the memo is full.
-func (om *orderMemo) put(version uint64, k orderKey, ent orderEntry) {
+// put stores an entry, dropping every entry first when the memo is full.
+func (om *orderMemo) put(k orderKey, ent orderEntry) {
 	om.mu.Lock()
 	defer om.mu.Unlock()
-	if om.version != version || len(om.entries) >= maxMemoOrders || om.entries == nil {
+	if len(om.entries) >= maxMemoOrders || om.entries == nil {
 		om.entries = make(map[orderKey]orderEntry)
-		om.version = version
 	}
 	om.entries[k] = ent
 }
@@ -545,15 +530,10 @@ func DefaultScratchArenas() int {
 	return n
 }
 
-// NewEngine returns an engine over the model. The model is not copied.
-// Retrieval reads A1/Π1 live and re-derives the memoized A2/Π2 video
-// orders whenever the model's Version has moved, so feedback training the
-// model re-tunes subsequent retrievals without any cache work (a stale
-// engine stops pruning, since its bound tables hold the old Π1/A1, until
-// Invalidate rebuilds them); mutations that touch B1, B1', P12, or the
-// state set (RefreshDerived, LearnP12, AddVideo) require Invalidate (or a
-// new engine) so the event index and similarity table match the model
-// again.
+// NewEngine returns an engine over the model. The model is not copied:
+// models are never mutated after they are built, so the derived caches
+// stay valid for the engine's lifetime. A retrained or grown model is a
+// new model and gets a new engine (build → serve → replace).
 func NewEngine(m *hmmm.Model, opts Options) (*Engine, error) {
 	if m == nil {
 		return nil, errors.New("retrieval: nil model")
@@ -588,10 +568,9 @@ func validateModel(m *hmmm.Model) error {
 // (defaulted) options.
 func buildShared(m *hmmm.Model, opts Options) *engineShared {
 	sh := &engineShared{
-		states:       m.NumStates(),
-		concepts:     m.NumConcepts(),
-		modelVersion: m.Version(),
-		nVideos:      m.NumVideos(),
+		states:   m.NumStates(),
+		concepts: m.NumConcepts(),
+		nVideos:  m.NumVideos(),
 	}
 	for vi := 0; vi < sh.nVideos; vi++ {
 		lo, hi := m.VideoStates(vi)
@@ -676,32 +655,6 @@ func (e *Engine) WithOptions(opts Options) *Engine {
 	}
 	return ne
 }
-
-// Invalidate rebuilds the engine's derived caches (event index, similarity
-// table, bound tables, arena sizing) from the model's current contents,
-// re-validating the model first. It must be called after mutations that
-// change B1, B1', P12, or the state set: RefreshDerived, LearnP12, and
-// AddVideo. Feedback retraining (feedback.Trainer.Retrain) only mutates
-// A1, A2, Π1, and Π2 — which the engine reads live — so retraining alone
-// does not strictly require it, but exact search prunes again only after
-// it; calling it after every retrain is cheap and always safe.
-// Invalidate is not safe concurrently with Retrieve; callers serialize
-// (the server holds its write lock). Engines previously derived via
-// WithOptions keep the old caches — re-derive them afterwards.
-func (e *Engine) Invalidate() error {
-	if err := validateModel(e.m); err != nil {
-		return err
-	}
-	e.shared = buildShared(e.m, e.opts)
-	return nil
-}
-
-// Stale reports whether the model has been mutated since the engine's
-// caches were built. A stale engine still retrieves safely as long as the
-// state set is unchanged, but its similarity table may no longer reflect
-// B1/B1'/P12 and its bound tables no longer Π1/A1, so it does not prune;
-// see Invalidate.
-func (e *Engine) Stale() bool { return e.m.Version() != e.shared.modelVersion }
 
 // Model returns the engine's underlying model.
 func (e *Engine) Model() *hmmm.Model { return e.m }
@@ -888,13 +841,10 @@ func (e *Engine) videoOrder(steps []Step, scope *Scope, cost *Cost) []int {
 	for _, ev := range steps[0].Events {
 		key.events |= 1 << ev.Index()
 	}
-	// Model writers are serialized against retrievals, so the version read
-	// here stamps everything this call reads from A2/Π2/B2.
-	version := e.m.Version()
-	ent, ok := e.shared.orders.get(version, key)
+	ent, ok := e.shared.orders.get(key)
 	if !ok {
 		ent = e.exactOrder(steps[0])
-		e.shared.orders.put(version, key, ent)
+		e.shared.orders.put(key, ent)
 	}
 	cost.EdgeEvals += ent.edgeEvals
 	return ent.order

@@ -63,41 +63,3 @@ func TestWithOptionsSharesCache(t *testing.T) {
 		t.Error("SimEpsilon change did not rebuild the caches")
 	}
 }
-
-// TestInvalidateAfterModelMutation checks the staleness contract: after a
-// mutation that touches the derived matrices, Invalidate brings the
-// engine to the same results as a freshly built one.
-func TestInvalidateAfterModelMutation(t *testing.T) {
-	m := equivModel(t).Clone()
-	eng, err := NewEngine(m, Options{AnnotatedOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Stale() {
-		t.Fatal("fresh engine reports stale")
-	}
-	m.RefreshDerived(true)
-	if !eng.Stale() {
-		t.Fatal("engine not stale after RefreshDerived")
-	}
-	if err := eng.Invalidate(); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Stale() {
-		t.Fatal("engine still stale after Invalidate")
-	}
-	fresh, err := NewEngine(m, Options{AnnotatedOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := NewQuery(videomodel.EventGoal, videomodel.EventFreeKick)
-	want, err := fresh.Retrieve(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.Retrieve(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualResults(t, want, got)
-}

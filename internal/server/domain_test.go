@@ -52,14 +52,36 @@ func TestDomainServing(t *testing.T) {
 
 	present := retrievaltest.PresentEvents(domainModel(t, d, 61))
 	pattern := d.EventName(present[0])
-	if _, err := cl.Query(ctx, api.QueryRequest{Pattern: pattern}); err != nil {
-		t.Errorf("basketball pattern %q rejected: %v", pattern, err)
+	resp, err := cl.Query(ctx, api.QueryRequest{Pattern: pattern})
+	if err != nil {
+		t.Fatalf("basketball pattern %q rejected: %v", pattern, err)
 	}
 	if _, err := cl.Query(ctx, api.QueryRequest{Pattern: "goal"}); err == nil {
 		t.Error("soccer pattern accepted by basketball server")
 	}
 	if _, err := cl.Parse(ctx, fmt.Sprintf("%s & !%s", pattern, d.EventName(present[1]))); err != nil {
 		t.Errorf("negated basketball pattern rejected: %v", err)
+	}
+
+	// A retrained model is still a basketball model: the served vocabulary
+	// comes from the model, so a retrain must not change it.
+	if len(resp.Matches) == 0 {
+		t.Fatal("no matches to give feedback on")
+	}
+	if _, err := cl.Feedback(ctx, resp.Matches[0].States); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Retrain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if name, _, err := cl.EventsDomain(ctx); err != nil || name != "basketball" {
+		t.Errorf("events domain after retrain = %q, %v", name, err)
+	}
+	if _, err := cl.Query(ctx, api.QueryRequest{Pattern: pattern}); err != nil {
+		t.Errorf("basketball pattern %q rejected after retrain: %v", pattern, err)
+	}
+	if _, err := cl.Query(ctx, api.QueryRequest{Pattern: "goal"}); err == nil {
+		t.Error("soccer pattern accepted by the retrained basketball server")
 	}
 }
 

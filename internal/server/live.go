@@ -469,11 +469,8 @@ func (s *Server) compactLocked() error {
 	// so base state and video indices — the coordinates feedback
 	// patterns are recorded in — are unchanged.
 	if s.log.Len() > 0 {
-		if err := model.TrainShotLevel(s.log.ShotPatterns(), s.trainer.Options); err != nil {
-			return fail("re-applying shot feedback", err)
-		}
-		if err := model.TrainVideoLevel(s.log.VideoPatterns(), s.trainer.Options); err != nil {
-			return fail("re-applying video feedback", err)
+		if model, err = s.trainer.Retrain(model, s.log); err != nil {
+			return fail("re-applying feedback", err)
 		}
 	}
 	if ls.cfg.SnapshotPath != "" {

@@ -26,6 +26,7 @@ import (
 	"github.com/videodb/hmmm/internal/coord"
 	"github.com/videodb/hmmm/internal/dataset"
 	"github.com/videodb/hmmm/internal/faultinject"
+	"github.com/videodb/hmmm/internal/feedback"
 	"github.com/videodb/hmmm/internal/hmmm"
 	"github.com/videodb/hmmm/internal/ingest"
 	"github.com/videodb/hmmm/internal/live"
@@ -350,109 +351,145 @@ func TestDeltaServingOracleConsistent(t *testing.T) {
 
 // TestCompactionMatchesOfflineBuild is the post-compaction differential
 // gate: after folding, the served model must be bit-identical to an
-// offline hmmm.Build over the union corpus, the journal truncated, and
-// the folded videos still retrievable from the main model.
+// offline hmmm.Build over the union corpus followed by the same feedback
+// Retrain, the journal truncated, and the folded videos still
+// retrievable from the main model.
 func TestCompactionMatchesOfflineBuild(t *testing.T) {
-	dir := t.TempDir()
-	logPath := filepath.Join(dir, "ingest.journal")
-	snapPath := filepath.Join(dir, "corpus.snapshot")
-	s, ts := newLiveServer(t, live.Config{LogPath: logPath, SnapshotPath: snapPath}, Config{})
-	cl := client.New(ts.URL, nil)
-	c, _ := liveFixtures(t)
-
-	ack1 := mustIngest(t, ts, "fold-a", 41)
-	ack2 := mustIngest(t, ts, "fold-b", 52)
-
-	// The journal on disk is the record of what was accepted; the
-	// offline build over base ∪ journal is the ground truth.
-	recs, _, _, err := live.LoadRecover(logPath)
-	if err != nil || len(recs) != 2 {
-		t.Fatalf("journal = %d records, err %v", len(recs), err)
-	}
-	union, feats, err := live.Union(c.Archive, c.Features, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	offline, err := hmmm.Build(union, feats, liveBuild)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := s.CompactNow(); err != nil {
-		t.Fatalf("compaction failed: %v", err)
-	}
-	if !reflect.DeepEqual(s.Model(), offline) {
-		t.Fatal("compacted model differs from the offline build over the union corpus")
-	}
-	// And so do its rankings, for every query shape the suite covers.
-	eng, err := retrieval.NewEngine(offline, retrieval.Options{TopK: 8, Beam: 8, AnnotatedOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := s.current.Load()
-	sopts := s.opts
-	sopts.TopK, sopts.Beam, sopts.AnnotatedOnly = 8, 8, true
-	for i, q := range retrievaltest.Queries(offline) {
-		want, err := eng.Retrieve(q)
-		if err != nil {
-			t.Fatal(err)
+	for _, withFeedback := range []bool{false, true} {
+		name := "no feedback"
+		if withFeedback {
+			name = "feedback"
 		}
-		got, err := snap.engine.WithOptions(sopts).Retrieve(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The offline engine ran with plain options; pin the ranking only
-		// (cost accounting may differ via the sim cache flag).
-		retrievaltest.RequireSameMatches(t, "post-compaction query "+string(rune('a'+i)), want.Matches, got.Matches)
-	}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			logPath := filepath.Join(dir, "ingest.journal")
+			snapPath := filepath.Join(dir, "corpus.snapshot")
+			s, ts := newLiveServer(t, live.Config{LogPath: logPath, SnapshotPath: snapPath}, Config{})
+			cl := client.New(ts.URL, nil)
+			c, _ := liveFixtures(t)
 
-	// Observable aftermath: delta empty, generation bumped, journal
-	// truncated, corpus snapshot durable, videos now in the main model.
-	h, err := cl.HealthDetail(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Ingest.FreshVideos != 0 || h.Ingest.JournalRecords != 0 {
-		t.Errorf("post-compaction health = %+v", h.Ingest)
-	}
-	if h.ModelGeneration != 2 {
-		t.Errorf("model generation = %d, want 2", h.ModelGeneration)
-	}
-	st, err := cl.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Ingest.Compactions != 1 || st.Ingest.LastCompactUnixMS == 0 {
-		t.Errorf("post-compaction stats = %+v", st.Ingest)
-	}
-	after, _, _, err := live.LoadRecover(logPath)
-	if err != nil || len(after) != 0 {
-		t.Errorf("journal after compaction: %d records, err %v", len(after), err)
-	}
-	saved, _, err := store.LoadCorpusRecover(snapPath)
-	if err != nil {
-		t.Fatalf("corpus snapshot unreadable: %v", err)
-	}
-	if len(saved.Archive.Videos) != len(union.Videos) {
-		t.Errorf("snapshot has %d videos, want %d", len(saved.Archive.Videos), len(union.Videos))
-	}
-	for _, id := range []int{ack1.VideoID, ack2.VideoID} {
-		q, err := cl.Query(context.Background(), api.QueryRequest{
-			Pattern: "goal | goal_kick | yellow_card", ScopeVideo: id, TopK: 5, Beam: 5,
+			// Feedback recorded against the base model must be replayed onto the
+			// rebuild: base state indices survive the union unchanged.
+			base := s.Model()
+			var marks [][]int
+			if withFeedback {
+				marks = [][]int{{0, 1}, {0, 1}, {2}, {base.NumStates() - 1}}
+			}
+			for _, m := range marks {
+				if _, err := cl.Feedback(context.Background(), m); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			ack1 := mustIngest(t, ts, "fold-a", 41)
+			ack2 := mustIngest(t, ts, "fold-b", 52)
+
+			// The journal on disk is the record of what was accepted; the
+			// offline build over base ∪ journal is the ground truth.
+			recs, _, _, err := live.LoadRecover(logPath)
+			if err != nil || len(recs) != 2 {
+				t.Fatalf("journal = %d records, err %v", len(recs), err)
+			}
+			union, feats, err := live.Union(c.Archive, c.Features, recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offline, err := hmmm.Build(union, feats, liveBuild)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(marks) > 0 {
+				log := feedback.NewLog()
+				for _, m := range marks {
+					if err := log.MarkPositive(offline, m); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if offline, err = feedback.NewTrainer(1).Retrain(offline, log); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			if err := s.CompactNow(); err != nil {
+				t.Fatalf("compaction failed: %v", err)
+			}
+			if !reflect.DeepEqual(s.Model(), offline) {
+				t.Fatal("compacted model differs from the offline build (plus feedback replay) over the union corpus")
+			}
+			if got := s.Model().DomainName(); got != base.DomainName() {
+				t.Fatalf("compaction restamped the model %q, want %q", got, base.DomainName())
+			}
+			// And so do its rankings, for every query shape the suite covers.
+			eng, err := retrieval.NewEngine(offline, retrieval.Options{TopK: 8, Beam: 8, AnnotatedOnly: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := s.current.Load()
+			sopts := s.opts
+			sopts.TopK, sopts.Beam, sopts.AnnotatedOnly = 8, 8, true
+			for i, q := range retrievaltest.Queries(offline) {
+				want, err := eng.Retrieve(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := snap.engine.WithOptions(sopts).Retrieve(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The offline engine ran with plain options; pin the ranking only
+				// (cost accounting may differ via the sim cache flag).
+				retrievaltest.RequireSameMatches(t, "post-compaction query "+string(rune('a'+i)), want.Matches, got.Matches)
+			}
+
+			// Observable aftermath: delta empty, generation bumped, journal
+			// truncated, corpus snapshot durable, videos now in the main model.
+			h, err := cl.HealthDetail(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Ingest.FreshVideos != 0 || h.Ingest.JournalRecords != 0 {
+				t.Errorf("post-compaction health = %+v", h.Ingest)
+			}
+			if h.ModelGeneration != 2 {
+				t.Errorf("model generation = %d, want 2", h.ModelGeneration)
+			}
+			st, err := cl.Stats(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Ingest.Compactions != 1 || st.Ingest.LastCompactUnixMS == 0 {
+				t.Errorf("post-compaction stats = %+v", st.Ingest)
+			}
+			after, _, _, err := live.LoadRecover(logPath)
+			if err != nil || len(after) != 0 {
+				t.Errorf("journal after compaction: %d records, err %v", len(after), err)
+			}
+			saved, _, err := store.LoadCorpusRecover(snapPath)
+			if err != nil {
+				t.Fatalf("corpus snapshot unreadable: %v", err)
+			}
+			if len(saved.Archive.Videos) != len(union.Videos) {
+				t.Errorf("snapshot has %d videos, want %d", len(saved.Archive.Videos), len(union.Videos))
+			}
+			for _, id := range []int{ack1.VideoID, ack2.VideoID} {
+				q, err := cl.Query(context.Background(), api.QueryRequest{
+					Pattern: "goal | goal_kick | yellow_card", ScopeVideo: id, TopK: 5, Beam: 5,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(q.Matches) == 0 {
+					t.Errorf("video %d lost by compaction", id)
+				}
+				if q.FreshVideos != 0 {
+					t.Errorf("fresh_videos = %d after compaction", q.FreshVideos)
+				}
+			}
+			// Idempotent on an empty delta.
+			if err := s.CompactNow(); err != nil {
+				t.Fatalf("empty compaction: %v", err)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(q.Matches) == 0 {
-			t.Errorf("video %d lost by compaction", id)
-		}
-		if q.FreshVideos != 0 {
-			t.Errorf("fresh_videos = %d after compaction", q.FreshVideos)
-		}
-	}
-	// Idempotent on an empty delta.
-	if err := s.CompactNow(); err != nil {
-		t.Fatalf("empty compaction: %v", err)
 	}
 }
 

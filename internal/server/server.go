@@ -1269,7 +1269,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.feedback.Inc()
 	retrained := false
-	if s.trainer.Threshold > 0 && s.log.Pending() >= s.trainer.Threshold {
+	if s.trainer.Threshold > 0 && s.trainer.Due(s.log) {
 		var err error
 		retrained, err = s.maybeRetrain()
 		if err != nil {
@@ -1296,7 +1296,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 func (s *Server) maybeRetrain() (bool, error) {
 	s.retrainMu.Lock()
 	defer s.retrainMu.Unlock()
-	if s.log.Pending() < s.trainer.Threshold {
+	if !s.trainer.Due(s.log) {
 		return false, nil
 	}
 	if err := s.retrainLocked(); err != nil {
@@ -1317,7 +1317,7 @@ func (s *Server) maybeRetrain() (bool, error) {
 // swap.
 func (s *Server) retrainLocked() error {
 	snap := s.current.Load()
-	next, err := s.trainer.RetrainSnapshot(snap.model, s.log)
+	next, err := s.trainer.Retrain(snap.model, s.log)
 	if err != nil {
 		return err
 	}

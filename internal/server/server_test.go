@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/videodb/hmmm/internal/client"
@@ -206,6 +207,33 @@ func TestManualRetrain(t *testing.T) {
 	}
 	if err := s.Model().Validate(1e-9); err != nil {
 		t.Fatalf("model invalid after retrain: %v", err)
+	}
+}
+
+// TestRetrainReplacesModel pins build → serve → replace on the server: a
+// retrain publishes a new model and engine, and the model the previous
+// generation served is left exactly as it was.
+func TestRetrainReplacesModel(t *testing.T) {
+	s, ts := testServer(t, 0)
+	cl := client.New(ts.URL, nil)
+	ctx := context.Background()
+	old := s.current.Load()
+	want := old.model.Clone()
+	if _, err := cl.Feedback(ctx, []int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Retrain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cur := s.current.Load()
+	if cur.model == old.model || cur.engine == old.engine || cur.gen != old.gen+1 {
+		t.Fatalf("retrain did not publish a new generation: gen %d -> %d", old.gen, cur.gen)
+	}
+	if cur.engine.Model() != cur.model {
+		t.Fatal("published engine was built over another model")
+	}
+	if !reflect.DeepEqual(old.model, want) {
+		t.Fatal("retrain mutated the previously served model")
 	}
 }
 

@@ -73,12 +73,12 @@ func TestHammerQueryRetrainResplit(t *testing.T) {
 	// Writer: retrain a clone, re-split off to the side, publish.
 	model := m
 	for i := 0; i < retrains; i++ {
-		next := model.Clone()
 		pattern := mmm.AccessPattern{Freq: 1}
-		for s := 0; s < next.NumStates() && len(pattern.States) < 3; s += 1 + i {
+		for s := 0; s < model.NumStates() && len(pattern.States) < 3; s += 1 + i {
 			pattern.States = append(pattern.States, s)
 		}
-		if err := next.TrainShotLevel([]mmm.AccessPattern{pattern}, hmmm.DefaultTrainOptions()); err != nil {
+		next, err := model.Train([]mmm.AccessPattern{pattern}, nil, hmmm.DefaultTrainOptions())
+		if err != nil {
 			t.Fatal(err)
 		}
 		ng, err := NewGroup(next, 3, opts, GroupOptions{})

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/videodb/hmmm/internal/hmmm"
+	"github.com/videodb/hmmm/internal/mmm"
 	"github.com/videodb/hmmm/internal/retrieval/retrievaltest"
 	"github.com/videodb/hmmm/internal/videomodel"
 )
@@ -57,6 +58,23 @@ func TestDomainStampRoundTrip(t *testing.T) {
 				t.Errorf("unknown want-domain: err = %v, want a plain error", err)
 			}
 		})
+	}
+}
+
+// TestRetrainedModelKeepsDomain saves a retrained basketball model: the
+// stamp must survive training, so a basketball deployment still loads it.
+func TestRetrainedModelKeepsDomain(t *testing.T) {
+	m, err := basketballModel(t).Train([]mmm.AccessPattern{{States: []int{0, 1}, Freq: 2}}, nil,
+		hmmm.DefaultTrainOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "retrained.gob")
+	if err := SaveModel(path, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModelExpect(path, "basketball"); err != nil {
+		t.Errorf("retrained basketball model refused by a basketball deployment: %v", err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"github.com/videodb/hmmm/internal/dataset"
 	"github.com/videodb/hmmm/internal/hmmm"
+	"github.com/videodb/hmmm/internal/mmm"
 )
 
 func fixtures(t *testing.T) (*dataset.Corpus, *hmmm.Model) {
@@ -174,9 +175,10 @@ func TestExportModelJSON(t *testing.T) {
 }
 
 func TestTrainedModelSurvivesRoundTrip(t *testing.T) {
-	_, m := fixtures(t)
+	_, base := fixtures(t)
 	// Train, save, load: the trained probabilities must persist exactly.
-	if err := m.TrainShotLevel(nil, hmmm.DefaultTrainOptions()); err != nil {
+	m, err := base.Train([]mmm.AccessPattern{{States: []int{0, 1}, Freq: 3}}, nil, hmmm.DefaultTrainOptions())
+	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "m.gob")

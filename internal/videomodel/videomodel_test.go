@@ -196,6 +196,32 @@ func TestArchiveRejectsMismatchedIndex(t *testing.T) {
 	}
 }
 
+func TestArchiveAddVideo(t *testing.T) {
+	a, err := NewArchive([]*Video{buildVideo(1, [][]Event{{EventGoal}, nil})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := buildVideo(2, [][]Event{{EventGoal}, nil, {EventFreeKick, EventGoal}})
+	if err := a.AddVideo(v); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Videos) != 2 || a.Video(2) != v {
+		t.Errorf("videos = %d, want the new video indexed", len(a.Videos))
+	}
+	if a.Shot(v.Shots[2].ID) != v.Shots[2] {
+		t.Error("new shot not indexed")
+	}
+	// Duplicates rejected without partial mutation.
+	dup := buildVideo(3, [][]Event{nil})
+	dup.Shots[0].ID = v.Shots[0].ID
+	if err := a.AddVideo(dup); err == nil {
+		t.Error("duplicate shot IDs accepted")
+	}
+	if len(a.Videos) != 2 || a.Video(3) != nil {
+		t.Error("failed AddVideo mutated the archive")
+	}
+}
+
 func TestArchiveStats(t *testing.T) {
 	v := buildVideo(1, [][]Event{{EventGoal}, {EventGoal, EventFreeKick}, nil})
 	a, err := NewArchive([]*Video{v})
