@@ -128,13 +128,13 @@ cover:
 		else echo "cover: $$pkg at $$pct% (floor $(COVER_MIN)%)"; fi; \
 	done; [ $$ok -eq 1 ]
 
-# Brief native-fuzz runs of the parser, log-decoder, and wire-codec
-# targets; CI runs the same budget.
+# Brief native-fuzz runs of the parser, the durable-record decoder (all
+# five kinds: feedback log, ingest journal, model, compact model and
+# corpus snapshots), and the wire codec; CI runs the same budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzMATNParse -fuzztime=$(FUZZTIME) ./internal/matn/
-	$(GO) test -fuzz=FuzzFeedbackLogDecode -fuzztime=$(FUZZTIME) ./internal/feedback/
-	$(GO) test -fuzz=FuzzJournalDecode -fuzztime=$(FUZZTIME) ./internal/live/
+	$(GO) test -fuzz=FuzzRecordDecode -fuzztime=$(FUZZTIME) ./internal/atomicwrite/
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/rpc/
 
 bench:

@@ -308,11 +308,7 @@ func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*
 			continue
 		}
 		matches = append(matches, o.resp.Matches...)
-		out.Cost.SimEvals += o.resp.Cost.SimEvals
-		out.Cost.EdgeEvals += o.resp.Cost.EdgeEvals
-		out.Cost.VideosSeen += o.resp.Cost.VideosSeen
-		out.Cost.Truncated = out.Cost.Truncated || o.resp.Cost.Truncated
-		out.Cost.DegradedShards += o.resp.Cost.DegradedShards
+		out.Cost.Add(o.resp.Cost)
 	}
 	out.Matches = retrieval.MergeRanked(matches, c.opts.TopK)
 	if degraded > 0 {

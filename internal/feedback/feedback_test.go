@@ -3,7 +3,6 @@ package feedback
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -323,7 +322,7 @@ func TestLogSaveLoadRoundTrip(t *testing.T) {
 	if err := log.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadLog(&buf)
+	loaded, err := loadLogBytes(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +348,7 @@ func TestLogSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadLogGarbage(t *testing.T) {
-	if _, err := LoadLog(strings.NewReader("junk")); err == nil {
+	if _, err := loadLogBytes(t, []byte("junk")); err == nil {
 		t.Error("garbage accepted")
 	}
 }

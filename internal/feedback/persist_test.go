@@ -3,8 +3,11 @@ package feedback
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"github.com/videodb/hmmm/internal/atomicwrite"
 	"github.com/videodb/hmmm/internal/dataset"
 	"github.com/videodb/hmmm/internal/hmmm"
 )
@@ -28,13 +31,23 @@ func persistTestLog(t *testing.T) *Log {
 	return l
 }
 
+// loadLogBytes runs LoadLog over data written to a fresh file.
+func loadLogBytes(t *testing.T, data []byte) (*Log, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "feedback.log")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return LoadLog(path)
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	l := persistTestLog(t)
 	var buf bytes.Buffer
 	if err := l.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadLog(&buf)
+	got, err := loadLogBytes(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +81,12 @@ func TestLoadLogDetectsCorruption(t *testing.T) {
 		"empty":            {},
 	}
 	for name, data := range cases {
-		if _, err := LoadLog(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+		if _, err := loadLogBytes(t, data); !errors.Is(err, atomicwrite.ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
 	// The pristine bytes still load.
-	if _, err := LoadLog(bytes.NewReader(good)); err != nil {
+	if _, err := loadLogBytes(t, good); err != nil {
 		t.Errorf("pristine log rejected: %v", err)
 	}
 }

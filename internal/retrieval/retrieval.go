@@ -272,10 +272,7 @@ type Cost struct {
 
 // Add accumulates another cost counter into c (scatter-gather layers
 // sum per-member work into one aggregate).
-func (c *Cost) Add(o Cost) { c.add(o) }
-
-// add accumulates another cost counter into c.
-func (c *Cost) add(o Cost) {
+func (c *Cost) Add(o Cost) {
 	c.SimEvals += o.SimEvals
 	c.EdgeEvals += o.EdgeEvals
 	c.VideosSeen += o.VideosSeen

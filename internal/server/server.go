@@ -321,9 +321,6 @@ func New(cfg Config) (*Server, error) {
 		Failures: metrics.retrainFailures,
 		Seconds:  metrics.retrainSeconds,
 	}
-	if s.fs == nil {
-		s.fs = atomicwrite.OS
-	}
 	if s.logf == nil {
 		s.logf = log.Printf
 	}
@@ -437,50 +434,36 @@ func (s *Server) newSnapshot(model *hmmm.Model, gen uint64) (*snapshot, error) {
 // listener and tests).
 func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
 
-// loadLogRecover loads the feedback log, walking the atomicwrite
-// recovery chain when the primary file is torn or fails its checksum:
-// the file itself, then the fsynced-but-unrenamed .tmp a crash may have
-// left (newer than the file when present), then the .bak previous
-// version. Corruption never fails startup — the last good version wins,
-// with a clear warning; only a real I/O error (permissions, etc.) does.
-// A nil, nil return means "no log on disk, start fresh". Recovery
-// events feed the metrics so a boot that silently fell back to a .bak
-// shows up on /metrics, not only in a scrolled-away log line.
+// loadLogRecover loads the feedback log through atomicwrite.Recover.
+// Damage never fails startup: the last good candidate wins with a
+// WARNING, and with none left the server starts with an empty log
+// (nil, nil), as it does when no log exists. Only a real I/O error
+// fails it. Recovery events also feed the metrics.
 func loadLogRecover(path string, logf func(string, ...any), m *serverMetrics) (*feedback.Log, error) {
-	var firstCorrupt error
-	for _, p := range atomicwrite.RecoveryCandidates(path) {
-		f, err := os.Open(p)
-		if os.IsNotExist(err) {
-			continue
+	var l *feedback.Log
+	from, corrupt, err := atomicwrite.Recover(path, func(p string) (err error) {
+		if l, err = feedback.LoadLog(p); errors.Is(err, atomicwrite.ErrCorrupt) {
+			logf("server: feedback log %s unusable (%v), trying next recovery candidate", p, err)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("server: opening feedback log: %w", err)
-		}
-		l, lerr := feedback.LoadLog(f)
-		f.Close()
-		if lerr != nil {
-			if !errors.Is(lerr, feedback.ErrCorrupt) {
-				return nil, fmt.Errorf("server: loading feedback log: %w", lerr)
-			}
-			if firstCorrupt == nil {
-				firstCorrupt = lerr
-			}
-			m.logCorrupt.Inc()
-			logf("server: feedback log %s unusable (%v), trying next recovery candidate", p, lerr)
-			continue
-		}
-		if p != path {
-			m.logRecoveries.Inc()
-			logf("server: WARNING: feedback log %s corrupt or missing; recovered %d patterns from %s",
-				path, l.Len(), p)
-		}
-		return l, nil
-	}
-	if firstCorrupt != nil {
+		return err
+	})
+	m.logCorrupt.Add(uint64(corrupt))
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return nil, nil
+	case errors.Is(err, atomicwrite.ErrCorrupt):
 		logf("server: WARNING: feedback log %s corrupt with no usable recovery candidate (%v); starting with an empty log",
-			path, firstCorrupt)
+			path, err)
+		return nil, nil
+	case err != nil:
+		return nil, fmt.Errorf("server: loading feedback log: %w", err)
 	}
-	return nil, nil
+	if from != path {
+		m.logRecoveries.Inc()
+		logf("server: WARNING: feedback log %s corrupt or missing; recovered %d patterns from %s",
+			path, l.Len(), from)
+	}
+	return l, nil
 }
 
 // Model returns the currently published model. Tests and tools use it;
@@ -965,11 +948,7 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
 			all = append(all, res.Matches...)
 		}
 		lists++
-		cost.SimEvals += res.Cost.SimEvals
-		cost.EdgeEvals += res.Cost.EdgeEvals
-		cost.VideosSeen += res.Cost.VideosSeen
-		cost.Truncated = cost.Truncated || res.Cost.Truncated
-		cost.DegradedShards += res.Cost.DegradedShards
+		cost.Add(res.Cost)
 	}
 	for _, q := range queries {
 		q.Scope = scope

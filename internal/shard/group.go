@@ -196,14 +196,9 @@ func (g *Group) RetrieveContext(ctx context.Context, q retrieval.Query) (*retrie
 	var all []retrieval.Match
 	for _, r := range results {
 		all = append(all, r.Matches...)
-		out.Cost.SimEvals += r.Cost.SimEvals
-		out.Cost.EdgeEvals += r.Cost.EdgeEvals
-		out.Cost.VideosSeen += r.Cost.VideosSeen
-		if r.Cost.Truncated {
-			out.Cost.Truncated = true
-			if met != nil {
-				met.Truncated.Inc()
-			}
+		out.Cost.Add(r.Cost)
+		if r.Cost.Truncated && met != nil {
+			met.Truncated.Inc()
 		}
 	}
 	// Shards never emit duplicate state sequences (state maps are

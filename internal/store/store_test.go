@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/videodb/hmmm/internal/atomicwrite"
 	"github.com/videodb/hmmm/internal/dataset"
 	"github.com/videodb/hmmm/internal/hmmm"
 	"github.com/videodb/hmmm/internal/mmm"
@@ -114,11 +115,11 @@ func TestLoadWrongKind(t *testing.T) {
 	if err := SaveModel(mp, m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadModel(cp); !errors.Is(err, ErrBadFormat) {
-		t.Errorf("LoadModel(corpus) err = %v, want ErrBadFormat", err)
+	if _, err := LoadModel(cp); !errors.Is(err, atomicwrite.ErrCorrupt) {
+		t.Errorf("LoadModel(corpus) err = %v, want ErrCorrupt", err)
 	}
-	if _, err := LoadCorpus(mp); !errors.Is(err, ErrBadFormat) {
-		t.Errorf("LoadCorpus(model) err = %v, want ErrBadFormat", err)
+	if _, err := LoadCorpus(mp); !errors.Is(err, atomicwrite.ErrCorrupt) {
+		t.Errorf("LoadCorpus(model) err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -127,8 +128,8 @@ func TestLoadGarbage(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadModel(path); !errors.Is(err, ErrBadFormat) {
-		t.Errorf("err = %v, want ErrBadFormat", err)
+	if _, err := LoadModel(path); !errors.Is(err, atomicwrite.ErrCorrupt) {
+		t.Errorf("err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -211,8 +212,8 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadModel(path); !errors.Is(err, ErrChecksum) {
-		t.Errorf("corrupted snapshot err = %v, want ErrChecksum", err)
+	if _, err := LoadModel(path); !errors.Is(err, atomicwrite.ErrCorrupt) {
+		t.Errorf("corrupted snapshot err = %v, want ErrCorrupt", err)
 	}
 }
 
