@@ -267,7 +267,17 @@ func (f *Federation) Query(ctx context.Context, req Request) (*Response, error) 
 	// Remap to global indices, normalize when several members ran, tag,
 	// and merge. Member state spaces are disjoint by construction, so
 	// MergeRanked reduces to the deterministic re-rank + truncate.
-	var all []retrieval.Match
+	// The remapped states go into one slab of capacity-capped ranges (a
+	// member result may be shared, so it is never written in place).
+	nMatches, nStates := 0, 0
+	for _, o := range outcomes {
+		nMatches += len(o.matches)
+		for _, mm := range o.matches {
+			nStates += len(mm.States)
+		}
+	}
+	all := make([]retrieval.Match, 0, nMatches)
+	slab := make([]int, nStates)
 	for i, o := range outcomes {
 		mi := sel[i]
 		off := f.offsets[mi]
@@ -276,8 +286,9 @@ func (f *Federation) Query(ctx context.Context, req Request) (*Response, error) 
 			scale = 1 / o.report.MaxScore
 		}
 		for _, mm := range o.matches {
-			g := mm // copy header; remap into fresh slices (member result may be shared)
-			g.States = make([]int, len(mm.States))
+			g := mm
+			n := len(mm.States)
+			g.States, slab = slab[:n:n], slab[n:]
 			for j, s := range mm.States {
 				g.States[j] = s + off
 			}

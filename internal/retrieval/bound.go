@@ -291,16 +291,17 @@ func (e *Engine) queueBounds(ar *arena, steps []Step) {
 		siftQueue(q, i)
 	}
 	ar.queue = q
-	ar.best = ar.best[:0]
 }
 
 // nextBounded pops the next video to visit, or returns -1 when the queue
-// is empty or its best remaining bound is strictly below best[0], the
-// K-th best admitted score: then no remaining video can place a match in
-// the top k.
-func (ar *arena) nextBounded(k int) int {
+// is empty or its best remaining bound is strictly below the K-th best
+// held score: then no remaining video can place a match in the top K.
+func (ar *arena) nextBounded() int {
 	q := ar.queue
-	if len(q) == 0 || (len(ar.best) == k && q[0].ub < ar.best[0]) {
+	if len(q) == 0 {
+		return -1
+	}
+	if kth, ok := ar.top.kth(); ok && q[0].ub < kth {
 		return -1
 	}
 	top := q[0]
@@ -326,43 +327,6 @@ func siftQueue(q []videoBoundEntry, i int) {
 			return
 		}
 		q[i], q[c] = q[c], q[i]
-		i = c
-	}
-}
-
-// keepBest records an admitted match score in best, a min-heap of the k
-// largest scores seen, so best[0] is the K-th best once it holds k.
-func (ar *arena) keepBest(score float64, k int) {
-	h := ar.best
-	if len(h) < k {
-		h = append(h, score)
-		for i := len(h) - 1; i > 0; {
-			p := (i - 1) / 2
-			if h[p] <= h[i] {
-				break
-			}
-			h[p], h[i] = h[i], h[p]
-			i = p
-		}
-		ar.best = h
-		return
-	}
-	if score <= h[0] {
-		return
-	}
-	h[0] = score
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && h[c+1] < h[c] {
-			c++
-		}
-		if h[i] <= h[c] {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
 		i = c
 	}
 }

@@ -3,8 +3,6 @@ package retrieval
 import (
 	"context"
 	"slices"
-
-	"github.com/videodb/hmmm/internal/videomodel"
 )
 
 // cell is one node of the Figure-3 lattice: the best-known path reaching a
@@ -37,10 +35,11 @@ type arena struct {
 	relaxEpoch []int64
 	relaxSlot  []int32
 	epoch      int64
-	// Certified pruning (bound.go): queue is the max-heap of candidate
-	// videos by bound, best the min-heap of the K best admitted scores.
+	// queue is certified pruning's max-heap of candidate videos by bound
+	// (bound.go); top holds the K best complete paths, which both the
+	// ranking and the pruning cut read.
 	queue []videoBoundEntry
-	best  []float64
+	top   topK
 }
 
 // ensure sizes the arena for a model with nVideos videos and at most
@@ -115,16 +114,13 @@ func (e *Engine) putArena(ar *arena) {
 const ctxPollEdges = 512
 
 // searchCtx carries one retrieval's per-search state: the normalized
-// steps, scope, cost counters, the arena, the top-K accumulator (its
-// admission filter prunes materialization of matches that cannot reach
-// the final ranking), and the request context honored at bounded
-// intervals.
+// steps, scope, cost counters, the arena, and the request context honored
+// at bounded intervals.
 type searchCtx struct {
 	steps []Step
 	scope *Scope
 	cost  *Cost
 	ar    *arena
-	acc   *topAccum
 	// ctx, when non-nil, is the per-request context; expired() polls it.
 	ctx   context.Context
 	polls int
@@ -151,24 +147,20 @@ func (sc *searchCtx) tick() bool {
 // keeps every reachable candidate state with its best incoming path
 // (Viterbi-style max over transitions), which is what lets the traversal
 // "always try the right path" without dying on a locally attractive but
-// non-continuable start. It returns up to Beam complete candidate
-// sequences plus the raw count of completed sequences before admission
-// filtering (the StopAfterMatches currency).
-func (e *Engine) searchVideo(vi int, ctx *searchCtx) ([]Match, int) {
+// non-continuable start. It offers up to Beam complete candidate
+// sequences to the arena's top-K heap and returns how many it completed
+// (the StopAfterMatches currency).
+func (e *Engine) searchVideo(vi int, ctx *searchCtx) int {
 	ar := ctx.ar
 	ar.visit(vi)
 	final := e.lattice(vi, 0, nil, ctx)
 	final = ar.topCells(final, e.opts.Beam)
-	raw := len(final)
-	var matches []Match
 	for _, ci := range final {
-		c := ar.cells[ci]
+		c := &ar.cells[ci]
 		e.emit(TraceEvent{Kind: TraceComplete, Video: vi, State: int(c.state), Value: c.score})
-		if ctx.acc.admit(c.score) {
-			matches = append(matches, e.materialize(ci, ar))
-		}
+		ar.top.offer(ar, ci)
 	}
-	return matches, raw
+	return len(final)
 }
 
 // lattice expands video vi over query stages j0..C-1. entry, when non-nil,
@@ -377,31 +369,6 @@ func (ar *arena) topCells(refs []int32, width int) []int32 {
 		refs = refs[:width]
 	}
 	return refs
-}
-
-// materialize builds the Match for the path ending at arena ref ci. The
-// backpointer chain is walked twice — once to size the slices exactly,
-// once to fill them in temporal order.
-func (e *Engine) materialize(ci int32, ar *arena) Match {
-	n := 0
-	for x := ci; x != -1; x = ar.cells[x].prev {
-		n++
-	}
-	m := Match{
-		States:  make([]int, n),
-		Shots:   make([]videomodel.ShotID, n),
-		Videos:  make([]videomodel.VideoID, n),
-		Weights: make([]float64, n),
-		Score:   ar.cells[ci].score,
-	}
-	for x, i := ci, n-1; x != -1; x, i = ar.cells[x].prev, i-1 {
-		c := &ar.cells[x]
-		m.States[i] = int(c.state)
-		m.Shots[i] = e.m.States[c.state].Shot
-		m.Videos[i] = e.m.VideoIDs[c.vi]
-		m.Weights[i] = c.w
-	}
-	return m
 }
 
 // stepCandidates returns the global state indices of video vi that can

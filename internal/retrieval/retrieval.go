@@ -25,10 +25,12 @@
 // fills on demand and charges the stored edge count on a hit, so Cost
 // never depends on cache state. During retrieval the lattice runs on a
 // pooled arena — cells are indices into a reusable slab, Viterbi
-// relaxation is a dense per-state slot array, and candidate/stage/
-// visit-queue scratch is recycled — so a Retrieve performs no per-edge
-// heap allocation. See DESIGN.md §"Query
-// execution path" for cache lifetimes and invalidation rules.
+// relaxation is a dense per-state slot array, candidate/stage/
+// visit-queue scratch is recycled, and one bounded heap holds the K best
+// complete paths — so a Retrieve performs no per-edge or per-candidate
+// heap allocation and materializes only the ranking it returns. See
+// DESIGN.md §"Query execution path" for cache lifetimes and invalidation
+// rules.
 package retrieval
 
 import (
@@ -656,49 +658,6 @@ func (e *Engine) WithOptions(opts Options) *Engine {
 // Model returns the engine's underlying model.
 func (e *Engine) Model() *hmmm.Model { return e.m }
 
-// topAccum accumulates candidate matches while pruning ones that can no
-// longer reach the final top-limit ranking: once limit matches are held,
-// any candidate scoring strictly below the limit-th best score is
-// rejected before materialization. Pruning never changes the final
-// ranked output — it only avoids building matches that the closing
-// sort-and-truncate would discard anyway.
-type topAccum struct {
-	limit   int
-	matches []Match
-	// raw counts every completed candidate sequence, including pruned
-	// ones: the StopAfterMatches threshold semantics predate pruning and
-	// count raw completions.
-	raw     int
-	thresh  float64
-	pruning bool
-}
-
-// admit reports whether a candidate with the score can still make the
-// final ranking. Ties with the current threshold are admitted (the lex
-// tie-break on states may still place them).
-func (a *topAccum) admit(score float64) bool { return !a.pruning || score >= a.thresh }
-
-// add appends an admitted match, compacting to the top-limit set once
-// enough accumulate.
-func (a *topAccum) add(m Match) {
-	a.matches = append(a.matches, m)
-	if len(a.matches) >= 2*a.limit {
-		sortMatches(a.matches)
-		a.matches = a.matches[:a.limit]
-		a.thresh = a.matches[a.limit-1].Score
-		a.pruning = true
-	}
-}
-
-// finalize ranks and truncates the accumulated matches.
-func (a *topAccum) finalize(topK int) []Match {
-	sortMatches(a.matches)
-	if len(a.matches) > topK {
-		a.matches = a.matches[:topK]
-	}
-	return a.matches
-}
-
 // Retrieve runs the Figure-2 process: traverse the video level (Step 2)
 // selecting candidate videos, walk the shot lattice per video (Steps 3-5),
 // score candidate sequences (Step 6), and rank them (Steps 7-9).
@@ -760,19 +719,20 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 	if timed {
 		t1 = time.Now()
 	}
-	k := e.opts.TopK
-	acc := &topAccum{limit: k}
+	ar.top.reset(e.opts.TopK, len(steps))
 	stopAt := 0
 	if e.opts.StopAfterMatches {
-		stopAt = 3 * k
+		stopAt = 3 * e.opts.TopK
 	}
-	sctx := &searchCtx{steps: steps, scope: q.Scope, cost: &res.Cost, ar: ar, acc: acc, ctx: ctx}
+	raw := 0
+	sctx := &searchCtx{steps: steps, scope: q.Scope, cost: &res.Cost, ar: ar, ctx: ctx}
 	for oi := 0; ; oi++ {
 		vi := -1
 		switch {
 		case pruning:
-			if vi = ar.nextBounded(k); vi < 0 && len(ar.queue) > 0 {
-				e.emit(TraceEvent{Kind: TracePrune, N: len(ar.queue), Value: ar.best[0]})
+			if vi = ar.nextBounded(); vi < 0 && len(ar.queue) > 0 {
+				kth, _ := ar.top.kth()
+				e.emit(TraceEvent{Kind: TracePrune, N: len(ar.queue), Value: kth})
 			}
 		case oi < len(order):
 			vi = order[oi]
@@ -783,24 +743,17 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 		res.Cost.VideosSeen++
 		e.emit(TraceEvent{Kind: TraceVideoEnter, Video: vi, N: oi})
 		ar.beginVideo()
-		matches, raw := e.searchVideo(vi, sctx)
-		for _, m := range matches {
-			acc.add(m)
-			if pruning {
-				ar.keepBest(m.Score, k)
-			}
-		}
-		acc.raw += raw
-		if stopAt > 0 && acc.raw >= stopAt {
-			e.emit(TraceEvent{Kind: TraceEarlyStop, N: acc.raw})
+		raw += e.searchVideo(vi, sctx)
+		if stopAt > 0 && raw >= stopAt {
+			e.emit(TraceEvent{Kind: TraceEarlyStop, N: raw})
 			break
 		}
 	}
-	e.putArena(ar)
 	if timed {
 		t2 = time.Now()
 	}
-	res.Matches = acc.finalize(e.opts.TopK)
+	res.Matches = ar.top.ranking(e.m)
+	e.putArena(ar)
 	if ctx.Err() != nil {
 		res.Cost.Truncated = true
 	}

@@ -1,0 +1,184 @@
+package retrieval
+
+import (
+	"slices"
+
+	"github.com/videodb/hmmm/internal/hmmm"
+	"github.com/videodb/hmmm/internal/videomodel"
+)
+
+// pathCell is one step of a held path, copied out of the cell slab
+// (beginVideo recycles the slab, so a held path cannot reference it).
+type pathCell struct {
+	state int32 // global state index
+	vi    int32 // video index of the state
+	w     float64
+}
+
+// topEntry is one held path: its Eq. 15 score and the slot holding its
+// cells.
+type topEntry struct {
+	score float64
+	slot  int32
+}
+
+// topK is the one structure that tracks a retrieval's K best complete
+// paths: a bounded heap ordered exactly as sortMatches orders matches
+// (score descending, then states ascending), with the worst held path at
+// the root. Once it holds K paths the root is both the admission test —
+// a path enters only by ranking strictly before it — and the K-th best
+// score the certified cut compares bounds against. Because the order is
+// total over distinct state sequences, the survivors sorted once equal
+// sortMatches over every offered path truncated to K. Slot storage lives
+// in the pooled arena and grows with the paths actually held, never with
+// K, which the client chooses.
+type topK struct {
+	k, n int        // capacity K and cells per path (the query's steps)
+	heap []topEntry // the held paths; heap[0] ranks last among them
+	// slots holds len(heap)+1 paths of n cells: slot i is
+	// slots[i*n:(i+1)*n]. The one slot no entry owns is spare, where
+	// offer copies a candidate before deciding whether to keep it.
+	slots []pathCell
+	spare int32
+}
+
+// reset empties the heap for a retrieval of n-step paths keeping k.
+func (t *topK) reset(k, n int) {
+	t.k, t.n = k, n
+	t.heap = t.heap[:0]
+	t.slots = slices.Grow(t.slots[:0], n)[:n]
+	t.spare = 0
+}
+
+// path returns slot i's cells.
+func (t *topK) path(i int32) []pathCell {
+	lo := int(i) * t.n
+	return t.slots[lo : lo+t.n]
+}
+
+// before reports whether a ranks strictly before b in sortMatches order.
+func (t *topK) before(a, b topEntry) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	pb := t.path(b.slot)
+	for i, c := range t.path(a.slot) {
+		if c.state != pb[i].state {
+			return c.state < pb[i].state
+		}
+	}
+	return false
+}
+
+// kth returns the K-th best held score, or false while fewer than K
+// paths are held.
+func (t *topK) kth() (float64, bool) {
+	if len(t.heap) < t.k {
+		return 0, false
+	}
+	return t.heap[0].score, true
+}
+
+// offer considers the complete path ending at arena cell ci and keeps it
+// when it ranks among the k best offered so far.
+func (t *topK) offer(ar *arena, ci int32) {
+	score := ar.cells[ci].score
+	full := len(t.heap) == t.k
+	if full && score < t.heap[0].score {
+		return
+	}
+	p := t.path(t.spare)
+	for x, i := ci, t.n-1; x != -1; x, i = ar.cells[x].prev, i-1 {
+		c := &ar.cells[x]
+		p[i] = pathCell{state: c.state, vi: c.vi, w: c.w}
+	}
+	e := topEntry{score: score, slot: t.spare}
+	if !full {
+		t.heap = append(t.heap, e)
+		t.spare = int32(len(t.heap))
+		t.slots = slices.Grow(t.slots, t.n)[:len(t.slots)+t.n]
+		t.up(len(t.heap) - 1)
+		return
+	}
+	if !t.before(e, t.heap[0]) {
+		return
+	}
+	t.spare, t.heap[0] = t.heap[0].slot, e
+	t.down(0)
+}
+
+// up restores the heap property above i.
+func (t *topK) up(i int) {
+	h := t.heap
+	for i > 0 {
+		p := (i - 1) / 2
+		if !t.before(h[p], h[i]) {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+// down restores the heap property below i.
+func (t *topK) down(i int) {
+	h := t.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && t.before(h[c], h[c+1]) {
+			c++
+		}
+		if !t.before(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// ranking sorts the held paths once and materializes them: one []Match
+// and one slab each for States, Shots, Videos and Weights, every match
+// holding capacity-capped sub-slices so an append by a consumer never
+// writes into the next match's range. It returns nil when nothing is
+// held, and leaves the heap unordered.
+func (t *topK) ranking(m *hmmm.Model) []Match {
+	h := t.heap
+	if len(h) == 0 {
+		return nil
+	}
+	slices.SortFunc(h, func(a, b topEntry) int {
+		switch {
+		case t.before(a, b):
+			return -1
+		case t.before(b, a):
+			return 1
+		}
+		return 0
+	})
+	n, total := t.n, len(h)*t.n
+	out := make([]Match, len(h))
+	states := make([]int, total)
+	shots := make([]videomodel.ShotID, total)
+	videos := make([]videomodel.VideoID, total)
+	weights := make([]float64, total)
+	for i, e := range h {
+		lo, hi := i*n, (i+1)*n
+		out[i] = Match{
+			States:  states[lo:hi:hi],
+			Shots:   shots[lo:hi:hi],
+			Videos:  videos[lo:hi:hi],
+			Weights: weights[lo:hi:hi],
+			Score:   e.score,
+		}
+		for j, c := range t.path(e.slot) {
+			states[lo+j] = int(c.state)
+			shots[lo+j] = m.States[c.state].Shot
+			videos[lo+j] = m.VideoIDs[c.vi]
+			weights[lo+j] = c.w
+		}
+	}
+	return out
+}
