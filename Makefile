@@ -14,7 +14,7 @@ note = $(1)$(if $(BENCH_NOTE),; $(BENCH_NOTE))
 # Offline-pipeline benchmarks captured into BENCH_build.json.
 BENCH_BUILD_PATTERN := BenchmarkBuildPaperScale|BenchmarkRetrainPaperScale
 
-.PHONY: build vet test race race-all smoke examples verify e2e bench bench-build bench-scale bench-million bench-serving bench-serving-smoke bench-ingest bench-federated cover fuzz clean
+.PHONY: build vet test race race-all smoke examples verify e2e bench bench-build bench-scale bench-million bench-serving bench-serving-smoke bench-ingest bench-federated cover fuzz loc clean
 
 # Packages whose per-package coverage `make cover` gates at 80%.
 COVER_GATED := internal/shard internal/retrieval internal/matn internal/index internal/coord internal/rpc internal/live internal/videomodel internal/fed
@@ -136,6 +136,16 @@ fuzz:
 	$(GO) test -fuzz=FuzzMATNParse -fuzztime=$(FUZZTIME) ./internal/matn/
 	$(GO) test -fuzz=FuzzRecordDecode -fuzztime=$(FUZZTIME) ./internal/atomicwrite/
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/rpc/
+
+# Line counts of the non-test and test .go files of every package
+# directory, and their totals: the LoC figures ROADMAP and CHANGES cite.
+loc:
+	@printf '%-34s %9s %6s\n' package non-test test
+	@for d in $$(find . -name '*.go' -not -path './.git/*' | xargs -n1 dirname | sort -u); do \
+		src=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		tst=$$(find $$d -maxdepth 1 -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%-34s %9d %6d\n' $${d#./} $$src $$tst; \
+	done | awk '{print; s += $$2; t += $$3} END {printf "%-34s %9d %6d\n", "total", s, t}'
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime=200x -count=1 . \

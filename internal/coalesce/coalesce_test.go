@@ -44,8 +44,11 @@ func TestSingleExecutionFanOut(t *testing.T) {
 		}(i)
 	}
 	<-started
-	// Give the rest time to pile up as waiters, then release the leader.
-	for g.Requests.Value() < n {
+	// Wait until the rest have attached as waiters, then release the
+	// leader. Requests counts a caller before it attaches, so a caller
+	// counted there could still arrive after the leader finished and
+	// (correctly) start a fresh execution; Hits counts only attached ones.
+	for g.Hits.Value() < n-1 {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)

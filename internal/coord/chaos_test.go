@@ -247,7 +247,7 @@ func TestChaosBlackhole(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local: %v", err)
 	}
-	shards[0].Remap(want.Matches)
+	retrievaltest.Lift(want.Matches, shards[0].Offset)
 	retrievaltest.RequireSameMatches(t, "blackhole-partial", retrieval.MergeRanked(want.Matches, 0), res.Matches)
 }
 

@@ -1,7 +1,7 @@
 // Package coord is the network coordinator of distributed shard
 // serving: it scatters retrievals over remote shard servers
 // (cmd/hmmm-shardd, spoken to through internal/rpc) and gathers the
-// per-shard rankings with the same MergeRanked path the in-process
+// per-shard rankings with the same retrieval.Gather the in-process
 // shard.Group uses — so with every shard healthy the coordinated
 // ranking is bit-identical to the local group's, scores and tie-breaks
 // included.
@@ -222,6 +222,13 @@ func (c *Coordinator) WithOptions(opts retrieval.Options) *Coordinator {
 	return &nc
 }
 
+// WithTopK is WithOptions changing only TopK.
+func (c *Coordinator) WithTopK(k int) retrieval.Retriever {
+	opts := c.opts
+	opts.TopK = k
+	return c.WithOptions(opts)
+}
+
 // NumShards returns the shard fan-out.
 func (c *Coordinator) NumShards() int { return len(c.sets) }
 
@@ -286,18 +293,17 @@ func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*
 	}
 
 	target := maxGen()
-	out := &retrieval.Result{}
-	degraded := 0
-	var matches []retrieval.Match
+	gather := retrieval.Gather{TopK: c.opts.TopK}
+	expired, degraded := false, 0
 	for _, o := range outs {
 		if o.err != nil {
 			// A parent-context expiry is a truncation (the caller's
 			// deadline), not a shard failure.
 			if errors.Is(o.err, context.Canceled) || errors.Is(o.err, context.DeadlineExceeded) {
-				out.Cost.Truncated = true
-				continue
+				expired = true
+			} else {
+				degraded++
 			}
-			degraded++
 			continue
 		}
 		if o.resp.Generation != target {
@@ -307,22 +313,19 @@ func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*
 			degraded++
 			continue
 		}
-		matches = append(matches, o.resp.Matches...)
-		out.Cost.Add(o.resp.Cost)
+		// Shard servers reply in parent-model ids: no lift.
+		gather.Add(&retrieval.Result{Matches: o.resp.Matches, Cost: o.resp.Cost}, 0)
 	}
-	out.Matches = retrieval.MergeRanked(matches, c.opts.TopK)
+	out := gather.Done(ctx)
+	out.Cost.Truncated = out.Cost.Truncated || expired || degraded > 0
 	if degraded > 0 {
-		out.Cost.Truncated = true
 		out.Cost.DegradedShards += degraded
 		if c.met != nil {
 			c.met.Degraded.Inc()
 			c.met.DegradedShards.Add(uint64(degraded))
 		}
 	}
-	if ctx.Err() != nil {
-		out.Cost.Truncated = true
-	}
-	return out, nil
+	return &out, nil
 }
 
 // shardOut is the outcome of one shard's retry loop.

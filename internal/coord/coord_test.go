@@ -248,7 +248,7 @@ func TestDegradedShardDown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shard 0 local: %v", err)
 	}
-	shards[0].Remap(want.Matches)
+	retrievaltest.Lift(want.Matches, shards[0].Offset)
 	retrievaltest.RequireSameMatches(t, "partial", retrieval.MergeRanked(want.Matches, 0), res.Matches)
 
 	if met.Degraded.Value() != 1 {
@@ -446,7 +446,7 @@ func TestGenerationConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard 1 local: %v", err)
 		}
-		shards[1].Remap(want.Matches)
+		retrievaltest.Lift(want.Matches, shards[1].Offset)
 		retrievaltest.RequireSameMatches(t, "fresh-only", retrieval.MergeRanked(want.Matches, 0), res.Matches)
 	})
 }
@@ -773,7 +773,7 @@ func TestShardIdentityStampRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shard 0 local: %v", err)
 	}
-	shards[0].Remap(want.Matches)
+	retrievaltest.Lift(want.Matches, shards[0].Offset)
 	retrievaltest.RequireSameMatches(t, "identity", retrieval.MergeRanked(want.Matches, 0), res.Matches)
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -333,15 +334,15 @@ func (s *Suite) F4MATNQuery() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var all []retrieval.Match
+	gather := retrieval.Gather{TopK: 5}
 	for _, q := range queries {
 		res, err := eng.Retrieve(q)
 		if err != nil {
 			return nil, err
 		}
-		all = append(all, res.Matches...)
+		gather.Add(res, 0)
 	}
-	merged := retrieval.MergeRanked(all, 5)
+	merged := gather.Done(context.Background()).Matches
 	r.Printf("")
 	r.Printf("top retrieved sequences (MATN results panel):")
 	for i, m := range merged {

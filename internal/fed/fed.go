@@ -10,18 +10,16 @@
 // because "goal -> corner_kick" is a perfectly good question to ask a
 // federation that happens to include a news archive.
 //
-// Merge semantics: every member's matches are first deduplicated and
-// ranked member-locally (retrieval.MergeRanked, exactly what the server
-// does for one model's alternation branches), then remapped into a
-// federation-global state index space via strictly increasing per-member
-// offsets — so the deterministic state-sequence tie-break survives the
-// merge and no two members can collide on a dedup key. When two or more
-// members contributed, raw Eq. 15 scores are not comparable across
-// models (different state counts, different B1' statistics), so each
-// member's scores are normalized by that member's best score before the
-// final merge. With exactly one member the pipeline is a passthrough:
-// offset 0, no normalization — bit-identical to querying the member's
-// retriever directly, which is what the federation differential suite
+// Merge semantics: a retrieval.Gather per member merges the member's
+// alternation branches, ranked to the request's TopK, as the server does
+// for one model; a second gather merges the members, lifting each one's
+// state ids by its offset into a federation-global index space. When
+// two or more members executed, raw Eq. 15 scores are not comparable
+// across models (different state counts, different B1' statistics), so
+// each member's scores are normalized by that member's best score
+// before the final gather. With exactly one member the pipeline is a
+// passthrough: offset 0, no normalization — bit-identical to querying
+// the member's retriever directly, as the federation differential suite
 // pins.
 package fed
 
@@ -38,13 +36,6 @@ import (
 	"github.com/videodb/hmmm/internal/videomodel"
 )
 
-// Retriever is the execution surface a member exposes: a bare
-// *retrieval.Engine, a shard.Group, or an rpc coordinator all satisfy
-// it. It must be safe for concurrent use.
-type Retriever interface {
-	RetrieveContext(ctx context.Context, q retrieval.Query) (*retrieval.Result, error)
-}
-
 // Member is one archive in the federation.
 type Member struct {
 	// Name identifies the member in requests and reports. Unique within
@@ -59,8 +50,9 @@ type Member struct {
 	// space, so any upper bound works; the model's exact count keeps the
 	// space dense.
 	States int
-	// Retriever executes compiled queries against the member's model.
-	Retriever Retriever
+	// Retriever executes compiled queries against the member's model,
+	// viewed at the request's TopK.
+	Retriever retrieval.Retriever
 }
 
 // Options tunes the federation.
@@ -179,8 +171,8 @@ type Response struct {
 
 // memberOutcome is the per-member scatter slot.
 type memberOutcome struct {
-	report  MemberReport
-	matches []retrieval.Match // member-local indices, raw scores
+	report MemberReport
+	res    retrieval.Result // member-local state ids, raw scores
 }
 
 // Query executes req across the federation; see the package docs for
@@ -202,45 +194,39 @@ func (f *Federation) Query(ctx context.Context, req Request) (*Response, error) 
 	errs := make([]error, len(sel))
 	par.For(f.opts.Workers, len(sel), func(i int) {
 		m := &f.members[sel[i]]
-		outcomes[i].report = MemberReport{Name: m.Name, Domain: m.Domain.Name}
+		o := &outcomes[i]
+		o.report = MemberReport{Name: m.Name, Domain: m.Domain.Name}
 		net, perr := matn.ParseDomain(req.Pattern, m.Domain)
 		if perr != nil {
-			outcomes[i].report.Skipped = true
-			outcomes[i].report.Reason = perr.Error()
+			o.report.Skipped = true
+			o.report.Reason = perr.Error()
 			return
 		}
 		queries, cerr := net.Compile()
 		if cerr != nil {
-			outcomes[i].report.Skipped = true
-			outcomes[i].report.Reason = cerr.Error()
+			o.report.Skipped = true
+			o.report.Reason = cerr.Error()
 			return
 		}
-		var all []retrieval.Match
-		var cost retrieval.Cost
+		search := m.Retriever.WithTopK(topK)
+		gather := retrieval.Gather{TopK: topK}
 		for _, q := range queries {
-			res, rerr := m.Retriever.RetrieveContext(ctx, q)
+			res, rerr := search.RetrieveContext(ctx, q)
 			if rerr != nil {
 				errs[i] = fmt.Errorf("fed: member %q: %w", m.Name, rerr)
 				return
 			}
-			all = append(all, res.Matches...)
-			cost.Add(res.Cost)
-			if cost.Truncated {
+			gather.Add(res, 0)
+			if gather.Truncated() {
 				break // deadline spent; later alternation branches return empty
 			}
 		}
-		// Member-local dedup + rank, same as the single-model server path.
-		merged := retrieval.MergeRanked(all, topK)
-		max := 0.0
-		for _, mm := range merged {
-			if mm.Score > max {
-				max = mm.Score
-			}
+		o.res = gather.Done(ctx)
+		o.report.Matches = len(o.res.Matches)
+		o.report.Cost = o.res.Cost
+		for _, mm := range o.res.Matches {
+			o.report.MaxScore = max(o.report.MaxScore, mm.Score)
 		}
-		outcomes[i].matches = merged
-		outcomes[i].report.Matches = len(merged)
-		outcomes[i].report.MaxScore = max
-		outcomes[i].report.Cost = cost
 	})
 	if err := par.FirstErr(errs); err != nil {
 		return nil, err
@@ -252,7 +238,6 @@ func (f *Federation) Query(ctx context.Context, req Request) (*Response, error) 
 		resp.Members[i] = outcomes[i].report
 		if !outcomes[i].report.Skipped {
 			executed++
-			resp.Cost.Add(outcomes[i].report.Cost)
 		}
 	}
 	if executed == 0 {
@@ -264,41 +249,26 @@ func (f *Federation) Query(ctx context.Context, req Request) (*Response, error) 
 	}
 	resp.Normalized = executed >= 2
 
-	// Remap to global indices, normalize when several members ran, tag,
-	// and merge. Member state spaces are disjoint by construction, so
-	// MergeRanked reduces to the deterministic re-rank + truncate.
-	// The remapped states go into one slab of capacity-capped ranges (a
-	// member result may be shared, so it is never written in place).
-	nMatches, nStates := 0, 0
-	for _, o := range outcomes {
-		nMatches += len(o.matches)
-		for _, mm := range o.matches {
-			nStates += len(mm.States)
+	// Normalize when several members ran, then gather the members at
+	// their disjoint offsets.
+	gather := retrieval.Gather{TopK: topK}
+	for i := range outcomes {
+		o := &outcomes[i]
+		if o.report.Skipped {
+			continue
 		}
-	}
-	all := make([]retrieval.Match, 0, nMatches)
-	slab := make([]int, nStates)
-	for i, o := range outcomes {
-		mi := sel[i]
-		off := f.offsets[mi]
-		scale := 1.0
 		if resp.Normalized && o.report.MaxScore > 0 {
-			scale = 1 / o.report.MaxScore
-		}
-		for _, mm := range o.matches {
-			g := mm
-			n := len(mm.States)
-			g.States, slab = slab[:n:n], slab[n:]
-			for j, s := range mm.States {
-				g.States[j] = s + off
+			scale := 1 / o.report.MaxScore
+			for j := range o.res.Matches {
+				o.res.Matches[j].Score *= scale
 			}
-			g.Score = mm.Score * scale
-			all = append(all, g)
 		}
+		gather.Add(&o.res, f.offsets[sel[i]])
 	}
-	merged := retrieval.MergeRanked(all, topK)
-	resp.Matches = make([]Match, len(merged))
-	for i, mm := range merged {
+	merged := gather.Done(ctx)
+	resp.Cost = merged.Cost
+	resp.Matches = make([]Match, len(merged.Matches))
+	for i, mm := range merged.Matches {
 		mi := f.memberOfState(mm.States)
 		resp.Matches[i] = Match{Match: mm, Member: f.members[mi].Name, Domain: f.members[mi].Domain.Name}
 	}

@@ -9,14 +9,18 @@ package fed_test
 import (
 	"context"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/videodb/hmmm/internal/coord"
 	"github.com/videodb/hmmm/internal/fed"
 	"github.com/videodb/hmmm/internal/hmmm"
 	"github.com/videodb/hmmm/internal/matn"
 	"github.com/videodb/hmmm/internal/retrieval"
 	"github.com/videodb/hmmm/internal/retrieval/retrievaltest"
+	"github.com/videodb/hmmm/internal/rpc"
 	"github.com/videodb/hmmm/internal/shard"
 	"github.com/videodb/hmmm/internal/videomodel"
 )
@@ -172,7 +176,7 @@ func TestFederatedMergeStableUnderShardSplits(t *testing.T) {
 	build := func(k int) *fed.Federation {
 		members := make([]fed.Member, len(domains))
 		for i, d := range domains {
-			var r fed.Retriever
+			var r retrieval.Retriever
 			if k <= 0 {
 				r = memberEngine(t, models[i])
 			} else {
@@ -331,4 +335,92 @@ func TestNewValidation(t *testing.T) {
 	if _, err := f.Query(context.Background(), fed.Request{Pattern: "   "}); err == nil {
 		t.Error("blank pattern accepted")
 	}
+}
+
+// TestRequestTopKReachesMembers pins that a request's TopK is what each
+// member ranks to, not the member retriever's own: a member built with
+// TopK 10 (as `hmmmd -domains` builds them) answers a top_k 25 request
+// with everything the same retriever finds at TopK 25, whether it is a
+// bare engine, a shard group or a coordinator over loopback shards.
+func TestRequestTopKReachesMembers(t *testing.T) {
+	d := videomodel.Soccer()
+	m := retrievaltest.RandomModel(t, retrievaltest.Config{
+		Seed: 7, Videos: 12, MaxShots: 10, Events: d.NumEvents(), Domain: d, LearnP12: true,
+	})
+	opts := retrieval.Options{Beam: 4, TopK: 10}
+	eng, err := retrieval.NewEngine(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group, err := shard.NewGroup(m, 2, opts, shard.GroupOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordinator := loopbackCoordinator(t, m, 2, opts)
+	pattern := d.EventName(retrievaltest.PresentEvents(m)[0])
+	queries, err := matn.CompileStringDomain(pattern, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const topK = 25
+	wide := opts
+	wide.TopK = topK
+	want, err := eng.WithOptions(wide).Retrieve(queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Matches) <= opts.TopK {
+		t.Fatalf("the engine finds %d matches at TopK %d; the test needs more than the member's own %d",
+			len(want.Matches), topK, opts.TopK)
+	}
+	for _, r := range []struct {
+		name string
+		r    retrieval.Retriever
+	}{{"engine", eng}, {"group", group}, {"coordinator", coordinator}} {
+		f, err := fed.New([]fed.Member{{Name: d.Name, Domain: d, States: m.NumStates(), Retriever: r.r}}, fed.Options{TopK: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.Query(context.Background(), fed.Request{Pattern: pattern, TopK: topK})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := make([]retrieval.Match, len(got.Matches))
+		for i, fm := range got.Matches {
+			raw[i] = fm.Match
+		}
+		retrievaltest.RequireSameMatches(t, r.name, want.Matches, raw)
+	}
+}
+
+// loopbackCoordinator splits m into k shards, serves each on a loopback
+// rpc server and returns a coordinator over them, all torn down with
+// the test.
+func loopbackCoordinator(t *testing.T, m *hmmm.Model, k int, opts retrieval.Options) *coord.Coordinator {
+	t.Helper()
+	shards, err := shard.Split(m, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	transports := make([][]coord.Transport, len(shards))
+	for i, sh := range shards {
+		svc, err := rpc.NewShardService(sh, i, len(shards), retrieval.Options{}, 1)
+		if err != nil {
+			t.Fatalf("shard service %d: %v", i, err)
+		}
+		srv := rpc.NewServer(svc, nil)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		transports[i] = []coord.Transport{rpc.NewClient(ln.Addr().String(), time.Second, 2)}
+	}
+	c, err := coord.New(transports, opts, coord.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
 }

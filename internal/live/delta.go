@@ -60,9 +60,9 @@ type Delta struct {
 	// Engine retrieves over Model. Delta models are small and short-lived,
 	// so the engine skips the precomputed sim cache.
 	Engine *retrieval.Engine
-	// Offset is the main model's state count at publish time: delta match
-	// states are remapped by +Offset so the merged ranking's state space
-	// is disjoint from the main model's (the shard remap argument).
+	// Offset is the main model's state count at publish time: the
+	// server's gather lifts delta states by it, past the main model's
+	// [0, Offset) — the delta is one more shard of the gather.
 	Offset int
 	// Gen increments on every delta publish; together with the model
 	// generation it keys request coalescing.
@@ -135,20 +135,6 @@ func (d *Delta) Generation() uint64 {
 		return 0
 	}
 	return d.Gen
-}
-
-// RemapMatches rewrites delta-local state indices into the serving state
-// space by adding offset. The map st → st+offset is strictly increasing,
-// so equal-score ties keep their relative order after MergeRanked's
-// deterministic re-rank (the same argument as shard.Group's remap), and
-// the remapped range [offset, offset+NumStates) is disjoint from the
-// main model's [0, offset). Shot and video IDs are already global.
-func RemapMatches(ms []retrieval.Match, offset int) {
-	for i := range ms {
-		for j, st := range ms[i].States {
-			ms[i].States[j] = st + offset
-		}
-	}
 }
 
 // Union returns a new archive and feature map covering the base corpus

@@ -70,27 +70,6 @@ func TestNewDeltaDeterministic(t *testing.T) {
 	}
 }
 
-func TestRemapMatchesShiftsAndPreservesOrder(t *testing.T) {
-	ms := []retrieval.Match{
-		{States: []int{0, 2}, Score: 0.9},
-		{States: []int{1}, Score: 0.9},
-		{States: []int{3}, Score: 0.1},
-	}
-	RemapMatches(ms, 100)
-	want := [][]int{{100, 102}, {101}, {103}}
-	for i, m := range ms {
-		if !reflect.DeepEqual(m.States, want[i]) {
-			t.Fatalf("match %d states %v, want %v", i, m.States, want[i])
-		}
-	}
-	// Equal-score ties keep their relative order through MergeRanked
-	// because the remap is strictly increasing.
-	merged := retrieval.MergeRanked(ms, 10)
-	if !reflect.DeepEqual(merged[0].States, []int{100, 102}) || !reflect.DeepEqual(merged[1].States, []int{101}) {
-		t.Fatalf("tie order changed after remap: %v", merged)
-	}
-}
-
 func TestUnionCoversBaseAndRecords(t *testing.T) {
 	records := sampleRecords(2)
 	baseV, baseF := sampleRecords(1)[0].VideoAndFeatures()

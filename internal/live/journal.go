@@ -7,8 +7,10 @@
 // archive accumulates over time. This package supplies the accumulation
 // axis for the *serving* system: a video accepted at runtime is recorded
 // durably before it is acknowledged, becomes queryable through a Partial
-// delta model within one snapshot swap, and is eventually merged into
-// the main model by an offline-equivalent rebuild.
+// delta model within one snapshot swap — the server's retrieval.Gather
+// merges the delta's ranking with the main model's, its state ids lifted
+// by Delta.Offset — and is eventually merged into the main model by an
+// offline-equivalent rebuild.
 package live
 
 import (

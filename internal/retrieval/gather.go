@@ -1,0 +1,121 @@
+package retrieval
+
+import (
+	"context"
+	"strconv"
+)
+
+// Retriever is the retrieval contract every serving shape satisfies
+// (engine, shard group, coordinator), safe for concurrent use. Each call
+// returns a fresh Result the caller owns, down to each Match's slices,
+// ranked as MergeRanked ranks; the caller may rewrite it in place.
+// WithTopK derives a view ranking to another TopK (0 means DefaultTopK)
+// over the same index and caches.
+type Retriever interface {
+	RetrieveContext(ctx context.Context, q Query) (*Result, error)
+	WithTopK(k int) Retriever
+}
+
+// Gather combines child rankings into one (Figure 2, steps 6-9): the
+// shards of a model, the main model and its live delta, an MATN's
+// linear patterns, federation members. Add lifts a child's state ids by
+// its offset, in place: disjoint state spaces take disjoint, increasing
+// offsets, so sequences never collide and keep their tie-break order;
+// children over one space (MATN branches) share an offset and the merge
+// drops their duplicates. Costs sum; Done marks the result Truncated
+// when ctx is spent. A lone non-empty list strictly in rank order and
+// within TopK is adopted as is — what MergeRanked would make of it;
+// anything else (a list rescaled into a tie, too) is merged. The zero
+// value is ready to use; TopK 0 means DefaultTopK.
+type Gather struct {
+	TopK    int
+	cost    Cost
+	lists   int // non-empty child lists added
+	matches []Match
+}
+
+// Add adds one child's ranking, its state ids shifted by offset in place.
+func (g *Gather) Add(res *Result, offset int) {
+	if offset != 0 {
+		for i := range res.Matches {
+			for j := range res.Matches[i].States {
+				res.Matches[i].States[j] += offset
+			}
+		}
+	}
+	g.cost.Add(res.Cost)
+	switch {
+	case len(res.Matches) == 0:
+		return
+	case g.lists == 0:
+		g.matches = res.Matches // the child's own list: adopt it
+	default:
+		g.matches = append(g.matches, res.Matches...)
+	}
+	g.lists++
+}
+
+// Truncated reports whether a child added so far was truncated: the
+// deadline is spent, so children still to come would return empty.
+func (g *Gather) Truncated() bool { return g.cost.Truncated }
+
+// Done returns the combined ranking and the summed cost.
+func (g *Gather) Done(ctx context.Context) Result {
+	out := Result{Matches: g.matches, Cost: g.cost}
+	if g.lists > 1 || !ranked(g.matches, g.TopK) {
+		out.Matches = MergeRanked(g.matches, g.TopK)
+	}
+	if ctx.Err() != nil {
+		out.Cost.Truncated = true
+	}
+	return out
+}
+
+// ranked reports whether ms is strictly in rank order and within topK.
+func ranked(ms []Match, topK int) bool {
+	if topK <= 0 {
+		topK = DefaultTopK
+	}
+	if len(ms) > topK {
+		return false
+	}
+	for i := 1; i < len(ms); i++ {
+		if compareMatches(ms[i-1], ms[i]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// MergeRanked deduplicates matches by state sequence (keeping the highest
+// score), re-ranks, and truncates to topK: the merge behind Gather.
+func MergeRanked(matches []Match, topK int) []Match {
+	if topK <= 0 {
+		topK = DefaultTopK
+	}
+	best := make(map[string]Match, len(matches))
+	for _, m := range matches {
+		k := stateKey(m.States)
+		if old, ok := best[k]; !ok || m.Score > old.Score {
+			best[k] = m
+		}
+	}
+	out := make([]Match, 0, len(best))
+	for _, m := range best {
+		out = append(out, m)
+	}
+	sortMatches(out)
+	if len(out) > topK {
+		out = out[:topK]
+	}
+	return out
+}
+
+func stateKey(states []int) string {
+	b := make([]byte, 0, len(states)*3)
+	for _, s := range states {
+		b = strconv.AppendInt(b, int64(s), 10)
+		b = append(b, ',')
+	}
+	return string(b)
+}

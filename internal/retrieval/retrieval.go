@@ -40,7 +40,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -655,6 +654,14 @@ func (e *Engine) WithOptions(opts Options) *Engine {
 	return ne
 }
 
+// WithTopK is WithOptions changing only TopK: the view a caller that
+// ranks to a per-request K (a federation member) searches with.
+func (e *Engine) WithTopK(k int) Retriever {
+	opts := e.opts
+	opts.TopK = k
+	return e.WithOptions(opts)
+}
+
 // Model returns the engine's underlying model.
 func (e *Engine) Model() *hmmm.Model { return e.m }
 
@@ -961,19 +968,19 @@ func (e *Engine) SimStep(s int, step Step) float64 {
 
 // sortMatches orders matches by score descending with a deterministic
 // tie-break on state indices.
-func sortMatches(ms []Match) {
-	slices.SortFunc(ms, func(x, y Match) int {
-		if x.Score != y.Score {
-			if x.Score > y.Score {
-				return -1
-			}
-			return 1
+func sortMatches(ms []Match) { slices.SortFunc(ms, compareMatches) }
+
+// compareMatches is the rank order: score descending, ties broken by
+// comparing the state sequences, so the order is total over distinct
+// sequences.
+func compareMatches(x, y Match) int {
+	if x.Score != y.Score {
+		if x.Score > y.Score {
+			return -1
 		}
-		if c := slices.Compare(x.States, y.States); c != 0 {
-			return c
-		}
-		return 0
-	})
+		return 1
+	}
+	return slices.Compare(x.States, y.States)
 }
 
 // ExactMatch reports whether every step of the match lands on a state
@@ -990,38 +997,4 @@ func ExactMatch(m *hmmm.Model, match Match, q Query) bool {
 		}
 	}
 	return true
-}
-
-// MergeRanked deduplicates matches by state sequence (keeping the highest
-// score), re-ranks, and truncates to topK. The server uses it to combine
-// the results of the several linear patterns an MATN query may expand to.
-func MergeRanked(matches []Match, topK int) []Match {
-	if topK <= 0 {
-		topK = DefaultTopK
-	}
-	best := make(map[string]Match, len(matches))
-	for _, m := range matches {
-		k := stateKey(m.States)
-		if old, ok := best[k]; !ok || m.Score > old.Score {
-			best[k] = m
-		}
-	}
-	out := make([]Match, 0, len(best))
-	for _, m := range best {
-		out = append(out, m)
-	}
-	sortMatches(out)
-	if len(out) > topK {
-		out = out[:topK]
-	}
-	return out
-}
-
-func stateKey(states []int) string {
-	b := make([]byte, 0, len(states)*3)
-	for _, s := range states {
-		b = strconv.AppendInt(b, int64(s), 10)
-		b = append(b, ',')
-	}
-	return string(b)
 }

@@ -272,6 +272,17 @@ func Oracle(tb testing.TB, m *hmmm.Model, q retrieval.Query, topK int) *retrieva
 // oracle list to the engine's sequences need the full enumeration.
 const OracleLimit = 1 << 20
 
+// Lift shifts the state ids of a child's ranking by offset, in place:
+// the oracle side of a gather's offset lift (a shard's or a delta's
+// local ids into its parent's id space).
+func Lift(ms []retrieval.Match, offset int) {
+	for i := range ms {
+		for j := range ms[i].States {
+			ms[i].States[j] += offset
+		}
+	}
+}
+
 // RequireSameMatches asserts two rankings are bit-identical: same
 // length, and per rank the same states, shots, videos, weights, and
 // score — no tolerance anywhere.

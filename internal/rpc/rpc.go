@@ -150,8 +150,8 @@ type RetrieveRequest struct {
 }
 
 // RetrieveResponse is a shard's ranking, with state indices already
-// remapped to parent-model (global) indices, so the coordinator's merge
-// is exactly the in-process Group gather.
+// lifted to parent-model (global) indices, so the coordinator gathers
+// exactly what the in-process Group gathers.
 type RetrieveResponse struct {
 	Matches []retrieval.Match
 	Cost    retrieval.Cost

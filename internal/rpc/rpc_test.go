@@ -69,7 +69,7 @@ func TestRetrieveBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: local: %v", qi, err)
 		}
-		sh.Remap(want.Matches)
+		retrievaltest.Lift(want.Matches, sh.Offset)
 		got, err := cl.Retrieve(context.Background(), &RetrieveRequest{Query: q})
 		if err != nil {
 			t.Fatalf("query %d: remote: %v", qi, err)

@@ -10,9 +10,9 @@ import (
 
 // ShardService serves one shard of a split model: the production
 // Handler behind cmd/hmmm-shardd and the in-process loopback tests. It
-// owns an engine over the shard's sub-model and remaps every response
-// to parent-model state indices, so the coordinator's gather is
-// exactly the in-process Group gather.
+// owns an engine over the shard's sub-model and gathers every response
+// at the shard's offset into parent-model state ids, so the coordinator
+// gathers exactly what the in-process Group gathers.
 type ShardService struct {
 	sh     *shard.Shard
 	engine *retrieval.Engine
@@ -46,8 +46,8 @@ func (s *ShardService) SetGeneration(gen uint64) { s.gen.Store(gen) }
 func (s *ShardService) Generation() uint64 { return s.gen.Load() }
 
 // Retrieve runs the query on the shard engine with the request's
-// result-affecting options and budget, remaps the ranking to parent
-// indices, and stamps the generation. A context expiry is a degraded
+// result-affecting options and budget, lifts the ranking to parent
+// ids, and stamps the generation. A context expiry is a degraded
 // answer (partial ranking, Cost.Truncated), mirroring the local engine.
 func (s *ShardService) Retrieve(ctx context.Context, req *RetrieveRequest) (*RetrieveResponse, error) {
 	if err := req.Query.Validate(); err != nil {
@@ -58,14 +58,16 @@ func (s *ShardService) Retrieve(ctx context.Context, req *RetrieveRequest) (*Ret
 	// computed against, and the coordinator's consistency check catches
 	// the skew.
 	gen := s.gen.Load()
-	eng := s.engine.WithOptions(req.Options.Apply(s.base))
-	res, err := eng.RetrieveContext(ctx, req.Query)
+	opts := req.Options.Apply(s.base)
+	res, err := s.engine.WithOptions(opts).RetrieveContext(ctx, req.Query)
 	if err != nil {
 		return nil, &ServerError{Code: CodeInternal, Msg: err.Error()}
 	}
-	s.sh.Remap(res.Matches)
+	gather := retrieval.Gather{TopK: opts.TopK}
+	gather.Add(res, s.sh.Offset)
+	out := gather.Done(ctx)
 	return &RetrieveResponse{
-		Matches: res.Matches, Cost: res.Cost, Generation: gen,
+		Matches: out.Matches, Cost: out.Cost, Generation: gen,
 		Shard: s.index, OfShards: s.of,
 	}, nil
 }
@@ -79,6 +81,6 @@ func (s *ShardService) Status() StatusResponse {
 		Shard:      s.index,
 		OfShards:   s.of,
 		Videos:     len(s.sh.Videos),
-		States:     len(s.sh.StateMap),
+		States:     s.sh.Model.NumStates(),
 	}
 }

@@ -315,7 +315,7 @@ func TestDeltaServingOracleConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		live.RemapMatches(deltaRes.Matches, d.Offset)
+		retrievaltest.Lift(deltaRes.Matches, d.Offset)
 		merged := retrieval.MergeRanked(append(mainRes.Matches, deltaRes.Matches...), topK)
 		if len(merged) != len(resp.Matches) {
 			t.Fatalf("%s: served %d matches, independent merge has %d", pattern, len(resp.Matches), len(merged))

@@ -132,9 +132,8 @@ type snapshot struct {
 	gen   uint64
 	// delta is the live-ingest sub-model served alongside the main model
 	// (nil when live ingest is off or the delta is empty). Queries
-	// scatter over (engine-or-group, delta.Engine) and merge; delta
-	// match states are remapped past model.NumStates(), so the combined
-	// state space stays disjoint. Swapped through the same pointer as
+	// gather (engine-or-group, delta.Engine) with delta states lifted
+	// past model.NumStates(). Swapped through the same pointer as
 	// everything else: one Load observes one consistent (model, delta)
 	// pair.
 	delta *live.Delta
@@ -167,13 +166,6 @@ func (sn *snapshot) stateEvents(st int) []videomodel.Event {
 		}
 	}
 	return nil
-}
-
-// retriever is the query-path contract both serving shapes satisfy:
-// the single engine and the shard group return the same deterministic
-// ranking type, so handleQuery dispatches through this interface.
-type retriever interface {
-	RetrieveContext(ctx context.Context, q retrieval.Query) (*retrieval.Result, error)
 }
 
 // Config bundles the server dependencies.
@@ -756,7 +748,7 @@ func (s *Server) handleSimilarVideos(w http.ResponseWriter, r *http.Request) {
 
 // handleState returns the detail of one level-1 state by global index.
 // Indices at/past the main model's range address the live-ingest delta
-// sub-model (the space query responses remap delta states into), so a
+// sub-model (the space query responses lift delta states into), so a
 // state id returned by /api/query is always resolvable here.
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
@@ -894,7 +886,7 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
 		eopts.NoSimCache = true
 	}
 	engine := snap.engine.WithOptions(eopts)
-	var search retriever = engine
+	var search retrieval.Retriever = engine
 	switch {
 	case s.coordinator != nil:
 		// Coordinator mode: retrieval scatters over remote shard servers.
@@ -930,45 +922,25 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
 
 	// An MATN may compile to several linear patterns (alternation,
 	// optional steps), and a live delta adds one more list per pattern;
-	// those lists are merged and deduplicated by state sequence, keeping
-	// the best score. A single list needs no merge: the engine, the shard
-	// group and the coordinator each return one already ranked by
-	// sortMatches (score descending, ties broken by comparing the state
-	// sequences, so the order is total over distinct sequences), free of
-	// duplicate state sequences and cut to TopK — exactly what
-	// MergeRanked would return for it. The merge-skip differential test
-	// in internal/coord pins that equality for all three.
-	var all []retrieval.Match
-	var cost retrieval.Cost
-	lists := 0
-	add := func(res *retrieval.Result) {
-		if lists == 0 {
-			all = res.Matches // this call's own slice: adopt it
-		} else {
-			all = append(all, res.Matches...)
-		}
-		lists++
-		cost.Add(res.Cost)
-	}
+	// the gather merges those lists, deduplicated by state sequence.
+	gather := retrieval.Gather{TopK: opts.TopK}
 	for _, q := range queries {
 		q.Scope = scope
 		res, err := search.RetrieveContext(ctx, q)
 		if err != nil {
 			return nil, err
 		}
-		add(res)
-		if cost.Truncated {
+		gather.Add(res, 0)
+		if gather.Truncated() {
 			// The deadline is spent; later alternation branches would each
 			// pay a poll round-trip just to return empty.
 			break
 		}
 	}
 	// Live-ingest delta: the same patterns also search the delta
-	// sub-model, whose matches are remapped past the main model's state
-	// range and merged below — one more (small) shard of the scatter.
-	// Its work is counted in the same cost, and a spent deadline skips it
-	// exactly like a later alternation branch.
-	if snap.delta != nil && !cost.Truncated {
+	// sub-model, one more (small) shard of the gather at its offset; a
+	// spent deadline skips it exactly like a later alternation branch.
+	if snap.delta != nil && !gather.Truncated() {
 		// Delta engines are built with NoSimCache (small, short-lived
 		// models); keep the flag so WithOptions reuses the caches instead
 		// of building a sim table per request. Results are pinned
@@ -982,21 +954,17 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
 			if err != nil {
 				return nil, err
 			}
-			live.RemapMatches(res.Matches, snap.delta.Offset)
-			add(res)
-			if cost.Truncated {
+			gather.Add(res, snap.delta.Offset)
+			if gather.Truncated() {
 				break
 			}
 		}
 	}
-	merged := all
-	if lists > 1 {
-		merged = retrieval.MergeRanked(all, opts.TopK)
-	}
+	res := gather.Done(ctx)
 	if qtrace != nil {
-		s.recordSlowQuery(req, qtrace, time.Since(qstart), len(merged), len(queries), cost, opts)
+		s.recordSlowQuery(req, qtrace, time.Since(qstart), len(res.Matches), len(queries), res.Cost, opts)
 	}
-	return &queryOutcome{snap: snap, engine: engine, matches: merged, cost: cost, fresh: snap.delta.Len()}, nil
+	return &queryOutcome{snap: snap, engine: engine, matches: res.Matches, cost: res.Cost, fresh: snap.delta.Len()}, nil
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -1320,7 +1288,7 @@ func (s *Server) retrainLocked() error {
 		return fmt.Errorf("persisting feedback log: %w", err)
 	}
 	// A retrain adjusts matrices without changing the state set, so the
-	// live-ingest delta (whose remap offset is the state count) carries
+	// live-ingest delta (whose offset is the state count) carries
 	// forward unchanged.
 	fresh.delta = snap.delta
 	s.current.Store(fresh)

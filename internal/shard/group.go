@@ -122,6 +122,13 @@ func (g *Group) WithOptions(opts retrieval.Options) *Group {
 	return ng
 }
 
+// WithTopK is WithOptions changing only TopK.
+func (g *Group) WithTopK(k int) retrieval.Retriever {
+	opts := g.opts
+	opts.TopK = k
+	return g.WithOptions(opts)
+}
+
 // NumShards returns the number of shards in the group (which may be
 // fewer than the requested split; see Split).
 func (g *Group) NumShards() int { return len(g.shards) }
@@ -137,9 +144,9 @@ func (g *Group) Retrieve(q retrieval.Query) (*retrieval.Result, error) {
 // RetrieveContext scatters q across the shard engines and gathers the
 // per-shard rankings into one global ranking; see the Group docs for
 // the sharded semantics. The scatter reuses the internal/par fan-out
-// (each shard writes only its own slot), and the gather remaps each
-// shard's state indices to parent-model indices before the
-// deterministic MergeRanked + state-sequence tie-break re-rank.
+// (each shard writes only its own slot), and the retrieval.Gather lifts
+// each shard's state ids by the shard's offset into parent-model ids
+// before the deterministic merge.
 func (g *Group) RetrieveContext(ctx context.Context, q retrieval.Query) (*retrieval.Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -163,12 +170,14 @@ func (g *Group) RetrieveContext(ctx context.Context, q retrieval.Query) (*retrie
 		if met != nil {
 			met.Searches.Inc()
 			met.ShardSeconds.ObserveDuration(time.Since(start))
+			if err == nil && res.Cost.Truncated {
+				met.Truncated.Inc()
+			}
 		}
 		if err != nil {
 			errs[i] = fmt.Errorf("shard %d: %w", i, err)
 			return
 		}
-		g.shards[i].remap(res.Matches)
 		results[i] = res
 	})
 	endScatter()
@@ -178,57 +187,13 @@ func (g *Group) RetrieveContext(ctx context.Context, q retrieval.Query) (*retrie
 
 	endMerge := g.opts.Trace.Span("merge")
 	defer endMerge()
-	// Single-shard groups skip the re-merge: the one engine already
-	// ranked, deduplicated, and truncated to TopK, and its result is
-	// freshly allocated per call — so K=1 pays only the scatter
-	// bookkeeping over a bare engine.
-	if len(results) == 1 {
-		out := results[0]
-		if out.Cost.Truncated && met != nil {
-			met.Truncated.Inc()
-		}
-		if ctx.Err() != nil {
-			out.Cost.Truncated = true
-		}
-		return out, nil
+	gather := retrieval.Gather{TopK: g.opts.TopK}
+	for i, res := range results {
+		gather.Add(res, g.shards[i].Offset)
 	}
-	out := &retrieval.Result{}
-	var all []retrieval.Match
-	for _, r := range results {
-		all = append(all, r.Matches...)
-		out.Cost.Add(r.Cost)
-		if r.Cost.Truncated && met != nil {
-			met.Truncated.Inc()
-		}
-	}
-	// Shards never emit duplicate state sequences (state maps are
-	// disjoint), so MergeRanked reduces to the deterministic re-rank +
-	// truncate — the same sortMatches comparator the single engine's
-	// finalize uses, applied to globally remapped indices.
-	out.Matches = retrieval.MergeRanked(all, g.opts.TopK)
-	if ctx.Err() != nil {
-		out.Cost.Truncated = true
-	}
-	return out, nil
+	out := gather.Done(ctx)
+	return &out, nil
 }
-
-// remap rewrites shard-local state indices to parent-model indices.
-// The map is strictly increasing, so relative order between any two
-// state sequences of one shard — hence the sortMatches tie-break — is
-// unchanged by remapping.
-func (s *Shard) remap(ms []retrieval.Match) {
-	for i := range ms {
-		for j, ls := range ms[i].States {
-			ms[i].States[j] = s.StateMap[ls]
-		}
-	}
-}
-
-// Remap rewrites shard-local state indices in ms to parent-model
-// indices, in place. It is the same operation Group's gather performs;
-// exported for out-of-process servers (internal/rpc) that must remap
-// before replying so the coordinator's merge sees global indices.
-func (s *Shard) Remap(ms []retrieval.Match) { s.remap(ms) }
 
 // Stat summarizes one shard for operational reporting (/api/stats).
 type Stat struct {
@@ -240,7 +205,7 @@ type Stat struct {
 func (g *Group) Stats() []Stat {
 	out := make([]Stat, len(g.shards))
 	for i, sh := range g.shards {
-		out[i] = Stat{Videos: len(sh.Videos), States: len(sh.StateMap)}
+		out[i] = Stat{Videos: len(sh.Videos), States: sh.Model.NumStates()}
 	}
 	return out
 }

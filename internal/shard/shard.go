@@ -1,6 +1,7 @@
 // Package shard partitions a two-level HMMM by video into K sub-models
 // and serves queries by scatter-gather over one retrieval engine per
-// shard.
+// shard: each shard holds one contiguous range of the parent's states,
+// and a retrieval.Gather lifts its ranking by the range's offset.
 //
 // The partition is exact, not approximate: the paper's pattern score SS
 // (Eq. 15) is a product-sum over one candidate sequence's own states —
@@ -39,12 +40,10 @@ type Shard struct {
 	// ascending order; shard-local video v corresponds to parent video
 	// Videos[v].
 	Videos []int
-	// StateMap maps shard-local global state indices to parent-model
-	// global state indices. It is strictly increasing because the shard
-	// preserves the parent's video order and each video's state order —
-	// the property that makes per-shard rankings mergeable without
-	// disturbing the deterministic state-sequence tie-break.
-	StateMap []int
+	// Offset maps shard-local state s to parent state Offset+s: Split
+	// assigns contiguous video ranges and keeps each video's state
+	// order, so a shard's states are one contiguous parent range.
+	Offset int
 }
 
 // Split partitions m by video into at most k shards, balancing by state
@@ -137,7 +136,7 @@ func build(m *hmmm.Model, videos []int) (*Shard, error) {
 	min, max := m.Scaler.Bounds()
 	sub.ScalerMin, sub.ScalerMax = min, max
 
-	stateMap := make([]int, 0, n)
+	offset, _ := m.VideoStates(videos[0])
 	for lv, vi := range videos {
 		sub.VideoIDs = append(sub.VideoIDs, m.VideoIDs[vi])
 		sub.LocalA = append(sub.LocalA, m.LocalA[vi]) // shared A1 block
@@ -152,8 +151,7 @@ func build(m *hmmm.Model, videos []int) (*Shard, error) {
 			st.VideoIdx = lv // events slice shared; parent stays immutable
 			sub.States = append(sub.States, st)
 			sub.Pi1 = append(sub.Pi1, m.Pi1[gi])
-			copy(sub.B1.Row(len(stateMap)), m.B1.Row(gi))
-			stateMap = append(stateMap, gi)
+			copy(sub.B1.Row(gi-offset), m.B1.Row(gi))
 		}
 	}
 
@@ -161,5 +159,5 @@ func build(m *hmmm.Model, videos []int) (*Shard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: building sub-model for videos %v: %w", videos, err)
 	}
-	return &Shard{Model: model, Videos: append([]int(nil), videos...), StateMap: stateMap}, nil
+	return &Shard{Model: model, Videos: append([]int(nil), videos...), Offset: offset}, nil
 }

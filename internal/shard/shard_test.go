@@ -17,12 +17,13 @@ func TestSplitCoversModelExactlyOnce(t *testing.T) {
 			t.Fatalf("k=%d: got %d shards", k, len(shards))
 		}
 		seenVideo := make(map[int]bool)
-		seenState := make(map[int]bool)
+		next := 0 // parent id of the first state no shard covered yet
 		for _, sh := range shards {
 			if !sh.Model.Partial {
 				t.Fatalf("k=%d: shard model not marked Partial", k)
 			}
-			if len(sh.StateMap) == 0 {
+			n := sh.Model.NumStates()
+			if n == 0 {
 				t.Fatalf("k=%d: shard without states", k)
 			}
 			for _, vi := range sh.Videos {
@@ -31,23 +32,22 @@ func TestSplitCoversModelExactlyOnce(t *testing.T) {
 				}
 				seenVideo[vi] = true
 			}
-			prev := -1
-			for _, gi := range sh.StateMap {
-				if gi <= prev {
-					t.Fatalf("k=%d: state map not strictly increasing: %v", k, sh.StateMap)
-				}
-				prev = gi
-				if seenState[gi] {
-					t.Fatalf("k=%d: state %d in two shards", k, gi)
-				}
-				seenState[gi] = true
+			// Local state s is parent state Offset+s: the shard's states
+			// are exactly its videos' parent range, right after the
+			// previous shard's.
+			lo, _ := m.VideoStates(sh.Videos[0])
+			_, hi := m.VideoStates(sh.Videos[len(sh.Videos)-1])
+			if sh.Offset != next || lo != next || hi != next+n {
+				t.Fatalf("k=%d: shard at offset %d with %d states, videos span [%d,%d), want offset %d",
+					k, sh.Offset, n, lo, hi, next)
 			}
+			next += n
 		}
 		if len(seenVideo) != m.NumVideos() {
 			t.Fatalf("k=%d: %d of %d videos covered", k, len(seenVideo), m.NumVideos())
 		}
-		if len(seenState) != m.NumStates() {
-			t.Fatalf("k=%d: %d of %d states covered", k, len(seenState), m.NumStates())
+		if next != m.NumStates() {
+			t.Fatalf("k=%d: %d of %d states covered", k, next, m.NumStates())
 		}
 	}
 }
@@ -63,7 +63,8 @@ func TestSplitPreservesParametersVerbatim(t *testing.T) {
 		if sm.P12 != m.P12 || sm.B1Prime != m.B1Prime {
 			t.Errorf("shard %d: P12/B1' not shared with the parent", si)
 		}
-		for li, gi := range sh.StateMap {
+		for li := 0; li < sm.NumStates(); li++ {
+			gi := sh.Offset + li
 			if sm.Pi1[li] != m.Pi1[gi] {
 				t.Errorf("shard %d: Pi1[%d] = %v, want parent's %v", si, li, sm.Pi1[li], m.Pi1[gi])
 			}
@@ -121,14 +122,9 @@ func TestSplitSingleShardIsWholeModel(t *testing.T) {
 		t.Fatalf("got %d shards, want 1", len(shards))
 	}
 	sh := shards[0]
-	if len(sh.Videos) != m.NumVideos() || len(sh.StateMap) != m.NumStates() {
-		t.Fatalf("single shard covers %d videos / %d states, want %d / %d",
-			len(sh.Videos), len(sh.StateMap), m.NumVideos(), m.NumStates())
-	}
-	for i, gi := range sh.StateMap {
-		if i != gi {
-			t.Fatalf("state map of a single shard must be the identity, got %v", sh.StateMap)
-		}
+	if len(sh.Videos) != m.NumVideos() || sh.Model.NumStates() != m.NumStates() || sh.Offset != 0 {
+		t.Fatalf("single shard covers %d videos / %d states at offset %d, want %d / %d at 0",
+			len(sh.Videos), sh.Model.NumStates(), sh.Offset, m.NumVideos(), m.NumStates())
 	}
 }
 
@@ -153,7 +149,7 @@ func TestSplitHandlesUnannotatedVideos(t *testing.T) {
 	}
 	videos := 0
 	for _, sh := range shards {
-		if len(sh.StateMap) == 0 {
+		if sh.Model.NumStates() == 0 {
 			t.Fatal("empty shard returned")
 		}
 		videos += len(sh.Videos)
