@@ -1,8 +1,9 @@
 package retrieval
 
 import (
+	"cmp"
 	"context"
-	"strconv"
+	"slices"
 )
 
 // Retriever is the retrieval contract every serving shape satisfies
@@ -25,8 +26,14 @@ type Retriever interface {
 // drops their duplicates. Costs sum; Done marks the result Truncated
 // when ctx is spent. A lone non-empty list strictly in rank order and
 // within TopK is adopted as is — what MergeRanked would make of it;
-// anything else (a list rescaled into a tie, too) is merged. The zero
-// value is ready to use; TopK 0 means DefaultTopK.
+// anything else (a list rescaled into a tie, too) is merged in place:
+// Done may reorder and overwrite the children's Matches slices, as the
+// Retriever contract permits. The merged order is unique: compareMatches
+// is total over distinct sequences and the dedup leaves none equal. The
+// one choice, which copy of a sequence survives (MATN branches can tie
+// on score under different Weights), is the first added among those
+// with the top score. The zero value is ready to use; TopK 0 means
+// DefaultTopK.
 type Gather struct {
 	TopK    int
 	cost    Cost
@@ -63,7 +70,7 @@ func (g *Gather) Truncated() bool { return g.cost.Truncated }
 func (g *Gather) Done(ctx context.Context) Result {
 	out := Result{Matches: g.matches, Cost: g.cost}
 	if g.lists > 1 || !ranked(g.matches, g.TopK) {
-		out.Matches = MergeRanked(g.matches, g.TopK)
+		out.Matches = merge(g.matches, g.TopK)
 	}
 	if ctx.Err() != nil {
 		out.Cost.Truncated = true
@@ -87,35 +94,27 @@ func ranked(ms []Match, topK int) bool {
 	return true
 }
 
-// MergeRanked deduplicates matches by state sequence (keeping the highest
-// score), re-ranks, and truncates to topK: the merge behind Gather.
+// MergeRanked deduplicates matches by state sequence (keeping the first
+// copy with the highest score), re-ranks, and truncates to topK: the
+// merge behind Gather, run on a copy of matches.
 func MergeRanked(matches []Match, topK int) []Match {
+	out := make([]Match, len(matches))
+	copy(out, matches)
+	return merge(out, topK)
+}
+
+// merge is MergeRanked in place. The stable sort puts each sequence's
+// surviving copy first among its copies; the compaction keeps it. The
+// clip keeps an append to the result off the dropped tail, which a
+// child's slice may still show.
+func merge(ms []Match, topK int) []Match {
 	if topK <= 0 {
 		topK = DefaultTopK
 	}
-	best := make(map[string]Match, len(matches))
-	for _, m := range matches {
-		k := stateKey(m.States)
-		if old, ok := best[k]; !ok || m.Score > old.Score {
-			best[k] = m
-		}
-	}
-	out := make([]Match, 0, len(best))
-	for _, m := range best {
-		out = append(out, m)
-	}
-	sortMatches(out)
-	if len(out) > topK {
-		out = out[:topK]
-	}
-	return out
-}
-
-func stateKey(states []int) string {
-	b := make([]byte, 0, len(states)*3)
-	for _, s := range states {
-		b = strconv.AppendInt(b, int64(s), 10)
-		b = append(b, ',')
-	}
-	return string(b)
+	slices.SortStableFunc(ms, func(x, y Match) int {
+		return cmp.Or(slices.Compare(x.States, y.States), cmp.Compare(y.Score, x.Score))
+	})
+	ms = slices.CompactFunc(ms, func(x, y Match) bool { return slices.Equal(x.States, y.States) })
+	sortMatches(ms)
+	return slices.Clip(ms[:min(len(ms), topK)])
 }

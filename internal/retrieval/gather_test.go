@@ -5,11 +5,55 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 
 	"github.com/videodb/hmmm/internal/retrieval"
 	"github.com/videodb/hmmm/internal/videomodel"
 )
+
+// mergeByMap is the reference merge: the map-keyed MergeRanked the
+// in-place merge replaced. Per state sequence it keeps the first copy
+// unless a later one scores strictly higher, then ranks by score
+// descending with ties broken on the state sequence, and cuts to topK.
+func mergeByMap(matches []retrieval.Match, topK int) []retrieval.Match {
+	if topK <= 0 {
+		topK = retrieval.DefaultTopK
+	}
+	best := make(map[string]retrieval.Match, len(matches))
+	for _, m := range matches {
+		k := seqKey(m.States)
+		if old, ok := best[k]; !ok || m.Score > old.Score {
+			best[k] = m
+		}
+	}
+	out := make([]retrieval.Match, 0, len(best))
+	for _, m := range best {
+		out = append(out, m)
+	}
+	slices.SortFunc(out, func(x, y retrieval.Match) int {
+		if x.Score != y.Score {
+			if x.Score > y.Score {
+				return -1
+			}
+			return 1
+		}
+		return slices.Compare(x.States, y.States)
+	})
+	if len(out) > topK {
+		out = out[:topK]
+	}
+	return out
+}
+
+func seqKey(states []int) string {
+	b := make([]byte, 0, len(states)*3)
+	for _, s := range states {
+		b = strconv.AppendInt(b, int64(s), 10)
+		b = append(b, ',')
+	}
+	return string(b)
+}
 
 // gatherChild is one child ranking and the offset of its state space.
 type gatherChild struct {
@@ -21,9 +65,11 @@ type gatherChild struct {
 // state spaces at increasing offsets, each searched by one to three
 // same-offset branches (an MATN's linear patterns) that draw their
 // sequences from a shared pool, so branches return the same sequence
-// under different scores. Scores come from three values, forcing ties.
-// Lists are ranked by MergeRanked like a producer's; an empty draw
-// gives an empty child. One list in six ranks to more than topK, like
+// under different scores. Scores come from three values, forcing ties,
+// and each branch draws its own Weights, so copies of one sequence
+// under one score still differ and the merge's choice of copy shows.
+// Lists are ranked by the reference merge like a producer's; an empty
+// draw gives an empty child. One list in six ranks to more than topK, like
 // a retriever with a larger TopK of its own.
 func randomChildren(rng *rand.Rand, topK int) []gatherChild {
 	var children []gatherChild
@@ -40,13 +86,16 @@ func randomChildren(rng *rand.Rand, topK int) []gatherChild {
 		}
 		for range 1 + rng.IntN(3) {
 			var raw []retrieval.Match
+			w := rng.Float64()
 			for range rng.IntN(2*topK + 2) {
 				seq := slices.Clone(pool[rng.IntN(len(pool))])
 				shots := make([]videomodel.ShotID, len(seq))
+				weights := make([]float64, len(seq))
 				for j, s := range seq {
 					shots[j] = videomodel.ShotID(100 + s)
+					weights[j] = w
 				}
-				raw = append(raw, retrieval.Match{States: seq, Shots: shots, Score: []float64{0.25, 0.5, 1}[rng.IntN(3)]})
+				raw = append(raw, retrieval.Match{States: seq, Shots: shots, Weights: weights, Score: []float64{0.25, 0.5, 1}[rng.IntN(3)]})
 			}
 			k := topK
 			if rng.IntN(6) == 0 {
@@ -54,7 +103,7 @@ func randomChildren(rng *rand.Rand, topK int) []gatherChild {
 			}
 			children = append(children, gatherChild{
 				res: retrieval.Result{
-					Matches: retrieval.MergeRanked(raw, k),
+					Matches: mergeByMap(raw, k),
 					Cost: retrieval.Cost{
 						SimEvals: rng.IntN(50), EdgeEvals: rng.IntN(50), VideosSeen: rng.IntN(5),
 						Truncated: rng.IntN(8) == 0, DegradedShards: rng.IntN(2),
@@ -78,17 +127,20 @@ func cloneMatches(ms []retrieval.Match, offset int) []retrieval.Match {
 			out[i].States[j] = s + offset
 		}
 		out[i].Shots = slices.Clone(m.Shots)
+		out[i].Weights = slices.Clone(m.Weights)
 	}
 	return out
 }
 
-// TestGatherEqualsMergeOfLiftedUnion pins the gather against its
-// definition: MergeRanked over the union of every child's ranking,
-// re-indexed into the parent's id space — matches, order and summed
-// Cost — for K ∈ {1, 2, 3, 7}, with empty children, same-offset MATN
-// branches sharing state sequences, lists longer than K, and a spent
-// context. Whenever exactly one child list is non-empty and within K,
-// the gather must adopt that list without copying it.
+// TestGatherEqualsMergeOfLiftedUnion pins the gather and MergeRanked
+// against their definition: the reference merge over the union of every
+// child's ranking, re-indexed into the parent's id space — matches
+// (down to which copy of a duplicate survives), order and summed Cost —
+// for K ∈ {1, 2, 3, 7}, with empty children, same-offset MATN branches
+// sharing state sequences, lists longer than K, and a spent context.
+// MergeRanked must leave the union as it was. Whenever exactly one
+// child list is non-empty and within K, the gather must adopt that list
+// without copying it.
 func TestGatherEqualsMergeOfLiftedUnion(t *testing.T) {
 	rng := rand.New(rand.NewPCG(33, 1))
 	spent, cancel := context.WithCancel(context.Background())
@@ -118,9 +170,18 @@ func TestGatherEqualsMergeOfLiftedUnion(t *testing.T) {
 			}
 		}
 		want.Truncated = want.Truncated || ctx.Err() != nil
-		wantMatches := retrieval.MergeRanked(union, topK)
+		wantMatches := mergeByMap(union, topK)
 		if len(wantMatches) < min(len(union), topK) {
 			deduped++
+		}
+		before := cloneMatches(union, 0)
+		if merged := retrieval.MergeRanked(union, topK); len(wantMatches) > 0 || len(merged) > 0 {
+			if !reflect.DeepEqual(merged, wantMatches) {
+				t.Fatalf("trial %d (K=%d): MergeRanked\n got %+v\nwant %+v", trial, topK, merged, wantMatches)
+			}
+		}
+		if len(union) > 0 && !reflect.DeepEqual(union, before) {
+			t.Fatalf("trial %d: MergeRanked changed its input", trial)
 		}
 
 		g := retrieval.Gather{TopK: topK}
@@ -174,7 +235,11 @@ func TestGatherRanksASingleListOutOfOrder(t *testing.T) {
 }
 
 // TestGatherAdoptsWithoutAllocating pins the in-place contract: lifting
-// and adopting one ranked list allocates nothing.
+// and adopting one ranked list allocates nothing, and merging two
+// same-offset lists that share a sequence allocates nothing in Done —
+// the whole gather at most once, for the append in Add when the first
+// list has no spare capacity. MergeRanked allocates exactly once, for
+// its copy.
 func TestGatherAdoptsWithoutAllocating(t *testing.T) {
 	res := &retrieval.Result{Matches: []retrieval.Match{
 		{States: []int{0, 1}, Score: 2}, {States: []int{0, 2}, Score: 1},
@@ -191,4 +256,89 @@ func TestGatherAdoptsWithoutAllocating(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("gather of one list allocated %.0f times, want 0", allocs)
 	}
+
+	// Two MATN branches: {0,2} appears in both, once under a lower score.
+	a := []retrieval.Match{{States: []int{0, 1}, Score: 2}, {States: []int{0, 2}, Score: 1}}
+	b := []retrieval.Match{{States: []int{0, 2}, Score: 3}, {States: []int{4}, Score: 0.5}}
+	want := []retrieval.Match{b[0], a[0], b[1]}
+	for _, c := range []struct {
+		spare  int
+		allocs float64
+	}{{len(b), 0}, {0, 1}} {
+		// Each run restores the lists Done reordered and overwrote.
+		bufA, bufB := make([]retrieval.Match, len(a), len(a)+c.spare), slices.Clone(b)
+		var out retrieval.Result
+		allocs := testing.AllocsPerRun(100, func() {
+			copy(bufA, a)
+			copy(bufB, b)
+			g := retrieval.Gather{}
+			g.Add(&retrieval.Result{Matches: bufA}, 0)
+			g.Add(&retrieval.Result{Matches: bufB}, 0)
+			out = g.Done(ctx)
+		})
+		if !reflect.DeepEqual(out.Matches, want) {
+			t.Fatalf("merge of two branches: %+v, want %+v", out.Matches, want)
+		}
+		if allocs != c.allocs {
+			t.Fatalf("merge of two branches (spare capacity %d) allocated %.0f times, want %.0f", c.spare, allocs, c.allocs)
+		}
+	}
+
+	union := append(slices.Clone(a), b...)
+	var merged []retrieval.Match
+	if allocs := testing.AllocsPerRun(100, func() { merged = retrieval.MergeRanked(union, 10) }); allocs != 1 {
+		t.Fatalf("MergeRanked allocated %.0f times, want 1", allocs)
+	}
+	if !reflect.DeepEqual(merged, want) {
+		t.Fatalf("MergeRanked: %+v, want %+v", merged, want)
+	}
+}
+
+// FuzzMergeRanked checks MergeRanked, and a gather of the same matches
+// split into two non-empty same-offset lists, against the reference
+// merge. Each match takes four bytes: a sequence length of 1–2, two
+// states from {0, 1, 2}, and a score from three values, so duplicate
+// sequences and score ties are the rule; the input is in no particular
+// order, and each match carries its index as a weight, so the copy a
+// merge keeps shows.
+func FuzzMergeRanked(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0, 1, 1, 2, 1, 0, 1, 2, 0, 1, 2, 0, 2}, uint8(2), uint8(1))
+	f.Add([]byte{1, 0, 0, 1, 1, 0, 0, 1, 0, 2, 2, 2}, uint8(0), uint8(3))
+	f.Add([]byte{}, uint8(5), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, k, split uint8) {
+		var ms []retrieval.Match
+		for i := 0; i+4 <= len(data); i += 4 {
+			n := 1 + int(data[i]%2)
+			m := retrieval.Match{Score: []float64{0.25, 0.5, 1}[data[i+3]%3]}
+			for j := range n {
+				m.States = append(m.States, int(data[i+1+j]%3))
+				m.Weights = append(m.Weights, float64(i/4))
+			}
+			ms = append(ms, m)
+		}
+		topK := 1 + int(k%8)
+		want := mergeByMap(ms, topK)
+		before := cloneMatches(ms, 0)
+		got := retrieval.MergeRanked(ms, topK)
+		if len(want)+len(got) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("K=%d over %+v:\n got %+v\nwant %+v", topK, ms, got, want)
+		}
+		if len(ms) > 0 && !reflect.DeepEqual(ms, before) {
+			t.Fatalf("MergeRanked changed its input:\n got %+v\nwant %+v", ms, before)
+		}
+
+		// A lone list skips the merge (its producer ranked it), so both
+		// halves of the split are non-empty.
+		if len(ms) < 2 {
+			return
+		}
+		at := 1 + int(split)%(len(ms)-1)
+		g := retrieval.Gather{TopK: topK}
+		g.Add(&retrieval.Result{Matches: cloneMatches(ms[:at], 0)}, 0)
+		g.Add(&retrieval.Result{Matches: cloneMatches(ms[at:], 0)}, 0)
+		out := g.Done(context.Background()).Matches
+		if len(want)+len(out) > 0 && !reflect.DeepEqual(out, want) {
+			t.Fatalf("gather split at %d, K=%d over %+v:\n got %+v\nwant %+v", at, topK, ms, out, want)
+		}
+	})
 }

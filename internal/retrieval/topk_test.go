@@ -38,7 +38,7 @@ func TestTopKEqualsSortTruncate(t *testing.T) {
 					mt.Weights = append(mt.Weights, rng.Float64())
 				}
 				// The lattice never completes one state sequence twice.
-				if k := stateKey(mt.States); !seen[k] {
+				if k := fmt.Sprint(mt.States); !seen[k] {
 					seen[k] = true
 					batch = append(batch, mt)
 					all = append(all, mt)
