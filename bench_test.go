@@ -7,6 +7,7 @@ package hmmm
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -290,10 +291,11 @@ func BenchmarkModelBuild(b *testing.B) {
 }
 
 // BenchmarkBuildPaperScale measures the parallel offline model build
-// (per-video A1/B1/B2 fill, P1,2 learning, B1') across worker counts at
-// paper scale. Output is bit-identical for every count, so the sweep is
-// a pure wall-clock comparison; interpret it against the run's recorded
-// GOMAXPROCS (on a single-core budget all counts degenerate to serial).
+// (per-video A1/B1/B2 fill, P1,2 learning, B1') at paper scale with the
+// worker count (GOMAXPROCS) set to 1, 2, 4 and left as is. Output is
+// bit-identical for every count, so the sweep is a pure wall-clock
+// comparison; interpret it against the host's CPU count (on a
+// single-core budget all counts degenerate to serial).
 func BenchmarkBuildPaperScale(b *testing.B) {
 	corpus, _ := paperModel(b)
 	for _, workers := range []int{1, 2, 4, 0} {
@@ -302,10 +304,13 @@ func BenchmarkBuildPaperScale(b *testing.B) {
 			name = "workers=gomaxprocs"
 		}
 		b.Run(name, func(b *testing.B) {
+			if workers > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Build(corpus.Archive, corpus.Features,
-					core.BuildOptions{LearnP12: true, Workers: workers}); err != nil {
+					core.BuildOptions{LearnP12: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -334,14 +339,16 @@ func BenchmarkRetrainPaperScale(b *testing.B) {
 			name = "buildworkers=gomaxprocs"
 		}
 		b.Run(name, func(b *testing.B) {
+			if workers > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				next, err := trainer.Retrain(m, log)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := retrieval.NewEngine(next, retrieval.Options{
-					AnnotatedOnly: true, BuildWorkers: workers}); err != nil {
+				if _, err := retrieval.NewEngine(next, retrieval.Options{AnnotatedOnly: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -358,10 +365,10 @@ func BenchmarkSimCache(b *testing.B) {
 	_, m := paperModel(b)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("cold-build/workers=%d", workers), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := retrieval.NewEngine(m, retrieval.Options{
-					AnnotatedOnly: true, BuildWorkers: workers}); err != nil {
+				if _, err := retrieval.NewEngine(m, retrieval.Options{AnnotatedOnly: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

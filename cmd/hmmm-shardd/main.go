@@ -30,7 +30,9 @@
 //	                   new model so the coordinator never merges mixed
 //	                   generations (default 1)
 //	-coarse-candidates int  coarse prefilter budget per query step
-//	                   (0 = exact-only); must match the coordinator's
+//	                   (0 = exact-only); must be 0 exactly when the
+//	                   coordinator's is (a query whose setting differs
+//	                   is refused as bad_request)
 //	-shutdown-grace duration  drain window before close (default 5s)
 //
 // On SIGINT/SIGTERM the server flips to DRAINING (retrievals are

@@ -21,7 +21,6 @@ var OptionsIdentityFields = []string{
 	"TopK",
 	"Beam",
 	"CrossVideo",
-	"SimEpsilon",
 	"AnnotatedOnly",
 	"StopAfterMatches",
 	"CoarseCandidates",
@@ -32,10 +31,9 @@ var OptionsIdentityFields = []string{
 // (Metrics, Trace, Tracer) record what happened without affecting it, so
 // an instrumented request and a bare one coalesce together — the
 // explicit requirement the classification test pins. Execution-plumbing
-// fields (BuildWorkers, NoSimCache, ScratchArenas) select how the work
-// runs, and the engine's differential suites pin their results
-// bit-identical across every setting, so they cannot change what a
-// waiter receives.
+// field NoSimCache selects how the work runs, and the engine's
+// differential suites pin its results bit-identical across both
+// settings, so it cannot change what a waiter receives.
 //
 // Every retrieval.Options field MUST appear in exactly one of these two
 // lists; TestOptionsKeyCoversEveryField fails the build of any new field
@@ -47,9 +45,7 @@ var OptionsIgnoredFields = []string{
 	"Trace",
 	"Tracer",
 	// Execution-only, pinned bit-identical by the differential suites.
-	"BuildWorkers",
 	"NoSimCache",
-	"ScratchArenas",
 }
 
 // OptionsKey renders the identity fields of o into a canonical key
@@ -63,8 +59,6 @@ func OptionsKey(o retrieval.Options) string {
 	b.WriteString(strconv.Itoa(o.Beam))
 	b.WriteString(";x=")
 	b.WriteString(strconv.FormatBool(o.CrossVideo))
-	b.WriteString(";e=")
-	b.WriteString(strconv.FormatFloat(o.SimEpsilon, 'g', -1, 64))
 	b.WriteString(";a=")
 	b.WriteString(strconv.FormatBool(o.AnnotatedOnly))
 	b.WriteString(";s=")

@@ -53,9 +53,7 @@ func TestOptionsKeyIgnoresObserverFields(t *testing.T) {
 	reg := obs.NewRegistry()
 	instrumented.Metrics = retrieval.NewMetrics(reg)
 	instrumented.Trace = obs.NewTrace()
-	instrumented.BuildWorkers = 2
 	instrumented.NoSimCache = true
-	instrumented.ScratchArenas = 3
 	if OptionsKey(base) != OptionsKey(instrumented) {
 		t.Errorf("observer/execution fields leaked into the key:\n%s\n%s",
 			OptionsKey(base), OptionsKey(instrumented))
@@ -65,15 +63,14 @@ func TestOptionsKeyIgnoresObserverFields(t *testing.T) {
 // TestOptionsKeySeparatesIdentityFields: every identity field changes
 // the key when it changes.
 func TestOptionsKeySeparatesIdentityFields(t *testing.T) {
-	base := retrieval.Options{TopK: 10, Beam: 4, SimEpsilon: 1e-9}
+	base := retrieval.Options{TopK: 10, Beam: 4}
 	variants := map[string]retrieval.Options{
-		"TopK":             {TopK: 11, Beam: 4, SimEpsilon: 1e-9},
-		"Beam":             {TopK: 10, Beam: 5, SimEpsilon: 1e-9},
-		"CrossVideo":       {TopK: 10, Beam: 4, SimEpsilon: 1e-9, CrossVideo: true},
-		"SimEpsilon":       {TopK: 10, Beam: 4, SimEpsilon: 1e-8},
-		"AnnotatedOnly":    {TopK: 10, Beam: 4, SimEpsilon: 1e-9, AnnotatedOnly: true},
-		"StopAfterMatches": {TopK: 10, Beam: 4, SimEpsilon: 1e-9, StopAfterMatches: true},
-		"CoarseCandidates": {TopK: 10, Beam: 4, SimEpsilon: 1e-9, CoarseCandidates: 12},
+		"TopK":             {TopK: 11, Beam: 4},
+		"Beam":             {TopK: 10, Beam: 5},
+		"CrossVideo":       {TopK: 10, Beam: 4, CrossVideo: true},
+		"AnnotatedOnly":    {TopK: 10, Beam: 4, AnnotatedOnly: true},
+		"StopAfterMatches": {TopK: 10, Beam: 4, StopAfterMatches: true},
+		"CoarseCandidates": {TopK: 10, Beam: 4, CoarseCandidates: 12},
 	}
 	if len(variants) != len(OptionsIdentityFields) {
 		t.Fatalf("variant table covers %d fields, identity list has %d — keep them in sync",

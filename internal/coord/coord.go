@@ -45,32 +45,21 @@ import (
 // Options tunes the coordinator's robustness machinery. The zero value
 // of every field is replaced with the stated default.
 type Options struct {
-	// MaxAttempts bounds tries per shard per query (first + retries).
-	// Default 3.
-	MaxAttempts int
 	// RetryBase / RetryMax bound the capped exponential retry backoff
 	// (base doubles per retry, jittered ±50%). Defaults 10ms / 250ms.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// HedgeMin / HedgeMax clamp the p95-derived hedge delay; until an
-	// endpoint has HedgeAfterN observations the delay is HedgeMax.
-	// Defaults 1ms / 100ms / 16.
-	HedgeMin    time.Duration
-	HedgeMax    time.Duration
-	HedgeAfterN uint64
+	// HedgeMax caps the p95-derived hedge delay (floored at hedgeMin);
+	// until an endpoint has hedgeAfterN observations the delay is
+	// HedgeMax. Default 100ms.
+	HedgeMax time.Duration
 	// AttemptTimeout bounds a single shard attempt even when the query
 	// context has no deadline — the cap that turns a blackholed server
 	// into a retryable failure instead of a hang. Default 2s.
 	AttemptTimeout time.Duration
-	// EjectThreshold is the consecutive-transient-error run that ejects
-	// an endpoint; EjectBackoff / EjectBackoffMax bound the doubling
-	// re-probe backoff. Defaults 3 / 250ms / 4s.
-	EjectThreshold  int
-	EjectBackoff    time.Duration
-	EjectBackoffMax time.Duration
-	// GenRetries bounds re-query rounds for generation-stale shards
-	// before they are dropped as degraded. Default 2.
-	GenRetries int
+	// EjectBackoff is the first re-probe backoff of an ejected endpoint;
+	// it doubles per failed probe up to ejectBackoffMax. Default 250ms.
+	EjectBackoff time.Duration
 	// Seed seeds the jitter RNG (0 = a fixed default; determinism in
 	// tests, decorrelation in production comes from per-process seeds).
 	Seed uint64
@@ -78,39 +67,38 @@ type Options struct {
 	Metrics *Metrics
 }
 
+// The coordinator's fixed policy around the clocks Options tunes.
+const (
+	// maxAttempts bounds tries per shard per query (first + retries).
+	maxAttempts = 3
+	// hedgeMin floors the p95-derived hedge delay; until an endpoint has
+	// hedgeAfterN observations the delay is Options.HedgeMax.
+	hedgeMin    = time.Millisecond
+	hedgeAfterN = 16
+	// ejectThreshold is the consecutive-transient-error run that ejects
+	// an endpoint; ejectBackoffMax caps its doubling re-probe backoff.
+	ejectThreshold  = 3
+	ejectBackoffMax = 4 * time.Second
+	// genRetries bounds re-query rounds for generation-stale shards
+	// before they are dropped as degraded.
+	genRetries = 2
+)
+
 func (o Options) withDefaults() Options {
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
 	if o.RetryBase <= 0 {
 		o.RetryBase = 10 * time.Millisecond
 	}
 	if o.RetryMax <= 0 {
 		o.RetryMax = 250 * time.Millisecond
 	}
-	if o.HedgeMin <= 0 {
-		o.HedgeMin = time.Millisecond
-	}
 	if o.HedgeMax <= 0 {
 		o.HedgeMax = 100 * time.Millisecond
-	}
-	if o.HedgeAfterN == 0 {
-		o.HedgeAfterN = 16
 	}
 	if o.AttemptTimeout <= 0 {
 		o.AttemptTimeout = 2 * time.Second
 	}
-	if o.EjectThreshold <= 0 {
-		o.EjectThreshold = 3
-	}
 	if o.EjectBackoff <= 0 {
 		o.EjectBackoff = 250 * time.Millisecond
-	}
-	if o.EjectBackoffMax <= 0 {
-		o.EjectBackoffMax = 4 * time.Second
-	}
-	if o.GenRetries <= 0 {
-		o.GenRetries = 2
 	}
 	if o.Seed == 0 {
 		o.Seed = 0x6d6d6d // "mmm"
@@ -248,8 +236,12 @@ func (c *Coordinator) Retrieve(q retrieval.Query) (*retrieval.Result, error) {
 
 // RetrieveContext scatters q over the remote shards and gathers the
 // rankings. Shard failures degrade the result (Cost.Truncated +
-// Cost.DegradedShards) — the only errors returned are q's own
-// validation failures.
+// Cost.DegradedShards). The errors returned are q's own validation
+// failures and a shard's bad_request refusal: q has already passed
+// validation here, so a refusal means the shard server is configured
+// differently from this coordinator (a coarse prefilter mismatch, say),
+// which every later query would hit too — the error names the shard and
+// carries the server's message instead of silently emptying results.
 func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*retrieval.Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -278,7 +270,7 @@ func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*
 		}
 		return g
 	}
-	for round := 0; round < c.copts.GenRetries; round++ {
+	for round := 0; round < genRetries; round++ {
 		target := maxGen()
 		var stale []int
 		for i, o := range outs {
@@ -295,7 +287,11 @@ func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*
 	target := maxGen()
 	gather := retrieval.Gather{TopK: c.opts.TopK}
 	expired, degraded := false, 0
-	for _, o := range outs {
+	for i, o := range outs {
+		var se *rpc.ServerError
+		if errors.As(o.err, &se) && se.Code == rpc.CodeBadRequest {
+			return nil, fmt.Errorf("coord: shard %d refused the query: %w", i, o.err)
+		}
 		if o.err != nil {
 			// A parent-context expiry is a truncation (the caller's
 			// deadline), not a shard failure.
@@ -362,7 +358,7 @@ func (c *Coordinator) scatter(ctx context.Context, req *rpc.RetrieveRequest, out
 func (c *Coordinator) queryShard(ctx context.Context, shardIdx int, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error) {
 	set := c.sets[shardIdx]
 	var lastErr error = errAllEjected
-	for attempt := 0; attempt < c.copts.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			if c.met != nil {
 				c.met.Retries.Inc()
@@ -521,27 +517,27 @@ func (c *Coordinator) identityErr(shardIdx int, ep *endpoint, resp *rpc.Retrieve
 // the endpoint never sticks in probing.
 func (c *Coordinator) noteFailure(ep *endpoint, err error) {
 	if !rpc.IsTransient(err) && !errors.Is(err, errAttemptTimeout) {
-		if ep.abortProbe(time.Now(), c.copts.EjectBackoffMax) && c.met != nil {
+		if ep.abortProbe(time.Now(), ejectBackoffMax) && c.met != nil {
 			c.met.Ejections.Inc()
 		}
 		return
 	}
-	if ep.failure(time.Now(), c.copts.EjectThreshold, c.copts.EjectBackoff, c.copts.EjectBackoffMax) && c.met != nil {
+	if ep.failure(time.Now(), ejectThreshold, c.copts.EjectBackoff, ejectBackoffMax) && c.met != nil {
 		c.met.Ejections.Inc()
 	}
 }
 
 // hedgeDelay derives the speculative-request delay from the endpoint's
-// own latency history: p95 clamped to [HedgeMin, HedgeMax], or HedgeMax
+// own latency history: p95 clamped to [hedgeMin, HedgeMax], or HedgeMax
 // until enough observations accumulated. Hedging at p95 bounds the
 // extra load at ~5% of requests while cutting the tail.
 func (c *Coordinator) hedgeDelay(ep *endpoint) time.Duration {
-	if ep.lat.Count() < c.copts.HedgeAfterN {
+	if ep.lat.Count() < hedgeAfterN {
 		return c.copts.HedgeMax
 	}
 	d := time.Duration(ep.lat.Snapshot().Quantile(0.95) * float64(time.Second))
-	if d < c.copts.HedgeMin {
-		d = c.copts.HedgeMin
+	if d < hedgeMin {
+		d = hedgeMin
 	}
 	if d > c.copts.HedgeMax {
 		d = c.copts.HedgeMax

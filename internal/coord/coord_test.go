@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"runtime"
 	"strings"
@@ -775,6 +776,53 @@ func TestShardIdentityStampRejected(t *testing.T) {
 	}
 	retrievaltest.Lift(want.Matches, shards[0].Offset)
 	retrievaltest.RequireSameMatches(t, "identity", retrieval.MergeRanked(want.Matches, 0), res.Matches)
+}
+
+// TestCoarseMismatchSurfaces: a coordinator whose coarse prefilter
+// setting (on or off) differs from its shard servers' gets an error
+// naming both flags from RetrieveContext, in both directions, through
+// Dial over real loopback rpc servers — never an empty, degraded
+// ranking that hides why. A matching fleet answers normally.
+func TestCoarseMismatchSurfaces(t *testing.T) {
+	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 31, Videos: 6})
+	shards, err := shard.Split(m, 2)
+	if err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	q := retrievaltest.Queries(m)[0]
+	for _, tc := range []struct{ server, coord int }{{0, 16}, {16, 0}, {16, 8}} {
+		var addrs []string
+		for i, sh := range shards {
+			svc, err := rpc.NewShardService(sh, i, len(shards), retrieval.Options{CoarseCandidates: tc.server}, 1)
+			if err != nil {
+				t.Fatalf("shard service %d: %v", i, err)
+			}
+			srv := rpc.NewServer(svc, nil)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("listen: %v", err)
+			}
+			go srv.Serve(ln)
+			t.Cleanup(func() { srv.Close() })
+			addrs = append(addrs, ln.Addr().String())
+		}
+		c, err := Dial(strings.Join(addrs, ";"), time.Second, fastOptions(nil), retrieval.Options{CoarseCandidates: tc.coord})
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		t.Cleanup(c.Close)
+		res, err := c.RetrieveContext(context.Background(), q)
+		if (tc.server > 0) == (tc.coord > 0) {
+			if err != nil || res.Cost.DegradedShards != 0 {
+				t.Errorf("server %d, coordinator %d: err = %v, degraded = %d", tc.server, tc.coord, err, res.Cost.DegradedShards)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "hmmmd -coarse-candidates") ||
+			!strings.Contains(err.Error(), "hmmm-shardd -coarse-candidates") {
+			t.Errorf("server %d, coordinator %d: err = %v, want the refusal naming both flags", tc.server, tc.coord, err)
+		}
+	}
 }
 
 // TestMain verifies the package leaves no coordinator or rpc goroutine

@@ -15,21 +15,20 @@
 //  3. features.Extract computes the 20 Table-1 features, after which the
 //     raw media is dropped (KeepMedia retains it).
 //
-// Rendering is parallelized across a worker pool; per-shot RNG streams are
-// forked from the shot identity, so the corpus is identical regardless of
-// GOMAXPROCS or scheduling.
+// Rendering fans out over internal/par; per-shot RNG streams are forked
+// from the shot identity and every shot writes its own slots, so the
+// corpus is identical regardless of GOMAXPROCS or scheduling.
 package dataset
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 
 	"github.com/videodb/hmmm/internal/features"
+	"github.com/videodb/hmmm/internal/par"
 	"github.com/videodb/hmmm/internal/synthaudio"
 	"github.com/videodb/hmmm/internal/synthvideo"
 	"github.com/videodb/hmmm/internal/videomodel"
@@ -54,9 +53,6 @@ type Config struct {
 	// (memory-hungry at paper scale; meant for small corpora and the
 	// pipeline demo).
 	KeepMedia bool
-
-	// Workers bounds render parallelism; 0 means GOMAXPROCS.
-	Workers int
 }
 
 // PaperScale returns the paper's corpus dimensions: 54 videos, 11,567
@@ -293,7 +289,7 @@ func sortInts(a []int) {
 }
 
 // render materializes the planned corpus: media synthesis plus feature
-// extraction for annotated shots, parallelized over a worker pool.
+// extraction for annotated shots, fanned out over internal/par.
 func render(rng *xrand.RNG, cfg Config, specs []videoSpec) ([]*videomodel.Video, map[videomodel.ShotID][]float64, error) {
 	w, h, period := synthvideo.DefaultWidth, synthvideo.DefaultHeight, synthvideo.DefaultFramePeriod
 	renderCapMS := 1 << 30
@@ -339,60 +335,41 @@ func render(rng *xrand.RNG, cfg Config, specs []videoSpec) ([]*videomodel.Video,
 		videos[vi] = v
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	// Each job writes only its own slots, so the render is bit-identical
+	// for every GOMAXPROCS; the feature map is filled serially after.
+	jobFeats := make([][]float64, len(jobs))
+	errs := make([]error, len(jobs))
+	par.For(len(jobs), func(i int) {
+		s := jobs[i].shot
+		class := videomodel.EventNone
+		if len(s.Events) > 0 {
+			class = s.Events[0]
+		}
+		dur := min(s.DurationMS(), renderCapMS)
+		shotRng := xrand.New(jobs[i].seed)
+		s.Frames = renderer.RenderShot(shotRng.Fork(1), class, dur)
+		s.Audio = synthaudio.Synthesize(shotRng.Fork(2), class, dur)
+		if s.Annotated() {
+			f, err := features.Extract(s)
+			if err != nil {
+				errs[i] = fmt.Errorf("dataset: shot %d: %w", s.ID, err)
+				return
+			}
+			jobFeats[i] = f
+		}
+		if !cfg.KeepMedia {
+			s.Frames = nil
+			s.Audio = nil
+		}
+	})
+	if err := par.FirstErr(errs); err != nil {
+		return nil, nil, err
 	}
 	feats := make(map[videomodel.ShotID][]float64, len(jobs))
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	ch := make(chan job)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				s := j.shot
-				class := videomodel.EventNone
-				if len(s.Events) > 0 {
-					class = s.Events[0]
-				}
-				dur := s.DurationMS()
-				if dur > renderCapMS {
-					dur = renderCapMS
-				}
-				shotRng := xrand.New(j.seed)
-				s.Frames = renderer.RenderShot(shotRng.Fork(1), class, dur)
-				s.Audio = synthaudio.Synthesize(shotRng.Fork(2), class, dur)
-				if s.Annotated() {
-					f, err := features.Extract(s)
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("dataset: shot %d: %w", s.ID, err)
-						}
-						mu.Unlock()
-						continue
-					}
-					mu.Lock()
-					feats[s.ID] = f
-					mu.Unlock()
-				}
-				if !cfg.KeepMedia {
-					s.Frames = nil
-					s.Audio = nil
-				}
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
+	for i, j := range jobs {
+		if j.shot.Annotated() {
+			feats[j.shot.ID] = jobFeats[i]
+		}
 	}
 	return videos, feats, nil
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"encoding/csv"
+	"runtime"
 	"testing"
 
 	"github.com/videodb/hmmm/internal/features"
@@ -77,23 +78,25 @@ func TestBuildDeterministic(t *testing.T) {
 }
 
 func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
-	cfg1 := smallConfig(9)
-	cfg1.Workers = 1
-	cfg4 := smallConfig(9)
-	cfg4.Workers = 4
-	a, err := Build(cfg1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Build(cfg4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, fa := range a.Features {
-		fb := b.Features[id]
-		for i := range fa {
-			if fa[i] != fb[i] {
-				t.Fatalf("worker-count changed shot %d feature %d", id, i)
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	var a *Corpus
+	for _, procs := range []int{1, 2, 3, runtime.NumCPU()} {
+		runtime.GOMAXPROCS(procs)
+		b, err := Build(smallConfig(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a == nil {
+			a = b
+			continue
+		}
+		for id, fa := range a.Features {
+			fb := b.Features[id]
+			for i := range fa {
+				if fa[i] != fb[i] {
+					t.Fatalf("GOMAXPROCS=%d changed shot %d feature %d", procs, id, i)
+				}
 			}
 		}
 	}

@@ -59,10 +59,6 @@ type Member struct {
 type Options struct {
 	// TopK bounds the merged ranking; 0 means retrieval.DefaultTopK.
 	TopK int
-	// Workers bounds the member fan-out; <= 0 means GOMAXPROCS. Results
-	// are bit-identical for every worker count (members write disjoint
-	// slots and the merge is deterministic).
-	Workers int
 }
 
 // Federation fans queries out over its members. Immutable after New;
@@ -192,7 +188,7 @@ func (f *Federation) Query(ctx context.Context, req Request) (*Response, error) 
 
 	outcomes := make([]memberOutcome, len(sel))
 	errs := make([]error, len(sel))
-	par.For(f.opts.Workers, len(sel), func(i int) {
+	par.For(len(sel), func(i int) {
 		m := &f.members[sel[i]]
 		o := &outcomes[i]
 		o.report = MemberReport{Name: m.Name, Domain: m.Domain.Name}

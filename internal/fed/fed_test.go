@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -109,7 +110,7 @@ func TestSingleMemberPassthroughBitIdentical(t *testing.T) {
 }
 
 // TestFederatedMergeDeterministicAcrossWorkers pins that the merged
-// multi-domain ranking is identical for every fan-out width.
+// multi-domain ranking is identical for every fan-out width (GOMAXPROCS).
 func TestFederatedMergeDeterministicAcrossWorkers(t *testing.T) {
 	domains := retrievaltest.Domains()
 	models := make([]*hmmm.Model, len(domains))
@@ -128,10 +129,13 @@ func TestFederatedMergeDeterministicAcrossWorkers(t *testing.T) {
 		memberPattern(t, models[1], domains[1]),
 		memberPattern(t, models[2], domains[2]),
 	}
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	for _, pattern := range patterns {
 		var base *fed.Response
-		for _, workers := range []int{1, 2, 4, 0} {
-			f, err := fed.New(members, fed.Options{TopK: 10, Workers: workers})
+		for _, procs := range []int{1, 2, 3, runtime.NumCPU()} {
+			runtime.GOMAXPROCS(procs)
+			f, err := fed.New(members, fed.Options{TopK: 10})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +147,7 @@ func TestFederatedMergeDeterministicAcrossWorkers(t *testing.T) {
 				base = got
 				continue
 			}
-			label := fmt.Sprintf("%s workers=%d", pattern, workers)
+			label := fmt.Sprintf("%s GOMAXPROCS=%d", pattern, procs)
 			if len(got.Matches) != len(base.Matches) {
 				t.Fatalf("%s: %d matches, want %d", label, len(got.Matches), len(base.Matches))
 			}

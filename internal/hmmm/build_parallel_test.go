@@ -24,9 +24,9 @@ func snapshotBytes(t *testing.T, m *Model) []byte {
 // TestBuildBitIdenticalAcrossWorkerCounts is the offline-pipeline
 // determinism contract (mirroring the dataset package's test of the
 // same name): Build produces byte-for-byte identical models — every
-// matrix, scaler bound, and state — for any BuildOptions.Workers,
-// because workers only fill disjoint preassigned rows and the
-// reductions (scaler fit, P12 normalization) stay serial.
+// matrix, scaler bound, and state — for any GOMAXPROCS, because workers
+// only fill disjoint preassigned rows and the reductions (scaler fit,
+// P12 normalization) stay serial.
 func TestBuildBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	corpus, err := dataset.Build(dataset.Config{
 		Seed: 17, Videos: 9, Shots: 450, Annotated: 80, Fast: true,
@@ -34,18 +34,19 @@ func TestBuildBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(workers int) []byte {
-		m, err := Build(corpus.Archive, corpus.Features,
-			BuildOptions{LearnP12: true, Workers: workers})
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	var ref []byte
+	for _, procs := range []int{1, 2, 3, runtime.NumCPU()} {
+		runtime.GOMAXPROCS(procs)
+		m, err := Build(corpus.Archive, corpus.Features, BuildOptions{LearnP12: true})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		return snapshotBytes(t, m)
-	}
-	ref := build(1)
-	for _, workers := range []int{2, 3, runtime.GOMAXPROCS(0), 0} {
-		if got := build(workers); !bytes.Equal(ref, got) {
-			t.Errorf("Workers=%d: model bytes differ from serial build", workers)
+		if got := snapshotBytes(t, m); ref == nil {
+			ref = got
+		} else if !bytes.Equal(ref, got) {
+			t.Errorf("GOMAXPROCS=%d: model bytes differ from serial build", procs)
 		}
 	}
 }
@@ -69,18 +70,21 @@ func TestBuildWorkersErrorMatchesSerial(t *testing.T) {
 		}
 	}
 corrupted:
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	want := ""
-	for _, workers := range []int{1, 2, 4} {
-		_, err := Build(a, feats, BuildOptions{Workers: workers})
+	for _, procs := range []int{1, 2, 3, runtime.NumCPU()} {
+		runtime.GOMAXPROCS(procs)
+		_, err := Build(a, feats, BuildOptions{})
 		if err == nil {
-			t.Fatalf("workers=%d: corrupt corpus accepted (shot %d)", workers, badShot)
+			t.Fatalf("GOMAXPROCS=%d: corrupt corpus accepted (shot %d)", procs, badShot)
 		}
 		if want == "" {
 			want = err.Error()
 			continue
 		}
 		if err.Error() != want {
-			t.Errorf("workers=%d: error %q differs from serial %q", workers, err, want)
+			t.Errorf("GOMAXPROCS=%d: error %q differs from serial %q", procs, err, want)
 		}
 	}
 }

@@ -163,14 +163,6 @@ type BuildOptions struct {
 	// of feature importance from the corpus annotations. When false, P1,2
 	// stays at the uniform Eq. 7 initialization.
 	LearnP12 bool
-	// Workers bounds construction parallelism: the per-video work (state
-	// collection, B1 row assembly, local A1 blocks, B2 rows) and the
-	// per-concept work (P1,2 learning, B1') fan out over this many
-	// goroutines. 0 means GOMAXPROCS; 1 forces the serial path. The
-	// built model is bit-identical for every worker count — each worker
-	// writes only disjoint, preassigned rows/slots and no reduction
-	// crosses a worker boundary.
-	Workers int
 	// Domain sets the event vocabulary the concept axis is built over.
 	// Nil means the default soccer domain. Build rejects annotations
 	// outside the vocabulary — they would silently vanish from B2 and
@@ -184,7 +176,11 @@ type BuildOptions struct {
 //
 // Construction runs in two passes: a cheap serial pass fixes the state
 // layout (per-video annotated shot lists, global offsets, K), then the
-// per-video and per-concept fills fan out over BuildOptions.Workers.
+// per-video work (state collection, B1 row assembly, local A1 blocks, B2
+// rows) and the per-concept work (P1,2 learning, B1') fan out over
+// GOMAXPROCS goroutines. The built model is bit-identical for every
+// GOMAXPROCS: each worker writes only disjoint, preassigned rows and
+// slots, and no reduction crosses a worker boundary.
 func Build(archive *videomodel.Archive, feats map[videomodel.ShotID][]float64, opts BuildOptions) (*Model, error) {
 	if archive == nil || len(archive.Videos) == 0 {
 		return nil, errors.New("hmmm: empty archive")
@@ -236,7 +232,7 @@ func Build(archive *videomodel.Archive, feats map[videomodel.ShotID][]float64, o
 	m.B2 = matrix.NewDense(mVideos, c)
 	bb1 := matrix.NewDense(total, k)
 	errs := make([]error, mVideos)
-	par.For(opts.Workers, mVideos, func(vi int) {
+	par.For(mVideos, func(vi int) {
 		v := archive.Videos[vi]
 		for _, s := range v.Shots {
 			for _, e := range s.Events {
@@ -315,9 +311,9 @@ func Build(archive *videomodel.Archive, feats map[videomodel.ShotID][]float64, o
 	m.P12.Fill(1 / float64(k)) // Eq. 7
 	posts := m.eventPostings()
 	if opts.LearnP12 {
-		m.learnP12(opts.Workers, posts)
+		m.learnP12(posts)
 	}
-	m.B1Prime = m.computeB1Prime(opts.Workers, posts)
+	m.B1Prime = m.computeB1Prime(posts)
 	return m, nil
 }
 
@@ -349,10 +345,10 @@ func (m *Model) eventPostings() [][]int {
 // concepts: each reads shared B1 rows and writes only its own P1,2 row,
 // so the result is worker-count independent (the per-row summation order
 // never changes).
-func (m *Model) learnP12(workers int, posts [][]int) {
+func (m *Model) learnP12(posts [][]int) {
 	k := m.K()
 	const minStd = 1e-6 // a zero std would make one weight infinite
-	par.For(workers, len(posts), func(ci int) {
+	par.For(len(posts), func(ci int) {
 		idx := posts[ci]
 		if len(idx) < 2 {
 			return
@@ -386,11 +382,11 @@ func (m *Model) learnP12(workers int, posts [][]int) {
 // computeB1Prime builds the Eq. 11 per-event mean feature matrix over the
 // normalized B1 rows, one concept (row) per work item. Concepts with no
 // annotated shots get a zero row.
-func (m *Model) computeB1Prime(workers int, posts [][]int) *matrix.Dense {
+func (m *Model) computeB1Prime(posts [][]int) *matrix.Dense {
 	c := m.NumConcepts()
 	k := m.K()
 	bp := matrix.NewDense(c, k)
-	par.For(workers, len(posts), func(ci int) {
+	par.For(len(posts), func(ci int) {
 		idx := posts[ci]
 		if len(idx) == 0 {
 			return

@@ -80,7 +80,8 @@ type Coarse struct {
 
 // Build derives the coarse index from the model's B1/B1'/P12 rows and
 // annotations. eps is the Eq. 14 denominator floor (the engine passes
-// its SimEpsilon so coarse and exact agree on which features count).
+// retrieval.DefaultSimEpsilon so coarse and exact agree on which features
+// count).
 // Cost is O(annotations × K) for the score table plus O(videos ×
 // concepts) for the postings — a small fraction of the engine's dense
 // similarity-table build.

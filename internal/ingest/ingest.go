@@ -47,12 +47,6 @@ type Pipeline struct {
 	// MinConfidence is the classifier probability a shot must reach to be
 	// annotated with an event; below it the shot stays unannotated.
 	MinConfidence float64
-	// Workers bounds the per-shot fan-out (feature extraction +
-	// classification) inside Segment; <= 0 means GOMAXPROCS. The result
-	// is bit-identical for every worker count (par's disjoint-slot rule:
-	// shot boundaries are fixed serially first, and each shot's output
-	// lands in its own slot).
-	Workers int
 }
 
 // NewPipeline builds a pipeline from a shot detector configuration and a
@@ -102,7 +96,8 @@ func (p *Pipeline) Segment(raw *RawVideo, id videomodel.VideoID, firstShotID vid
 	// Boundary detection is serial (each boundary depends on the running
 	// frame history), and so is the prefix sum fixing every shot's frame
 	// window. The per-shot work — feature extraction and classification,
-	// where the time goes — then fans out over disjoint slots.
+	// where the time goes — then fans out over disjoint slots, so the
+	// result is bit-identical for every GOMAXPROCS.
 	segments := p.detector.Segment(raw.Frames)
 	n := len(segments)
 	firstFrame := make([]int, n+1)
@@ -111,7 +106,7 @@ func (p *Pipeline) Segment(raw *RawVideo, id videomodel.VideoID, firstShotID vid
 	}
 	shots := make([]*videomodel.Shot, n)
 	shotFeats := make([][]float64, n)
-	par.For(p.Workers, n, func(si int) {
+	par.For(n, func(si int) {
 		startMS := firstFrame[si] * raw.FramePeriodMS
 		endMS := firstFrame[si+1] * raw.FramePeriodMS
 		shot := &videomodel.Shot{

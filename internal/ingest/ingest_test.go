@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/videodb/hmmm/internal/dataset"
@@ -132,8 +133,8 @@ func TestSegmentProducesContiguousShots(t *testing.T) {
 
 // TestSegmentParallelBitIdentical pins the par disjoint-slot contract on
 // the ingest pipeline: the segmented video, the per-shot features, and
-// the annotation count are bit-identical for every worker count,
-// including the serial degenerate case.
+// the annotation count are bit-identical for every GOMAXPROCS, including
+// the serial degenerate case.
 func TestSegmentParallelBitIdentical(t *testing.T) {
 	classes := []videomodel.Event{
 		videomodel.EventGoal, videomodel.EventNone, videomodel.EventGoalKick,
@@ -142,24 +143,22 @@ func TestSegmentParallelBitIdentical(t *testing.T) {
 	}
 	raw := SynthesizeRaw(63, "parallel-match", classes, 3000)
 
-	serial := pipeline(t)
-	serial.Workers = 1
-	want, err := serial.Segment(raw, 7, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.AutoAnnotated == 0 {
-		t.Fatal("serial baseline annotated nothing; the comparison would be vacuous")
-	}
-	for _, workers := range []int{0, 2, 3, 4} {
-		p := pipeline(t)
-		p.Workers = workers
-		got, err := p.Segment(raw, 7, 42)
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	var want *Result
+	for _, procs := range []int{1, 2, 3, runtime.NumCPU()} {
+		runtime.GOMAXPROCS(procs)
+		got, err := pipeline(t).Segment(raw, 7, 42)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: segmentation differs from serial result", workers)
+		if want == nil {
+			if got.AutoAnnotated == 0 {
+				t.Fatal("serial baseline annotated nothing; the comparison would be vacuous")
+			}
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS=%d: segmentation differs from serial result", procs)
 		}
 	}
 }

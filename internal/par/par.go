@@ -1,13 +1,14 @@
 // Package par provides the deterministic fan-out primitives the offline
-// pipelines share: model construction, engine cache builds, and dataset
-// synthesis all fan independent work items over a bounded worker pool.
+// pipelines share: model construction, engine cache builds, dataset
+// synthesis and ingest, and the shard and federation scatters all fan
+// independent work items over one goroutine per CPU (GOMAXPROCS).
 //
 // Determinism rule: callers partition work into index ranges whose
 // outputs land in disjoint, preallocated slots (a slice element, a
 // matrix row, a per-item error slot). Workers never reduce into shared
 // accumulators, and chunk boundaries never change what any single index
-// computes — so the combined output is bit-identical for every worker
-// count, including 1.
+// computes — so the combined output is bit-identical for every
+// GOMAXPROCS, including 1.
 package par
 
 import (
@@ -15,29 +16,13 @@ import (
 	"sync"
 )
 
-// Clamp resolves a requested worker count: values <= 0 mean GOMAXPROCS,
-// and the result never exceeds n (the number of work items) or falls
-// below 1.
-func Clamp(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
 // For runs fn(i) for every i in [0, n), fanning contiguous index chunks
-// out over Clamp(workers, n) goroutines. fn must write only to slots
+// out over at most GOMAXPROCS goroutines. fn must write only to slots
 // owned by index i. With one effective worker it degenerates to a plain
 // loop on the calling goroutine. For returns once every call has
 // completed.
-func For(workers, n int, fn func(i int)) {
-	ForChunks(workers, n, func(lo, hi int) {
+func For(n int, fn func(i int)) {
+	ForChunks(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i)
 		}
@@ -45,14 +30,15 @@ func For(workers, n int, fn func(i int)) {
 }
 
 // ForChunks partitions [0, n) into one contiguous [lo, hi) chunk per
-// worker and runs fn on each chunk concurrently. Chunked assignment
-// keeps each worker's writes contiguous (cache-friendly for dense
-// row-major fills). fn must write only to slots owned by [lo, hi).
-func ForChunks(workers, n int, fn func(lo, hi int)) {
+// worker — min(GOMAXPROCS, n) of them — and runs fn on each chunk
+// concurrently. Chunked assignment keeps each worker's writes contiguous
+// (cache-friendly for dense row-major fills). fn must write only to
+// slots owned by [lo, hi).
+func ForChunks(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	workers = Clamp(workers, n)
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers == 1 {
 		fn(0, n)
 		return

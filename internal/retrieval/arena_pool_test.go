@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/videodb/hmmm/internal/obs"
@@ -12,25 +13,26 @@ import (
 // (counted), and the in-use gauge balances back to zero.
 func TestArenaPoolBounded(t *testing.T) {
 	met := NewMetrics(obs.NewRegistry())
-	e, err := NewEngine(fixtureModel(t), Options{ScratchArenas: 2, Metrics: met})
+	e, err := NewEngine(fixtureModel(t), Options{Metrics: met})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ars := make([]*arena, 4)
+	n := scratchArenas() + 2
+	ars := make([]*arena, n)
 	for i := range ars {
 		ars[i] = e.getArena()
 	}
-	if got := met.ArenaInUse.Value(); got != 4 {
-		t.Errorf("in-use = %d after 4 checkouts, want 4", got)
+	if got := met.ArenaInUse.Value(); got != int64(n) {
+		t.Errorf("in-use = %d after %d checkouts, want %d", got, n, n)
 	}
-	if got := met.ArenaAlloc.Value(); got != 4 {
-		t.Errorf("alloc = %d from an empty pool, want 4", got)
+	if got := met.ArenaAlloc.Value(); got != uint64(n) {
+		t.Errorf("alloc = %d from an empty pool, want %d", got, n)
 	}
 	for _, ar := range ars {
 		e.putArena(ar)
 	}
 	if got := met.ArenaDrop.Value(); got != 2 {
-		t.Errorf("drop = %d releasing 4 into cap 2, want 2", got)
+		t.Errorf("drop = %d releasing cap+2, want 2", got)
 	}
 	if got := met.ArenaInUse.Value(); got != 0 {
 		t.Errorf("in-use = %d after full release, want 0", got)
@@ -75,17 +77,17 @@ func TestArenaPoolRecyclesAcrossRetrievals(t *testing.T) {
 	}
 }
 
-// TestDefaultScratchArenas: the zero value resolves to a positive cap.
+// TestDefaultScratchArenas: the pool cap is two arenas per CPU, floor 4.
 func TestDefaultScratchArenas(t *testing.T) {
-	if n := DefaultScratchArenas(); n < 4 {
-		t.Errorf("DefaultScratchArenas() = %d, want >= 4", n)
+	if n := scratchArenas(); n < 4 || n < 2*runtime.GOMAXPROCS(0) {
+		t.Errorf("scratchArenas() = %d, want max(4, 2×GOMAXPROCS)", n)
 	}
 	e, err := NewEngine(fixtureModel(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := cap(e.shared.arenas); c != DefaultScratchArenas() {
-		t.Errorf("default pool cap = %d, want %d", c, DefaultScratchArenas())
+	if c := cap(e.shared.arenas); c != scratchArenas() {
+		t.Errorf("pool cap = %d, want %d", c, scratchArenas())
 	}
 }
 

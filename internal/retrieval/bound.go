@@ -65,12 +65,12 @@ type bounds struct {
 // the engine's Eq. 14 values (read through Sim, so NoSimCache engines
 // build them too). buildShared calls it once per set of caches, so a
 // published engine never pays the build inside a query. Each video owns
-// its block, so the fill fans out over workers with bit-identical
-// contents for any count. It returns nil — the engine then never prunes
+// its block, so the fill fans out with bit-identical contents for any
+// GOMAXPROCS. It returns nil — the engine then never prunes
 // — when some Π1 or sim value is negative or NaN, which the argument
 // above excludes (validateModel already rejects negative Π1 and A1; an
 // Eq. 14 term can dip below zero only through Validate's B1 tolerance).
-func (e *Engine) buildBounds(workers int) *bounds {
+func (e *Engine) buildBounds() *bounds {
 	sh := e.shared
 	c, nv := sh.concepts, sh.nVideos
 	b := &bounds{mask: make([]uint16, nv), off: make([]int32, nv+1)}
@@ -87,7 +87,7 @@ func (e *Engine) buildBounds(workers int) *bounds {
 	}
 	b.vals = make([]uint16, b.off[nv])
 	ok := make([]bool, nv)
-	par.ForChunks(workers, nv, func(lo, hi int) {
+	par.ForChunks(nv, func(lo, hi int) {
 		var fl videoFlat
 		for v := lo; v < hi; v++ {
 			ok[v] = e.fillBound(b, v, &fl)

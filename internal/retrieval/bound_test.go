@@ -7,6 +7,7 @@ package retrieval_test
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -60,45 +61,51 @@ func TestBoundCertifiesEveryScore(t *testing.T) {
 }
 
 // TestPrunedRankingBitIdentical checks that the engine and shard.Group
-// (K ∈ {1, 2, 3, 7}) return the never-pruning engine's ranking bit for
-// bit across domains, query shapes, beams and top-K sizes, and that the
-// suite exercises real cuts.
+// (K ∈ {1, 2, 3, 7}, scattered under GOMAXPROCS 1, 2, 3 and NumCPU)
+// return the never-pruning engine's ranking bit for bit across domains,
+// query shapes, beams and top-K sizes, and that the suite exercises real
+// cuts.
 func TestPrunedRankingBitIdentical(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	var pruned, exhaustive int
-	for _, d := range retrievaltest.Domains() {
-		for seed := uint64(1); seed <= 3; seed++ {
-			m := retrievaltest.RandomModel(t, retrievaltest.Config{
-				Seed: seed, Videos: 12, MaxShots: 12,
-				Events: d.NumEvents(), Domain: d, LearnP12: seed%2 == 0,
-			})
-			base, err := retrieval.NewEngine(m, retrieval.Options{AnnotatedOnly: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			groups := make(map[int]*shard.Group)
-			for _, k := range []int{1, 2, 3, 7} {
-				if groups[k], err = shard.NewGroup(m, k, retrieval.Options{AnnotatedOnly: true}, shard.GroupOptions{Workers: 1}); err != nil {
+	for _, procs := range []int{1, 2, 3, runtime.NumCPU()} {
+		runtime.GOMAXPROCS(procs)
+		for _, d := range retrievaltest.Domains() {
+			for seed := uint64(1); seed <= 3; seed++ {
+				m := retrievaltest.RandomModel(t, retrievaltest.Config{
+					Seed: seed, Videos: 12, MaxShots: 12,
+					Events: d.NumEvents(), Domain: d, LearnP12: seed%2 == 0,
+				})
+				base, err := retrieval.NewEngine(m, retrieval.Options{AnnotatedOnly: true})
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			for _, beam := range []int{1, 4, 10} {
-				for _, topK := range []int{1, 3} {
-					opts := retrieval.Options{AnnotatedOnly: true, Beam: beam, TopK: topK}
-					eng := base.WithOptions(opts)
-					ref := eng.Unpruned()
-					for qi, q := range memoQueries(m) {
-						label := fmt.Sprintf("domain=%s seed=%d beam=%d topK=%d q=%d", d.Name, seed, beam, topK, qi)
-						want := mustRetrieve(t, ref, q)
-						got := mustRetrieve(t, eng, q)
-						retrievaltest.RequireSameMatches(t, label, want.Matches, got.Matches)
-						pruned += got.Cost.VideosSeen
-						exhaustive += want.Cost.VideosSeen
-						for _, k := range []int{1, 2, 3, 7} {
-							res, err := groups[k].WithOptions(opts).Retrieve(q)
-							if err != nil {
-								t.Fatal(err)
+				groups := make(map[int]*shard.Group)
+				for _, k := range []int{1, 2, 3, 7} {
+					if groups[k], err = shard.NewGroup(m, k, retrieval.Options{AnnotatedOnly: true}, shard.GroupOptions{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, beam := range []int{1, 4, 10} {
+					for _, topK := range []int{1, 3} {
+						opts := retrieval.Options{AnnotatedOnly: true, Beam: beam, TopK: topK}
+						eng := base.WithOptions(opts)
+						ref := eng.Unpruned()
+						for qi, q := range memoQueries(m) {
+							label := fmt.Sprintf("GOMAXPROCS=%d domain=%s seed=%d beam=%d topK=%d q=%d", procs, d.Name, seed, beam, topK, qi)
+							want := mustRetrieve(t, ref, q)
+							got := mustRetrieve(t, eng, q)
+							retrievaltest.RequireSameMatches(t, label, want.Matches, got.Matches)
+							pruned += got.Cost.VideosSeen
+							exhaustive += want.Cost.VideosSeen
+							for _, k := range []int{1, 2, 3, 7} {
+								res, err := groups[k].WithOptions(opts).Retrieve(q)
+								if err != nil {
+									t.Fatal(err)
+								}
+								retrievaltest.RequireSameMatches(t, fmt.Sprintf("%s shards=%d", label, k), want.Matches, res.Matches)
 							}
-							retrievaltest.RequireSameMatches(t, fmt.Sprintf("%s shards=%d", label, k), want.Matches, res.Matches)
 						}
 					}
 				}

@@ -92,7 +92,7 @@ func (e *Engine) featureBreakdown(s int, step Step) []FeatureContribution {
 		pRow := e.m.P12.Row(ci)
 		var terms []FeatureContribution
 		for f, mean := range meanRow {
-			if mean <= e.opts.SimEpsilon {
+			if mean <= DefaultSimEpsilon {
 				continue
 			}
 			d := bRow[f] - mean

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -136,28 +137,32 @@ func TestEarlyStopEmitsTrace(t *testing.T) {
 // TestCacheBuildBitIdenticalAcrossWorkerCounts is the satellite
 // determinism check for the engine's derived caches: the dense Eq. 14
 // similarity table, the inverted event index and the bound tables must
-// be byte-for-byte identical whether built serially or with any worker
-// count.
+// be byte-for-byte identical whether built serially or under any
+// GOMAXPROCS.
 func TestCacheBuildBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	m := equivModel(t)
-	ref, err := NewEngine(m, Options{BuildWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 4, 9} {
-		eng, err := NewEngine(m, Options{BuildWorkers: workers})
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	var ref *Engine
+	for _, procs := range []int{1, 2, 3, runtime.NumCPU()} {
+		runtime.GOMAXPROCS(procs)
+		eng, err := NewEngine(m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if ref == nil {
+			ref = eng
+			continue
+		}
 		if !reflect.DeepEqual(ref.shared.sim, eng.shared.sim) {
-			t.Errorf("BuildWorkers=%d: similarity table differs from serial build", workers)
+			t.Errorf("GOMAXPROCS=%d: similarity table differs from serial build", procs)
 		}
 		if !reflect.DeepEqual(ref.shared.postings, eng.shared.postings) || !reflect.DeepEqual(ref.shared.postOff, eng.shared.postOff) ||
 			!reflect.DeepEqual(ref.shared.startMS, eng.shared.startMS) {
-			t.Errorf("BuildWorkers=%d: event index differs from serial build", workers)
+			t.Errorf("GOMAXPROCS=%d: event index differs from serial build", procs)
 		}
 		if ref.shared.bound == nil || !reflect.DeepEqual(ref.shared.bound, eng.shared.bound) {
-			t.Errorf("BuildWorkers=%d: bound tables differ from serial build", workers)
+			t.Errorf("GOMAXPROCS=%d: bound tables differ from serial build", procs)
 		}
 	}
 }

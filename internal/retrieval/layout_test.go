@@ -5,6 +5,7 @@ package retrieval_test
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -86,36 +87,44 @@ func TestSimTableBitIdenticalEverywhere(t *testing.T) {
 // TestIndexLayoutProperties checks the CSR postings against the naive
 // per-video per-concept ascending lists, the packed start-time column
 // against the states, and the s − lo == LocalIdx identity the lattice
-// derives local indices from.
+// derives local indices from, with the index built under GOMAXPROCS 1,
+// 2, 3 and NumCPU.
 func TestIndexLayoutProperties(t *testing.T) {
-	for label, m := range layoutModels(t) {
-		eng, err := retrieval.NewEngine(m, retrieval.Options{BuildWorkers: 3})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		startMS := eng.StartMSColumn()
-		if len(startMS) != m.NumStates() {
-			t.Fatalf("%s: start-time column has %d entries for %d states", label, len(startMS), m.NumStates())
-		}
-		for vi := 0; vi < m.NumVideos(); vi++ {
-			lo, hi := m.VideoStates(vi)
-			want := make([][]int32, m.NumConcepts())
-			for s := lo; s < hi; s++ {
-				st := &m.States[s]
-				if st.LocalIdx != s-lo || st.VideoIdx != vi {
-					t.Fatalf("%s: state %d has (video %d, local %d), want (%d, %d)",
-						label, s, st.VideoIdx, st.LocalIdx, vi, s-lo)
-				}
-				if int(startMS[s]) != st.StartMS {
-					t.Fatalf("%s: startMS[%d] = %d, state says %d", label, s, startMS[s], st.StartMS)
-				}
-				for _, ev := range st.Events {
-					want[ev.Index()] = append(want[ev.Index()], int32(s))
-				}
+	models := layoutModels(t)
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, procs := range []int{1, 2, 3, runtime.NumCPU()} {
+		runtime.GOMAXPROCS(procs)
+		for label, m := range models {
+			label = fmt.Sprintf("%s GOMAXPROCS=%d", label, procs)
+			eng, err := retrieval.NewEngine(m, retrieval.Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
-			for ci := range want {
-				if got := eng.Posting(vi, ci); !slices.Equal(got, want[ci]) {
-					t.Fatalf("%s: posting(video %d, concept %d) = %v, want %v", label, vi, ci, got, want[ci])
+			startMS := eng.StartMSColumn()
+			if len(startMS) != m.NumStates() {
+				t.Fatalf("%s: start-time column has %d entries for %d states", label, len(startMS), m.NumStates())
+			}
+			for vi := 0; vi < m.NumVideos(); vi++ {
+				lo, hi := m.VideoStates(vi)
+				want := make([][]int32, m.NumConcepts())
+				for s := lo; s < hi; s++ {
+					st := &m.States[s]
+					if st.LocalIdx != s-lo || st.VideoIdx != vi {
+						t.Fatalf("%s: state %d has (video %d, local %d), want (%d, %d)",
+							label, s, st.VideoIdx, st.LocalIdx, vi, s-lo)
+					}
+					if int(startMS[s]) != st.StartMS {
+						t.Fatalf("%s: startMS[%d] = %d, state says %d", label, s, startMS[s], st.StartMS)
+					}
+					for _, ev := range st.Events {
+						want[ev.Index()] = append(want[ev.Index()], int32(s))
+					}
+				}
+				for ci := range want {
+					if got := eng.Posting(vi, ci); !slices.Equal(got, want[ci]) {
+						t.Fatalf("%s: posting(video %d, concept %d) = %v, want %v", label, vi, ci, got, want[ci])
+					}
 				}
 			}
 		}

@@ -36,9 +36,10 @@ type Metrics struct {
 	// the bounded pool, ArenaAlloc checkouts that had to allocate fresh
 	// scratch (pool empty — more overlapping searches than the cap), and
 	// ArenaDrop releases discarded because the pool was already full.
-	// ArenaInUse is the live checked-out count. A sustained non-zero
-	// alloc/drop rate means Options.ScratchArenas is undersized for the
-	// offered concurrency.
+	// ArenaInUse is the live checked-out count. The pool holds two arenas
+	// per CPU (floor 4), so a sustained non-zero alloc/drop rate means
+	// more searches overlap than the CPUs can run: cap the concurrency in
+	// front of the engine (the server's MaxInflight or fast lane).
 	ArenaReuse *obs.Counter
 	ArenaAlloc *obs.Counter
 	ArenaDrop  *obs.Counter

@@ -301,30 +301,10 @@ type Options struct {
 	// by A2 affinity and B2 feature check) when the current video has no
 	// further matching shot — the Figure-3 "end of one video" rule.
 	CrossVideo bool
-	// SimEpsilon floors the Eq. 14 denominator B1'(e, f): features whose
-	// per-event mean is below it are skipped ("non-zero features").
-	SimEpsilon float64
 	// AnnotatedOnly restricts step candidates to states annotated with
 	// the sought event. When false, unannotated states compete purely by
 	// feature similarity ("or similar to event e_j", Step 3).
 	AnnotatedOnly bool
-	// BuildWorkers bounds the parallelism of the derived-cache builds
-	// (the dense Eq. 14 similarity table and the inverted event index)
-	// at NewEngine / WithOptions time. 0 means GOMAXPROCS;
-	// 1 forces serial builds. Cache contents are bit-identical for every
-	// worker count.
-	BuildWorkers int
-	// ScratchArenas caps the engine's shared free-list of lattice search
-	// arenas. Concurrent queries against the same snapshot draw
-	// sized-once scratch from this bounded pool instead of allocating
-	// per request; when more than ScratchArenas searches overlap, the
-	// excess allocate fresh arenas that are discarded on release, so
-	// steady-state memory stays flat at pool-cap × working-set no matter
-	// how hard the server is hammered. 0 means DefaultScratchArenas
-	// (2×GOMAXPROCS, floor 4). Arenas are pure scratch: the pool size
-	// never affects results. Pool traffic is observable through the
-	// Metrics arena counters.
-	ScratchArenas int
 	// Tracer, when non-nil, receives TraceEvent s during retrieval: the
 	// EXPLAIN ANALYZE view of the traversal.
 	Tracer Tracer
@@ -378,10 +358,15 @@ type Options struct {
 
 // Default engine parameters.
 const (
-	DefaultTopK       = 10
-	DefaultBeam       = 4
-	DefaultSimEpsilon = 1e-9
+	DefaultTopK = 10
+	DefaultBeam = 4
 )
+
+// DefaultSimEpsilon floors the Eq. 14 denominator B1'(e, f): features
+// whose per-event mean is at or below it are skipped (the paper's
+// "non-zero features"). It is a fixed part of the model, not a tuning
+// knob.
+const DefaultSimEpsilon = 1e-9
 
 func (o Options) withDefaults() Options {
 	if o.TopK <= 0 {
@@ -389,9 +374,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Beam <= 0 {
 		o.Beam = DefaultBeam
-	}
-	if o.SimEpsilon <= 0 {
-		o.SimEpsilon = DefaultSimEpsilon
 	}
 	return o
 }
@@ -406,7 +388,7 @@ type Engine struct {
 }
 
 // engineShared bundles the caches that depend only on the model and the
-// cache-affecting options (SimEpsilon, NoSimCache), not on per-query
+// cache-affecting options (NoSimCache, coarse prefilter), not on per-query
 // tuning. Everything but the order memo and the arena free list is
 // immutable after construction, and so is the model it is derived from,
 // so none of it can go stale.
@@ -440,7 +422,7 @@ type engineShared struct {
 	orders orderMemo
 	// arenas is a bounded free list of search scratch: a buffered channel
 	// holding idle arenas. Unlike sync.Pool it is never drained by GC and
-	// never grows past its capacity (Options.ScratchArenas), so the
+	// never grows past its capacity (scratchArenas), so the
 	// steady-state scratch footprint of a saturated server is a fixed,
 	// known quantity. Releases beyond capacity drop the arena for the GC
 	// to reclaim — a counted event, so a chronically undersized pool is
@@ -516,11 +498,16 @@ func (om *orderMemo) put(k orderKey, ent orderEntry) {
 	om.entries[k] = ent
 }
 
-// DefaultScratchArenas is the arena free-list capacity used when
-// Options.ScratchArenas is zero: two arenas per CPU (floor 4), enough
-// for every runnable search plus a recycling margin while staying a
-// small multiple of the working set.
-func DefaultScratchArenas() int {
+// scratchArenas is the arena free-list capacity: two arenas per CPU
+// (floor 4), enough for every runnable search plus a recycling margin
+// while staying a small multiple of the working set. Concurrent queries
+// against one snapshot draw sized-once scratch from the pool; when more
+// searches overlap, the excess allocate fresh arenas that are dropped on
+// release, so steady-state memory stays flat at pool cap × working set
+// however hard the server is hammered. Arenas are pure scratch: the pool
+// size never affects results, and its traffic shows in the Metrics
+// arena counters.
+func scratchArenas() int {
 	n := 2 * runtime.GOMAXPROCS(0)
 	if n < 4 {
 		n = 4
@@ -576,35 +563,31 @@ func buildShared(m *hmmm.Model, opts Options) *engineShared {
 			sh.maxLocal = n
 		}
 	}
-	sh.buildIndex(m, opts.BuildWorkers)
+	sh.buildIndex(m)
 	if !opts.NoSimCache {
-		sh.sim = buildSimTable(m, opts.SimEpsilon, opts.BuildWorkers)
+		sh.sim = buildSimTable(m)
 	}
 	if opts.CoarseCandidates > 0 {
-		sh.coarse = index.Build(m, opts.SimEpsilon)
+		sh.coarse = index.Build(m, DefaultSimEpsilon)
 	}
 	// The bound tables read Eq. 14 through Sim, so they see the values
 	// the lattice will: from the table just built, or computed directly.
-	sh.bound = (&Engine{m: m, opts: opts, shared: sh}).buildBounds(opts.BuildWorkers)
-	poolCap := opts.ScratchArenas
-	if poolCap <= 0 {
-		poolCap = DefaultScratchArenas()
-	}
-	sh.arenas = make(chan *arena, poolCap)
+	sh.bound = (&Engine{m: m, opts: opts, shared: sh}).buildBounds()
+	sh.arenas = make(chan *arena, scratchArenas())
 	return sh
 }
 
 // buildIndex fills the CSR event index and the start-time column in two
 // passes over the states: count each (video, concept) list, prefix-sum the
 // counts into offsets, then write the postings. Every video owns its
-// offset slots and its postings range, so both passes fan out over
-// workers with bit-identical contents for any count, and each list is
-// ascending because a video's states are scanned forward.
-func (sh *engineShared) buildIndex(m *hmmm.Model, workers int) {
+// offset slots and its postings range, so both passes fan out with
+// bit-identical contents for any GOMAXPROCS, and each list is ascending
+// because a video's states are scanned forward.
+func (sh *engineShared) buildIndex(m *hmmm.Model) {
 	c := sh.concepts
 	sh.postOff = make([]int32, sh.nVideos*c+1)
 	sh.startMS = make([]int32, sh.states)
-	par.For(workers, sh.nVideos, func(vi int) {
+	par.For(sh.nVideos, func(vi int) {
 		counts := sh.postOff[vi*c+1 : (vi+1)*c+1]
 		lo, hi := m.VideoStates(vi)
 		for s := lo; s < hi; s++ {
@@ -620,7 +603,7 @@ func (sh *engineShared) buildIndex(m *hmmm.Model, workers int) {
 		sh.postOff[k] += sh.postOff[k-1]
 	}
 	sh.postings = make([]int32, sh.postOff[len(sh.postOff)-1])
-	par.For(workers, sh.nVideos, func(vi int) {
+	par.For(sh.nVideos, func(vi int) {
 		var next [videomodel.MaxEvents]int32
 		copy(next[:], sh.postOff[vi*c:(vi+1)*c])
 		lo, hi := m.VideoStates(vi)
@@ -638,8 +621,8 @@ func (sh *engineShared) buildIndex(m *hmmm.Model, workers int) {
 
 // WithOptions returns an engine over the same model with different
 // per-query options, sharing this engine's derived caches. The caches are
-// reused when the cache-affecting options (SimEpsilon, NoSimCache, and
-// coarse-prefilter presence) are unchanged; otherwise they are rebuilt.
+// reused when the cache-affecting options (NoSimCache and coarse-prefilter
+// presence) are unchanged; otherwise they are rebuilt.
 // The server uses this to apply per-request TopK/Beam/CrossVideo/
 // AnnotatedOnly overrides without paying the cache build on every
 // request. Changing CoarseCandidates between two positive values reuses
@@ -647,11 +630,17 @@ func (sh *engineShared) buildIndex(m *hmmm.Model, workers int) {
 func (e *Engine) WithOptions(opts Options) *Engine {
 	opts = opts.withDefaults()
 	ne := &Engine{m: e.m, opts: opts, shared: e.shared}
-	if opts.NoSimCache != e.opts.NoSimCache || opts.SimEpsilon != e.opts.SimEpsilon ||
-		(opts.CoarseCandidates > 0) != (e.opts.CoarseCandidates > 0) {
+	if !e.SharesCaches(opts) {
 		ne.shared = buildShared(e.m, opts)
 	}
 	return ne
+}
+
+// SharesCaches reports whether WithOptions(opts) reuses this engine's
+// derived caches: it does unless opts changes NoSimCache or turns the
+// coarse prefilter on or off.
+func (e *Engine) SharesCaches(opts Options) bool {
+	return opts.NoSimCache == e.opts.NoSimCache && (opts.CoarseCandidates > 0) == (e.opts.CoarseCandidates > 0)
 }
 
 // WithTopK is WithOptions changing only TopK: the view a caller that

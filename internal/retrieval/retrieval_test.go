@@ -359,7 +359,7 @@ func TestGreedyCostLowerThanBruteForce(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.TopK != DefaultTopK || o.Beam != DefaultBeam || o.SimEpsilon != DefaultSimEpsilon {
+	if o.TopK != DefaultTopK || o.Beam != DefaultBeam {
 		t.Errorf("defaults = %+v", o)
 	}
 }

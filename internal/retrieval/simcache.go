@@ -11,7 +11,8 @@ import (
 //
 //	sim(s, e) = Σ_y P1,2(e, f_y) · (1 - |B1(s, f_y) - B1'(e, f_y)|) / B1'(e, f_y)
 //
-// over the features whose per-event mean B1'(e, f_y) exceeds SimEpsilon.
+// over the features whose per-event mean B1'(e, f_y) exceeds
+// DefaultSimEpsilon.
 // With the engine's similarity cache (the default) this is a single table
 // lookup; under Options.NoSimCache it recomputes the sum from the raw
 // matrix rows. Both paths produce bit-identical values — the table is
@@ -21,16 +22,16 @@ func (e *Engine) Sim(s int, ev videomodel.Event) float64 {
 		return sh.sim[ev.Index()*sh.states+s]
 	}
 	ci := ev.Index()
-	return simKernel(e.m.B1.Row(s), e.m.B1Prime.Row(ci), e.m.P12.Row(ci), e.opts.SimEpsilon)
+	return simKernel(e.m.B1.Row(s), e.m.B1Prime.Row(ci), e.m.P12.Row(ci))
 }
 
 // simKernel is the shared Eq. 14 evaluation over one state row and one
 // concept's mean/importance rows. The cached table and the direct path
 // both call it, which is what guarantees bit-identical scores.
-func simKernel(bRow, meanRow, pRow []float64, eps float64) float64 {
+func simKernel(bRow, meanRow, pRow []float64) float64 {
 	var sim float64
 	for y, mean := range meanRow {
-		if mean <= eps {
+		if mean <= DefaultSimEpsilon {
 			continue
 		}
 		d := bRow[y] - mean
@@ -46,19 +47,18 @@ func simKernel(bRow, meanRow, pRow []float64, eps float64) float64 {
 // a concept-major NumConcepts × NumStates table (sim(s, e) at
 // table[e.Index()*NumStates+s]): a posting list walks ascending states of
 // one concept, so its lookups are near-sequential. States are independent
-// and each writes only its own column, so the fill fans out over the
-// requested worker count (0 = GOMAXPROCS) in contiguous state chunks —
-// contiguous within every concept row — with bit-identical output for
-// any count.
-func buildSimTable(m *hmmm.Model, eps float64, workers int) []float64 {
+// and each writes only its own column, so the fill fans out in contiguous
+// state chunks — contiguous within every concept row — with bit-identical
+// output for any GOMAXPROCS.
+func buildSimTable(m *hmmm.Model) []float64 {
 	n, c, k := m.NumStates(), m.NumConcepts(), m.K()
 	table := make([]float64, n*c)
 	b1, bp, p12 := m.B1.Flat(), m.B1Prime.Flat(), m.P12.Flat()
-	par.ForChunks(workers, n, func(lo, hi int) {
+	par.ForChunks(n, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			bRow := b1[s*k : (s+1)*k]
 			for ci := 0; ci < c; ci++ {
-				table[ci*n+s] = simKernel(bRow, bp[ci*k:(ci+1)*k], p12[ci*k:(ci+1)*k], eps)
+				table[ci*n+s] = simKernel(bRow, bp[ci*k:(ci+1)*k], p12[ci*k:(ci+1)*k])
 			}
 		}
 	})

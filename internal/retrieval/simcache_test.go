@@ -59,7 +59,4 @@ func TestWithOptionsSharesCache(t *testing.T) {
 	if nc := eng.WithOptions(Options{NoSimCache: true}); nc.shared == eng.shared || nc.shared.sim != nil {
 		t.Error("NoSimCache view kept the cached table")
 	}
-	if eps := eng.WithOptions(Options{SimEpsilon: 0.5}); eps.shared == eng.shared {
-		t.Error("SimEpsilon change did not rebuild the caches")
-	}
 }

@@ -29,9 +29,10 @@ import (
 // frame.
 
 // wireVersion leads every body. A gob-era body starts with a gob
-// message length (never 1), so an old peer is refused by errWireVersion
-// instead of being mis-parsed.
-const wireVersion = 1
+// message length (never 1 or 2), and a version-1 request still carried
+// the Eq. 14 epsilon as an f64 after the coarse budget, so an old peer
+// is refused by errWireVersion instead of being mis-parsed.
+const wireVersion = 2
 
 // Decode failures. None is transient: the frame arrived whole (a torn
 // one fails in readFrame), so a retry would decode the same bytes.
@@ -133,7 +134,6 @@ func appendRetrieveRequest(w *writer, m *RetrieveRequest) {
 	w.i64(o.TopK)
 	w.i64(o.Beam)
 	w.i64(o.CoarseCandidates)
-	w.f64(o.SimEpsilon)
 	var flags byte
 	if o.CrossVideo {
 		flags |= flagCrossVideo
@@ -340,7 +340,6 @@ func decodeRetrieveRequest(r *reader, m *RetrieveRequest) {
 	o.TopK = r.i64()
 	o.Beam = r.i64()
 	o.CoarseCandidates = r.i64()
-	o.SimEpsilon = r.f64()
 	flags := r.u8()
 	if flags&^flagsKnown != 0 && r.err == nil {
 		r.err = errBadValue

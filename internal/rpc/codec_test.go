@@ -53,7 +53,7 @@ func fullRequest() *RetrieveRequest {
 			Scope: &retrieval.Scope{Video: 7, FromMS: 1000, ToMS: 1 << 40},
 		},
 		Options: QueryOptions{
-			TopK: 10, Beam: 4, CrossVideo: true, SimEpsilon: 0.125,
+			TopK: 10, Beam: 4, CrossVideo: true,
 			AnnotatedOnly: true, StopAfterMatches: true, CoarseCandidates: 64,
 		},
 		BudgetNS: int64(1600 * time.Millisecond),
@@ -234,7 +234,7 @@ func TestCodecRejects(t *testing.T) {
 		return out
 	}
 	req := frameOf(t, tagRetrieveReq, fullRequest())
-	const flagsAt = 5 + 1 + 8 + 3*8 + 8
+	const flagsAt = 5 + 1 + 8 + 3*8
 
 	cases := []struct {
 		name string
@@ -242,8 +242,9 @@ func TestCodecRejects(t *testing.T) {
 		body []byte
 		want error
 	}{
-		{"wrong-version", tagRetrieveResp, append([]byte{2}, resp[6:]...), errWireVersion},
-		{"gob-era", tagRetrieveResp, gobEraFrame(t, gobResponseFrame)[5:], errWireVersion},
+		{"wrong-version", tagRetrieveResp, append([]byte{wireVersion + 1}, resp[6:]...), errWireVersion},
+		{"gob-era", tagRetrieveResp, hexFrame(t, gobResponseFrame)[5:], errWireVersion},
+		{"version-1", tagRetrieveReq, hexFrame(t, v1RequestFrame)[5:], errWireVersion},
 		{"empty-body", tagStatusReq, nil, errShort},
 		{"matches-count-huge", tagRetrieveResp, patch(resp, respMatchCountAt, math.MaxInt32)[5:], errShort},
 		{"matches-count-max", tagRetrieveResp, patch(resp, respMatchCountAt, math.MaxUint32)[5:], errShort},
@@ -420,7 +421,7 @@ const (
 	gobErrorFrame    = "0000004d452cff9f0301010d4572726f72526573706f6e736501ffa00001020104436f6465010c0001034d7367010c0000001effa00108647261696e696e67010f73657276657220647261696e696e6700"
 )
 
-func gobEraFrame(t testing.TB, h string) []byte {
+func hexFrame(t testing.TB, h string) []byte {
 	t.Helper()
 	b, err := hex.DecodeString(h)
 	if err != nil {
@@ -429,17 +430,21 @@ func gobEraFrame(t testing.TB, h string) []byte {
 	return b
 }
 
-// TestGobEraPeerRefused drives recorded gob-era request frames at a
-// real server: each is answered with a bad_request error frame naming
-// the version, never mis-parsed into a query.
+// v1RequestFrame is fullRequest as a version-1 peer framed it, with an
+// Eq. 14 epsilon of 0.125 after the coarse budget.
+const v1RequestFrame = "00000094520100105e5f000000000a0000000000000004000000000000004000000000000000000000000000c03f070107000000e803000000000000000000000001000002000000020000000200000000000000000000000000000000000000000000000100000002000000f401000000000000905f01000000000003000000010000000300000004000000010000000200000005000000"
+
+// TestGobEraPeerRefused drives recorded gob-era and version-1 request
+// frames at a real server: each is answered with a bad_request error
+// frame naming the version, never mis-parsed into a query.
 func TestGobEraPeerRefused(t *testing.T) {
 	addr := startStub(t, stubHandler{rankedResponse(1)})
-	for _, h := range []string{gobRequestFrame, gobStatusFrame} {
+	for _, h := range []string{gobRequestFrame, gobStatusFrame, v1RequestFrame} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
-		if _, err := conn.Write(gobEraFrame(t, h)); err != nil {
+		if _, err := conn.Write(hexFrame(t, h)); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		var fb frameBufs
@@ -475,8 +480,9 @@ func FuzzFrameDecode(f *testing.F) {
 		frameOf(f, tagStatusReq, &StatusRequest{}),
 		frameOf(f, tagStatusResp, &StatusResponse{State: StateReady, Generation: 1, OfShards: 2, Videos: 86, States: 57835}),
 		frameOf(f, tagError, &ErrorResponse{Code: CodeDraining, Msg: "server draining"}),
-		gobEraFrame(f, gobRequestFrame), gobEraFrame(f, gobResponseFrame),
-		gobEraFrame(f, gobStatusFrame), gobEraFrame(f, gobErrorFrame),
+		hexFrame(f, gobRequestFrame), hexFrame(f, gobResponseFrame),
+		hexFrame(f, gobStatusFrame), hexFrame(f, gobErrorFrame),
+		hexFrame(f, v1RequestFrame),
 	}
 	// Length and count fields at 0, 1, and 2^31-1: the envelope's, the
 	// response's match count, and a match's state count.

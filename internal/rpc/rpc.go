@@ -99,14 +99,13 @@ const (
 // QueryOptions is the result-affecting slice of retrieval.Options a
 // request carries over the wire: exactly the fields covered by
 // coalesce.OptionsKey, because those are the fields that can change the
-// ranking. Execution plumbing (workers, arenas, caches, observers) has
-// no wire representation at all — the codec writes these seven fields
-// and nothing else — and stays a per-server concern.
+// ranking. Execution plumbing (caches, observers) has no wire
+// representation at all — the codec writes these six fields and nothing
+// else — and stays a per-server concern.
 type QueryOptions struct {
 	TopK             int
 	Beam             int
 	CrossVideo       bool
-	SimEpsilon       float64
 	AnnotatedOnly    bool
 	StopAfterMatches bool
 	CoarseCandidates int
@@ -118,7 +117,6 @@ func FromOptions(o retrieval.Options) QueryOptions {
 		TopK:             o.TopK,
 		Beam:             o.Beam,
 		CrossVideo:       o.CrossVideo,
-		SimEpsilon:       o.SimEpsilon,
 		AnnotatedOnly:    o.AnnotatedOnly,
 		StopAfterMatches: o.StopAfterMatches,
 		CoarseCandidates: o.CoarseCandidates,
@@ -131,7 +129,6 @@ func (qo QueryOptions) Apply(base retrieval.Options) retrieval.Options {
 	base.TopK = qo.TopK
 	base.Beam = qo.Beam
 	base.CrossVideo = qo.CrossVideo
-	base.SimEpsilon = qo.SimEpsilon
 	base.AnnotatedOnly = qo.AnnotatedOnly
 	base.StopAfterMatches = qo.StopAfterMatches
 	base.CoarseCandidates = qo.CoarseCandidates

@@ -92,7 +92,6 @@ type Server struct {
 	// sharding is off; every published generation's group reports into
 	// the same hmmm_shard_* family.
 	shards       int
-	shardTimeout time.Duration
 	shardMetrics *shard.Metrics
 
 	// coordinator, when non-nil, serves /api/query by scatter-gather over
@@ -216,10 +215,6 @@ type Config struct {
 	// bit-identical to unsharded serving; retrains re-split before each
 	// publish. 0 disables sharding.
 	Shards int
-	// ShardTimeout optionally bounds each shard's search with its own
-	// deadline in sharded mode; 0 means only the per-query deadline
-	// applies.
-	ShardTimeout time.Duration
 	// Coalesce deduplicates identical in-flight /api/query requests:
 	// requests whose canonical pattern, result-affecting options,
 	// deadline budget, and model generation all match share one
@@ -294,7 +289,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		opts:         cfg.Options,
 		shards:       cfg.Shards,
-		shardTimeout: cfg.ShardTimeout,
 		coordinator:  cfg.Coordinator,
 		log:          feedback.NewLog(),
 		trainer:      feedback.NewTrainer(cfg.RetrainThreshold),
@@ -410,10 +404,7 @@ func (s *Server) newSnapshot(model *hmmm.Model, gen uint64) (*snapshot, error) {
 	}
 	snap := &snapshot{model: model, engine: engine, gen: gen, domain: domain}
 	if s.shards > 0 {
-		group, err := shard.NewGroup(model, s.shards, s.opts, shard.GroupOptions{
-			ShardTimeout: s.shardTimeout,
-			Metrics:      s.shardMetrics,
-		})
+		group, err := shard.NewGroup(model, s.shards, s.opts, shard.GroupOptions{Metrics: s.shardMetrics})
 		if err != nil {
 			return nil, fmt.Errorf("splitting model: %w", err)
 		}

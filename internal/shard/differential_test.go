@@ -3,8 +3,8 @@ package shard
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
-	"time"
 
 	"github.com/videodb/hmmm/internal/dataset"
 	"github.com/videodb/hmmm/internal/hmmm"
@@ -219,9 +219,12 @@ func TestGroupCoarsePrefilter(t *testing.T) {
 func TestGroupScatterWorkerCountInvariant(t *testing.T) {
 	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 23, Videos: 6})
 	opts := retrieval.Options{AnnotatedOnly: true}
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	var base *retrieval.Result
-	for _, workers := range []int{1, 2, 4, 0} {
-		g, err := NewGroup(m, 3, opts, GroupOptions{Workers: workers})
+	for _, procs := range []int{1, 2, 3, runtime.NumCPU()} {
+		runtime.GOMAXPROCS(procs)
+		g, err := NewGroup(m, 3, opts, GroupOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,9 +236,9 @@ func TestGroupScatterWorkerCountInvariant(t *testing.T) {
 			base = res
 			continue
 		}
-		retrievaltest.RequireSameMatches(t, fmt.Sprintf("workers=%d", workers), base.Matches, res.Matches)
+		retrievaltest.RequireSameMatches(t, fmt.Sprintf("GOMAXPROCS=%d", procs), base.Matches, res.Matches)
 		if res.Cost != base.Cost {
-			t.Errorf("workers=%d: cost %+v, want %+v", workers, res.Cost, base.Cost)
+			t.Errorf("GOMAXPROCS=%d: cost %+v, want %+v", procs, res.Cost, base.Cost)
 		}
 	}
 }
@@ -254,22 +257,6 @@ func TestGroupContextCancelTruncates(t *testing.T) {
 	}
 	if !res.Cost.Truncated {
 		t.Error("cancelled context did not mark the result truncated")
-	}
-}
-
-func TestGroupShardTimeout(t *testing.T) {
-	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 25, Videos: 6})
-	g, err := NewGroup(m, 2, retrieval.Options{AnnotatedOnly: true},
-		GroupOptions{ShardTimeout: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := g.Retrieve(retrievaltest.Queries(m)[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Cost.Truncated {
-		t.Error("expired shard deadline did not mark the result truncated")
 	}
 }
 

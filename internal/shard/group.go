@@ -13,17 +13,6 @@ import (
 // GroupOptions tunes the scatter-gather layer around the per-shard
 // retrieval engines.
 type GroupOptions struct {
-	// Workers bounds the scatter fan-out: how many shards are searched
-	// concurrently. 0 means GOMAXPROCS, 1 searches shards serially. The
-	// merged result is bit-identical for every worker count — each
-	// shard writes only its own result slot and the gather runs
-	// serially after all shards return.
-	Workers int
-	// ShardTimeout, when positive, bounds each shard's search with its
-	// own context deadline (in addition to the request context). A shard
-	// that expires contributes its partial ranking and marks the merged
-	// Cost.Truncated, exactly like a truncated single-engine retrieval.
-	ShardTimeout time.Duration
 	// Metrics, when non-nil, receives the hmmm_shard_* observations.
 	Metrics *Metrics
 }
@@ -144,9 +133,12 @@ func (g *Group) Retrieve(q retrieval.Query) (*retrieval.Result, error) {
 // RetrieveContext scatters q across the shard engines and gathers the
 // per-shard rankings into one global ranking; see the Group docs for
 // the sharded semantics. The scatter reuses the internal/par fan-out
-// (each shard writes only its own slot), and the retrieval.Gather lifts
+// (each shard writes only its own slot, so the merged result is
+// bit-identical for every GOMAXPROCS), and the retrieval.Gather lifts
 // each shard's state ids by the shard's offset into parent-model ids
-// before the deterministic merge.
+// before the deterministic merge. The request context is the only
+// deadline: a shard it stops contributes its partial ranking and marks
+// the merged Cost.Truncated, like a truncated single-engine retrieval.
 func (g *Group) RetrieveContext(ctx context.Context, q retrieval.Query) (*retrieval.Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -158,15 +150,9 @@ func (g *Group) RetrieveContext(ctx context.Context, q retrieval.Query) (*retrie
 	endScatter := g.opts.Trace.Span("scatter")
 	results := make([]*retrieval.Result, len(g.engines))
 	errs := make([]error, len(g.engines))
-	par.For(g.gopts.Workers, len(g.engines), func(i int) {
-		sctx := ctx
-		if g.gopts.ShardTimeout > 0 {
-			var cancel context.CancelFunc
-			sctx, cancel = context.WithTimeout(ctx, g.gopts.ShardTimeout)
-			defer cancel()
-		}
+	par.For(len(g.engines), func(i int) {
 		start := time.Now()
-		res, err := g.engines[i].RetrieveContext(sctx, q)
+		res, err := g.engines[i].RetrieveContext(ctx, q)
 		if met != nil {
 			met.Searches.Inc()
 			met.ShardSeconds.ObserveDuration(time.Since(start))

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -41,17 +42,14 @@ func TestMetricsCountScatterGather(t *testing.T) {
 		t.Errorf("truncated = %d, want 0", got)
 	}
 
-	// A group with an expired per-shard deadline records truncations.
-	tg, err := NewGroup(m, 2, retrieval.Options{AnnotatedOnly: true},
-		GroupOptions{Metrics: met, ShardTimeout: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tg.Retrieve(qs[0]); err != nil {
+	// Shards an expired request deadline stops record truncations.
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, err := g.RetrieveContext(expired, qs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if met.Truncated.Value() == 0 {
-		t.Error("expired shard deadlines not counted as truncations")
+		t.Error("expired request deadline not counted as shard truncations")
 	}
 
 	var sb strings.Builder
