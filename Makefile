@@ -1,8 +1,9 @@
 # Build / verification entry points. `make verify` is the tier-1 loop:
-# vet + build + full tests + race on the concurrency-bearing packages +
+# gofmt + vet + build + full tests + race on the concurrency-bearing packages +
 # the benchmark smoke + every example.
 
 GO ?= go
+GOFMT ?= gofmt
 
 # Hot-path benchmarks captured into BENCH_retrieval.json.
 BENCH_PATTERN := BenchmarkF2RetrievalGreedy$$|BenchmarkF5PaperQuery$$|BenchmarkSimCache
@@ -14,11 +15,15 @@ note = $(1)$(if $(BENCH_NOTE),; $(BENCH_NOTE))
 # Offline-pipeline benchmarks captured into BENCH_build.json.
 BENCH_BUILD_PATTERN := BenchmarkBuildPaperScale|BenchmarkRetrainPaperScale
 
-.PHONY: build vet test race race-all smoke examples verify e2e bench bench-build bench-scale bench-million bench-serving bench-serving-smoke bench-ingest bench-federated cover fuzz loc clean
+.PHONY: fmt build vet test race race-all smoke examples verify e2e bench bench-build bench-scale bench-million bench-serving bench-serving-smoke bench-ingest bench-federated cover fuzz loc clean
 
 # Packages whose per-package coverage `make cover` gates at 80%.
 COVER_GATED := internal/shard internal/retrieval internal/matn internal/index internal/coord internal/rpc internal/live internal/videomodel internal/fed
 COVER_MIN := 80.0
+
+# Fails, listing the files, when any .go file is not gofmt-formatted.
+fmt:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -59,7 +64,7 @@ examples:
 		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
 	done
 
-verify: vet build test race smoke examples
+verify: fmt vet build test race smoke examples
 
 # End-to-end distributed serving: builds cmd/hmmm-shardd, boots 3 real
 # shard processes plus an in-process coordinator, and proves the

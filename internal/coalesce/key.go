@@ -1,6 +1,6 @@
 // Coalesce-key normalization for retrieval options: two requests may
 // share one execution only when every result-affecting knob matches, and
-// must share one whenever only observer- or execution-plumbing knobs
+// must share one whenever only observer knobs or build-time settings
 // differ (an instrumented request and a bare one return bit-identical
 // rankings, so keeping them apart would throw coalescing opportunities
 // away for no correctness gain).
@@ -30,9 +30,10 @@ var OptionsIdentityFields = []string{
 // excluded from the coalesce key, in two classes. Observer-only fields
 // (Metrics, Trace, Tracer) record what happened without affecting it, so
 // an instrumented request and a bare one coalesce together — the
-// explicit requirement the classification test pins. Execution-plumbing
-// field NoSimCache selects how the work runs, and the engine's
-// differential suites pin its results bit-identical across both
+// explicit requirement the classification test pins. The build-time
+// field NoSimCache is read only by retrieval.NewEngine — a per-request
+// view keeps the engine's setting whatever the request carries — and the
+// engine's differential suites pin results bit-identical across both
 // settings, so it cannot change what a waiter receives.
 //
 // Every retrieval.Options field MUST appear in exactly one of these two
@@ -44,7 +45,8 @@ var OptionsIgnoredFields = []string{
 	"Metrics",
 	"Trace",
 	"Tracer",
-	// Execution-only, pinned bit-identical by the differential suites.
+	// Build-time, read only by NewEngine; pinned bit-identical by the
+	// differential suites.
 	"NoSimCache",
 }
 

@@ -778,18 +778,28 @@ func TestShardIdentityStampRejected(t *testing.T) {
 	retrievaltest.RequireSameMatches(t, "identity", retrieval.MergeRanked(want.Matches, 0), res.Matches)
 }
 
-// TestCoarseMismatchSurfaces: a coordinator whose coarse prefilter
-// setting (on or off) differs from its shard servers' gets an error
-// naming both flags from RetrieveContext, in both directions, through
-// Dial over real loopback rpc servers — never an empty, degraded
-// ranking that hides why. A matching fleet answers normally.
+// TestCoarseMismatchSurfaces: a coordinator sending a coarse budget to
+// shard servers started without the coarse index gets an error naming
+// both flags from RetrieveContext, through Dial over real loopback rpc
+// servers — never an empty, degraded ranking that hides why. A
+// coordinator sending a budget of 0 to servers with the index gets exact
+// search, ranking like an exact group over the same shards, and a
+// matching fleet answers normally.
 func TestCoarseMismatchSurfaces(t *testing.T) {
 	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 31, Videos: 6})
 	shards, err := shard.Split(m, 2)
 	if err != nil {
 		t.Fatalf("split: %v", err)
 	}
+	exact, err := shard.NewGroup(m, len(shards), retrieval.Options{}, shard.GroupOptions{})
+	if err != nil {
+		t.Fatalf("group: %v", err)
+	}
 	q := retrievaltest.Queries(m)[0]
+	want, err := exact.Retrieve(q)
+	if err != nil {
+		t.Fatalf("exact group: %v", err)
+	}
 	for _, tc := range []struct{ server, coord int }{{0, 16}, {16, 0}, {16, 8}} {
 		var addrs []string
 		for i, sh := range shards {
@@ -812,15 +822,19 @@ func TestCoarseMismatchSurfaces(t *testing.T) {
 		}
 		t.Cleanup(c.Close)
 		res, err := c.RetrieveContext(context.Background(), q)
-		if (tc.server > 0) == (tc.coord > 0) {
-			if err != nil || res.Cost.DegradedShards != 0 {
-				t.Errorf("server %d, coordinator %d: err = %v, degraded = %d", tc.server, tc.coord, err, res.Cost.DegradedShards)
+		if tc.server == 0 && tc.coord > 0 {
+			if err == nil || !strings.Contains(err.Error(), "hmmmd -coarse-candidates") ||
+				!strings.Contains(err.Error(), "hmmm-shardd -coarse-candidates") {
+				t.Errorf("server %d, coordinator %d: err = %v, want the refusal naming both flags", tc.server, tc.coord, err)
 			}
 			continue
 		}
-		if err == nil || !strings.Contains(err.Error(), "hmmmd -coarse-candidates") ||
-			!strings.Contains(err.Error(), "hmmm-shardd -coarse-candidates") {
-			t.Errorf("server %d, coordinator %d: err = %v, want the refusal naming both flags", tc.server, tc.coord, err)
+		if err != nil || res.Cost.DegradedShards != 0 {
+			t.Errorf("server %d, coordinator %d: err = %v, degraded = %+v", tc.server, tc.coord, err, res)
+			continue
+		}
+		if tc.coord == 0 {
+			retrievaltest.RequireSameMatches(t, fmt.Sprintf("server %d, coordinator 0", tc.server), want.Matches, res.Matches)
 		}
 	}
 }

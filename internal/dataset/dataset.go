@@ -184,15 +184,6 @@ var genres = []genre{
 	}},
 }
 
-// Genres lists the archetype names the generator cycles through.
-func Genres() []string {
-	out := make([]string, len(genres))
-	for i, g := range genres {
-		out[i] = g.name
-	}
-	return out
-}
-
 // planVideo builds one video's timeline with exactly nShots shots and
 // exactly nAnn annotated shots, with start events drawn from the genre's
 // skewed weights.

@@ -6,6 +6,7 @@
 package retrieval_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -164,9 +165,13 @@ func TestCoarsePrunesWork(t *testing.T) {
 	}
 }
 
-// TestCoarseWithOptionsTogglesPrefilter covers the derived-cache key:
-// deriving a coarse engine from an exact one (and back) must rebuild or
-// drop the coarse index, and a limit-only change must reuse the caches.
+// TestCoarseWithOptionsTogglesPrefilter covers the split of
+// CoarseCandidates into a build-time half (NewEngine builds the coarse
+// index when it is positive) and a per-request budget: views of a coarse
+// engine that change only the budget, or set it to 0, share its caches
+// and rank like the exact engine whenever the budget cannot prune, and a
+// coarse budget on an engine built without the index is ErrNoCoarseIndex,
+// never a silent exact search.
 func TestCoarseWithOptionsTogglesPrefilter(t *testing.T) {
 	m := coarseCorpus(t, 8)
 	base := retrieval.Options{TopK: 8, Beam: 4, AnnotatedOnly: true}
@@ -176,28 +181,43 @@ func TestCoarseWithOptionsTogglesPrefilter(t *testing.T) {
 	}
 	on := base
 	on.CoarseCandidates = m.NumVideos()
-	coarse := exact.WithOptions(on)
-	off := coarse.WithOptions(base)
+	coarse, err := retrieval.NewEngine(m, on)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wider := on
+	wider.CoarseCandidates = 2 * m.NumVideos()
 	narrower := on
 	narrower.CoarseCandidates = 6
+	engines := map[string]*retrieval.Engine{
+		"built-on":    coarse,
+		"budget-only": coarse.WithOptions(wider),
+		"budget-0":    coarse.WithOptions(base),
+	}
+	for label, e := range engines {
+		if !e.SameCaches(coarse) {
+			t.Errorf("%s view built its own caches", label)
+		}
+	}
 	narrow := coarse.WithOptions(narrower)
+	missing := exact.WithOptions(on)
 	for qi, q := range retrievaltest.Queries(m) {
 		want, err := exact.Retrieve(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := coarse.Retrieve(q)
-		if err != nil {
-			t.Fatal(err)
+		for label, e := range engines {
+			got, err := e.Retrieve(q)
+			if err != nil {
+				t.Fatalf("%s q=%d: %v", label, qi, err)
+			}
+			retrievaltest.RequireSameMatches(t, fmt.Sprintf("%s q=%d", label, qi), want.Matches, got.Matches)
 		}
-		retrievaltest.RequireSameMatches(t, fmt.Sprintf("derived-on q=%d", qi), want.Matches, got.Matches)
-		back, err := off.Retrieve(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		retrievaltest.RequireSameMatches(t, fmt.Sprintf("derived-off q=%d", qi), want.Matches, back.Matches)
 		if _, err := narrow.Retrieve(q); err != nil {
 			t.Fatal(err)
+		}
+		if _, err := missing.Retrieve(q); !errors.Is(err, retrieval.ErrNoCoarseIndex) {
+			t.Fatalf("coarse budget on the exact engine, q=%d: err = %v, want ErrNoCoarseIndex", qi, err)
 		}
 	}
 }

@@ -8,6 +8,12 @@ func (e *Engine) Posting(vi, ci int) []int32 { return e.shared.posting(vi, ci) }
 
 func (e *Engine) StartMSColumn() []int32 { return e.shared.startMS }
 
+// HasSimTable reports whether the engine holds the Eq. 14 table.
+func (e *Engine) HasSimTable() bool { return e.shared.sim != nil }
+
+// SameCaches reports whether e and o share one set of derived caches.
+func (e *Engine) SameCaches(o *Engine) bool { return e.shared == o.shared }
+
 // VideoBound is the certified bound on q's score in video vi, as the
 // pruned visit order keys it.
 func (e *Engine) VideoBound(vi int, q Query) float64 {
@@ -19,7 +25,7 @@ func (e *Engine) VideoBound(vi int, q Query) float64 {
 // carry no bound tables, so it never prunes: the exhaustive reference the
 // pruning differentials compare against.
 func (e *Engine) Unpruned() *Engine {
-	ne := &Engine{m: e.m, opts: e.opts, shared: buildShared(e.m, e.opts)}
+	ne := &Engine{m: e.m, opts: e.opts, shared: buildShared(e.m, e.shared.sim == nil, e.shared.coarse != nil)}
 	ne.shared.bound = nil
 	return ne
 }

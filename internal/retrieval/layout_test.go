@@ -65,14 +65,21 @@ func layoutModels(t *testing.T) map[string]*hmmm.Model {
 }
 
 // TestSimTableBitIdenticalEverywhere checks every (state, concept) entry
-// of the concept-major table against the uncached Eq. 14 kernel.
+// of the concept-major table against the uncached Eq. 14 kernel of an
+// engine built without the table.
 func TestSimTableBitIdenticalEverywhere(t *testing.T) {
 	for label, m := range layoutModels(t) {
 		cached, err := retrieval.NewEngine(m, retrieval.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		direct := cached.WithOptions(retrieval.Options{NoSimCache: true})
+		direct, err := retrieval.NewEngine(m, retrieval.Options{NoSimCache: true})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !cached.HasSimTable() || direct.HasSimTable() {
+			t.Fatalf("%s: table built %v with the cache and %v without it", label, cached.HasSimTable(), direct.HasSimTable())
+		}
 		for s := 0; s < m.NumStates(); s++ {
 			for ci := 0; ci < m.NumConcepts(); ci++ {
 				ev := videomodel.EventFromIndex(ci)

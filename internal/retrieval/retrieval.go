@@ -287,7 +287,9 @@ type Result struct {
 	Cost    Cost
 }
 
-// Options tunes the engine.
+// Options tunes the engine. NoSimCache and whether CoarseCandidates is
+// positive are build-time, read only by NewEngine; the rest is
+// per-request.
 type Options struct {
 	// TopK bounds the number of returned matches; 0 means DefaultTopK.
 	TopK int
@@ -332,6 +334,10 @@ type Options struct {
 	// are never approximated, only the searched set shrinks (recall@10
 	// >= 0.95 on the retrievaltest corpora; see the recall harness).
 	// Queries scoped to a single video bypass the prefilter entirely.
+	// Whether the value is positive is build-time: NewEngine builds the
+	// coarse index only then. The budget itself is per-request — a view
+	// may change it, or set it to 0 for exact search — but a positive
+	// budget on an engine built without the index is ErrNoCoarseIndex.
 	CoarseCandidates int
 	// NoSimCache disables the engine's precomputed sim(s, e) table and
 	// recomputes Eq. 14 from the raw B1/B1'/P12 rows on every evaluation.
@@ -339,7 +345,8 @@ type Options struct {
 	// escape hatch exists for memory-constrained deployments (the table
 	// is NumConcepts × NumStates float64s, concept-major) and for
 	// verification tests. The event index and the video-order memo are
-	// unaffected.
+	// unaffected. Build-time: only NewEngine reads it, and a WithOptions
+	// view keeps the engine's value whatever it is given.
 	NoSimCache bool
 	// Metrics, when non-nil, receives per-retrieval observations (query
 	// count and latency, sim-cache hits/misses, edges relaxed, videos
@@ -368,6 +375,12 @@ const (
 // knob.
 const DefaultSimEpsilon = 1e-9
 
+// ErrNoCoarseIndex is RetrieveContext's answer to a positive (per-request)
+// CoarseCandidates budget on an engine NewEngine built without the coarse
+// index (build-time): a view never builds a cache. A budget of 0 is exact
+// search on any engine.
+var ErrNoCoarseIndex = errors.New("retrieval: coarse prefilter requested, but the engine was built without the coarse index")
+
 func (o Options) withDefaults() Options {
 	if o.TopK <= 0 {
 		o.TopK = DefaultTopK
@@ -388,7 +401,7 @@ type Engine struct {
 }
 
 // engineShared bundles the caches that depend only on the model and the
-// cache-affecting options (NoSimCache, coarse prefilter), not on per-query
+// build-time options (NoSimCache, coarse prefilter), not on per-query
 // tuning. Everything but the order memo and the arena free list is
 // immutable after construction, and so is the model it is derived from,
 // so none of it can go stale.
@@ -526,9 +539,8 @@ func NewEngine(m *hmmm.Model, opts Options) (*Engine, error) {
 	if err := validateModel(m); err != nil {
 		return nil, err
 	}
-	e := &Engine{m: m, opts: opts.withDefaults()}
-	e.shared = buildShared(m, e.opts)
-	return e, nil
+	shared := buildShared(m, opts.NoSimCache, opts.CoarseCandidates > 0)
+	return &Engine{m: m, opts: opts.withDefaults(), shared: shared}, nil
 }
 
 // validateModel checks what the derived caches rely on: the model's own
@@ -549,9 +561,9 @@ func validateModel(m *hmmm.Model) error {
 	return nil
 }
 
-// buildShared computes the derived caches for the model under the given
-// (defaulted) options.
-func buildShared(m *hmmm.Model, opts Options) *engineShared {
+// buildShared computes the derived caches for the model: the similarity
+// table unless noSimCache, the coarse index when coarse.
+func buildShared(m *hmmm.Model, noSimCache, coarse bool) *engineShared {
 	sh := &engineShared{
 		states:   m.NumStates(),
 		concepts: m.NumConcepts(),
@@ -564,15 +576,15 @@ func buildShared(m *hmmm.Model, opts Options) *engineShared {
 		}
 	}
 	sh.buildIndex(m)
-	if !opts.NoSimCache {
+	if !noSimCache {
 		sh.sim = buildSimTable(m)
 	}
-	if opts.CoarseCandidates > 0 {
+	if coarse {
 		sh.coarse = index.Build(m, DefaultSimEpsilon)
 	}
 	// The bound tables read Eq. 14 through Sim, so they see the values
 	// the lattice will: from the table just built, or computed directly.
-	sh.bound = (&Engine{m: m, opts: opts, shared: sh}).buildBounds()
+	sh.bound = (&Engine{m: m, shared: sh}).buildBounds()
 	sh.arenas = make(chan *arena, scratchArenas())
 	return sh
 }
@@ -619,28 +631,17 @@ func (sh *engineShared) buildIndex(m *hmmm.Model) {
 	})
 }
 
-// WithOptions returns an engine over the same model with different
-// per-query options, sharing this engine's derived caches. The caches are
-// reused when the cache-affecting options (NoSimCache and coarse-prefilter
-// presence) are unchanged; otherwise they are rebuilt.
-// The server uses this to apply per-request TopK/Beam/CrossVideo/
-// AnnotatedOnly overrides without paying the cache build on every
-// request. Changing CoarseCandidates between two positive values reuses
-// the coarse index (the limit is applied per query, not baked into it).
+// WithOptions returns a view of the engine with opts' per-request fields,
+// sharing this engine's derived caches: it never builds one. The view
+// keeps the engine's NoSimCache, and its CoarseCandidates is a budget
+// over the index NewEngine built — on an engine built without one, a
+// positive budget makes RetrieveContext return ErrNoCoarseIndex. The
+// server, shard groups and shard servers use it to apply per-request
+// TopK/Beam/CrossVideo/AnnotatedOnly overrides.
 func (e *Engine) WithOptions(opts Options) *Engine {
 	opts = opts.withDefaults()
-	ne := &Engine{m: e.m, opts: opts, shared: e.shared}
-	if !e.SharesCaches(opts) {
-		ne.shared = buildShared(e.m, opts)
-	}
-	return ne
-}
-
-// SharesCaches reports whether WithOptions(opts) reuses this engine's
-// derived caches: it does unless opts changes NoSimCache or turns the
-// coarse prefilter on or off.
-func (e *Engine) SharesCaches(opts Options) bool {
-	return opts.NoSimCache == e.opts.NoSimCache && (opts.CoarseCandidates > 0) == (e.opts.CoarseCandidates > 0)
+	opts.NoSimCache = e.opts.NoSimCache
+	return &Engine{m: e.m, opts: opts, shared: e.shared}
 }
 
 // WithTopK is WithOptions changing only TopK: the view a caller that
@@ -672,6 +673,9 @@ func (e *Engine) Retrieve(q Query) (*Result, error) {
 func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) {
 	if err := q.validateFor(e.m.NumConcepts()); err != nil {
 		return nil, err
+	}
+	if e.opts.CoarseCandidates > 0 && e.shared.coarse == nil {
+		return nil, ErrNoCoarseIndex
 	}
 	// Stage timing backs both Options.Metrics and Options.Trace; with
 	// neither configured no clock is read.
@@ -760,7 +764,7 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 			tr.Record("search", t1, t2.Sub(t1))
 			tr.Record("rank", t2, t3.Sub(t2))
 		}
-		e.opts.Metrics.observe(res.Cost, !e.opts.NoSimCache,
+		e.opts.Metrics.observe(res.Cost, e.shared.sim != nil,
 			t3.Sub(t0), t1.Sub(t0), t2.Sub(t1), t3.Sub(t2))
 	}
 	return res, nil
@@ -779,8 +783,7 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 // shared caches (see orderMemo); the returned slice is shared and must not
 // be modified.
 func (e *Engine) videoOrder(steps []Step, scope *Scope, cost *Cost) []int {
-	if e.opts.CoarseCandidates > 0 && e.shared.coarse != nil &&
-		(scope == nil || scope.Video == 0) {
+	if e.opts.CoarseCandidates > 0 && (scope == nil || scope.Video == 0) {
 		return e.coarseOrder(steps, cost)
 	}
 	key := orderKey{annotatedOnly: e.opts.AnnotatedOnly}

@@ -45,18 +45,45 @@ func TestSimCacheBitIdentical(t *testing.T) {
 	requireEqualResults(t, cres, dres)
 }
 
-// TestWithOptionsSharesCache checks that per-query option tweaks reuse
-// the derived caches and that cache-affecting options force a rebuild.
+// TestWithOptionsSharesCache checks that every view shares the engine's
+// derived caches: per-query tuning, a NoSimCache toggle (the view keeps
+// the engine's table, or its lack of one) and a coarse budget turned on
+// or off (the view keeps the engine's index, or its lack of one).
 func TestWithOptionsSharesCache(t *testing.T) {
 	m := equivModel(t)
 	eng, err := NewEngine(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tuned := eng.WithOptions(Options{TopK: 3, Beam: 1, CrossVideo: true}); tuned.shared != eng.shared {
-		t.Error("per-query tuning rebuilt the shared caches")
+	bare, err := NewEngine(m, Options{NoSimCache: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if nc := eng.WithOptions(Options{NoSimCache: true}); nc.shared == eng.shared || nc.shared.sim != nil {
-		t.Error("NoSimCache view kept the cached table")
+	coarse, err := NewEngine(m, Options{CoarseCandidates: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.shared.sim == nil || bare.shared.sim != nil || eng.shared.coarse != nil || coarse.shared.coarse == nil {
+		t.Fatal("NewEngine built the wrong caches for its options")
+	}
+	for _, tc := range []struct {
+		label string
+		e     *Engine
+		opts  Options
+	}{
+		{"tuning", eng, Options{TopK: 3, Beam: 1, CrossVideo: true}},
+		{"NoSimCache on", eng, Options{NoSimCache: true}},
+		{"NoSimCache off", bare, Options{}},
+		{"coarse on", eng, Options{CoarseCandidates: 4}},
+		{"coarse off", coarse, Options{}},
+		{"coarse budget", coarse, Options{CoarseCandidates: 9}},
+	} {
+		v := tc.e.WithOptions(tc.opts)
+		if v.shared != tc.e.shared {
+			t.Errorf("%s: the view built its own caches", tc.label)
+		}
+		if v.opts.NoSimCache != tc.e.opts.NoSimCache {
+			t.Errorf("%s: the view's NoSimCache is %v, the engine's %v", tc.label, v.opts.NoSimCache, tc.e.opts.NoSimCache)
+		}
 	}
 }

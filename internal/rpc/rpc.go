@@ -99,9 +99,12 @@ const (
 // QueryOptions is the result-affecting slice of retrieval.Options a
 // request carries over the wire: exactly the fields covered by
 // coalesce.OptionsKey, because those are the fields that can change the
-// ranking. Execution plumbing (caches, observers) has no wire
-// representation at all — the codec writes these six fields and nothing
-// else — and stays a per-server concern.
+// ranking. They are all per-request: CoarseCandidates is a budget over
+// the coarse index the shard server built at startup (or did not — then
+// a positive budget is refused, and 0 is exact search). The build-time
+// NoSimCache and the observers have no wire representation at all — the
+// codec writes these six fields and nothing else — and stay a per-server
+// concern.
 type QueryOptions struct {
 	TopK             int
 	Beam             int
@@ -124,7 +127,7 @@ func FromOptions(o retrieval.Options) QueryOptions {
 }
 
 // Apply overlays the wire options onto a server's base options,
-// preserving the base's execution plumbing.
+// preserving the base's build-time NoSimCache and its observers.
 func (qo QueryOptions) Apply(base retrieval.Options) retrieval.Options {
 	base.TopK = qo.TopK
 	base.Beam = qo.Beam

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -149,32 +150,44 @@ func TestInvalidQueryIsPermanentError(t *testing.T) {
 	}
 }
 
-// TestCoarseMismatchRefused: a request whose coarse prefilter setting
-// (on or off) differs from the shard server's is refused as bad_request
-// naming both flags, in both directions, where serving it would rebuild
-// the engine's derived caches on every request; a matching setting is
-// served.
+// TestCoarseMismatchRefused: a coarse budget sent to a shard server
+// started without the coarse index is refused as bad_request naming both
+// flags; a budget of 0 sent to a server with the index is served as
+// exact search, ranking like an exact group over the same shard; a
+// matching setting is served.
 func TestCoarseMismatchRefused(t *testing.T) {
 	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 6, Videos: 6})
 	shards, _ := shard.Split(m, 1)
+	exact, err := shard.NewGroup(m, 1, retrieval.Options{}, shard.GroupOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := retrievaltest.Queries(m)[0]
+	want, err := exact.Retrieve(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct{ server, request int }{{0, 16}, {16, 0}, {0, 0}, {16, 8}} {
 		svc, err := NewShardService(shards[0], 0, 1, retrieval.Options{CoarseCandidates: tc.server}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		req := &RetrieveRequest{Query: q, Options: QueryOptions{CoarseCandidates: tc.request}}
-		_, err = svc.Retrieve(context.Background(), req)
-		if (tc.server > 0) == (tc.request > 0) {
-			if err != nil {
-				t.Errorf("server %d, request %d: %v", tc.server, tc.request, err)
+		resp, err := svc.Retrieve(context.Background(), req)
+		if tc.server == 0 && tc.request > 0 {
+			var se *ServerError
+			if !errors.As(err, &se) || se.Code != CodeBadRequest ||
+				!strings.Contains(se.Msg, "hmmmd -coarse-candidates") || !strings.Contains(se.Msg, "hmmm-shardd -coarse-candidates") {
+				t.Errorf("server %d, request %d: err = %v, want bad_request naming both flags", tc.server, tc.request, err)
 			}
 			continue
 		}
-		var se *ServerError
-		if !errors.As(err, &se) || se.Code != CodeBadRequest ||
-			!strings.Contains(se.Msg, "hmmmd -coarse-candidates") || !strings.Contains(se.Msg, "hmmm-shardd -coarse-candidates") {
-			t.Errorf("server %d, request %d: err = %v, want bad_request naming both flags", tc.server, tc.request, err)
+		if err != nil {
+			t.Errorf("server %d, request %d: %v", tc.server, tc.request, err)
+			continue
+		}
+		if tc.request == 0 {
+			retrievaltest.RequireSameMatches(t, fmt.Sprintf("server %d, request 0", tc.server), want.Matches, resp.Matches)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -50,27 +51,26 @@ func (s *ShardService) Generation() uint64 { return s.gen.Load() }
 // result-affecting options and budget, lifts the ranking to parent
 // ids, and stamps the generation. A context expiry is a degraded
 // answer (partial ranking, Cost.Truncated), mirroring the local engine.
-// A request whose options the engine cannot serve from its derived
-// caches (the coarse prefilter on where this server has it off, or the
-// reverse) is refused: serving it would rebuild every cache on every
-// request.
+// A coarse budget on a server started without the coarse index
+// (retrieval.ErrNoCoarseIndex) is refused as bad_request; a budget of 0
+// is exact search on any server.
 func (s *ShardService) Retrieve(ctx context.Context, req *RetrieveRequest) (*RetrieveResponse, error) {
 	if err := req.Query.Validate(); err != nil {
 		return nil, &ServerError{Code: CodeBadRequest, Msg: err.Error()}
 	}
 	opts := req.Options.Apply(s.base)
-	if !s.engine.SharesCaches(opts) {
-		return nil, &ServerError{Code: CodeBadRequest, Msg: fmt.Sprintf(
-			"coarse prefilter mismatch: the request asks for %d coarse candidates, this shard server runs with %d; "+
-				"give hmmmd -coarse-candidates and hmmm-shardd -coarse-candidates both 0 or both positive",
-			req.Options.CoarseCandidates, s.base.CoarseCandidates)}
-	}
 	// Stamp the generation before searching: if a rollout lands
 	// mid-request the response reports the older generation it actually
 	// computed against, and the coordinator's consistency check catches
 	// the skew.
 	gen := s.gen.Load()
 	res, err := s.engine.WithOptions(opts).RetrieveContext(ctx, req.Query)
+	if errors.Is(err, retrieval.ErrNoCoarseIndex) {
+		return nil, &ServerError{Code: CodeBadRequest, Msg: fmt.Sprintf(
+			"coarse prefilter mismatch: the request asks for %d coarse candidates, this shard server runs without the coarse index; "+
+				"give hmmmd -coarse-candidates and hmmm-shardd -coarse-candidates both positive, or hmmmd -coarse-candidates 0",
+			req.Options.CoarseCandidates)}
+	}
 	if err != nil {
 		return nil, &ServerError{Code: CodeInternal, Msg: err.Error()}
 	}

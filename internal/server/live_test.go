@@ -309,9 +309,7 @@ func TestDeltaServingOracleConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dopts := qopts
-		dopts.NoSimCache = true
-		deltaRes, err := d.Engine.WithOptions(dopts).Retrieve(q)
+		deltaRes, err := d.Engine.WithOptions(qopts).Retrieve(q)
 		if err != nil {
 			t.Fatal(err)
 		}

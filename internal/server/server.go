@@ -865,18 +865,11 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
 		opts.Trace = qtrace
 		qstart = time.Now()
 	}
-	// Per-request tuning shares the snapshot engine's caches: none of the
-	// overridable options affect the similarity table or event index. In
-	// sharded mode the snapshot engine was built with NoSimCache (the
-	// shard engines own the table), so the derived Explain engine must
-	// keep that flag for WithOptions to reuse its caches; retrieval
-	// itself goes through the shard group, whose merged ranking is
-	// bit-identical to the engine's (see internal/shard).
-	eopts := opts
-	if snap.group != nil {
-		eopts.NoSimCache = true
-	}
-	engine := snap.engine.WithOptions(eopts)
+	// Per-request tuning is a view sharing the snapshot engine's caches.
+	// In sharded mode retrieval goes through the shard group, whose merged
+	// ranking is bit-identical to the engine's (see internal/shard); the
+	// engine still serves Explain and the admission estimate.
+	engine := snap.engine.WithOptions(opts)
 	var search retrieval.Retriever = engine
 	switch {
 	case s.coordinator != nil:
@@ -932,13 +925,7 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
 	// sub-model, one more (small) shard of the gather at its offset; a
 	// spent deadline skips it exactly like a later alternation branch.
 	if snap.delta != nil && !gather.Truncated() {
-		// Delta engines are built with NoSimCache (small, short-lived
-		// models); keep the flag so WithOptions reuses the caches instead
-		// of building a sim table per request. Results are pinned
-		// bit-identical across the flag by the engine's differential suite.
-		dopts := eopts
-		dopts.NoSimCache = true
-		dengine := snap.delta.Engine.WithOptions(dopts)
+		dengine := snap.delta.Engine.WithOptions(opts)
 		for _, q := range queries {
 			q.Scope = scope
 			res, err := dengine.RetrieveContext(ctx, q)

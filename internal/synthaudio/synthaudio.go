@@ -54,47 +54,10 @@ func ProfileFor(e videomodel.Event) Profile {
 	return profiles[videomodel.EventNone]
 }
 
-// ProfileForDomain returns the audio profile of a shot class in a
-// domain's vocabulary. Soccer keeps the hand-tuned table above
-// bit-for-bit; other domains derive the profile from the event's
-// Arousal and Closeup emphases — high arousal drives the roar ramp and
-// modulation depth (goals, dunks, breaking news), close framing shifts
-// energy into the announcer speech band (interviews, anchor desks), and
-// their product sets crowd displeasure, so the 15 audio features stay
-// class-discriminative in every vocabulary.
-func ProfileForDomain(d *videomodel.Domain, e videomodel.Event) Profile {
-	if d == nil || d.Name == "soccer" {
-		return ProfileFor(e)
-	}
-	if !e.Valid() || e.Index() >= d.NumEvents() {
-		return profiles[videomodel.EventNone]
-	}
-	spec := d.Spec(e)
-	return Profile{
-		BaseLevel: 0.10 + 0.20*spec.Arousal,
-		Roar:      0.55 * spec.Arousal * spec.Arousal,
-		Whistle:   spec.Arousal >= 0.55 && spec.Closeup >= 0.4,
-		Boo:       0.35 * spec.Arousal * spec.Closeup,
-		Speech:    0.40 * spec.Closeup,
-		Excite:    0.10 + 0.60*spec.Arousal,
-	}
-}
-
-// SynthesizeDomain renders the audio clip of one shot class in a
-// domain's vocabulary.
-func SynthesizeDomain(rng *xrand.RNG, d *videomodel.Domain, class videomodel.Event, durationMS int) *videomodel.AudioClip {
-	return synthesize(rng, ProfileForDomain(d, class), durationMS)
-}
-
 // Synthesize renders the audio clip of one shot of the given class and
 // duration. The same RNG state always yields the same samples.
 func Synthesize(rng *xrand.RNG, class videomodel.Event, durationMS int) *videomodel.AudioClip {
-	return synthesize(rng, ProfileFor(class), durationMS)
-}
-
-// synthesize renders a clip from an explicit profile; Synthesize and
-// SynthesizeDomain differ only in how they resolve the profile.
-func synthesize(rng *xrand.RNG, p Profile, durationMS int) *videomodel.AudioClip {
+	p := ProfileFor(class)
 	n := durationMS * SampleRate / 1000
 	if n < SampleRate/4 {
 		n = SampleRate / 4 // at least 250 ms so framed features are defined

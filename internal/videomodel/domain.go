@@ -12,16 +12,10 @@ import (
 const MaxEvents = 16
 
 // EventSpec describes one event concept of a domain: its MATN-visible
-// name plus the generation emphases synthvideo/synthaudio consume.
+// name plus the feature emphasis synthvideo samples with.
 type EventSpec struct {
 	// Name is the vocabulary token used in MATN patterns and JSON.
 	Name string
-	// Arousal in [0, 1] sets the audio excitement of shots carrying the
-	// event (crowd roar level, speech agitation).
-	Arousal float64
-	// Closeup in [0, 1] sets the visual framing tendency (close shots
-	// carry less background texture and more face/object detail).
-	Closeup float64
 	// Emphasis > 0 scales how tightly the event's feature vectors
 	// cluster around the concept centroid: 1 matches the soccer
 	// baseline, 2 halves the jitter, 0.5 doubles it.
@@ -219,14 +213,14 @@ func soccerSpec() (string, []EventSpec, []float64, [][]float64) {
 	// Names and order must match the package-level Event constants
 	// exactly: Soccer() is the vocabulary every pre-domain model used.
 	events := []EventSpec{
-		{Name: "goal", Arousal: 1.0, Closeup: 0.5, Emphasis: 1},
-		{Name: "corner_kick", Arousal: 0.5, Closeup: 0.2, Emphasis: 1},
-		{Name: "free_kick", Arousal: 0.5, Closeup: 0.3, Emphasis: 1},
-		{Name: "foul", Arousal: 0.6, Closeup: 0.6, Emphasis: 1},
-		{Name: "goal_kick", Arousal: 0.3, Closeup: 0.2, Emphasis: 1},
-		{Name: "yellow_card", Arousal: 0.6, Closeup: 0.8, Emphasis: 1},
-		{Name: "red_card", Arousal: 0.8, Closeup: 0.9, Emphasis: 1},
-		{Name: "player_change", Arousal: 0.2, Closeup: 0.6, Emphasis: 1},
+		{Name: "goal", Emphasis: 1},
+		{Name: "corner_kick", Emphasis: 1},
+		{Name: "free_kick", Emphasis: 1},
+		{Name: "foul", Emphasis: 1},
+		{Name: "goal_kick", Emphasis: 1},
+		{Name: "yellow_card", Emphasis: 1},
+		{Name: "red_card", Emphasis: 1},
+		{Name: "player_change", Emphasis: 1},
 	}
 	// Timeline grammar: set pieces and cards follow fouls, goal kicks
 	// restart play after misses, substitutions trail cards and goals.
@@ -247,16 +241,16 @@ func soccerSpec() (string, []EventSpec, []float64, [][]float64) {
 
 func basketballSpec() (string, []EventSpec, []float64, [][]float64) {
 	events := []EventSpec{
-		{Name: "three_pointer", Arousal: 0.9, Closeup: 0.3, Emphasis: 1.2},
-		{Name: "dunk", Arousal: 1.0, Closeup: 0.7, Emphasis: 1.3},
-		{Name: "layup", Arousal: 0.6, Closeup: 0.5, Emphasis: 0.9},
-		{Name: "free_throw", Arousal: 0.3, Closeup: 0.8, Emphasis: 1.5},
-		{Name: "steal", Arousal: 0.8, Closeup: 0.4, Emphasis: 0.8},
-		{Name: "block", Arousal: 0.8, Closeup: 0.6, Emphasis: 1},
-		{Name: "turnover", Arousal: 0.4, Closeup: 0.3, Emphasis: 0.7},
-		{Name: "rebound", Arousal: 0.4, Closeup: 0.5, Emphasis: 0.8},
-		{Name: "timeout", Arousal: 0.1, Closeup: 0.6, Emphasis: 1.4},
-		{Name: "fast_break", Arousal: 0.9, Closeup: 0.2, Emphasis: 0.9},
+		{Name: "three_pointer", Emphasis: 1.2},
+		{Name: "dunk", Emphasis: 1.3},
+		{Name: "layup", Emphasis: 0.9},
+		{Name: "free_throw", Emphasis: 1.5},
+		{Name: "steal", Emphasis: 0.8},
+		{Name: "block", Emphasis: 1},
+		{Name: "turnover", Emphasis: 0.7},
+		{Name: "rebound", Emphasis: 0.8},
+		{Name: "timeout", Emphasis: 1.4},
+		{Name: "fast_break", Emphasis: 0.9},
 	}
 	start := []float64{1, 0.5, 2, 0.5, 1, 0.5, 1.5, 2, 0.3, 1}
 	follow := [][]float64{
@@ -277,13 +271,13 @@ func basketballSpec() (string, []EventSpec, []float64, [][]float64) {
 
 func newsSpec() (string, []EventSpec, []float64, [][]float64) {
 	events := []EventSpec{
-		{Name: "anchor_desk", Arousal: 0.2, Closeup: 0.8, Emphasis: 1.6},
-		{Name: "field_report", Arousal: 0.5, Closeup: 0.4, Emphasis: 0.8},
-		{Name: "interview", Arousal: 0.3, Closeup: 0.9, Emphasis: 1.2},
-		{Name: "weather", Arousal: 0.1, Closeup: 0.3, Emphasis: 1.5},
-		{Name: "sports_recap", Arousal: 0.7, Closeup: 0.3, Emphasis: 0.7},
-		{Name: "commercial", Arousal: 0.4, Closeup: 0.5, Emphasis: 0.5},
-		{Name: "breaking_news", Arousal: 0.9, Closeup: 0.6, Emphasis: 1},
+		{Name: "anchor_desk", Emphasis: 1.6},
+		{Name: "field_report", Emphasis: 0.8},
+		{Name: "interview", Emphasis: 1.2},
+		{Name: "weather", Emphasis: 1.5},
+		{Name: "sports_recap", Emphasis: 0.7},
+		{Name: "commercial", Emphasis: 0.5},
+		{Name: "breaking_news", Emphasis: 1},
 	}
 	// A bulletin opens at the desk and alternates desk ↔ package.
 	start := []float64{8, 0.5, 0.2, 0.1, 0.1, 0.5, 1}
