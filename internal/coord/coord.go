@@ -288,8 +288,7 @@ func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*
 	gather := retrieval.Gather{TopK: c.opts.TopK}
 	expired, degraded := false, 0
 	for i, o := range outs {
-		var se *rpc.ServerError
-		if errors.As(o.err, &se) && se.Code == rpc.CodeBadRequest {
+		if se := rpc.AsServerError(o.err); se != nil && se.Code == rpc.CodeBadRequest {
 			return nil, fmt.Errorf("coord: shard %d refused the query: %w", i, o.err)
 		}
 		if o.err != nil {

@@ -123,14 +123,24 @@ func (f *family) get(values []string, make func() *child) *child {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := strings.Join(values, "\x00")
+	// The key is the values joined by NULs, built in a stack buffer (a
+	// longer key spills to the heap): a warm lookup allocates nothing,
+	// and only a miss stores the key as a string.
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range values {
+		if i > 0 {
+			key = append(key, 0)
+		}
+		key = append(key, v...)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	k, ok := f.kids[key]
+	k, ok := f.kids[string(key)]
 	if !ok {
 		k = make()
 		k.values = append([]string(nil), values...)
-		f.kids[key] = k
+		f.kids[string(key)] = k
 	}
 	return k
 }

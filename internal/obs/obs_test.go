@@ -79,6 +79,29 @@ func TestCounterVec(t *testing.T) {
 	}
 }
 
+// TestWarmWithAllocs pins a warm labelled lookup — what every HTTP
+// request pays for its {route, code} counter — at zero allocations, and
+// checks that a key longer than the stack buffer still finds its child.
+func TestWarmWithAllocs(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVec("req_total", "requests", "route", "code")
+	h := r.HistogramVec("req_seconds", "latency", nil, "route")
+	v.With("/api/query", "2xx").Inc()
+	h.With("/api/query").Observe(0.1)
+	if n := testing.AllocsPerRun(100, func() {
+		v.With("/api/query", "2xx").Inc()
+		h.With("/api/query").Observe(0.1)
+	}); n != 0 {
+		t.Errorf("warm With = %v allocs, want 0", n)
+	}
+	long := strings.Repeat("r", 200)
+	v.With(long, "2xx").Inc()
+	v.With(long, "2xx").Inc()
+	if got := v.With(long, "2xx").Value(); got != 2 {
+		t.Fatalf("long-key child = %d, want 2", got)
+	}
+}
+
 func TestGaugeVec(t *testing.T) {
 	r := NewRegistry()
 	v := r.GaugeVec("inflight", "in-flight by lane", "lane")

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -101,8 +100,7 @@ func (c *Client) call(ctx context.Context, reqTag byte, req any, respTag byte, r
 		// Retry only transport failures on a pooled connection: the
 		// server may have closed it while parked. A ServerError arrived
 		// over a working exchange — redialing cannot change the answer.
-		var se *ServerError
-		if pooled && attempt == 0 && ctx.Err() == nil && !errors.As(err, &se) && IsTransient(err) {
+		if pooled && attempt == 0 && ctx.Err() == nil && AsServerError(err) == nil && IsTransient(err) {
 			continue
 		}
 		return err
@@ -153,8 +151,7 @@ func (c *Client) roundTrip(ctx context.Context, conn *clientConn, reqTag byte, r
 		stop()
 		// A ServerError rode a clean, fully-framed exchange: the
 		// connection is still usable.
-		var se *ServerError
-		if (err == nil || errors.As(err, &se)) && !poked.Load() {
+		if (err == nil || AsServerError(err) != nil) && !poked.Load() {
 			c.park(conn)
 			return
 		}

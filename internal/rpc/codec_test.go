@@ -325,8 +325,10 @@ func TestCodecAllocs(t *testing.T) {
 
 // TestRoundTripAllocs pins a whole loopback exchange — client encode,
 // server decode, stub handler, server encode, client decode, both
-// sides' deadline and cancellation plumbing — at a few dozen
-// allocations (the per-frame gob streams cost about 850).
+// sides' deadline and cancellation plumbing — at 18 allocations,
+// measured with go1.24.0 on linux/amd64 (19 while the client's
+// ServerError check allocated its errors.As target on every exchange;
+// the per-frame gob streams cost about 850).
 func TestRoundTripAllocs(t *testing.T) {
 	cl := NewClient(startStub(t, stubHandler{rankedResponse(10)}), time.Second, 1)
 	defer cl.Close()
@@ -337,8 +339,8 @@ func TestRoundTripAllocs(t *testing.T) {
 		if _, err := cl.Retrieve(ctx, req); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 40 {
-		t.Errorf("one loopback Client.Retrieve = %v allocs, want <= 40", n)
+	}); n > 18 {
+		t.Errorf("one loopback Client.Retrieve = %v allocs, want <= 18 (measured with go1.24.0, running %s)", n, runtime.Version())
 	}
 }
 

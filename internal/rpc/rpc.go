@@ -198,6 +198,20 @@ type ServerError struct {
 
 func (e *ServerError) Error() string { return fmt.Sprintf("rpc: server error (%s): %s", e.Code, e.Msg) }
 
+// AsServerError returns the *ServerError in err's chain, or nil. A nil
+// err allocates nothing: errors.As's target, which escapes, is declared
+// only on the error path.
+func AsServerError(err error) *ServerError {
+	if err == nil {
+		return nil
+	}
+	var se *ServerError
+	if errors.As(err, &se) {
+		return se
+	}
+	return nil
+}
+
 // IsTransient classifies an error as retryable: transport failures
 // (refused, reset, timed-out, torn mid-frame) and a draining server are
 // transient — the request can be retried on another connection or
@@ -210,8 +224,7 @@ func IsTransient(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
-	var se *ServerError
-	if errors.As(err, &se) {
+	if se := AsServerError(err); se != nil {
 		return se.Code == CodeDraining
 	}
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||

@@ -198,8 +198,7 @@ func (s *Server) dispatch(conn net.Conn, fb *frameBufs, tag byte, body []byte) e
 		resp, err := s.handler.Retrieve(ctx, &req)
 		if err != nil {
 			code := CodeInternal
-			var se *ServerError
-			if errors.As(err, &se) {
+			if se := AsServerError(err); se != nil {
 				code = se.Code
 			}
 			return fb.writeFrame(conn, tagError, &ErrorResponse{Code: code, Msg: err.Error()})

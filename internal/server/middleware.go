@@ -96,14 +96,17 @@ func (s *Server) withMaxBytes(h http.Handler) http.Handler {
 // v, writing the error response itself on failure: 413 when the body
 // blew the size cap, 400 for malformed JSON, including anything but
 // whitespace after the value. Returns false when the caller should stop.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+func decodeJSON(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
 	err := dec.Decode(v)
 	if err == nil {
-		err = onlyWhitespace(dec.Buffered())
-	}
-	if err == nil {
-		err = onlyWhitespace(r.Body)
+		jb := getJSONBuf()
+		chunk := jb.scratch(512)
+		err = onlyWhitespace(dec.Buffered(), chunk)
+		if err == nil {
+			err = onlyWhitespace(body, chunk)
+		}
+		jb.release()
 	}
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -121,13 +124,12 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 // errTrailingData rejects a body with more than one JSON value in it.
 var errTrailingData = errors.New("unexpected data after the JSON value")
 
-// onlyWhitespace reads rd to EOF and fails at its first byte that is not
-// JSON whitespace. It reads in fixed chunks and keeps nothing, so a body
-// with the size cap disabled cannot make it buffer a trailing stream.
-func onlyWhitespace(rd io.Reader) error {
-	var chunk [512]byte
+// onlyWhitespace reads rd to EOF through chunk and fails at its first
+// byte that is not JSON whitespace. It keeps nothing, so a body with the
+// size cap disabled cannot make it buffer a trailing stream.
+func onlyWhitespace(rd io.Reader, chunk []byte) error {
 	for {
-		n, err := rd.Read(chunk[:])
+		n, err := rd.Read(chunk)
 		for _, c := range chunk[:n] {
 			if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
 				return errTrailingData

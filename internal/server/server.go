@@ -661,7 +661,7 @@ func (s *Server) handleVideos(w http.ResponseWriter, r *http.Request) {
 // matrices only (the Step-2 browsing signal).
 func (s *Server) handleRankVideos(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeQuery(w, r, &req) {
 		return
 	}
 	snap := s.current.Load()
@@ -779,7 +779,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 // handleParse validates and renders an MATN query without executing it.
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeQuery(w, r, &req) {
 		return
 	}
 	snap := s.current.Load()
@@ -947,7 +947,7 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeQuery(w, r, &req) {
 		return
 	}
 	pattern, err := s.patterns.compile(req.Pattern, s.current.Load().domain)
@@ -957,13 +957,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	queries := pattern.queries
 
-	var scope *retrieval.Scope
-	if req.ScopeVideo != 0 || req.ScopeFromMS != 0 || req.ScopeToMS != 0 {
-		scope = &retrieval.Scope{
-			Video:  videomodel.VideoID(req.ScopeVideo),
-			FromMS: req.ScopeFromMS,
-			ToMS:   req.ScopeToMS,
-		}
+	scope := requestScope(req)
+	if scope != nil {
 		probe := queries[0]
 		probe.Scope = scope
 		if err := probe.Validate(); err != nil {
@@ -972,21 +967,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	opts := s.opts
-	if req.TopK > 0 {
-		opts.TopK = req.TopK
-	}
-	if req.Beam > 0 {
-		opts.Beam = req.Beam
-	}
-	opts.CrossVideo = opts.CrossVideo || req.CrossVideo
-	opts.AnnotatedOnly = !req.SimilarShots
-
 	// The effective deadline budget is resolved here but started inside
 	// runQuery, after admission. It participates in the coalesce key so
 	// every rider shares the leader's truncation behavior.
 	budget := s.effectiveQueryTimeout(req.TimeoutMS)
-	out, err := s.executeQuery(r.Context(), req, pattern.canonical, queries, scope, opts, budget)
+	out, err := s.executeQuery(r.Context(), req, pattern.canonical, queries, scope, s.queryOptions(req), budget)
 	if err != nil {
 		var shed *shedError
 		switch {
@@ -1004,117 +989,85 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	snap, merged, cost := out.snap, out.matches, out.cost
-	engine := out.engine
-
-	var explain func(match retrieval.Match) []api.StepExplanationJSON
+	var explain func(retrieval.Match) []api.StepExplanationJSON
 	if req.Explain {
-		explain = func(match retrieval.Match) []api.StepExplanationJSON {
-			// A delta match (states at/past the main model's range) is
-			// explained by the delta engine in its local state space; the
-			// factors are the delta model's own, which is what scored it.
-			exEngine := engine
-			if d := snap.delta; d != nil && len(match.States) > 0 && match.States[0] >= d.Offset {
-				exEngine = d.Engine
-				local := make([]int, len(match.States))
-				for i, st := range match.States {
-					local[i] = st - d.Offset
-				}
-				match.States = local
-			}
-			// Explain against the first compiled pattern of matching
-			// length; alternation branches share factor structure.
-			for _, q := range queries {
-				if q.Len() != len(match.States) {
-					continue
-				}
-				exps, err := exEngine.Explain(match, q)
-				if err != nil {
-					continue
-				}
-				out := make([]api.StepExplanationJSON, len(exps))
-				for i, ex := range exps {
-					ej := api.StepExplanationJSON{
-						Pi: ex.Pi, Transition: ex.Transition,
-						CrossVideo: ex.CrossVideo, Sim: ex.Sim, Weight: ex.Weight,
-					}
-					for _, fc := range ex.Features {
-						ej.Features = append(ej.Features, api.FeatureContributionJSON{
-							Feature: features.Names[fc.Feature],
-							Event:   snap.domain.EventName(fc.Event),
-							Term:    fc.Term,
-						})
-					}
-					out[i] = ej
-				}
-				return out
-			}
-			return nil
-		}
+		explain = explainer(out, queries)
 	}
-
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Pattern:     req.Pattern,
-		Expanded:    len(queries),
-		Matches:     matchesJSON(snap, merged, explain),
-		Cost:        costJSON(cost),
-		FreshVideos: out.fresh,
-	})
+	writeQueryResponse(w, req.Pattern, len(queries), out, explain)
 }
 
-// matchesJSON renders a ranking for the wire. Three slabs back every
-// match's slices: one []int for Shots and Videos, one [][]string for
-// the Events rows, one []string for the event names. A slice is nil
-// exactly where a per-match append build would leave it nil, so the
-// body keeps its nulls: an events row for a state without events, and
-// an empty ranking.
-func matchesJSON(snap *snapshot, merged []retrieval.Match, explain func(retrieval.Match) []api.StepExplanationJSON) []MatchJSON {
-	var nInts, nRows, nNames int
-	for _, match := range merged {
-		nInts += 2 * len(match.Shots)
-		nRows += len(match.States)
-		for _, st := range match.States {
-			nNames += len(snap.stateEvents(st))
-		}
+// requestScope is a query's time/video scope, nil when it sets none.
+func requestScope(req QueryRequest) *retrieval.Scope {
+	if req.ScopeVideo == 0 && req.ScopeFromMS == 0 && req.ScopeToMS == 0 {
+		return nil
 	}
-	ints := make([]int, nInts)
-	rows := make([][]string, nRows)
-	names := make([]string, nNames)
-	var out []MatchJSON
-	if len(merged) > 0 {
-		out = make([]MatchJSON, len(merged))
+	return &retrieval.Scope{
+		Video:  videomodel.VideoID(req.ScopeVideo),
+		FromMS: req.ScopeFromMS,
+		ToMS:   req.ScopeToMS,
 	}
-	for i, match := range merged {
-		mj := &out[i]
-		mj.Rank, mj.Score = i+1, match.Score
-		mj.States, mj.Weights = match.States, match.Weights
-		if n := len(match.Shots); n > 0 {
-			mj.Shots, mj.Videos, ints = ints[:n:n], ints[n:2*n:2*n], ints[2*n:]
-			for j, shot := range match.Shots {
-				mj.Shots[j] = int(shot)
-				mj.Videos[j] = int(match.Videos[j])
+}
+
+// queryOptions is the server's retrieval options tuned by one request.
+func (s *Server) queryOptions(req QueryRequest) retrieval.Options {
+	opts := s.opts
+	if req.TopK > 0 {
+		opts.TopK = req.TopK
+	}
+	if req.Beam > 0 {
+		opts.Beam = req.Beam
+	}
+	opts.CrossVideo = opts.CrossVideo || req.CrossVideo
+	opts.AnnotatedOnly = !req.SimilarShots
+	return opts
+}
+
+// explainer returns the per-match explanation builder of an explain
+// request: each match's Eqs. 12-13 factor decomposition against the
+// first compiled pattern of its length, nil when none explains it.
+func explainer(out *queryOutcome, queries []retrieval.Query) func(retrieval.Match) []api.StepExplanationJSON {
+	snap := out.snap
+	return func(match retrieval.Match) []api.StepExplanationJSON {
+		// A delta match (states at/past the main model's range) is
+		// explained by the delta engine in its local state space; the
+		// factors are the delta model's own, which is what scored it.
+		exEngine := out.engine
+		if d := snap.delta; d != nil && len(match.States) > 0 && match.States[0] >= d.Offset {
+			exEngine = d.Engine
+			local := make([]int, len(match.States))
+			for i, st := range match.States {
+				local[i] = st - d.Offset
 			}
+			match.States = local
 		}
-		if n := len(match.States); n > 0 {
-			mj.Events, rows = rows[:n:n], rows[n:]
-			for j, st := range match.States {
-				events := snap.stateEvents(st)
-				if len(events) == 0 {
-					continue
-				}
-				row := names[:len(events):len(events)]
-				names = names[len(events):]
-				for k, e := range events {
-					row[k] = snap.domain.EventName(e)
-				}
-				mj.Events[j] = row
+		// Alternation branches share factor structure.
+		for _, q := range queries {
+			if q.Len() != len(match.States) {
+				continue
 			}
+			exps, err := exEngine.Explain(match, q)
+			if err != nil {
+				continue
+			}
+			steps := make([]api.StepExplanationJSON, len(exps))
+			for i, ex := range exps {
+				ej := api.StepExplanationJSON{
+					Pi: ex.Pi, Transition: ex.Transition,
+					CrossVideo: ex.CrossVideo, Sim: ex.Sim, Weight: ex.Weight,
+				}
+				for _, fc := range ex.Features {
+					ej.Features = append(ej.Features, api.FeatureContributionJSON{
+						Feature: features.Names[fc.Feature],
+						Event:   snap.domain.EventName(fc.Event),
+						Term:    fc.Term,
+					})
+				}
+				steps[i] = ej
+			}
+			return steps
 		}
-		if explain != nil {
-			mj.Explanation = explain(match)
-		}
+		return nil
 	}
-	return out
 }
 
 // handleFederatedQuery fans one MATN pattern over the configured
@@ -1126,7 +1079,7 @@ func (s *Server) handleFederatedQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.FederatedQueryRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r.Body, &req) {
 		return
 	}
 	ctx := r.Context()
@@ -1182,7 +1135,7 @@ func costJSON(c retrieval.Cost) api.CostJSON {
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var req FeedbackRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r.Body, &req) {
 		return
 	}
 	// Validate states against the current snapshot; the log itself is
@@ -1334,13 +1287,15 @@ func (s *Server) Shutdown(hs *http.Server, grace time.Duration) error {
 	return drainErr
 }
 
-// maxKeptBuf is the largest response buffer returned to jsonBufs.
-// API responses are a few KiB; a buffer grown past this by one large
-// response is dropped instead of staying pooled.
+// maxKeptBuf is the largest buffer returned to jsonBufs, and the
+// longest /api/query body decoded from one. API requests and responses
+// are a few KiB; a buffer grown past this by one large response is
+// dropped instead of staying pooled.
 const maxKeptBuf = 64 << 10
 
-// jsonBuf is a response encode buffer with an encoder bound to it, so a
-// response borrows both from jsonBufs instead of allocating them.
+// jsonBuf is a pooled JSON buffer with an encoder bound to it: response
+// encode, the /api/query request body and decodeJSON's scratch chunk
+// borrow it from jsonBufs instead of allocating.
 type jsonBuf struct {
 	bytes.Buffer
 	enc *json.Encoder
@@ -1352,19 +1307,31 @@ var jsonBufs = sync.Pool{New: func() any {
 	return jb
 }}
 
+func getJSONBuf() *jsonBuf { return jsonBufs.Get().(*jsonBuf) }
+
+// release returns the buffer to jsonBufs unless it grew past maxKeptBuf.
+func (jb *jsonBuf) release() {
+	if jb.Cap() <= maxKeptBuf {
+		jb.Reset()
+		jsonBufs.Put(jb)
+	}
+}
+
+// scratch returns n bytes of the buffer's storage for use as a read
+// chunk; the buffer itself stays empty.
+func (jb *jsonBuf) scratch(n int) []byte {
+	jb.Grow(n)
+	return jb.AvailableBuffer()[:n]
+}
+
 // writeJSON writes v as the response body, in json.Encoder's framing
 // (one value and a trailing newline). An unencodable v leaves the body
 // empty, as Encoder.Encode would.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	jb := jsonBufs.Get().(*jsonBuf)
-	defer func() {
-		if jb.Cap() <= maxKeptBuf {
-			jb.Reset()
-			jsonBufs.Put(jb)
-		}
-	}()
+	jb := getJSONBuf()
+	defer jb.release()
 	err := jb.enc.Encode(v)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	if err == nil {
 		_, _ = w.Write(jb.Bytes())
