@@ -3,15 +3,9 @@
 //
 // Usage:
 //
-//	hmmmd [flags]
+//	hmmmd [archive flags] [flags]
 //
-//	-model     string  load a model snapshot written by hmmm-gen;
-//	                   empty generates a fresh corpus in memory
 //	-addr      string  listen address (default :8077)
-//	-seed      uint    seed for the in-memory corpus (default 1)
-//	-videos    int     in-memory corpus videos (default 54)
-//	-shots     int     in-memory corpus shots (default 11567)
-//	-annotated int     in-memory corpus annotated shots (default 506)
 //	-retrain   int     feedback count that triggers auto retraining
 //	                   (default 10; 0 disables)
 //	-feedback-log string  persist the feedback log across restarts
@@ -26,14 +20,23 @@
 //	                   exact-only, bit-identical to prior releases; with
 //	                   -shards the budget applies per shard
 //
-// Domain and federation flags (DESIGN.md §5j):
+// Archive flags (internal/boot; hmmm-shardd takes the same set, and
+// every process of a -coord fleet must be given the same values):
 //
-//	-domain  string   event vocabulary of the served archive (soccer,
-//	                  basketball, news). In generated-corpus mode the
-//	                  corpus is sampled from the domain's timeline
-//	                  grammar; with -model the loaded snapshot must be
-//	                  stamped with this domain. Empty = soccer / accept
-//	                  the model's own stamp
+//	-model     string  load a model snapshot written by hmmm-gen;
+//	                   empty generates a fresh corpus in memory
+//	-seed      uint    seed for the in-memory corpus (default 1)
+//	-videos    int     in-memory corpus videos (default 54)
+//	-shots     int     in-memory corpus shots (default 11567)
+//	-annotated int     in-memory corpus annotated shots (default 506)
+//	-domain    string  event vocabulary (soccer, basketball, news;
+//	                   DESIGN.md §5j): the generated corpus samples the
+//	                   domain's timeline grammar, and a loaded -model
+//	                   must be stamped with it. Empty = soccer / accept
+//	                   the model's own stamp
+//
+// Federation flag (DESIGN.md §5j):
+//
 //	-domains string   additionally serve POST /api/query/federated: a
 //	                  comma-separated list of domains, each backed by its
 //	                  own generated archive and model, queried together
@@ -46,8 +49,8 @@
 //	                      shard servers (cmd/hmmm-shardd): ';' separates
 //	                      shards, ',' separates replica addresses of one
 //	                      shard ("h1:8090;h2:8090,h2b:8090"). The local
-//	                      model (same -model or -seed flags as the shard
-//	                      servers) still serves browse and Explain.
+//	                      model (same archive flags as the shard servers)
+//	                      still serves browse and Explain.
 //	                      Mutually exclusive with -shards
 //	-coord-wait duration  how long to wait at startup for every shard to
 //	                      report READY with the expected identity
@@ -140,33 +143,14 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/videodb/hmmm/internal/boot"
 	"github.com/videodb/hmmm/internal/coord"
-	"github.com/videodb/hmmm/internal/dataset"
 	"github.com/videodb/hmmm/internal/fed"
-	"github.com/videodb/hmmm/internal/hmmm"
-	"github.com/videodb/hmmm/internal/ingest"
 	"github.com/videodb/hmmm/internal/live"
-	"github.com/videodb/hmmm/internal/mining"
 	"github.com/videodb/hmmm/internal/obs"
-	"github.com/videodb/hmmm/internal/retrieval"
 	"github.com/videodb/hmmm/internal/server"
-	"github.com/videodb/hmmm/internal/shotdetect"
 	"github.com/videodb/hmmm/internal/store"
-	"github.com/videodb/hmmm/internal/synthvideo"
-	"github.com/videodb/hmmm/internal/videomodel"
 )
-
-// fileExists reports whether path (or any member of its atomic-write
-// recovery chain) is present, deciding between "resume from snapshot"
-// and "first boot" for -ingest-snapshot.
-func fileExists(path string) bool {
-	for _, p := range []string{path, path + ".tmp", path + ".bak"} {
-		if _, err := os.Stat(p); err == nil {
-			return true
-		}
-	}
-	return false
-}
 
 // orMemory renders an optional path flag for the startup banner.
 func orMemory(path string) string {
@@ -194,19 +178,15 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hmmmd: ")
 
+	var archive boot.Archive
+	archive.RegisterFlags(flag.CommandLine)
 	var (
-		modelPath = flag.String("model", "", "model snapshot to serve (empty = generate)")
-		addr      = flag.String("addr", ":8077", "listen address")
-		seed      = flag.Uint64("seed", 1, "seed for the generated corpus")
-		videos    = flag.Int("videos", 54, "generated corpus videos")
-		shots     = flag.Int("shots", 11567, "generated corpus shots")
-		annotated = flag.Int("annotated", 506, "generated corpus annotated shots")
-		retrain   = flag.Int("retrain", 10, "feedback threshold for auto retraining (0 disables)")
-		fbLog     = flag.String("feedback-log", "", "persist the feedback log to this path")
-		shards    = flag.Int("shards", 0, "scatter-gather shard count (0 = unsharded)")
-		coarse    = flag.Int("coarse-candidates", 0, "coarse prefilter budget per query step (0 = exact-only)")
+		addr    = flag.String("addr", ":8077", "listen address")
+		retrain = flag.Int("retrain", 10, "feedback threshold for auto retraining (0 disables)")
+		fbLog   = flag.String("feedback-log", "", "persist the feedback log to this path")
+		shards  = flag.Int("shards", 0, "scatter-gather shard count (0 = unsharded)")
+		coarse  = flag.Int("coarse-candidates", 0, "coarse prefilter budget per query step (0 = exact-only)")
 
-		domainName  = flag.String("domain", "", "event vocabulary of the served archive: generate the corpus from it, or require a loaded -model to be stamped with it (empty = soccer / accept the model's own stamp)")
 		domainsSpec = flag.String("domains", "", "additionally serve POST /api/query/federated over a federation of per-domain generated archives (comma-separated domain names, e.g. soccer,basketball,news)")
 
 		coordSpec = flag.String("coord", "", "remote shard servers to coordinate over (';' shards, ',' replicas; empty = local serving)")
@@ -231,129 +211,42 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := (boot.Modes{Shards: *shards, Coord: *coordSpec, Ingest: *ingestOn}).Validate(archive); err != nil {
+		log.Fatal(err)
+	}
+	opts := boot.Options(*coarse)
+	resume := ""
+	if *ingestOn {
+		resume = *ingestSnap
+	}
+
 	// The registry exists before the model loads so the store's
 	// recovery-chain counters cover the boot load itself.
 	reg := obs.NewRegistry()
 	store.SetMetrics(store.NewMetrics(reg))
 
-	domain, ok := videomodel.DomainByName(*domainName)
-	if !ok {
-		log.Fatalf("unknown -domain %q (have %s)", *domainName, strings.Join(videomodel.DomainNames(), ", "))
+	b, err := archive.Build(resume)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	buildOpts := hmmm.BuildOptions{LearnP12: true, Domain: domain}
-	var model *hmmm.Model
-	var corpus *dataset.Corpus
-	switch {
-	case *ingestOn && *ingestSnap != "" && fileExists(*ingestSnap):
-		// Resume from the last compaction's merged corpus: the journal
-		// replay then skips everything the snapshot already folded.
-		c, from, err := store.LoadCorpusRecover(*ingestSnap)
-		if err != nil {
-			log.Fatalf("loading ingest snapshot: %v", err)
-		}
-		if from != *ingestSnap {
-			log.Printf("WARNING: ingest snapshot %s unreadable; recovered from %s", *ingestSnap, from)
-		}
-		corpus = c
-		model, err = hmmm.Build(corpus.Archive, corpus.Features, buildOpts)
-		if err != nil {
-			log.Fatalf("rebuilding model from ingest snapshot: %v", err)
-		}
-		fmt.Printf("resumed compacted corpus from %s: %d states across %d videos\n",
-			from, model.NumStates(), model.NumVideos())
-	case *modelPath != "":
-		var err error
-		var from string
-		model, from, err = store.LoadModelRecover(*modelPath)
-		if err != nil {
-			log.Fatalf("loading model: %v", err)
-		}
-		if from != *modelPath {
-			log.Printf("WARNING: model %s unreadable; recovered from %s", *modelPath, from)
-		}
-		if *domainName != "" && model.DomainName() != domain.Name {
-			log.Fatalf("model %s: %v: stamped %q, want %q", from, store.ErrDomainMismatch, model.DomainName(), domain.Name)
-		}
-		fmt.Printf("loaded model from %s (%s domain): %d states across %d videos\n",
-			from, model.DomainName(), model.NumStates(), model.NumVideos())
-	case domain.Name != "soccer":
-		// Non-soccer domains have no media render/classification pipeline;
-		// the corpus is sampled directly from the domain's timeline grammar
-		// and per-event feature statistics.
-		start := time.Now()
-		archive, feats, err := synthvideo.GenerateArchive(synthvideo.ArchiveConfig{
-			Seed: *seed, Videos: *videos, Shots: *shots, Annotated: *annotated, Domain: domain,
-		})
-		if err != nil {
-			log.Fatalf("generating %s corpus: %v", domain.Name, err)
-		}
-		model, err = hmmm.Build(archive, feats, buildOpts)
-		if err != nil {
-			log.Fatalf("building %s model: %v", domain.Name, err)
-		}
-		fmt.Printf("generated %s corpus and model in %.1fs: %d states across %d videos\n",
-			domain.Name, time.Since(start).Seconds(), model.NumStates(), model.NumVideos())
-	default:
-		start := time.Now()
-		var err error
-		corpus, err = dataset.Build(dataset.Config{
-			Seed: *seed, Videos: *videos, Shots: *shots, Annotated: *annotated, Fast: true,
-		})
-		if err != nil {
-			log.Fatalf("building corpus: %v", err)
-		}
-		model, err = hmmm.Build(corpus.Archive, corpus.Features, buildOpts)
-		if err != nil {
-			log.Fatalf("building model: %v", err)
-		}
-		fmt.Printf("generated corpus and model in %.1fs: %d states across %d videos\n",
-			time.Since(start).Seconds(), model.NumStates(), model.NumVideos())
-	}
+	fmt.Println(b.Origin)
 
 	var liveCfg *live.Config
 	if *ingestOn {
-		if *coordSpec != "" {
-			log.Fatalf("-ingest and -coord are mutually exclusive: the coordinator owns no model to extend; ingest on the shard servers")
-		}
-		if model.DomainName() != "soccer" {
-			log.Fatalf("-ingest requires the soccer domain: the ingest classifier is trained on the soccer media pipeline (model domain is %s)", model.DomainName())
-		}
-		if corpus == nil {
-			log.Fatalf("live ingest needs the corpus the model was built from: run in generated-corpus mode (no -model) or point -ingest-snapshot at a compacted corpus snapshot")
-		}
 		start := time.Now()
-		tree, err := ingest.TrainClassifier(1, 12, mining.Config{})
-		if err != nil {
-			log.Fatalf("training ingest classifier: %v", err)
+		if liveCfg, err = b.Live(); err != nil {
+			log.Fatal(err)
 		}
-		pipe, err := ingest.NewPipeline(shotdetect.DefaultConfig(), tree, 0.5)
-		if err != nil {
-			log.Fatalf("building ingest pipeline: %v", err)
-		}
-		liveCfg = &live.Config{
-			LogPath:      *ingestLog,
-			Archive:      corpus.Archive,
-			Features:     corpus.Features,
-			Pipeline:     pipe,
-			Build:        buildOpts,
-			CompactAfter: *compactAfter,
-			CompactAge:   *compactAge,
-			SnapshotPath: *ingestSnap,
-		}
+		liveCfg.LogPath, liveCfg.SnapshotPath = *ingestLog, *ingestSnap
+		liveCfg.CompactAfter, liveCfg.CompactAge = *compactAfter, *compactAge
 		fmt.Printf("live ingest on: classifier trained in %.1fs, journal=%s snapshot=%s compact-after=%d\n",
 			time.Since(start).Seconds(), orMemory(*ingestLog), orMemory(*ingestSnap), *compactAfter)
 	}
 
 	var coordinator *coord.Coordinator
 	if *coordSpec != "" {
-		if *shards > 0 {
-			log.Fatalf("-coord and -shards are mutually exclusive")
-		}
-		var err error
 		coordinator, err = coord.Dial(*coordSpec, 2*time.Second,
-			coord.Options{Metrics: coord.NewMetrics(reg), Seed: processSeed()},
-			retrieval.Options{Beam: 4, TopK: 10, CoarseCandidates: *coarse})
+			coord.Options{Metrics: coord.NewMetrics(reg), Seed: processSeed()}, opts)
 		if err != nil {
 			log.Fatalf("coordinator: %v", err)
 		}
@@ -371,34 +264,7 @@ func main() {
 	var federation *fed.Federation
 	if *domainsSpec != "" {
 		start := time.Now()
-		var members []fed.Member
-		for i, name := range strings.Split(*domainsSpec, ",") {
-			name = strings.TrimSpace(name)
-			d, ok := videomodel.DomainByName(name)
-			if !ok {
-				log.Fatalf("-domains: unknown domain %q (have %s)", name, strings.Join(videomodel.DomainNames(), ", "))
-			}
-			archive, feats, err := synthvideo.GenerateArchive(synthvideo.ArchiveConfig{
-				Seed: *seed + uint64(i), Videos: *videos, Shots: *shots, Annotated: *annotated, Domain: d,
-			})
-			if err != nil {
-				log.Fatalf("-domains: generating %s corpus: %v", d.Name, err)
-			}
-			m, err := hmmm.Build(archive, feats, hmmm.BuildOptions{LearnP12: true, Domain: d})
-			if err != nil {
-				log.Fatalf("-domains: building %s model: %v", d.Name, err)
-			}
-			engine, err := retrieval.NewEngine(m, retrieval.Options{Beam: 4, TopK: 10, CoarseCandidates: *coarse})
-			if err != nil {
-				log.Fatalf("-domains: building %s engine: %v", d.Name, err)
-			}
-			members = append(members, fed.Member{
-				Name: d.Name, Domain: d, States: m.NumStates(), Retriever: engine,
-			})
-		}
-		var err error
-		federation, err = fed.New(members, fed.Options{TopK: 10})
-		if err != nil {
+		if federation, err = boot.Federation(*domainsSpec, archive, opts); err != nil {
 			log.Fatalf("-domains: %v", err)
 		}
 		fmt.Printf("federation ready in %.1fs: %s\n",
@@ -410,8 +276,8 @@ func main() {
 		slowWriter = os.Stderr
 	}
 	srv, err := server.New(server.Config{
-		Model:              model,
-		Options:            retrieval.Options{Beam: 4, TopK: 10, CoarseCandidates: *coarse},
+		Model:              b.Model,
+		Options:            opts,
 		RetrainThreshold:   *retrain,
 		FeedbackLogPath:    *fbLog,
 		Shards:             *shards,

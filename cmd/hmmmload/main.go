@@ -97,27 +97,21 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"github.com/videodb/hmmm/internal/api"
+	"github.com/videodb/hmmm/internal/boot"
 	"github.com/videodb/hmmm/internal/coord"
-	"github.com/videodb/hmmm/internal/dataset"
-	"github.com/videodb/hmmm/internal/fed"
 	"github.com/videodb/hmmm/internal/hmmm"
-	"github.com/videodb/hmmm/internal/ingest"
-	"github.com/videodb/hmmm/internal/live"
 	"github.com/videodb/hmmm/internal/matn"
-	"github.com/videodb/hmmm/internal/mining"
 	"github.com/videodb/hmmm/internal/obs"
 	"github.com/videodb/hmmm/internal/retrieval"
 	"github.com/videodb/hmmm/internal/rpc"
 	"github.com/videodb/hmmm/internal/server"
-	"github.com/videodb/hmmm/internal/shard"
-	"github.com/videodb/hmmm/internal/shotdetect"
-	"github.com/videodb/hmmm/internal/synthvideo"
 	"github.com/videodb/hmmm/internal/videomodel"
 )
 
@@ -162,6 +156,11 @@ type opts struct {
 	assertDegraded bool
 }
 
+// archive is the in-process archive the corpus flags name, in domain.
+func (o opts) archive(domain string) boot.Archive {
+	return boot.Archive{Seed: o.corpusSeed, Videos: o.videos, Shots: o.shots, Annotated: o.annotated, Domain: domain}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hmmmload: ")
@@ -181,8 +180,7 @@ func main() {
 	flag.IntVar(&o.shots, "shots", 4000, "in-process corpus shots")
 	flag.IntVar(&o.annotated, "annotated", 1200, "in-process corpus annotated shots")
 	flag.IntVar(&o.heavyBeam, "heavy-beam", 128, "beam width sent with heavy queries")
-	var corpusSeed uint64
-	flag.Uint64Var(&corpusSeed, "corpus-seed", 7, "in-process corpus seed")
+	flag.Uint64Var(&o.corpusSeed, "corpus-seed", 7, "in-process corpus seed")
 	flag.IntVar(&o.maxInflight, "max-inflight", 8, "in-process admission ceiling")
 	flag.BoolVar(&o.coalesce, "coalesce", true, "in-process: enable coalescing + two-lane admission")
 	flag.IntVar(&o.fastLaneCost, "fast-lane-cost", 0, "in-process lane threshold (0 = auto)")
@@ -195,7 +193,6 @@ func main() {
 	flag.BoolVar(&o.assertNoErrors, "assert-no-errors", false, "fail on any transport error or non-503 5xx")
 	flag.BoolVar(&o.assertDegraded, "assert-degraded", false, "fail unless at least one query degraded (with -coord-fault)")
 	flag.Parse()
-	o.corpusSeed = corpusSeed
 
 	if o.compare && o.addr != "" {
 		log.Fatal("-compare needs the in-process server (drop -addr)")
@@ -223,21 +220,12 @@ func main() {
 		return
 	}
 
-	var model *hmmm.Model
-	var corpus *dataset.Corpus
+	var built *boot.Built
 	if o.addr == "" {
 		start := time.Now()
 		var err error
-		corpus, err = dataset.Build(dataset.Config{
-			Seed: o.corpusSeed, Videos: o.videos, Shots: o.shots,
-			Annotated: o.annotated, Fast: true,
-		})
-		if err != nil {
-			log.Fatalf("building corpus: %v", err)
-		}
-		model, err = hmmm.Build(corpus.Archive, corpus.Features, hmmm.BuildOptions{LearnP12: true})
-		if err != nil {
-			log.Fatalf("building model: %v", err)
+		if built, err = o.archive("").Build(""); err != nil {
+			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "hmmmload: corpus %dv/%ds built in %.1fs\n",
 			o.videos, o.shots, time.Since(start).Seconds())
@@ -245,7 +233,7 @@ func main() {
 
 	failed := false
 	if o.ingestRate > 0 {
-		rep := runIngestLoad(model, corpus, o)
+		rep := runIngestLoad(built, o)
 		rep.report(os.Stderr)
 		if o.bench {
 			rep.benchLine(os.Stdout)
@@ -258,7 +246,7 @@ func main() {
 		return
 	}
 	if o.coord > 0 {
-		rep := runCoord(model, o)
+		rep := runCoord(built.Model, o)
 		rep.report(os.Stderr)
 		if o.bench {
 			rep.benchLine(os.Stdout)
@@ -278,14 +266,10 @@ func main() {
 	}
 	run := func(mode string, coalesce bool) {
 		url := o.addr
-		var stop func()
 		if o.addr == "" {
-			var err error
-			url, stop, err = selfServe(model, o, coalesce)
-			if err != nil {
-				log.Fatalf("in-process server: %v", err)
-			}
-			defer stop()
+			var hs *http.Server
+			url, hs = selfServe(built.Model, o, coalesce)
+			defer stop(hs)
 		}
 		rep := drive(url, o)
 		rep.mode = mode
@@ -319,14 +303,14 @@ func main() {
 }
 
 // selfServe starts an in-process server over model and returns its base
-// URL and a shutdown func. With coalesce off it mirrors the plain
+// URL and the HTTP server to stop. With coalesce off it mirrors the plain
 // single-semaphore configuration; with it on it enables coalescing and
 // the two-lane controller, auto-deriving the lane threshold from the
 // workload's own cost estimates when the flag leaves it 0.
-func selfServe(model *hmmm.Model, o opts, coalesce bool) (string, func(), error) {
+func selfServe(model *hmmm.Model, o opts, coalesce bool) (string, *http.Server) {
 	cfg := server.Config{
 		Model:        model,
-		Options:      retrieval.Options{Beam: 4, TopK: 10},
+		Options:      boot.Options(0),
 		MaxInflight:  o.maxInflight,
 		QueryTimeout: time.Duration(o.timeoutMS) * time.Millisecond,
 	}
@@ -336,7 +320,7 @@ func selfServe(model *hmmm.Model, o opts, coalesce bool) (string, func(), error)
 		if cfg.FastLaneCost <= 0 {
 			c, err := autoFastLaneCost(model, o.heavyBeam)
 			if err != nil {
-				return "", nil, err
+				log.Fatalf("fast-lane cost: %v", err)
 			}
 			cfg.FastLaneCost = c
 			fmt.Fprintf(os.Stderr, "hmmmload: auto fast-lane-cost %d\n", c)
@@ -344,20 +328,28 @@ func selfServe(model *hmmm.Model, o opts, coalesce bool) (string, func(), error)
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
-		return "", nil, err
+		log.Fatalf("in-process server: %v", err)
 	}
+	return listen(srv)
+}
+
+// listen serves srv's API on a loopback port and returns its base URL
+// and the HTTP server to stop.
+func listen(srv *server.Server) (string, *http.Server) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return "", nil, err
+		log.Fatalf("listen: %v", err)
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln)
-	stop := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		hs.Shutdown(ctx)
-	}
-	return "http://" + ln.Addr().String(), stop, nil
+	return "http://" + ln.Addr().String(), hs
+}
+
+// stop shuts hs down, waiting up to 5s for in-flight requests.
+func stop(hs *http.Server) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	hs.Shutdown(ctx)
 }
 
 // runCoord serves the workload through a real distributed deployment:
@@ -369,20 +361,12 @@ func selfServe(model *hmmm.Model, o opts, coalesce bool) (string, func(), error)
 // (cost.degraded_shards > 0), never errors, and the report carries the
 // measured degraded rate from the coordinator's own counters.
 func runCoord(model *hmmm.Model, o opts) *report {
-	base := retrieval.Options{Beam: 4, TopK: 10}
-	shards, err := shard.Split(model, o.coord)
-	if err != nil {
-		log.Fatalf("splitting model: %v", err)
-	}
-	if len(shards) != o.coord {
-		log.Fatalf("archive splits into %d shards, not the requested %d; lower -coord", len(shards), o.coord)
-	}
-
+	base := boot.Options(0)
 	addrs := make([]string, o.coord)
 	servers := make([]*rpc.Server, o.coord)
 	svcs := make([]*rpc.ShardService, o.coord)
-	for i, sh := range shards {
-		svc, err := rpc.NewShardService(sh, i, o.coord, base, 1)
+	for i := range svcs {
+		svc, err := boot.ShardService(model, i, o.coord, base, 1)
 		if err != nil {
 			log.Fatalf("shard %d service: %v", i, err)
 		}
@@ -412,7 +396,7 @@ func runCoord(model *hmmm.Model, o opts) *report {
 
 	srv, err := server.New(server.Config{
 		Model:        model,
-		Options:      retrieval.Options{Beam: 4, TopK: 10},
+		Options:      base,
 		MaxInflight:  o.maxInflight,
 		QueryTimeout: time.Duration(o.timeoutMS) * time.Millisecond,
 		Registry:     reg,
@@ -421,12 +405,7 @@ func runCoord(model *hmmm.Model, o opts) *report {
 	if err != nil {
 		log.Fatalf("in-process server: %v", err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatalf("listen: %v", err)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
+	url, hs := listen(srv)
 	fmt.Fprintf(os.Stderr, "hmmmload: coordinating %d shards over %s\n",
 		o.coord, strings.Join(addrs, " "))
 
@@ -460,7 +439,7 @@ func runCoord(model *hmmm.Model, o opts) *report {
 		}()
 	}
 
-	rep := drive("http://"+ln.Addr().String(), o)
+	rep := drive(url, o)
 	rep.mode = fmt.Sprintf("coord-%d", o.coord)
 	if rep.coordShards == 0 {
 		// /api/stats was unreachable; keep the bench label honest.
@@ -468,9 +447,7 @@ func runCoord(model *hmmm.Model, o opts) *report {
 	}
 
 	faultWG.Wait()
-	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-	hs.Shutdown(sctx)
-	scancel()
+	stop(hs)
 	co.Close()
 	for _, s := range servers {
 		s.Close()
@@ -523,7 +500,6 @@ type fedReport struct {
 }
 
 func (r *fedReport) report(w *os.File) {
-	sort.Slice(r.lat, func(i, j int) bool { return r.lat[i] < r.lat[j] })
 	p50, p95, max := latSummary(r.lat)
 	fmt.Fprintf(w, "hmmmload: federated over %s for %.1fs: %d queries, %d errors, %d merged matches, %d member skips\n",
 		strings.Join(r.domains, ","), r.elapsed.Seconds(), r.queries, r.errors, r.matches, r.skips)
@@ -532,17 +508,9 @@ func (r *fedReport) report(w *os.File) {
 }
 
 func (r *fedReport) benchLine(w *os.File) {
-	sort.Slice(r.lat, func(i, j int) bool { return r.lat[i] < r.lat[j] })
 	p50, p95, max := latSummary(r.lat)
-	mean := time.Duration(0)
-	for _, l := range r.lat {
-		mean += l
-	}
-	if len(r.lat) > 0 {
-		mean /= time.Duration(len(r.lat))
-	}
 	fmt.Fprintf(w, "BenchmarkFederatedQuery/domains=%d %d %.0f ns/op %d p50-ns/op %d p95-ns/op %d max-ns/op %d matches %d member-skips %d errors\n",
-		len(r.domains), r.queries, float64(mean), p50.Nanoseconds(), p95.Nanoseconds(), max.Nanoseconds(),
+		len(r.domains), r.queries, float64(mean(r.lat)), p50.Nanoseconds(), p95.Nanoseconds(), max.Nanoseconds(),
 		r.matches, r.skips, r.errors)
 }
 
@@ -552,62 +520,32 @@ func (r *fedReport) benchLine(w *os.File) {
 // rotating through per-domain two-step patterns so every query
 // exercises the vocabulary-skip path on the other members.
 func runFederated(o opts) *fedReport {
-	names := strings.Split(o.federated, ",")
-	var members []fed.Member
-	var patterns []string
-	var firstModel *hmmm.Model
 	start := time.Now()
-	for i, name := range names {
-		name = strings.TrimSpace(name)
-		d, ok := videomodel.DomainByName(name)
-		if !ok {
-			log.Fatalf("-federated: unknown domain %q (have %s)", name, strings.Join(videomodel.DomainNames(), ", "))
-		}
-		names[i] = d.Name
-		archive, feats, err := synthvideo.GenerateArchive(synthvideo.ArchiveConfig{
-			Seed: o.corpusSeed + uint64(i), Videos: o.videos, Shots: o.shots,
-			Annotated: o.annotated, Domain: d,
-		})
-		if err != nil {
-			log.Fatalf("-federated: generating %s corpus: %v", d.Name, err)
-		}
-		m, err := hmmm.Build(archive, feats, hmmm.BuildOptions{LearnP12: true, Domain: d})
-		if err != nil {
-			log.Fatalf("-federated: building %s model: %v", d.Name, err)
-		}
-		if firstModel == nil {
-			firstModel = m
-		}
-		engine, err := retrieval.NewEngine(m, retrieval.Options{Beam: 4, TopK: 10})
-		if err != nil {
-			log.Fatalf("-federated: building %s engine: %v", d.Name, err)
-		}
-		members = append(members, fed.Member{
-			Name: d.Name, Domain: d, States: m.NumStates(), Retriever: engine,
-		})
+	federation, err := boot.Federation(o.federated, o.archive(""), boot.Options(0))
+	if err != nil {
+		log.Fatalf("-federated: %v", err)
+	}
+	names := federation.Names()
+	var patterns []string
+	for _, name := range names {
+		d, _ := videomodel.DomainByName(name)
 		evs := d.AllEvents()
 		patterns = append(patterns, fmt.Sprintf("%s -> %s", d.EventName(evs[0]), d.EventName(evs[1])))
 	}
-	federation, err := fed.New(members, fed.Options{TopK: 10})
+	b, err := o.archive(names[0]).Build("")
 	if err != nil {
 		log.Fatalf("-federated: %v", err)
 	}
 	srv, err := server.New(server.Config{
-		Model:        firstModel,
-		Options:      retrieval.Options{Beam: 4, TopK: 10},
+		Model:        b.Model,
+		Options:      boot.Options(0),
 		QueryTimeout: time.Duration(o.timeoutMS) * time.Millisecond,
 		Federation:   federation,
 	})
 	if err != nil {
 		log.Fatalf("-federated: in-process server: %v", err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatalf("listen: %v", err)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	url := "http://" + ln.Addr().String()
+	url, hs := listen(srv)
 	cl := &http.Client{Timeout: time.Duration(o.timeoutMS)*time.Millisecond + 5*time.Second}
 	fmt.Fprintf(os.Stderr, "hmmmload: federation %s ready in %.1fs\n",
 		strings.Join(names, ","), time.Since(start).Seconds())
@@ -640,51 +578,33 @@ func runFederated(o opts) *fedReport {
 		}
 	}
 	rep.elapsed = time.Since(runStart)
-
-	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-	hs.Shutdown(sctx)
-	scancel()
+	stop(hs)
 	return rep
 }
 
-func runIngestLoad(model *hmmm.Model, corpus *dataset.Corpus, o opts) *ingestReport {
-	tree, err := ingest.TrainClassifier(1, 12, mining.Config{})
+func runIngestLoad(b *boot.Built, o opts) *ingestReport {
+	cfg, err := b.Live()
 	if err != nil {
-		log.Fatalf("training ingest classifier: %v", err)
-	}
-	pipe, err := ingest.NewPipeline(shotdetect.DefaultConfig(), tree, 0.5)
-	if err != nil {
-		log.Fatalf("building ingest pipeline: %v", err)
+		log.Fatal(err)
 	}
 	dir, err := os.MkdirTemp("", "hmmmload-ingest-*")
 	if err != nil {
 		log.Fatalf("temp dir: %v", err)
 	}
 	defer os.RemoveAll(dir)
+	cfg.LogPath = filepath.Join(dir, "ingest.log")
+	cfg.SnapshotPath = filepath.Join(dir, "corpus.snapshot")
+	cfg.CompactAfter = o.ingestCompactAfter
 	srv, err := server.New(server.Config{
-		Model:        model,
-		Options:      retrieval.Options{Beam: 4, TopK: 10},
+		Model:        b.Model,
+		Options:      boot.Options(0),
 		QueryTimeout: time.Duration(o.timeoutMS) * time.Millisecond,
-		Live: &live.Config{
-			LogPath:      filepath.Join(dir, "ingest.log"),
-			SnapshotPath: filepath.Join(dir, "corpus.snapshot"),
-			Archive:      corpus.Archive,
-			Features:     corpus.Features,
-			Pipeline:     pipe,
-			Build:        hmmm.BuildOptions{LearnP12: true},
-			CompactAfter: o.ingestCompactAfter,
-		},
+		Live:         cfg,
 	})
 	if err != nil {
 		log.Fatalf("in-process server: %v", err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatalf("listen: %v", err)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	url := "http://" + ln.Addr().String()
+	url, hs := listen(srv)
 	cl := &http.Client{Timeout: time.Duration(o.timeoutMS)*time.Millisecond + 5*time.Second}
 	fmt.Fprintf(os.Stderr, "hmmmload: live ingest at %.1f videos/s, compact every %d, journal in %s\n",
 		o.ingestRate, o.ingestCompactAfter, dir)
@@ -831,13 +751,9 @@ loop:
 	return rep
 }
 
+// latSummary returns the median, p95 and maximum of lat.
 func latSummary(lat []time.Duration) (p50, p95, max time.Duration) {
-	if len(lat) == 0 {
-		return 0, 0, 0
-	}
-	p50 = percentile(lat, 0.50)
-	p95 = percentile(lat, 0.95)
-	return p50, p95, lat[len(lat)-1]
+	return percentile(lat, 0.50), percentile(lat, 0.95), percentile(lat, 1)
 }
 
 func (r *ingestReport) report(w *os.File) {
@@ -860,19 +776,9 @@ func (r *ingestReport) benchLine(w *os.File) {
 	ap50, ap95, _ := latSummary(r.acceptLat)
 	fp50, fp95, _ := latSummary(r.freshLat)
 	_, _, qmax := latSummary(r.probeLat)
-	qp99 := time.Duration(0)
-	if len(r.probeLat) > 0 {
-		qp99 = percentile(r.probeLat, 0.99)
-	}
-	mean := time.Duration(0)
-	for _, l := range r.acceptLat {
-		mean += l
-	}
-	if len(r.acceptLat) > 0 {
-		mean /= time.Duration(len(r.acceptLat))
-	}
+	qp99 := percentile(r.probeLat, 0.99)
 	fmt.Fprintf(w, "BenchmarkIngest/rate=%g %d %.0f ns/op %d accept-p50-ns/op %d accept-p95-ns/op %d fresh-p50-ns/op %d fresh-p95-ns/op %d probe-p99-ns/op %d probe-max-ns/op %d compactions %d fresh-misses\n",
-		r.rate, r.accepted, float64(mean), ap50.Nanoseconds(), ap95.Nanoseconds(),
+		r.rate, r.accepted, float64(mean(r.acceptLat)), ap50.Nanoseconds(), ap95.Nanoseconds(),
 		fp50.Nanoseconds(), fp95.Nanoseconds(), qp99.Nanoseconds(), qmax.Nanoseconds(),
 		r.compactions, r.freshMisses)
 }
@@ -881,45 +787,39 @@ func (r *ingestReport) benchLine(w *os.File) {
 // expensive cheap-pool estimate and the cheapest heavy-pool estimate,
 // so the generator's own traffic classes provably split across lanes.
 func autoFastLaneCost(model *hmmm.Model, heavyBeam int) (int, error) {
-	cheapEng, err := retrieval.NewEngine(model, retrieval.Options{Beam: 4, TopK: 10, AnnotatedOnly: true})
+	cheap, heavy := boot.Options(0), boot.Options(0)
+	cheap.AnnotatedOnly, heavy.Beam = true, heavyBeam
+	cheapEng, err := retrieval.NewEngine(model, cheap)
 	if err != nil {
 		return 0, err
 	}
-	heavyEng, err := retrieval.NewEngine(model, retrieval.Options{Beam: heavyBeam, TopK: 10})
+	heavyEng, err := retrieval.NewEngine(model, heavy)
 	if err != nil {
 		return 0, err
 	}
-	estimate := func(eng *retrieval.Engine, pattern string) (int, error) {
-		queries, err := matn.CompileString(pattern)
-		if err != nil {
-			return 0, err
+	// estimate totals each pattern's lattice-cost estimate on eng.
+	estimate := func(eng *retrieval.Engine, pool []string) ([]int, error) {
+		costs := make([]int, len(pool))
+		for i, p := range pool {
+			queries, err := matn.CompileString(p)
+			if err != nil {
+				return nil, err
+			}
+			for _, q := range queries {
+				costs[i] += eng.EstimateCost(q)
+			}
 		}
-		total := 0
-		for _, q := range queries {
-			total += eng.EstimateCost(q)
-		}
-		return total, nil
+		return costs, nil
 	}
-	maxCheap := 0
-	for _, p := range cheapPool {
-		c, err := estimate(cheapEng, p)
-		if err != nil {
-			return 0, err
-		}
-		if c > maxCheap {
-			maxCheap = c
-		}
+	cheapCosts, err := estimate(cheapEng, cheapPool)
+	if err != nil {
+		return 0, err
 	}
-	minHeavy := int(^uint(0) >> 1)
-	for _, p := range heavyPool {
-		c, err := estimate(heavyEng, p)
-		if err != nil {
-			return 0, err
-		}
-		if c < minHeavy {
-			minHeavy = c
-		}
+	heavyCosts, err := estimate(heavyEng, heavyPool)
+	if err != nil {
+		return 0, err
 	}
+	maxCheap, minHeavy := slices.Max(cheapCosts), slices.Min(heavyCosts)
 	if minHeavy <= maxCheap {
 		return maxCheap, nil
 	}
@@ -1038,13 +938,11 @@ loop:
 
 	rep := &report{mode: "on", offered: o.qps, sent: sent, elapsed: elapsed}
 	var okLat, cheapLat []time.Duration
-	var sum time.Duration
 	for _, s := range samples {
 		switch {
 		case s.status == http.StatusOK:
 			rep.ok++
 			okLat = append(okLat, s.latency)
-			sum += s.latency
 			if s.cheap {
 				cheapLat = append(cheapLat, s.latency)
 			}
@@ -1054,15 +952,11 @@ loop:
 			rep.errors++
 		}
 	}
-	if rep.ok > 0 {
-		rep.mean = sum / time.Duration(rep.ok)
-		rep.p50 = percentile(okLat, 0.50)
-		rep.p95 = percentile(okLat, 0.95)
-		rep.p99 = percentile(okLat, 0.99)
-	}
-	if len(cheapLat) > 0 {
-		rep.cheapP99 = percentile(cheapLat, 0.99)
-	}
+	rep.mean = mean(okLat)
+	rep.p50 = percentile(okLat, 0.50)
+	rep.p95 = percentile(okLat, 0.95)
+	rep.p99 = percentile(okLat, 0.99)
+	rep.cheapP99 = percentile(cheapLat, 0.99)
 
 	if stats := fetchStats(cl, url); stats != nil {
 		if stats.Runtime != nil {
@@ -1094,8 +988,24 @@ func fetchStats(cl *http.Client, url string) *api.StatsResponse {
 	return &stats
 }
 
-// percentile returns the p-quantile of latencies (sorted in place).
+// mean is the average of lat (0 when empty).
+func mean(lat []time.Duration) time.Duration {
+	if len(lat) == 0 {
+		return 0
+	}
+	var sum time.Duration
+	for _, l := range lat {
+		sum += l
+	}
+	return sum / time.Duration(len(lat))
+}
+
+// percentile returns the p-quantile of latencies (sorted in place; 0
+// when empty).
 func percentile(lat []time.Duration, p float64) time.Duration {
+	if len(lat) == 0 {
+		return 0
+	}
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	idx := int(p * float64(len(lat)-1))
 	return lat[idx]

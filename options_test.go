@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -50,35 +51,7 @@ var optionSeams = map[string]string{
 // assignment or its address, unless optionSeams lists it. It also fails
 // on a seam entry that has gained a production setter.
 func TestOptionsHaveCallers(t *testing.T) {
-	root, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld := &srcLoader{
-		fset:  token.NewFileSet(),
-		root:  root,
-		std:   importer.Default(),
-		pkgs:  map[string]*types.Package{},
-		files: map[*types.Package][]*ast.File{},
-		info:  &types.Info{Uses: map[*ast.Ident]types.Object{}},
-	}
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		rel, _ := filepath.Rel(root, path)
-		if name := d.Name(); rel == "examples" || name == "testdata" || (rel != "." && strings.HasPrefix(name, ".")) {
-			return filepath.SkipDir
-		}
-		_, err = ld.Import(importPath(rel))
-		if errors.As(err, new(*build.NoGoError)) {
-			return nil
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ld := loadModule(t)
 
 	// setBy maps each field set anywhere to the packages that set it.
 	setBy := map[*types.Var]map[*types.Package]bool{}
@@ -143,6 +116,52 @@ func TestOptionsHaveCallers(t *testing.T) {
 	for _, name := range stale {
 		t.Errorf("%s: optionSeams lists it, but it is not an option field only tests set", name)
 	}
+}
+
+var (
+	moduleOnce sync.Once
+	moduleLd   *srcLoader
+	moduleErr  error
+)
+
+// loadModule type-checks every non-test package of the module
+// (examples/ excluded) from source, once per test binary.
+func loadModule(t *testing.T) *srcLoader {
+	t.Helper()
+	moduleOnce.Do(func() {
+		root, err := os.Getwd()
+		if err != nil {
+			moduleErr = err
+			return
+		}
+		ld := &srcLoader{
+			fset:  token.NewFileSet(),
+			root:  root,
+			std:   importer.Default(),
+			pkgs:  map[string]*types.Package{},
+			files: map[*types.Package][]*ast.File{},
+			info:  &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
+		}
+		moduleErr = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			rel, _ := filepath.Rel(root, path)
+			if name := d.Name(); rel == "examples" || name == "testdata" || (rel != "." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			_, err = ld.Import(importPath(rel))
+			if errors.As(err, new(*build.NoGoError)) {
+				return nil
+			}
+			return err
+		})
+		moduleLd = ld
+	})
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return moduleLd
 }
 
 // setIdents returns the field identifiers node n writes: the keys of a
