@@ -18,7 +18,7 @@ BENCH_BUILD_PATTERN := BenchmarkBuildPaperScale|BenchmarkRetrainPaperScale
 .PHONY: fmt build vet test race race-all smoke examples verify e2e bench bench-build bench-scale bench-million bench-serving bench-serving-smoke bench-ingest bench-federated cover fuzz loc clean
 
 # Packages whose per-package coverage `make cover` gates at 80%.
-COVER_GATED := internal/boot internal/shard internal/retrieval internal/matn internal/index internal/coord internal/rpc internal/live internal/videomodel internal/fed
+COVER_GATED := internal/boot internal/shard internal/retrieval internal/matn internal/index internal/coord internal/rpc internal/live internal/videomodel internal/fed internal/atomicwrite internal/store internal/coalesce internal/obs
 COVER_MIN := 80.0
 
 # Fails, listing the files, when any .go file is not gofmt-formatted.

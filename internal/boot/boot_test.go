@@ -14,10 +14,12 @@ import (
 
 	"github.com/videodb/hmmm/internal/atomicwrite"
 	"github.com/videodb/hmmm/internal/coord"
+	"github.com/videodb/hmmm/internal/hmmm"
 	"github.com/videodb/hmmm/internal/matn"
 	"github.com/videodb/hmmm/internal/retrieval"
 	"github.com/videodb/hmmm/internal/retrieval/retrievaltest"
 	"github.com/videodb/hmmm/internal/rpc"
+	"github.com/videodb/hmmm/internal/server"
 	"github.com/videodb/hmmm/internal/store"
 	"github.com/videodb/hmmm/internal/videomodel"
 )
@@ -204,6 +206,39 @@ func TestLoadModel(t *testing.T) {
 	if _, err := (Archive{Model: filepath.Join(t.TempDir(), "absent")}).Build(""); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("absent model: err = %v", err)
 	}
+
+	// -domain gates -model in both snapshot formats, and a legacy
+	// snapshot without a stamp is a soccer model.
+	compact := filepath.Join(t.TempDir(), "compact.hmmm")
+	if err := store.SaveModelCompact(compact, b.Model); err != nil {
+		t.Fatal(err)
+	}
+	legacy := build(t, soccer, "").Model
+	legacy.Domain = ""
+	legacyPath := filepath.Join(t.TempDir(), "legacy.hmmm")
+	if err := store.SaveModel(legacyPath, legacy); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path, domain string
+		ok           bool
+	}{
+		{path, "basketball", true},
+		{path, "soccer", false},
+		{compact, "basketball", true},
+		{compact, "news", false},
+		{legacyPath, "", true},
+		{legacyPath, "soccer", true},
+		{legacyPath, "news", false},
+	} {
+		_, err := (Archive{Model: tc.path, Domain: tc.domain}).Build("")
+		if tc.ok && err != nil {
+			t.Errorf("%s as %q: %v", tc.path, tc.domain, err)
+		}
+		if !tc.ok && !errors.Is(err, store.ErrDomainMismatch) {
+			t.Errorf("%s as %q: err = %v, want ErrDomainMismatch", tc.path, tc.domain, err)
+		}
+	}
 }
 
 func TestBuildErrors(t *testing.T) {
@@ -244,30 +279,12 @@ func TestFederation(t *testing.T) {
 func TestFleetDomain(t *testing.T) {
 	b := build(t, basketball, "")
 	opts := Options(0)
-	addrs := make([]string, 2)
-	for i := range addrs {
-		svc, err := ShardService(b.Model, i, len(addrs), opts, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := rpc.NewServer(svc, nil)
-		go srv.Serve(ln)
-		t.Cleanup(func() { srv.Close() })
-		addrs[i] = ln.Addr().String()
-	}
-	co, err := coord.Dial(strings.Join(addrs, ";"), time.Second, coord.Options{}, opts)
-	if err != nil {
+	co, _ := serveFleet(t, b.Model, b.Model)
+	if err := waitReady(co); err != nil {
 		t.Fatal(err)
 	}
-	defer co.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := co.WaitReady(ctx); err != nil {
-		t.Fatal(err)
+	if co.Domain() != "basketball" {
+		t.Fatalf("coordinator recorded the %q domain, want basketball", co.Domain())
 	}
 	local, err := retrieval.NewEngine(b.Model, opts)
 	if err != nil {
@@ -294,5 +311,77 @@ func TestFleetDomain(t *testing.T) {
 			t.Fatalf("%s: no local matches; the check would be vacuous", pattern)
 		}
 		retrievaltest.RequireSameMatches(t, pattern, want.Matches, got.Matches)
+	}
+}
+
+// serveFleet serves shard i of len(models) of models[i], each from a
+// shard service on loopback TCP, and dials a coordinator over them. It
+// returns the coordinator and the shard addresses.
+func serveFleet(t *testing.T, models ...*hmmm.Model) (*coord.Coordinator, []string) {
+	t.Helper()
+	addrs := make([]string, len(models))
+	for i, m := range models {
+		svc, err := ShardService(m, i, len(models), Options(0), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := rpc.NewServer(svc, nil)
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		addrs[i] = ln.Addr().String()
+	}
+	co, err := coord.Dial(strings.Join(addrs, ";"), time.Second, coord.Options{}, Options(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(co.Close)
+	return co, addrs
+}
+
+func waitReady(co *coord.Coordinator) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	return co.WaitReady(ctx)
+}
+
+// TestFleetDomainRefused boots fleets whose domains disagree, the way
+// a hmmm-shardd -domain basketball behind a soccer hmmmd -coord would:
+// a fleet mixing domains fails WaitReady, and a basketball fleet behind
+// a soccer model fails server.New. Each error names an endpoint and
+// both domains.
+func TestFleetDomainRefused(t *testing.T) {
+	bb := build(t, basketball, "").Model
+	sc := build(t, soccer, "").Model
+
+	co, addrs := serveFleet(t, bb, sc)
+	err := waitReady(co)
+	if err == nil {
+		t.Fatal("a fleet mixing basketball and soccer shards passed WaitReady")
+	}
+	for _, want := range []string{addrs[1], `"soccer"`, `"basketball"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("WaitReady error %q does not name %s", err, want)
+		}
+	}
+
+	co, addrs = serveFleet(t, bb, bb)
+	if err := waitReady(co); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.New(server.Config{Model: sc, Coordinator: co}); err == nil {
+		t.Fatal("a soccer server accepted a basketball fleet")
+	} else {
+		for _, want := range []string{addrs[0], `"soccer"`, `"basketball"`} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("server.New error %q does not name %s", err, want)
+			}
+		}
+	}
+	if _, err := server.New(server.Config{Model: bb, Coordinator: co}); err != nil {
+		t.Errorf("a basketball server refused its basketball fleet: %v", err)
 	}
 }

@@ -32,14 +32,8 @@ func New(baseURL string, httpClient *http.Client) *Client {
 	return &Client{base: strings.TrimRight(baseURL, "/"), http: httpClient}
 }
 
-// Health checks server liveness. A draining server answers 503, which
-// surfaces here as an *APIError.
-func (c *Client) Health(ctx context.Context) error {
-	var out api.HealthResponse
-	return c.do(ctx, http.MethodGet, "/api/health", nil, &out)
-}
-
-// HealthDetail fetches the full liveness + readiness report.
+// HealthDetail fetches the full liveness + readiness report. A draining
+// server answers 503, which surfaces here as an *APIError.
 func (c *Client) HealthDetail(ctx context.Context) (*api.HealthResponse, error) {
 	var out api.HealthResponse
 	if err := c.do(ctx, http.MethodGet, "/api/health", nil, &out); err != nil {

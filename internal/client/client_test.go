@@ -20,7 +20,7 @@ func TestNonJSONErrorBody(t *testing.T) {
 		http.Error(w, "plain text failure", http.StatusBadGateway)
 	}))
 	defer ts.Close()
-	err := New(ts.URL, nil).Health(context.Background())
+	_, err := New(ts.URL, nil).HealthDetail(context.Background())
 	apiErr, ok := err.(*APIError)
 	if !ok {
 		t.Fatalf("err = %T %v, want APIError", err, err)
@@ -37,7 +37,7 @@ func TestJSONErrorBody(t *testing.T) {
 		_, _ = w.Write([]byte(`{"error": "bad pattern"}`))
 	}))
 	defer ts.Close()
-	err := New(ts.URL, nil).Health(context.Background())
+	_, err := New(ts.URL, nil).HealthDetail(context.Background())
 	apiErr, ok := err.(*APIError)
 	if !ok || apiErr.Message != "bad pattern" {
 		t.Errorf("err = %v, want decoded message", err)
@@ -49,7 +49,7 @@ func TestConnectionRefused(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	url := ts.URL
 	ts.Close()
-	if err := New(url, nil).Health(context.Background()); err == nil {
+	if _, err := New(url, nil).HealthDetail(context.Background()); err == nil {
 		t.Error("closed server accepted")
 	}
 }
@@ -71,7 +71,7 @@ func TestContextCancellation(t *testing.T) {
 	defer ts.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := New(ts.URL, nil).Health(ctx); err == nil {
+	if _, err := New(ts.URL, nil).HealthDetail(ctx); err == nil {
 		t.Error("cancelled context accepted")
 	}
 }
@@ -84,7 +84,7 @@ func TestBaseURLTrailingSlashTrimmed(t *testing.T) {
 		_, _ = w.Write([]byte(`{"status":"ok"}`))
 	}))
 	defer ts.Close()
-	if err := New(ts.URL+"/", nil).Health(context.Background()); err != nil {
+	if _, err := New(ts.URL+"/", nil).HealthDetail(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -13,45 +13,10 @@ import (
 	"github.com/videodb/hmmm/internal/retrieval"
 )
 
-// OptionsIdentityFields are the retrieval.Options fields that
-// participate in the coalesce key: each one can change the returned
-// ranking (or its cost accounting), so requests differing in any of them
-// must not share an execution.
-var OptionsIdentityFields = []string{
-	"TopK",
-	"Beam",
-	"CrossVideo",
-	"AnnotatedOnly",
-	"StopAfterMatches",
-	"CoarseCandidates",
-}
-
-// OptionsIgnoredFields are the retrieval.Options fields deliberately
-// excluded from the coalesce key, in two classes. Observer-only fields
-// (Metrics, Trace, Tracer) record what happened without affecting it, so
-// an instrumented request and a bare one coalesce together — the
-// explicit requirement the classification test pins. The build-time
-// field NoSimCache is read only by retrieval.NewEngine — a per-request
-// view keeps the engine's setting whatever the request carries — and the
-// engine's differential suites pin results bit-identical across both
-// settings, so it cannot change what a waiter receives.
-//
-// Every retrieval.Options field MUST appear in exactly one of these two
-// lists; TestOptionsKeyCoversEveryField fails the build of any new field
-// until it is classified here and (for identity fields) encoded in
-// OptionsKey.
-var OptionsIgnoredFields = []string{
-	// Observer-only.
-	"Metrics",
-	"Trace",
-	"Tracer",
-	// Build-time, read only by NewEngine; pinned bit-identical by the
-	// differential suites.
-	"NoSimCache",
-}
-
 // OptionsKey renders the identity fields of o into a canonical key
-// fragment. It must encode exactly the fields in OptionsIdentityFields.
+// fragment: the fields that can change the returned ranking (or its cost
+// accounting). It must encode exactly the identity fields key_test.go
+// classifies.
 func OptionsKey(o retrieval.Options) string {
 	var b strings.Builder
 	b.Grow(48)

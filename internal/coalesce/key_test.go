@@ -8,6 +8,42 @@ import (
 	"github.com/videodb/hmmm/internal/retrieval"
 )
 
+// identityFields are the retrieval.Options fields that
+// participate in the coalesce key: each one can change the returned
+// ranking (or its cost accounting), so requests differing in any of them
+// must not share an execution.
+var identityFields = []string{
+	"TopK",
+	"Beam",
+	"CrossVideo",
+	"AnnotatedOnly",
+	"StopAfterMatches",
+	"CoarseCandidates",
+}
+
+// ignoredFields are the retrieval.Options fields deliberately
+// excluded from the coalesce key, in two classes. Observer-only fields
+// (Metrics, Trace, Tracer) record what happened without affecting it, so
+// an instrumented request and a bare one coalesce together — the
+// explicit requirement the classification test pins. The build-time
+// field NoSimCache is read only by retrieval.NewEngine — a per-request
+// view keeps the engine's setting whatever the request carries — and the
+// engine's differential suites pin results bit-identical across both
+// settings, so it cannot change what a waiter receives.
+//
+// Every retrieval.Options field MUST appear in exactly one of these two
+// lists; TestOptionsKeyCoversEveryField fails on any new field until it
+// is classified here and (for identity fields) encoded in OptionsKey.
+var ignoredFields = []string{
+	// Observer-only.
+	"Metrics",
+	"Trace",
+	"Tracer",
+	// Build-time, read only by NewEngine; pinned bit-identical by the
+	// differential suites.
+	"NoSimCache",
+}
+
 // TestOptionsKeyCoversEveryField enumerates retrieval.Options via
 // reflection and fails when any field is neither an identity field nor a
 // deliberately ignored one. Adding a field to Options without deciding
@@ -18,10 +54,10 @@ import (
 // coalescing.
 func TestOptionsKeyCoversEveryField(t *testing.T) {
 	classified := make(map[string]string)
-	for _, f := range OptionsIdentityFields {
+	for _, f := range identityFields {
 		classified[f] = "identity"
 	}
-	for _, f := range OptionsIgnoredFields {
+	for _, f := range ignoredFields {
 		if prev, ok := classified[f]; ok {
 			t.Errorf("field %s classified twice (%s and ignored)", f, prev)
 		}
@@ -34,8 +70,8 @@ func TestOptionsKeyCoversEveryField(t *testing.T) {
 		seen[name] = true
 		if _, ok := classified[name]; !ok {
 			t.Errorf("retrieval.Options.%s is not classified: add it to "+
-				"OptionsIdentityFields (and OptionsKey) if it can change results, "+
-				"or to OptionsIgnoredFields if it is observer- or execution-only", name)
+				"identityFields (and OptionsKey) if it can change results, "+
+				"or to ignoredFields if it is observer- or execution-only", name)
 		}
 	}
 	for name := range classified {
@@ -72,9 +108,9 @@ func TestOptionsKeySeparatesIdentityFields(t *testing.T) {
 		"StopAfterMatches": {TopK: 10, Beam: 4, StopAfterMatches: true},
 		"CoarseCandidates": {TopK: 10, Beam: 4, CoarseCandidates: 12},
 	}
-	if len(variants) != len(OptionsIdentityFields) {
+	if len(variants) != len(identityFields) {
 		t.Fatalf("variant table covers %d fields, identity list has %d — keep them in sync",
-			len(variants), len(OptionsIdentityFields))
+			len(variants), len(identityFields))
 	}
 	for name, v := range variants {
 		if OptionsKey(base) == OptionsKey(v) {

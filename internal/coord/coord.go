@@ -35,6 +35,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/videodb/hmmm/internal/api"
@@ -132,6 +133,9 @@ type Coordinator struct {
 
 	rngMu *sync.Mutex
 	rng   *rand.Rand
+	// domain is the event vocabulary every endpoint reported at the
+	// last successful WaitReady; shared with WithOptions views.
+	domain *atomic.Pointer[string]
 }
 
 // New builds a coordinator over transports[i] = the replica transports
@@ -143,11 +147,12 @@ func New(transports [][]Transport, baseOpts retrieval.Options, copts Options) (*
 	}
 	copts = copts.withDefaults()
 	c := &Coordinator{
-		opts:  baseOpts,
-		copts: copts,
-		met:   copts.Metrics,
-		rngMu: &sync.Mutex{},
-		rng:   rand.New(rand.NewSource(int64(copts.Seed))),
+		opts:   baseOpts,
+		copts:  copts,
+		met:    copts.Metrics,
+		rngMu:  &sync.Mutex{},
+		rng:    rand.New(rand.NewSource(int64(copts.Seed))),
+		domain: &atomic.Pointer[string]{},
 	}
 	for i, group := range transports {
 		if len(group) == 0 {
@@ -568,7 +573,11 @@ func (c *Coordinator) backoff(attempt int) time.Duration {
 // just the first READY one per shard — so a mis-wired second replica
 // fails fast at startup instead of surfacing as silently merged
 // wrong-partition matches when failover or hedging later routes to it.
+// Every answering endpoint must also report the same domain, which
+// WaitReady records for Domain: a fleet mixing vocabularies would merge
+// rankings whose concept ids mean different events.
 func (c *Coordinator) WaitReady(ctx context.Context) error {
+	var domain, domainAddr string
 	for {
 		ready := 0
 		for i, set := range c.sets {
@@ -584,6 +593,12 @@ func (c *Coordinator) WaitReady(ctx context.Context) error {
 					return fmt.Errorf("coord: endpoint %s serves shard %d of %d, configured as shard %d of %d",
 						ep.tr.Addr(), st.Shard, st.OfShards, i, len(c.sets))
 				}
+				if domainAddr == "" {
+					domain, domainAddr = st.Domain, ep.tr.Addr()
+				} else if st.Domain != domain {
+					return fmt.Errorf("coord: endpoint %s serves the %q domain, endpoint %s the %q domain",
+						ep.tr.Addr(), st.Domain, domainAddr, domain)
+				}
 				if st.State == rpc.StateReady {
 					anyReady = true
 				}
@@ -593,6 +608,7 @@ func (c *Coordinator) WaitReady(ctx context.Context) error {
 			}
 		}
 		if ready == len(c.sets) {
+			c.domain.Store(&domain)
 			return nil
 		}
 		select {
@@ -601,6 +617,19 @@ func (c *Coordinator) WaitReady(ctx context.Context) error {
 			return ctx.Err()
 		}
 	}
+}
+
+// Domain returns the event vocabulary every shard endpoint reported at
+// the last successful WaitReady, or "" when WaitReady has not returned
+// nil (or c is not from New).
+func (c *Coordinator) Domain() string {
+	if c.domain == nil {
+		return ""
+	}
+	if d := c.domain.Load(); d != nil {
+		return *d
+	}
+	return ""
 }
 
 // Stats reports the coordinator roll-up for /api/stats.

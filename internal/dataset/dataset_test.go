@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/videodb/hmmm/internal/features"
@@ -147,7 +148,7 @@ func TestEveryVideoHasAnnotatedShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range c.Archive.Videos {
-		if len(v.AnnotatedShots()) == 0 {
+		if !slices.ContainsFunc(v.Shots, (*videomodel.Shot).Annotated) {
 			t.Errorf("video %d has no annotated shots", v.ID)
 		}
 	}

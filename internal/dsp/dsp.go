@@ -61,22 +61,6 @@ func FFT(x []complex128) error {
 	return nil
 }
 
-// IFFT computes the in-place inverse DFT of x. len(x) must be a power of
-// two.
-func IFFT(x []complex128) error {
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	if err := FFT(x); err != nil {
-		return err
-	}
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i]) / n
-	}
-	return nil
-}
-
 // Spectrum returns the magnitude spectrum of the real signal frame. The
 // frame is Hann-windowed and zero-padded to the next power of two; the
 // returned slice holds the magnitudes of the non-negative frequency bins

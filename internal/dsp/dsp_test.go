@@ -92,33 +92,6 @@ func naiveDFT(x []complex128) []complex128 {
 	return out
 }
 
-func TestIFFTInvertsFFT(t *testing.T) {
-	check := func(seed uint64) bool {
-		r := xrand.New(seed)
-		n := 1 << (1 + r.Intn(8)) // 2..256
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(r.Norm(0, 1), r.Norm(0, 1))
-		}
-		orig := append([]complex128(nil), x...)
-		if err := FFT(x); err != nil {
-			return false
-		}
-		if err := IFFT(x); err != nil {
-			return false
-		}
-		for i := range x {
-			if cmplx.Abs(x[i]-orig[i]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestParsevalProperty(t *testing.T) {
 	// Property: FFT preserves energy (Parseval): sum|x|^2 = sum|X|^2 / n.
 	check := func(seed uint64) bool {

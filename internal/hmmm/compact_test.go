@@ -8,6 +8,7 @@ package hmmm_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/videodb/hmmm/internal/hmmm"
@@ -64,8 +65,8 @@ func TestCompactRoundTripStructure(t *testing.T) {
 				t.Fatalf("seed %d: Pi2[%d] = %v, want %v (bitwise)", seed, i, got.Pi2[i], v)
 			}
 		}
-		if d, err := m.P12.MaxAbsDiff(got.P12); err != nil || d != 0 {
-			t.Fatalf("seed %d: P12 differs (%v, err %v)", seed, d, err)
+		if !reflect.DeepEqual(m.P12, got.P12) {
+			t.Fatalf("seed %d: P12 differs", seed)
 		}
 		// Quantized matrices are exactly the float32 rounding of the
 		// originals — one rounding, not an accumulated error.

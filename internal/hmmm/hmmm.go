@@ -34,9 +34,6 @@ import (
 	"github.com/videodb/hmmm/internal/videomodel"
 )
 
-// Levels is the paper's d: the two-level instantiation modeled here.
-const Levels = 2
-
 // State is one level-1 state: an annotated shot.
 type State struct {
 	Shot     videomodel.ShotID
@@ -145,16 +142,6 @@ func (m *Model) VideoStates(videoIdx int) (lo, hi int) {
 		hi = len(m.States)
 	}
 	return lo, hi
-}
-
-// L12 materializes the link-conditions matrix: L12(v, s) = 1 iff global
-// state s belongs to video v (Section 4.2.3.3).
-func (m *Model) L12() *matrix.Dense {
-	l := matrix.NewDense(m.NumVideos(), m.NumStates())
-	for s, st := range m.States {
-		l.Set(st.VideoIdx, s, 1)
-	}
-	return l
 }
 
 // BuildOptions tunes model construction.

@@ -230,20 +230,26 @@ func TestB1PrimeMeans(t *testing.T) {
 	}
 }
 
-func TestL12Partition(t *testing.T) {
+func TestVideoStatesPartition(t *testing.T) {
+	// L1,2 (Section 4.2.3.3) links each state to exactly one video: the
+	// per-video ranges tile [0, NumStates) in order and agree with each
+	// state's VideoIdx.
 	m := buildFixture(t, BuildOptions{})
-	l := m.L12()
-	for s := 0; s < m.NumStates(); s++ {
-		var sum float64
-		for v := 0; v < m.NumVideos(); v++ {
-			sum += l.At(v, s)
+	next := 0
+	for v := 0; v < m.NumVideos(); v++ {
+		lo, hi := m.VideoStates(v)
+		if lo != next || hi < lo {
+			t.Fatalf("video %d covers [%d, %d), want to start at %d", v, lo, hi, next)
 		}
-		if sum != 1 {
-			t.Errorf("state %d links to %v videos, want exactly 1", s, sum)
+		for s := lo; s < hi; s++ {
+			if m.States[s].VideoIdx != v {
+				t.Errorf("state %d in video %d's range has VideoIdx %d", s, v, m.States[s].VideoIdx)
+			}
 		}
+		next = hi
 	}
-	if l.At(m.States[4].VideoIdx, 4) != 1 {
-		t.Error("L12 does not match state bookkeeping")
+	if next != m.NumStates() {
+		t.Errorf("ranges cover %d of %d states", next, m.NumStates())
 	}
 }
 

@@ -204,12 +204,6 @@ func simKernel(bRow, meanRow, pRow []float64, eps float64) float64 {
 	return sim
 }
 
-// NumVideos returns the number of videos the index covers.
-func (ix *Coarse) NumVideos() int { return ix.videos }
-
-// NumConcepts returns the number of event concepts.
-func (ix *Coarse) NumConcepts() int { return ix.concepts }
-
 // PostingLen returns the number of videos whose B2 row counts concept ci.
 func (ix *Coarse) PostingLen(ci int) int { return ix.counts[ci] }
 
@@ -420,9 +414,7 @@ func intersectSorted(a, b []int) []int {
 }
 
 // MemoryBytes estimates the index's resident size: the compressed
-// posting bytes plus the float32 score tables and bookkeeping. The
-// uncompressed equivalent of the postings alone would be
-// Σ counts × 8 bytes; PostingsCompression reports the achieved ratio.
+// posting bytes plus the float32 score tables and bookkeeping.
 func (ix *Coarse) MemoryBytes() int {
 	n := 0
 	for _, p := range ix.postings {
@@ -434,21 +426,6 @@ func (ix *Coarse) MemoryBytes() int {
 	n += len(ix.edges) * 4
 	n += len(ix.maxPi1) * 4
 	return n
-}
-
-// PostingsCompression returns uncompressed-to-compressed byte ratio of
-// the posting lists (8-byte ints vs uvarint deltas); at least 1 when
-// any posting exists, 0 for an annotation-free model.
-func (ix *Coarse) PostingsCompression() float64 {
-	raw, packed := 0, 0
-	for ci, p := range ix.postings {
-		raw += ix.counts[ci] * 8
-		packed += len(p)
-	}
-	if packed == 0 {
-		return 0
-	}
-	return float64(raw) / float64(packed)
 }
 
 // MaxPi1 returns the per-video maximum Π1 mass table entry (exported

@@ -41,10 +41,6 @@ func naiveCandidates(m *hmmm.Model, concepts []int) []int {
 func TestPostingsMatchB2(t *testing.T) {
 	m := testModel(t, 1)
 	ix := index.Build(m, retrieval.DefaultSimEpsilon)
-	if ix.NumVideos() != m.NumVideos() || ix.NumConcepts() != m.NumConcepts() {
-		t.Fatalf("index is %dx%d, want %dx%d",
-			ix.NumVideos(), ix.NumConcepts(), m.NumVideos(), m.NumConcepts())
-	}
 	for ci := 0; ci < m.NumConcepts(); ci++ {
 		want := naiveCandidates(m, []int{ci})
 		got := ix.Postings(ci, nil)
@@ -274,7 +270,7 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
-func TestMemoryAndCompression(t *testing.T) {
+func TestMemoryBytes(t *testing.T) {
 	// A deeper-than-default fixture: the edge table is videos×concepts²
 	// while the dense sim table is states×concepts×8, so the size
 	// comparison is only meaningful with a realistic number of states
@@ -285,9 +281,6 @@ func TestMemoryAndCompression(t *testing.T) {
 	ix := index.Build(m, retrieval.DefaultSimEpsilon)
 	if got := ix.MemoryBytes(); got <= 0 {
 		t.Fatalf("MemoryBytes = %d", got)
-	}
-	if r := ix.PostingsCompression(); r < 1 {
-		t.Fatalf("PostingsCompression = %v, want >= 1", r)
 	}
 	// The whole index must be far smaller than the engine's dense
 	// NumStates × NumConcepts float64 similarity table.

@@ -37,9 +37,6 @@ type RawVideo struct {
 	Audio         *videomodel.AudioClip
 }
 
-// Duration returns the stream length in milliseconds.
-func (r *RawVideo) Duration() int { return len(r.Frames) * r.FramePeriodMS }
-
 // Pipeline segments and annotates raw videos. Construct with NewPipeline.
 type Pipeline struct {
 	detector   *shotdetect.Detector

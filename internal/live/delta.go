@@ -103,15 +103,6 @@ func NewDelta(records []Record, offset int, gen uint64, build hmmm.BuildOptions,
 	return &Delta{Records: records, Model: m, Engine: engine, Offset: offset, Gen: gen}, nil
 }
 
-// VideoIDs returns the delta's video IDs in accept order.
-func (d *Delta) VideoIDs() []videomodel.VideoID {
-	ids := make([]videomodel.VideoID, len(d.Records))
-	for i, r := range d.Records {
-		ids[i] = r.Video
-	}
-	return ids
-}
-
 // OldestUnixMS returns the accept time of the oldest record, or 0 when
 // the delta is nil or empty.
 func (d *Delta) OldestUnixMS() int64 {

@@ -28,9 +28,6 @@ func TestNewDeltaBuildsPartialModel(t *testing.T) {
 	if d.Offset != 42 || d.Gen != 7 || d.Len() != 3 {
 		t.Fatalf("delta bookkeeping: offset=%d gen=%d len=%d", d.Offset, d.Gen, d.Len())
 	}
-	if got := d.VideoIDs(); len(got) != 3 || got[0] != records[0].Video {
-		t.Fatalf("video IDs: %v", got)
-	}
 	if d.OldestUnixMS() != records[0].AcceptedUnixMS {
 		t.Fatalf("oldest accept time %d, want %d", d.OldestUnixMS(), records[0].AcceptedUnixMS)
 	}

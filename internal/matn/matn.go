@@ -36,7 +36,6 @@ package matn
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"github.com/videodb/hmmm/internal/retrieval"
@@ -58,7 +57,7 @@ type Network struct {
 	Final  int // accepting state index
 
 	// domain is the vocabulary the network was parsed against; nil means
-	// the default soccer domain. Format/String/DOT render event names
+	// the default soccer domain. Format and String render event names
 	// through it.
 	domain *videomodel.Domain
 }
@@ -604,36 +603,4 @@ func (n *Network) String() string {
 		fmt.Fprintf(&b, " [%d-%s%s->%d]", a.From, strings.Join(names, "&"), gap, a.To)
 	}
 	return b.String()
-}
-
-// DOT renders the network in Graphviz DOT format.
-func (n *Network) DOT(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "digraph matn {\n  rankdir=LR;\n  node [shape=circle];"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "  s%d [shape=doublecircle];\n", n.Final); err != nil {
-		return err
-	}
-	d := n.dom()
-	for _, a := range n.Arcs {
-		label := "ε"
-		if len(a.Events) > 0 || len(a.Not) > 0 {
-			names := make([]string, 0, len(a.Events)+len(a.Not))
-			for _, e := range a.Events {
-				names = append(names, d.EventName(e))
-			}
-			for _, e := range a.Not {
-				names = append(names, "!"+d.EventName(e))
-			}
-			label = strings.Join(names, " & ")
-		}
-		if a.MinGapMS > 0 || a.MaxGapMS > 0 {
-			label += fmt.Sprintf("\\n[%d..%dms]", a.MinGapMS, a.MaxGapMS)
-		}
-		if _, err := fmt.Fprintf(w, "  s%d -> s%d [label=\"%s\"];\n", a.From, a.To, label); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
 }

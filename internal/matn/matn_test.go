@@ -1,7 +1,6 @@
 package matn
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -312,22 +311,5 @@ func TestParserNeverPanicsProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDOTExport(t *testing.T) {
-	n, err := Parse("goal ->[<30s] free_kick | foul -> corner_kick?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := n.DOT(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"digraph matn", "doublecircle", "free_kick", "[0..30000ms]", "ε"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -28,19 +28,8 @@ func ToFloat32(d *Dense) *Float32 {
 	return f
 }
 
-// Rows returns the number of rows.
-func (f *Float32) Rows() int { return f.rows }
-
 // Cols returns the number of columns.
 func (f *Float32) Cols() int { return f.cols }
-
-// At returns the element at (i, j) widened to float64.
-func (f *Float32) At(i, j int) float64 {
-	if i < 0 || i >= f.rows || j < 0 || j >= f.cols {
-		panic(fmt.Sprintf("matrix: index (%d, %d) out of bounds for %dx%d matrix", i, j, f.rows, f.cols))
-	}
-	return float64(f.data[i*f.cols+j])
-}
 
 // Dense widens the matrix back to float64 storage (exact).
 func (f *Float32) Dense() *Dense {
@@ -94,26 +83,6 @@ func ToBanded(d *Dense) *Banded {
 		b.rowptr[i+1] = int32(len(b.data))
 	}
 	return b
-}
-
-// Rows returns the number of rows.
-func (b *Banded) Rows() int { return b.rows }
-
-// Cols returns the number of columns.
-func (b *Banded) Cols() int { return b.cols }
-
-// At returns the element at (i, j) widened to float64; positions outside
-// the stored band are zero.
-func (b *Banded) At(i, j int) float64 {
-	if i < 0 || i >= b.rows || j < 0 || j >= b.cols {
-		panic(fmt.Sprintf("matrix: index (%d, %d) out of bounds for %dx%d matrix", i, j, b.rows, b.cols))
-	}
-	off := int(j) - int(b.start[i])
-	width := int(b.rowptr[i+1] - b.rowptr[i])
-	if off < 0 || off >= width {
-		return 0
-	}
-	return float64(b.data[int(b.rowptr[i])+off])
 }
 
 // Dense expands the band back to a full float64 matrix (exact).

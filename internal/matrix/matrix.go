@@ -10,13 +10,9 @@
 package matrix
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
-
-// ErrShape is returned when matrix dimensions do not match an operation.
-var ErrShape = errors.New("matrix: dimension mismatch")
 
 // Dense is a row-major dense matrix of float64 values.
 type Dense struct {
@@ -31,23 +27,6 @@ func NewDense(rows, cols int) *Dense {
 		panic(fmt.Sprintf("matrix: NewDense(%d, %d) with negative dimension", rows, cols))
 	}
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from a slice of equal-length rows. It returns
-// ErrShape if the rows are ragged.
-func FromRows(rows [][]float64) (*Dense, error) {
-	if len(rows) == 0 {
-		return NewDense(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewDense(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrShape, i, len(r), cols)
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
 }
 
 // Rows returns the number of rows.
@@ -108,22 +87,6 @@ func (m *Dense) Fill(v float64) {
 	for i := range m.data {
 		m.data[i] = v
 	}
-}
-
-// Scale multiplies every element by v.
-func (m *Dense) Scale(v float64) {
-	for i := range m.data {
-		m.data[i] *= v
-	}
-}
-
-// RowSum returns the sum of row i.
-func (m *Dense) RowSum(i int) float64 {
-	var s float64
-	for _, v := range m.Row(i) {
-		s += v
-	}
-	return s
 }
 
 // ColSum returns the sum of column j.
@@ -199,41 +162,6 @@ func (m *Dense) IsRowStochastic(tol float64) bool {
 		}
 	}
 	return true
-}
-
-// MaxAbsDiff returns the largest absolute element-wise difference between
-// m and other, or an error if the shapes differ. It is the convergence
-// check used by the iterative feedback trainer.
-func (m *Dense) MaxAbsDiff(other *Dense) (float64, error) {
-	if m.rows != other.rows || m.cols != other.cols {
-		return 0, fmt.Errorf("%w: %dx%d vs %dx%d", ErrShape, m.rows, m.cols, other.rows, other.cols)
-	}
-	var max float64
-	for i, v := range m.data {
-		d := math.Abs(v - other.data[i])
-		if d > max {
-			max = d
-		}
-	}
-	return max, nil
-}
-
-// MulVec computes m * x and returns the resulting vector. It returns
-// ErrShape if len(x) != Cols().
-func (m *Dense) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.cols {
-		return nil, fmt.Errorf("%w: vector length %d, matrix has %d columns", ErrShape, len(x), m.cols)
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
 }
 
 // String renders the matrix for debugging: small matrices in full, large

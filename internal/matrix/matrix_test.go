@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -51,32 +50,8 @@ func TestOutOfBoundsPanics(t *testing.T) {
 	}
 }
 
-func TestFromRows(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(1, 0) != 3 {
-		t.Fatalf("At(1,0) = %v, want 3", m.At(1, 0))
-	}
-}
-
-func TestFromRowsRagged(t *testing.T) {
-	_, err := FromRows([][]float64{{1, 2}, {3}})
-	if !errors.Is(err, ErrShape) {
-		t.Fatalf("err = %v, want ErrShape", err)
-	}
-}
-
-func TestFromRowsEmpty(t *testing.T) {
-	m, err := FromRows(nil)
-	if err != nil || m.Rows() != 0 || m.Cols() != 0 {
-		t.Fatalf("FromRows(nil) = %v, %v", m, err)
-	}
-}
-
 func TestNormalizeRows(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 3}, {0, 0}, {2, 2}})
+	m := mustFromRows(t, [][]float64{{1, 3}, {0, 0}, {2, 2}})
 	m.NormalizeRows()
 	if got := m.At(0, 0); math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("normalized (0,0) = %v, want 0.25", got)
@@ -84,13 +59,13 @@ func TestNormalizeRows(t *testing.T) {
 	if m.At(1, 0) != 0 || m.At(1, 1) != 0 {
 		t.Error("zero row was modified by NormalizeRows")
 	}
-	if got := m.RowSum(2); math.Abs(got-1) > 1e-12 {
+	if got := m.At(2, 0) + m.At(2, 1); math.Abs(got-1) > 1e-12 {
 		t.Errorf("row 2 sum = %v, want 1", got)
 	}
 }
 
 func TestSmoothRows(t *testing.T) {
-	m, _ := FromRows([][]float64{{0, 0}, {1, 0}})
+	m := mustFromRows(t, [][]float64{{0, 0}, {1, 0}})
 	m.SmoothRows()
 	if m.At(0, 0) != 0.5 || m.At(0, 1) != 0.5 {
 		t.Errorf("zero row not smoothed: %v %v", m.At(0, 0), m.At(0, 1))
@@ -101,7 +76,7 @@ func TestSmoothRows(t *testing.T) {
 }
 
 func TestIsRowStochastic(t *testing.T) {
-	m, _ := FromRows([][]float64{{0.5, 0.5}, {0.1, 0.9}})
+	m := mustFromRows(t, [][]float64{{0.5, 0.5}, {0.1, 0.9}})
 	if !m.IsRowStochastic(1e-9) {
 		t.Error("stochastic matrix reported non-stochastic")
 	}
@@ -149,54 +124,23 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestRowColSums(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	if m.RowSum(1) != 7 {
-		t.Errorf("RowSum(1) = %v, want 7", m.RowSum(1))
-	}
+func TestColSum(t *testing.T) {
+	m := mustFromRows(t, [][]float64{{1, 2}, {3, 4}})
 	if m.ColSum(0) != 4 {
 		t.Errorf("ColSum(0) = %v, want 4", m.ColSum(0))
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	got, err := m.MulVec([]float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 3 || got[1] != 7 {
-		t.Errorf("MulVec = %v, want [3 7]", got)
-	}
-	if _, err := m.MulVec([]float64{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("MulVec shape err = %v, want ErrShape", err)
-	}
-}
-
-func TestMaxAbsDiff(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}})
-	b, _ := FromRows([][]float64{{1.5, 2}})
-	d, err := a.MaxAbsDiff(b)
-	if err != nil || d != 0.5 {
-		t.Fatalf("MaxAbsDiff = %v, %v; want 0.5, nil", d, err)
-	}
-	c := NewDense(2, 2)
-	if _, err := a.MaxAbsDiff(c); !errors.Is(err, ErrShape) {
-		t.Errorf("shape mismatch err = %v, want ErrShape", err)
-	}
-}
-
-func TestFillScale(t *testing.T) {
+func TestFill(t *testing.T) {
 	m := NewDense(2, 2)
 	m.Fill(2)
-	m.Scale(3)
-	if m.At(1, 1) != 6 {
-		t.Errorf("Fill+Scale gave %v, want 6", m.At(1, 1))
+	if m.At(1, 1) != 2 {
+		t.Errorf("Fill gave %v, want 2", m.At(1, 1))
 	}
 }
 
 func TestMinMaxScaler(t *testing.T) {
-	m, _ := FromRows([][]float64{
+	m := mustFromRows(t, [][]float64{
 		{0, 10, 5},
 		{10, 10, 7},
 		{5, 10, 9},
@@ -219,7 +163,7 @@ func TestMinMaxScaler(t *testing.T) {
 }
 
 func TestMinMaxScalerClamps(t *testing.T) {
-	m, _ := FromRows([][]float64{{0}, {10}})
+	m := mustFromRows(t, [][]float64{{0}, {10}})
 	var s MinMaxScaler
 	s.Fit(m)
 	row := []float64{20}
@@ -236,10 +180,10 @@ func TestMinMaxScalerClamps(t *testing.T) {
 
 func TestMinMaxScalerUnfitted(t *testing.T) {
 	var s MinMaxScaler
-	if s.Fitted() {
+	if s.fitted {
 		t.Fatal("zero scaler reports fitted")
 	}
-	m, _ := FromRows([][]float64{{3}})
+	m := mustFromRows(t, [][]float64{{3}})
 	out := s.Transform(m)
 	if out.At(0, 0) != 3 {
 		t.Error("unfitted Transform should be identity")
@@ -247,14 +191,14 @@ func TestMinMaxScalerUnfitted(t *testing.T) {
 }
 
 func TestMinMaxScalerBoundsRoundTrip(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 8}})
+	m := mustFromRows(t, [][]float64{{1, 2}, {3, 8}})
 	var s MinMaxScaler
 	s.Fit(m)
 	min, max := s.Bounds()
 
 	var restored MinMaxScaler
 	restored.SetBounds(min, max)
-	if !restored.Fitted() {
+	if !restored.fitted {
 		t.Fatal("restored scaler not fitted")
 	}
 	row := []float64{2, 5}

@@ -36,9 +36,6 @@ func (s *MinMaxScaler) Fit(m *Dense) {
 	s.fitted = true
 }
 
-// Fitted reports whether Fit has been called on a non-empty matrix.
-func (s *MinMaxScaler) Fitted() bool { return s.fitted }
-
 // Transform returns a copy of m with every column rescaled to [0, 1] using
 // the fitted bounds. Columns that were constant at Fit time map to 0.
 // Values outside the fitted range are clamped, so the stochastic-model

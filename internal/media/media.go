@@ -1,14 +1,12 @@
 // Package media encodes the synthetic frames and audio clips into standard
-// file formats — PGM/PPM rasters and 16-bit PCM WAV — so the corpus can be
-// eyeballed with ordinary image viewers and audio players, and decodes
-// them back for round-trip ingestion of externally produced material.
+// file formats — PPM rasters and 16-bit PCM WAV — so the corpus can be
+// eyeballed with ordinary image viewers and audio players.
 //
 // Everything is implemented directly against the format specifications
 // with the standard library only.
 package media
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -57,54 +55,6 @@ func WriteWAV(w io.Writer, clip *videomodel.AudioClip) error {
 	return err
 }
 
-// ReadWAV decodes a 16-bit mono PCM WAV stream written by WriteWAV (or any
-// canonical 44-byte-header PCM file).
-func ReadWAV(r io.Reader) (*videomodel.AudioClip, error) {
-	var hdr [44]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("media: reading WAV header: %w", err)
-	}
-	if string(hdr[0:4]) != "RIFF" || string(hdr[8:12]) != "WAVE" || string(hdr[12:16]) != "fmt " {
-		return nil, errors.New("media: not a WAV stream")
-	}
-	if binary.LittleEndian.Uint16(hdr[20:22]) != 1 {
-		return nil, errors.New("media: only PCM WAV is supported")
-	}
-	if binary.LittleEndian.Uint16(hdr[22:24]) != 1 {
-		return nil, errors.New("media: only mono WAV is supported")
-	}
-	if bits := binary.LittleEndian.Uint16(hdr[34:36]); bits != 16 {
-		return nil, fmt.Errorf("media: %d-bit WAV not supported, want 16", bits)
-	}
-	if string(hdr[36:40]) != "data" {
-		return nil, errors.New("media: missing data chunk")
-	}
-	rate := int(binary.LittleEndian.Uint32(hdr[24:28]))
-	size := binary.LittleEndian.Uint32(hdr[40:44])
-	raw := make([]byte, size)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return nil, fmt.Errorf("media: reading WAV data: %w", err)
-	}
-	samples := make([]float64, size/2)
-	for i := range samples {
-		v := int16(binary.LittleEndian.Uint16(raw[2*i:]))
-		samples[i] = float64(v) / 32767
-	}
-	return &videomodel.AudioClip{SampleRate: rate, Samples: samples}, nil
-}
-
-// WritePGM encodes the frame's luminance plane as a binary PGM (P5) image.
-func WritePGM(w io.Writer, f *videomodel.Frame) error {
-	if f == nil || f.W <= 0 || f.H <= 0 {
-		return errors.New("media: empty frame")
-	}
-	if _, err := fmt.Fprintf(w, "P5\n%d %d\n255\n", f.W, f.H); err != nil {
-		return err
-	}
-	_, err := w.Write(f.Luma)
-	return err
-}
-
 // WritePPM encodes the frame as a binary PPM (P6) color image, rendering
 // the green-dominance plane into the green channel so grass is visibly
 // green.
@@ -127,82 +77,6 @@ func WritePPM(w io.Writer, f *videomodel.Frame) error {
 	}
 	_, err := w.Write(buf)
 	return err
-}
-
-// ReadPGM decodes a binary PGM (P5) image into a frame (green plane zero).
-func ReadPGM(r io.Reader) (*videomodel.Frame, error) {
-	br := bufio.NewReader(r)
-	magic, err := readToken(br)
-	if err != nil || magic != "P5" {
-		return nil, errors.New("media: not a binary PGM stream")
-	}
-	w, err := readInt(br)
-	if err != nil {
-		return nil, err
-	}
-	h, err := readInt(br)
-	if err != nil {
-		return nil, err
-	}
-	maxVal, err := readInt(br)
-	if err != nil {
-		return nil, err
-	}
-	if maxVal != 255 {
-		return nil, fmt.Errorf("media: PGM max value %d not supported, want 255", maxVal)
-	}
-	if w <= 0 || h <= 0 || w*h > 1<<26 {
-		return nil, fmt.Errorf("media: implausible PGM dimensions %dx%d", w, h)
-	}
-	f := videomodel.NewFrame(w, h)
-	if _, err := io.ReadFull(br, f.Luma); err != nil {
-		return nil, fmt.Errorf("media: reading PGM pixels: %w", err)
-	}
-	return f, nil
-}
-
-// readToken skips whitespace and PNM comments, then reads one token.
-func readToken(br *bufio.Reader) (string, error) {
-	var tok []byte
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			if len(tok) > 0 && err == io.EOF {
-				return string(tok), nil
-			}
-			return "", err
-		}
-		switch {
-		case b == '#' && len(tok) == 0:
-			if _, err := br.ReadString('\n'); err != nil {
-				return "", err
-			}
-		case b == ' ' || b == '\t' || b == '\n' || b == '\r':
-			if len(tok) > 0 {
-				return string(tok), nil
-			}
-		default:
-			tok = append(tok, b)
-		}
-	}
-}
-
-func readInt(br *bufio.Reader) (int, error) {
-	tok, err := readToken(br)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	if tok == "" {
-		return 0, errors.New("media: empty PNM header token")
-	}
-	for _, c := range tok {
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("media: bad PNM header token %q", tok)
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, nil
 }
 
 func clampByte(v int) byte {

@@ -295,33 +295,3 @@ func (t *Tree) PredictProb(features []float64) (int, []float64) {
 
 // NumFeatures returns the feature-vector width the tree was trained on.
 func (t *Tree) NumFeatures() int { return t.features }
-
-// NumClasses returns the number of label classes.
-func (t *Tree) NumClasses() int { return t.classes }
-
-// Depth returns the depth of the tree (a lone leaf has depth 0).
-func (t *Tree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *node) int {
-	if n == nil || n.feature == -1 {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
-// Leaves returns the number of leaves.
-func (t *Tree) Leaves() int { return leavesOf(t.root) }
-
-func leavesOf(n *node) int {
-	if n == nil {
-		return 0
-	}
-	if n.feature == -1 {
-		return 1
-	}
-	return leavesOf(n.left) + leavesOf(n.right)
-}

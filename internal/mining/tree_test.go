@@ -1,9 +1,7 @@
 package mining
 
 import (
-	"bytes"
 	"errors"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -42,8 +40,8 @@ func TestTrainTriviallySeparable(t *testing.T) {
 	if got := tree.Predict([]float64{105, 0}); got != 1 {
 		t.Errorf("Predict(105) = %d, want 1", got)
 	}
-	if tree.Depth() != 1 {
-		t.Errorf("trivially separable data grew depth %d, want 1", tree.Depth())
+	if depthOf(tree.root) != 1 {
+		t.Errorf("trivially separable data grew depth %d, want 1", depthOf(tree.root))
 	}
 }
 
@@ -108,8 +106,8 @@ func TestSingleClassDegenerates(t *testing.T) {
 	if tree.Predict([]float64{99}) != 3 {
 		t.Error("single-class tree should always predict that class")
 	}
-	if tree.Leaves() != 1 {
-		t.Errorf("single-class tree has %d leaves, want 1", tree.Leaves())
+	if leavesOf(tree.root) != 1 {
+		t.Errorf("single-class tree has %d leaves, want 1", leavesOf(tree.root))
 	}
 }
 
@@ -124,8 +122,8 @@ func TestMaxDepthRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() > 3 {
-		t.Errorf("depth = %d exceeds MaxDepth 3", tree.Depth())
+	if depthOf(tree.root) > 3 {
+		t.Errorf("depth = %d exceeds MaxDepth 3", depthOf(tree.root))
 	}
 }
 
@@ -155,8 +153,8 @@ func TestPruningShrinksNoisyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pruned.Leaves() >= unpruned.Leaves() {
-		t.Errorf("pruned leaves %d, unpruned %d: pruning had no effect", pruned.Leaves(), unpruned.Leaves())
+	if leavesOf(pruned.root) >= leavesOf(unpruned.root) {
+		t.Errorf("pruned leaves %d, unpruned %d: pruning had no effect", leavesOf(pruned.root), leavesOf(unpruned.root))
 	}
 }
 
@@ -166,8 +164,8 @@ func TestTreeMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.NumFeatures() != 3 || tree.NumClasses() != 3 {
-		t.Errorf("features=%d classes=%d", tree.NumFeatures(), tree.NumClasses())
+	if tree.NumFeatures() != 3 || tree.classes != 3 {
+		t.Errorf("features=%d classes=%d", tree.NumFeatures(), tree.classes)
 	}
 }
 
@@ -316,51 +314,20 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	samples := []Sample{
-		{Features: []float64{0}, Label: 0},
-		{Features: []float64{0.1}, Label: 0},
-		{Features: []float64{0.2}, Label: 0},
-		{Features: []float64{1}, Label: 1},
-		{Features: []float64{1.1}, Label: 1},
-		{Features: []float64{1.2}, Label: 1},
+// depthOf is the depth of the subtree at n (a lone leaf has depth 0).
+func depthOf(n *node) int {
+	if n == nil || n.feature == -1 {
+		return 0
 	}
-	tree, err := Train(samples, Config{MinLeaf: 1, PruneFactor: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tree.Describe(&buf, []string{"bright"}, []string{"dark", "light"}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"if bright <=", "=> dark", "=> light", "else:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Describe output missing %q:\n%s", want, out)
-		}
-	}
+	return 1 + max(depthOf(n.left), depthOf(n.right))
 }
 
-func TestDOT(t *testing.T) {
-	samples := []Sample{
-		{Features: []float64{0}, Label: 0},
-		{Features: []float64{1}, Label: 1},
-		{Features: []float64{0.1}, Label: 0},
-		{Features: []float64{1.1}, Label: 1},
+func leavesOf(n *node) int {
+	if n == nil {
+		return 0
 	}
-	tree, err := Train(samples, Config{MinLeaf: 1, PruneFactor: -1})
-	if err != nil {
-		t.Fatal(err)
+	if n.feature == -1 {
+		return 1
 	}
-	var buf bytes.Buffer
-	if err := tree.DOT(&buf, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "digraph tree {") || !strings.Contains(out, "->") {
-		t.Errorf("DOT output malformed:\n%s", out)
-	}
-	if !strings.Contains(out, "f0 <=") || !strings.Contains(out, "class1") {
-		t.Errorf("DOT fallback names missing:\n%s", out)
-	}
+	return leavesOf(n.left) + leavesOf(n.right)
 }

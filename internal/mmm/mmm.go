@@ -25,53 +25,6 @@ import (
 // ErrNoStates is returned when a construction function receives zero states.
 var ErrNoStates = errors.New("mmm: model has no states")
 
-// Model is one level of an HMMM: an MMM over N states with K features.
-type Model struct {
-	A  *matrix.Dense // N×N state transition / relative affinity matrix
-	B  *matrix.Dense // N×K state feature matrix
-	Pi []float64     // N initial state probabilities
-}
-
-// N returns the number of states.
-func (m *Model) N() int {
-	if m.A == nil {
-		return 0
-	}
-	return m.A.Rows()
-}
-
-// Validate checks the stochastic invariants: A row-stochastic, Π a
-// distribution, and dimensions consistent.
-func (m *Model) Validate(tol float64) error {
-	if m.A == nil || m.B == nil {
-		return errors.New("mmm: model missing A or B matrix")
-	}
-	n := m.A.Rows()
-	if m.A.Cols() != n {
-		return fmt.Errorf("mmm: A is %dx%d, want square", n, m.A.Cols())
-	}
-	if m.B.Rows() != n {
-		return fmt.Errorf("mmm: B has %d rows, want %d", m.B.Rows(), n)
-	}
-	if len(m.Pi) != n {
-		return fmt.Errorf("mmm: Pi has %d entries, want %d", len(m.Pi), n)
-	}
-	if !m.A.IsRowStochastic(tol) {
-		return errors.New("mmm: A is not row-stochastic")
-	}
-	var sum float64
-	for i, p := range m.Pi {
-		if p < 0 {
-			return fmt.Errorf("mmm: Pi[%d] = %v is negative", i, p)
-		}
-		sum += p
-	}
-	if sum < 1-tol || sum > 1+tol {
-		return fmt.Errorf("mmm: Pi sums to %v, want 1", sum)
-	}
-	return nil
-}
-
 // InitTemporalA builds the initial shot-level transition matrix A1 from the
 // per-state annotation counts ne (NE(s_i) in the paper), following
 // Section 4.2.1.1 (1) exactly:

@@ -286,46 +286,6 @@ func TestBuildPiErrors(t *testing.T) {
 	}
 }
 
-func TestModelValidate(t *testing.T) {
-	a, _ := InitTemporalA([]int{1, 1})
-	b := matrix.NewDense(2, 4)
-	m := &Model{A: a, B: b, Pi: []float64{0.5, 0.5}}
-	if err := m.Validate(1e-9); err != nil {
-		t.Fatalf("valid model rejected: %v", err)
-	}
-	if m.N() != 2 {
-		t.Errorf("N = %d, want 2", m.N())
-	}
-
-	cases := []struct {
-		name string
-		m    *Model
-	}{
-		{"missing A", &Model{B: b, Pi: []float64{1}}},
-		{"non-square A", &Model{A: matrix.NewDense(2, 3), B: b, Pi: []float64{0.5, 0.5}}},
-		{"B rows", &Model{A: a, B: matrix.NewDense(3, 4), Pi: []float64{0.5, 0.5}}},
-		{"Pi length", &Model{A: a, B: b, Pi: []float64{1}}},
-		{"Pi sum", &Model{A: a, B: b, Pi: []float64{0.5, 0.2}}},
-		{"Pi negative", &Model{A: a, B: b, Pi: []float64{1.5, -0.5}}},
-	}
-	for _, tc := range cases {
-		if err := tc.m.Validate(1e-9); err == nil {
-			t.Errorf("%s: invalid model accepted", tc.name)
-		}
-	}
-	if (&Model{}).N() != 0 {
-		t.Error("empty model N != 0")
-	}
-}
-
-func TestValidateNonStochasticA(t *testing.T) {
-	a := matrix.NewDense(2, 2) // all zeros
-	m := &Model{A: a, B: matrix.NewDense(2, 1), Pi: []float64{0.5, 0.5}}
-	if err := m.Validate(1e-9); err == nil {
-		t.Error("all-zero A accepted as stochastic")
-	}
-}
-
 func TestUpdatePreservesStochasticProperty(t *testing.T) {
 	// Property: for any prior and any patterns, the update yields a
 	// row-stochastic matrix when smoothing keeps rows alive.
@@ -384,7 +344,7 @@ func BenchmarkUpdateA(b *testing.B) {
 }
 
 func TestRowEntropy(t *testing.T) {
-	a, _ := matrix.FromRows([][]float64{
+	a := dense([][]float64{
 		{0.5, 0.5},   // 1 bit
 		{1, 0},       // 0 bits
 		{0.25, 0.75}, // ~0.811 bits

@@ -12,7 +12,7 @@ import (
 
 func TestStationaryTwoStateChain(t *testing.T) {
 	// P = [[0.9, 0.1], [0.5, 0.5]] has stationary [5/6, 1/6].
-	a, _ := matrix.FromRows([][]float64{{0.9, 0.1}, {0.5, 0.5}})
+	a := dense([][]float64{{0.9, 0.1}, {0.5, 0.5}})
 	pi, err := Stationary(a, StationaryOptions{Damping: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -23,7 +23,7 @@ func TestStationaryTwoStateChain(t *testing.T) {
 }
 
 func TestStationaryUniformChain(t *testing.T) {
-	a, _ := matrix.FromRows([][]float64{{0.5, 0.5}, {0.5, 0.5}})
+	a := dense([][]float64{{0.5, 0.5}, {0.5, 0.5}})
 	pi, err := Stationary(a, StationaryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestStationaryUniformChain(t *testing.T) {
 func TestStationaryDampingHandlesAbsorbing(t *testing.T) {
 	// Identity chain is reducible; undamped iteration stays at the start
 	// vector, damped converges to uniform.
-	a, _ := matrix.FromRows([][]float64{{1, 0}, {0, 1}})
+	a := dense([][]float64{{1, 0}, {0, 1}})
 	pi, err := Stationary(a, StationaryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestStationaryErrors(t *testing.T) {
 	if _, err := Stationary(matrix.NewDense(2, 3), StationaryOptions{}); err == nil {
 		t.Error("non-square accepted")
 	}
-	bad, _ := matrix.FromRows([][]float64{{0.5, 0.2}, {0.5, 0.5}})
+	bad := dense([][]float64{{0.5, 0.2}, {0.5, 0.5}})
 	if _, err := Stationary(bad, StationaryOptions{}); err == nil {
 		t.Error("non-stochastic accepted")
 	}
@@ -62,13 +62,13 @@ func TestStationaryErrors(t *testing.T) {
 func TestStationaryNoConvergence(t *testing.T) {
 	// A slowly mixing chain (second eigenvalue 0.998) cannot reach a
 	// 1e-15 tolerance in three undamped iterations.
-	slow, _ := matrix.FromRows([][]float64{{0.999, 0.001}, {0.002, 0.998}})
+	slow := dense([][]float64{{0.999, 0.001}, {0.002, 0.998}})
 	_, err := Stationary(slow, StationaryOptions{Damping: -1, MaxIter: 3, Tolerance: 1e-15})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Errorf("err = %v, want ErrNoConvergence", err)
 	}
 	// A 2-cycle with damping converges to uniform.
-	a, _ := matrix.FromRows([][]float64{{0, 1}, {1, 0}})
+	a := dense([][]float64{{0, 1}, {1, 0}})
 	pi, err := Stationary(a, StationaryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -151,4 +151,13 @@ func BenchmarkStationary200(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// dense builds a matrix from equal-length rows.
+func dense(rows [][]float64) *matrix.Dense {
+	m := matrix.NewDense(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
 }

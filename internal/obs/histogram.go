@@ -130,39 +130,3 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	}
 	return s.Bounds[len(s.Bounds)-1]
 }
-
-// Merge folds another snapshot into s. The two must share bucket
-// bounds; merging is how per-worker or per-shard histograms combine
-// into one summary.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) error {
-	if o.Count == 0 {
-		return nil
-	}
-	if s.Count == 0 && len(s.Bounds) == 0 {
-		*s = o
-		s.Counts = append([]uint64(nil), o.Counts...)
-		return nil
-	}
-	if len(s.Bounds) != len(o.Bounds) {
-		return fmt.Errorf("obs: merging histograms with %d vs %d buckets", len(s.Bounds), len(o.Bounds))
-	}
-	for i, b := range s.Bounds {
-		if b != o.Bounds[i] {
-			return fmt.Errorf("obs: merging histograms with different bounds at %d", i)
-		}
-	}
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	return nil
-}
-
-// Mean returns the average observed value (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}

@@ -254,20 +254,6 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.get(values, func() *child { return &child{g: &Gauge{}} }).g
 }
 
-// Total sums every child's value: the "all label values" roll-up.
-func (v *GaugeVec) Total() int64 {
-	if v == nil {
-		return 0
-	}
-	v.f.mu.Lock()
-	defer v.f.mu.Unlock()
-	var sum int64
-	for _, k := range v.f.kids {
-		sum += k.g.Value()
-	}
-	return sum
-}
-
 // HistogramVec is a family of histograms keyed by label values.
 type HistogramVec struct {
 	f      *family

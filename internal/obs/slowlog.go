@@ -32,14 +32,6 @@ func NewSlowLog(w io.Writer, threshold time.Duration) *SlowLog {
 // Enabled reports whether entries can ever be recorded.
 func (l *SlowLog) Enabled() bool { return l != nil }
 
-// Threshold returns the gating duration (0 when disabled).
-func (l *SlowLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.threshold
-}
-
 // Record writes the entry as one JSON line if d meets the threshold,
 // reporting whether it did. Writes are serialized so concurrent slow
 // queries never interleave bytes within a line.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -63,16 +62,6 @@ func (t *Trace) Record(name string, start time.Time, d time.Duration) {
 	t.mu.Unlock()
 }
 
-// Spans returns a copy of the collected spans in recording order.
-func (t *Trace) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
-}
-
 // Totals sums span durations by name — the per-stage roll-up the
 // slow-query log emits (a query that expands to several linear patterns
 // records each stage once per pattern).
@@ -90,32 +79,4 @@ func (t *Trace) Totals() map[string]time.Duration {
 		out[s.Name] += s.Dur
 	}
 	return out
-}
-
-// Elapsed is the time since the trace started.
-func (t *Trace) Elapsed() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.t0)
-}
-
-// StageNames returns the distinct span names in first-seen order,
-// useful for deterministic rendering.
-func (t *Trace) StageNames() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	seen := make(map[string]bool, 4)
-	var names []string
-	for _, s := range t.spans {
-		if !seen[s.Name] {
-			seen[s.Name] = true
-			names = append(names, s.Name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

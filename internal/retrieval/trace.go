@@ -2,7 +2,6 @@ package retrieval
 
 import (
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -92,34 +91,6 @@ func (c *CollectTracer) Count(kind TraceKind) int {
 		}
 	}
 	return n
-}
-
-// WriterTracer renders events as text lines.
-type WriterTracer struct {
-	mu sync.Mutex
-	W  io.Writer
-}
-
-// Event implements Tracer.
-func (w *WriterTracer) Event(ev TraceEvent) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	switch ev.Kind {
-	case TraceVideoEnter:
-		fmt.Fprintf(w.W, "enter video %d (order %d)\n", ev.Video, ev.N)
-	case TraceStage:
-		fmt.Fprintf(w.W, "  video %d stage %d: %d cells\n", ev.Video, ev.Stage, ev.N)
-	case TraceHop:
-		fmt.Fprintf(w.W, "  hop -> video %d at stage %d\n", ev.Video, ev.Stage)
-	case TraceComplete:
-		fmt.Fprintf(w.W, "  complete: state %d score %.5f\n", ev.State, ev.Value)
-	case TraceDeadEnd:
-		fmt.Fprintf(w.W, "  dead end in video %d at stage %d\n", ev.Video, ev.Stage)
-	case TraceEarlyStop:
-		fmt.Fprintf(w.W, "early stop after %d raw matches\n", ev.N)
-	case TracePrune:
-		fmt.Fprintf(w.W, "pruned %d videos: no bound reaches the K-th best score %.5f\n", ev.N, ev.Value)
-	}
 }
 
 // emit sends an event to the configured tracer, if any.

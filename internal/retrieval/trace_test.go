@@ -1,8 +1,6 @@
 package retrieval
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"github.com/videodb/hmmm/internal/videomodel"
@@ -117,24 +115,6 @@ func TestTracePruneMarksTheCut(t *testing.T) {
 	for v := 0; v < m.NumVideos(); v++ {
 		if eng.videoHasStep(v, q.steps()[0]) && !entered[v] && eng.VideoBound(v, q) >= cut.Value {
 			t.Errorf("skipped video %d has bound %v >= threshold %v", v, eng.VideoBound(v, q), cut.Value)
-		}
-	}
-}
-
-func TestWriterTracerRendering(t *testing.T) {
-	var buf bytes.Buffer
-	w := &WriterTracer{W: &buf}
-	w.Event(TraceEvent{Kind: TraceVideoEnter, Video: 3, N: 0})
-	w.Event(TraceEvent{Kind: TraceStage, Video: 3, Stage: 1, N: 2})
-	w.Event(TraceEvent{Kind: TraceHop, Video: 5, Stage: 1})
-	w.Event(TraceEvent{Kind: TraceComplete, State: 7, Value: 0.5})
-	w.Event(TraceEvent{Kind: TraceDeadEnd, Video: 3, Stage: 2})
-	w.Event(TraceEvent{Kind: TracePrune, N: 9, Value: 0.25})
-	out := buf.String()
-	for _, want := range []string{"enter video 3", "stage 1: 2 cells", "hop -> video 5", "state 7 score 0.50000", "dead end",
-		"pruned 9 videos: no bound reaches the K-th best score 0.25000"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace output missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -28,11 +28,12 @@ import (
 // cannot fit under MaxFrame, which writeFrame enforces on the finished
 // frame.
 
-// wireVersion leads every body. A gob-era body starts with a gob
-// message length (never 1 or 2), and a version-1 request still carried
-// the Eq. 14 epsilon as an f64 after the coarse budget, so an old peer
-// is refused by errWireVersion instead of being mis-parsed.
-const wireVersion = 2
+// wireVersion leads every body. A gob-era body starts with the length
+// of a gob type definition (never 1, 2 or 3), a version-1 request still
+// carried the Eq. 14 epsilon as an f64 after the coarse budget, and a
+// version-2 status response had no domain, so an old peer is refused by
+// errWireVersion instead of being mis-parsed.
+const wireVersion = 3
 
 // Decode failures. None is transient: the frame arrived whole (a torn
 // one fails in readFrame), so a retry would decode the same bytes.
@@ -119,6 +120,7 @@ func appendBody(b []byte, msg any) ([]byte, error) {
 		w.i64(m.Videos)
 		w.i64(m.States)
 		w.str(m.State)
+		w.str(m.Domain)
 	case *ErrorResponse:
 		w.str(m.Code)
 		w.str(m.Msg)
@@ -322,6 +324,7 @@ func decodeFrame(body []byte, msg any) error {
 		m.Videos = r.i64()
 		m.States = r.i64()
 		m.State = r.str()
+		m.Domain = r.str()
 	case *ErrorResponse:
 		m.Code = r.str()
 		m.Msg = r.str()

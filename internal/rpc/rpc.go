@@ -181,6 +181,9 @@ type StatusResponse struct {
 	OfShards int
 	Videos   int
 	States   int
+	// Domain is the shard model's event vocabulary (its DomainName), so
+	// the coordinator can refuse a fleet that mixes domains.
+	Domain string
 }
 
 // ErrorResponse is the error frame.

@@ -120,16 +120,6 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// Addr returns the listener address, or nil before Serve.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
 // serveConn runs the request/response loop for one connection until the
 // peer hangs up, a protocol error occurs, or the server closes.
 func (s *Server) serveConn(conn net.Conn) {
@@ -208,14 +198,4 @@ func (s *Server) dispatch(conn net.Conn, fb *frameBufs, tag byte, body []byte) e
 	default:
 		return fb.writeFrame(conn, tagError, &ErrorResponse{Code: CodeBadRequest, Msg: "unknown frame tag"})
 	}
-}
-
-// ListenAndServe listens on addr (TCP) and serves until Close. The
-// bound address is reported through Addr once listening.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }

@@ -44,9 +44,6 @@ func NewShardService(sh *shard.Shard, index, of int, base retrieval.Options, gen
 // tests use it to simulate a shard that lags a model rollout.
 func (s *ShardService) SetGeneration(gen uint64) { s.gen.Store(gen) }
 
-// Generation returns the currently served generation.
-func (s *ShardService) Generation() uint64 { return s.gen.Load() }
-
 // Retrieve runs the query on the shard engine with the request's
 // result-affecting options and budget, lifts the ranking to parent
 // ids, and stamps the generation. A context expiry is a degraded
@@ -93,5 +90,6 @@ func (s *ShardService) Status() StatusResponse {
 		OfShards:   s.of,
 		Videos:     len(s.sh.Videos),
 		States:     s.sh.Model.NumStates(),
+		Domain:     s.sh.Model.DomainName(),
 	}
 }

@@ -165,7 +165,7 @@ func BenchmarkQueryUnderRetrain(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Seed feedback so retrains have patterns to train on.
-	m := s.Model()
+	m := s.current.Load().model
 	for st := 0; st+1 < m.NumStates(); st += m.NumStates() / 8 {
 		if err := s.log.MarkPositive(m, []int{st, st + 1}); err != nil {
 			b.Fatal(err)

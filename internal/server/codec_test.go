@@ -24,7 +24,7 @@ import (
 // from one [][]string, every event name from one []string, and a slice
 // nil exactly where a per-match append build left it nil. Encoded by
 // json.Encoder it is the body the appender must equal byte for byte.
-func oracleMatchesJSON(snap *snapshot, merged []retrieval.Match, explain func(retrieval.Match) []api.StepExplanationJSON) []MatchJSON {
+func oracleMatchesJSON(snap *snapshot, merged []retrieval.Match, explain func(retrieval.Match) []api.StepExplanationJSON) []api.MatchJSON {
 	var nInts, nRows, nNames int
 	for _, match := range merged {
 		nInts += 2 * len(match.Shots)
@@ -36,9 +36,9 @@ func oracleMatchesJSON(snap *snapshot, merged []retrieval.Match, explain func(re
 	ints := make([]int, nInts)
 	rows := make([][]string, nRows)
 	names := make([]string, nNames)
-	var out []MatchJSON
+	var out []api.MatchJSON
 	if len(merged) > 0 {
-		out = make([]MatchJSON, len(merged))
+		out = make([]api.MatchJSON, len(merged))
 	}
 	for i, match := range merged {
 		mj := &out[i]
@@ -78,7 +78,7 @@ func oracleMatchesJSON(snap *snapshot, merged []retrieval.Match, explain func(re
 // all when the encode fails.
 func oracleQueryBody(pattern string, expanded int, out *queryOutcome, explain func(retrieval.Match) []api.StepExplanationJSON) []byte {
 	var buf bytes.Buffer
-	err := json.NewEncoder(&buf).Encode(QueryResponse{
+	err := json.NewEncoder(&buf).Encode(api.QueryResponse{
 		Pattern:     pattern,
 		Expanded:    expanded,
 		Matches:     oracleMatchesJSON(out.snap, out.matches, explain),

@@ -346,8 +346,8 @@ func relabel(res *ingest.Result, vid videomodel.VideoID, firstShot videomodel.Sh
 
 // maybeCompactAsync starts a background compaction when a trigger
 // (delta size or age) fires and none is already running. The goroutine
-// re-checks under retrainMu — a manual CompactNow or an earlier trigger
-// may have emptied the delta while this one queued.
+// re-checks under retrainMu — an earlier trigger may have emptied the
+// delta while this one queued.
 func (s *Server) maybeCompactAsync() {
 	ls := s.live
 	if ls == nil || !s.compactDue() {
@@ -415,19 +415,6 @@ func (s *Server) compactDue() bool {
 		}
 	}
 	return false
-}
-
-// CompactNow synchronously folds the delta into a full model rebuild:
-// the background trigger's deterministic counterpart, for tests and
-// operational tooling. A no-op when live ingest is off or the delta is
-// empty.
-func (s *Server) CompactNow() error {
-	if s.live == nil {
-		return nil
-	}
-	s.retrainMu.Lock()
-	defer s.retrainMu.Unlock()
-	return s.compactLocked()
 }
 
 // compactLocked folds the delta into the main model with retrainMu

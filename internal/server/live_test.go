@@ -124,8 +124,8 @@ func TestIngestEndToEnd(t *testing.T) {
 	s, ts := newLiveServer(t, live.Config{LogPath: filepath.Join(dir, "ingest.journal")}, Config{})
 	cl := client.New(ts.URL, nil)
 	ctx := context.Background()
-	base := s.Model().NumVideos()
-	offset := s.Model().NumStates()
+	base := s.current.Load().model.NumVideos()
+	offset := s.current.Load().model.NumStates()
 
 	ack := mustIngest(t, ts, "live-1", 41)
 	if ack.FreshVideos != 1 || ack.DeltaGeneration != 1 || ack.ModelGeneration != 1 {
@@ -368,7 +368,7 @@ func TestCompactionMatchesOfflineBuild(t *testing.T) {
 
 			// Feedback recorded against the base model must be replayed onto the
 			// rebuild: base state indices survive the union unchanged.
-			base := s.Model()
+			base := s.current.Load().model
 			var marks [][]int
 			if withFeedback {
 				marks = [][]int{{0, 1}, {0, 1}, {2}, {base.NumStates() - 1}}
@@ -408,13 +408,13 @@ func TestCompactionMatchesOfflineBuild(t *testing.T) {
 				}
 			}
 
-			if err := s.CompactNow(); err != nil {
+			if err := compactNow(s); err != nil {
 				t.Fatalf("compaction failed: %v", err)
 			}
-			if !reflect.DeepEqual(s.Model(), offline) {
+			if !reflect.DeepEqual(s.current.Load().model, offline) {
 				t.Fatal("compacted model differs from the offline build (plus feedback replay) over the union corpus")
 			}
-			if got := s.Model().DomainName(); got != base.DomainName() {
+			if got := s.current.Load().model.DomainName(); got != base.DomainName() {
 				t.Fatalf("compaction restamped the model %q, want %q", got, base.DomainName())
 			}
 			// And so do its rankings, for every query shape the suite covers.
@@ -484,7 +484,7 @@ func TestCompactionMatchesOfflineBuild(t *testing.T) {
 				}
 			}
 			// Idempotent on an empty delta.
-			if err := s.CompactNow(); err != nil {
+			if err := compactNow(s); err != nil {
 				t.Fatalf("empty compaction: %v", err)
 			}
 		})
@@ -514,8 +514,8 @@ func TestCompactionSizeTriggerRuns(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if s.Model().NumVideos() != len(liveCorpus.Archive.Videos)+2 {
-		t.Errorf("main model has %d videos", s.Model().NumVideos())
+	if s.current.Load().model.NumVideos() != len(liveCorpus.Archive.Videos)+2 {
+		t.Errorf("main model has %d videos", s.current.Load().model.NumVideos())
 	}
 }
 
@@ -653,8 +653,8 @@ func TestIngestJournalAppendFailureNotAcked(t *testing.T) {
 		t.Fatalf("restart recovered %d videos, want 2", got)
 	}
 	found := false
-	for _, id := range s2.current.Load().delta.VideoIDs() {
-		if int(id) == ack2.VideoID {
+	for _, r := range s2.current.Load().delta.Records {
+		if int(r.Video) == ack2.VideoID {
 			found = true
 		}
 	}
@@ -677,7 +677,7 @@ func TestCompactionCrashMidPersist(t *testing.T) {
 	mustIngest(t, ts, "mid-b", 52)
 
 	fs.FailAfter(faultinject.OpCreate, 0, errors.New("induced: corpus persist"))
-	err := s.CompactNow()
+	err := compactNow(s)
 	if err == nil || !strings.Contains(err.Error(), "persisting merged corpus") {
 		t.Fatalf("compaction error = %v", err)
 	}
@@ -696,7 +696,7 @@ func TestCompactionCrashMidPersist(t *testing.T) {
 	}
 
 	fs.Reset()
-	if err := s.CompactNow(); err != nil {
+	if err := compactNow(s); err != nil {
 		t.Fatalf("retry failed: %v", err)
 	}
 	if got := s.current.Load().delta.Len(); got != 0 {
@@ -723,7 +723,7 @@ func TestCompactionCrashBeforeTruncation(t *testing.T) {
 	// cumulative, so the budget is relative to the ingests' appends.
 	fs.FailAfter(faultinject.OpCreate, fs.Calls(faultinject.OpCreate)+1,
 		errors.New("induced: crash before truncation"))
-	if err := s.CompactNow(); err != nil {
+	if err := compactNow(s); err != nil {
 		t.Fatalf("compaction must tolerate a lost truncation: %v", err)
 	}
 	if got := s.current.Load().delta.Len(); got != 0 {
@@ -760,7 +760,7 @@ func TestCompactionCrashBeforeTruncation(t *testing.T) {
 	// No loss, no duplication: every acked video appears exactly once.
 	for _, id := range []int{ack1.VideoID, ack2.VideoID} {
 		n := 0
-		for _, vid := range s2.Model().VideoIDs {
+		for _, vid := range s2.current.Load().model.VideoIDs {
 			if int(vid) == id {
 				n++
 			}
@@ -929,10 +929,10 @@ func TestIngestRaceHammer(t *testing.T) {
 	for s.live.compacting.Load() {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := s.CompactNow(); err != nil {
+	if err := compactNow(s); err != nil {
 		t.Fatalf("final fold: %v", err)
 	}
-	m := s.Model()
+	m := s.current.Load().model
 	for _, id := range acked {
 		n := 0
 		for _, vid := range m.VideoIDs {
@@ -947,4 +947,12 @@ func TestIngestRaceHammer(t *testing.T) {
 	if got := int(s.metrics.ingestAccepted.Value()); got != len(acked) {
 		t.Errorf("accepted counter = %d, acked %d", got, len(acked))
 	}
+}
+
+// compactNow folds the delta into a full model rebuild synchronously:
+// the background trigger's deterministic counterpart.
+func compactNow(s *Server) error {
+	s.retrainMu.Lock()
+	defer s.retrainMu.Unlock()
+	return s.compactLocked()
 }

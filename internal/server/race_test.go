@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/videodb/hmmm/internal/api"
 	"github.com/videodb/hmmm/internal/retrieval"
 	"github.com/videodb/hmmm/internal/videomodel"
 )
@@ -28,7 +29,7 @@ func TestConcurrentQueryFeedbackRetrain(t *testing.T) {
 
 	// A valid single-state pattern to feed back, from a warm-up query.
 	warm := postJSON(t, ts.URL+"/api/query", QueryRequest{Pattern: "foul", TopK: 3})
-	var qr QueryResponse
+	var qr api.QueryResponse
 	if err := json.Unmarshal(warm, &qr); err != nil || len(qr.Matches) == 0 {
 		t.Fatalf("warm-up query failed: %v (%s)", err, warm)
 	}
@@ -107,7 +108,7 @@ func TestConcurrentQueryFeedbackRetrain(t *testing.T) {
 	}
 
 	// After the dust settles the published model must still be valid.
-	if err := s.Model().Validate(1e-6); err != nil {
+	if err := s.current.Load().model.Validate(1e-6); err != nil {
 		t.Errorf("final published model invalid: %v", err)
 	}
 }

@@ -286,6 +286,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Coordinator != nil && cfg.Shards > 0 {
 		return nil, errors.New("server: Coordinator and Shards are mutually exclusive")
 	}
+	// WaitReady records the fleet's domain; "" means it never ran
+	// (hmmmd -coord-wait 0), which skips the check.
+	if co := cfg.Coordinator; co != nil && co.Domain() != "" && co.Domain() != cfg.Model.DomainName() {
+		var addrs []string
+		for _, ep := range co.Stats().Endpoints {
+			addrs = append(addrs, ep.Addr)
+		}
+		return nil, fmt.Errorf("server: shard servers %s serve the %q domain, the model is a %q model",
+			strings.Join(addrs, ", "), co.Domain(), cfg.Model.DomainName())
+	}
 	s := &Server{
 		opts:         cfg.Options,
 		shards:       cfg.Shards,
@@ -413,10 +423,6 @@ func (s *Server) newSnapshot(model *hmmm.Model, gen uint64) (*snapshot, error) {
 	return snap, nil
 }
 
-// Registry exposes the server's metrics registry (for the debug
-// listener and tests).
-func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
-
 // loadLogRecover loads the feedback log through atomicwrite.Recover.
 // Damage never fails startup: the last good candidate wins with a
 // WARNING, and with none left the server starts with an empty log
@@ -448,10 +454,6 @@ func loadLogRecover(path string, logf func(string, ...any), m *serverMetrics) (*
 	}
 	return l, nil
 }
-
-// Model returns the currently published model. Tests and tools use it;
-// like any snapshot read it reflects the generation live at call time.
-func (s *Server) Model() *hmmm.Model { return s.current.Load().model }
 
 // NumShards reports the published generation's shard count, 0 when
 // serving unsharded. The effective count can be lower than
@@ -508,9 +510,6 @@ type (
 	ShotResponse     = api.ShotResponse
 	RankResponse     = api.RankResponse
 	ParseResponse    = api.ParseResponse
-	QueryResponse    = api.QueryResponse
-	MatchJSON        = api.MatchJSON
-	CostJSON         = api.CostJSON
 	FeedbackRequest  = api.FeedbackRequest
 	FeedbackResponse = api.FeedbackResponse
 	StatsResponse    = api.StatsResponse

@@ -45,7 +45,7 @@ func TestHealthAndStats(t *testing.T) {
 	_, ts := testServer(t, 0)
 	cl := client.New(ts.URL, nil)
 	ctx := context.Background()
-	if err := cl.Health(ctx); err != nil {
+	if _, err := cl.HealthDetail(ctx); err != nil {
 		t.Fatal(err)
 	}
 	st, err := cl.Stats(ctx)
@@ -205,7 +205,7 @@ func TestManualRetrain(t *testing.T) {
 	if !resp.Retrained || resp.Pending != 0 {
 		t.Errorf("retrain response: %+v", resp)
 	}
-	if err := s.Model().Validate(1e-9); err != nil {
+	if err := s.current.Load().model.Validate(1e-9); err != nil {
 		t.Fatalf("model invalid after retrain: %v", err)
 	}
 }
@@ -469,7 +469,7 @@ func TestServerSoak(t *testing.T) {
 			}
 		}
 		if i%20 == 19 {
-			if err := s.Model().Validate(1e-6); err != nil {
+			if err := s.current.Load().model.Validate(1e-6); err != nil {
 				t.Fatalf("model invariants broken after op %d: %v", i, err)
 			}
 		}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/videodb/hmmm/internal/api"
 	"github.com/videodb/hmmm/internal/matn"
 	"github.com/videodb/hmmm/internal/retrieval"
 	"github.com/videodb/hmmm/internal/videomodel"
@@ -215,7 +216,7 @@ func TestPatternMemo(t *testing.T) {
 			t.Errorf("over-long pattern disturbed the memo: %d entries, want %d", len(pm.entries), before)
 		}
 		_, short := serve(h, http.MethodPost, "/api/query", queryBody(t, QueryRequest{Pattern: "goal -> free_kick", TopK: 5}))
-		var gotResp, wantResp QueryResponse
+		var gotResp, wantResp api.QueryResponse
 		if err := json.Unmarshal(got, &gotResp); err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +329,7 @@ func TestAlternationIsMerged(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	var resp QueryResponse
+	var resp api.QueryResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -122,9 +122,6 @@ func (g *Group) WithTopK(k int) retrieval.Retriever {
 // fewer than the requested split; see Split).
 func (g *Group) NumShards() int { return len(g.shards) }
 
-// Shards exposes the underlying shards (read-only by convention).
-func (g *Group) Shards() []*Shard { return g.shards }
-
 // Retrieve is RetrieveContext with a background context.
 func (g *Group) Retrieve(q retrieval.Query) (*retrieval.Result, error) {
 	return g.RetrieveContext(context.Background(), q)

@@ -166,32 +166,12 @@ func LoadModel(path string) (*hmmm.Model, error) {
 	return m, nil
 }
 
-// ErrDomainMismatch is returned by LoadModelExpect when a snapshot's
-// domain stamp disagrees with the vocabulary the caller will serve it
-// into.
+// ErrDomainMismatch is the error for a snapshot whose domain stamp
+// disagrees with the vocabulary the caller will serve it into. Serving a
+// model into the wrong vocabulary would silently relabel every concept —
+// basketball's concept 0 rendered with another domain's first event
+// name — so the mismatch is an error, not a warning.
 var ErrDomainMismatch = errors.New("store: model domain mismatch")
-
-// LoadModelExpect loads a model like LoadModel and refuses it when its
-// domain stamp does not match want. Both sides normalize the legacy
-// empty stamp to "soccer", so pre-domain snapshots keep loading into
-// soccer deployments. Serving a model into the wrong vocabulary would
-// silently relabel every concept — basketball's concept 0 rendered with
-// another domain's first event name — so the mismatch is an error, not a
-// warning.
-func LoadModelExpect(path, want string) (*hmmm.Model, error) {
-	m, err := LoadModel(path)
-	if err != nil {
-		return nil, err
-	}
-	wantDomain, ok := videomodel.DomainByName(want)
-	if !ok {
-		return nil, fmt.Errorf("store: unknown domain %q (have %v)", want, videomodel.DomainNames())
-	}
-	if m.DomainName() != wantDomain.Name {
-		return nil, fmt.Errorf("%w: snapshot %s is a %q model, want %q", ErrDomainMismatch, path, m.DomainName(), wantDomain.Name)
-	}
-	return m, nil
-}
 
 // LoadModelRecover loads a model snapshot through atomicwrite.Recover
 // (path, then path.tmp, then path.bak) and returns the path it loaded,

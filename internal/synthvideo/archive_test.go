@@ -19,6 +19,10 @@ func TestGenerateArchiveShape(t *testing.T) {
 	if len(feats) != 40 {
 		t.Fatalf("%d feature vectors, want 40", len(feats))
 	}
+	shots := map[videomodel.ShotID]*videomodel.Shot{}
+	for _, s := range a.AllShots() {
+		shots[s.ID] = s
+	}
 	for id, f := range feats {
 		if len(f) != 8 {
 			t.Fatalf("shot %d has %d features, want 8", id, len(f))
@@ -28,7 +32,7 @@ func TestGenerateArchiveShape(t *testing.T) {
 				t.Fatalf("shot %d feature %d = %v outside [0,1]", id, i, v)
 			}
 		}
-		if !a.Shot(id).Annotated() {
+		if !shots[id].Annotated() {
 			t.Fatalf("features present for unannotated shot %d", id)
 		}
 	}

@@ -120,13 +120,6 @@ func (d *Domain) ParseEvent(name string) (Event, error) {
 	return EventNone, fmt.Errorf("videomodel: unknown %s event %q", d.Name, name)
 }
 
-// HasEventName reports whether name is in the domain's vocabulary
-// (excluding "none").
-func (d *Domain) HasEventName(name string) bool {
-	e, ok := d.byName[name]
-	return ok && e != EventNone
-}
-
 // EventName renders e in the domain's vocabulary, falling back to the
 // anonymous form for out-of-vocabulary events.
 func (d *Domain) EventName(e Event) string {

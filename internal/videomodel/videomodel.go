@@ -184,28 +184,9 @@ type Video struct {
 	Shots []*Shot
 }
 
-// AnnotatedShots returns the shots carrying at least one event annotation,
-// in temporal order. These become the level-1 MMM states.
-func (v *Video) AnnotatedShots() []*Shot {
-	var out []*Shot
-	for _, s := range v.Shots {
-		if s.Annotated() {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// EventCounts returns the per-concept annotation counts of the video
-// over the default soccer vocabulary: the row of matrix B2 corresponding
-// to this video. Out-of-vocabulary annotations are skipped.
-func (v *Video) EventCounts() []int {
-	return v.EventCountsN(NumEvents)
-}
-
-// EventCountsN is EventCounts over a c-concept vocabulary (the video's
-// B2 row in a c-concept model). Annotations with Index() >= c are
-// skipped.
+// EventCountsN returns the video's per-concept annotation counts over a
+// c-concept vocabulary: its row of matrix B2 in a c-concept model.
+// Annotations with Index() >= c are skipped.
 func (v *Video) EventCountsN(c int) []int {
 	counts := make([]int, c)
 	for _, s := range v.Shots {
@@ -272,9 +253,6 @@ func (a *Archive) AddVideo(v *Video) error {
 	a.Videos = append(a.Videos, v)
 	return nil
 }
-
-// Shot returns the shot with the given ID, or nil if unknown.
-func (a *Archive) Shot(id ShotID) *Shot { return a.shotByID[id] }
 
 // Video returns the video with the given ID, or nil if unknown.
 func (a *Archive) Video(id VideoID) *Video {

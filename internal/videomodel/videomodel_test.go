@@ -121,21 +121,14 @@ func buildVideo(id VideoID, events [][]Event) *Video {
 	return v
 }
 
-func TestVideoAnnotatedShotsAndEventCounts(t *testing.T) {
+func TestVideoEventCounts(t *testing.T) {
 	v := buildVideo(1, [][]Event{
 		{EventFreeKick},
 		nil,
 		{EventFreeKick, EventGoal},
 		nil,
 	})
-	ann := v.AnnotatedShots()
-	if len(ann) != 2 {
-		t.Fatalf("AnnotatedShots = %d, want 2", len(ann))
-	}
-	if ann[0].Index != 0 || ann[1].Index != 2 {
-		t.Errorf("annotated shot indices = %d, %d", ann[0].Index, ann[1].Index)
-	}
-	counts := v.EventCounts()
+	counts := v.EventCountsN(NumEvents)
 	if counts[EventFreeKick.Index()] != 2 {
 		t.Errorf("free kick count = %d, want 2", counts[EventFreeKick.Index()])
 	}
@@ -157,11 +150,8 @@ func TestArchiveIndexing(t *testing.T) {
 	if a.NumAnnotated() != 2 {
 		t.Errorf("NumAnnotated = %d, want 2", a.NumAnnotated())
 	}
-	if got := a.Shot(v2.Shots[0].ID); got != v2.Shots[0] {
-		t.Error("Shot lookup failed")
-	}
-	if a.Shot(999) != nil {
-		t.Error("unknown shot should return nil")
+	if got := a.shotByID[v2.Shots[0].ID]; got != v2.Shots[0] {
+		t.Error("shot not indexed")
 	}
 	if a.Video(2) != v2 || a.Video(42) != nil {
 		t.Error("Video lookup wrong")
@@ -208,7 +198,7 @@ func TestArchiveAddVideo(t *testing.T) {
 	if len(a.Videos) != 2 || a.Video(2) != v {
 		t.Errorf("videos = %d, want the new video indexed", len(a.Videos))
 	}
-	if a.Shot(v.Shots[2].ID) != v.Shots[2] {
+	if a.shotByID[v.Shots[2].ID] != v.Shots[2] {
 		t.Error("new shot not indexed")
 	}
 	// Duplicates rejected without partial mutation.

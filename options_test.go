@@ -140,7 +140,11 @@ func loadModule(t *testing.T) *srcLoader {
 			std:   importer.Default(),
 			pkgs:  map[string]*types.Package{},
 			files: map[*types.Package][]*ast.File{},
-			info:  &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
+			info: &types.Info{
+				Defs:  map[*ast.Ident]types.Object{},
+				Uses:  map[*ast.Ident]types.Object{},
+				Types: map[ast.Expr]types.TypeAndValue{},
+			},
 		}
 		moduleErr = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || !d.IsDir() {
@@ -222,25 +226,68 @@ func (ld *srcLoader) Import(path string) (*types.Package, error) {
 	if pkg, ok := ld.pkgs[path]; ok {
 		return pkg, nil
 	}
-	dir := filepath.Join(ld.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, modulePath), "/")))
-	bp, err := build.ImportDir(dir, 0)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	conf := types.Config{Importer: ld}
-	pkg, err := conf.Check(path, ld.fset, files, ld.info)
+	pkg, files, err := ld.check(path)
 	if err != nil {
 		return nil, err
 	}
 	ld.pkgs[path] = pkg
 	ld.files[pkg] = files
 	return pkg, nil
+}
+
+// check parses and type-checks the non-test files of the module package
+// at path, recording into ld.info.
+func (ld *srcLoader) check(path string) (*types.Package, []*ast.File, error) {
+	dir := filepath.Join(ld.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, modulePath), "/")))
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: ld}
+	pkg, err := conf.Check(path, ld.fset, files, ld.info)
+	return pkg, files, err
+}
+
+var (
+	examplesOnce  sync.Once
+	examplesFiles map[*types.Package][]*ast.File
+	examplesErr   error
+)
+
+// loadExamples type-checks every program under examples/ against the
+// module loadModule returned, once per test binary. Their files stay out
+// of ld.files, so TestOptionsHaveCallers does not see them.
+func loadExamples(t *testing.T, ld *srcLoader) map[*types.Package][]*ast.File {
+	t.Helper()
+	examplesOnce.Do(func() {
+		examplesFiles = map[*types.Package][]*ast.File{}
+		dirs, err := os.ReadDir(filepath.Join(ld.root, "examples"))
+		if err != nil {
+			examplesErr = err
+			return
+		}
+		for _, d := range dirs {
+			if !d.IsDir() {
+				continue
+			}
+			pkg, files, err := ld.check(importPath("examples/" + d.Name()))
+			if err != nil {
+				examplesErr = err
+				return
+			}
+			examplesFiles[pkg] = files
+		}
+	})
+	if examplesErr != nil {
+		t.Fatal(examplesErr)
+	}
+	return examplesFiles
 }
