@@ -104,3 +104,17 @@ func TestTakeAndAddPending(t *testing.T) {
 		t.Fatalf("pending after restore = %d", l.Pending())
 	}
 }
+
+func TestResetPending(t *testing.T) {
+	l := persistTestLog(t)
+	l.ResetPending()
+	if l.Pending() != 0 {
+		t.Fatalf("pending after reset = %d", l.Pending())
+	}
+	if l.Len() != 2 {
+		t.Fatalf("reset dropped patterns: %d distinct, want 2", l.Len())
+	}
+	if n := l.TakePending(); n != 0 {
+		t.Fatalf("TakePending after reset = %d, want 0", n)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/videodb/hmmm/internal/atomicwrite"
+	"github.com/videodb/hmmm/internal/ingest"
 	"github.com/videodb/hmmm/internal/videomodel"
 )
 
@@ -177,5 +178,30 @@ func TestLoadRecoverFreshAndChain(t *testing.T) {
 	}
 	if _, _, _, err := LoadRecover(path); !errors.Is(err, atomicwrite.ErrCorrupt) {
 		t.Fatalf("all-corrupt: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestNewRecordFromResult checks NewRecord against the pipeline result
+// it journals: the video's identity and every shot's bookkeeping carry
+// over, each annotated shot keeps its feature vector, and
+// VideoAndFeatures gives the result back.
+func TestNewRecordFromResult(t *testing.T) {
+	want, wantFeats := sampleRecords(1)[0].VideoAndFeatures()
+	res := &ingest.Result{Video: want, Features: wantFeats}
+	rec := NewRecord(res, 1700000000123)
+	if rec.Video != want.ID || rec.Name != want.Name || rec.AcceptedUnixMS != 1700000000123 {
+		t.Fatalf("record identity: %+v", rec)
+	}
+	if len(rec.Shots) != len(want.Shots) {
+		t.Fatalf("record has %d shots, want %d", len(rec.Shots), len(want.Shots))
+	}
+	for i, s := range rec.Shots {
+		if (s.Features == nil) == want.Shots[i].Annotated() {
+			t.Errorf("shot %d: features %v, annotated %v", i, s.Features, want.Shots[i].Annotated())
+		}
+	}
+	v, feats := rec.VideoAndFeatures()
+	if !reflect.DeepEqual(v, want) || !reflect.DeepEqual(feats, wantFeats) {
+		t.Errorf("VideoAndFeatures(NewRecord(res)) = %+v %v, want %+v %v", v, feats, want, wantFeats)
 	}
 }

@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -198,6 +199,40 @@ func TestRetrieveMatchSlicesCapped(t *testing.T) {
 			if !slices.Equal(res.Matches[1].States, next) {
 				t.Fatalf("%s/%d-step: appending to match 0 overwrote match 1", name, q.Len())
 			}
+		}
+	}
+}
+
+// TestWithTopKView checks that a WithTopK view ranks exactly as an
+// engine built with that TopK, and leaves the engine it was taken from
+// unchanged.
+func TestWithTopKView(t *testing.T) {
+	m := equivModel(t)
+	opts := Options{TopK: 10, Beam: 4, CrossVideo: true, AnnotatedOnly: true}
+	eng, err := NewEngine(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range equivQueries(m) {
+		for _, k := range []int{1, 3} {
+			view := eng.WithTopK(k)
+			got, err := view.RetrieveContext(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			narrow := opts
+			narrow.TopK = k
+			want := mustRetrieve(t, m, narrow, q)
+			if !reflect.DeepEqual(got.Matches, want.Matches) {
+				t.Errorf("q=%d WithTopK(%d): %+v, want %+v", qi, k, got.Matches, want.Matches)
+			}
+		}
+		got, err := eng.Retrieve(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := mustRetrieve(t, m, opts, q); !reflect.DeepEqual(got.Matches, want.Matches) {
+			t.Errorf("q=%d: taking views changed the engine's ranking", qi)
 		}
 	}
 }

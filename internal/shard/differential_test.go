@@ -318,3 +318,41 @@ func TestGroupStats(t *testing.T) {
 			videos, states, m.NumVideos(), m.NumStates())
 	}
 }
+
+// TestGroupWithTopK checks that a group's WithTopK view, the one a
+// federation member searches with, ranks bit-identically to a single
+// engine built with that TopK at every fan-out.
+func TestGroupWithTopK(t *testing.T) {
+	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 6, Videos: 12, MaxShots: 14, Events: 6, LearnP12: true})
+	qs := retrievaltest.Queries(m)
+	opts := retrieval.Options{AnnotatedOnly: true, Beam: 10, TopK: 10}
+	for _, k := range []int{1, 3} {
+		narrow := opts
+		narrow.TopK = k
+		eng, err := retrieval.NewEngine(m, narrow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range shardCounts {
+			g, err := NewGroup(m, shards, opts, GroupOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			view := g.WithTopK(k)
+			for qi, q := range qs {
+				want, err := eng.Retrieve(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := view.RetrieveContext(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Matches) > k {
+					t.Errorf("shards=%d q=%d: %d matches over TopK %d", shards, qi, len(got.Matches), k)
+				}
+				retrievaltest.RequireSameMatches(t, fmt.Sprintf("shards=%d k=%d q=%d", shards, k, qi), want.Matches, got.Matches)
+			}
+		}
+	}
+}

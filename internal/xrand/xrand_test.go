@@ -176,3 +176,29 @@ func BenchmarkUint64(b *testing.B) {
 		_ = r.Uint64()
 	}
 }
+
+func TestBool(t *testing.T) {
+	r := New(13)
+	const n = 20000
+	trues := 0
+	for i := 0; i < n; i++ {
+		if r.Bool(0) {
+			t.Fatal("Bool(0) returned true")
+		}
+		if !r.Bool(1) {
+			t.Fatal("Bool(1) returned false")
+		}
+		if r.Bool(0.3) {
+			trues++
+		}
+	}
+	if f := float64(trues) / n; math.Abs(f-0.3) > 0.02 {
+		t.Errorf("Bool(0.3) true rate = %v, want about 0.3", f)
+	}
+	a, b := New(5), New(5)
+	for i := 0; i < 100; i++ {
+		if a.Bool(0.5) != b.Bool(0.5) {
+			t.Fatalf("equal seeds diverged at draw %d", i)
+		}
+	}
+}
