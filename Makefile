@@ -165,25 +165,26 @@ bench:
 		| $(GO) run ./cmd/benchjson -out BENCH_retrieval.json -note "$(call note,resilience middleware overhead vs F5PaperQuery)"
 	$(GO) test -run '^$$' -bench 'BenchmarkQueryWithObs' -benchmem -benchtime=200x -count=1 ./internal/server/ \
 		| $(GO) run ./cmd/benchjson -out BENCH_retrieval.json -note "$(call note,observability overhead vs QueryWithMiddleware baseline (budget <=5%))"
-	$(GO) test -run '^$$' -bench 'BenchmarkShardedRetrieval' -benchmem -benchtime=200x -count=1 . \
-		| $(GO) run ./cmd/benchjson -out BENCH_retrieval.json -note "$(call note,sharded scatter-gather vs single engine; K=1 overhead budget <=10%)"
 	@echo "appended to BENCH_retrieval.json"
 
 # CI smoke for the coarse→fine pipeline: the differential recall gate
 # (prefilter-on recall@10 >= 0.95 vs the exact oracle, plus the
 # CoarseCandidates=0 bit-identity suite) and the 1x point of the scale
-# benchmark in -short mode. Fast enough for every CI run; the full
-# latency/memory curve is `make bench-million`.
+# benchmarks (two-stage retrieval, in-process shards vs one engine) in
+# -short mode. Fast enough for every CI run; the full latency/memory
+# curve is `make bench-million`.
 bench-scale:
 	$(GO) test -run 'TestCoarse|TestGroupCoarse' ./internal/retrieval/ ./internal/shard/
-	$(GO) test -run '^$$' -bench BenchmarkMillionShot -short -benchtime=20x -count=1 .
+	$(GO) test -run '^$$' -bench 'BenchmarkMillionShot$$|BenchmarkShardedRetrieval$$' -short -benchtime=20x -count=1 .
 
-# The full coarse→fine latency/memory curve (1x/10x/100x archive scale,
-# ~1.16M shots at 100x), captured into BENCH_retrieval.json. The 100x
-# model build takes a few minutes on one core.
+# The full coarse→fine latency/memory curve and the in-process shard
+# sweep (K = 1/2/4 against one engine) at 1x/10x/100x archive scale
+# (~1.16M shots at 100x), captured into BENCH_retrieval.json. Both
+# share one build per scale; the 100x build takes a few minutes on one
+# core.
 bench-million:
-	$(GO) test -run '^$$' -bench BenchmarkMillionShot -benchtime=100x -count=1 -timeout 30m . \
-		| $(GO) run ./cmd/benchjson -out BENCH_retrieval.json -note "$(call note,coarse->fine two-stage retrieval + compact layout scale curve)"
+	$(GO) test -run '^$$' -bench 'BenchmarkMillionShot$$|BenchmarkShardedRetrieval$$' -benchmem -benchtime=100x -count=1 -timeout 30m . \
+		| $(GO) run ./cmd/benchjson -out BENCH_retrieval.json -note "$(call note,coarse->fine two-stage retrieval + compact layout scale curve; in-process shards vs one engine)"
 	@echo "appended to BENCH_retrieval.json"
 
 bench-build:

@@ -8,12 +8,14 @@ package hmmm
 // BENCH_retrieval.json; -short keeps only the 1x point (the CI smoke).
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 
 	core "github.com/videodb/hmmm/internal/hmmm"
 	"github.com/videodb/hmmm/internal/retrieval"
+	"github.com/videodb/hmmm/internal/shard"
 	"github.com/videodb/hmmm/internal/synthvideo"
 	"github.com/videodb/hmmm/internal/videomodel"
 )
@@ -160,5 +162,59 @@ func BenchmarkMillionShot(b *testing.B) {
 			b.ReportMetric(float64(compact)/float64(shots), "compact-B/shot")
 			b.ReportMetric(float64(dense)/float64(compact), "compression-x")
 		})
+	}
+}
+
+// BenchmarkShardedRetrieval measures in-process scatter-gather over K
+// by-video shards against one engine, on BenchmarkMillionShot's
+// archives and query mix. The merged ranking is bit-identical for every
+// K (pinned by the differential suite in internal/shard), so the sweep
+// isolates what the split costs: videos/op is the summed
+// Cost.VideosSeen, which grows with K because every shard orders and
+// prunes its own videos against its own top-K. -short keeps only the 1x
+// point (`make bench-scale`); `make bench-million` records the curve.
+func BenchmarkShardedRetrieval(b *testing.B) {
+	ctx := context.Background()
+	for _, pt := range scalePoints {
+		if testing.Short() && pt.factor > 1 {
+			continue
+		}
+		m, _ := scaleModel(b, pt.factor)
+		opts := retrieval.Options{TopK: 10, Beam: 4, AnnotatedOnly: true}
+		queries := scaleQueries()
+		run := func(name string, r retrieval.Retriever) {
+			b.Run(fmt.Sprintf("scale=%dx/%s", pt.factor, name), func(b *testing.B) {
+				// Warm every engine's order memo, as serving traffic does,
+				// so a short run does not time the first query per step.
+				for _, q := range queries {
+					if _, err := r.RetrieveContext(ctx, q); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				videos := 0
+				for i := 0; i < b.N; i++ {
+					res, err := r.RetrieveContext(ctx, queries[i%len(queries)])
+					if err != nil {
+						b.Fatal(err)
+					}
+					videos += res.Cost.VideosSeen
+				}
+				b.ReportMetric(float64(videos)/float64(b.N), "videos/op")
+			})
+		}
+		eng, err := retrieval.NewEngine(m, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run("unsharded", eng)
+		for _, k := range []int{1, 2, 4} {
+			g, err := shard.NewGroup(m, k, opts, shard.GroupOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			run(fmt.Sprintf("K=%d", k), g)
+		}
 	}
 }

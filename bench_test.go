@@ -21,7 +21,6 @@ import (
 	"github.com/videodb/hmmm/internal/matn"
 	"github.com/videodb/hmmm/internal/mining"
 	"github.com/videodb/hmmm/internal/retrieval"
-	"github.com/videodb/hmmm/internal/shard"
 	"github.com/videodb/hmmm/internal/shotdetect"
 	"github.com/videodb/hmmm/internal/synthaudio"
 	"github.com/videodb/hmmm/internal/synthvideo"
@@ -390,45 +389,6 @@ func BenchmarkSimCache(b *testing.B) {
 		}
 		_ = sink
 	})
-}
-
-// BenchmarkShardedRetrieval measures the scatter-gather serving path
-// against the single engine for the headline query at paper scale. The
-// merged ranking is bit-identical for every K (pinned by the
-// differential suite in internal/shard), so the sweep isolates pure
-// sharding overhead: K=1 versus unsharded is the acceptance budget
-// (<=10%), and K>1 shows the fan-out cost — parallel wins need cores,
-// which the recorded GOMAXPROCS qualifies.
-func BenchmarkShardedRetrieval(b *testing.B) {
-	_, m := paperModel(b)
-	opts := retrieval.Options{AnnotatedOnly: true, Beam: 4, TopK: 10}
-	q := retrieval.NewQuery(videomodel.EventGoal, videomodel.EventFreeKick)
-	eng, err := retrieval.NewEngine(m, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("unsharded", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Retrieve(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, k := range []int{1, 2, 4} {
-		g, err := shard.NewGroup(m, k, opts, shard.GroupOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := g.Retrieve(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkIngest measures growing a small archive by one ~40s raw video

@@ -1,6 +1,6 @@
 // Command hmmm-shardd serves ONE shard of an HMMM archive over the
 // compact TCP protocol of internal/rpc, as one backend of a
-// coordinator (hmmmd -coord, or any internal/coord user).
+// coordinator (`hmmmd -coord`, or any internal/coord user).
 //
 // Every shard server and the coordinator take the same archive flags
 // (-model, -seed, -videos, -shots, -annotated, -domain: hmmmd's, with
@@ -9,8 +9,9 @@
 // give every process the identical by-video partition, and the
 // coordinator's merged ranking is bit-identical to serving the whole
 // archive locally. The coordinator's WaitReady verifies each endpoint's
-// (shard, of) identity at startup, so a mis-wired address fails fast
-// instead of merging the wrong partition; it does not compare -domain.
+// (shard, of) identity and domain at startup, so a mis-wired address or
+// a shard given another -domain fails fast instead of merging the wrong
+// partition or vocabulary.
 //
 // Usage:
 //

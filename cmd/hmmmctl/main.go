@@ -178,12 +178,6 @@ func renderStats(w io.Writer, st *api.StatsResponse) {
 				l.Heavy.Admitted, l.Heavy.Shed)
 		}
 	}
-	if len(st.Shards) > 0 {
-		fmt.Fprintf(w, "shards:\n")
-		for _, sh := range st.Shards {
-			fmt.Fprintf(w, "  shard %-2d %3d videos, %5d states\n", sh.Shard, sh.Videos, sh.States)
-		}
-	}
 	if ig := st.Ingest; ig != nil {
 		fmt.Fprintf(w, "live ingest:\n")
 		fmt.Fprintf(w, "  accepted / rejected: %d / %d\n", ig.Accepted, ig.Rejected)

@@ -10,7 +10,7 @@ import (
 
 // TestRenderStatsOmitsMissingSections decodes a stats payload as an old
 // server would send it — no runtime lanes, no coalesce counters, no
-// shards, no coord — and checks the report omits those blocks instead
+// coord — and checks the report omits those blocks instead
 // of printing them zero-valued. During a rolling rollout one hmmmctl
 // speaks to binaries of several ages; a zero-valued "lanes" block on a
 // server that has no lanes reads as an outage that isn't happening.
@@ -35,7 +35,7 @@ func TestRenderStatsOmitsMissingSections(t *testing.T) {
 	var b strings.Builder
 	renderStats(&b, &st)
 	out := b.String()
-	for _, banned := range []string{"lanes", "coalesce", "shards:", "coordinator"} {
+	for _, banned := range []string{"lanes", "coalesce", "coordinator"} {
 		if strings.Contains(out, banned) {
 			t.Errorf("old-server stats render contains %q block:\n%s", banned, out)
 		}
@@ -44,6 +44,31 @@ func TestRenderStatsOmitsMissingSections(t *testing.T) {
 		if !strings.Contains(out, wanted) {
 			t.Errorf("stats render missing %q:\n%s", wanted, out)
 		}
+	}
+}
+
+// TestRenderStatsIgnoresRemovedSections decodes a payload from a server
+// that still reports the per-shard "shards" section in-process sharding
+// used to add: the stats decode and render as before, without that
+// block.
+func TestRenderStatsIgnoresRemovedSections(t *testing.T) {
+	old := `{
+		"videos": 5, "states": 50, "concepts": 14, "features": 12,
+		"event_counts": {"goal": 3},
+		"shards": [{"shard": 0, "videos": 3, "states": 30}, {"shard": 1, "videos": 2, "states": 20}]
+	}`
+	var st api.StatsResponse
+	if err := json.Unmarshal([]byte(old), &st); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	renderStats(&b, &st)
+	out := b.String()
+	if strings.Contains(out, "shard") {
+		t.Errorf("stats render shows the removed shards section:\n%s", out)
+	}
+	if !strings.Contains(out, "videos:") || !strings.Contains(out, "events:") {
+		t.Errorf("stats render lost the model section:\n%s", out)
 	}
 }
 
@@ -57,7 +82,6 @@ func TestRenderStatsShowsPresentSections(t *testing.T) {
 			CoalesceRequests: 10, CoalesceHits: 4, CoalesceHitRate: 0.4,
 			Lanes: &api.LanesJSON{FastLaneCost: 1000},
 		},
-		Shards: []api.ShardStatsJSON{{Shard: 0, Videos: 3, States: 30}, {Shard: 1, Videos: 2, States: 20}},
 		Coord: &api.CoordStatsJSON{
 			Shards: 2, Queries: 7, DegradedQueries: 1, Retries: 2,
 			Endpoints: []api.CoordEndpointJSON{
@@ -70,7 +94,7 @@ func TestRenderStatsShowsPresentSections(t *testing.T) {
 	renderStats(&b, st)
 	out := b.String()
 	for _, wanted := range []string{
-		"coalesce:", "lanes (fast at cost <= 1000)", "shards:",
+		"coalesce:", "lanes (fast at cost <= 1000)",
 		"coordinator (2 remote shards)", "ejected", "consecutive_errors=3",
 	} {
 		if !strings.Contains(out, wanted) {

@@ -9,16 +9,11 @@
 //	-retrain   int     feedback count that triggers auto retraining
 //	                   (default 10; 0 disables)
 //	-feedback-log string  persist the feedback log across restarts
-//	-shards    int     serve queries by scatter-gather over at most this
-//	                   many by-video shards; rankings are bit-identical
-//	                   to unsharded serving, and retrains re-split
-//	                   before publishing (default 0 = unsharded)
 //	-coarse-candidates int  two-stage retrieval: prefilter each query to
 //	                   at most this many candidate videos per pattern
 //	                   step with the coarse index before the exact
 //	                   lattice (DESIGN.md §5f). 0 (the default) serves
-//	                   exact-only, bit-identical to prior releases; with
-//	                   -shards the budget applies per shard
+//	                   exact-only, bit-identical to prior releases
 //
 // Archive flags (internal/boot; hmmm-shardd takes the same set, and
 // every process of a -coord fleet must be given the same values):
@@ -50,8 +45,7 @@
 //	                      shards, ',' separates replica addresses of one
 //	                      shard ("h1:8090;h2:8090,h2b:8090"). The local
 //	                      model (same archive flags as the shard servers)
-//	                      still serves browse and Explain.
-//	                      Mutually exclusive with -shards
+//	                      still serves browse and Explain
 //	-coord-wait duration  how long to wait at startup for every shard to
 //	                      report READY with the expected identity
 //	                      (default 30s; 0 skips the check)
@@ -111,7 +105,7 @@
 //
 // Observability flags:
 //
-//	-debug-addr duration  serve pprof, expvar, and a /metrics mirror on a
+//	-debug-addr string    serve pprof, expvar, and a /metrics mirror on a
 //	                      second listener (default off; keep it off the
 //	                      production port — the endpoints are
 //	                      unauthenticated)
@@ -184,7 +178,6 @@ func main() {
 		addr    = flag.String("addr", ":8077", "listen address")
 		retrain = flag.Int("retrain", 10, "feedback threshold for auto retraining (0 disables)")
 		fbLog   = flag.String("feedback-log", "", "persist the feedback log to this path")
-		shards  = flag.Int("shards", 0, "scatter-gather shard count (0 = unsharded)")
 		coarse  = flag.Int("coarse-candidates", 0, "coarse prefilter budget per query step (0 = exact-only)")
 
 		domainsSpec = flag.String("domains", "", "additionally serve POST /api/query/federated over a federation of per-domain generated archives (comma-separated domain names, e.g. soccer,basketball,news)")
@@ -211,7 +204,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := (boot.Modes{Shards: *shards, Coord: *coordSpec, Ingest: *ingestOn}).Validate(archive); err != nil {
+	if err := (boot.Modes{Coord: *coordSpec, Ingest: *ingestOn}).Validate(archive); err != nil {
 		log.Fatal(err)
 	}
 	opts := boot.Options(*coarse)
@@ -280,7 +273,6 @@ func main() {
 		Options:            opts,
 		RetrainThreshold:   *retrain,
 		FeedbackLogPath:    *fbLog,
-		Shards:             *shards,
 		Coordinator:        coordinator,
 		Live:               liveCfg,
 		Federation:         federation,
@@ -296,9 +288,6 @@ func main() {
 	})
 	if err != nil {
 		log.Fatalf("starting server: %v", err)
-	}
-	if n := srv.NumShards(); n > 0 {
-		fmt.Printf("sharded serving: %d shards\n", n)
 	}
 	if *coarse > 0 {
 		fmt.Printf("two-stage retrieval: coarse prefilter keeps <= %d candidate videos per query step\n", *coarse)

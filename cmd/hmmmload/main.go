@@ -26,6 +26,7 @@
 //	-repeat        fraction of cheap traffic drawn from the repeated pool
 //	               (default 0.5)
 //	-heavy         fraction of all traffic that is heavy (default 0.3)
+//	-heavy-beam    beam width sent with heavy queries (default 128)
 //	-timeout-ms    per-query deadline sent with each request (default 2000)
 //	-burst         requests per arrival burst (default 64; 1 = smooth)
 //	-seed          workload RNG seed (default 1)

@@ -220,9 +220,6 @@ type StatsResponse struct {
 	// percentiles, cache hit rate) read from the server's metrics at
 	// response time.
 	Runtime *RuntimeStatsJSON `json:"runtime,omitempty"`
-	// Shards lists per-shard totals when the server runs sharded
-	// scatter-gather retrieval; absent on an unsharded server.
-	Shards []ShardStatsJSON `json:"shards,omitempty"`
 	// Coord is the distributed-serving roll-up when the server runs as
 	// a coordinator over remote shard servers; absent otherwise.
 	Coord *CoordStatsJSON `json:"coord,omitempty"`
@@ -256,13 +253,6 @@ type CoordEndpointJSON struct {
 	// ConsecutiveErrors is the current transient-error streak.
 	ConsecutiveErrors int    `json:"consecutive_errors,omitempty"`
 	Generation        uint64 `json:"generation,omitempty"`
-}
-
-// ShardStatsJSON summarizes one retrieval shard.
-type ShardStatsJSON struct {
-	Shard  int `json:"shard"`
-	Videos int `json:"videos"`
-	States int `json:"states"`
 }
 
 // RuntimeStatsJSON is the operational section of /api/stats: the same

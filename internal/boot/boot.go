@@ -233,10 +233,9 @@ func ShardService(model *hmmm.Model, idx, of int, opts retrieval.Options, gen ui
 }
 
 // Modes is the serving-mode flags whose combinations Validate checks:
-// hmmmd's -shards, -coord and -ingest, and a shard server's (hmmm-shardd,
+// hmmmd's -coord and -ingest, and a shard server's (hmmm-shardd,
 // ShardServer set) -shard and -of.
 type Modes struct {
-	Shards      int
 	Coord       string
 	Ingest      bool
 	ShardServer bool
@@ -252,8 +251,6 @@ func (m Modes) Validate(a Archive) error {
 	switch {
 	case err != nil:
 		return err
-	case m.Coord != "" && m.Shards > 0:
-		return errors.New("-coord and -shards are mutually exclusive")
 	case m.Ingest && m.Coord != "":
 		return errors.New("-ingest and -coord are mutually exclusive: the coordinator owns no model to extend; ingest on the shard servers")
 	case m.Ingest && d.Name != "soccer":

@@ -68,15 +68,13 @@ func TestModeRules(t *testing.T) {
 		is     error
 	}{
 		{name: "generated", a: soccer},
-		{name: "generated basketball", a: basketball, m: Modes{Shards: 2}},
+		{name: "generated basketball", a: basketball},
 		{name: "coord", a: soccer, m: Modes{Coord: "127.0.0.1:8090"}},
 		{name: "ingest, first boot", a: soccer, m: Modes{Ingest: true}, resume: missing},
 		{name: "shard 1 of 2", a: soccer, m: Modes{ShardServer: true, Shard: 1, Of: 2}},
 		{name: "model, own stamp", a: withModel(soccer, "")},
 		{name: "model, matching domain", a: withModel(soccer, "soccer")},
 		{name: "unknown domain", a: Archive{Domain: "curling"}, want: `unknown domain "curling"`},
-		{name: "coord with shards", a: soccer, m: Modes{Coord: "127.0.0.1:8090", Shards: 2},
-			want: "-coord and -shards are mutually exclusive"},
 		{name: "ingest with coord", a: soccer, m: Modes{Ingest: true, Coord: "127.0.0.1:8090"},
 			want: "-ingest and -coord are mutually exclusive"},
 		{name: "ingest outside soccer", a: basketball, m: Modes{Ingest: true},

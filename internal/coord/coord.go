@@ -1,10 +1,10 @@
 // Package coord is the network coordinator of distributed shard
 // serving: it scatters retrievals over remote shard servers
 // (cmd/hmmm-shardd, spoken to through internal/rpc) and gathers the
-// per-shard rankings with the same retrieval.Gather the in-process
-// shard.Group uses — so with every shard healthy the coordinated
-// ranking is bit-identical to the local group's, scores and tie-breaks
-// included.
+// per-shard rankings with retrieval.Gather — so with every shard
+// healthy the coordinated ranking is bit-identical to one engine's over
+// the whole archive (and to a shard.Group's over the same split),
+// scores and tie-breaks included.
 //
 // Robustness around that exact core:
 //

@@ -204,18 +204,10 @@ func (f *Federation) Query(ctx context.Context, req Request) (*Response, error) 
 			o.report.Reason = cerr.Error()
 			return
 		}
-		search := m.Retriever.WithTopK(topK)
 		gather := retrieval.Gather{TopK: topK}
-		for _, q := range queries {
-			res, rerr := search.RetrieveContext(ctx, q)
-			if rerr != nil {
-				errs[i] = fmt.Errorf("fed: member %q: %w", m.Name, rerr)
-				return
-			}
-			gather.Add(res, 0)
-			if gather.Truncated() {
-				break // deadline spent; later alternation branches return empty
-			}
+		if rerr := gather.Search(ctx, m.Retriever.WithTopK(topK), queries, nil, 0); rerr != nil {
+			errs[i] = fmt.Errorf("fed: member %q: %w", m.Name, rerr)
+			return
 		}
 		o.res = gather.Done(ctx)
 		o.report.Matches = len(o.res.Matches)

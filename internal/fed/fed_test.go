@@ -8,6 +8,7 @@ package fed_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -427,4 +428,34 @@ func loopbackCoordinator(t *testing.T, m *hmmm.Model, k int, opts retrieval.Opti
 	}
 	t.Cleanup(c.Close)
 	return c
+}
+
+// failingRetriever refuses every retrieval, as a fleet does whose shard
+// answers bad_request.
+type failingRetriever struct{ err error }
+
+func (f failingRetriever) RetrieveContext(context.Context, retrieval.Query) (*retrieval.Result, error) {
+	return nil, f.err
+}
+
+func (f failingRetriever) WithTopK(int) retrieval.Retriever { return f }
+
+// TestMemberErrorFailsQuery: a member whose retriever fails fails the
+// federated query with an error naming that member, instead of a merge
+// of the other members' rankings that reads as complete.
+func TestMemberErrorFailsQuery(t *testing.T) {
+	d := videomodel.Soccer()
+	m := memberModel(t, d, 3)
+	boom := errors.New("shard refused the query")
+	f, err := fed.New([]fed.Member{
+		{Name: "healthy", Domain: d, States: m.NumStates(), Retriever: memberEngine(t, m)},
+		{Name: "broken", Domain: d, States: m.NumStates(), Retriever: failingRetriever{boom}},
+	}, fed.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := f.Query(context.Background(), fed.Request{Pattern: memberPattern(t, m, d)})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), `"broken"`) {
+		t.Fatalf("Query = %+v, %v; want an error wrapping %q that names the broken member", resp, err, boom)
+	}
 }

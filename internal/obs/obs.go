@@ -72,13 +72,6 @@ func (g *Gauge) Add(n int64) {
 	}
 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
 // Value returns the current value (0 for a nil gauge).
 func (g *Gauge) Value() int64 {
 	if g == nil {

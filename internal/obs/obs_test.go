@@ -28,7 +28,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := g.Value(); got != 11 {
 		t.Fatalf("gauge = %d, want 11", got)
 	}
-	g.Set(-3)
+	g.Add(-14)
 	if got := g.Value(); got != -3 {
 		t.Fatalf("gauge = %d, want -3", got)
 	}
@@ -45,7 +45,7 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	c.Inc()
 	c.Add(7)
 	g.Inc()
-	g.Set(9)
+	g.Add(9)
 	h.Observe(1)
 	tr.Record("x", time.Now(), 0)
 	tr.Span("y")()
@@ -150,7 +150,7 @@ func TestExpositionGolden(t *testing.T) {
 	v := r.CounterVec("a_total", "a help", "route", "code")
 	v.With("/api/query", "2xx").Add(41)
 	v.With("/api/health", "2xx").Inc()
-	r.Gauge("c_inflight", "c help").Set(3)
+	r.Gauge("c_inflight", "c help").Add(3)
 	r.GaugeFunc("d_ratio", "d help", func() float64 { return 0.25 })
 	h := r.Histogram("e_seconds", "e help", []float64{0.1, 1})
 	h.Observe(0.05)

@@ -7,7 +7,8 @@ import (
 )
 
 // Retriever is the retrieval contract every serving shape satisfies
-// (engine, shard group, coordinator), safe for concurrent use. Each call
+// (the engine, an in-process shard group, the coordinator over shard
+// servers), safe for concurrent use. Each call
 // returns a fresh Result the caller owns, down to each Match's slices,
 // ranked as MergeRanked ranks; the caller may rewrite it in place.
 // WithTopK derives a view ranking to another TopK (0 means DefaultTopK)
@@ -65,6 +66,25 @@ func (g *Gather) Add(res *Result, offset int) {
 // Truncated reports whether a child added so far was truncated: the
 // deadline is spent, so children still to come would return empty.
 func (g *Gather) Truncated() bool { return g.cost.Truncated }
+
+// Search runs each of queries, scoped to scope, on r and adds its
+// ranking at offset. It stops at the first error, and early once the
+// gather is truncated: later patterns would each pay a poll round-trip
+// just to return empty.
+func (g *Gather) Search(ctx context.Context, r Retriever, queries []Query, scope *Scope, offset int) error {
+	for _, q := range queries {
+		q.Scope = scope
+		res, err := r.RetrieveContext(ctx, q)
+		if err != nil {
+			return err
+		}
+		g.Add(res, offset)
+		if g.Truncated() {
+			break
+		}
+	}
+	return nil
+}
 
 // Done returns the combined ranking and the summed cost.
 func (g *Gather) Done(ctx context.Context) Result {

@@ -2,6 +2,7 @@ package retrieval_test
 
 import (
 	"context"
+	"errors"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -341,4 +342,97 @@ func FuzzMergeRanked(f *testing.F) {
 			t.Fatalf("gather split at %d, K=%d over %+v:\n got %+v\nwant %+v", at, topK, ms, out, want)
 		}
 	})
+}
+
+// scriptedRetriever answers its i-th call with results[i] or errs[i]
+// and records every query it was asked.
+type scriptedRetriever struct {
+	results []*retrieval.Result
+	errs    []error
+	asked   []retrieval.Query
+}
+
+func (r *scriptedRetriever) RetrieveContext(_ context.Context, q retrieval.Query) (*retrieval.Result, error) {
+	i := len(r.asked)
+	r.asked = append(r.asked, q)
+	if i < len(r.errs) && r.errs[i] != nil {
+		return nil, r.errs[i]
+	}
+	return r.results[i], nil
+}
+
+func (r *scriptedRetriever) WithTopK(int) retrieval.Retriever { return r }
+
+// TestGatherSearchScopesAndLifts pins what Search adds: every query
+// runs on the retriever under the given scope (replacing its own), each
+// ranking lands at the offset, and the costs sum.
+func TestGatherSearchScopesAndLifts(t *testing.T) {
+	queries := []retrieval.Query{
+		retrieval.NewQuery(videomodel.EventGoal),
+		retrieval.NewQuery(videomodel.EventFoul, videomodel.EventGoal),
+	}
+	queries[1].Scope = &retrieval.Scope{Video: 9}
+	scope := &retrieval.Scope{FromMS: 1000}
+	r := &scriptedRetriever{results: []*retrieval.Result{
+		{Matches: []retrieval.Match{{States: []int{0}, Score: 2}}, Cost: retrieval.Cost{VideosSeen: 1}},
+		{Matches: []retrieval.Match{{States: []int{1, 2}, Score: 3}}, Cost: retrieval.Cost{VideosSeen: 2}},
+	}}
+	var g retrieval.Gather
+	if err := g.Search(context.Background(), r, queries, scope, 10); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.asked) != 2 {
+		t.Fatalf("retriever asked %d queries, want 2", len(r.asked))
+	}
+	for i, q := range r.asked {
+		want := queries[i]
+		want.Scope = scope
+		if !reflect.DeepEqual(q, want) {
+			t.Errorf("query %d ran as %+v, want %+v", i, q, want)
+		}
+	}
+	if queries[1].Scope.Video != 9 {
+		t.Error("Search rewrote the caller's query")
+	}
+	out := g.Done(context.Background())
+	want := []retrieval.Match{{States: []int{11, 12}, Score: 3}, {States: []int{10}, Score: 2}}
+	if !reflect.DeepEqual(out.Matches, want) || out.Cost != (retrieval.Cost{VideosSeen: 3}) {
+		t.Fatalf("gathered %+v cost %+v, want %+v cost {VideosSeen:3}", out.Matches, out.Cost, want)
+	}
+}
+
+// TestGatherSearchStops pins the stop rule: a truncated ranking ends
+// the loop (later patterns would return empty on the spent deadline),
+// and an error ends it with that error.
+func TestGatherSearchStops(t *testing.T) {
+	queries := []retrieval.Query{
+		retrieval.NewQuery(videomodel.EventGoal),
+		retrieval.NewQuery(videomodel.EventFoul),
+		retrieval.NewQuery(videomodel.EventCornerKick),
+	}
+	truncated := &scriptedRetriever{results: []*retrieval.Result{
+		{Matches: []retrieval.Match{{States: []int{0}, Score: 1}}},
+		{Cost: retrieval.Cost{Truncated: true}},
+		{Matches: []retrieval.Match{{States: []int{5}, Score: 9}}},
+	}}
+	var g retrieval.Gather
+	if err := g.Search(context.Background(), truncated, queries, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(truncated.asked) != 2 || !g.Truncated() {
+		t.Fatalf("asked %d queries (truncated %v), want 2 and a truncated gather", len(truncated.asked), g.Truncated())
+	}
+
+	boom := errors.New("shard refused")
+	failing := &scriptedRetriever{
+		results: []*retrieval.Result{{}, nil, {}},
+		errs:    []error{nil, boom},
+	}
+	g = retrieval.Gather{}
+	if err := g.Search(context.Background(), failing, queries, nil, 0); !errors.Is(err, boom) {
+		t.Fatalf("Search returned %v, want %v", err, boom)
+	}
+	if len(failing.asked) != 2 {
+		t.Fatalf("asked %d queries after an error, want 2", len(failing.asked))
+	}
 }

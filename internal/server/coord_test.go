@@ -113,6 +113,36 @@ func TestCoordQueryMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestCoordExplain: retrieval runs on the shard servers, and the local
+// engine over the same model explains the merged matches, so the
+// explanations match a local server's byte for byte.
+func TestCoordExplain(t *testing.T) {
+	plain, coordinated, _, _ := coordPair(t, 2)
+	ctx := context.Background()
+	req := QueryRequest{Pattern: "foul -> goal", TopK: 5, Beam: 8, Explain: true}
+	want, err := client.New(plain.URL, nil).Query(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := client.New(coordinated.URL, nil).Query(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Matches) == 0 {
+		t.Fatal("no foul -> goal match to explain")
+	}
+	for _, m := range got.Matches {
+		if len(m.Explanation) != len(m.States) {
+			t.Fatalf("match %v: %d explanation steps for %d states", m.States, len(m.Explanation), len(m.States))
+		}
+	}
+	wb, _ := json.Marshal(want.Matches)
+	gb, _ := json.Marshal(got.Matches)
+	if string(wb) != string(gb) {
+		t.Errorf("coordinated explanations diverge\nlocal:       %s\ncoordinated: %s", wb, gb)
+	}
+}
+
 // TestCoordStatsExposed pins the /api/stats coord section: shard count,
 // per-endpoint health, and the query counter.
 func TestCoordStatsExposed(t *testing.T) {

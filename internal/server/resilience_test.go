@@ -298,6 +298,37 @@ func TestServerQueryTimeoutClampsRequest(t *testing.T) {
 	}
 }
 
+// TestTruncatedQuerySkipsLaterPatterns: once one compiled pattern comes
+// back truncated, the spent deadline would return every later
+// alternation branch empty, so the server does not search them.
+func TestTruncatedQuerySkipsLaterPatterns(t *testing.T) {
+	m := testModel(t)
+	req := QueryRequest{Pattern: "goal -> free_kick | foul", TimeoutMS: 1}
+	fast, fts := resilientServer(t, Config{Model: m})
+	if _, err := client.New(fts.URL, nil).Query(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	if got := fast.metrics.retrieval.Queries.Value(); got != 2 {
+		t.Fatalf("an untruncated two-branch query ran %d searches, want 2", got)
+	}
+
+	slow := &faultinject.SlowTracer{PerEvent: time.Millisecond}
+	s, ts := resilientServer(t, Config{
+		Model:   m,
+		Options: retrieval.Options{Beam: 8, TopK: 10, CrossVideo: true, Tracer: slow},
+	})
+	resp, err := client.New(ts.URL, nil).Query(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Cost.Truncated {
+		t.Fatal("cost.truncated not set on an expired query")
+	}
+	if got := s.metrics.retrieval.Queries.Value(); got != 1 {
+		t.Errorf("a query truncated in its first branch ran %d searches, want 1", got)
+	}
+}
+
 // blockTracer parks every lattice trace event until the release channel
 // closes: the way the shedding and shutdown tests hold queries in
 // flight deterministically.

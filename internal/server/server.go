@@ -34,7 +34,6 @@ import (
 	"github.com/videodb/hmmm/internal/matn"
 	"github.com/videodb/hmmm/internal/obs"
 	"github.com/videodb/hmmm/internal/retrieval"
-	"github.com/videodb/hmmm/internal/shard"
 	"github.com/videodb/hmmm/internal/store"
 	"github.com/videodb/hmmm/internal/videomodel"
 )
@@ -88,12 +87,6 @@ type Server struct {
 	metrics *serverMetrics
 	slowLog *obs.SlowLog
 
-	// Sharded serving (see Config.Shards). shardMetrics is nil when
-	// sharding is off; every published generation's group reports into
-	// the same hmmm_shard_* family.
-	shards       int
-	shardMetrics *shard.Metrics
-
 	// coordinator, when non-nil, serves /api/query by scatter-gather over
 	// remote shard servers (see Config.Coordinator). The local snapshot
 	// engine still serves browse, Explain, and cost estimation.
@@ -115,23 +108,17 @@ type Server struct {
 	patterns patternMemo
 }
 
-// snapshot is one immutable published generation: a trained model, the
-// engine whose caches were built from exactly that model, and — when
-// the server runs sharded — the scatter-gather group split from the
-// same model. Nothing is mutated after publication. gen counts
-// generations for the health endpoint (1 = boot model).
+// snapshot is one immutable published generation: a trained model and
+// the engine whose caches were built from exactly that model. Nothing
+// is mutated after publication. gen counts generations for the health
+// endpoint (1 = boot model).
 type snapshot struct {
 	model  *hmmm.Model
 	engine *retrieval.Engine
-	// group serves /api/query retrievals when sharding is configured
-	// (nil otherwise). The engine above still serves the browse and
-	// Explain paths — those need the full model's matrices — but is
-	// built with NoSimCache so the similarity table isn't held twice.
-	group *shard.Group
-	gen   uint64
+	gen    uint64
 	// delta is the live-ingest sub-model served alongside the main model
 	// (nil when live ingest is off or the delta is empty). Queries
-	// gather (engine-or-group, delta.Engine) with delta states lifted
+	// gather (main retriever, delta.Engine) with delta states lifted
 	// past model.NumStates(). Swapped through the same pointer as
 	// everything else: one Load observes one consistent (model, delta)
 	// pair.
@@ -144,9 +131,8 @@ type snapshot struct {
 }
 
 // withDelta derives a snapshot serving the same published generation
-// with a different delta sub-model: engine, group, and gen are shared
-// (they are immutable), so an ingest publish never pays a shard
-// re-split or engine rebuild.
+// with a different delta sub-model: engine and gen are shared (they
+// are immutable), so an ingest publish never pays an engine rebuild.
 func (sn *snapshot) withDelta(d *live.Delta) *snapshot {
 	next := *sn
 	next.delta = d
@@ -210,11 +196,6 @@ type Config struct {
 	// SlowQueryWriter receives slow-query JSON lines; nil disables the
 	// slow-query log regardless of threshold.
 	SlowQueryWriter io.Writer
-	// Shards, when >= 1, serves /api/query by scatter-gather over at
-	// most that many by-video shards (see internal/shard). Rankings are
-	// bit-identical to unsharded serving; retrains re-split before each
-	// publish. 0 disables sharding.
-	Shards int
 	// Coalesce deduplicates identical in-flight /api/query requests:
 	// requests whose canonical pattern, result-affecting options,
 	// deadline budget, and model generation all match share one
@@ -236,10 +217,9 @@ type Config struct {
 	HeavyQueue int
 	// Coordinator, when non-nil, serves /api/query retrievals by
 	// network scatter-gather over remote shard servers (cmd/hmmm-shardd)
-	// instead of the local engine or an in-process shard group. The
-	// local Model must still be the same archive the remote shards were
-	// split from: browse endpoints, Explain, and lane cost estimation
-	// read it directly. Mutually exclusive with Shards.
+	// instead of the local engine. The local Model must still be the
+	// same archive the remote shards were split from: browse endpoints,
+	// Explain, and lane cost estimation read it directly.
 	Coordinator *coord.Coordinator
 	// Live, when non-nil, enables runtime ingest: POST /api/ingest
 	// accepts videos into a crash-safe journal and a delta sub-model
@@ -283,9 +263,6 @@ func New(cfg Config) (*Server, error) {
 	// built here or by a retrain (both derive from s.opts) reports into
 	// the same counters.
 	cfg.Options.Metrics = metrics.retrieval
-	if cfg.Coordinator != nil && cfg.Shards > 0 {
-		return nil, errors.New("server: Coordinator and Shards are mutually exclusive")
-	}
 	// WaitReady records the fleet's domain; "" means it never ran
 	// (hmmmd -coord-wait 0), which skips the check.
 	if co := cfg.Coordinator; co != nil && co.Domain() != "" && co.Domain() != cfg.Model.DomainName() {
@@ -298,7 +275,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		opts:         cfg.Options,
-		shards:       cfg.Shards,
 		coordinator:  cfg.Coordinator,
 		log:          feedback.NewLog(),
 		trainer:      feedback.NewTrainer(cfg.RetrainThreshold),
@@ -351,9 +327,6 @@ func New(cfg Config) (*Server, error) {
 		s.coalescer.Leaders = metrics.coalesceLeaders
 		s.coalescer.Hits = metrics.coalesceHits
 	}
-	if s.shards > 0 {
-		s.shardMetrics = shard.NewMetrics(reg)
-	}
 	boot, err := s.newSnapshot(cfg.Model, 1)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -392,35 +365,19 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// newSnapshot builds one publishable generation over model: the full
-// engine and, when sharding is configured, the scatter-gather group
-// split from the same model. In sharded mode the full engine keeps
-// serving the browse and Explain paths — they need the whole archive's
-// matrices — but is built with NoSimCache so the similarity table
-// lives only in the shard engines, not twice.
+// newSnapshot builds one publishable generation over model: its domain
+// and its engine.
 func (s *Server) newSnapshot(model *hmmm.Model, gen uint64) (*snapshot, error) {
-	eopts := s.opts
-	if s.shards > 0 {
-		eopts.NoSimCache = true
-	}
 	domain, ok := videomodel.DomainByName(model.Domain)
 	if !ok {
 		return nil, fmt.Errorf("model stamped with unknown domain %q (have %s)",
 			model.Domain, strings.Join(videomodel.DomainNames(), ", "))
 	}
-	engine, err := retrieval.NewEngine(model, eopts)
+	engine, err := retrieval.NewEngine(model, s.opts)
 	if err != nil {
 		return nil, fmt.Errorf("building engine: %w", err)
 	}
-	snap := &snapshot{model: model, engine: engine, gen: gen, domain: domain}
-	if s.shards > 0 {
-		group, err := shard.NewGroup(model, s.shards, s.opts, shard.GroupOptions{Metrics: s.shardMetrics})
-		if err != nil {
-			return nil, fmt.Errorf("splitting model: %w", err)
-		}
-		snap.group = group
-	}
-	return snap, nil
+	return &snapshot{model: model, engine: engine, gen: gen, domain: domain}, nil
 }
 
 // loadLogRecover loads the feedback log through atomicwrite.Recover.
@@ -453,16 +410,6 @@ func loadLogRecover(path string, logf func(string, ...any), m *serverMetrics) (*
 			path, l.Len(), from)
 	}
 	return l, nil
-}
-
-// NumShards reports the published generation's shard count, 0 when
-// serving unsharded. The effective count can be lower than
-// Config.Shards when the archive cannot fill the requested split.
-func (s *Server) NumShards() int {
-	if g := s.current.Load().group; g != nil {
-		return g.NumShards()
-	}
-	return 0
 }
 
 // persistLog rewrites the feedback log file if persistence is
@@ -551,14 +498,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			counts[snap.domain.EventName(e)]++
 		}
 	}
-	var shardStats []api.ShardStatsJSON
-	if snap.group != nil {
-		for i, st := range snap.group.Stats() {
-			shardStats = append(shardStats, api.ShardStatsJSON{
-				Shard: i, Videos: st.Videos, States: st.States,
-			})
-		}
-	}
 	var coordStats *api.CoordStatsJSON
 	if s.coordinator != nil {
 		coordStats = s.coordinator.Stats()
@@ -572,7 +511,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		PendingFeedback:  s.log.Pending(),
 		EventCounts:      counts,
 		Runtime:          s.runtimeStats(),
-		Shards:           shardStats,
 		Coord:            coordStats,
 		Ingest:           s.ingestStats(snap),
 	})
@@ -865,20 +803,15 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
 		qstart = time.Now()
 	}
 	// Per-request tuning is a view sharing the snapshot engine's caches.
-	// In sharded mode retrieval goes through the shard group, whose merged
-	// ranking is bit-identical to the engine's (see internal/shard); the
-	// engine still serves Explain and the admission estimate.
 	engine := snap.engine.WithOptions(opts)
 	var search retrieval.Retriever = engine
-	switch {
-	case s.coordinator != nil:
+	if s.coordinator != nil {
 		// Coordinator mode: retrieval scatters over remote shard servers.
 		// Observer options (Metrics, Trace) stay local — the coordinator
 		// strips them from the wire request and records hmmm_coord_*
-		// instead; the local engine above still serves Explain.
+		// instead; the local engine above still serves Explain and the
+		// admission estimate.
 		search = s.coordinator.WithOptions(opts)
-	case snap.group != nil:
-		search = snap.group.WithOptions(opts)
 	}
 
 	// Two-lane admission. Only this leader consumes a lane slot — every
@@ -907,34 +840,15 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
 	// optional steps), and a live delta adds one more list per pattern;
 	// the gather merges those lists, deduplicated by state sequence.
 	gather := retrieval.Gather{TopK: opts.TopK}
-	for _, q := range queries {
-		q.Scope = scope
-		res, err := search.RetrieveContext(ctx, q)
-		if err != nil {
-			return nil, err
-		}
-		gather.Add(res, 0)
-		if gather.Truncated() {
-			// The deadline is spent; later alternation branches would each
-			// pay a poll round-trip just to return empty.
-			break
-		}
+	if err := gather.Search(ctx, search, queries, scope, 0); err != nil {
+		return nil, err
 	}
 	// Live-ingest delta: the same patterns also search the delta
-	// sub-model, one more (small) shard of the gather at its offset; a
+	// sub-model, one more (small) child of the gather at its offset; a
 	// spent deadline skips it exactly like a later alternation branch.
 	if snap.delta != nil && !gather.Truncated() {
-		dengine := snap.delta.Engine.WithOptions(opts)
-		for _, q := range queries {
-			q.Scope = scope
-			res, err := dengine.RetrieveContext(ctx, q)
-			if err != nil {
-				return nil, err
-			}
-			gather.Add(res, snap.delta.Offset)
-			if gather.Truncated() {
-				break
-			}
+		if err := gather.Search(ctx, snap.delta.Engine.WithOptions(opts), queries, scope, snap.delta.Offset); err != nil {
+			return nil, err
 		}
 	}
 	res := gather.Done(ctx)
@@ -1199,9 +1113,9 @@ func (s *Server) retrainLocked() error {
 		return err
 	}
 	// Rebuild the serving structures off-lock from the query path's
-	// perspective: engine caches and (in sharded mode) the re-split
-	// shard group are derived from the retrained clone while the old
-	// snapshot keeps serving; only the final Store below publishes.
+	// perspective: engine caches are derived from the retrained clone
+	// while the old snapshot keeps serving; only the final Store below
+	// publishes.
 	fresh, err := s.newSnapshot(next, snap.gen+1)
 	if err != nil {
 		// Post-training failures also fail the cycle; the trainer only

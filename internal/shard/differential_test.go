@@ -8,6 +8,7 @@ import (
 
 	"github.com/videodb/hmmm/internal/dataset"
 	"github.com/videodb/hmmm/internal/hmmm"
+	"github.com/videodb/hmmm/internal/obs"
 	"github.com/videodb/hmmm/internal/retrieval"
 	"github.com/videodb/hmmm/internal/retrieval/retrievaltest"
 )
@@ -278,7 +279,7 @@ func TestGroupWithOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	narrow := base.WithOptions(retrieval.Options{AnnotatedOnly: true, TopK: 1})
-	if narrow.NumShards() != base.NumShards() {
+	if len(narrow.shards) != len(base.shards) {
 		t.Fatal("WithOptions changed the shard count")
 	}
 	q := retrievaltest.Queries(m)[0]
@@ -298,24 +299,21 @@ func TestGroupWithOptions(t *testing.T) {
 	}
 }
 
-func TestGroupStats(t *testing.T) {
-	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 28, Videos: 7})
-	g, err := NewGroup(m, 3, retrieval.Options{}, GroupOptions{})
+func TestGroupTraceSpans(t *testing.T) {
+	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 42, Videos: 5})
+	tr := obs.NewTrace()
+	g, err := NewGroup(m, 2, retrieval.Options{AnnotatedOnly: true, Trace: tr}, GroupOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := g.Stats()
-	if len(stats) != g.NumShards() {
-		t.Fatalf("%d stats for %d shards", len(stats), g.NumShards())
+	if _, err := g.Retrieve(retrievaltest.Queries(m)[0]); err != nil {
+		t.Fatal(err)
 	}
-	videos, states := 0, 0
-	for _, s := range stats {
-		videos += s.Videos
-		states += s.States
-	}
-	if videos != m.NumVideos() || states != m.NumStates() {
-		t.Errorf("stats sum to %d videos / %d states, want %d / %d",
-			videos, states, m.NumVideos(), m.NumStates())
+	totals := tr.Totals()
+	for _, stage := range []string{"scatter", "merge"} {
+		if _, ok := totals[stage]; !ok {
+			t.Errorf("trace missing %q span (have %v)", stage, totals)
+		}
 	}
 }
 

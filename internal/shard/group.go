@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"github.com/videodb/hmmm/internal/hmmm"
 	"github.com/videodb/hmmm/internal/par"
@@ -11,11 +10,9 @@ import (
 )
 
 // GroupOptions tunes the scatter-gather layer around the per-shard
-// retrieval engines.
-type GroupOptions struct {
-	// Metrics, when non-nil, receives the hmmm_shard_* observations.
-	Metrics *Metrics
-}
+// retrieval engines. It has no fields; NewGroup keeps the parameter so
+// its callers' signatures stand.
+type GroupOptions struct{}
 
 // Group serves retrievals by scattering them across per-shard engines
 // and gathering the per-shard rankings into one exact global ranking.
@@ -56,27 +53,24 @@ type GroupOptions struct {
 //     its own K-th best score — so the summed counters legitimately
 //     differ from the single engine's one global traversal.
 //
-// A Group is immutable after construction and safe for concurrent use;
-// the server swaps whole groups when the model retrains.
+// A Group is immutable after construction and safe for concurrent use.
 type Group struct {
 	shards  []*Shard
 	engines []*retrieval.Engine
 	opts    retrieval.Options
-	gopts   GroupOptions
 }
 
 // NewGroup splits m into at most k shards and builds one engine per
 // shard. opts configures the per-shard engines, with two amendments:
 // Metrics and Trace are stripped (K engines recording per-retrieval
 // observations would multiply every counter by the fan-out; the group
-// records hmmm_shard_* instead, and keeps opts.Trace for its own
-// scatter/merge spans).
-func NewGroup(m *hmmm.Model, k int, opts retrieval.Options, gopts GroupOptions) (*Group, error) {
+// keeps opts.Trace for its own scatter/merge spans).
+func NewGroup(m *hmmm.Model, k int, opts retrieval.Options, _ GroupOptions) (*Group, error) {
 	shards, err := Split(m, k)
 	if err != nil {
 		return nil, err
 	}
-	g := &Group{shards: shards, opts: opts, gopts: gopts}
+	g := &Group{shards: shards, opts: opts}
 	g.engines = make([]*retrieval.Engine, len(shards))
 	for i, sh := range shards {
 		e, err := retrieval.NewEngine(sh.Model, stripObservers(opts))
@@ -84,9 +78,6 @@ func NewGroup(m *hmmm.Model, k int, opts retrieval.Options, gopts GroupOptions) 
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		g.engines[i] = e
-	}
-	if gopts.Metrics != nil {
-		gopts.Metrics.ShardCount.Set(int64(len(shards)))
 	}
 	return g, nil
 }
@@ -103,7 +94,7 @@ func stripObservers(opts retrieval.Options) retrieval.Options {
 // stripped, as in NewGroup) but share the underlying shards and — for
 // cache-compatible options — the engines' derived caches.
 func (g *Group) WithOptions(opts retrieval.Options) *Group {
-	ng := &Group{shards: g.shards, opts: opts, gopts: g.gopts}
+	ng := &Group{shards: g.shards, opts: opts}
 	ng.engines = make([]*retrieval.Engine, len(g.engines))
 	for i, e := range g.engines {
 		ng.engines[i] = e.WithOptions(stripObservers(opts))
@@ -117,10 +108,6 @@ func (g *Group) WithTopK(k int) retrieval.Retriever {
 	opts.TopK = k
 	return g.WithOptions(opts)
 }
-
-// NumShards returns the number of shards in the group (which may be
-// fewer than the requested split; see Split).
-func (g *Group) NumShards() int { return len(g.shards) }
 
 // Retrieve is RetrieveContext with a background context.
 func (g *Group) Retrieve(q retrieval.Query) (*retrieval.Result, error) {
@@ -140,23 +127,11 @@ func (g *Group) RetrieveContext(ctx context.Context, q retrieval.Query) (*retrie
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	met := g.gopts.Metrics
-	if met != nil {
-		met.Queries.Inc()
-	}
 	endScatter := g.opts.Trace.Span("scatter")
 	results := make([]*retrieval.Result, len(g.engines))
 	errs := make([]error, len(g.engines))
 	par.For(len(g.engines), func(i int) {
-		start := time.Now()
 		res, err := g.engines[i].RetrieveContext(ctx, q)
-		if met != nil {
-			met.Searches.Inc()
-			met.ShardSeconds.ObserveDuration(time.Since(start))
-			if err == nil && res.Cost.Truncated {
-				met.Truncated.Inc()
-			}
-		}
 		if err != nil {
 			errs[i] = fmt.Errorf("shard %d: %w", i, err)
 			return
@@ -176,19 +151,4 @@ func (g *Group) RetrieveContext(ctx context.Context, q retrieval.Query) (*retrie
 	}
 	out := gather.Done(ctx)
 	return &out, nil
-}
-
-// Stat summarizes one shard for operational reporting (/api/stats).
-type Stat struct {
-	Videos int
-	States int
-}
-
-// Stats returns per-shard totals, indexed like Shards.
-func (g *Group) Stats() []Stat {
-	out := make([]Stat, len(g.shards))
-	for i, sh := range g.shards {
-		out[i] = Stat{Videos: len(sh.Videos), States: sh.Model.NumStates()}
-	}
-	return out
 }

@@ -12,8 +12,8 @@ import (
 	"github.com/videodb/hmmm/internal/retrieval/retrievaltest"
 )
 
-// TestHammerQueryRetrainResplit drives the serving pattern the server
-// uses under -race: readers retrieve through an atomically published
+// TestHammerQueryRetrainResplit drives a copy-on-write publish under
+// -race: readers retrieve through an atomically published
 // group while a writer repeatedly retrains a clone of the model,
 // re-splits it, and swaps the published group. Readers must never see
 // an error, a ranking longer than TopK, or a result mixing state
