@@ -9,7 +9,9 @@
 //
 // Without -out the single record is written to stdout. Custom metrics
 // emitted via b.ReportMetric (e.g. "p99-ns/op") are preserved under the
-// entry's "extra" map. A pre-trajectory -out file holding a bare
+// entry's "extra" map. A benchmark reported more than once (-count=N)
+// is recorded as the per-metric median over its lines, with the number
+// of lines in "samples". A pre-trajectory -out file holding a bare
 // name→entry map is converted to a one-record trajectory on first
 // append.
 package main
@@ -22,6 +24,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -35,6 +38,9 @@ type Entry struct {
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	// Extra holds custom b.ReportMetric units, keyed by unit name.
 	Extra map[string]float64 `json:"extra,omitempty"`
+	// Samples is the number of result lines the entry is the median
+	// of; omitted when there was one.
+	Samples int `json:"samples,omitempty"`
 }
 
 // Meta identifies the environment of one benchmark run. GOMAXPROCS and
@@ -63,17 +69,21 @@ func main() {
 	flag.Parse()
 
 	rec := Record{Meta: collectMeta(*note), Benchmarks: make(map[string]Entry)}
+	samples := make(map[string][]Entry)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Fprintln(os.Stderr, line)
 		if name, e, ok := parseBenchLine(line); ok {
-			rec.Benchmarks[name] = e
+			samples[name] = append(samples[name], e)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		fatal(err)
+	}
+	for name, es := range samples {
+		rec.Benchmarks[name] = medianEntry(es)
 	}
 
 	if *out == "" {
@@ -143,6 +153,57 @@ func parseBenchLine(line string) (string, Entry, bool) {
 		}
 	}
 	return name, e, seen
+}
+
+// medianEntry folds the result lines of one benchmark into one entry:
+// each metric is the median of its values over the lines that report it
+// (the mean of the middle two for an even count), so no sample is
+// silently dropped and one outlier run does not move the record.
+func medianEntry(es []Entry) Entry {
+	if len(es) == 1 {
+		return es[0]
+	}
+	pick := func(get func(Entry) (float64, bool)) float64 {
+		var vs []float64
+		for _, e := range es {
+			if v, ok := get(e); ok {
+				vs = append(vs, v)
+			}
+		}
+		return median(vs)
+	}
+	out := Entry{
+		Iterations:  int(pick(func(e Entry) (float64, bool) { return float64(e.Iterations), true })),
+		NsPerOp:     pick(func(e Entry) (float64, bool) { return e.NsPerOp, true }),
+		BytesPerOp:  pick(func(e Entry) (float64, bool) { return e.BytesPerOp, true }),
+		AllocsPerOp: pick(func(e Entry) (float64, bool) { return e.AllocsPerOp, true }),
+		Samples:     len(es),
+	}
+	for _, e := range es {
+		for unit := range e.Extra {
+			if _, done := out.Extra[unit]; done {
+				continue
+			}
+			if out.Extra == nil {
+				out.Extra = make(map[string]float64)
+			}
+			out.Extra[unit] = pick(func(e Entry) (float64, bool) { v, ok := e.Extra[unit]; return v, ok })
+		}
+	}
+	return out
+}
+
+// median returns the median of vs (0 for none); vs is reordered.
+func median(vs []float64) float64 {
+	if len(vs) == 0 {
+		return 0
+	}
+	slices.Sort(vs)
+	mid := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[mid]
+	}
+	return (vs[mid-1] + vs[mid]) / 2
 }
 
 // collectMeta gathers the run environment. The git SHA is best-effort:

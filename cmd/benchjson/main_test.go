@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -138,5 +139,37 @@ func TestParseServingLine(t *testing.T) {
 		if e.Extra[unit] != v {
 			t.Errorf("extra[%q] = %v, want %v", unit, e.Extra[unit], v)
 		}
+	}
+}
+
+// TestMedianEntryKeepsEverySample folds a -count=3 run: every metric is
+// the median of its three values, an extra unit reported by only some
+// lines is the median of those, and the entry counts its samples.
+func TestMedianEntryKeepsEverySample(t *testing.T) {
+	var es []Entry
+	for _, line := range []string{
+		"BenchmarkMillionShot/x100-8  100  900 ns/op  7 heap-MB  64 B/op  2 allocs/op",
+		"BenchmarkMillionShot/x100-8  100  300 ns/op  5 heap-MB  32 B/op  1 allocs/op",
+		"BenchmarkMillionShot/x100-8  100  500 ns/op  9 heap-MB  16 B/op  1 allocs/op  4 p99-ns/op",
+	} {
+		_, e, ok := parseBenchLine(line)
+		if !ok {
+			t.Fatalf("line not parsed: %s", line)
+		}
+		es = append(es, e)
+	}
+	got := medianEntry(es)
+	want := Entry{Iterations: 100, NsPerOp: 500, BytesPerOp: 32, AllocsPerOp: 1,
+		Extra: map[string]float64{"heap-MB": 7, "p99-ns/op": 4}, Samples: 3}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("median entry = %+v, want %+v", got, want)
+	}
+	// An even count takes the mean of the middle two.
+	if got := medianEntry(es[:2]); got.NsPerOp != 600 || got.Samples != 2 {
+		t.Errorf("two-sample entry = %+v, want 600 ns/op over 2 samples", got)
+	}
+	// A single line is recorded as it was, without a sample count.
+	if got := medianEntry(es[:1]); !reflect.DeepEqual(got, es[0]) || got.Samples != 0 {
+		t.Errorf("one-sample entry = %+v, want %+v", got, es[0])
 	}
 }

@@ -22,6 +22,8 @@ var exportSeams = map[string]string{
 	"coord.Coordinator.Retrieve": "mirrors Engine.Retrieve, which benchmark/ pins; " +
 		"the coord, chaos and e2e tests call it",
 	"hmmm.CompactSnapshot.MemoryBytes": "BenchmarkMillionShot reports the compact layout's size",
+	"hmmm.Model.Clone": "Train tests compare a model against a deep copy taken before; " +
+		"Train itself shares the A1 blocks it leaves alone",
 	"index.Coarse.Edge": "index tests pin the proxy tables to a naive max over the model " +
 		"from an external package; item 2(b) removes the coarse path",
 	"index.Coarse.MaxPi1":     "as index.Coarse.Edge",

@@ -1,6 +1,8 @@
 package atomicwrite_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -16,6 +18,7 @@ import (
 	"github.com/videodb/hmmm/internal/feedback"
 	"github.com/videodb/hmmm/internal/hmmm"
 	"github.com/videodb/hmmm/internal/live"
+	"github.com/videodb/hmmm/internal/matrix"
 	"github.com/videodb/hmmm/internal/mmm"
 	"github.com/videodb/hmmm/internal/store"
 	"github.com/videodb/hmmm/internal/videomodel"
@@ -37,6 +40,9 @@ type recordKind struct {
 	// an accepted value: the cmodel loader also accepts a dense model
 	// record, which the compact layout then quantizes.
 	lossy bool
+	// refused are records that pass every integrity check but hold a
+	// value the kind's loader must reject as ErrCorrupt.
+	refused [][]byte
 }
 
 // recordKinds builds the five kinds over one small deterministic corpus
@@ -80,6 +86,7 @@ func recordKinds(tb testing.TB) []recordKind {
 		return load(read)
 	}
 	loadModel := func(p string) (any, error) { return store.LoadModel(p) }
+	badModels, badCModels := corruptA1Records(tb, m)
 
 	return []recordKind{
 		{
@@ -120,7 +127,8 @@ func recordKinds(tb testing.TB) []recordKind {
 			encode: func(v any) ([]byte, error) {
 				return viaFile(func(p string) error { return store.SaveModel(p, v.(*hmmm.Model)) })
 			},
-			decode: func(data []byte) (any, error) { return fromFile(data, loadModel) },
+			decode:  func(data []byte) (any, error) { return fromFile(data, loadModel) },
+			refused: badModels,
 		},
 		{
 			name:   "cmodel",
@@ -129,8 +137,9 @@ func recordKinds(tb testing.TB) []recordKind {
 			encode: func(v any) ([]byte, error) {
 				return viaFile(func(p string) error { return store.SaveModelCompact(p, v.(*hmmm.Model)) })
 			},
-			decode: func(data []byte) (any, error) { return fromFile(data, loadModel) },
-			lossy:  true,
+			decode:  func(data []byte) (any, error) { return fromFile(data, loadModel) },
+			lossy:   true,
+			refused: badCModels,
 		},
 		{
 			name:   "corpus",
@@ -150,6 +159,68 @@ func recordKinds(tb testing.TB) []recordKind {
 				return fromFile(data, func(p string) (any, error) { return store.LoadCorpus(p) })
 			},
 		},
+	}
+}
+
+// corruptA1Records builds well-formed records whose A1 blocks no packed
+// upper triangle can hold. The model records carry a square payload
+// with a nonzero left of the diagonal and a non-square one; gob matches
+// fields by name, so a payload of LocalA alone decodes into
+// hmmm.Snapshot, and the bad block fails that decode. The cmodel record
+// is m's compact snapshot with video 0's band starting every row at
+// column 0.
+func corruptA1Records(tb testing.TB, m *hmmm.Model) (model, cmodel [][]byte) {
+	tb.Helper()
+	record := func(kind string, payload any) []byte {
+		var buf bytes.Buffer
+		if err := atomicwrite.EncodeRecord(&buf, store.Magic, store.Version, kind, payload); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	lower := matrix.NewDense(2, 2)
+	lower.Set(0, 0, 1)
+	lower.Set(1, 0, 0.5)
+	lower.Set(1, 1, 0.5)
+	for _, a := range []*matrix.Dense{lower, matrix.NewDense(2, 3)} {
+		model = append(model, record("model", struct{ LocalA []*matrix.Dense }{[]*matrix.Dense{a}}))
+	}
+
+	cs := m.CompactSnapshot()
+	n := int(cs.StateCounts[0])
+	band := struct {
+		Rows, Cols    int
+		Start, RowPtr []int32
+		Data          []float32
+	}{Rows: n, Cols: n, Start: make([]int32, n), RowPtr: make([]int32, n+1)}
+	for i := 0; i < n; i++ {
+		band.RowPtr[i+1] = int32((i + 1) * n)
+		for j := 0; j < n; j++ {
+			band.Data = append(band.Data, 1/float32(n))
+		}
+	}
+	var enc bytes.Buffer
+	if err := gob.NewEncoder(&enc).Encode(band); err != nil {
+		tb.Fatal(err)
+	}
+	cs.LocalA[0] = new(matrix.Banded)
+	if err := cs.LocalA[0].GobDecode(enc.Bytes()); err != nil {
+		tb.Fatal(err)
+	}
+	cmodel = append(cmodel, record("cmodel", cs))
+	return model, cmodel
+}
+
+// TestRecordRefusesCorrupt loads each kind's refused records: every one
+// must fail as ErrCorrupt, the cue that sends recovery to the next
+// candidate.
+func TestRecordRefusesCorrupt(t *testing.T) {
+	for _, k := range recordKinds(t) {
+		for i, data := range k.refused {
+			if v, err := k.decode(data); !errors.Is(err, atomicwrite.ErrCorrupt) {
+				t.Errorf("%s refused record %d: loaded %v, err %v; want ErrCorrupt", k.name, i, v, err)
+			}
+		}
 	}
 }
 
@@ -237,6 +308,19 @@ func dump(v any) string {
 }
 
 func dumpValue(b *strings.Builder, path string, v reflect.Value) {
+	if u, ok := a1Block(v); ok {
+		// An A1 block dumps in the square shape the fixtures were written
+		// from: the packed triangle is an in-memory layout, the n×n
+		// entries are the value a restart depends on.
+		sq := squareA1{rows: u.Rows(), cols: u.Rows(), data: make([]float64, u.Rows()*u.Rows())}
+		for i := 0; i < sq.rows; i++ {
+			for j := 0; j < sq.cols; j++ {
+				sq.data[i*sq.cols+j] = u.At(i, j)
+			}
+		}
+		dumpValue(b, path, reflect.ValueOf(sq))
+		return
+	}
 	switch v.Kind() {
 	case reflect.Pointer, reflect.Interface:
 		if v.IsNil() {
@@ -272,6 +356,21 @@ func dumpValue(b *strings.Builder, path string, v reflect.Value) {
 	default:
 		fmt.Fprintf(b, "%s = %s\n", path, scalar(v))
 	}
+}
+
+// squareA1 is an A1 block in the field layout matrix.Dense dumps with.
+type squareA1 struct {
+	rows, cols int
+	data       []float64
+}
+
+// a1Block reports whether v is a non-nil *matrix.Upper reached through
+// exported fields, and returns it.
+func a1Block(v reflect.Value) (*matrix.Upper, bool) {
+	if v.Type() != reflect.TypeOf((*matrix.Upper)(nil)) || v.IsNil() || !v.CanInterface() {
+		return nil, false
+	}
+	return v.Interface().(*matrix.Upper), true
 }
 
 // scalar formats a boolean, number or string value.
@@ -366,6 +465,9 @@ func FuzzRecordDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(which, fixture)
+		for _, bad := range kinds[i].refused {
+			f.Add(which, bad)
+		}
 		for _, j := range []int{0, 5, len(good) / 2, len(good) - 1} {
 			mut := append([]byte(nil), good...)
 			mut[j] ^= 0x40

@@ -20,14 +20,15 @@ import (
 //     annotation bitmask in ascending concept order (the model's
 //     semantics never depend on annotation order, only membership).
 //   - B1, B1', A2, B2 quantize to float32 (B2 holds small integer counts,
-//     exact in float32). The per-video A1 blocks additionally exploit
-//     their Eq. 1 upper-triangular shape through the banded layout.
+//     exact in float32). The per-video A1 blocks, packed upper triangles
+//     in memory, additionally trim each row to its non-zero band.
 //   - Π1, Π2, P1,2, and the scaler bounds stay float64: they are small
 //     (O(N) + O(M) + O(C·K) values) and P1,2 feeds the Eq. 14 weight
 //     vectors that differential tests pin bitwise.
 //
 // Compact is a storage/transport layout, not a serving layout: decoding
-// widens everything back to the dense float64 Model the engines consume.
+// widens everything back to the float64 Model the engines consume — the
+// A1 bands straight into packed upper triangles.
 // Round-tripping a model through CompactSnapshot therefore perturbs
 // retrieval scores only by the float32 rounding of B1/B1'/A1/A2 — the
 // property test in compact_test.go pins the tolerance — while the state
@@ -100,9 +101,10 @@ func (m *Model) CompactSnapshot() *CompactSnapshot {
 	return cs
 }
 
-// FromCompactSnapshot widens a compact snapshot back to a dense float64
-// Model, rebuilding the state bookkeeping and validating the result with
-// the same tolerance as FromSnapshot.
+// FromCompactSnapshot widens a compact snapshot back to a float64 Model,
+// rebuilding the state bookkeeping and validating the result with the
+// same tolerance as FromSnapshot. A band starting left of its row's
+// diagonal is refused: no A1 block has a value there.
 func FromCompactSnapshot(cs *CompactSnapshot) (*Model, error) {
 	if cs == nil {
 		return nil, errors.New("hmmm: nil compact snapshot")
@@ -124,7 +126,7 @@ func FromCompactSnapshot(cs *CompactSnapshot) (*Model, error) {
 		States:    make([]State, n),
 		B1:        cs.B1.Dense(),
 		Pi1:       cs.Pi1,
-		LocalA:    make([]*matrix.Dense, len(cs.LocalA)),
+		LocalA:    make([]*matrix.Upper, len(cs.LocalA)),
 		VideoIDs:  cs.VideoIDs,
 		A2:        cs.A2.Dense(),
 		B2:        cs.B2.Dense(),
@@ -160,14 +162,19 @@ func FromCompactSnapshot(cs *CompactSnapshot) (*Model, error) {
 		return nil, fmt.Errorf("hmmm: compact snapshot counts %d states, arrays hold %d", gi, n)
 	}
 	for vi, a := range cs.LocalA {
-		s.LocalA[vi] = a.Dense()
+		u, err := a.Upper()
+		if err != nil {
+			return nil, fmt.Errorf("hmmm: compact snapshot video %d A1: %w", vi, err)
+		}
+		s.LocalA[vi] = u
 	}
 	return FromSnapshot(s)
 }
 
-// MemoryBytes estimates the resident size of the snapshot's numeric
+// MemoryBytes estimates the size of the snapshot's persisted numeric
 // payload: the figure the scale benchmark reports per shot against the
-// compact layout's.
+// compact layout's. It counts each A1 block as the square dense payload
+// a "model" record writes, not the packed triangle a Model holds.
 func (s *Snapshot) MemoryBytes() int {
 	n := 0
 	for i := range s.States {
@@ -176,7 +183,7 @@ func (s *Snapshot) MemoryBytes() int {
 	n += denseBytes(s.B1) + denseBytes(s.A2) + denseBytes(s.B2)
 	n += denseBytes(s.P12) + denseBytes(s.B1Prime)
 	for _, a := range s.LocalA {
-		n += denseBytes(a)
+		n += a.Rows() * a.Rows() * 8
 	}
 	n += (len(s.Pi1) + len(s.Pi2) + len(s.ScalerMin) + len(s.ScalerMax)) * 8
 	n += len(s.VideoIDs) * 8

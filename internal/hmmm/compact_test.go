@@ -79,7 +79,7 @@ func TestCompactRoundTripStructure(t *testing.T) {
 		}
 		for vi, a := range m.LocalA {
 			for i := 0; i < a.Rows(); i++ {
-				for j := 0; j < a.Cols(); j++ {
+				for j := 0; j < a.Rows(); j++ {
 					if want := float64(float32(a.At(i, j))); got.LocalA[vi].At(i, j) != want {
 						t.Fatalf("seed %d: video %d A1(%d,%d) = %v, want %v",
 							seed, vi, i, j, got.LocalA[vi].At(i, j), want)

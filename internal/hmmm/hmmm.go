@@ -61,7 +61,7 @@ type Model struct {
 	States []State
 	B1     *matrix.Dense   // N×K normalized visual/audio features (Eq. 3)
 	Pi1    []float64       // N global initial-state probabilities (Eq. 4)
-	LocalA []*matrix.Dense // per-video A1 blocks, indexed like VideoIDs
+	LocalA []*matrix.Upper // per-video A1 blocks (Eq. 1: upper-triangular), indexed like VideoIDs
 
 	// Level 2 (video level).
 	VideoIDs []videomodel.VideoID
@@ -215,7 +215,7 @@ func Build(archive *videomodel.Archive, feats map[videomodel.ShotID][]float64, o
 	mVideos := len(m.VideoIDs)
 	c := domain.NumEvents()
 	m.States = make([]State, total)
-	m.LocalA = make([]*matrix.Dense, mVideos)
+	m.LocalA = make([]*matrix.Upper, mVideos)
 	m.B2 = matrix.NewDense(mVideos, c)
 	bb1 := matrix.NewDense(total, k)
 	errs := make([]error, mVideos)
@@ -236,7 +236,7 @@ func Build(archive *videomodel.Archive, feats map[videomodel.ShotID][]float64, o
 		if len(shots) == 0 {
 			// A video with no annotated shots contributes no level-1
 			// states; its local MMM is empty.
-			m.LocalA[vi] = matrix.NewDense(0, 0)
+			m.LocalA[vi] = matrix.NewUpper(0)
 			return
 		}
 		base := m.offsets[vi]
@@ -558,9 +558,7 @@ func (m *Model) MeanA1Entropy() float64 {
 	var sum float64
 	var n int
 	for _, a := range m.LocalA {
-		for i := 0; i < a.Rows(); i++ {
-			n++
-		}
+		n += a.Rows()
 		if a.Rows() > 0 {
 			sum += mmm.MeanEntropy(a) * float64(a.Rows())
 		}

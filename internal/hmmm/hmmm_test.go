@@ -371,6 +371,33 @@ func TestTrainLeavesModelUntouched(t *testing.T) {
 	}
 }
 
+// TestTrainSharesUntouchedA1 pins Train's copy-on-write: the trained
+// model has a LocalA slice of its own whose untouched entries are the
+// parent's blocks and whose retrained ones are fresh, while Clone still
+// copies every block.
+func TestTrainSharesUntouchedA1(t *testing.T) {
+	m := buildFixture(t, BuildOptions{})
+	// States 0 and 1 are video 0's; videos 1 and 2 see no feedback.
+	next := train(t, m, []mmm.AccessPattern{{States: []int{0, 1}, Freq: 3}}, nil)
+	if &next.LocalA[0] == &m.LocalA[0] {
+		t.Fatal("trained model shares the parent's LocalA slice")
+	}
+	if next.LocalA[0] == m.LocalA[0] {
+		t.Error("retrained video 0 block is the parent's")
+	}
+	for vi := 1; vi < m.NumVideos(); vi++ {
+		if next.LocalA[vi] != m.LocalA[vi] {
+			t.Errorf("untouched video %d block was copied", vi)
+		}
+	}
+	c := m.Clone()
+	for vi := range m.LocalA {
+		if c.LocalA[vi] == m.LocalA[vi] {
+			t.Errorf("Clone shares video %d block", vi)
+		}
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	m := buildFixture(t, BuildOptions{})
 	c := m.Clone()

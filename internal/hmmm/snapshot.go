@@ -14,7 +14,7 @@ type Snapshot struct {
 	States    []State
 	B1        *matrix.Dense
 	Pi1       []float64
-	LocalA    []*matrix.Dense
+	LocalA    []*matrix.Upper
 	VideoIDs  []videomodel.VideoID
 	A2        *matrix.Dense
 	B2        *matrix.Dense

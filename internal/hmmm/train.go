@@ -37,9 +37,11 @@ func DefaultTrainOptions() TrainOptions {
 // Train returns a trained copy of the model, leaving m untouched: the
 // shot level learns from the shot patterns (global state indices) and the
 // video level from the video patterns (video indices), as offline
-// retraining from positive feedback prescribes.
+// retraining from positive feedback prescribes. The copy shares every A1
+// block training leaves alone with m — blocks are never mutated, and
+// UpdateA returns a fresh block for each video it retrains.
 func (m *Model) Train(shot, video []mmm.AccessPattern, opts TrainOptions) (*Model, error) {
-	c := m.Clone()
+	c := m.cloneSharingA1()
 	if err := c.trainShotLevel(shot, opts); err != nil {
 		return nil, err
 	}
@@ -125,10 +127,20 @@ func blendUniform(p []float64, s float64) []float64 {
 	return out
 }
 
-// Clone returns a deep copy of the model. It copies the struct first, so
-// every value field (Domain, Partial, ...) carries over without being
-// listed, then replaces each reference with a copy of its own.
+// Clone returns a deep copy of the model, A1 blocks included.
 func (m *Model) Clone() *Model {
+	c := m.cloneSharingA1()
+	for i, a := range c.LocalA {
+		c.LocalA[i] = a.Clone()
+	}
+	return c
+}
+
+// cloneSharingA1 copies the model except its A1 blocks: the LocalA
+// slice is new, its entries are m's blocks. It copies the struct first,
+// so every value field (Domain, Partial, ...) carries over without being
+// listed, then replaces each other reference with a copy of its own.
+func (m *Model) cloneSharingA1() *Model {
 	c := *m
 	c.States = append([]State(nil), m.States...)
 	for i := range c.States {
@@ -136,10 +148,7 @@ func (m *Model) Clone() *Model {
 	}
 	c.B1 = m.B1.Clone()
 	c.Pi1 = append([]float64(nil), m.Pi1...)
-	c.LocalA = make([]*matrix.Dense, len(m.LocalA))
-	for i, a := range m.LocalA {
-		c.LocalA[i] = a.Clone()
-	}
+	c.LocalA = append([]*matrix.Upper(nil), m.LocalA...)
 	c.VideoIDs = append([]videomodel.VideoID(nil), m.VideoIDs...)
 	c.A2 = m.A2.Clone()
 	c.B2 = m.B2.Clone()

@@ -57,18 +57,18 @@ type Banded struct {
 	data       []float32
 }
 
-// ToBanded compresses d by trimming each row's leading and trailing
+// ToBanded compresses u by trimming each row's leading and trailing
 // zeros. Total stored values must fit in int32 offsets (>5e8 entries
 // would overflow; per-video A1 blocks are orders of magnitude smaller).
-func ToBanded(d *Dense) *Banded {
+func ToBanded(u *Upper) *Banded {
 	b := &Banded{
-		rows:   d.rows,
-		cols:   d.cols,
-		start:  make([]int32, d.rows),
-		rowptr: make([]int32, d.rows+1),
+		rows:   u.n,
+		cols:   u.n,
+		start:  make([]int32, u.n),
+		rowptr: make([]int32, u.n+1),
 	}
-	for i := 0; i < d.rows; i++ {
-		row := d.Row(i)
+	for i := 0; i < u.n; i++ {
+		row := u.Row(i)
 		lo, hi := 0, len(row)
 		for lo < hi && row[lo] == 0 {
 			lo++
@@ -76,7 +76,7 @@ func ToBanded(d *Dense) *Banded {
 		for hi > lo && row[hi-1] == 0 {
 			hi--
 		}
-		b.start[i] = int32(lo)
+		b.start[i] = int32(i + lo)
 		for _, v := range row[lo:hi] {
 			b.data = append(b.data, float32(v))
 		}
@@ -85,17 +85,24 @@ func ToBanded(d *Dense) *Banded {
 	return b
 }
 
-// Dense expands the band back to a full float64 matrix (exact).
-func (b *Banded) Dense() *Dense {
-	d := NewDense(b.rows, b.cols)
+// Upper widens the band back to a packed float64 upper-triangular
+// matrix (exact). It fails when the band is not square or a row's band
+// starts left of the diagonal, where Upper stores nothing.
+func (b *Banded) Upper() (*Upper, error) {
+	if b.rows != b.cols {
+		return nil, fmt.Errorf("matrix: %dx%d band is not square", b.rows, b.cols)
+	}
+	u := NewUpper(b.rows)
 	for i := 0; i < b.rows; i++ {
-		row := d.Row(i)
-		vals := b.data[b.rowptr[i]:b.rowptr[i+1]]
-		for k, v := range vals {
-			row[int(b.start[i])+k] = float64(v)
+		if int(b.start[i]) < i {
+			return nil, fmt.Errorf("matrix: row %d band starts at column %d, left of the diagonal", i, b.start[i])
+		}
+		row := u.Row(i)[int(b.start[i])-i:]
+		for k, v := range b.data[b.rowptr[i]:b.rowptr[i+1]] {
+			row[k] = float64(v)
 		}
 	}
-	return d
+	return u, nil
 }
 
 // MemoryBytes returns the payload size: values plus band bookkeeping.

@@ -34,21 +34,24 @@ func TestFloat32RoundTrip(t *testing.T) {
 // TestBandedUpperTriangular covers the layout's target shape: the Eq. 1
 // temporal A1 blocks, upper-triangular with a possibly-zero diagonal.
 func TestBandedUpperTriangular(t *testing.T) {
-	d := NewDense(4, 4)
+	u := NewUpper(4)
 	for i := 0; i < 4; i++ {
 		for j := i; j < 4; j++ {
-			d.Set(i, j, float64(1+i+j)/10)
+			u.Set(i, j, float64(1+i+j)/10)
 		}
 	}
-	d.Set(0, 0, 0) // leading zero inside the triangle
-	b := ToBanded(d)
+	u.Set(0, 0, 0) // leading zero inside the triangle
+	b := ToBanded(u)
 	if b.rows != 4 || b.cols != 4 {
 		t.Fatalf("shape %dx%d, want 4x4", b.rows, b.cols)
 	}
-	back := b.Dense()
+	back, err := b.Upper()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			want := float64(float32(d.At(i, j)))
+			want := float64(float32(u.At(i, j)))
 			if back.At(i, j) != want {
 				t.Errorf("(%d,%d) = %v, want %v", i, j, back.At(i, j), want)
 			}
@@ -58,26 +61,47 @@ func TestBandedUpperTriangular(t *testing.T) {
 	if got := len(b.data); got != 9 {
 		t.Errorf("stored %d values, want 9", got)
 	}
+	if b.start[0] != 1 || b.start[3] != 3 {
+		t.Errorf("band starts %v, want row 0 at 1 and row 3 at 3", b.start)
+	}
 }
 
 func TestBandedZeroRowsAndEmpty(t *testing.T) {
-	d := NewDense(3, 5)
-	d.Set(1, 2, 0.5)
-	b := ToBanded(d)
-	back := b.Dense()
+	u := NewUpper(3)
+	u.Set(1, 2, 0.5)
+	b := ToBanded(u)
+	back, err := b.Upper()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3; i++ {
-		for j := 0; j < 5; j++ {
-			if back.At(i, j) != d.At(i, j) {
-				t.Errorf("(%d,%d) = %v, want %v", i, j, back.At(i, j), d.At(i, j))
+		for j := 0; j < 3; j++ {
+			if back.At(i, j) != u.At(i, j) {
+				t.Errorf("(%d,%d) = %v, want %v", i, j, back.At(i, j), u.At(i, j))
 			}
 		}
 	}
 	if len(b.data) != 1 {
 		t.Errorf("stored %d values, want 1", len(b.data))
 	}
-	empty := ToBanded(NewDense(0, 0))
-	if e := empty.Dense(); e.Rows() != 0 || e.Cols() != 0 {
-		t.Errorf("empty round-trip is %dx%d", e.Rows(), e.Cols())
+	e, err := ToBanded(NewUpper(0)).Upper()
+	if err != nil || e.Rows() != 0 {
+		t.Errorf("empty round-trip is %v, %v", e, err)
+	}
+}
+
+// TestBandedUpperRejects covers the bands a packed triangle cannot
+// hold: a non-square one, and one whose row starts left of the diagonal.
+func TestBandedUpperRejects(t *testing.T) {
+	cases := map[string]*Banded{
+		"not square": {rows: 1, cols: 2, start: []int32{0}, rowptr: []int32{0, 1}, data: []float32{1}},
+		"left of diagonal": {rows: 2, cols: 2, start: []int32{0, 0},
+			rowptr: []int32{0, 2, 4}, data: []float32{0.5, 0.5, 0.5, 0.5}},
+	}
+	for name, b := range cases {
+		if u, err := b.Upper(); err == nil {
+			t.Errorf("%s: widened to %v", name, u)
+		}
 	}
 }
 
@@ -98,8 +122,8 @@ func TestFloat32Gob(t *testing.T) {
 }
 
 func TestBandedGob(t *testing.T) {
-	d := mustFromRows(t, [][]float64{{0, 0.5, 0.5, 0}, {0, 0, 0, 1}})
-	b := ToBanded(d)
+	d := mustFromRows(t, [][]float64{{0, 0.5, 0.5, 0}, {0, 0, 0, 1}, {0, 0, 1, 0}, {0, 0, 0, 1}})
+	b := ToBanded(upperOf(t, d))
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(b); err != nil {
 		t.Fatal(err)
@@ -108,8 +132,11 @@ func TestBandedGob(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	back := got.Dense()
-	for i := 0; i < 2; i++ {
+	back, err := got.Upper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			if back.At(i, j) != d.At(i, j) {
 				t.Errorf("(%d,%d) = %v, want %v", i, j, back.At(i, j), d.At(i, j))

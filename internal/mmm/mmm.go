@@ -35,8 +35,9 @@ var ErrNoStates = errors.New("mmm: model has no states")
 //	A1(N,N) = 1
 //
 // States must be in temporal order and every count must be >= 1 (states are
-// annotated shots). The result is upper-triangular and row-stochastic.
-func InitTemporalA(ne []int) (*matrix.Dense, error) {
+// annotated shots). The result is row-stochastic, packed as the upper
+// triangle it is.
+func InitTemporalA(ne []int) (*matrix.Upper, error) {
 	n := len(ne)
 	if n == 0 {
 		return nil, ErrNoStates
@@ -51,7 +52,7 @@ func InitTemporalA(ne []int) (*matrix.Dense, error) {
 	for i := n - 1; i >= 0; i-- {
 		suffix[i] = suffix[i+1] + ne[i]
 	}
-	a := matrix.NewDense(n, n)
+	a := matrix.NewUpper(n)
 	for i := 0; i < n; i++ {
 		if i == n-1 {
 			a.Set(i, i, 1)
@@ -130,28 +131,27 @@ func DefaultUpdateOptions() UpdateOptions {
 }
 
 // UpdateA applies the Eq. (1)-(2) update: AF(m,n) = A(m,n) × (smoothing +
-// co-access(m,n)), then per-row normalization. prior is not modified; the
-// updated matrix is returned.
-func UpdateA(prior *matrix.Dense, patterns []AccessPattern, opts UpdateOptions) (*matrix.Dense, error) {
+// co-access(m,n)), then per-row normalization. The prior is an A1 block,
+// zero left of the diagonal, so the update only ever touches its upper
+// triangle and returns a fresh packed block; prior is not modified.
+func UpdateA(prior *matrix.Upper, patterns []AccessPattern, opts UpdateOptions) (*matrix.Upper, error) {
 	n := prior.Rows()
-	if n != prior.Cols() {
-		return nil, fmt.Errorf("mmm: prior is %dx%d, want square", n, prior.Cols())
-	}
 	co, err := CoAccess(patterns, n, opts.Temporal)
 	if err != nil {
 		return nil, err
 	}
-	out := matrix.NewDense(n, n)
+	out := matrix.NewUpper(n)
 	for i := 0; i < n; i++ {
+		p, o, c := prior.Row(i), out.Row(i), co.Row(i)[i:]
 		trained := false
-		for j := 0; j < n; j++ {
-			if co.At(i, j) > 0 && prior.At(i, j) > 0 {
+		for k, a := range p {
+			if c[k] > 0 && a > 0 {
 				trained = true
 			}
-			out.Set(i, j, prior.At(i, j)*(opts.Smoothing+co.At(i, j)))
+			o[k] = a * (opts.Smoothing + c[k])
 		}
 		if !trained && opts.KeepUntrained {
-			copy(out.Row(i), prior.Row(i))
+			copy(o, p)
 		}
 	}
 	out.NormalizeRows()
@@ -225,10 +225,12 @@ func BuildPi(patterns []AccessPattern, n int, initialOnly bool) ([]float64, erro
 }
 
 // RowEntropy returns the Shannon entropy (bits) of each row of a
-// row-stochastic matrix. Entropy is a training diagnostic: feedback
+// row-stochastic A1 block. Entropy is a training diagnostic: feedback
 // reinforcement concentrates each row's probability mass on confirmed
-// successors, so mean row entropy falls as the model learns.
-func RowEntropy(a *matrix.Dense) []float64 {
+// successors, so mean row entropy falls as the model learns. Only the
+// stored upper triangle is read: the zeros left of the diagonal add
+// nothing.
+func RowEntropy(a *matrix.Upper) []float64 {
 	out := make([]float64, a.Rows())
 	for i := range out {
 		var h float64
@@ -242,9 +244,9 @@ func RowEntropy(a *matrix.Dense) []float64 {
 	return out
 }
 
-// MeanEntropy returns the average row entropy of a row-stochastic matrix,
-// 0 for an empty matrix.
-func MeanEntropy(a *matrix.Dense) float64 {
+// MeanEntropy returns the average row entropy of a row-stochastic A1
+// block, 0 for an empty one.
+func MeanEntropy(a *matrix.Upper) float64 {
 	rows := RowEntropy(a)
 	if len(rows) == 0 {
 		return 0

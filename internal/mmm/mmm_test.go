@@ -194,12 +194,6 @@ func TestUpdateALiteralEquationZeroesUnobserved(t *testing.T) {
 	}
 }
 
-func TestUpdateARejectsNonSquare(t *testing.T) {
-	if _, err := UpdateA(matrix.NewDense(2, 3), nil, DefaultUpdateOptions()); err == nil {
-		t.Error("non-square prior accepted")
-	}
-}
-
 func TestBuildAffinityA(t *testing.T) {
 	patterns := []AccessPattern{
 		{States: []int{0, 1}, Freq: 3},
@@ -344,10 +338,11 @@ func BenchmarkUpdateA(b *testing.B) {
 }
 
 func TestRowEntropy(t *testing.T) {
-	a := dense([][]float64{
-		{0.5, 0.5},   // 1 bit
-		{1, 0},       // 0 bits
-		{0.25, 0.75}, // ~0.811 bits
+	a := upper([][]float64{
+		{0.5, 0.5, 0, 0},   // 1 bit
+		{0, 1, 0, 0},       // 0 bits
+		{0, 0, 0.25, 0.75}, // ~0.811 bits
+		{0, 0, 0, 1},       // 0 bits
 	})
 	h := RowEntropy(a)
 	if math.Abs(h[0]-1) > 1e-12 {
@@ -359,10 +354,13 @@ func TestRowEntropy(t *testing.T) {
 	if math.Abs(h[2]-0.8112781244591328) > 1e-9 {
 		t.Errorf("skewed row entropy = %v", h[2])
 	}
-	if got := MeanEntropy(a); math.Abs(got-(h[0]+h[1]+h[2])/3) > 1e-12 {
+	if h[3] != 0 {
+		t.Errorf("absorbing row entropy = %v, want 0", h[3])
+	}
+	if got := MeanEntropy(a); math.Abs(got-(h[0]+h[1]+h[2]+h[3])/4) > 1e-12 {
 		t.Errorf("mean entropy = %v", got)
 	}
-	if MeanEntropy(matrix.NewDense(0, 0)) != 0 {
+	if MeanEntropy(matrix.NewUpper(0)) != 0 {
 		t.Error("empty mean entropy != 0")
 	}
 }
@@ -379,5 +377,67 @@ func TestTrainingLowersEntropy(t *testing.T) {
 	}
 	if after := MeanEntropy(updated); after >= before {
 		t.Errorf("entropy after reinforcement = %v, want < %v", after, before)
+	}
+}
+
+// TestEquationsOneTwoLiteral works Eqs. 1-2 by hand on a 4-state video
+// with NE = [2, 1, 3, 1], so the suffix sums Σ_{k≥i} NE(s_k) are
+// [7, 5, 4, 1]. Every entry of the 4×4 result is checked, the zeros left
+// of the diagonal included.
+func TestEquationsOneTwoLiteral(t *testing.T) {
+	prior, err := InitTemporalA([]int{2, 1, 3, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Section 4.2.1.1 (1): row i divides by its suffix sum minus one,
+	// the diagonal takes NE(s_i)-1 and column j > i takes NE(s_j).
+	//   row 0: / (7-1) = 6 → [(2-1)/6, 1/6, 3/6, 1/6]
+	//   row 1: / (5-1) = 4 → [0, (1-1)/4, 3/4, 1/4]
+	//   row 2: / (4-1) = 3 → [0, 0, (3-1)/3, 1/3]
+	//   row 3: the last state → A1(N,N) = 1
+	wantPrior := [4][4]float64{
+		{1.0 / 6, 1.0 / 6, 1.0 / 2, 1.0 / 6},
+		{0, 0, 3.0 / 4, 1.0 / 4},
+		{0, 0, 2.0 / 3, 1.0 / 3},
+		{0, 0, 0, 1},
+	}
+	for i, row := range wantPrior {
+		for j, want := range row {
+			if got := prior.At(i, j); got != want {
+				t.Errorf("A1(%d,%d) = %v, want %v", i, j, got, want)
+			}
+		}
+	}
+
+	// One Eq. (1)-(2) step with the training defaults (temporal, smoothing
+	// 0.01, untrained rows kept). The patterns {0, 2}×3 and {2, 3}×1 give
+	// the co-access counts (m ≤ n only): (0,0) = 3, (0,2) = 3, (2,2) = 3+1,
+	// (2,3) = 1, (3,3) = 1, every other pair 0.
+	patterns := []AccessPattern{{States: []int{0, 2}, Freq: 3}, {States: []int{2, 3}, Freq: 1}}
+	updated, err := UpdateA(prior, patterns, DefaultUpdateOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Eq. (1): AF(m,n) = A1(m,n)·(0.01 + co(m,n)); Eq. (2) divides by the
+	// row sum.
+	//   row 0: [3.01, 0.01, 9.03, 0.01]/6, sum 12.06/6 → [301, 1, 903, 1]/1206
+	//   row 1: no co-access → untrained, the prior row stays
+	//   row 2: [0, 0, 2·4.01, 1.01]/3, sum 9.03/3 → [0, 0, 802, 101]/903
+	//   row 3: [0, 0, 0, 1·1.01] → [0, 0, 0, 1]
+	wantUpdated := [4][4]float64{
+		{301.0 / 1206, 1.0 / 1206, 903.0 / 1206, 1.0 / 1206},
+		{0, 0, 3.0 / 4, 1.0 / 4},
+		{0, 0, 802.0 / 903, 101.0 / 903},
+		{0, 0, 0, 1},
+	}
+	for i, row := range wantUpdated {
+		for j, want := range row {
+			if got := updated.At(i, j); math.Abs(got-want) > 1e-15 {
+				t.Errorf("AF(%d,%d) = %v, want %v", i, j, got, want)
+			}
+		}
+	}
+	if prior.At(0, 2) != 1.0/2 {
+		t.Error("UpdateA modified its prior")
 	}
 }

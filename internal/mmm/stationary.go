@@ -29,17 +29,14 @@ const DefaultDamping = 0.05
 var ErrNoConvergence = errors.New("mmm: stationary distribution did not converge")
 
 // Stationary computes the stationary distribution π = πA of a
-// row-stochastic transition matrix by damped power iteration. The
-// distribution ranks states by long-run visit frequency — a useful
-// archive-analysis signal (which shots does the affinity structure keep
-// returning to?) and an alternative Π initialization for a trained model.
-func Stationary(a *matrix.Dense, opts StationaryOptions) ([]float64, error) {
+// row-stochastic A1 block by damped power iteration. The distribution
+// ranks states by long-run visit frequency — a useful archive-analysis
+// signal (which shots does the affinity structure keep returning to?)
+// and an alternative Π initialization for a trained model.
+func Stationary(a *matrix.Upper, opts StationaryOptions) ([]float64, error) {
 	n := a.Rows()
 	if n == 0 {
 		return nil, ErrNoStates
-	}
-	if a.Cols() != n {
-		return nil, errors.New("mmm: transition matrix not square")
 	}
 	if !a.IsRowStochastic(1e-6) {
 		return nil, errors.New("mmm: transition matrix not row-stochastic")
@@ -70,15 +67,16 @@ func Stationary(a *matrix.Dense, opts StationaryOptions) ([]float64, error) {
 		for j := range next {
 			next[j] = 0
 		}
-		// next = pi * A (left multiplication).
+		// next = pi * A (left multiplication). Row i holds columns
+		// [i, n); the zeros left of the diagonal would add nothing.
 		for i := 0; i < n; i++ {
 			if pi[i] == 0 {
 				continue
 			}
-			row := a.Row(i)
-			for j, v := range row {
+			out := next[i:]
+			for k, v := range a.Row(i) {
 				if v != 0 {
-					next[j] += pi[i] * v
+					out[k] += pi[i] * v
 				}
 			}
 		}

@@ -11,32 +11,31 @@ import (
 )
 
 func TestStationaryTwoStateChain(t *testing.T) {
-	// P = [[0.9, 0.1], [0.5, 0.5]] has stationary [5/6, 1/6].
-	a := dense([][]float64{{0.9, 0.1}, {0.5, 0.5}})
-	pi, err := Stationary(a, StationaryOptions{Damping: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pi[0]-5.0/6) > 1e-8 || math.Abs(pi[1]-1.0/6) > 1e-8 {
-		t.Errorf("pi = %v, want [5/6 1/6]", pi)
-	}
-}
-
-func TestStationaryUniformChain(t *testing.T) {
-	a := dense([][]float64{{0.5, 0.5}, {0.5, 0.5}})
+	// P = [[0.9, 0.1], [0, 1]] drains into state 1. With damping d the
+	// fixed point has π0 = (1-d)·0.9·π0 + d/2, so π0 = (d/2)/(1-0.9(1-d)):
+	// 0.025/0.145 = 5/29 at the default d = 0.05.
+	a := upper([][]float64{{0.9, 0.1}, {0, 1}})
 	pi, err := Stationary(a, StationaryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(pi[0]-0.5) > 1e-8 {
-		t.Errorf("pi = %v, want uniform", pi)
+	if math.Abs(pi[0]-5.0/29) > 1e-8 || math.Abs(pi[1]-24.0/29) > 1e-8 {
+		t.Errorf("pi = %v, want [5/29 24/29]", pi)
+	}
+	// Undamped, the chain ends in its absorbing state.
+	pi, err = Stationary(a, StationaryOptions{Damping: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pi[0] > 1e-8 || math.Abs(pi[1]-1) > 1e-8 {
+		t.Errorf("undamped pi = %v, want [0 1]", pi)
 	}
 }
 
 func TestStationaryDampingHandlesAbsorbing(t *testing.T) {
 	// Identity chain is reducible; undamped iteration stays at the start
 	// vector, damped converges to uniform.
-	a := dense([][]float64{{1, 0}, {0, 1}})
+	a := upper([][]float64{{1, 0}, {0, 1}})
 	pi, err := Stationary(a, StationaryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -47,34 +46,22 @@ func TestStationaryDampingHandlesAbsorbing(t *testing.T) {
 }
 
 func TestStationaryErrors(t *testing.T) {
-	if _, err := Stationary(matrix.NewDense(0, 0), StationaryOptions{}); !errors.Is(err, ErrNoStates) {
+	if _, err := Stationary(matrix.NewUpper(0), StationaryOptions{}); !errors.Is(err, ErrNoStates) {
 		t.Errorf("empty err = %v", err)
 	}
-	if _, err := Stationary(matrix.NewDense(2, 3), StationaryOptions{}); err == nil {
-		t.Error("non-square accepted")
-	}
-	bad := dense([][]float64{{0.5, 0.2}, {0.5, 0.5}})
+	bad := upper([][]float64{{0.5, 0.2}, {0, 1}})
 	if _, err := Stationary(bad, StationaryOptions{}); err == nil {
 		t.Error("non-stochastic accepted")
 	}
 }
 
 func TestStationaryNoConvergence(t *testing.T) {
-	// A slowly mixing chain (second eigenvalue 0.998) cannot reach a
+	// A slowly draining chain (second eigenvalue 0.999) cannot reach a
 	// 1e-15 tolerance in three undamped iterations.
-	slow := dense([][]float64{{0.999, 0.001}, {0.002, 0.998}})
+	slow := upper([][]float64{{0.999, 0.001}, {0, 1}})
 	_, err := Stationary(slow, StationaryOptions{Damping: -1, MaxIter: 3, Tolerance: 1e-15})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Errorf("err = %v, want ErrNoConvergence", err)
-	}
-	// A 2-cycle with damping converges to uniform.
-	a := dense([][]float64{{0, 1}, {1, 0}})
-	pi, err := Stationary(a, StationaryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pi[0]-0.5) > 1e-6 {
-		t.Errorf("damped cycle pi = %v", pi)
 	}
 }
 
@@ -84,9 +71,9 @@ func TestStationaryIsDistributionProperty(t *testing.T) {
 	check := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		n := 2 + rng.Intn(10)
-		a := matrix.NewDense(n, n)
+		a := matrix.NewUpper(n)
 		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
+			for j := i; j < n; j++ {
 				a.Set(i, j, rng.Float64()+0.01)
 			}
 		}
@@ -123,13 +110,12 @@ func TestStationaryIsDistributionProperty(t *testing.T) {
 	}
 }
 
-func leftMul(pi []float64, a *matrix.Dense) ([]float64, error) {
+func leftMul(pi []float64, a *matrix.Upper) ([]float64, error) {
 	n := a.Rows()
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {
-		row := a.Row(i)
-		for j, v := range row {
-			out[j] += pi[i] * v
+		for j := 0; j < n; j++ {
+			out[j] += pi[i] * a.At(i, j)
 		}
 	}
 	return out, nil
@@ -138,9 +124,9 @@ func leftMul(pi []float64, a *matrix.Dense) ([]float64, error) {
 func BenchmarkStationary200(b *testing.B) {
 	rng := xrand.New(1)
 	const n = 200
-	a := matrix.NewDense(n, n)
+	a := matrix.NewUpper(n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
+		for j := i; j < n; j++ {
 			a.Set(i, j, rng.Float64())
 		}
 	}
@@ -153,11 +139,12 @@ func BenchmarkStationary200(b *testing.B) {
 	}
 }
 
-// dense builds a matrix from equal-length rows.
-func dense(rows [][]float64) *matrix.Dense {
-	m := matrix.NewDense(len(rows), len(rows[0]))
+// upper packs a square matrix given as full rows, zeros left of the
+// diagonal included.
+func upper(rows [][]float64) *matrix.Upper {
+	m := matrix.NewUpper(len(rows))
 	for i, r := range rows {
-		copy(m.Row(i), r)
+		copy(m.Row(i), r[i:])
 	}
 	return m
 }

@@ -149,7 +149,7 @@ func (e *Engine) fillBound(b *bounds, v int, fl *videoFlat) bool {
 	}
 	a := m.LocalA[v]
 	for si := 0; si < n; si++ {
-		row := a.Row(si)[si+1:]
+		row := a.Row(si)[1:] // A1(si, t) for t > si
 		for _, r1 := range fl.rank[fl.off[si]:fl.off[si+1]] {
 			col := fl.colMax[int(r1)*n+si+1 : int(r1+1)*n]
 			col = col[:len(row)]

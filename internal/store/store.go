@@ -18,6 +18,7 @@ import (
 	"github.com/videodb/hmmm/internal/atomicwrite"
 	"github.com/videodb/hmmm/internal/dataset"
 	"github.com/videodb/hmmm/internal/hmmm"
+	"github.com/videodb/hmmm/internal/matrix"
 	"github.com/videodb/hmmm/internal/obs"
 	"github.com/videodb/hmmm/internal/videomodel"
 )
@@ -125,7 +126,48 @@ func LoadCorpus(path string) (*dataset.Corpus, error) {
 // SaveModel writes the model to path atomically with a payload checksum,
 // in the full-precision float64 snapshot layout.
 func SaveModel(path string, m *hmmm.Model) error {
-	return saveSnapshot(nil, path, "model", m.Snapshot())
+	return saveSnapshot(nil, path, "model", modelRecord(m.Snapshot()))
+}
+
+// modelRecord is the value a "model" record gob-encodes: the snapshot
+// with each packed A1 block widened to the square matrix.Dense the
+// format has always carried. Gob names every type in the stream and
+// numbers types per process, so encoding the snapshot's own
+// []*matrix.Upper would add a type to the record; this struct, named
+// Snapshot with the same fields in the same order, keeps a record
+// byte-identical to one written before the packing. LoadModel decodes
+// straight into hmmm.Snapshot, whose matrix.Upper reads the same square
+// payload.
+func modelRecord(s *hmmm.Snapshot) any {
+	type Snapshot struct {
+		States    []hmmm.State
+		B1        *matrix.Dense
+		Pi1       []float64
+		LocalA    []*matrix.Dense
+		VideoIDs  []videomodel.VideoID
+		A2        *matrix.Dense
+		B2        *matrix.Dense
+		Pi2       []float64
+		P12       *matrix.Dense
+		B1Prime   *matrix.Dense
+		ScalerMin []float64
+		ScalerMax []float64
+		Partial   bool
+		Domain    string
+	}
+	r := &Snapshot{
+		States: s.States, B1: s.B1, Pi1: s.Pi1, LocalA: make([]*matrix.Dense, len(s.LocalA)),
+		VideoIDs: s.VideoIDs, A2: s.A2, B2: s.B2, Pi2: s.Pi2, P12: s.P12, B1Prime: s.B1Prime,
+		ScalerMin: s.ScalerMin, ScalerMax: s.ScalerMax, Partial: s.Partial, Domain: s.Domain,
+	}
+	for vi, a := range s.LocalA {
+		d := matrix.NewDense(a.Rows(), a.Rows())
+		for i := 0; i < a.Rows(); i++ {
+			copy(d.Row(i)[i:], a.Row(i))
+		}
+		r.LocalA[vi] = d
+	}
+	return r
 }
 
 // SaveModelCompact writes the model to path atomically in the compact
@@ -252,20 +294,29 @@ func ExportModelJSON(w io.Writer, m *hmmm.Model) error {
 		LocalA:      map[string][][]float64{},
 	}
 	for vi, a := range m.LocalA {
-		out.LocalA[fmt.Sprintf("video_%d", m.VideoIDs[vi])] = rows(a)
+		out.LocalA[fmt.Sprintf("video_%d", m.VideoIDs[vi])] = fullRows(a)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }
 
-func rows(d interface {
-	Rows() int
-	Row(int) []float64
-}) [][]float64 {
+func rows(d *matrix.Dense) [][]float64 {
 	out := make([][]float64, d.Rows())
 	for i := range out {
 		out[i] = append([]float64(nil), d.Row(i)...)
+	}
+	return out
+}
+
+// fullRows renders an A1 block as n-wide rows, zeros left of the
+// diagonal included, so the export keeps the square matrix shape.
+func fullRows(a *matrix.Upper) [][]float64 {
+	n := a.Rows()
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = make([]float64, n)
+		copy(out[i][i:], a.Row(i))
 	}
 	return out
 }

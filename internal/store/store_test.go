@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/videodb/hmmm/internal/atomicwrite"
 	"github.com/videodb/hmmm/internal/dataset"
 	"github.com/videodb/hmmm/internal/hmmm"
+	"github.com/videodb/hmmm/internal/matrix"
 	"github.com/videodb/hmmm/internal/mmm"
 )
 
@@ -104,6 +107,41 @@ func TestModelRoundTrip(t *testing.T) {
 	}
 }
 
+// TestModelRecordMirrorsSnapshot guards the "model" record's wire struct:
+// it must carry every hmmm.Snapshot field by name, in order and of the
+// same type, except that A1 blocks travel as square *matrix.Dense. A
+// field added to the snapshot and not to the record would be dropped by
+// every save; a renamed or reordered one would change the bytes.
+func TestModelRecordMirrorsSnapshot(t *testing.T) {
+	_, m := fixtures(t)
+	rt := reflect.TypeOf(modelRecord(m.Snapshot())).Elem()
+	st := reflect.TypeOf(hmmm.Snapshot{})
+	if rt.Name() != st.Name() || rt.NumField() != st.NumField() {
+		t.Fatalf("record is %s with %d fields, snapshot is %s with %d", rt.Name(), rt.NumField(), st.Name(), st.NumField())
+	}
+	for i := 0; i < st.NumField(); i++ {
+		rf, sf := rt.Field(i), st.Field(i)
+		want := sf.Type
+		if sf.Name == "LocalA" {
+			want = reflect.TypeOf([]*matrix.Dense(nil))
+		}
+		if rf.Name != sf.Name || rf.Type != want {
+			t.Errorf("record field %d is %s %v, want %s %v", i, rf.Name, rf.Type, sf.Name, want)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "model.gob")
+	if err := SaveModel(path, m); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModel(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded.Snapshot(), m.Snapshot()) {
+		t.Error("a save and load changed the snapshot")
+	}
+}
+
 func TestLoadWrongKind(t *testing.T) {
 	c, m := fixtures(t)
 	dir := t.TempDir()
@@ -172,6 +210,23 @@ func TestExportModelJSON(t *testing.T) {
 	}
 	if _, ok := out["local_a1"]; !ok {
 		t.Error("local_a1 missing from JSON export")
+	}
+	// A1 blocks export as full square rows, zeros left of the diagonal.
+	a1 := out["local_a1"].(map[string]any)[fmt.Sprintf("video_%d", m.VideoIDs[0])].([]any)
+	n := m.LocalA[0].Rows()
+	if len(a1) != n {
+		t.Fatalf("video 0 A1 exports %d rows, want %d", len(a1), n)
+	}
+	for i, r := range a1 {
+		row := r.([]any)
+		if len(row) != n {
+			t.Fatalf("A1 row %d exports %d columns, want %d", i, len(row), n)
+		}
+		for j, v := range row {
+			if v.(float64) != m.LocalA[0].At(i, j) {
+				t.Errorf("A1(%d,%d) exports %v, want %v", i, j, v, m.LocalA[0].At(i, j))
+			}
+		}
 	}
 }
 
