@@ -136,9 +136,10 @@ cover:
 # Brief native-fuzz runs of the parser, the durable-record decoder (all
 # five kinds: feedback log, ingest journal, model, compact model and
 # corpus snapshots), the wire codec, the ranking merge against its
-# map-keyed reference, and the /api/query codec (the canonical request
+# map-keyed reference, the /api/query codec (the canonical request
 # decoder against decodeJSON, the response appender against
-# json.Encoder); CI runs the same budget.
+# json.Encoder), and the canonical A1 block against its dense values;
+# CI runs the same budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzMATNParse -fuzztime=$(FUZZTIME) ./internal/matn/
@@ -147,6 +148,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMergeRanked -fuzztime=$(FUZZTIME) ./internal/retrieval/
 	$(GO) test -fuzz=FuzzQueryRequestDecode -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzQueryResponseAppend -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -fuzz=FuzzA1Canonical -fuzztime=$(FUZZTIME) ./internal/mmm/
 
 # Line counts of the non-test and test .go files of every package
 # directory, and their totals: the LoC figures ROADMAP and CHANGES cite.

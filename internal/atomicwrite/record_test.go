@@ -162,9 +162,9 @@ func recordKinds(tb testing.TB) []recordKind {
 	}
 }
 
-// corruptA1Records builds well-formed records whose A1 blocks no packed
-// upper triangle can hold. The model records carry a square payload
-// with a nonzero left of the diagonal and a non-square one; gob matches
+// corruptA1Records builds well-formed records whose A1 blocks are not
+// upper-triangular. The model records carry a square payload with a
+// nonzero left of the diagonal and a non-square one; gob matches
 // fields by name, so a payload of LocalA alone decodes into
 // hmmm.Snapshot, and the bad block fails that decode. The cmodel record
 // is m's compact snapshot with video 0's band starting every row at
@@ -310,8 +310,8 @@ func dump(v any) string {
 func dumpValue(b *strings.Builder, path string, v reflect.Value) {
 	if u, ok := a1Block(v); ok {
 		// An A1 block dumps in the square shape the fixtures were written
-		// from: the packed triangle is an in-memory layout, the n×n
-		// entries are the value a restart depends on.
+		// from: the Eq. 1 generator and stored rows are an in-memory
+		// layout, the n×n entries are the value a restart depends on.
 		sq := squareA1{rows: u.Rows(), cols: u.Rows(), data: make([]float64, u.Rows()*u.Rows())}
 		for i := 0; i < sq.rows; i++ {
 			for j := 0; j < sq.cols; j++ {
@@ -364,13 +364,13 @@ type squareA1 struct {
 	data       []float64
 }
 
-// a1Block reports whether v is a non-nil *matrix.Upper reached through
+// a1Block reports whether v is a non-nil *mmm.A1 reached through
 // exported fields, and returns it.
-func a1Block(v reflect.Value) (*matrix.Upper, bool) {
-	if v.Type() != reflect.TypeOf((*matrix.Upper)(nil)) || v.IsNil() || !v.CanInterface() {
+func a1Block(v reflect.Value) (*mmm.A1, bool) {
+	if v.Type() != reflect.TypeOf((*mmm.A1)(nil)) || v.IsNil() || !v.CanInterface() {
 		return nil, false
 	}
-	return v.Interface().(*matrix.Upper), true
+	return v.Interface().(*mmm.A1), true
 }
 
 // scalar formats a boolean, number or string value.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/videodb/hmmm/internal/matrix"
+	"github.com/videodb/hmmm/internal/mmm"
 	"github.com/videodb/hmmm/internal/videomodel"
 )
 
@@ -96,7 +97,8 @@ func (m *Model) CompactSnapshot() *CompactSnapshot {
 		}
 	}
 	for vi, a := range m.LocalA {
-		cs.LocalA[vi] = matrix.ToBanded(a)
+		buf := make([]float64, a.Rows())
+		cs.LocalA[vi] = matrix.ToBanded(a.Rows(), func(i int) []float64 { return a.Row(i, buf) })
 	}
 	return cs
 }
@@ -126,7 +128,7 @@ func FromCompactSnapshot(cs *CompactSnapshot) (*Model, error) {
 		States:    make([]State, n),
 		B1:        cs.B1.Dense(),
 		Pi1:       cs.Pi1,
-		LocalA:    make([]*matrix.Upper, len(cs.LocalA)),
+		LocalA:    make([]*mmm.A1, len(cs.LocalA)),
 		VideoIDs:  cs.VideoIDs,
 		A2:        cs.A2.Dense(),
 		B2:        cs.B2.Dense(),
@@ -162,11 +164,13 @@ func FromCompactSnapshot(cs *CompactSnapshot) (*Model, error) {
 		return nil, fmt.Errorf("hmmm: compact snapshot counts %d states, arrays hold %d", gi, n)
 	}
 	for vi, a := range cs.LocalA {
-		u, err := a.Upper()
+		rows, err := a.UpperRows()
+		if err == nil {
+			s.LocalA[vi], err = mmm.FromRows(rows)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("hmmm: compact snapshot video %d A1: %w", vi, err)
 		}
-		s.LocalA[vi] = u
 	}
 	return FromSnapshot(s)
 }
@@ -174,7 +178,8 @@ func FromCompactSnapshot(cs *CompactSnapshot) (*Model, error) {
 // MemoryBytes estimates the size of the snapshot's persisted numeric
 // payload: the figure the scale benchmark reports per shot against the
 // compact layout's. It counts each A1 block as the square dense payload
-// a "model" record writes, not the packed triangle a Model holds.
+// a "model" record writes, not the Eq. 1 generator and rewritten rows a
+// Model holds: it is the persisted size, not the resident one.
 func (s *Snapshot) MemoryBytes() int {
 	n := 0
 	for i := range s.States {

@@ -59,9 +59,9 @@ type Model struct {
 	// and in temporal order within each video; the global order is video
 	// order then time.
 	States []State
-	B1     *matrix.Dense   // N×K normalized visual/audio features (Eq. 3)
-	Pi1    []float64       // N global initial-state probabilities (Eq. 4)
-	LocalA []*matrix.Upper // per-video A1 blocks (Eq. 1: upper-triangular), indexed like VideoIDs
+	B1     *matrix.Dense // N×K normalized visual/audio features (Eq. 3)
+	Pi1    []float64     // N global initial-state probabilities (Eq. 4)
+	LocalA []*mmm.A1     // per-video A1 blocks (Eq. 1 generator plus rewritten rows), indexed like VideoIDs
 
 	// Level 2 (video level).
 	VideoIDs []videomodel.VideoID
@@ -215,7 +215,7 @@ func Build(archive *videomodel.Archive, feats map[videomodel.ShotID][]float64, o
 	mVideos := len(m.VideoIDs)
 	c := domain.NumEvents()
 	m.States = make([]State, total)
-	m.LocalA = make([]*matrix.Upper, mVideos)
+	m.LocalA = make([]*mmm.A1, mVideos)
 	m.B2 = matrix.NewDense(mVideos, c)
 	bb1 := matrix.NewDense(total, k)
 	errs := make([]error, mVideos)
@@ -236,7 +236,7 @@ func Build(archive *videomodel.Archive, feats map[videomodel.ShotID][]float64, o
 		if len(shots) == 0 {
 			// A video with no annotated shots contributes no level-1
 			// states; its local MMM is empty.
-			m.LocalA[vi] = matrix.NewUpper(0)
+			m.LocalA[vi] = new(mmm.A1)
 			return
 		}
 		base := m.offsets[vi]

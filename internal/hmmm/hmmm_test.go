@@ -1,6 +1,8 @@
 package hmmm
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"reflect"
 	"testing"
@@ -398,6 +400,70 @@ func TestTrainSharesUntouchedA1(t *testing.T) {
 	}
 }
 
+// TestTrainSharesWhatItDoesNotWrite pins the rest of Train's sharing:
+// the states, B1, B2, P12 and B1' are the parent's, while Π1, A2 and Π2
+// — which training replaces — are new.
+func TestTrainSharesWhatItDoesNotWrite(t *testing.T) {
+	m := buildFixture(t, BuildOptions{})
+	next := train(t, m, []mmm.AccessPattern{{States: []int{0, 1}, Freq: 3}},
+		[]mmm.AccessPattern{{States: []int{0, 1}, Freq: 1}})
+	if &next.States[0] != &m.States[0] || &next.States[0].Events[0] != &m.States[0].Events[0] {
+		t.Error("trained model copied the states")
+	}
+	for name, same := range map[string]bool{
+		"B1": next.B1 == m.B1, "B2": next.B2 == m.B2, "P12": next.P12 == m.P12, "B1'": next.B1Prime == m.B1Prime,
+	} {
+		if !same {
+			t.Errorf("trained model copied %s", name)
+		}
+	}
+	if &next.Pi1[0] == &m.Pi1[0] || next.A2 == m.A2 || &next.Pi2[0] == &m.Pi2[0] {
+		t.Error("trained model shares a retrained Π1, A2 or Π2 with its parent")
+	}
+}
+
+// TestFromSnapshotRegeneratesA1 checks a decoded model holds its A1
+// blocks as built ones are held: a gob round trip of a built or trained
+// snapshot gives reflect.DeepEqual blocks (the Eq. 1 generator plus the
+// rows feedback rewrote), and a compact round trip stores exactly the
+// rows whose float32 values are not Eq. 1's.
+func TestFromSnapshotRegeneratesA1(t *testing.T) {
+	m := buildFixture(t, BuildOptions{})
+	trained := train(t, m, []mmm.AccessPattern{{States: []int{0, 2}, Freq: 3}}, nil)
+	for name, want := range map[string]*Model{"built": m, "trained": trained} {
+		var s Snapshot
+		if err := gob.NewDecoder(bytes.NewReader(snapshotBytes(t, want))).Decode(&s); err != nil {
+			t.Fatal(err)
+		}
+		got, err := FromSnapshot(&s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.LocalA, want.LocalA) {
+			t.Errorf("%s: decoded blocks %+v, want %+v", name, got.LocalA, want.LocalA)
+		}
+	}
+	if trained.LocalA[0].Explicit(0) == nil || trained.LocalA[1].Explicit(0) != nil {
+		t.Error("the fixture's retrain does not rewrite exactly video 0's rows")
+	}
+	got, err := FromCompactSnapshot(m.CompactSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for vi, a := range m.LocalA {
+		buf := make([]float64, a.Rows())
+		for i := 0; i < a.Rows(); i++ {
+			exact := true
+			for _, v := range a.Row(i, buf) {
+				exact = exact && float64(float32(v)) == v
+			}
+			if stored := got.LocalA[vi].Explicit(i) != nil; stored == exact {
+				t.Errorf("video %d row %d: stored = %v with float32-exact values = %v", vi, i, stored, exact)
+			}
+		}
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	m := buildFixture(t, BuildOptions{})
 	c := m.Clone()
@@ -405,9 +471,8 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatalf("clone invalid: %v", err)
 	}
 	c.P12.Set(0, 0, 0.99)
-	c.LocalA[0].Set(0, 1, 0.5)
 	c.States[0].Events[0] = videomodel.EventFoul
-	if m.P12.At(0, 0) == 0.99 || m.LocalA[0].At(0, 1) == 0.5 || m.States[0].Events[0] == videomodel.EventFoul {
+	if m.P12.At(0, 0) == 0.99 || m.States[0].Events[0] == videomodel.EventFoul {
 		t.Error("clone shares storage with the original")
 	}
 }

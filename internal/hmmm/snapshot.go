@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/videodb/hmmm/internal/matrix"
+	"github.com/videodb/hmmm/internal/mmm"
 	"github.com/videodb/hmmm/internal/videomodel"
 )
 
@@ -14,7 +15,7 @@ type Snapshot struct {
 	States    []State
 	B1        *matrix.Dense
 	Pi1       []float64
-	LocalA    []*matrix.Upper
+	LocalA    []*mmm.A1
 	VideoIDs  []videomodel.VideoID
 	A2        *matrix.Dense
 	B2        *matrix.Dense
@@ -64,7 +65,7 @@ func FromSnapshot(s *Snapshot) (*Model, error) {
 		States:   s.States,
 		B1:       s.B1,
 		Pi1:      s.Pi1,
-		LocalA:   s.LocalA,
+		LocalA:   make([]*mmm.A1, len(s.LocalA)),
 		VideoIDs: s.VideoIDs,
 		A2:       s.A2,
 		B2:       s.B2,
@@ -86,6 +87,21 @@ func FromSnapshot(s *Snapshot) (*Model, error) {
 	}
 	if cursor != len(m.States) {
 		return nil, fmt.Errorf("hmmm: snapshot states not grouped by video (%d of %d consumed)", cursor, len(m.States))
+	}
+	// A decoded A1 block stores every row; over its video's annotation
+	// counts it keeps only the rows feedback rewrote. A block that
+	// already has a generator is kept, so a shard still aliases its
+	// parent's blocks.
+	for vi, a := range s.LocalA {
+		var ne []int
+		if vi < len(m.offsets) {
+			lo, hi := m.VideoStates(vi)
+			ne = make([]int, hi-lo)
+			for li := range ne {
+				ne[li] = len(m.States[lo+li].Events)
+			}
+		}
+		m.LocalA[vi] = a.Canonical(ne)
 	}
 	if err := m.Validate(1e-6); err != nil {
 		return nil, fmt.Errorf("hmmm: snapshot invalid: %w", err)

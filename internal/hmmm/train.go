@@ -2,8 +2,8 @@ package hmmm
 
 import (
 	"fmt"
+	"slices"
 
-	"github.com/videodb/hmmm/internal/matrix"
 	"github.com/videodb/hmmm/internal/mmm"
 	"github.com/videodb/hmmm/internal/videomodel"
 )
@@ -37,18 +37,21 @@ func DefaultTrainOptions() TrainOptions {
 // Train returns a trained copy of the model, leaving m untouched: the
 // shot level learns from the shot patterns (global state indices) and the
 // video level from the video patterns (video indices), as offline
-// retraining from positive feedback prescribes. The copy shares every A1
-// block training leaves alone with m — blocks are never mutated, and
-// UpdateA returns a fresh block for each video it retrains.
+// retraining from positive feedback prescribes. The copy shares with m
+// everything training does not write — the states, B1, B2, P12, B1′, the
+// scaler and every A1 block it leaves alone — since a model is never
+// mutated; it gets a LocalA slice of its own, UpdateA returns a fresh
+// block for each video it retrains, and Π1, A2 and Π2 are replaced.
 func (m *Model) Train(shot, video []mmm.AccessPattern, opts TrainOptions) (*Model, error) {
-	c := m.cloneSharingA1()
+	c := *m
+	c.LocalA = slices.Clone(m.LocalA)
 	if err := c.trainShotLevel(shot, opts); err != nil {
 		return nil, err
 	}
 	if err := c.trainVideoLevel(video, opts); err != nil {
 		return nil, fmt.Errorf("hmmm: video level: %w", err)
 	}
-	return c, nil
+	return &c, nil
 }
 
 // trainShotLevel reinforces each video's local A1 per Eqs. (1)-(2) using
@@ -127,20 +130,11 @@ func blendUniform(p []float64, s float64) []float64 {
 	return out
 }
 
-// Clone returns a deep copy of the model, A1 blocks included.
+// Clone returns a deep copy of the model, A1 blocks included. It copies
+// the struct first, so every value field (Domain, Partial, ...) carries
+// over without being listed, then replaces each reference with a copy of
+// its own.
 func (m *Model) Clone() *Model {
-	c := m.cloneSharingA1()
-	for i, a := range c.LocalA {
-		c.LocalA[i] = a.Clone()
-	}
-	return c
-}
-
-// cloneSharingA1 copies the model except its A1 blocks: the LocalA
-// slice is new, its entries are m's blocks. It copies the struct first,
-// so every value field (Domain, Partial, ...) carries over without being
-// listed, then replaces each other reference with a copy of its own.
-func (m *Model) cloneSharingA1() *Model {
 	c := *m
 	c.States = append([]State(nil), m.States...)
 	for i := range c.States {
@@ -148,7 +142,10 @@ func (m *Model) cloneSharingA1() *Model {
 	}
 	c.B1 = m.B1.Clone()
 	c.Pi1 = append([]float64(nil), m.Pi1...)
-	c.LocalA = append([]*matrix.Upper(nil), m.LocalA...)
+	c.LocalA = make([]*mmm.A1, len(m.LocalA))
+	for i, a := range m.LocalA {
+		c.LocalA[i] = a.Clone()
+	}
 	c.VideoIDs = append([]videomodel.VideoID(nil), m.VideoIDs...)
 	c.A2 = m.A2.Clone()
 	c.B2 = m.B2.Clone()

@@ -57,27 +57,29 @@ type Banded struct {
 	data       []float32
 }
 
-// ToBanded compresses u by trimming each row's leading and trailing
-// zeros. Total stored values must fit in int32 offsets (>5e8 entries
-// would overflow; per-video A1 blocks are orders of magnitude smaller).
-func ToBanded(u *Upper) *Banded {
+// ToBanded compresses an n×n upper-triangular matrix, read row by row
+// (row(i) returns columns [i, n) of row i), by trimming each row's
+// leading and trailing zeros. Total stored values must fit in int32
+// offsets (>5e8 entries would overflow; per-video A1 blocks are orders
+// of magnitude smaller).
+func ToBanded(n int, row func(i int) []float64) *Banded {
 	b := &Banded{
-		rows:   u.n,
-		cols:   u.n,
-		start:  make([]int32, u.n),
-		rowptr: make([]int32, u.n+1),
+		rows:   n,
+		cols:   n,
+		start:  make([]int32, n),
+		rowptr: make([]int32, n+1),
 	}
-	for i := 0; i < u.n; i++ {
-		row := u.Row(i)
-		lo, hi := 0, len(row)
-		for lo < hi && row[lo] == 0 {
+	for i := 0; i < n; i++ {
+		r := row(i)
+		lo, hi := 0, len(r)
+		for lo < hi && r[lo] == 0 {
 			lo++
 		}
-		for hi > lo && row[hi-1] == 0 {
+		for hi > lo && r[hi-1] == 0 {
 			hi--
 		}
 		b.start[i] = int32(i + lo)
-		for _, v := range row[lo:hi] {
+		for _, v := range r[lo:hi] {
 			b.data = append(b.data, float32(v))
 		}
 		b.rowptr[i+1] = int32(len(b.data))
@@ -85,24 +87,30 @@ func ToBanded(u *Upper) *Banded {
 	return b
 }
 
-// Upper widens the band back to a packed float64 upper-triangular
-// matrix (exact). It fails when the band is not square or a row's band
-// starts left of the diagonal, where Upper stores nothing.
-func (b *Banded) Upper() (*Upper, error) {
+// UpperRows widens the band back to an upper-triangular matrix (exact):
+// rows[i] holds columns [i, n) of row i, all rows in one backing array.
+// It fails when the band is not square or a row's band starts left of
+// the diagonal, where an upper-triangular matrix holds nothing.
+func (b *Banded) UpperRows() ([][]float64, error) {
 	if b.rows != b.cols {
 		return nil, fmt.Errorf("matrix: %dx%d band is not square", b.rows, b.cols)
 	}
-	u := NewUpper(b.rows)
-	for i := 0; i < b.rows; i++ {
+	n := b.rows
+	data := make([]float64, n*(n+1)/2)
+	rows := make([][]float64, n)
+	o := 0
+	for i := range rows {
 		if int(b.start[i]) < i {
 			return nil, fmt.Errorf("matrix: row %d band starts at column %d, left of the diagonal", i, b.start[i])
 		}
-		row := u.Row(i)[int(b.start[i])-i:]
+		rows[i] = data[o : o+n-i : o+n-i]
+		o += n - i
+		row := rows[i][int(b.start[i])-i:]
 		for k, v := range b.data[b.rowptr[i]:b.rowptr[i+1]] {
 			row[k] = float64(v)
 		}
 	}
-	return u, nil
+	return rows, nil
 }
 
 // MemoryBytes returns the payload size: values plus band bookkeeping.

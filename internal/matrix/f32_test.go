@@ -31,24 +31,56 @@ func TestFloat32RoundTrip(t *testing.T) {
 	}
 }
 
+// upperRow reads the upper triangle of a square d row by row, as
+// ToBanded takes it, failing the test if d holds a nonzero left of the
+// diagonal.
+func upperRow(t *testing.T, d *Dense) func(i int) []float64 {
+	t.Helper()
+	if d.Rows() != d.Cols() {
+		t.Fatalf("%dx%d matrix is not square", d.Rows(), d.Cols())
+	}
+	for i := 0; i < d.Rows(); i++ {
+		for j := 0; j < i; j++ {
+			if d.At(i, j) != 0 {
+				t.Fatalf("(%d,%d) = %v left of the diagonal", i, j, d.At(i, j))
+			}
+		}
+	}
+	return func(i int) []float64 { return d.Row(i)[i:] }
+}
+
+// widen returns the square matrix a band's UpperRows describe.
+func widen(t *testing.T, b *Banded) *Dense {
+	t.Helper()
+	rows, err := b.UpperRows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDense(len(rows), len(rows))
+	for i, r := range rows {
+		if len(r) != len(rows)-i || cap(r) != len(r) {
+			t.Fatalf("row %d has len %d cap %d, want %d", i, len(r), cap(r), len(rows)-i)
+		}
+		copy(d.Row(i)[i:], r)
+	}
+	return d
+}
+
 // TestBandedUpperTriangular covers the layout's target shape: the Eq. 1
 // temporal A1 blocks, upper-triangular with a possibly-zero diagonal.
 func TestBandedUpperTriangular(t *testing.T) {
-	u := NewUpper(4)
+	u := NewDense(4, 4)
 	for i := 0; i < 4; i++ {
 		for j := i; j < 4; j++ {
 			u.Set(i, j, float64(1+i+j)/10)
 		}
 	}
 	u.Set(0, 0, 0) // leading zero inside the triangle
-	b := ToBanded(u)
+	b := ToBanded(4, upperRow(t, u))
 	if b.rows != 4 || b.cols != 4 {
 		t.Fatalf("shape %dx%d, want 4x4", b.rows, b.cols)
 	}
-	back, err := b.Upper()
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := widen(t, b)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			want := float64(float32(u.At(i, j)))
@@ -67,13 +99,10 @@ func TestBandedUpperTriangular(t *testing.T) {
 }
 
 func TestBandedZeroRowsAndEmpty(t *testing.T) {
-	u := NewUpper(3)
+	u := NewDense(3, 3)
 	u.Set(1, 2, 0.5)
-	b := ToBanded(u)
-	back, err := b.Upper()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := ToBanded(3, upperRow(t, u))
+	back := widen(t, b)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if back.At(i, j) != u.At(i, j) {
@@ -84,14 +113,15 @@ func TestBandedZeroRowsAndEmpty(t *testing.T) {
 	if len(b.data) != 1 {
 		t.Errorf("stored %d values, want 1", len(b.data))
 	}
-	e, err := ToBanded(NewUpper(0)).Upper()
-	if err != nil || e.Rows() != 0 {
+	e, err := ToBanded(0, nil).UpperRows()
+	if err != nil || len(e) != 0 {
 		t.Errorf("empty round-trip is %v, %v", e, err)
 	}
 }
 
-// TestBandedUpperRejects covers the bands a packed triangle cannot
-// hold: a non-square one, and one whose row starts left of the diagonal.
+// TestBandedUpperRejects covers the bands no upper-triangular matrix
+// holds: a non-square one, and one whose row starts left of the
+// diagonal.
 func TestBandedUpperRejects(t *testing.T) {
 	cases := map[string]*Banded{
 		"not square": {rows: 1, cols: 2, start: []int32{0}, rowptr: []int32{0, 1}, data: []float32{1}},
@@ -99,8 +129,8 @@ func TestBandedUpperRejects(t *testing.T) {
 			rowptr: []int32{0, 2, 4}, data: []float32{0.5, 0.5, 0.5, 0.5}},
 	}
 	for name, b := range cases {
-		if u, err := b.Upper(); err == nil {
-			t.Errorf("%s: widened to %v", name, u)
+		if rows, err := b.UpperRows(); err == nil {
+			t.Errorf("%s: widened to %v", name, rows)
 		}
 	}
 }
@@ -123,7 +153,7 @@ func TestFloat32Gob(t *testing.T) {
 
 func TestBandedGob(t *testing.T) {
 	d := mustFromRows(t, [][]float64{{0, 0.5, 0.5, 0}, {0, 0, 0, 1}, {0, 0, 1, 0}, {0, 0, 0, 1}})
-	b := ToBanded(upperOf(t, d))
+	b := ToBanded(4, upperRow(t, d))
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(b); err != nil {
 		t.Fatal(err)
@@ -132,10 +162,7 @@ func TestBandedGob(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	back, err := got.Upper()
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := widen(t, &got)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			if back.At(i, j) != d.At(i, j) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 )
 
 // densePayload is the wire form of a Dense matrix.
@@ -26,7 +27,7 @@ func (m *Dense) GobDecode(b []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p); err != nil {
 		return err
 	}
-	if p.Rows < 0 || p.Cols < 0 || len(p.Data) != p.Rows*p.Cols {
+	if p.Rows < 0 || p.Cols < 0 || p.Cols > 0 && p.Rows > math.MaxInt/p.Cols || len(p.Data) != p.Rows*p.Cols {
 		return fmt.Errorf("matrix: corrupt payload: %dx%d with %d values", p.Rows, p.Cols, len(p.Data))
 	}
 	m.rows, m.cols, m.data = p.Rows, p.Cols, p.Data

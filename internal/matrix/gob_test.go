@@ -33,6 +33,8 @@ func TestDenseGobRejectsCorrupt(t *testing.T) {
 		"short data":    {Rows: 2, Cols: 2, Data: []float64{1, 2, 3}},
 		"long data":     {Rows: 1, Cols: 1, Data: []float64{1, 2}},
 		"negative rows": {Rows: -1, Cols: -2, Data: []float64{1, 2}},
+		// 2^32 × 2^32 wraps to 0 values in int arithmetic.
+		"overflowing": {Rows: 1 << 32, Cols: 1 << 32},
 	}
 	for name, p := range cases {
 		var inner bytes.Buffer

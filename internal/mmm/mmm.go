@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/videodb/hmmm/internal/matrix"
 )
@@ -35,9 +36,10 @@ var ErrNoStates = errors.New("mmm: model has no states")
 //	A1(N,N) = 1
 //
 // States must be in temporal order and every count must be >= 1 (states are
-// annotated shots). The result is row-stochastic, packed as the upper
-// triangle it is.
-func InitTemporalA(ne []int) (*matrix.Upper, error) {
+// annotated shots). The result is row-stochastic and stores no row: it
+// keeps the numerators and denominators, and gen and genDiag compute each
+// entry from them on read.
+func InitTemporalA(ne []int) (*A1, error) {
 	n := len(ne)
 	if n == 0 {
 		return nil, ErrNoStates
@@ -47,24 +49,25 @@ func InitTemporalA(ne []int) (*matrix.Upper, error) {
 			return nil, fmt.Errorf("mmm: state %d has annotation count %d, want >= 1", i, c)
 		}
 	}
-	// Suffix sums of NE.
-	suffix := make([]int, n+1)
+	a := &A1{n: n, num: make([]float64, n), den: make([]float64, n)}
+	suffix := 0
 	for i := n - 1; i >= 0; i-- {
-		suffix[i] = suffix[i+1] + ne[i]
-	}
-	a := matrix.NewUpper(n)
-	for i := 0; i < n; i++ {
-		if i == n-1 {
-			a.Set(i, i, 1)
-			continue
-		}
-		denom := float64(suffix[i] - 1)
-		a.Set(i, i, float64(ne[i]-1)/denom)
-		for j := i + 1; j < n; j++ {
-			a.Set(i, j, float64(ne[j])/denom)
-		}
+		suffix += ne[i]
+		a.num[i] = float64(ne[i])
+		a.den[i] = float64(suffix - 1)
 	}
 	return a, nil
+}
+
+// gen is Eq. 1's A1(i, j) for i < j.
+func (a *A1) gen(i, j int) float64 { return a.num[j] / a.den[i] }
+
+// genDiag is Eq. 1's A1(i, i).
+func (a *A1) genDiag(i int) float64 {
+	if i == a.n-1 {
+		return 1
+	}
+	return (a.num[i] - 1) / a.den[i]
 }
 
 // AccessPattern is one recorded user access: the ordered state indices the
@@ -74,35 +77,19 @@ type AccessPattern struct {
 	Freq   int   // access frequency; patterns with Freq <= 0 are ignored
 }
 
-// CoAccess computes the Σ_k use(m,k)·use(n,k)·access(k) term shared by
-// Eq. (1) and Eq. (5) over n states. With temporal true, only pairs with
-// m <= n contribute (the Eq. (1) constraint T_{s_m} <= T_{s_n}; state
-// indices are temporal order at the shot level). Out-of-range state
-// indices in a pattern are reported as an error.
-func CoAccess(patterns []AccessPattern, n int, temporal bool) (*matrix.Dense, error) {
+// CoAccess computes the Σ_k use(m,k)·use(n,k)·access(k) term of Eq. (5)
+// over n states. Out-of-range state indices in a pattern are reported as
+// an error.
+func CoAccess(patterns []AccessPattern, n int) (*matrix.Dense, error) {
 	co := matrix.NewDense(n, n)
 	for pi, p := range patterns {
-		if p.Freq <= 0 {
-			continue
-		}
-		// De-duplicate: use(m,k) is an indicator, not a count.
-		seen := make(map[int]bool, len(p.States))
-		for _, s := range p.States {
-			if s < 0 || s >= n {
-				return nil, fmt.Errorf("mmm: pattern %d references state %d, model has %d states", pi, s, n)
-			}
-			seen[s] = true
-		}
-		states := make([]int, 0, len(seen))
-		for s := range seen {
-			states = append(states, s)
+		states, err := usedStates(p, pi, n)
+		if err != nil {
+			return nil, err
 		}
 		f := float64(p.Freq)
 		for _, m := range states {
 			for _, nn := range states {
-				if temporal && m > nn {
-					continue
-				}
 				co.Add(m, nn, f)
 			}
 		}
@@ -110,10 +97,25 @@ func CoAccess(patterns []AccessPattern, n int, temporal bool) (*matrix.Dense, er
 	return co, nil
 }
 
+// usedStates returns the distinct states pattern pi uses, ascending —
+// use(m,k) is an indicator, not a count — or none when its frequency is
+// not positive.
+func usedStates(p AccessPattern, pi, n int) ([]int, error) {
+	if p.Freq <= 0 {
+		return nil, nil
+	}
+	for _, s := range p.States {
+		if s < 0 || s >= n {
+			return nil, fmt.Errorf("mmm: pattern %d references state %d, model has %d states", pi, s, n)
+		}
+	}
+	states := slices.Clone(p.States)
+	slices.Sort(states)
+	return slices.Compact(states), nil
+}
+
 // UpdateOptions tunes the feedback-driven affinity update.
 type UpdateOptions struct {
-	// Temporal restricts reinforcement to pairs with m <= n (shot level).
-	Temporal bool
 	// Smoothing is added to every co-access count before multiplying by
 	// the prior, so states never co-accessed retain a sliver of their
 	// prior probability instead of collapsing to zero. Zero smoothing is
@@ -125,24 +127,45 @@ type UpdateOptions struct {
 }
 
 // DefaultUpdateOptions returns the options the retrieval system trains
-// with: temporal, lightly smoothed, untrained rows preserved.
+// with: lightly smoothed, untrained rows preserved.
 func DefaultUpdateOptions() UpdateOptions {
-	return UpdateOptions{Temporal: true, Smoothing: 0.01, KeepUntrained: true}
+	return UpdateOptions{Smoothing: 0.01, KeepUntrained: true}
 }
 
 // UpdateA applies the Eq. (1)-(2) update: AF(m,n) = A(m,n) × (smoothing +
-// co-access(m,n)), then per-row normalization. The prior is an A1 block,
-// zero left of the diagonal, so the update only ever touches its upper
-// triangle and returns a fresh packed block; prior is not modified.
-func UpdateA(prior *matrix.Upper, patterns []AccessPattern, opts UpdateOptions) (*matrix.Upper, error) {
+// co-access(m,n)), then per-row normalization. The prior is zero left of
+// the diagonal, so only the co-access of pairs m ≤ n (T_{s_m} ≤ T_{s_n})
+// counts, and it is summed row by row over the patterns using each
+// state. The result shares the prior's generator and stores the rows
+// whose normalized values differ from it; prior is not modified.
+func UpdateA(prior *A1, patterns []AccessPattern, opts UpdateOptions) (*A1, error) {
 	n := prior.Rows()
-	co, err := CoAccess(patterns, n, opts.Temporal)
-	if err != nil {
-		return nil, err
+	// uses[m] lists, per pattern using state m, its frequency and the
+	// states it uses from m on.
+	type use struct {
+		f     float64
+		after []int
 	}
-	out := matrix.NewUpper(n)
-	for i := 0; i < n; i++ {
-		p, o, c := prior.Row(i), out.Row(i), co.Row(i)[i:]
+	uses := make([][]use, n)
+	for pi, p := range patterns {
+		states, err := usedStates(p, pi, n)
+		if err != nil {
+			return nil, err
+		}
+		for k, m := range states {
+			uses[m] = append(uses[m], use{float64(p.Freq), states[k:]})
+		}
+	}
+	co, buf := make([]float64, n), make([]float64, n)
+	gen := &A1{n: n, num: prior.num, den: prior.den}
+	return gen.rewrite(func(i int, o []float64) []float64 {
+		p, c := prior.Row(i, buf), co[:n-i]
+		clear(c)
+		for _, u := range uses[i] {
+			for _, s := range u.after {
+				c[s-i] += u.f
+			}
+		}
 		trained := false
 		for k, a := range p {
 			if c[k] > 0 && a > 0 {
@@ -153,9 +176,17 @@ func UpdateA(prior *matrix.Upper, patterns []AccessPattern, opts UpdateOptions) 
 		if !trained && opts.KeepUntrained {
 			copy(o, p)
 		}
-	}
-	out.NormalizeRows()
-	return out, nil
+		var sum float64
+		for _, v := range o {
+			sum += v
+		}
+		if sum != 0 {
+			for k := range o {
+				o[k] /= sum
+			}
+		}
+		return o
+	}), nil
 }
 
 // BuildAffinityA builds the video-level A2 from scratch per Eqs. (5)-(6):
@@ -165,7 +196,7 @@ func BuildAffinityA(patterns []AccessPattern, n int) (*matrix.Dense, error) {
 	if n == 0 {
 		return nil, ErrNoStates
 	}
-	co, err := CoAccess(patterns, n, false)
+	co, err := CoAccess(patterns, n)
 	if err != nil {
 		return nil, err
 	}
@@ -230,11 +261,12 @@ func BuildPi(patterns []AccessPattern, n int, initialOnly bool) ([]float64, erro
 // successors, so mean row entropy falls as the model learns. Only the
 // stored upper triangle is read: the zeros left of the diagonal add
 // nothing.
-func RowEntropy(a *matrix.Upper) []float64 {
+func RowEntropy(a *A1) []float64 {
 	out := make([]float64, a.Rows())
+	buf := make([]float64, a.Rows())
 	for i := range out {
 		var h float64
-		for _, p := range a.Row(i) {
+		for _, p := range a.Row(i, buf) {
 			if p > 0 {
 				h -= p * math.Log2(p)
 			}
@@ -246,7 +278,7 @@ func RowEntropy(a *matrix.Upper) []float64 {
 
 // MeanEntropy returns the average row entropy of a row-stochastic A1
 // block, 0 for an empty one.
-func MeanEntropy(a *matrix.Upper) float64 {
+func MeanEntropy(a *A1) float64 {
 	rows := RowEntropy(a)
 	if len(rows) == 0 {
 		return 0

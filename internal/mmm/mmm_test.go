@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/videodb/hmmm/internal/matrix"
 	"github.com/videodb/hmmm/internal/xrand"
 )
 
@@ -81,29 +80,30 @@ func TestInitTemporalASingleState(t *testing.T) {
 	}
 }
 
-func TestCoAccessTemporal(t *testing.T) {
+// TestCoAccessIgnoresPatternOrder: use(m,k) asks only whether pattern k
+// uses a state, so a pattern and its reverse count alike.
+func TestCoAccessIgnoresPatternOrder(t *testing.T) {
 	patterns := []AccessPattern{
 		{States: []int{0, 2}, Freq: 3},
-		{States: []int{2, 0}, Freq: 1}, // same set; temporal uses indices not order
+		{States: []int{2, 0}, Freq: 1},
 	}
-	co, err := CoAccess(patterns, 3, true)
+	co, err := CoAccess(patterns, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := co.At(0, 2); got != 4 {
-		t.Errorf("co(0,2) = %v, want 4", got)
+	for _, c := range [][2]int{{0, 2}, {2, 0}, {0, 0}, {2, 2}} {
+		if got := co.At(c[0], c[1]); got != 4 {
+			t.Errorf("co(%d,%d) = %v, want 4", c[0], c[1], got)
+		}
 	}
-	if got := co.At(2, 0); got != 0 {
-		t.Errorf("temporal co(2,0) = %v, want 0", got)
-	}
-	if got := co.At(0, 0); got != 4 {
-		t.Errorf("co(0,0) = %v, want 4", got)
+	if got := co.At(1, 1); got != 0 {
+		t.Errorf("co(1,1) = %v, want 0", got)
 	}
 }
 
 func TestCoAccessNonTemporalSymmetric(t *testing.T) {
 	patterns := []AccessPattern{{States: []int{1, 2}, Freq: 2}}
-	co, err := CoAccess(patterns, 3, false)
+	co, err := CoAccess(patterns, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestCoAccessDeduplicatesStates(t *testing.T) {
 	// use(m,k) is an indicator: repeating a state in one pattern must not
 	// double-count.
 	patterns := []AccessPattern{{States: []int{1, 1, 1}, Freq: 5}}
-	co, err := CoAccess(patterns, 2, false)
+	co, err := CoAccess(patterns, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCoAccessDeduplicatesStates(t *testing.T) {
 
 func TestCoAccessIgnoresNonPositiveFreq(t *testing.T) {
 	patterns := []AccessPattern{{States: []int{0}, Freq: 0}, {States: []int{0}, Freq: -2}}
-	co, err := CoAccess(patterns, 1, false)
+	co, err := CoAccess(patterns, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestCoAccessIgnoresNonPositiveFreq(t *testing.T) {
 }
 
 func TestCoAccessRejectsOutOfRange(t *testing.T) {
-	if _, err := CoAccess([]AccessPattern{{States: []int{5}, Freq: 1}}, 3, false); err == nil {
+	if _, err := CoAccess([]AccessPattern{{States: []int{5}, Freq: 1}}, 3); err == nil {
 		t.Error("out-of-range state accepted")
 	}
 }
@@ -182,7 +182,7 @@ func TestUpdateAKeepUntrainedRows(t *testing.T) {
 func TestUpdateALiteralEquationZeroesUnobserved(t *testing.T) {
 	prior, _ := InitTemporalA([]int{1, 1, 1})
 	patterns := []AccessPattern{{States: []int{0, 1}, Freq: 5}}
-	updated, err := UpdateA(prior, patterns, UpdateOptions{Temporal: true})
+	updated, err := UpdateA(prior, patterns, UpdateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestRowEntropy(t *testing.T) {
 	if got := MeanEntropy(a); math.Abs(got-(h[0]+h[1]+h[2]+h[3])/4) > 1e-12 {
 		t.Errorf("mean entropy = %v", got)
 	}
-	if MeanEntropy(matrix.NewUpper(0)) != 0 {
+	if MeanEntropy(new(A1)) != 0 {
 		t.Error("empty mean entropy != 0")
 	}
 }
@@ -409,8 +409,8 @@ func TestEquationsOneTwoLiteral(t *testing.T) {
 		}
 	}
 
-	// One Eq. (1)-(2) step with the training defaults (temporal, smoothing
-	// 0.01, untrained rows kept). The patterns {0, 2}×3 and {2, 3}×1 give
+	// One Eq. (1)-(2) step with the training defaults (smoothing 0.01,
+	// untrained rows kept). The patterns {0, 2}×3 and {2, 3}×1 give
 	// the co-access counts (m ≤ n only): (0,0) = 3, (0,2) = 3, (2,2) = 3+1,
 	// (2,3) = 1, (3,3) = 1, every other pair 0.
 	patterns := []AccessPattern{{States: []int{0, 2}, Freq: 3}, {States: []int{2, 3}, Freq: 1}}
@@ -439,5 +439,77 @@ func TestEquationsOneTwoLiteral(t *testing.T) {
 	}
 	if prior.At(0, 2) != 1.0/2 {
 		t.Error("UpdateA modified its prior")
+	}
+}
+
+// TestEquationsFourToSixLiteral works Eqs. 4-6 by hand at the video
+// level of a 3-video archive. The access patterns (video indices, access
+// frequency) are
+//
+//	k=1: {0, 1}    ×3
+//	k=2: {1, 0, 1} ×1  (use(m,k) is an indicator: video 1 counts once)
+//	k=3: {1}       ×4
+//	k=4: {2}       ×0  (no access: ignored)
+//	k=5: {}        ×5  (uses no video: ignored)
+//
+// so video 2 is never used.
+func TestEquationsFourToSixLiteral(t *testing.T) {
+	patterns := []AccessPattern{
+		{States: []int{0, 1}, Freq: 3},
+		{States: []int{1, 0, 1}, Freq: 1},
+		{States: []int{1}, Freq: 4},
+		{States: []int{2}, Freq: 0},
+		{Freq: 5},
+	}
+	// Eq. (5): AF(m,n) = Σ_k use(m,k)·use(n,k)·access(k).
+	//   k=1 adds 3 and k=2 adds 1 to (0,0), (0,1), (1,0), (1,1);
+	//   k=3 adds 4 to (1,1).
+	//   row 0: [4, 4, 0]; row 1: [4, 8, 0]; row 2: [0, 0, 0]
+	// Eq. (6): A2(m,n) = AF(m,n) / Σ_n AF(m,n); a row with no
+	// observations becomes uniform so A2 stays row-stochastic.
+	//   row 0: [4, 4, 0]/8 = [1/2, 1/2, 0]
+	//   row 1: [4, 8, 0]/12 = [1/3, 2/3, 0]
+	//   row 2: [1/3, 1/3, 1/3]
+	a2, err := BuildAffinityA(patterns, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantA2 := [3][3]float64{
+		{0.5, 0.5, 0},
+		{1.0 / 3, 2.0 / 3, 0},
+		{1.0 / 3, 1.0 / 3, 1.0 / 3},
+	}
+	for m, row := range wantA2 {
+		for n, want := range row {
+			if got := a2.At(m, n); got != want {
+				t.Errorf("A2(%d,%d) = %v, want %v", m, n, got, want)
+			}
+		}
+	}
+
+	// Eq. (4): Π(m) = Σ_k use(m,k)·access(k) / Σ_m Σ_k use(m,k)·access(k).
+	cases := []struct {
+		initialOnly bool
+		want        [3]float64
+	}{
+		// First-of-pattern occurrences only (the Section 4.2.1.3 text):
+		// video 0 starts k=1 (3), video 1 starts k=2 and k=3 (1+4 = 5);
+		// total 8 → [3/8, 5/8, 0].
+		{true, [3]float64{0.375, 0.625, 0}},
+		// Every usage (the literal formula): video 0 in k=1, k=2
+		// (3+1 = 4), video 1 in k=1, k=2, k=3 (3+1+4 = 8); total 12 →
+		// [1/3, 2/3, 0].
+		{false, [3]float64{1.0 / 3, 2.0 / 3, 0}},
+	}
+	for _, c := range cases {
+		pi, err := BuildPi(patterns, 3, c.initialOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m, want := range c.want {
+			if pi[m] != want {
+				t.Errorf("initialOnly %v: Π(%d) = %v, want %v", c.initialOnly, m, pi[m], want)
+			}
+		}
 	}
 }

@@ -3,8 +3,6 @@ package mmm
 import (
 	"errors"
 	"math"
-
-	"github.com/videodb/hmmm/internal/matrix"
 )
 
 // StationaryOptions tunes the power iteration.
@@ -33,7 +31,7 @@ var ErrNoConvergence = errors.New("mmm: stationary distribution did not converge
 // ranks states by long-run visit frequency — a useful archive-analysis
 // signal (which shots does the affinity structure keep returning to?)
 // and an alternative Π initialization for a trained model.
-func Stationary(a *matrix.Upper, opts StationaryOptions) ([]float64, error) {
+func Stationary(a *A1, opts StationaryOptions) ([]float64, error) {
 	n := a.Rows()
 	if n == 0 {
 		return nil, ErrNoStates
@@ -61,7 +59,7 @@ func Stationary(a *matrix.Upper, opts StationaryOptions) ([]float64, error) {
 	for i := range pi {
 		pi[i] = 1 / float64(n)
 	}
-	next := make([]float64, n)
+	next, row := make([]float64, n), make([]float64, n)
 	uniform := 1 / float64(n)
 	for iter := 0; iter < maxIter; iter++ {
 		for j := range next {
@@ -74,7 +72,7 @@ func Stationary(a *matrix.Upper, opts StationaryOptions) ([]float64, error) {
 				continue
 			}
 			out := next[i:]
-			for k, v := range a.Row(i) {
+			for k, v := range a.Row(i, row) {
 				if v != 0 {
 					out[k] += pi[i] * v
 				}

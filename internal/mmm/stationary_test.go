@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/videodb/hmmm/internal/matrix"
 	"github.com/videodb/hmmm/internal/xrand"
 )
 
@@ -46,7 +45,7 @@ func TestStationaryDampingHandlesAbsorbing(t *testing.T) {
 }
 
 func TestStationaryErrors(t *testing.T) {
-	if _, err := Stationary(matrix.NewUpper(0), StationaryOptions{}); !errors.Is(err, ErrNoStates) {
+	if _, err := Stationary(new(A1), StationaryOptions{}); !errors.Is(err, ErrNoStates) {
 		t.Errorf("empty err = %v", err)
 	}
 	bad := upper([][]float64{{0.5, 0.2}, {0, 1}})
@@ -71,13 +70,7 @@ func TestStationaryIsDistributionProperty(t *testing.T) {
 	check := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		n := 2 + rng.Intn(10)
-		a := matrix.NewUpper(n)
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				a.Set(i, j, rng.Float64()+0.01)
-			}
-		}
-		a.NormalizeRows()
+		a := randomStochastic(rng, n, 0.01)
 		pi, err := Stationary(a, StationaryOptions{})
 		if err != nil {
 			return false
@@ -110,7 +103,7 @@ func TestStationaryIsDistributionProperty(t *testing.T) {
 	}
 }
 
-func leftMul(pi []float64, a *matrix.Upper) ([]float64, error) {
+func leftMul(pi []float64, a *A1) ([]float64, error) {
 	n := a.Rows()
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -124,13 +117,7 @@ func leftMul(pi []float64, a *matrix.Upper) ([]float64, error) {
 func BenchmarkStationary200(b *testing.B) {
 	rng := xrand.New(1)
 	const n = 200
-	a := matrix.NewUpper(n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			a.Set(i, j, rng.Float64())
-		}
-	}
-	a.NormalizeRows()
+	a := randomStochastic(rng, n, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Stationary(a, StationaryOptions{}); err != nil {
@@ -139,12 +126,34 @@ func BenchmarkStationary200(b *testing.B) {
 	}
 }
 
-// upper packs a square matrix given as full rows, zeros left of the
-// diagonal included.
-func upper(rows [][]float64) *matrix.Upper {
-	m := matrix.NewUpper(len(rows))
+// upper returns the block of a square matrix given as full rows, zeros
+// left of the diagonal included, every row stored.
+func upper(rows [][]float64) *A1 {
+	stored := make([][]float64, len(rows))
 	for i, r := range rows {
-		copy(m.Row(i), r[i:])
+		stored[i] = r[i:]
 	}
-	return m
+	a, err := FromRows(stored)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// randomStochastic returns an n×n block of random upper-triangular rows,
+// each entry drawn from [floor, 1+floor) and every row normalized.
+func randomStochastic(rng *xrand.RNG, n int, floor float64) *A1 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, n)
+		var sum float64
+		for j := i; j < n; j++ {
+			rows[i][j] = rng.Float64() + floor
+			sum += rows[i][j]
+		}
+		for j := i; j < n; j++ {
+			rows[i][j] /= sum
+		}
+	}
+	return upper(rows)
 }

@@ -101,22 +101,23 @@ func (e *Engine) buildBounds() *bounds {
 
 // videoFlat is one video's states flattened for the table fill: local
 // state li's annotations are rank[off[li]:off[li+1]] with their sims
-// beside them, so the pair pass reads no hmmm.State. colMax and blk are
-// the fill's scratch.
+// beside them, so the pair pass reads no hmmm.State. colMax, last and
+// blk are the fill's scratch.
 type videoFlat struct {
 	off    []int32
 	rank   []uint8
 	sim    []float64
 	colMax []float64
+	last   []int32
 	blk    []float64
 }
 
 // fillBound computes video v's block, reporting false on a negative or
 // NaN Π1 or sim value.
 //
-// The pair pass reads the A1 upper triangle once, row by row, keeping
-// colMax[r1·n + t] = max A1(s, t) over s < t carrying the rank-r1
-// concept. Since sim ≥ 0, pair[r1][r2] = max over t carrying r2 of
+// The pair pass keeps colMax[r1·n + t] = max A1(s, t) over s < t
+// carrying the rank-r1 concept: O(n·p) for the rows Eq. 1 generates,
+// one read of each value for the rows feedback rewrote. Since sim ≥ 0, pair[r1][r2] = max over t carrying r2 of
 // colMax[r1·n + t]·sim(t, r2); rounding is monotone, so that is the same
 // float64 as the maximum over every (s, t) pair of the rounded product.
 func (e *Engine) fillBound(b *bounds, v int, fl *videoFlat) bool {
@@ -148,8 +149,33 @@ func (e *Engine) fillBound(b *bounds, v int, fl *videoFlat) bool {
 		fl.off = append(fl.off, int32(len(fl.rank)))
 	}
 	a := m.LocalA[v]
+	// Generated rows: in each column t, Eq. 1's entries rise with the row
+	// (mmm.A1), so the largest over generated rows s < t carrying r1 is
+	// the one in the last such row, last[r1].
+	last := slices.Grow(fl.last[:0], p)[:p]
+	for r1 := range last {
+		last[r1] = -1
+	}
+	for t := 0; t < n; t++ {
+		for r1, s := range last {
+			if s >= 0 {
+				fl.colMax[r1*n+t] = a.Next(int(s), t)
+			}
+		}
+		if a.Explicit(t) == nil {
+			for _, r1 := range fl.rank[fl.off[t]:fl.off[t+1]] {
+				last[r1] = int32(t)
+			}
+		}
+	}
+	fl.last = last
+	// Stored rows, value by value.
 	for si := 0; si < n; si++ {
-		row := a.Row(si)[1:] // A1(si, t) for t > si
+		row := a.Explicit(si)
+		if row == nil {
+			continue
+		}
+		row = row[1:] // A1(si, t) for t > si
 		for _, r1 := range fl.rank[fl.off[si]:fl.off[si+1]] {
 			col := fl.colMax[int(r1)*n+si+1 : int(r1+1)*n]
 			col = col[:len(row)]

@@ -235,12 +235,12 @@ func (e *Engine) lattice(vi, j0 int, entry []int32, ctx *searchCtx) []int32 {
 			st := ctx.steps[j]
 			next = next[:0]
 			ar.epoch++
+			a := e.m.LocalA[vi]
 			for _, ci := range cur {
 				c := ar.cells[ci] // copy: pushes below may grow the slab
-				// One bounds-checked row fetch per cell; per-edge A1
-				// lookups index the row directly. The packed row starts
-				// at c's own column, and every candidate lies after c.
-				aRow := e.m.LocalA[vi].Row(int(c.state) - lo)
+				from := int(c.state) - lo
+				// Every candidate lies after c, so each edge reads A1
+				// right of the diagonal.
 				for _, s := range e.stepCandidates(ar, vi, int(c.state), st, ctx.scope) {
 					if ctx.tick() {
 						save()
@@ -248,7 +248,7 @@ func (e *Engine) lattice(vi, j0 int, entry []int32, ctx *searchCtx) []int32 {
 					}
 					cost.EdgeEvals++
 					li := int(s) - lo
-					w := c.w * aRow[s-c.state] * e.simCounted(int(s), st, cost)
+					w := c.w * a.Next(from, li) * e.simCounted(int(s), st, cost)
 					if ar.relaxEpoch[li] == ar.epoch {
 						// Viterbi relaxation: keep the best path per state.
 						old := &ar.cells[next[ar.relaxSlot[li]]]

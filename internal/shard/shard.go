@@ -29,6 +29,7 @@ import (
 
 	"github.com/videodb/hmmm/internal/hmmm"
 	"github.com/videodb/hmmm/internal/matrix"
+	"github.com/videodb/hmmm/internal/mmm"
 )
 
 // Shard is one by-video partition of a parent model.
@@ -124,7 +125,7 @@ func build(m *hmmm.Model, videos []int) (*Shard, error) {
 		States:  make([]hmmm.State, 0, n),
 		B1:      matrix.NewDense(n, m.K()),
 		Pi1:     make([]float64, 0, n),
-		LocalA:  make([]*matrix.Upper, 0, len(videos)),
+		LocalA:  make([]*mmm.A1, 0, len(videos)),
 		A2:      matrix.NewDense(len(videos), len(videos)),
 		B2:      matrix.NewDense(len(videos), m.NumConcepts()),
 		Pi2:     make([]float64, 0, len(videos)),

@@ -19,6 +19,7 @@ import (
 	"github.com/videodb/hmmm/internal/dataset"
 	"github.com/videodb/hmmm/internal/hmmm"
 	"github.com/videodb/hmmm/internal/matrix"
+	"github.com/videodb/hmmm/internal/mmm"
 	"github.com/videodb/hmmm/internal/obs"
 	"github.com/videodb/hmmm/internal/videomodel"
 )
@@ -130,14 +131,13 @@ func SaveModel(path string, m *hmmm.Model) error {
 }
 
 // modelRecord is the value a "model" record gob-encodes: the snapshot
-// with each packed A1 block widened to the square matrix.Dense the
-// format has always carried. Gob names every type in the stream and
-// numbers types per process, so encoding the snapshot's own
-// []*matrix.Upper would add a type to the record; this struct, named
-// Snapshot with the same fields in the same order, keeps a record
-// byte-identical to one written before the packing. LoadModel decodes
-// straight into hmmm.Snapshot, whose matrix.Upper reads the same square
-// payload.
+// with each A1 block widened to the square matrix.Dense the format has
+// always carried. Gob names every type in the stream and numbers types
+// per process, so encoding the snapshot's own []*mmm.A1 would add a type
+// to the record; this struct, named Snapshot with the same fields in the
+// same order, keeps a record byte-identical to one written before A1
+// blocks had a type of their own. LoadModel decodes straight into
+// hmmm.Snapshot, whose mmm.A1 reads the same square payload.
 func modelRecord(s *hmmm.Snapshot) any {
 	type Snapshot struct {
 		States    []hmmm.State
@@ -163,7 +163,7 @@ func modelRecord(s *hmmm.Snapshot) any {
 	for vi, a := range s.LocalA {
 		d := matrix.NewDense(a.Rows(), a.Rows())
 		for i := 0; i < a.Rows(); i++ {
-			copy(d.Row(i)[i:], a.Row(i))
+			a.Row(i, d.Row(i)[i:])
 		}
 		r.LocalA[vi] = d
 	}
@@ -311,12 +311,12 @@ func rows(d *matrix.Dense) [][]float64 {
 
 // fullRows renders an A1 block as n-wide rows, zeros left of the
 // diagonal included, so the export keeps the square matrix shape.
-func fullRows(a *matrix.Upper) [][]float64 {
+func fullRows(a *mmm.A1) [][]float64 {
 	n := a.Rows()
 	out := make([][]float64, n)
 	for i := range out {
 		out[i] = make([]float64, n)
-		copy(out[i][i:], a.Row(i))
+		a.Row(i, out[i][i:])
 	}
 	return out
 }
