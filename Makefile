@@ -138,8 +138,8 @@ cover:
 # corpus snapshots), the wire codec, the ranking merge against its
 # map-keyed reference, the /api/query codec (the canonical request
 # decoder against decodeJSON, the response appender against
-# json.Encoder), and the canonical A1 block against its dense values;
-# CI runs the same budget.
+# json.Encoder), and the canonical A1 block and A2 against their dense
+# values; CI runs the same budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzMATNParse -fuzztime=$(FUZZTIME) ./internal/matn/
@@ -149,6 +149,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzQueryRequestDecode -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzQueryResponseAppend -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzA1Canonical -fuzztime=$(FUZZTIME) ./internal/mmm/
+	$(GO) test -fuzz=FuzzA2Canonical -fuzztime=$(FUZZTIME) ./internal/mmm/
 
 # Line counts of the non-test and test .go files of every package
 # directory, and their totals: the LoC figures ROADMAP and CHANGES cite.

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -86,7 +87,7 @@ func recordKinds(tb testing.TB) []recordKind {
 		return load(read)
 	}
 	loadModel := func(p string) (any, error) { return store.LoadModel(p) }
-	badModels, badCModels := corruptA1Records(tb, m)
+	badModels, badCModels := corruptBlockRecords(tb, m)
 
 	return []recordKind{
 		{
@@ -162,14 +163,18 @@ func recordKinds(tb testing.TB) []recordKind {
 	}
 }
 
-// corruptA1Records builds well-formed records whose A1 blocks are not
-// upper-triangular. The model records carry a square payload with a
-// nonzero left of the diagonal and a non-square one; gob matches
-// fields by name, so a payload of LocalA alone decodes into
-// hmmm.Snapshot, and the bad block fails that decode. The cmodel record
-// is m's compact snapshot with video 0's band starting every row at
-// column 0.
-func corruptA1Records(tb testing.TB, m *hmmm.Model) (model, cmodel [][]byte) {
+// corruptBlockRecords builds well-formed records whose A1 blocks are
+// not upper-triangular or whose A2 is not square or holds a NaN. The
+// model records carry an A1 payload with a nonzero left of the diagonal
+// and a non-square A1 payload — gob matches fields by name, so a payload
+// of LocalA alone decodes into hmmm.Snapshot, and the bad block fails
+// that decode — and m's snapshot with a 3×4 A2. The cmodel records are
+// m's compact snapshot with video 0's band starting every row at column
+// 0, with a 3×2 A2 and with no A2 at all. The non-square A2 rows sum
+// to 1, so a loader that took A2's shape on trust would accept them.
+// Each kind also gets m with a NaN in A2's row 0, written by its own
+// writer, which only validation refuses.
+func corruptBlockRecords(tb testing.TB, m *hmmm.Model) (model, cmodel [][]byte) {
 	tb.Helper()
 	record := func(kind string, payload any) []byte {
 		var buf bytes.Buffer
@@ -185,6 +190,42 @@ func corruptA1Records(tb testing.TB, m *hmmm.Model) (model, cmodel [][]byte) {
 	for _, a := range []*matrix.Dense{lower, matrix.NewDense(2, 3)} {
 		model = append(model, record("model", struct{ LocalA []*matrix.Dense }{[]*matrix.Dense{a}}))
 	}
+	// m's snapshot with a row-stochastic but 3×4 A2.
+	wide := matrix.NewDense(m.NumVideos(), m.NumVideos()+1)
+	wide.Fill(1 / float64(m.NumVideos()+1))
+	type Snapshot struct {
+		States               []hmmm.State
+		B1                   *matrix.Dense
+		Pi1                  []float64
+		LocalA               []*mmm.A1
+		VideoIDs             []videomodel.VideoID
+		A2, B2               *matrix.Dense
+		Pi2                  []float64
+		P12, B1Prime         *matrix.Dense
+		ScalerMin, ScalerMax []float64
+		Domain               string
+	}
+	s := m.Snapshot()
+	model = append(model, record("model", Snapshot{
+		s.States, s.B1, s.Pi1, s.LocalA, s.VideoIDs, wide, s.B2, s.Pi2, s.P12, s.B1Prime, s.ScalerMin, s.ScalerMax, s.Domain,
+	}))
+	nan := *m
+	d := m.A2.Dense()
+	d.Set(0, 0, math.NaN())
+	nan.A2, _ = mmm.A2FromDense(d) // square by construction
+	written := filepath.Join(tb.TempDir(), "nan")
+	saved := func(save func(string, *hmmm.Model) error) []byte {
+		if err := save(written, &nan); err != nil {
+			tb.Fatal(err)
+		}
+		data, err := os.ReadFile(written)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return data
+	}
+	model = append(model, saved(store.SaveModel))
+	cmodel = append(cmodel, saved(store.SaveModelCompact))
 
 	cs := m.CompactSnapshot()
 	n := int(cs.StateCounts[0])
@@ -207,6 +248,22 @@ func corruptA1Records(tb testing.TB, m *hmmm.Model) (model, cmodel [][]byte) {
 	if err := cs.LocalA[0].GobDecode(enc.Bytes()); err != nil {
 		tb.Fatal(err)
 	}
+	cmodel = append(cmodel, record("cmodel", cs))
+
+	cs = m.CompactSnapshot()
+	enc.Reset()
+	if err := gob.NewEncoder(&enc).Encode(struct {
+		Rows, Cols int
+		Data       []float32
+	}{Rows: 3, Cols: 2, Data: []float32{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}}); err != nil {
+		tb.Fatal(err)
+	}
+	cs.A2 = new(matrix.Float32)
+	if err := cs.A2.GobDecode(enc.Bytes()); err != nil {
+		tb.Fatal(err)
+	}
+	cmodel = append(cmodel, record("cmodel", cs))
+	cs.A2 = nil // gob leaves the field out
 	cmodel = append(cmodel, record("cmodel", cs))
 	return model, cmodel
 }
@@ -308,11 +365,12 @@ func dump(v any) string {
 }
 
 func dumpValue(b *strings.Builder, path string, v reflect.Value) {
-	if u, ok := a1Block(v); ok {
-		// An A1 block dumps in the square shape the fixtures were written
-		// from: the Eq. 1 generator and stored rows are an in-memory
-		// layout, the n×n entries are the value a restart depends on.
-		sq := squareA1{rows: u.Rows(), cols: u.Rows(), data: make([]float64, u.Rows()*u.Rows())}
+	if u, ok := squareBlock(v); ok {
+		// An A1 block or A2 dumps in the square shape the fixtures were
+		// written from: the Eq. 1 generator, the uniform A2 row and the
+		// stored rows are an in-memory layout, the n×n entries are the
+		// value a restart depends on.
+		sq := square{rows: u.Rows(), cols: u.Rows(), data: make([]float64, u.Rows()*u.Rows())}
 		for i := 0; i < sq.rows; i++ {
 			for j := 0; j < sq.cols; j++ {
 				sq.data[i*sq.cols+j] = u.At(i, j)
@@ -358,19 +416,30 @@ func dumpValue(b *strings.Builder, path string, v reflect.Value) {
 	}
 }
 
-// squareA1 is an A1 block in the field layout matrix.Dense dumps with.
-type squareA1 struct {
+// square is an A1 block or A2 in the field layout matrix.Dense dumps
+// with.
+type square struct {
 	rows, cols int
 	data       []float64
 }
 
-// a1Block reports whether v is a non-nil *mmm.A1 reached through
-// exported fields, and returns it.
-func a1Block(v reflect.Value) (*mmm.A1, bool) {
-	if v.Type() != reflect.TypeOf((*mmm.A1)(nil)) || v.IsNil() || !v.CanInterface() {
-		return nil, false
+// block is what *mmm.A1 and *mmm.A2 share: a square matrix read by
+// entry.
+type block interface {
+	Rows() int
+	At(i, j int) float64
+}
+
+// squareBlock reports whether v is a non-nil *mmm.A1 or *mmm.A2 reached
+// through exported fields, and returns it.
+func squareBlock(v reflect.Value) (block, bool) {
+	switch v.Type() {
+	case reflect.TypeOf((*mmm.A1)(nil)), reflect.TypeOf((*mmm.A2)(nil)):
+		if !v.IsNil() && v.CanInterface() {
+			return v.Interface().(block), true
+		}
 	}
-	return v.Interface().(*mmm.A1), true
+	return nil, false
 }
 
 // scalar formats a boolean, number or string value.

@@ -21,19 +21,20 @@ import (
 //     annotation bitmask in ascending concept order (the model's
 //     semantics never depend on annotation order, only membership).
 //   - B1, B1', A2, B2 quantize to float32 (B2 holds small integer counts,
-//     exact in float32). The per-video A1 blocks, packed upper triangles
-//     in memory, additionally trim each row to its non-zero band.
+//     exact in float32); A2 travels square. The per-video A1 blocks, upper
+//     triangular, additionally trim each row to its non-zero band.
 //   - Π1, Π2, P1,2, and the scaler bounds stay float64: they are small
 //     (O(N) + O(M) + O(C·K) values) and P1,2 feeds the Eq. 14 weight
 //     vectors that differential tests pin bitwise.
 //
 // Compact is a storage/transport layout, not a serving layout: decoding
 // widens everything back to the float64 Model the engines consume — the
-// A1 bands straight into packed upper triangles.
-// Round-tripping a model through CompactSnapshot therefore perturbs
-// retrieval scores only by the float32 rounding of B1/B1'/A1/A2 — the
-// property test in compact_test.go pins the tolerance — while the state
-// sequences retrieved stay identical in practice.
+// A1 bands into upper-triangular rows, A2 into its most common uniform
+// row plus the rows that differ (mmm.A2FromDense). Round-tripping a
+// model through CompactSnapshot therefore perturbs retrieval scores only
+// by the float32 rounding of B1/B1'/A1/A2 — the property test in
+// compact_test.go pins the tolerance — while the state sequences
+// retrieved stay identical in practice.
 type CompactSnapshot struct {
 	VideoIDs []videomodel.VideoID
 	// StateCounts[v] is the number of states (annotated shots) of video
@@ -75,7 +76,7 @@ func (m *Model) CompactSnapshot() *CompactSnapshot {
 		B1:          matrix.ToFloat32(m.B1),
 		Pi1:         m.Pi1,
 		LocalA:      make([]*matrix.Banded, len(m.LocalA)),
-		A2:          matrix.ToFloat32(m.A2),
+		A2:          matrix.ToFloat32(m.A2.Dense()),
 		B2:          matrix.ToFloat32(m.B2),
 		Pi2:         m.Pi2,
 		P12:         m.P12,
@@ -124,13 +125,16 @@ func FromCompactSnapshot(cs *CompactSnapshot) (*Model, error) {
 		return nil, fmt.Errorf("hmmm: compact snapshot has %d A1 blocks for %d videos",
 			len(cs.LocalA), len(cs.VideoIDs))
 	}
+	// A record that leaves a matrix out decodes it as nil.
+	if cs.B1 == nil || cs.A2 == nil || cs.B2 == nil || cs.B1Prime == nil {
+		return nil, errors.New("hmmm: compact snapshot lacks B1, A2, B2 or B1'")
+	}
 	s := &Snapshot{
 		States:    make([]State, n),
 		B1:        cs.B1.Dense(),
 		Pi1:       cs.Pi1,
 		LocalA:    make([]*mmm.A1, len(cs.LocalA)),
 		VideoIDs:  cs.VideoIDs,
-		A2:        cs.A2.Dense(),
 		B2:        cs.B2.Dense(),
 		Pi2:       cs.Pi2,
 		P12:       cs.P12,
@@ -163,6 +167,11 @@ func FromCompactSnapshot(cs *CompactSnapshot) (*Model, error) {
 	if gi != n {
 		return nil, fmt.Errorf("hmmm: compact snapshot counts %d states, arrays hold %d", gi, n)
 	}
+	a2, err := mmm.A2FromDense(cs.A2.Dense())
+	if err != nil {
+		return nil, fmt.Errorf("hmmm: compact snapshot A2: %w", err)
+	}
+	s.A2 = a2
 	for vi, a := range cs.LocalA {
 		rows, err := a.UpperRows()
 		if err == nil {
@@ -177,15 +186,16 @@ func FromCompactSnapshot(cs *CompactSnapshot) (*Model, error) {
 
 // MemoryBytes estimates the size of the snapshot's persisted numeric
 // payload: the figure the scale benchmark reports per shot against the
-// compact layout's. It counts each A1 block as the square dense payload
-// a "model" record writes, not the Eq. 1 generator and rewritten rows a
-// Model holds: it is the persisted size, not the resident one.
+// compact layout's. It counts each A1 block and A2 as the square dense
+// payload a "model" record writes, not the Eq. 1 generator, the uniform
+// A2 row and the stored rows a Model holds: it is the persisted size,
+// not the resident one.
 func (s *Snapshot) MemoryBytes() int {
 	n := 0
 	for i := range s.States {
 		n += 8 + 8 + 8 + 8 + len(s.States[i].Events)*8 // Shot, VideoIdx, LocalIdx, StartMS, Events
 	}
-	n += denseBytes(s.B1) + denseBytes(s.A2) + denseBytes(s.B2)
+	n += denseBytes(s.B1) + s.A2.Rows()*s.A2.Rows()*8 + denseBytes(s.B2)
 	n += denseBytes(s.P12) + denseBytes(s.B1Prime)
 	for _, a := range s.LocalA {
 		n += a.Rows() * a.Rows() * 8

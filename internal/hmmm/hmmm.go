@@ -65,7 +65,7 @@ type Model struct {
 
 	// Level 2 (video level).
 	VideoIDs []videomodel.VideoID
-	A2       *matrix.Dense // M×M relative affinity (Eqs. 5-6)
+	A2       *mmm.A2       // M×M relative affinity (Eqs. 5-6): the uniform row plus the rows feedback observed
 	B2       *matrix.Dense // M×C event counts (integers, unnormalized)
 	Pi2      []float64     // M initial probabilities
 
@@ -272,8 +272,10 @@ func Build(archive *videomodel.Archive, feats map[videomodel.ShotID][]float64, o
 		return nil, err
 	}
 
-	// B1: global Eq. 3 min-max normalization across all states.
-	m.B1 = m.Scaler.FitTransform(bb1)
+	// B1: global Eq. 3 min-max normalization across all states, in
+	// place over the raw rows.
+	m.Scaler.FitTransform(bb1)
+	m.B1 = bb1
 
 	// Π1: uniform before any training data exists (Eq. 4 with an empty
 	// training set); feedback training reshapes it.
@@ -452,7 +454,7 @@ func (m *Model) Validate(tol float64) error {
 	for i := 0; i < m.B1.Rows(); i++ {
 		for j := 0; j < m.B1.Cols(); j++ {
 			v := m.B1.At(i, j)
-			if v < -tol || v > 1+tol {
+			if !(v >= -tol && v <= 1+tol) {
 				return fmt.Errorf("hmmm: B1(%d,%d) = %v outside [0,1]", i, j, v)
 			}
 		}
@@ -478,15 +480,15 @@ func (m *Model) checkDistribution(p []float64, tol float64) error {
 	return distribution(p, tol)
 }
 
+// distribution and subDistribution write their tests so that NaN fails
+// them: a NaN entry is not non-negative, and a NaN sum is not within
+// tol of anything.
 func distribution(p []float64, tol float64) error {
-	var sum float64
-	for i, v := range p {
-		if v < 0 {
-			return fmt.Errorf("entry %d = %v is negative", i, v)
-		}
-		sum += v
+	sum, err := nonNegativeSum(p)
+	if err != nil {
+		return err
 	}
-	if math.Abs(sum-1) > tol {
+	if !(math.Abs(sum-1) <= tol) {
 		return fmt.Errorf("sums to %v, want 1", sum)
 	}
 	return nil
@@ -495,24 +497,33 @@ func distribution(p []float64, tol float64) error {
 // subDistribution accepts the restriction of a distribution to a subset
 // of its support: non-negative entries whose sum does not exceed 1.
 func subDistribution(p []float64, tol float64) error {
-	var sum float64
-	for i, v := range p {
-		if v < 0 {
-			return fmt.Errorf("entry %d = %v is negative", i, v)
-		}
-		sum += v
+	sum, err := nonNegativeSum(p)
+	if err != nil {
+		return err
 	}
-	if sum > 1+tol {
+	if !(sum <= 1+tol) {
 		return fmt.Errorf("sums to %v, want at most 1", sum)
 	}
 	return nil
 }
 
+func nonNegativeSum(p []float64) (float64, error) {
+	var sum float64
+	for i, v := range p {
+		if !(v >= 0) {
+			return 0, fmt.Errorf("entry %d = %v, want >= 0", i, v)
+		}
+		sum += v
+	}
+	return sum, nil
+}
+
 // subStochasticRows checks that every row of a is the restriction of a
 // stochastic row: non-negative with sum at most 1.
-func subStochasticRows(a *matrix.Dense, tol float64) error {
+func subStochasticRows(a *mmm.A2, tol float64) error {
+	buf := make([]float64, a.Rows())
 	for i := 0; i < a.Rows(); i++ {
-		if err := subDistribution(a.Row(i), tol); err != nil {
+		if err := subDistribution(a.Row(i, buf), tol); err != nil {
 			return fmt.Errorf("row %d: %w", i, err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/videodb/hmmm/internal/matrix"
 	"github.com/videodb/hmmm/internal/mmm"
 	"github.com/videodb/hmmm/internal/videomodel"
 	"github.com/videodb/hmmm/internal/xrand"
@@ -461,6 +462,98 @@ func TestFromSnapshotRegeneratesA1(t *testing.T) {
 				t.Errorf("video %d row %d: stored = %v with float32-exact values = %v", vi, i, stored, exact)
 			}
 		}
+	}
+}
+
+// TestLoadedA2StoresOnlyObservedRows checks a decoded model holds A2 as
+// a built or trained one does: a gob round trip gives a reflect.DeepEqual
+// A2 (1/M plus the rows a video pattern used), and a compact round trip
+// holds the float32-rounded 1/M plus the same rows.
+func TestLoadedA2StoresOnlyObservedRows(t *testing.T) {
+	m := buildFixture(t, BuildOptions{})
+	trained := train(t, m, nil, []mmm.AccessPattern{{States: []int{0, 2}, Freq: 2}})
+	for name, want := range map[string]*Model{"built": m, "trained": trained} {
+		var s Snapshot
+		if err := gob.NewDecoder(bytes.NewReader(snapshotBytes(t, want))).Decode(&s); err != nil {
+			t.Fatal(err)
+		}
+		got, err := FromSnapshot(&s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.A2, want.A2) {
+			t.Errorf("%s: decoded A2 %+v, want %+v", name, got.A2, want.A2)
+		}
+		compact, err := FromCompactSnapshot(want.CompactSnapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < m.NumVideos(); i++ {
+			observed := want == trained && i != 1
+			if stored := compact.A2.Explicit(i) != nil; stored != observed {
+				t.Errorf("%s: compact A2 row %d stored = %v, want %v", name, i, stored, observed)
+			}
+			for j := 0; j < m.NumVideos(); j++ {
+				if got, w := compact.A2.At(i, j), float64(float32(want.A2.At(i, j))); got != w {
+					t.Errorf("%s: compact A2(%d,%d) = %v, want %v", name, i, j, got, w)
+				}
+			}
+		}
+	}
+	if m.A2.Explicit(0) != nil || trained.A2.Explicit(1) != nil || trained.A2.Explicit(0) == nil {
+		t.Error("the fixture's A2 does not store exactly the observed rows")
+	}
+}
+
+// TestValidateRefusesNaN: a NaN sums to NaN and is no non-negative
+// number, so Validate refuses it in A1, A2, P12, Π1 and B1, and in a
+// shard's sub-stochastic A2 and Π2.
+func TestValidateRefusesNaN(t *testing.T) {
+	m := buildFixture(t, BuildOptions{})
+	nan := math.NaN()
+	withNaN := func(rows [][]float64) *mmm.A2 {
+		d := matrix.NewDense(len(rows), len(rows))
+		for i, r := range rows {
+			copy(d.Row(i), r)
+		}
+		a, err := mmm.A2FromDense(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	a2 := withNaN([][]float64{{nan, 0.5, 0.5}, {1.0 / 3, 1.0 / 3, 1.0 / 3}, {1.0 / 3, 1.0 / 3, 1.0 / 3}})
+	a1, err := mmm.FromRows([][]float64{{nan, 0.5, 0.5}, {0.5, 0.5}, {1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]func(c *Model){
+		"A1": func(c *Model) { c.LocalA = append([]*mmm.A1{a1}, m.LocalA[1:]...) },
+		"A2": func(c *Model) { c.A2 = a2 },
+		"P12": func(c *Model) {
+			c.P12 = m.P12.Clone()
+			c.P12.Set(0, 0, nan)
+		},
+		"Pi1": func(c *Model) { c.Pi1 = append([]float64{nan}, m.Pi1[1:]...) },
+		"B1": func(c *Model) {
+			c.B1 = m.B1.Clone()
+			c.B1.Set(0, 0, nan)
+		},
+		"partial A2":  func(c *Model) { c.Partial, c.A2 = true, a2 },
+		"partial Pi2": func(c *Model) { c.Partial, c.Pi2 = true, append([]float64{nan}, m.Pi2[1:]...) },
+	}
+	if m.LocalA[0].Rows() != 3 {
+		t.Fatalf("video 0 has %d states, want 3", m.LocalA[0].Rows())
+	}
+	for name, corrupt := range cases {
+		c := *m
+		corrupt(&c)
+		if err := c.Validate(1e-6); err == nil {
+			t.Errorf("%s holding NaN passes Validate", name)
+		}
+	}
+	if err := m.Validate(1e-6); err != nil {
+		t.Fatalf("the fixture itself is invalid: %v", err)
 	}
 }
 

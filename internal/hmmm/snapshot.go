@@ -17,7 +17,7 @@ type Snapshot struct {
 	Pi1       []float64
 	LocalA    []*mmm.A1
 	VideoIDs  []videomodel.VideoID
-	A2        *matrix.Dense
+	A2        *mmm.A2
 	B2        *matrix.Dense
 	Pi2       []float64
 	P12       *matrix.Dense

@@ -1,7 +1,7 @@
 // Package matrix implements the small dense linear-algebra kernel the HMMM
-// model is built on: row-major float64 matrices with the row-stochastic
-// normalization, min-max feature scaling, and validation helpers that the
-// paper's construction formulas (Eqs. 1-11) require.
+// model is built on: row-major float64 matrices with the min-max feature
+// scaling and the stochastic validation helpers that the paper's
+// construction formulas (Eqs. 1-11) require.
 //
 // The package deliberately stays tiny. HMMM never needs factorization or
 // inversion — only element access, row operations, and normalization — so
@@ -45,12 +45,6 @@ func (m *Dense) At(i, j int) float64 {
 func (m *Dense) Set(i, j int, v float64) {
 	m.check(i, j)
 	m.data[i*m.cols+j] = v
-}
-
-// Add adds v to the element at (i, j).
-func (m *Dense) Add(i, j int, v float64) {
-	m.check(i, j)
-	m.data[i*m.cols+j] += v
 }
 
 func (m *Dense) check(i, j int) {
@@ -101,67 +95,29 @@ func (m *Dense) ColSum(j int) float64 {
 	return s
 }
 
-// NormalizeRows scales each row so it sums to 1, making the matrix
-// row-stochastic (the Eq. 2 / Eq. 6 step). Rows whose sum is zero are left
-// untouched; callers that need a proper distribution on every row should
-// follow up with SmoothRows or check IsRowStochastic.
-func (m *Dense) NormalizeRows() {
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		var sum float64
-		for _, v := range row {
-			sum += v
-		}
-		if sum == 0 {
-			continue
-		}
-		for j := range row {
-			row[j] /= sum
-		}
-	}
-}
-
-// SmoothRows replaces any all-zero row with the uniform distribution so the
-// matrix becomes fully row-stochastic even when training data never touched
-// a state.
-func (m *Dense) SmoothRows() {
-	if m.cols == 0 {
-		return
-	}
-	u := 1 / float64(m.cols)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		zero := true
-		for _, v := range row {
-			if v != 0 {
-				zero = false
-				break
-			}
-		}
-		if zero {
-			for j := range row {
-				row[j] = u
-			}
-		}
-	}
-}
-
 // IsRowStochastic reports whether every row sums to 1 within tol and every
-// element is non-negative.
+// element is non-negative. NaN fails both tests.
 func (m *Dense) IsRowStochastic(tol float64) bool {
 	for i := 0; i < m.rows; i++ {
-		var sum float64
-		for _, v := range m.Row(i) {
-			if v < 0 {
-				return false
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > tol {
+		if !Stochastic(m.Row(i), tol) {
 			return false
 		}
 	}
 	return true
+}
+
+// Stochastic reports whether row is a distribution: every element
+// non-negative and the sum 1 within tol. The tests are written so that
+// NaN fails them.
+func Stochastic(row []float64, tol float64) bool {
+	var sum float64
+	for _, v := range row {
+		if !(v >= 0) {
+			return false
+		}
+		sum += v
+	}
+	return math.Abs(sum-1) <= tol
 }
 
 // String renders the matrix for debugging: small matrices in full, large

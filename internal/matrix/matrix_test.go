@@ -22,12 +22,11 @@ func TestNewDenseZeroed(t *testing.T) {
 	}
 }
 
-func TestSetAtAdd(t *testing.T) {
+func TestSetAt(t *testing.T) {
 	m := NewDense(2, 2)
 	m.Set(0, 1, 2.5)
-	m.Add(0, 1, 0.5)
-	if got := m.At(0, 1); got != 3 {
-		t.Fatalf("At(0,1) = %v, want 3", got)
+	if got := m.At(0, 1); got != 2.5 {
+		t.Fatalf("At(0,1) = %v, want 2.5", got)
 	}
 }
 
@@ -50,31 +49,6 @@ func TestOutOfBoundsPanics(t *testing.T) {
 	}
 }
 
-func TestNormalizeRows(t *testing.T) {
-	m := mustFromRows(t, [][]float64{{1, 3}, {0, 0}, {2, 2}})
-	m.NormalizeRows()
-	if got := m.At(0, 0); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("normalized (0,0) = %v, want 0.25", got)
-	}
-	if m.At(1, 0) != 0 || m.At(1, 1) != 0 {
-		t.Error("zero row was modified by NormalizeRows")
-	}
-	if got := m.At(2, 0) + m.At(2, 1); math.Abs(got-1) > 1e-12 {
-		t.Errorf("row 2 sum = %v, want 1", got)
-	}
-}
-
-func TestSmoothRows(t *testing.T) {
-	m := mustFromRows(t, [][]float64{{0, 0}, {1, 0}})
-	m.SmoothRows()
-	if m.At(0, 0) != 0.5 || m.At(0, 1) != 0.5 {
-		t.Errorf("zero row not smoothed: %v %v", m.At(0, 0), m.At(0, 1))
-	}
-	if m.At(1, 0) != 1 {
-		t.Error("non-zero row was modified by SmoothRows")
-	}
-}
-
 func TestIsRowStochastic(t *testing.T) {
 	m := mustFromRows(t, [][]float64{{0.5, 0.5}, {0.1, 0.9}})
 	if !m.IsRowStochastic(1e-9) {
@@ -85,25 +59,10 @@ func TestIsRowStochastic(t *testing.T) {
 	if m.IsRowStochastic(1e-9) {
 		t.Error("matrix with negative entry reported stochastic")
 	}
-}
-
-func TestNormalizeMakesStochastic(t *testing.T) {
-	// Property: any non-negative matrix with positive row sums becomes
-	// row-stochastic after NormalizeRows.
-	check := func(seed uint64) bool {
-		r := xrand.New(seed)
-		rows, cols := 1+r.Intn(10), 1+r.Intn(10)
-		m := NewDense(rows, cols)
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				m.Set(i, j, r.Float64()+0.01)
-			}
-		}
-		m.NormalizeRows()
-		return m.IsRowStochastic(1e-9)
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
+	// A NaN makes the row sum NaN, which no tolerance accepts.
+	nan := mustFromRows(t, [][]float64{{math.NaN(), 0.5}})
+	if nan.IsRowStochastic(1e-9) || Stochastic([]float64{0.5, math.NaN()}, math.Inf(1)) {
+		t.Error("row holding NaN reported stochastic")
 	}
 }
 
@@ -146,7 +105,8 @@ func TestMinMaxScaler(t *testing.T) {
 		{5, 10, 9},
 	})
 	var s MinMaxScaler
-	out := s.FitTransform(m)
+	s.FitTransform(m) // in place
+	out := m
 	if out.At(0, 0) != 0 || out.At(1, 0) != 1 || out.At(2, 0) != 0.5 {
 		t.Errorf("column 0 scaled to %v %v %v, want 0 1 0.5", out.At(0, 0), out.At(1, 0), out.At(2, 0))
 	}
@@ -156,9 +116,8 @@ func TestMinMaxScaler(t *testing.T) {
 			t.Errorf("constant column scaled to %v at row %d, want 0", out.At(i, 1), i)
 		}
 	}
-	// Original is untouched.
-	if m.At(0, 0) != 0 || m.At(1, 0) != 10 {
-		t.Error("Transform modified its input")
+	if min, max := s.Bounds(); min[2] != 5 || max[2] != 9 {
+		t.Errorf("column 2 bounds [%v, %v], want [5, 9]", min[2], max[2])
 	}
 }
 
@@ -183,10 +142,15 @@ func TestMinMaxScalerUnfitted(t *testing.T) {
 	if s.fitted {
 		t.Fatal("zero scaler reports fitted")
 	}
-	m := mustFromRows(t, [][]float64{{3}})
-	out := s.Transform(m)
-	if out.At(0, 0) != 3 {
-		t.Error("unfitted Transform should be identity")
+	row := []float64{3}
+	s.TransformRow(row)
+	if row[0] != 3 {
+		t.Error("unfitted TransformRow should be identity")
+	}
+	// Fitting an empty matrix leaves the scaler unfitted and m as it is.
+	s.FitTransform(NewDense(0, 2))
+	if s.fitted {
+		t.Error("empty fit reports fitted")
 	}
 }
 
@@ -220,7 +184,8 @@ func TestScalerTransformProperty(t *testing.T) {
 			}
 		}
 		var s MinMaxScaler
-		out := s.FitTransform(m)
+		s.FitTransform(m)
+		out := m
 		for i := 0; i < rows; i++ {
 			for j := 0; j < cols; j++ {
 				v := out.At(i, j)

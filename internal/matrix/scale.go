@@ -36,21 +36,6 @@ func (s *MinMaxScaler) Fit(m *Dense) {
 	s.fitted = true
 }
 
-// Transform returns a copy of m with every column rescaled to [0, 1] using
-// the fitted bounds. Columns that were constant at Fit time map to 0.
-// Values outside the fitted range are clamped, so the stochastic-model
-// invariant B1 ∈ [0,1] holds even for out-of-distribution inputs.
-func (s *MinMaxScaler) Transform(m *Dense) *Dense {
-	out := m.Clone()
-	if !s.fitted {
-		return out
-	}
-	for i := 0; i < out.Rows(); i++ {
-		s.TransformRow(out.Row(i))
-	}
-	return out
-}
-
 // TransformRow rescales a single feature vector in place.
 func (s *MinMaxScaler) TransformRow(row []float64) {
 	if !s.fitted {
@@ -75,10 +60,18 @@ func (s *MinMaxScaler) TransformRow(row []float64) {
 	}
 }
 
-// FitTransform is Fit followed by Transform on the same matrix.
-func (s *MinMaxScaler) FitTransform(m *Dense) *Dense {
+// FitTransform fits the scaler to m and rescales every row of m in
+// place with TransformRow: columns that were constant map to 0. Values
+// outside the fitted range are clamped, so the stochastic-model
+// invariant B1 ∈ [0,1] holds even for out-of-distribution inputs.
+func (s *MinMaxScaler) FitTransform(m *Dense) {
 	s.Fit(m)
-	return s.Transform(m)
+	if !s.fitted {
+		return
+	}
+	for i := 0; i < m.Rows(); i++ {
+		s.TransformRow(m.Row(i))
+	}
 }
 
 // Bounds returns copies of the fitted per-column minima and maxima.

@@ -69,14 +69,32 @@ func (a *A1) At(i, j int) float64 {
 	return a.gen(i, j)
 }
 
-// Next returns A1(i, j) for j > i: the one read per lattice edge, which
-// always steps forward in time. Column j ≤ i is not checked.
-func (a *A1) Next(i, j int) float64 {
-	if r := a.Explicit(i); r != nil {
-		return r[j-i]
-	}
-	return a.gen(i, j)
+// Next returns A1(i, j) for j > i, a read that always steps forward in
+// time. Column j ≤ i is not checked.
+func (a *A1) Next(i, j int) float64 { return a.NextRow(i).At(j - i) }
+
+// A1Row reads row i of a block right of its diagonal. The lattice takes
+// it once per cell, out of its per-edge loop, so the read per edge is
+// one division, small enough to inline there.
+type A1Row struct {
+	// num holds, from column i on, the stored row or Eq. 1's numerators;
+	// den is 1 for a stored row (x/1 is x, bit for bit) or Eq. 1's
+	// denominator of row i.
+	num []float64
+	den float64
 }
+
+// NextRow returns the reader of row i.
+func (a *A1) NextRow(i int) A1Row {
+	if r := a.Explicit(i); r != nil {
+		return A1Row{r, 1}
+	}
+	return A1Row{a.num[i:], a.den[i]}
+}
+
+// At returns A1(i, i+k) for k ≥ 1, with the bits gen gives a generated
+// row. k = 0, the diagonal, is not checked.
+func (r A1Row) At(k int) float64 { return r.num[k] / r.den }
 
 // Explicit returns columns [i, n) of row i when the row is stored, nil
 // when Eq. 1 generates it. The slice must not be modified.
@@ -107,18 +125,11 @@ func (a *A1) Row(i int, dst []float64) []float64 {
 }
 
 // IsRowStochastic reports whether every row sums to 1 within tol and
-// every element is non-negative.
+// every element is non-negative. NaN fails both tests.
 func (a *A1) IsRowStochastic(tol float64) bool {
 	buf := make([]float64, a.n)
 	for i := 0; i < a.n; i++ {
-		var sum float64
-		for _, v := range a.Row(i, buf) {
-			if v < 0 {
-				return false
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > tol {
+		if !matrix.Stochastic(a.Row(i, buf), tol) {
 			return false
 		}
 	}

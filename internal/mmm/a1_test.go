@@ -62,7 +62,7 @@ func TestInitTemporalAStoresNoRow(t *testing.T) {
 	}
 }
 
-// TestA1ReadersAgree checks At, Next and Row read the same values, on a
+// TestA1ReadersAgree checks At, Next, NextRow and Row read the same values, on a
 // generated block and on one with a stored row.
 func TestA1ReadersAgree(t *testing.T) {
 	gen, err := InitTemporalA([]int{1, 2, 1, 3})
@@ -82,8 +82,8 @@ func TestA1ReadersAgree(t *testing.T) {
 				if row[j-i] != a.At(i, j) {
 					t.Errorf("Row(%d)[%d] = %v, At = %v", i, j-i, row[j-i], a.At(i, j))
 				}
-				if j > i && a.Next(i, j) != a.At(i, j) {
-					t.Errorf("Next(%d, %d) = %v, At = %v", i, j, a.Next(i, j), a.At(i, j))
+				if j > i && (a.Next(i, j) != a.At(i, j) || a.NextRow(i).At(j-i) != a.At(i, j)) {
+					t.Errorf("Next(%d, %d) = %v, NextRow = %v, At = %v", i, j, a.Next(i, j), a.NextRow(i).At(j-i), a.At(i, j))
 				}
 			}
 		}
@@ -249,6 +249,18 @@ func TestA1GobRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// TestA1RefusesNaNRow: a row holding NaN sums to NaN, which is within
+// no tolerance of 1.
+func TestA1RefusesNaNRow(t *testing.T) {
+	a, err := FromRows([][]float64{{math.NaN(), 0.5}, {1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.IsRowStochastic(1e-6) {
+		t.Error("A1 with a NaN row reported stochastic")
+	}
+}
+
 func TestFromRowsRejectsRagged(t *testing.T) {
 	if _, err := FromRows([][]float64{{0.5, 0.5}, {0.5, 0.5}}); err == nil {
 		t.Error("a row left of the diagonal accepted")
@@ -257,7 +269,7 @@ func TestFromRowsRejectsRagged(t *testing.T) {
 
 // updateDense is the Eq. (1)-(2) reference UpdateA must match: the
 // dense n×n co-access over every ordered pair of a pattern's distinct
-// states, the update over full rows, and Dense.NormalizeRows, read back
+// states, the update over full rows, and normalizeRowsDense, read back
 // into a block over prior's generator.
 func updateDense(prior *A1, patterns []AccessPattern, opts UpdateOptions) *A1 {
 	n := prior.Rows()
@@ -272,7 +284,7 @@ func updateDense(prior *A1, patterns []AccessPattern, opts UpdateOptions) *A1 {
 		}
 		for m := range seen {
 			for k := range seen {
-				co.Add(m, k, float64(p.Freq))
+				co.Set(m, k, co.At(m, k)+float64(p.Freq))
 			}
 		}
 	}
@@ -292,7 +304,7 @@ func updateDense(prior *A1, patterns []AccessPattern, opts UpdateOptions) *A1 {
 			}
 		}
 	}
-	out.NormalizeRows()
+	normalizeRowsDense(out)
 	gen := &A1{n: n, num: prior.num, den: prior.den}
 	return gen.rewrite(func(i int, _ []float64) []float64 { return out.Row(i)[i:] })
 }

@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"github.com/videodb/hmmm/internal/matrix"
 )
 
 // ErrNoStates is returned when a construction function receives zero states.
@@ -75,26 +73,6 @@ func (a *A1) genDiag(i int) float64 {
 type AccessPattern struct {
 	States []int // state indices in temporal order (shot level) or set order (video level)
 	Freq   int   // access frequency; patterns with Freq <= 0 are ignored
-}
-
-// CoAccess computes the Σ_k use(m,k)·use(n,k)·access(k) term of Eq. (5)
-// over n states. Out-of-range state indices in a pattern are reported as
-// an error.
-func CoAccess(patterns []AccessPattern, n int) (*matrix.Dense, error) {
-	co := matrix.NewDense(n, n)
-	for pi, p := range patterns {
-		states, err := usedStates(p, pi, n)
-		if err != nil {
-			return nil, err
-		}
-		f := float64(p.Freq)
-		for _, m := range states {
-			for _, nn := range states {
-				co.Add(m, nn, f)
-			}
-		}
-	}
-	return co, nil
 }
 
 // usedStates returns the distinct states pattern pi uses, ascending —
@@ -190,19 +168,51 @@ func UpdateA(prior *A1, patterns []AccessPattern, opts UpdateOptions) (*A1, erro
 }
 
 // BuildAffinityA builds the video-level A2 from scratch per Eqs. (5)-(6):
-// co-access counts (no temporal constraint), row-normalized. Rows with no
-// observations become uniform so A2 stays row-stochastic.
-func BuildAffinityA(patterns []AccessPattern, n int) (*matrix.Dense, error) {
+// AF(m,n) = Σ_k use(m,k)·use(n,k)·access(k), with no temporal
+// constraint, then A2(m,n) = AF(m,n) / Σ_n AF(m,n). The co-access is
+// summed only over the rows some pattern uses, per row in pattern order;
+// a row no pattern uses is uniform, 1/n, so A2 stays row-stochastic and
+// stores only the used rows.
+func BuildAffinityA(patterns []AccessPattern, n int) (*A2, error) {
 	if n == 0 {
 		return nil, ErrNoStates
 	}
-	co, err := CoAccess(patterns, n)
-	if err != nil {
-		return nil, err
+	// uses[m] lists, per pattern using state m, its frequency and the
+	// states it uses.
+	type use struct {
+		f      float64
+		states []int
 	}
-	co.NormalizeRows()
-	co.SmoothRows()
-	return co, nil
+	uses := make([][]use, n)
+	for pi, p := range patterns {
+		states, err := usedStates(p, pi, n)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range states {
+			uses[m] = append(uses[m], use{float64(p.Freq), states})
+		}
+	}
+	return storeA2(n, 1/float64(n), func(m int, row []float64) []float64 {
+		if uses[m] == nil {
+			return nil
+		}
+		clear(row)
+		for _, u := range uses[m] {
+			for _, s := range u.states {
+				row[s] += u.f
+			}
+		}
+		// The sum holds AF(m,m) ≥ 1, so it is positive.
+		var sum float64
+		for _, v := range row {
+			sum += v
+		}
+		for k := range row {
+			row[k] /= sum
+		}
+		return row
+	}), nil
 }
 
 // BuildPi estimates the initial-state distribution from access patterns per

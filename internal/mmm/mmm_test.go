@@ -80,68 +80,6 @@ func TestInitTemporalASingleState(t *testing.T) {
 	}
 }
 
-// TestCoAccessIgnoresPatternOrder: use(m,k) asks only whether pattern k
-// uses a state, so a pattern and its reverse count alike.
-func TestCoAccessIgnoresPatternOrder(t *testing.T) {
-	patterns := []AccessPattern{
-		{States: []int{0, 2}, Freq: 3},
-		{States: []int{2, 0}, Freq: 1},
-	}
-	co, err := CoAccess(patterns, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range [][2]int{{0, 2}, {2, 0}, {0, 0}, {2, 2}} {
-		if got := co.At(c[0], c[1]); got != 4 {
-			t.Errorf("co(%d,%d) = %v, want 4", c[0], c[1], got)
-		}
-	}
-	if got := co.At(1, 1); got != 0 {
-		t.Errorf("co(1,1) = %v, want 0", got)
-	}
-}
-
-func TestCoAccessNonTemporalSymmetric(t *testing.T) {
-	patterns := []AccessPattern{{States: []int{1, 2}, Freq: 2}}
-	co, err := CoAccess(patterns, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if co.At(1, 2) != co.At(2, 1) || co.At(1, 2) != 2 {
-		t.Errorf("co(1,2)=%v co(2,1)=%v, want both 2", co.At(1, 2), co.At(2, 1))
-	}
-}
-
-func TestCoAccessDeduplicatesStates(t *testing.T) {
-	// use(m,k) is an indicator: repeating a state in one pattern must not
-	// double-count.
-	patterns := []AccessPattern{{States: []int{1, 1, 1}, Freq: 5}}
-	co, err := CoAccess(patterns, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if co.At(1, 1) != 5 {
-		t.Errorf("co(1,1) = %v, want 5", co.At(1, 1))
-	}
-}
-
-func TestCoAccessIgnoresNonPositiveFreq(t *testing.T) {
-	patterns := []AccessPattern{{States: []int{0}, Freq: 0}, {States: []int{0}, Freq: -2}}
-	co, err := CoAccess(patterns, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if co.At(0, 0) != 0 {
-		t.Errorf("co = %v, want 0", co.At(0, 0))
-	}
-}
-
-func TestCoAccessRejectsOutOfRange(t *testing.T) {
-	if _, err := CoAccess([]AccessPattern{{States: []int{5}, Freq: 1}}, 3); err == nil {
-		t.Error("out-of-range state accepted")
-	}
-}
-
 func TestUpdateAReinforcesCoAccessedPairs(t *testing.T) {
 	prior, err := InitTemporalA([]int{1, 1, 1})
 	if err != nil {
@@ -227,6 +165,9 @@ func TestBuildAffinityANoData(t *testing.T) {
 func TestBuildAffinityAErrors(t *testing.T) {
 	if _, err := BuildAffinityA(nil, 0); !errors.Is(err, ErrNoStates) {
 		t.Errorf("err = %v, want ErrNoStates", err)
+	}
+	if _, err := BuildAffinityA([]AccessPattern{{States: []int{0, 3}, Freq: 1}}, 3); err == nil {
+		t.Error("out-of-range state accepted")
 	}
 }
 

@@ -3,6 +3,10 @@ package retrieval
 import (
 	"context"
 	"slices"
+
+	// The compiler inlines methods only from packages this one imports,
+	// and the per-edge A1 read, mmm.A1Row.At, must inline into lattice.
+	_ "github.com/videodb/hmmm/internal/mmm"
 )
 
 // cell is one node of the Figure-3 lattice: the best-known path reaching a
@@ -240,7 +244,8 @@ func (e *Engine) lattice(vi, j0 int, entry []int32, ctx *searchCtx) []int32 {
 				c := ar.cells[ci] // copy: pushes below may grow the slab
 				from := int(c.state) - lo
 				// Every candidate lies after c, so each edge reads A1
-				// right of the diagonal.
+				// right of the diagonal, from c's row.
+				row := a.NextRow(from)
 				for _, s := range e.stepCandidates(ar, vi, int(c.state), st, ctx.scope) {
 					if ctx.tick() {
 						save()
@@ -248,7 +253,7 @@ func (e *Engine) lattice(vi, j0 int, entry []int32, ctx *searchCtx) []int32 {
 					}
 					cost.EdgeEvals++
 					li := int(s) - lo
-					w := c.w * a.Next(from, li) * e.simCounted(int(s), st, cost)
+					w := c.w * row.At(li-from) * e.simCounted(int(s), st, cost)
 					if ar.relaxEpoch[li] == ar.epoch {
 						// Viterbi relaxation: keep the best path per state.
 						old := &ar.cells[next[ar.relaxSlot[li]]]

@@ -887,15 +887,24 @@ func (e *Engine) greedyOrder(candidates []int, cost *Cost) []int {
 		candidates = candidates[:len(candidates)-1]
 		order = append(order, cur)
 		for len(candidates) > 0 {
-			row := e.m.A2.Row(cur)
+			row := e.m.A2.Explicit(cur)
 			bi = 0
-			best := row[candidates[0]]
-			cost.EdgeEvals++
-			for i := 1; i < len(candidates); i++ {
-				cost.EdgeEvals++
-				v := candidates[i]
-				if aff := row[v]; aff > best || (aff == best && v < candidates[bi]) {
-					bi, best = i, aff
+			cost.EdgeEvals += len(candidates)
+			if row == nil {
+				// A row no feedback observed holds one value in every
+				// column: every candidate ties, and the smallest wins.
+				for i, v := range candidates {
+					if v < candidates[bi] {
+						bi = i
+					}
+				}
+			} else {
+				best := row[candidates[0]]
+				for i := 1; i < len(candidates); i++ {
+					v := candidates[i]
+					if aff := row[v]; aff > best || (aff == best && v < candidates[bi]) {
+						bi, best = i, aff
+					}
 				}
 			}
 			cur = candidates[bi]

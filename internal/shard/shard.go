@@ -126,7 +126,7 @@ func build(m *hmmm.Model, videos []int) (*Shard, error) {
 		B1:      matrix.NewDense(n, m.K()),
 		Pi1:     make([]float64, 0, n),
 		LocalA:  make([]*mmm.A1, 0, len(videos)),
-		A2:      matrix.NewDense(len(videos), len(videos)),
+		A2:      m.A2.Restrict(videos),
 		B2:      matrix.NewDense(len(videos), m.NumConcepts()),
 		Pi2:     make([]float64, 0, len(videos)),
 		P12:     snap.P12,     // shared with the parent
@@ -142,9 +142,6 @@ func build(m *hmmm.Model, videos []int) (*Shard, error) {
 		sub.VideoIDs = append(sub.VideoIDs, m.VideoIDs[vi])
 		sub.LocalA = append(sub.LocalA, m.LocalA[vi]) // shared A1 block
 		sub.Pi2 = append(sub.Pi2, m.Pi2[vi])
-		for lw, vj := range videos {
-			sub.A2.Set(lv, lw, m.A2.At(vi, vj))
-		}
 		copy(sub.B2.Row(lv), m.B2.Row(vi))
 		lo, hi := m.VideoStates(vi)
 		for gi := lo; gi < hi; gi++ {

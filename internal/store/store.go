@@ -131,13 +131,14 @@ func SaveModel(path string, m *hmmm.Model) error {
 }
 
 // modelRecord is the value a "model" record gob-encodes: the snapshot
-// with each A1 block widened to the square matrix.Dense the format has
-// always carried. Gob names every type in the stream and numbers types
-// per process, so encoding the snapshot's own []*mmm.A1 would add a type
-// to the record; this struct, named Snapshot with the same fields in the
-// same order, keeps a record byte-identical to one written before A1
-// blocks had a type of their own. LoadModel decodes straight into
-// hmmm.Snapshot, whose mmm.A1 reads the same square payload.
+// with each A1 block and A2 widened to the square matrix.Dense the
+// format has always carried. Gob names every type in the stream and
+// numbers types per process, so encoding the snapshot's own []*mmm.A1 or
+// *mmm.A2 would add a type to the record; this struct, named Snapshot
+// with the same fields in the same order, keeps a record byte-identical
+// to one written before A1 and A2 had types of their own. LoadModel
+// decodes straight into hmmm.Snapshot, whose mmm.A1 and mmm.A2 read the
+// same square payloads.
 func modelRecord(s *hmmm.Snapshot) any {
 	type Snapshot struct {
 		States    []hmmm.State
@@ -157,7 +158,7 @@ func modelRecord(s *hmmm.Snapshot) any {
 	}
 	r := &Snapshot{
 		States: s.States, B1: s.B1, Pi1: s.Pi1, LocalA: make([]*matrix.Dense, len(s.LocalA)),
-		VideoIDs: s.VideoIDs, A2: s.A2, B2: s.B2, Pi2: s.Pi2, P12: s.P12, B1Prime: s.B1Prime,
+		VideoIDs: s.VideoIDs, A2: s.A2.Dense(), B2: s.B2, Pi2: s.Pi2, P12: s.P12, B1Prime: s.B1Prime,
 		ScalerMin: s.ScalerMin, ScalerMax: s.ScalerMax, Partial: s.Partial, Domain: s.Domain,
 	}
 	for vi, a := range s.LocalA {
@@ -287,7 +288,7 @@ func ExportModelJSON(w io.Writer, m *hmmm.Model) error {
 		Events:      names,
 		Pi1:         m.Pi1,
 		Pi2:         m.Pi2,
-		A2:          rows(m.A2),
+		A2:          rows(m.A2.Dense()),
 		B2:          rows(m.B2),
 		P12:         rows(m.P12),
 		B1Prime:     rows(m.B1Prime),

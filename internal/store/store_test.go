@@ -109,7 +109,8 @@ func TestModelRoundTrip(t *testing.T) {
 
 // TestModelRecordMirrorsSnapshot guards the "model" record's wire struct:
 // it must carry every hmmm.Snapshot field by name, in order and of the
-// same type, except that A1 blocks travel as square *matrix.Dense. A
+// same type, except that A1 blocks and A2 travel as square
+// *matrix.Dense. A
 // field added to the snapshot and not to the record would be dropped by
 // every save; a renamed or reordered one would change the bytes.
 func TestModelRecordMirrorsSnapshot(t *testing.T) {
@@ -122,8 +123,11 @@ func TestModelRecordMirrorsSnapshot(t *testing.T) {
 	for i := 0; i < st.NumField(); i++ {
 		rf, sf := rt.Field(i), st.Field(i)
 		want := sf.Type
-		if sf.Name == "LocalA" {
+		switch sf.Name {
+		case "LocalA":
 			want = reflect.TypeOf([]*matrix.Dense(nil))
+		case "A2":
+			want = reflect.TypeOf((*matrix.Dense)(nil))
 		}
 		if rf.Name != sf.Name || rf.Type != want {
 			t.Errorf("record field %d is %s %v, want %s %v", i, rf.Name, rf.Type, sf.Name, want)
