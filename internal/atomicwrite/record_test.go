@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,7 +88,7 @@ func recordKinds(tb testing.TB) []recordKind {
 		return load(read)
 	}
 	loadModel := func(p string) (any, error) { return store.LoadModel(p) }
-	badModels, badCModels := corruptBlockRecords(tb, m)
+	badModels, badCModels := corruptModelRecords(tb, m)
 
 	return []recordKind{
 		{
@@ -163,18 +164,17 @@ func recordKinds(tb testing.TB) []recordKind {
 	}
 }
 
-// corruptBlockRecords builds well-formed records whose A1 blocks are
-// not upper-triangular or whose A2 is not square or holds a NaN. The
-// model records carry an A1 payload with a nonzero left of the diagonal
-// and a non-square A1 payload — gob matches fields by name, so a payload
-// of LocalA alone decodes into hmmm.Snapshot, and the bad block fails
-// that decode — and m's snapshot with a 3×4 A2. The cmodel records are
-// m's compact snapshot with video 0's band starting every row at column
-// 0, with a 3×2 A2 and with no A2 at all. The non-square A2 rows sum
-// to 1, so a loader that took A2's shape on trust would accept them.
-// Each kind also gets m with a NaN in A2's row 0, written by its own
-// writer, which only validation refuses.
-func corruptBlockRecords(tb testing.TB, m *hmmm.Model) (model, cmodel [][]byte) {
+// corruptModelRecords builds well-formed model records that hold no
+// valid model. The model records carry an A1 payload with a nonzero
+// left of the diagonal and a non-square A1 payload — gob matches fields
+// by name, so a payload of LocalA alone decodes into the loader's
+// payload, and the bad block fails that decode — m's snapshot with a
+// 3×4 A2, and m's snapshot with states out of layout. The cmodel records are m's compact snapshot with video 0's
+// band starting every row at column 0, with a 3×2 A2 and with no A2 at
+// all. The non-square A2 rows sum to 1, so a loader that took A2's
+// shape on trust would accept them. Each kind also gets copies of m
+// that only validation refuses, written by its own writer.
+func corruptModelRecords(tb testing.TB, m *hmmm.Model) (model, cmodel [][]byte) {
 	tb.Helper()
 	record := func(kind string, payload any) []byte {
 		var buf bytes.Buffer
@@ -194,7 +194,7 @@ func corruptBlockRecords(tb testing.TB, m *hmmm.Model) (model, cmodel [][]byte) 
 	wide := matrix.NewDense(m.NumVideos(), m.NumVideos()+1)
 	wide.Fill(1 / float64(m.NumVideos()+1))
 	type Snapshot struct {
-		States               []hmmm.State
+		States               []recordState
 		B1                   *matrix.Dense
 		Pi1                  []float64
 		LocalA               []*mmm.A1
@@ -207,25 +207,64 @@ func corruptBlockRecords(tb testing.TB, m *hmmm.Model) (model, cmodel [][]byte) 
 	}
 	s := m.Snapshot()
 	model = append(model, record("model", Snapshot{
-		s.States, s.B1, s.Pi1, s.LocalA, s.VideoIDs, wide, s.B2, s.Pi2, s.P12, s.B1Prime, s.ScalerMin, s.ScalerMax, s.Domain,
+		recordStates(m), s.B1, s.Pi1.Values(), s.LocalA, s.VideoIDs, wide, s.B2, s.Pi2, s.P12, s.B1Prime, s.ScalerMin, s.ScalerMax, s.Domain,
 	}))
-	nan := *m
-	d := m.A2.Dense()
-	d.Set(0, 0, math.NaN())
-	nan.A2, _ = mmm.A2FromDense(d) // square by construction
-	written := filepath.Join(tb.TempDir(), "nan")
-	saved := func(save func(string, *hmmm.Model) error) []byte {
-		if err := save(written, &nan); err != nil {
-			tb.Fatal(err)
-		}
-		data, err := os.ReadFile(written)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return data
+	// m's snapshot whose states are out of video order, carry a wrong
+	// local index, or start at 2³¹ ms: the start-time column is int32.
+	for _, corrupt := range []func(st []recordState){
+		func(st []recordState) { st[0].VideoIdx = 1 },
+		func(st []recordState) { st[1].LocalIdx = 0 },
+		func(st []recordState) { st[0].StartMS = math.MaxInt32 + 1 },
+	} {
+		st := recordStates(m)
+		corrupt(st)
+		model = append(model, record("model", Snapshot{
+			st, s.B1, s.Pi1.Values(), s.LocalA, s.VideoIDs, s.A2.Dense(), s.B2, s.Pi2, s.P12, s.B1Prime, s.ScalerMin, s.ScalerMax, s.Domain,
+		}))
 	}
-	model = append(model, saved(store.SaveModel))
-	cmodel = append(cmodel, saved(store.SaveModelCompact))
+	// Copies of m that only validation refuses, each written by both
+	// writers: a NaN in A2's row 0, a state event past the concept axis,
+	// a NaN in B1', and a B2 count that is negative or not an integer.
+	written := filepath.Join(tb.TempDir(), "bad")
+	for _, corrupt := range []func(c *hmmm.Model){
+		func(c *hmmm.Model) {
+			d := m.A2.Dense()
+			d.Set(0, 0, math.NaN())
+			c.A2, _ = mmm.A2FromDense(d) // square by construction
+		},
+		func(c *hmmm.Model) {
+			c.States = slices.Clone(m.States)
+			c.States[0].Events = []videomodel.Event{videomodel.EventFromIndex(m.NumConcepts())}
+		},
+		func(c *hmmm.Model) {
+			c.B1Prime = m.B1Prime.Clone()
+			c.B1Prime.Set(0, 0, math.NaN())
+		},
+		func(c *hmmm.Model) {
+			c.B2 = m.B2.Clone()
+			c.B2.Set(0, 0, -3)
+		},
+		func(c *hmmm.Model) {
+			c.B2 = m.B2.Clone()
+			c.B2.Set(0, 0, 0.5)
+		},
+	} {
+		bad := *m
+		corrupt(&bad)
+		for _, w := range []struct {
+			save func(string, *hmmm.Model) error
+			to   *[][]byte
+		}{{store.SaveModel, &model}, {store.SaveModelCompact, &cmodel}} {
+			if err := w.save(written, &bad); err != nil {
+				tb.Fatal(err)
+			}
+			data, err := os.ReadFile(written)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			*w.to = append(*w.to, data)
+		}
+	}
 
 	cs := m.CompactSnapshot()
 	n := int(cs.StateCounts[0])
@@ -307,9 +346,47 @@ func journalRecords() []live.Record {
 	return out
 }
 
-// modelView is a model's persistent state; the rest of a Model is
-// derived from it on load.
-func modelView(v any) any { return v.(*hmmm.Model).Snapshot() }
+// recordState is a level-1 state in the layout a "model" record
+// carries.
+type recordState struct {
+	Shot               videomodel.ShotID
+	VideoIdx, LocalIdx int
+	Events             []videomodel.Event
+	StartMS            int
+}
+
+// recordStates returns m's states in a "model" record's layout.
+func recordStates(m *hmmm.Model) []recordState {
+	out := make([]recordState, m.NumStates())
+	for i, st := range m.States {
+		vi := m.VideoOf(i)
+		lo, _ := m.VideoStates(vi)
+		out[i] = recordState{st.Shot, vi, i - lo, st.Events, m.StartMS(i)}
+	}
+	return out
+}
+
+// modelView is a model's persistent state, in the layout of a "model"
+// record: the rest of a Model is derived from it on load.
+func modelView(v any) any {
+	m := v.(*hmmm.Model)
+	s := m.Snapshot()
+	return struct {
+		States               []recordState
+		B1                   *matrix.Dense
+		Pi1                  []float64
+		LocalA               []*mmm.A1
+		VideoIDs             []videomodel.VideoID
+		A2                   *mmm.A2
+		B2                   *matrix.Dense
+		Pi2                  []float64
+		P12, B1Prime         *matrix.Dense
+		ScalerMin, ScalerMax []float64
+		Partial              bool
+		Domain               string
+	}{recordStates(m), s.B1, s.Pi1.Values(), s.LocalA, s.VideoIDs, s.A2, s.B2, s.Pi2, s.P12, s.B1Prime,
+		s.ScalerMin, s.ScalerMax, s.Partial, s.Domain}
+}
 
 // TestRecordFixturesLoad pins on-disk compatibility: testdata holds one
 // <kind>.bin per kind, written by the per-package encoders that predate

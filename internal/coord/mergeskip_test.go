@@ -57,7 +57,7 @@ func deltaOf(t *testing.T, m *hmmm.Model, d *videomodel.Domain, opts retrieval.O
 		for gi := lo; gi < hi; gi++ {
 			st := m.States[gi]
 			rec.Shots = append(rec.Shots, live.ShotRecord{
-				ID: st.Shot, Index: gi - lo, StartMS: st.StartMS, EndMS: st.StartMS + 1,
+				ID: st.Shot, Index: gi - lo, StartMS: m.StartMS(gi), EndMS: m.StartMS(gi) + 1,
 				Events: st.Events, Features: slices.Clone(m.B1.Row(gi)),
 			})
 		}

@@ -61,7 +61,7 @@ func (l *Log) MarkPositive(m *hmmm.Model, states []int) error {
 	var vids []int
 	seen := make(map[int]bool)
 	for _, s := range states {
-		vi := m.States[s].VideoIdx
+		vi := m.VideoOf(s)
 		if !seen[vi] {
 			seen[vi] = true
 			vids = append(vids, vi)

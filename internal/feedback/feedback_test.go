@@ -76,10 +76,10 @@ func TestVideoPatternsDerived(t *testing.T) {
 	// Find two states in different videos.
 	var a, b int = -1, -1
 	for i := range m.States {
-		if m.States[i].VideoIdx == 0 && a == -1 {
+		if m.VideoOf(i) == 0 && a == -1 {
 			a = i
 		}
-		if m.States[i].VideoIdx == 1 && b == -1 {
+		if m.VideoOf(i) == 1 && b == -1 {
 			b = i
 		}
 	}
@@ -128,7 +128,7 @@ func TestRetrainReinforcesPattern(t *testing.T) {
 	// Pick two consecutive states of the same video.
 	var a, b int = -1, -1
 	for i := 0; i+1 < len(m.States); i++ {
-		if m.States[i].VideoIdx == m.States[i+1].VideoIdx {
+		if m.VideoOf(i) == m.VideoOf(i+1) {
 			a, b = i, i+1
 			break
 		}
@@ -136,8 +136,9 @@ func TestRetrainReinforcesPattern(t *testing.T) {
 	if a < 0 {
 		t.Skip("no same-video state pair")
 	}
-	vi := m.States[a].VideoIdx
-	la, lb := m.States[a].LocalIdx, m.States[b].LocalIdx
+	vi := m.VideoOf(a)
+	lo, _ := m.VideoStates(vi)
+	la, lb := a-lo, b-lo
 	before := m.LocalA[vi].At(la, lb)
 
 	log := NewLog()

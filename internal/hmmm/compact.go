@@ -3,6 +3,7 @@ package hmmm
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"github.com/videodb/hmmm/internal/matrix"
 	"github.com/videodb/hmmm/internal/mmm"
@@ -16,10 +17,10 @@ import (
 // struct-of-arrays state bookkeeping for the []State slice.
 //
 //   - State layout: per-video state counts plus parallel ShotIDs /
-//     StartMS / EventMask arrays. VideoIdx and LocalIdx are recomputed
-//     from the counts; each state's events are recovered from its
-//     annotation bitmask in ascending concept order (the model's
-//     semantics never depend on annotation order, only membership).
+//     StartMS / EventMask arrays, as a Model holds its start times. Each
+//     state's events are recovered from its annotation bitmask in
+//     ascending concept order (the model's semantics never depend on
+//     annotation order, only membership).
 //   - B1, B1', A2, B2 quantize to float32 (B2 holds small integer counts,
 //     exact in float32); A2 travels square. The per-video A1 blocks, upper
 //     triangular, additionally trim each row to its non-zero band.
@@ -71,10 +72,10 @@ func (m *Model) CompactSnapshot() *CompactSnapshot {
 		VideoIDs:    m.VideoIDs,
 		StateCounts: make([]int32, m.NumVideos()),
 		ShotIDs:     make([]int64, m.NumStates()),
-		StartMS:     make([]int32, m.NumStates()),
+		StartMS:     m.startMS,
 		EventMask:   make([]uint16, m.NumStates()),
 		B1:          matrix.ToFloat32(m.B1),
-		Pi1:         m.Pi1,
+		Pi1:         m.Pi1.Values(),
 		LocalA:      make([]*matrix.Banded, len(m.LocalA)),
 		A2:          matrix.ToFloat32(m.A2.Dense()),
 		B2:          matrix.ToFloat32(m.B2),
@@ -86,11 +87,13 @@ func (m *Model) CompactSnapshot() *CompactSnapshot {
 		Partial:     m.Partial,
 		Domain:      m.Domain,
 	}
+	for vi := range cs.StateCounts {
+		lo, hi := m.VideoStates(vi)
+		cs.StateCounts[vi] = int32(hi - lo)
+	}
 	for i := range m.States {
 		st := &m.States[i]
-		cs.StateCounts[st.VideoIdx]++
 		cs.ShotIDs[i] = int64(st.Shot)
-		cs.StartMS[i] = int32(st.StartMS)
 		for _, e := range st.Events {
 			if e.Valid() {
 				cs.EventMask[i] |= 1 << e.Index()
@@ -131,8 +134,10 @@ func FromCompactSnapshot(cs *CompactSnapshot) (*Model, error) {
 	}
 	s := &Snapshot{
 		States:    make([]State, n),
+		StartMS:   cs.StartMS,
+		Offsets:   make([]int, len(cs.StateCounts)),
 		B1:        cs.B1.Dense(),
-		Pi1:       cs.Pi1,
+		Pi1:       mmm.NewPi(cs.Pi1),
 		LocalA:    make([]*mmm.A1, len(cs.LocalA)),
 		VideoIDs:  cs.VideoIDs,
 		B2:        cs.B2.Dense(),
@@ -146,26 +151,36 @@ func FromCompactSnapshot(cs *CompactSnapshot) (*Model, error) {
 	}
 	gi := 0
 	for vi, cnt := range cs.StateCounts {
-		for li := 0; li < int(cnt); li++ {
-			if gi >= n {
-				return nil, fmt.Errorf("hmmm: compact snapshot counts %d states, arrays hold %d",
-					gi+1, n)
-			}
-			st := &s.States[gi]
-			st.Shot = videomodel.ShotID(cs.ShotIDs[gi])
-			st.VideoIdx = vi
-			st.LocalIdx = li
-			st.StartMS = int(cs.StartMS[gi])
-			for c := 0; c < cs.B2.Cols(); c++ {
-				if cs.EventMask[gi]&(1<<c) != 0 {
-					st.Events = append(st.Events, videomodel.EventFromIndex(c))
-				}
-			}
-			gi++
+		if cnt < 0 || int(cnt) > n-gi {
+			return nil, fmt.Errorf("hmmm: compact snapshot counts %d states for video %d, arrays hold %d more",
+				cnt, vi, n-gi)
 		}
+		s.Offsets[vi] = gi
+		gi += int(cnt)
 	}
 	if gi != n {
 		return nil, fmt.Errorf("hmmm: compact snapshot counts %d states, arrays hold %d", gi, n)
+	}
+	// Every state's events are carved from one array: the mask's bits,
+	// ascending. A bit past the concept axis is refused, as Validate
+	// refuses such an event.
+	axis := uint16(1)<<cs.B2.Cols() - 1
+	total := 0
+	for i, mask := range cs.EventMask {
+		if mask&^axis != 0 {
+			return nil, fmt.Errorf("hmmm: compact snapshot state %d annotated outside the %d-concept axis", i, cs.B2.Cols())
+		}
+		total += bits.OnesCount16(mask)
+	}
+	events := make([]videomodel.Event, 0, total)
+	for i, mask := range cs.EventMask {
+		lo := len(events)
+		for c := 0; c < cs.B2.Cols(); c++ {
+			if mask&(1<<c) != 0 {
+				events = append(events, videomodel.EventFromIndex(c))
+			}
+		}
+		s.States[i] = State{Shot: videomodel.ShotID(cs.ShotIDs[i]), Events: events[lo:len(events):len(events)]}
 	}
 	a2, err := mmm.A2FromDense(cs.A2.Dense())
 	if err != nil {
@@ -186,21 +201,22 @@ func FromCompactSnapshot(cs *CompactSnapshot) (*Model, error) {
 
 // MemoryBytes estimates the size of the snapshot's persisted numeric
 // payload: the figure the scale benchmark reports per shot against the
-// compact layout's. It counts each A1 block and A2 as the square dense
-// payload a "model" record writes, not the Eq. 1 generator, the uniform
-// A2 row and the stored rows a Model holds: it is the persisted size,
-// not the resident one.
+// compact layout's. It counts each state as the five fields, each A1
+// block and A2 as the square dense payload, and Π1 as the N values a
+// "model" record writes, not the two fields, the Eq. 1 generator, the
+// uniform rows and the stored rows a Model holds: it is the persisted
+// size, not the resident one.
 func (s *Snapshot) MemoryBytes() int {
 	n := 0
 	for i := range s.States {
-		n += 8 + 8 + 8 + 8 + len(s.States[i].Events)*8 // Shot, VideoIdx, LocalIdx, StartMS, Events
+		n += 8 + 8 + 8 + 8 + len(s.States[i].Events)*8 // a record's Shot, VideoIdx, LocalIdx, StartMS, Events
 	}
 	n += denseBytes(s.B1) + s.A2.Rows()*s.A2.Rows()*8 + denseBytes(s.B2)
 	n += denseBytes(s.P12) + denseBytes(s.B1Prime)
 	for _, a := range s.LocalA {
 		n += a.Rows() * a.Rows() * 8
 	}
-	n += (len(s.Pi1) + len(s.Pi2) + len(s.ScalerMin) + len(s.ScalerMax)) * 8
+	n += (s.Pi1.Len() + len(s.Pi2) + len(s.ScalerMin) + len(s.ScalerMax)) * 8
 	n += len(s.VideoIDs) * 8
 	return n
 }

@@ -42,8 +42,9 @@ func TestCompactRoundTripStructure(t *testing.T) {
 		}
 		for i := range m.States {
 			a, b := &m.States[i], &got.States[i]
-			if a.Shot != b.Shot || a.VideoIdx != b.VideoIdx || a.LocalIdx != b.LocalIdx || a.StartMS != b.StartMS {
-				t.Fatalf("seed %d: state %d bookkeeping %+v, want %+v", seed, i, b, a)
+			if a.Shot != b.Shot || got.VideoOf(i) != m.VideoOf(i) || got.StartMS(i) != m.StartMS(i) {
+				t.Fatalf("seed %d: state %d is shot %d of video %d at %dms, want shot %d of video %d at %dms", seed, i,
+					b.Shot, got.VideoOf(i), got.StartMS(i), a.Shot, m.VideoOf(i), m.StartMS(i))
 			}
 			if len(a.Events) != len(b.Events) {
 				t.Fatalf("seed %d: state %d has %d events, want %d", seed, i, len(b.Events), len(a.Events))
@@ -55,9 +56,9 @@ func TestCompactRoundTripStructure(t *testing.T) {
 			}
 		}
 		// Unquantized parameters survive bitwise.
-		for i, v := range m.Pi1 {
-			if got.Pi1[i] != v {
-				t.Fatalf("seed %d: Pi1[%d] = %v, want %v (bitwise)", seed, i, got.Pi1[i], v)
+		for i, v := range m.Pi1.Values() {
+			if got.Pi1.At(i) != v {
+				t.Fatalf("seed %d: Pi1[%d] = %v, want %v (bitwise)", seed, i, got.Pi1.At(i), v)
 			}
 		}
 		for i, v := range m.Pi2 {

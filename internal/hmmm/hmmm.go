@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/videodb/hmmm/internal/matrix"
 	"github.com/videodb/hmmm/internal/mmm"
@@ -34,13 +35,13 @@ import (
 	"github.com/videodb/hmmm/internal/videomodel"
 )
 
-// State is one level-1 state: an annotated shot.
+// State is one level-1 state: an annotated shot. What the model can
+// derive is not held here: the video holding state s is Model.VideoOf(s),
+// its index within that video's local MMM is s minus the video's first
+// state, and its start time is Model.StartMS(s).
 type State struct {
-	Shot     videomodel.ShotID
-	VideoIdx int // index into Model.VideoIDs (the level-2 state)
-	LocalIdx int // index within the video's local MMM
-	Events   []videomodel.Event
-	StartMS  int // occurrence time within the video (temporal order key)
+	Shot   videomodel.ShotID
+	Events []videomodel.Event
 }
 
 // HasEvent reports whether the state is annotated with e.
@@ -60,7 +61,7 @@ type Model struct {
 	// order then time.
 	States []State
 	B1     *matrix.Dense // N×K normalized visual/audio features (Eq. 3)
-	Pi1    []float64     // N global initial-state probabilities (Eq. 4)
+	Pi1    *mmm.Pi       // N global initial-state probabilities (Eq. 4): 1/N until training writes them
 	LocalA []*mmm.A1     // per-video A1 blocks (Eq. 1 generator plus rewritten rows), indexed like VideoIDs
 
 	// Level 2 (video level).
@@ -94,6 +95,9 @@ type Model struct {
 
 	// offsets[v] is the global state index of video v's first state.
 	offsets []int
+	// startMS[s] is state s's occurrence time within its video, the
+	// temporal order key, in [0, 2³¹).
+	startMS []int32
 }
 
 // K is the feature dimensionality of the model.
@@ -127,10 +131,22 @@ func (m *Model) DomainName() string {
 	return m.Domain
 }
 
-// GlobalIndex maps a (video, local state) pair to the global state index.
-func (m *Model) GlobalIndex(videoIdx, localIdx int) int {
-	return m.offsets[videoIdx] + localIdx
+// VideoOf returns the index of the video (the level-2 state) holding
+// state s: the last video whose first state is at most s.
+func (m *Model) VideoOf(s int) int {
+	if s < 0 || s >= len(m.States) {
+		panic(fmt.Sprintf("hmmm: state %d out of range (%d states)", s, len(m.States)))
+	}
+	v, _ := slices.BinarySearch(m.offsets, s+1)
+	return v - 1
 }
+
+// StartMS returns state s's occurrence time within its video.
+func (m *Model) StartMS(s int) int { return int(m.startMS[s]) }
+
+// StartTimes returns every state's start time as one column indexed like
+// States. The slice is the model's own and must not be modified.
+func (m *Model) StartTimes() []int32 { return m.startMS }
 
 // VideoStates returns the global state indices of video videoIdx as a
 // half-open range [lo, hi).
@@ -179,14 +195,17 @@ func Build(archive *videomodel.Archive, feats map[videomodel.ShotID][]float64, o
 	m := &Model{Domain: domain.Name}
 
 	// Pass 1 (serial): fix the state layout. Collect each video's
-	// annotated shots in temporal order, assign global offsets, and
-	// determine K from the first annotated shot.
+	// annotated shots in temporal order, assign global offsets and each
+	// video's first slot in the shared event array, and determine K from
+	// the first annotated shot.
 	perVideo := make([][]*videomodel.Shot, len(archive.Videos))
+	eventOff := make([]int, len(archive.Videos))
 	k := -1
-	total := 0
+	total, totalEvents := 0, 0
 	for vi, v := range archive.Videos {
 		m.VideoIDs = append(m.VideoIDs, v.ID)
 		m.offsets = append(m.offsets, total)
+		eventOff[vi] = totalEvents
 		for _, s := range v.Shots {
 			if !s.Annotated() {
 				continue
@@ -203,18 +222,22 @@ func Build(archive *videomodel.Archive, feats map[videomodel.ShotID][]float64, o
 			}
 			perVideo[vi] = append(perVideo[vi], s)
 			total++
+			totalEvents += len(s.Events)
 		}
 	}
 	if total == 0 {
 		return nil, errors.New("hmmm: archive has no annotated shots")
 	}
 
-	// Pass 2 (parallel across videos): states, raw B1 rows, local A1
-	// blocks, and B2 rows. Every video writes only its own state range,
-	// matrix rows, and error slot, so the fill is order-independent.
+	// Pass 2 (parallel across videos): states, their start times and
+	// events, raw B1 rows, local A1 blocks, and B2 rows. Every video
+	// writes only its own state range, event range, matrix rows, and
+	// error slot, so the fill is order-independent.
 	mVideos := len(m.VideoIDs)
 	c := domain.NumEvents()
 	m.States = make([]State, total)
+	m.startMS = make([]int32, total)
+	events := make([]videomodel.Event, totalEvents)
 	m.LocalA = make([]*mmm.A1, mVideos)
 	m.B2 = matrix.NewDense(mVideos, c)
 	bb1 := matrix.NewDense(total, k)
@@ -239,7 +262,7 @@ func Build(archive *videomodel.Archive, feats map[videomodel.ShotID][]float64, o
 			m.LocalA[vi] = new(mmm.A1)
 			return
 		}
-		base := m.offsets[vi]
+		base, eo := m.offsets[vi], eventOff[vi]
 		ne := make([]int, len(shots))
 		for li, s := range shots {
 			f, ok := feats[s.ID]
@@ -251,13 +274,14 @@ func Build(archive *videomodel.Archive, feats map[videomodel.ShotID][]float64, o
 				errs[vi] = fmt.Errorf("hmmm: shot %d has %d features, want %d", s.ID, len(f), k)
 				return
 			}
-			m.States[base+li] = State{
-				Shot:     s.ID,
-				VideoIdx: vi,
-				LocalIdx: li,
-				Events:   append([]videomodel.Event(nil), s.Events...),
-				StartMS:  s.StartMS,
+			if s.StartMS < 0 || s.StartMS > math.MaxInt32 {
+				errs[vi] = fmt.Errorf("hmmm: shot %d starts at %dms, outside [0, 2^31)", s.ID, s.StartMS)
+				return
 			}
+			ev := events[eo : eo+len(s.Events) : eo+len(s.Events)]
+			eo += copy(ev, s.Events)
+			m.States[base+li] = State{Shot: s.ID, Events: ev}
+			m.startMS[base+li] = int32(s.StartMS)
 			copy(bb1.Row(base+li), f)
 			ne[li] = s.NE()
 		}
@@ -279,10 +303,7 @@ func Build(archive *videomodel.Archive, feats map[videomodel.ShotID][]float64, o
 
 	// Π1: uniform before any training data exists (Eq. 4 with an empty
 	// training set); feedback training reshapes it.
-	m.Pi1 = make([]float64, total)
-	for i := range m.Pi1 {
-		m.Pi1[i] = 1 / float64(total)
-	}
+	m.Pi1 = mmm.UniformPi(total)
 
 	// Level 2.
 	var err error
@@ -404,10 +425,10 @@ func (m *Model) Validate(tol float64) error {
 	if m.B1 == nil || m.B1.Rows() != m.NumStates() {
 		return errors.New("hmmm: B1 shape mismatch")
 	}
-	if len(m.Pi1) != m.NumStates() {
+	if m.Pi1 == nil || m.Pi1.Len() != m.NumStates() {
 		return errors.New("hmmm: Pi1 length mismatch")
 	}
-	if err := m.checkDistribution(m.Pi1, tol); err != nil {
+	if err := m.checkDistribution(m.Pi1.Values(), tol); err != nil {
 		return fmt.Errorf("hmmm: Pi1: %w", err)
 	}
 	if len(m.LocalA) != m.NumVideos() {
@@ -441,6 +462,14 @@ func (m *Model) Validate(tol float64) error {
 	if m.B2 == nil || m.B2.Rows() != m.NumVideos() {
 		return errors.New("hmmm: B2 shape mismatch")
 	}
+	// B2 entries are event counts: non-negative integers.
+	for i := 0; i < m.B2.Rows(); i++ {
+		for j, v := range m.B2.Row(i) {
+			if !(v >= 0) || v != math.Trunc(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("hmmm: B2(%d,%d) = %v is not an event count", i, j, v)
+			}
+		}
+	}
 	if m.P12 == nil || m.P12.Rows() != m.NumConcepts() || m.P12.Cols() != m.K() {
 		return errors.New("hmmm: P12 shape mismatch")
 	}
@@ -450,22 +479,33 @@ func (m *Model) Validate(tol float64) error {
 	if m.B1Prime == nil || m.B1Prime.Rows() != m.NumConcepts() || m.B1Prime.Cols() != m.K() {
 		return errors.New("hmmm: B1' shape mismatch")
 	}
-	// B1 entries must be in [0,1] (Eq. 3).
-	for i := 0; i < m.B1.Rows(); i++ {
-		for j := 0; j < m.B1.Cols(); j++ {
-			v := m.B1.At(i, j)
-			if !(v >= -tol && v <= 1+tol) {
-				return fmt.Errorf("hmmm: B1(%d,%d) = %v outside [0,1]", i, j, v)
+	// B1 entries must be in [0,1] (Eq. 3), and so must B1' entries,
+	// Eq. 11 means of them.
+	for _, b := range []struct {
+		name string
+		d    *matrix.Dense
+	}{{"B1", m.B1}, {"B1'", m.B1Prime}} {
+		for i := 0; i < b.d.Rows(); i++ {
+			for j, v := range b.d.Row(i) {
+				if !(v >= -tol && v <= 1+tol) {
+					return fmt.Errorf("hmmm: %s(%d,%d) = %v outside [0,1]", b.name, i, j, v)
+				}
 			}
 		}
 	}
-	// Each state's bookkeeping must be consistent.
-	for gi, st := range m.States {
-		if st.VideoIdx < 0 || st.VideoIdx >= m.NumVideos() {
-			return fmt.Errorf("hmmm: state %d has video index %d", gi, st.VideoIdx)
+	// Every state starts at a time the column holds, and every event
+	// lies on the concept axis: the engine indexes its tables by it.
+	if len(m.startMS) != m.NumStates() {
+		return errors.New("hmmm: start time count mismatch")
+	}
+	for s, st := range m.States {
+		if ms := m.startMS[s]; ms < 0 {
+			return fmt.Errorf("hmmm: state %d starts at %dms, outside [0, 2^31)", s, ms)
 		}
-		if m.GlobalIndex(st.VideoIdx, st.LocalIdx) != gi {
-			return fmt.Errorf("hmmm: state %d index bookkeeping broken", gi)
+		for _, e := range st.Events {
+			if !e.Valid() || e.Index() >= m.NumConcepts() {
+				return fmt.Errorf("hmmm: state %d annotated with event %d outside the %d-concept axis", s, e, m.NumConcepts())
+			}
 		}
 	}
 	return nil

@@ -149,8 +149,10 @@ func TestBuildOffsets(t *testing.T) {
 	if lo != hi {
 		t.Errorf("video 2 states = [%d,%d), want empty", lo, hi)
 	}
-	if m.GlobalIndex(1, 1) != 4 {
-		t.Errorf("GlobalIndex(1,1) = %d, want 4", m.GlobalIndex(1, 1))
+	for s, want := range []int{0, 0, 0, 1, 1} {
+		if got := m.VideoOf(s); got != want {
+			t.Errorf("VideoOf(%d) = %d, want %d", s, got, want)
+		}
 	}
 }
 
@@ -245,8 +247,8 @@ func TestVideoStatesPartition(t *testing.T) {
 			t.Fatalf("video %d covers [%d, %d), want to start at %d", v, lo, hi, next)
 		}
 		for s := lo; s < hi; s++ {
-			if m.States[s].VideoIdx != v {
-				t.Errorf("state %d in video %d's range has VideoIdx %d", s, v, m.States[s].VideoIdx)
+			if m.VideoOf(s) != v {
+				t.Errorf("state %d in video %d's range has VideoOf %d", s, v, m.VideoOf(s))
 			}
 		}
 		next = hi
@@ -314,8 +316,8 @@ func TestTrainShotLevelReinforces(t *testing.T) {
 		t.Fatalf("model invalid after training: %v", err)
 	}
 	// Π1 must now favor state 0 (the pattern's initial state).
-	if next.Pi1[0] <= next.Pi1[2] {
-		t.Errorf("Pi1[0] = %v should exceed Pi1[2] = %v", next.Pi1[0], next.Pi1[2])
+	if next.Pi1.At(0) <= next.Pi1.At(2) {
+		t.Errorf("Pi1[0] = %v should exceed Pi1[2] = %v", next.Pi1.At(0), next.Pi1.At(2))
 	}
 }
 
@@ -418,7 +420,7 @@ func TestTrainSharesWhatItDoesNotWrite(t *testing.T) {
 			t.Errorf("trained model copied %s", name)
 		}
 	}
-	if &next.Pi1[0] == &m.Pi1[0] || next.A2 == m.A2 || &next.Pi2[0] == &m.Pi2[0] {
+	if next.Pi1 == m.Pi1 || next.A2 == m.A2 || &next.Pi2[0] == &m.Pi2[0] {
 		t.Error("trained model shares a retrained Π1, A2 or Π2 with its parent")
 	}
 }
@@ -534,7 +536,7 @@ func TestValidateRefusesNaN(t *testing.T) {
 			c.P12 = m.P12.Clone()
 			c.P12.Set(0, 0, nan)
 		},
-		"Pi1": func(c *Model) { c.Pi1 = append([]float64{nan}, m.Pi1[1:]...) },
+		"Pi1": func(c *Model) { c.Pi1 = mmm.NewPi(append([]float64{nan}, m.Pi1.Values()[1:]...)) },
 		"B1": func(c *Model) {
 			c.B1 = m.B1.Clone()
 			c.B1.Set(0, 0, nan)

@@ -9,12 +9,19 @@ import (
 	"github.com/videodb/hmmm/internal/videomodel"
 )
 
-// Snapshot is the fully exported persistent form of a Model, suitable for
-// encoding/gob or JSON.
+// Snapshot is the fully exported form of a Model: the state layout the
+// model derives its indices from, and every parameter. A store record
+// converts to and from it.
 type Snapshot struct {
-	States    []State
+	States []State
+	// StartMS[s] is state s's occurrence time within its video.
+	StartMS []int32
+	// Offsets[v] is the index into States of video v's first state:
+	// states are grouped by video, in video order, and in temporal order
+	// within each video.
+	Offsets   []int
 	B1        *matrix.Dense
-	Pi1       []float64
+	Pi1       *mmm.Pi
 	LocalA    []*mmm.A1
 	VideoIDs  []videomodel.VideoID
 	A2        *mmm.A2
@@ -26,19 +33,19 @@ type Snapshot struct {
 	ScalerMax []float64
 	// Partial mirrors Model.Partial: the snapshot describes a by-video
 	// shard of a larger model, so Π1/Π2/A2 may be sub-stochastic.
-	// Snapshots written before sharding existed decode with the zero
-	// value (a full model), keeping the gob format backward compatible.
 	Partial bool
-	// Domain mirrors Model.Domain. Snapshots written before domain
-	// stamping decode to "" — interpreted everywhere as soccer.
+	// Domain mirrors Model.Domain; "" is soccer.
 	Domain string
 }
 
-// Snapshot captures the model's full state.
+// Snapshot captures the model's full state. It shares the model's
+// storage.
 func (m *Model) Snapshot() *Snapshot {
 	min, max := m.Scaler.Bounds()
 	return &Snapshot{
 		States:    m.States,
+		StartMS:   m.startMS,
+		Offsets:   m.offsets,
 		B1:        m.B1,
 		Pi1:       m.Pi1,
 		LocalA:    m.LocalA,
@@ -55,11 +62,29 @@ func (m *Model) Snapshot() *Snapshot {
 	}
 }
 
-// FromSnapshot reconstructs a model, rebuilding the internal per-video
-// offset index from the states and validating the result.
+// FromSnapshot reconstructs a model over the snapshot's storage and
+// validates it. It refuses a state layout whose offsets do not group
+// every state into exactly one video.
 func FromSnapshot(s *Snapshot) (*Model, error) {
 	if s == nil {
 		return nil, errors.New("hmmm: nil snapshot")
+	}
+	n := len(s.States)
+	if len(s.StartMS) != n {
+		return nil, fmt.Errorf("hmmm: snapshot has %d start times for %d states", len(s.StartMS), n)
+	}
+	if len(s.Offsets) != len(s.VideoIDs) {
+		return nil, fmt.Errorf("hmmm: snapshot has %d video offsets for %d videos", len(s.Offsets), len(s.VideoIDs))
+	}
+	prev := 0
+	for vi, o := range s.Offsets {
+		if o < prev || o > n || (vi == 0 && o != 0) {
+			return nil, fmt.Errorf("hmmm: snapshot video %d starts at state %d, after %d of %d", vi, o, prev, n)
+		}
+		prev = o
+	}
+	if n > 0 && len(s.Offsets) == 0 {
+		return nil, fmt.Errorf("hmmm: snapshot holds %d states and no video", n)
 	}
 	m := &Model{
 		States:   s.States,
@@ -74,20 +99,10 @@ func FromSnapshot(s *Snapshot) (*Model, error) {
 		B1Prime:  s.B1Prime,
 		Partial:  s.Partial,
 		Domain:   s.Domain,
+		offsets:  s.Offsets,
+		startMS:  s.StartMS,
 	}
 	m.Scaler.SetBounds(s.ScalerMin, s.ScalerMax)
-	// Rebuild offsets: states are stored grouped by video in order.
-	m.offsets = make([]int, len(m.VideoIDs))
-	cursor := 0
-	for vi := range m.VideoIDs {
-		m.offsets[vi] = cursor
-		for cursor < len(m.States) && m.States[cursor].VideoIdx == vi {
-			cursor++
-		}
-	}
-	if cursor != len(m.States) {
-		return nil, fmt.Errorf("hmmm: snapshot states not grouped by video (%d of %d consumed)", cursor, len(m.States))
-	}
 	// A decoded A1 block stores every row; over its video's annotation
 	// counts it keeps only the rows feedback rewrote. A block that
 	// already has a generator is kept, so a shard still aliases its

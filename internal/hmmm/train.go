@@ -75,8 +75,8 @@ func (m *Model) trainShotLevel(patterns []mmm.AccessPattern, opts TrainOptions) 
 		}
 		frags := make(map[int][]int)
 		for _, s := range p.States {
-			st := &m.States[s]
-			frags[st.VideoIdx] = append(frags[st.VideoIdx], st.LocalIdx)
+			vi := m.VideoOf(s)
+			frags[vi] = append(frags[vi], s-m.offsets[vi])
 		}
 		for vi, locals := range frags {
 			perVideo[vi] = append(perVideo[vi], mmm.AccessPattern{States: locals, Freq: p.Freq})
@@ -97,7 +97,7 @@ func (m *Model) trainShotLevel(patterns []mmm.AccessPattern, opts TrainOptions) 
 	if err != nil {
 		return err
 	}
-	m.Pi1 = blendUniform(pi1, opts.PiSmoothing)
+	m.Pi1 = mmm.NewPi(blendUniform(pi1, opts.PiSmoothing))
 	return nil
 }
 
@@ -140,8 +140,9 @@ func (m *Model) Clone() *Model {
 	for i := range c.States {
 		c.States[i].Events = append([]videomodel.Event(nil), m.States[i].Events...)
 	}
+	c.startMS = slices.Clone(m.startMS)
 	c.B1 = m.B1.Clone()
-	c.Pi1 = append([]float64(nil), m.Pi1...)
+	c.Pi1 = m.Pi1.Clone()
 	c.LocalA = make([]*mmm.A1, len(m.LocalA))
 	for i, a := range m.LocalA {
 		c.LocalA[i] = a.Clone()

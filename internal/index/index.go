@@ -102,31 +102,33 @@ func Build(m *hmmm.Model, eps float64) *Coarse {
 	// transient scratch the edge-table pass reuses so each (state,
 	// concept) similarity is computed once.
 	stateSims := make([][]float64, len(m.States))
-	for s := range m.States {
-		st := &m.States[s]
-		vi := st.VideoIdx
-		if p := float32(m.Pi1[s]); p > ix.maxPi1[vi] {
-			ix.maxPi1[vi] = p
-		}
-		if len(st.Events) == 0 {
-			continue
-		}
-		ss := make([]float64, len(st.Events))
-		for ei, ev := range st.Events {
-			if !ev.Valid() {
+	for vi := 0; vi < mv; vi++ {
+		lo, hi := m.VideoStates(vi)
+		for s := lo; s < hi; s++ {
+			st := &m.States[s]
+			if p := float32(m.Pi1.At(s)); p > ix.maxPi1[vi] {
+				ix.maxPi1[vi] = p
+			}
+			if len(st.Events) == 0 {
 				continue
 			}
-			ci := ev.Index()
-			sim := simKernel(b1[s*k:(s+1)*k], bp[ci*k:(ci+1)*k], p12[ci*k:(ci+1)*k], eps)
-			ss[ei] = sim
-			if f := float32(sim); f > ix.sims[vi*c+ci] {
-				ix.sims[vi*c+ci] = f
+			ss := make([]float64, len(st.Events))
+			for ei, ev := range st.Events {
+				if !ev.Valid() {
+					continue
+				}
+				ci := ev.Index()
+				sim := simKernel(b1[s*k:(s+1)*k], bp[ci*k:(ci+1)*k], p12[ci*k:(ci+1)*k], eps)
+				ss[ei] = sim
+				if f := float32(sim); f > ix.sims[vi*c+ci] {
+					ix.sims[vi*c+ci] = f
+				}
+				if f := float32(m.Pi1.At(s) * sim); f > ix.piSims[vi*c+ci] {
+					ix.piSims[vi*c+ci] = f
+				}
 			}
-			if f := float32(m.Pi1[s] * sim); f > ix.piSims[vi*c+ci] {
-				ix.piSims[vi*c+ci] = f
-			}
+			stateSims[s] = ss
 		}
-		stateSims[s] = ss
 	}
 	// The joint edge table: per video, max A1(s, t)·sim(t, c2) over
 	// every ordered pair of annotated states, bucketed by the pair's
@@ -141,12 +143,11 @@ func Build(m *hmmm.Model, eps float64) *Coarse {
 			if len(m.States[s].Events) == 0 {
 				continue
 			}
-			si := m.States[s].LocalIdx
 			for t := lo; t < hi; t++ {
 				if len(m.States[t].Events) == 0 {
 					continue
 				}
-				w := a.At(si, m.States[t].LocalIdx)
+				w := a.At(s-lo, t-lo)
 				if w == 0 {
 					continue
 				}

@@ -90,7 +90,7 @@ func TestMaxPi1(t *testing.T) {
 		lo, hi := m.VideoStates(v)
 		want := float32(0)
 		for s := lo; s < hi; s++ {
-			if p := float32(m.Pi1[s]); p > want {
+			if p := float32(m.Pi1.At(s)); p > want {
 				want = p
 			}
 		}
@@ -215,7 +215,7 @@ func TestPiSimAndEdgeTables(t *testing.T) {
 				if !m.States[s].HasEvent(ev) {
 					continue
 				}
-				if ps := float32(m.Pi1[s] * eng.Sim(s, ev)); ps > want {
+				if ps := float32(m.Pi1.At(s) * eng.Sim(s, ev)); ps > want {
 					want = ps
 				}
 			}
@@ -235,7 +235,7 @@ func TestPiSimAndEdgeTables(t *testing.T) {
 						if !m.States[u].HasEvent(e2) {
 							continue
 						}
-						a := m.LocalA[v].At(m.States[s].LocalIdx, m.States[u].LocalIdx)
+						a := m.LocalA[v].At(s-lo, u-lo)
 						if a == 0 {
 							continue
 						}

@@ -10,9 +10,9 @@ import (
 
 // A1 is one video's shot-level transition block: n×n and
 // upper-triangular, since Eq. 1 sets A1(m,n) only where T_m ≤ T_n. It is
-// held as the Eq. 1 generator InitTemporalA keeps — two float64 counts
-// per state — plus the rows whose values differ from it: the rows Eq. 2
-// feedback rewrote, and every row of a block decoded without its
+// held as the Eq. 1 generator InitTemporalA keeps — one int32 suffix
+// count per state — plus the rows whose values differ from it: the rows
+// Eq. 2 feedback rewrote, and every row of a block decoded without its
 // generator until Canonical gives it one. A block is never modified once
 // built, so models, their shards and their trained copies share blocks.
 // The zero A1 is the empty 0×0 block.
@@ -22,10 +22,11 @@ import (
 // s, and IEEE division is monotone in a positive divisor.
 type A1 struct {
 	n int
-	// num[j] = NE(s_j) and den[i] = Σ_{k≥i} NE(s_k) − 1, as float64;
-	// both nil when the block has no generator and every row is
+	// suf[i] = S_i = Σ_{k≥i} NE(s_k) for i ≤ n, so S_n = 0: column j's
+	// Eq. 1 numerator is S_j − S_{j+1} and row i's denominator is
+	// S_i − 1. nil when the block has no generator and every row is
 	// explicit.
-	num, den []float64
+	suf []int32
 	// rows is nil when no row is explicit; otherwise rows[i] holds
 	// columns [i, n) of row i where that row is explicit, and is nil
 	// where it is generated.
@@ -74,27 +75,34 @@ func (a *A1) At(i, j int) float64 {
 func (a *A1) Next(i, j int) float64 { return a.NextRow(i).At(j - i) }
 
 // A1Row reads row i of a block right of its diagonal. The lattice takes
-// it once per cell, out of its per-edge loop, so the read per edge is
-// one division, small enough to inline there.
+// it once per cell, out of its per-edge loop, so the read per edge is a
+// load or one subtraction and one division, small enough to inline
+// there.
 type A1Row struct {
-	// num holds, from column i on, the stored row or Eq. 1's numerators;
-	// den is 1 for a stored row (x/1 is x, bit for bit) or Eq. 1's
-	// denominator of row i.
-	num []float64
+	// row holds the stored row from column i on, nil when Eq. 1
+	// generates it from suf, the suffix counts from S_i on, over den,
+	// S_i − 1.
+	row []float64
+	suf []int32
 	den float64
 }
 
 // NextRow returns the reader of row i.
 func (a *A1) NextRow(i int) A1Row {
 	if r := a.Explicit(i); r != nil {
-		return A1Row{r, 1}
+		return A1Row{row: r}
 	}
-	return A1Row{a.num[i:], a.den[i]}
+	return A1Row{suf: a.suf[i:], den: float64(a.suf[i] - 1)}
 }
 
 // At returns A1(i, i+k) for k ≥ 1, with the bits gen gives a generated
 // row. k = 0, the diagonal, is not checked.
-func (r A1Row) At(k int) float64 { return r.num[k] / r.den }
+func (r A1Row) At(k int) float64 {
+	if r.row != nil {
+		return r.row[k]
+	}
+	return float64(r.suf[k]-r.suf[k+1]) / r.den
+}
 
 // Explicit returns columns [i, n) of row i when the row is stored, nil
 // when Eq. 1 generates it. The slice must not be modified.
@@ -102,7 +110,7 @@ func (a *A1) Explicit(i int) []float64 {
 	if a.rows == nil {
 		// A block storing no row has a generator or is empty, so this
 		// is the bounds check.
-		_ = a.den[i]
+		_ = a.suf[:a.n][i]
 		return nil
 	}
 	return a.rows[i]
@@ -138,7 +146,7 @@ func (a *A1) IsRowStochastic(tol float64) bool {
 
 // Clone returns a deep copy.
 func (a *A1) Clone() *A1 {
-	c := &A1{n: a.n, num: slices.Clone(a.num), den: slices.Clone(a.den)}
+	c := &A1{n: a.n, suf: slices.Clone(a.suf)}
 	if a.rows != nil {
 		c.rows = make([][]float64, a.n)
 		for i, r := range a.rows {
@@ -155,7 +163,7 @@ func (a *A1) Clone() *A1 {
 // on it stores exactly its differing rows. So is a block when ne is not a
 // valid count vector of its size; it keeps every row explicit.
 func (a *A1) Canonical(ne []int) *A1 {
-	if a.num != nil || len(ne) != a.n {
+	if a.suf != nil || len(ne) != a.n {
 		return a
 	}
 	g, err := InitTemporalA(ne)
@@ -171,13 +179,13 @@ func (a *A1) Canonical(ne []int) *A1 {
 // generator, every row is), in one backing array of exactly their size.
 func (g *A1) rewrite(row func(i int, dst []float64) []float64) *A1 {
 	n := g.n
-	out := &A1{n: n, num: g.num, den: g.den}
+	out := &A1{n: n, suf: g.suf}
 	dst, genBuf := make([]float64, n), make([]float64, n)
 	var tri []float64 // stored rows at their packed offsets i·n − i(i−1)/2
 	size, o := 0, 0
 	for i := 0; i < n; i++ {
 		w := n - i
-		if r := row(i, dst[:w]); g.num == nil || !sameBits(r, g.Row(i, genBuf)) {
+		if r := row(i, dst[:w]); g.suf == nil || !sameBits(r, g.Row(i, genBuf)) {
 			if tri == nil {
 				tri, out.rows = make([]float64, n*(n+1)/2), make([][]float64, n)
 			}

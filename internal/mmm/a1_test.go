@@ -41,8 +41,8 @@ func decoded(t testing.TB, rows [][]float64) *A1 {
 	return a
 }
 
-// TestInitTemporalAStoresNoRow pins what a built block holds: two counts
-// per state and no row, however large the block.
+// TestInitTemporalAStoresNoRow pins what a built block holds: one suffix
+// count per state, a closing zero and no row, however large the block.
 func TestInitTemporalAStoresNoRow(t *testing.T) {
 	a, err := InitTemporalA([]int{2, 1, 3, 1})
 	if err != nil {
@@ -51,9 +51,9 @@ func TestInitTemporalAStoresNoRow(t *testing.T) {
 	if a.rows != nil {
 		t.Errorf("stores rows %v", a.rows)
 	}
-	// NE = [2, 1, 3, 1]: suffix sums [7, 5, 4, 1], minus one.
-	if !reflect.DeepEqual(a.num, []float64{2, 1, 3, 1}) || !reflect.DeepEqual(a.den, []float64{6, 4, 3, 0}) {
-		t.Errorf("generator num %v den %v", a.num, a.den)
+	// NE = [2, 1, 3, 1]: suffix sums [7, 5, 4, 1], then S_4 = 0.
+	if !reflect.DeepEqual(a.suf, []int32{7, 5, 4, 1, 0}) {
+		t.Errorf("generator suffix counts %v", a.suf)
 	}
 	for i := 0; i < a.Rows(); i++ {
 		if a.Explicit(i) != nil {
@@ -133,7 +133,7 @@ func TestA1Clone(t *testing.T) {
 	if !reflect.DeepEqual(c, a) {
 		t.Fatalf("clone %+v differs from %+v", c, a)
 	}
-	if &c.num[0] == &a.num[0] || &c.den[0] == &a.den[0] || &c.rows[0][0] == &a.rows[0][0] {
+	if &c.suf[0] == &a.suf[0] || &c.rows[0][0] == &a.rows[0][0] {
 		t.Error("clone shares storage")
 	}
 	if e := new(A1).Clone(); e.Rows() != 0 {
@@ -305,7 +305,7 @@ func updateDense(prior *A1, patterns []AccessPattern, opts UpdateOptions) *A1 {
 		}
 	}
 	normalizeRowsDense(out)
-	gen := &A1{n: n, num: prior.num, den: prior.den}
+	gen := &A1{n: n, suf: prior.suf}
 	return gen.rewrite(func(i int, _ []float64) []float64 { return out.Row(i)[i:] })
 }
 
@@ -382,7 +382,7 @@ func TestUpdateAStoresOnlyRewrittenRows(t *testing.T) {
 			t.Errorf("row %d stored = %v, want %v", i, stored, want)
 		}
 	}
-	if &got.num[0] != &prior.num[0] {
+	if &got.suf[0] != &prior.suf[0] {
 		t.Error("the update does not share its prior's generator")
 	}
 	// The stored rows lie back to back, in a backing of their own size.

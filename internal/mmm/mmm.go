@@ -35,8 +35,9 @@ var ErrNoStates = errors.New("mmm: model has no states")
 //
 // States must be in temporal order and every count must be >= 1 (states are
 // annotated shots). The result is row-stochastic and stores no row: it
-// keeps the numerators and denominators, and gen and genDiag compute each
-// entry from them on read.
+// keeps the suffix counts S_i = Σ_{k≥i} NE(s_k), S_n = 0, and gen and
+// genDiag compute each entry from them on read. A block whose counts sum
+// past 2³¹ − 1 is refused.
 func InitTemporalA(ne []int) (*A1, error) {
 	n := len(ne)
 	if n == 0 {
@@ -47,25 +48,30 @@ func InitTemporalA(ne []int) (*A1, error) {
 			return nil, fmt.Errorf("mmm: state %d has annotation count %d, want >= 1", i, c)
 		}
 	}
-	a := &A1{n: n, num: make([]float64, n), den: make([]float64, n)}
+	a := &A1{n: n, suf: make([]int32, n+1)}
 	suffix := 0
 	for i := n - 1; i >= 0; i-- {
-		suffix += ne[i]
-		a.num[i] = float64(ne[i])
-		a.den[i] = float64(suffix - 1)
+		if suffix += ne[i]; suffix > math.MaxInt32 {
+			return nil, fmt.Errorf("mmm: annotation counts from state %d on sum past 2^31-1", i)
+		}
+		a.suf[i] = int32(suffix)
 	}
 	return a, nil
 }
 
-// gen is Eq. 1's A1(i, j) for i < j.
-func (a *A1) gen(i, j int) float64 { return a.num[j] / a.den[i] }
+// gen is Eq. 1's A1(i, j) for i < j: NE(s_j) = S_j − S_{j+1} over
+// S_i − 1. Both are integers below 2³¹, so each converts to float64
+// exactly.
+func (a *A1) gen(i, j int) float64 {
+	return float64(a.suf[j]-a.suf[j+1]) / float64(a.suf[i]-1)
+}
 
 // genDiag is Eq. 1's A1(i, i).
 func (a *A1) genDiag(i int) float64 {
 	if i == a.n-1 {
 		return 1
 	}
-	return (a.num[i] - 1) / a.den[i]
+	return float64(a.suf[i]-a.suf[i+1]-1) / float64(a.suf[i]-1)
 }
 
 // AccessPattern is one recorded user access: the ordered state indices the
@@ -135,7 +141,7 @@ func UpdateA(prior *A1, patterns []AccessPattern, opts UpdateOptions) (*A1, erro
 		}
 	}
 	co, buf := make([]float64, n), make([]float64, n)
-	gen := &A1{n: n, num: prior.num, den: prior.den}
+	gen := &A1{n: n, suf: prior.suf}
 	return gen.rewrite(func(i int, o []float64) []float64 {
 		p, c := prior.Row(i, buf), co[:n-i]
 		clear(c)

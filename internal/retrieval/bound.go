@@ -68,7 +68,7 @@ type bounds struct {
 // its block, so the fill fans out with bit-identical contents for any
 // GOMAXPROCS. It returns nil — the engine then never prunes
 // — when some Π1 or sim value is negative or NaN, which the argument
-// above excludes (validateModel already rejects negative Π1 and A1; an
+// above excludes (NewEngine's Validate already rejects negative Π1 and A1; an
 // Eq. 14 term can dip below zero only through Validate's B1 tolerance).
 func (e *Engine) buildBounds() *bounds {
 	sh := e.shared
@@ -137,7 +137,7 @@ func (e *Engine) fillBound(b *bounds, v int, fl *videoFlat) bool {
 			if !ev.Valid() {
 				continue
 			}
-			sim, pi := e.Sim(s, ev), m.Pi1[s]
+			sim, pi := e.Sim(s, ev), m.Pi1.At(s)
 			if !(sim >= 0 && pi >= 0) {
 				return false
 			}

@@ -30,7 +30,7 @@ func referenceBounds(e *Engine) *bounds {
 			for _, ev := range m.States[s].Events {
 				if ev.Valid() {
 					r := conceptRank(mask, ev.Index())
-					entry[r] = max(entry[r], m.Pi1[s]*e.Sim(s, ev))
+					entry[r] = max(entry[r], m.Pi1.At(s)*e.Sim(s, ev))
 				}
 			}
 			row := a.Row(s-lo, buf)

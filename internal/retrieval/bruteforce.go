@@ -85,18 +85,18 @@ func BruteForce(m *hmmm.Model, q Query, topK int) (*Result, error) {
 				start = after + 1
 			}
 			for s := start; s < hi; s++ {
-				if !q.Scope.contains(m.States[s].StartMS) {
+				if !q.Scope.contains(m.StartMS(s)) {
 					continue
 				}
 				if !stateHasStep(&m.States[s], st) {
 					continue
 				}
-				if after >= 0 && !st.gapOK(m.States[after].StartMS, m.States[s].StartMS) {
+				if after >= 0 && !st.gapOK(m.StartMS(after), m.StartMS(s)) {
 					continue
 				}
 				var w float64
 				if j == 0 {
-					w = m.Pi1[s] * eng.simCounted(s, st, &res.Cost)
+					w = m.Pi1.At(s) * eng.simCounted(s, st, &res.Cost)
 				} else {
 					res.Cost.EdgeEvals++
 					prev := p.states[len(p.states)-1]
@@ -185,13 +185,13 @@ func countConstrained(m *hmmm.Model, steps []Step, scope *Scope, lo, hi int) int
 		}
 		n := 0
 		for s := start; s < hi; s++ {
-			if !scope.contains(m.States[s].StartMS) {
+			if !scope.contains(m.StartMS(s)) {
 				continue
 			}
 			if !stateHasStep(&m.States[s], st) {
 				continue
 			}
-			if after >= 0 && !st.gapOK(m.States[after].StartMS, m.States[s].StartMS) {
+			if after >= 0 && !st.gapOK(m.StartMS(after), m.StartMS(s)) {
 				continue
 			}
 			n += dfs(j+1, s)

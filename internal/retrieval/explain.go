@@ -60,12 +60,11 @@ func (e *Engine) Explain(match Match, q Query) ([]StepExplanation, error) {
 			Sim:   e.SimStep(s, st),
 		}
 		if j == 0 {
-			ex.Pi = e.m.Pi1[s]
+			ex.Pi = e.m.Pi1.At(s)
 			w = ex.Pi * ex.Sim
 		} else {
 			prev := match.States[j-1]
-			prevVid := e.m.States[prev].VideoIdx
-			curVid := e.m.States[s].VideoIdx
+			prevVid, curVid := e.m.VideoOf(prev), e.m.VideoOf(s)
 			if prevVid == curVid {
 				ex.Transition = e.transition(curVid, prev, s)
 			} else {
@@ -156,7 +155,7 @@ func (e *Engine) QueryByExample(raw []float64, concept videomodel.Event, topK in
 		matches = append(matches, Match{
 			States: []int{s},
 			Shots:  []videomodel.ShotID{e.m.States[s].Shot},
-			Videos: []videomodel.VideoID{e.m.VideoIDs[e.m.States[s].VideoIdx]},
+			Videos: []videomodel.VideoID{e.m.VideoIDs[e.m.VideoOf(s)]},
 			Score:  sim,
 		})
 	}

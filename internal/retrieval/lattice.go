@@ -188,7 +188,7 @@ func (e *Engine) lattice(vi, j0 int, entry []int32, ctx *searchCtx) []int32 {
 		}
 
 		// Stage j0: enter the video. lo turns a global state index into
-		// the local one LocalA is addressed by (validateModel's invariant).
+		// the local one LocalA is addressed by.
 		lo, _ := e.m.VideoStates(vi)
 		st := ctx.steps[j0]
 		cur = cur[:0]
@@ -200,7 +200,7 @@ func (e *Engine) lattice(vi, j0 int, entry []int32, ctx *searchCtx) []int32 {
 			sim := e.simCounted(int(s), st, cost)
 			if entry == nil {
 				// Eq. 12: w1 = Π1(s1) · sim(s1, e1).
-				w := e.m.Pi1[s] * sim
+				w := e.m.Pi1.At(int(s)) * sim
 				cur = append(cur, ar.push(cell{state: s, vi: int32(vi), prev: -1, w: w, score: w}))
 				continue
 			}

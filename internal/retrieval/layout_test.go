@@ -109,20 +109,16 @@ func TestIndexLayoutProperties(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			startMS := eng.StartMSColumn()
-			if len(startMS) != m.NumStates() {
-				t.Fatalf("%s: start-time column has %d entries for %d states", label, len(startMS), m.NumStates())
+			if len(startMS) != m.NumStates() || &startMS[0] != &m.StartTimes()[0] {
+				t.Fatalf("%s: start-time column has %d entries for %d states, or is not the model's", label, len(startMS), m.NumStates())
 			}
 			for vi := 0; vi < m.NumVideos(); vi++ {
 				lo, hi := m.VideoStates(vi)
 				want := make([][]int32, m.NumConcepts())
 				for s := lo; s < hi; s++ {
 					st := &m.States[s]
-					if st.LocalIdx != s-lo || st.VideoIdx != vi {
-						t.Fatalf("%s: state %d has (video %d, local %d), want (%d, %d)",
-							label, s, st.VideoIdx, st.LocalIdx, vi, s-lo)
-					}
-					if int(startMS[s]) != st.StartMS {
-						t.Fatalf("%s: startMS[%d] = %d, state says %d", label, s, startMS[s], st.StartMS)
+					if m.VideoOf(s) != vi {
+						t.Fatalf("%s: state %d has video %d, want %d", label, s, m.VideoOf(s), vi)
 					}
 					for _, ev := range st.Events {
 						want[ev.Index()] = append(want[ev.Index()], int32(s))

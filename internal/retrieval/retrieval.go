@@ -37,7 +37,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -413,7 +412,7 @@ type engineShared struct {
 	// video's lists are contiguous and a stage reads a few cache lines.
 	postings []int32
 	postOff  []int32
-	// startMS[s] is States[s].StartMS packed beside the postings; only
+	// startMS is the model's start-time column, Model.StartTimes; only
 	// scope windows and gap constraints read it.
 	startMS []int32
 	// sim is the dense Eq. 14 table, concept-major: sim(s, e) lives at
@@ -536,35 +535,22 @@ func NewEngine(m *hmmm.Model, opts Options) (*Engine, error) {
 	if m == nil {
 		return nil, errors.New("retrieval: nil model")
 	}
-	if err := validateModel(m); err != nil {
-		return nil, err
+	// The derived caches rely on the model's invariants: among them,
+	// every event lies on the concept axis the tables are indexed by, and
+	// no start time is negative, which lets a scope without a window skip
+	// the start-time column altogether.
+	if err := m.Validate(1e-6); err != nil {
+		return nil, fmt.Errorf("retrieval: invalid model: %w", err)
 	}
 	shared := buildShared(m, opts.NoSimCache, opts.CoarseCandidates > 0)
 	return &Engine{m: m, opts: opts.withDefaults(), shared: shared}, nil
-}
-
-// validateModel checks what the derived caches rely on: the model's own
-// invariants — among them that a state's local index is its global index
-// minus its video's first, which lets the lattice derive one from the
-// other without loading the state — and start times in [0, 2³¹): they fit
-// the packed column, and none is negative, which is what lets a scope
-// without a window skip the column altogether.
-func validateModel(m *hmmm.Model) error {
-	if err := m.Validate(1e-6); err != nil {
-		return fmt.Errorf("retrieval: invalid model: %w", err)
-	}
-	for s := range m.States {
-		if ms := m.States[s].StartMS; ms < 0 || ms > math.MaxInt32 {
-			return fmt.Errorf("retrieval: invalid model: state %d starts at %dms, outside [0, 2^31)", s, ms)
-		}
-	}
-	return nil
 }
 
 // buildShared computes the derived caches for the model: the similarity
 // table unless noSimCache, the coarse index when coarse.
 func buildShared(m *hmmm.Model, noSimCache, coarse bool) *engineShared {
 	sh := &engineShared{
+		startMS:  m.StartTimes(),
 		states:   m.NumStates(),
 		concepts: m.NumConcepts(),
 		nVideos:  m.NumVideos(),
@@ -589,21 +575,19 @@ func buildShared(m *hmmm.Model, noSimCache, coarse bool) *engineShared {
 	return sh
 }
 
-// buildIndex fills the CSR event index and the start-time column in two
-// passes over the states: count each (video, concept) list, prefix-sum the
-// counts into offsets, then write the postings. Every video owns its
-// offset slots and its postings range, so both passes fan out with
-// bit-identical contents for any GOMAXPROCS, and each list is ascending
-// because a video's states are scanned forward.
+// buildIndex fills the CSR event index in two passes over the states:
+// count each (video, concept) list, prefix-sum the counts into offsets,
+// then write the postings. Every video owns its offset slots and its
+// postings range, so both passes fan out with bit-identical contents for
+// any GOMAXPROCS, and each list is ascending because a video's states
+// are scanned forward.
 func (sh *engineShared) buildIndex(m *hmmm.Model) {
 	c := sh.concepts
 	sh.postOff = make([]int32, sh.nVideos*c+1)
-	sh.startMS = make([]int32, sh.states)
 	par.For(sh.nVideos, func(vi int) {
 		counts := sh.postOff[vi*c+1 : (vi+1)*c+1]
 		lo, hi := m.VideoStates(vi)
 		for s := lo; s < hi; s++ {
-			sh.startMS[s] = int32(m.States[s].StartMS)
 			for _, ev := range m.States[s].Events {
 				if ev.Valid() {
 					counts[ev.Index()]++
@@ -929,8 +913,8 @@ func (e *Engine) videoHasStep(v int, step Step) bool {
 
 // transition returns the A1 factor between two states of the same video.
 func (e *Engine) transition(vi, from, to int) float64 {
-	a := e.m.LocalA[vi]
-	return a.At(e.m.States[from].LocalIdx, e.m.States[to].LocalIdx)
+	lo, _ := e.m.VideoStates(vi)
+	return e.m.LocalA[vi].At(from-lo, to-lo)
 }
 
 // nextVideo picks the not-yet-visited video with the highest A2 affinity

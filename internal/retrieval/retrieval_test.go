@@ -8,6 +8,7 @@ import (
 
 	"github.com/videodb/hmmm/internal/dataset"
 	"github.com/videodb/hmmm/internal/hmmm"
+	"github.com/videodb/hmmm/internal/mmm"
 	"github.com/videodb/hmmm/internal/videomodel"
 	"github.com/videodb/hmmm/internal/xrand"
 )
@@ -92,9 +93,17 @@ func TestNewEngineValidation(t *testing.T) {
 		t.Error("nil model accepted")
 	}
 	m := fixtureModel(t)
-	m.Pi1[0] = 99 // break an invariant
+	m.Pi1 = mmm.NewPi(append([]float64{99}, m.Pi1.Values()[1:]...)) // break an invariant
 	if _, err := NewEngine(m, Options{}); err == nil {
 		t.Error("invalid model accepted")
+	}
+	// An event past the concept axis is refused, not indexed out of the
+	// engine's tables.
+	m = fixtureModel(t)
+	m.States = append([]hmmm.State(nil), m.States...)
+	m.States[0].Events = []videomodel.Event{videomodel.EventFromIndex(m.NumConcepts())}
+	if _, err := NewEngine(m, Options{}); err == nil {
+		t.Error("model with an event past the concept axis accepted")
 	}
 }
 

@@ -35,7 +35,7 @@ func TestTopKEqualsSortTruncate(t *testing.T) {
 					s := rng.Intn(m.NumStates())
 					mt.States = append(mt.States, s)
 					mt.Shots = append(mt.Shots, m.States[s].Shot)
-					mt.Videos = append(mt.Videos, m.VideoIDs[m.States[s].VideoIdx])
+					mt.Videos = append(mt.Videos, m.VideoIDs[m.VideoOf(s)])
 					mt.Weights = append(mt.Weights, rng.Float64())
 				}
 				// The lattice never completes one state sequence twice.
@@ -55,7 +55,7 @@ func TestTopKEqualsSortTruncate(t *testing.T) {
 				for _, mt := range batch {
 					prev := int32(-1)
 					for j, s := range mt.States {
-						prev = ar.push(cell{state: int32(s), vi: int32(m.States[s].VideoIdx), prev: prev, w: mt.Weights[j], score: mt.Score})
+						prev = ar.push(cell{state: int32(s), vi: int32(m.VideoOf(s)), prev: prev, w: mt.Weights[j], score: mt.Score})
 					}
 					ar.top.offer(ar, prev)
 				}

@@ -705,10 +705,10 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ShotResponse{
 		State:   id,
 		Shot:    int(st.Shot),
-		Video:   int(m.VideoIDs[st.VideoIdx]),
-		StartMS: st.StartMS,
+		Video:   int(m.VideoIDs[m.VideoOf(local)]),
+		StartMS: m.StartMS(local),
 		Events:  names,
-		Pi:      m.Pi1[local],
+		Pi:      m.Pi1.At(local),
 		B1:      append([]float64(nil), m.B1.Row(local)...),
 	})
 }

@@ -123,8 +123,9 @@ func build(m *hmmm.Model, videos []int) (*Shard, error) {
 	snap := m.Snapshot()
 	sub := &hmmm.Snapshot{
 		States:  make([]hmmm.State, 0, n),
+		StartMS: make([]int32, 0, n),
+		Offsets: make([]int, 0, len(videos)),
 		B1:      matrix.NewDense(n, m.K()),
-		Pi1:     make([]float64, 0, n),
 		LocalA:  make([]*mmm.A1, 0, len(videos)),
 		A2:      m.A2.Restrict(videos),
 		B2:      matrix.NewDense(len(videos), m.NumConcepts()),
@@ -138,20 +139,23 @@ func build(m *hmmm.Model, videos []int) (*Shard, error) {
 	sub.ScalerMin, sub.ScalerMax = min, max
 
 	offset, _ := m.VideoStates(videos[0])
+	global := make([]int, 0, n) // the parent index of each sub-model state
 	for lv, vi := range videos {
 		sub.VideoIDs = append(sub.VideoIDs, m.VideoIDs[vi])
+		sub.Offsets = append(sub.Offsets, len(sub.States))
 		sub.LocalA = append(sub.LocalA, m.LocalA[vi]) // shared A1 block
 		sub.Pi2 = append(sub.Pi2, m.Pi2[vi])
 		copy(sub.B2.Row(lv), m.B2.Row(vi))
 		lo, hi := m.VideoStates(vi)
+		// The events slices are shared; the parent stays immutable.
+		sub.States = append(sub.States, m.States[lo:hi]...)
+		sub.StartMS = append(sub.StartMS, m.StartTimes()[lo:hi]...)
 		for gi := lo; gi < hi; gi++ {
-			st := m.States[gi]
-			st.VideoIdx = lv // events slice shared; parent stays immutable
-			sub.States = append(sub.States, st)
-			sub.Pi1 = append(sub.Pi1, m.Pi1[gi])
+			global = append(global, gi)
 			copy(sub.B1.Row(gi-offset), m.B1.Row(gi))
 		}
 	}
+	sub.Pi1 = m.Pi1.Restrict(global)
 
 	model, err := hmmm.FromSnapshot(sub)
 	if err != nil {

@@ -65,8 +65,9 @@ func TestSplitPreservesParametersVerbatim(t *testing.T) {
 		}
 		for li := 0; li < sm.NumStates(); li++ {
 			gi := sh.Offset + li
-			if sm.Pi1[li] != m.Pi1[gi] {
-				t.Errorf("shard %d: Pi1[%d] = %v, want parent's %v", si, li, sm.Pi1[li], m.Pi1[gi])
+			if sm.Pi1.At(li) != m.Pi1.At(gi) || sm.StartMS(li) != m.StartMS(gi) {
+				t.Errorf("shard %d: state %d has Pi1 %v at %dms, want parent's %v at %dms",
+					si, li, sm.Pi1.At(li), sm.StartMS(li), m.Pi1.At(gi), m.StartMS(gi))
 			}
 			for f := 0; f < m.K(); f++ {
 				if sm.B1.At(li, f) != m.B1.At(gi, f) {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync/atomic"
 
 	"github.com/videodb/hmmm/internal/atomicwrite"
@@ -21,6 +22,7 @@ import (
 	"github.com/videodb/hmmm/internal/matrix"
 	"github.com/videodb/hmmm/internal/mmm"
 	"github.com/videodb/hmmm/internal/obs"
+	rec "github.com/videodb/hmmm/internal/store/internal/hmmm"
 	"github.com/videodb/hmmm/internal/videomodel"
 )
 
@@ -131,17 +133,18 @@ func SaveModel(path string, m *hmmm.Model) error {
 }
 
 // modelRecord is the value a "model" record gob-encodes: the snapshot
-// with each A1 block and A2 widened to the square matrix.Dense the
-// format has always carried. Gob names every type in the stream and
-// numbers types per process, so encoding the snapshot's own []*mmm.A1 or
-// *mmm.A2 would add a type to the record; this struct, named Snapshot
-// with the same fields in the same order, keeps a record byte-identical
-// to one written before A1 and A2 had types of their own. LoadModel
-// decodes straight into hmmm.Snapshot, whose mmm.A1 and mmm.A2 read the
-// same square payloads.
+// with its states as rec.State, Π1 as its N values, and each A1 block
+// and A2 widened to the square matrix.Dense the format has always
+// carried. Gob names every type in the stream and numbers types per
+// process, so encoding the snapshot's own states, []*mmm.A1, *mmm.A2 or
+// *mmm.Pi would change the record; this struct, named Snapshot with the
+// fields a record has always had, in the same order, keeps a record
+// byte-identical to one written before the model held them compactly
+// (TestRecordBytesFrozen pins it). LoadModel decodes a record into
+// modelPayload.
 func modelRecord(s *hmmm.Snapshot) any {
 	type Snapshot struct {
-		States    []hmmm.State
+		States    []rec.State
 		B1        *matrix.Dense
 		Pi1       []float64
 		LocalA    []*matrix.Dense
@@ -157,9 +160,16 @@ func modelRecord(s *hmmm.Snapshot) any {
 		Domain    string
 	}
 	r := &Snapshot{
-		States: s.States, B1: s.B1, Pi1: s.Pi1, LocalA: make([]*matrix.Dense, len(s.LocalA)),
+		States: make([]rec.State, len(s.States)), B1: s.B1, Pi1: s.Pi1.Values(), LocalA: make([]*matrix.Dense, len(s.LocalA)),
 		VideoIDs: s.VideoIDs, A2: s.A2.Dense(), B2: s.B2, Pi2: s.Pi2, P12: s.P12, B1Prime: s.B1Prime,
 		ScalerMin: s.ScalerMin, ScalerMax: s.ScalerMax, Partial: s.Partial, Domain: s.Domain,
+	}
+	vi := 0
+	for i, st := range s.States {
+		for vi+1 < len(s.Offsets) && s.Offsets[vi+1] <= i {
+			vi++
+		}
+		r.States[i] = rec.State{Shot: st.Shot, VideoIdx: vi, LocalIdx: i - s.Offsets[vi], Events: st.Events, StartMS: int(s.StartMS[i])}
 	}
 	for vi, a := range s.LocalA {
 		d := matrix.NewDense(a.Rows(), a.Rows())
@@ -169,6 +179,68 @@ func modelRecord(s *hmmm.Snapshot) any {
 		r.LocalA[vi] = d
 	}
 	return r
+}
+
+// modelPayload is what LoadModel decodes a "model" record into. gob
+// matches fields by name, so the square A1 and A2 payloads land in the
+// mmm types that read them.
+type modelPayload struct {
+	States    []rec.State
+	B1        *matrix.Dense
+	Pi1       []float64
+	LocalA    []*mmm.A1
+	VideoIDs  []videomodel.VideoID
+	A2        *mmm.A2
+	B2        *matrix.Dense
+	Pi2       []float64
+	P12       *matrix.Dense
+	B1Prime   *matrix.Dense
+	ScalerMin []float64
+	ScalerMax []float64
+	Partial   bool
+	Domain    string
+}
+
+// snapshot converts the payload to the model's snapshot. It refuses
+// states not grouped by video in video order, a local index other than
+// the state's place in its video, and a start time outside [0, 2³¹).
+// Every state's events are carved from one array.
+func (p *modelPayload) snapshot() (*hmmm.Snapshot, error) {
+	n, videos := len(p.States), len(p.VideoIDs)
+	s := &hmmm.Snapshot{
+		States: make([]hmmm.State, n), StartMS: make([]int32, n), Offsets: make([]int, videos),
+		B1: p.B1, Pi1: mmm.NewPi(p.Pi1), LocalA: p.LocalA, VideoIDs: p.VideoIDs, A2: p.A2, B2: p.B2,
+		Pi2: p.Pi2, P12: p.P12, B1Prime: p.B1Prime, ScalerMin: p.ScalerMin, ScalerMax: p.ScalerMax,
+		Partial: p.Partial, Domain: p.Domain,
+	}
+	total := 0
+	for i := range p.States {
+		total += len(p.States[i].Events)
+	}
+	events := make([]videomodel.Event, 0, total)
+	cur := 0 // the video of the last state seen
+	for i, r := range p.States {
+		if r.VideoIdx < cur || r.VideoIdx >= videos {
+			return nil, fmt.Errorf("state %d has video index %d after video %d of %d: states not grouped by video", i, r.VideoIdx, cur, videos)
+		}
+		for ; cur < r.VideoIdx; cur++ {
+			s.Offsets[cur+1] = i
+		}
+		if r.LocalIdx != i-s.Offsets[cur] {
+			return nil, fmt.Errorf("state %d has local index %d, want %d", i, r.LocalIdx, i-s.Offsets[cur])
+		}
+		if r.StartMS < 0 || r.StartMS > math.MaxInt32 {
+			return nil, fmt.Errorf("state %d starts at %dms, outside [0, 2^31)", i, r.StartMS)
+		}
+		lo := len(events)
+		events = append(events, r.Events...)
+		s.States[i] = hmmm.State{Shot: r.Shot, Events: events[lo:len(events):len(events)]}
+		s.StartMS[i] = int32(r.StartMS)
+	}
+	for cur++; cur < videos; cur++ {
+		s.Offsets[cur] = n
+	}
+	return s, nil
 }
 
 // SaveModelCompact writes the model to path atomically in the compact
@@ -191,9 +263,13 @@ func LoadModel(path string) (*hmmm.Model, error) {
 	var m *hmmm.Model
 	switch kind {
 	case "model":
-		var s hmmm.Snapshot
-		if err = atomicwrite.DecodePayload(payload, &s); err == nil {
-			m, err = hmmm.FromSnapshot(&s)
+		var p modelPayload
+		var s *hmmm.Snapshot
+		if err = atomicwrite.DecodePayload(payload, &p); err == nil {
+			s, err = p.snapshot()
+		}
+		if err == nil {
+			m, err = hmmm.FromSnapshot(s)
 		}
 	case "cmodel":
 		var cs hmmm.CompactSnapshot
@@ -286,7 +362,7 @@ func ExportModelJSON(w io.Writer, m *hmmm.Model) error {
 		K:           m.K(),
 		Domain:      domain.Name,
 		Events:      names,
-		Pi1:         m.Pi1,
+		Pi1:         m.Pi1.Values(),
 		Pi2:         m.Pi2,
 		A2:          rows(m.A2.Dense()),
 		B2:          rows(m.B2),

@@ -108,29 +108,46 @@ func TestModelRoundTrip(t *testing.T) {
 }
 
 // TestModelRecordMirrorsSnapshot guards the "model" record's wire struct:
-// it must carry every hmmm.Snapshot field by name, in order and of the
-// same type, except that A1 blocks and A2 travel as square
-// *matrix.Dense. A
-// field added to the snapshot and not to the record would be dropped by
-// every save; a renamed or reordered one would change the bytes.
+// it must carry every hmmm.Snapshot field by name, in snapshot order,
+// except the start times and video offsets its states carry, and
+// modelPayload must read every one of its fields by name, in order and
+// of the same type, except that A1 blocks and A2 travel as square
+// *matrix.Dense. A field added to the snapshot and not to the record
+// would be dropped by every save; a renamed or reordered one would
+// change the bytes, which TestRecordBytesFrozen pins.
 func TestModelRecordMirrorsSnapshot(t *testing.T) {
 	_, m := fixtures(t)
 	rt := reflect.TypeOf(modelRecord(m.Snapshot())).Elem()
-	st := reflect.TypeOf(hmmm.Snapshot{})
-	if rt.Name() != st.Name() || rt.NumField() != st.NumField() {
-		t.Fatalf("record is %s with %d fields, snapshot is %s with %d", rt.Name(), rt.NumField(), st.Name(), st.NumField())
+	pt := reflect.TypeOf(modelPayload{})
+	if rt.Name() != "Snapshot" || rt.NumField() != pt.NumField() {
+		t.Fatalf("record is %s with %d fields, payload has %d", rt.Name(), rt.NumField(), pt.NumField())
 	}
-	for i := 0; i < st.NumField(); i++ {
-		rf, sf := rt.Field(i), st.Field(i)
-		want := sf.Type
-		switch sf.Name {
+	for i := 0; i < rt.NumField(); i++ {
+		rf, pf := rt.Field(i), pt.Field(i)
+		want := pf.Type
+		switch pf.Name {
 		case "LocalA":
 			want = reflect.TypeOf([]*matrix.Dense(nil))
 		case "A2":
 			want = reflect.TypeOf((*matrix.Dense)(nil))
 		}
-		if rf.Name != sf.Name || rf.Type != want {
-			t.Errorf("record field %d is %s %v, want %s %v", i, rf.Name, rf.Type, sf.Name, want)
+		if rf.Name != pf.Name || rf.Type != want {
+			t.Errorf("record field %d is %s %v, payload reads %s %v", i, rf.Name, rf.Type, pf.Name, want)
+		}
+	}
+	var names []string
+	st := reflect.TypeOf(hmmm.Snapshot{})
+	for i := 0; i < st.NumField(); i++ {
+		if n := st.Field(i).Name; n != "StartMS" && n != "Offsets" {
+			names = append(names, n)
+		}
+	}
+	if len(names) != rt.NumField() {
+		t.Errorf("record has %d fields, snapshot %d besides its start times and offsets", rt.NumField(), len(names))
+	}
+	for i, n := range names {
+		if i >= rt.NumField() || rt.Field(i).Name != n {
+			t.Errorf("snapshot field %s is not record field %d", n, i)
 		}
 	}
 	path := filepath.Join(t.TempDir(), "model.gob")
@@ -249,8 +266,8 @@ func TestTrainedModelSurvivesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range m.Pi1 {
-		if loaded.Pi1[i] != p {
+	for i, p := range m.Pi1.Values() {
+		if loaded.Pi1.At(i) != p {
 			t.Fatal("trained Pi1 lost in round trip")
 		}
 	}
@@ -306,8 +323,8 @@ func TestCompactModelRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for i, v := range m.Pi1 {
-		if loaded.Pi1[i] != v {
+	for i, v := range m.Pi1.Values() {
+		if loaded.Pi1.At(i) != v {
 			t.Fatalf("Pi1[%d] changed in compact round trip", i)
 		}
 	}
