@@ -37,10 +37,11 @@ test:
 # The packages whose job is concurrency, under the race detector: the
 # retrieval hot path, the server (incl. the ingest/compaction hammer),
 # the metrics registry, the in-process and federated scatter-gathers,
-# the live-ingest journal and delta, and the network path — rpc and
-# coord share connection-owned buffers across exchanges and run the
-# chaos suite.
-RACE_PKGS := retrieval server obs shard live fed rpc coord
+# the live-ingest journal and delta, the network path — rpc and coord
+# share connection-owned buffers across exchanges and run the chaos
+# suite — and the coalescer, whose waiters share one execution and
+# cancel it by reference count.
+RACE_PKGS := retrieval server obs shard live fed rpc coord coalesce
 race:
 	$(GO) test -race $(RACE_PKGS:%=./internal/%/...)
 

@@ -13,26 +13,23 @@ import (
 	"github.com/videodb/hmmm/internal/retrieval"
 )
 
-// OptionsKey renders the identity fields of o into a canonical key
-// fragment: the fields that can change the returned ranking (or its cost
-// accounting). It must encode exactly the identity fields key_test.go
-// classifies.
-func OptionsKey(o retrieval.Options) string {
-	var b strings.Builder
-	b.Grow(48)
-	b.WriteString("k=")
-	b.WriteString(strconv.Itoa(o.TopK))
-	b.WriteString(";b=")
-	b.WriteString(strconv.Itoa(o.Beam))
-	b.WriteString(";x=")
-	b.WriteString(strconv.FormatBool(o.CrossVideo))
-	b.WriteString(";a=")
-	b.WriteString(strconv.FormatBool(o.AnnotatedOnly))
-	b.WriteString(";s=")
-	b.WriteString(strconv.FormatBool(o.StopAfterMatches))
-	b.WriteString(";c=")
-	b.WriteString(strconv.Itoa(o.CoarseCandidates))
-	return b.String()
+// appendOptions appends the identity fields of o to dst as a canonical
+// key fragment: the fields that can change the returned ranking (or its
+// cost accounting). It must encode exactly the identity fields
+// key_test.go classifies.
+func appendOptions(dst []byte, o retrieval.Options) []byte {
+	dst = append(dst, "k="...)
+	dst = strconv.AppendInt(dst, int64(o.TopK), 10)
+	dst = append(dst, ";b="...)
+	dst = strconv.AppendInt(dst, int64(o.Beam), 10)
+	dst = append(dst, ";x="...)
+	dst = strconv.AppendBool(dst, o.CrossVideo)
+	dst = append(dst, ";a="...)
+	dst = strconv.AppendBool(dst, o.AnnotatedOnly)
+	dst = append(dst, ";s="...)
+	dst = strconv.AppendBool(dst, o.StopAfterMatches)
+	dst = append(dst, ";c="...)
+	return strconv.AppendInt(dst, int64(o.CoarseCandidates), 10)
 }
 
 // QueryKey builds the full coalesce key for one server query execution:
@@ -46,28 +43,31 @@ func OptionsKey(o retrieval.Options) string {
 // spelling variants of the same network coalesce), the identity options,
 // the query scope, and the effective deadline budget in nanoseconds
 // (requests with different budgets run with different truncation
-// behavior, so they do not share).
+// behavior, so they do not share). Everything before the pattern is
+// rendered into a stack buffer, so the key costs one allocation.
 func QueryKey(generation, deltaGeneration uint64, canonicalPattern string, opts retrieval.Options,
 	scope *retrieval.Scope, budgetNS int64) string {
-	var b strings.Builder
-	b.Grow(len(canonicalPattern) + 96)
-	b.WriteString("g=")
-	b.WriteString(strconv.FormatUint(generation, 10))
-	b.WriteString("|dg=")
-	b.WriteString(strconv.FormatUint(deltaGeneration, 10))
-	b.WriteString("|")
-	b.WriteString(OptionsKey(opts))
-	b.WriteString("|d=")
-	b.WriteString(strconv.FormatInt(budgetNS, 10))
-	b.WriteString("|sc=")
+	var buf [256]byte
+	h := append(buf[:0], "g="...)
+	h = strconv.AppendUint(h, generation, 10)
+	h = append(h, "|dg="...)
+	h = strconv.AppendUint(h, deltaGeneration, 10)
+	h = append(h, '|')
+	h = appendOptions(h, opts)
+	h = append(h, "|d="...)
+	h = strconv.AppendInt(h, budgetNS, 10)
+	h = append(h, "|sc="...)
 	if scope != nil {
-		b.WriteString(strconv.Itoa(int(scope.Video)))
-		b.WriteString(",")
-		b.WriteString(strconv.Itoa(scope.FromMS))
-		b.WriteString(",")
-		b.WriteString(strconv.Itoa(scope.ToMS))
+		h = strconv.AppendInt(h, int64(scope.Video), 10)
+		h = append(h, ',')
+		h = strconv.AppendInt(h, int64(scope.FromMS), 10)
+		h = append(h, ',')
+		h = strconv.AppendInt(h, int64(scope.ToMS), 10)
 	}
-	b.WriteString("|q=")
+	h = append(h, "|q="...)
+	var b strings.Builder
+	b.Grow(len(h) + len(canonicalPattern))
+	b.Write(h)
 	b.WriteString(canonicalPattern)
 	return b.String()
 }

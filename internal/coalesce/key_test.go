@@ -1,6 +1,7 @@
 package coalesce
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -33,7 +34,7 @@ var identityFields = []string{
 //
 // Every retrieval.Options field MUST appear in exactly one of these two
 // lists; TestOptionsKeyCoversEveryField fails on any new field until it
-// is classified here and (for identity fields) encoded in OptionsKey.
+// is classified here and (for identity fields) encoded by appendOptions.
 var ignoredFields = []string{
 	// Observer-only.
 	"Metrics",
@@ -70,7 +71,7 @@ func TestOptionsKeyCoversEveryField(t *testing.T) {
 		seen[name] = true
 		if _, ok := classified[name]; !ok {
 			t.Errorf("retrieval.Options.%s is not classified: add it to "+
-				"identityFields (and OptionsKey) if it can change results, "+
+				"identityFields (and appendOptions) if it can change results, "+
 				"or to ignoredFields if it is observer- or execution-only", name)
 		}
 	}
@@ -81,6 +82,9 @@ func TestOptionsKeyCoversEveryField(t *testing.T) {
 	}
 }
 
+// optionsKey is the options fragment of the coalesce key.
+func optionsKey(o retrieval.Options) string { return string(appendOptions(nil, o)) }
+
 // TestOptionsKeyIgnoresObserverFields: attaching Metrics/Trace/Tracer
 // must not change the key, so instrumented and bare requests coalesce.
 func TestOptionsKeyIgnoresObserverFields(t *testing.T) {
@@ -90,9 +94,9 @@ func TestOptionsKeyIgnoresObserverFields(t *testing.T) {
 	instrumented.Metrics = retrieval.NewMetrics(reg)
 	instrumented.Trace = obs.NewTrace()
 	instrumented.NoSimCache = true
-	if OptionsKey(base) != OptionsKey(instrumented) {
+	if optionsKey(base) != optionsKey(instrumented) {
 		t.Errorf("observer/execution fields leaked into the key:\n%s\n%s",
-			OptionsKey(base), OptionsKey(instrumented))
+			optionsKey(base), optionsKey(instrumented))
 	}
 }
 
@@ -113,7 +117,7 @@ func TestOptionsKeySeparatesIdentityFields(t *testing.T) {
 			len(variants), len(identityFields))
 	}
 	for name, v := range variants {
-		if OptionsKey(base) == OptionsKey(v) {
+		if optionsKey(base) == optionsKey(v) {
 			t.Errorf("changing %s did not change the key", name)
 		}
 	}
@@ -138,5 +142,46 @@ func TestQueryKeySeparation(t *testing.T) {
 	}
 	if QueryKey(1, 0, "goal -> free_kick", opts, nil, int64(5e9)) == base {
 		t.Error("deadline budget does not partition the key")
+	}
+}
+
+// TestQueryKeyLiteral pins the key's bytes: coalescing compares keys, so
+// a rendering change is a behaviour change. The cases cover nil and
+// non-nil scope, multi-digit numbers, negative values and generations
+// past the int64 range.
+func TestQueryKeyLiteral(t *testing.T) {
+	for _, c := range []struct {
+		gen, delta uint64
+		pattern    string
+		opts       retrieval.Options
+		scope      *retrieval.Scope
+		budget     int64
+		want       string
+	}{
+		{1, 0, "goal -> free_kick", retrieval.Options{TopK: 10}, nil, 0,
+			"g=1|dg=0|k=10;b=0;x=false;a=false;s=false;c=0|d=0|sc=|q=goal -> free_kick"},
+		{123, 4567, "goal", retrieval.Options{TopK: 100, Beam: 250, CrossVideo: true, AnnotatedOnly: true,
+			StopAfterMatches: true, CoarseCandidates: 1024}, &retrieval.Scope{Video: 101, FromMS: 2500, ToMS: 987654}, int64(5e9),
+			"g=123|dg=4567|k=100;b=250;x=true;a=true;s=true;c=1024|d=5000000000|sc=101,2500,987654|q=goal"},
+		{math.MaxUint64, 1 << 40, "", retrieval.Options{TopK: -3, Beam: -1}, &retrieval.Scope{}, -250,
+			"g=18446744073709551615|dg=1099511627776|k=-3;b=-1;x=false;a=false;s=false;c=0|d=-250|sc=0,0,0|q="},
+		{7, 0, "corner_kick -> goal", retrieval.Options{CoarseCandidates: -5}, &retrieval.Scope{Video: 3, FromMS: -10},
+			math.MinInt64,
+			"g=7|dg=0|k=0;b=0;x=false;a=false;s=false;c=-5|d=-9223372036854775808|sc=3,-10,0|q=corner_kick -> goal"},
+	} {
+		if got := QueryKey(c.gen, c.delta, c.pattern, c.opts, c.scope, c.budget); got != c.want {
+			t.Errorf("QueryKey =\n%s\nwant\n%s", got, c.want)
+		}
+	}
+}
+
+// TestQueryKeyAllocs pins QueryKey at one allocation: the key string.
+func TestQueryKeyAllocs(t *testing.T) {
+	opts := retrieval.Options{TopK: 10, Beam: 64, CrossVideo: true}
+	scope := &retrieval.Scope{Video: 12, FromMS: 1000, ToMS: 90000}
+	if got := testing.AllocsPerRun(100, func() {
+		QueryKey(42, 7, "goal -> free_kick -> corner_kick", opts, scope, int64(5e9))
+	}); got != 1 {
+		t.Errorf("QueryKey allocates %.0f times, want 1", got)
 	}
 }

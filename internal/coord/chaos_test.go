@@ -2,6 +2,7 @@ package coord
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"testing"
@@ -277,5 +278,94 @@ func TestChaosDrainingServer(t *testing.T) {
 	}
 	if st.State != rpc.StateDraining {
 		t.Fatalf("state = %q, want DRAINING", st.State)
+	}
+}
+
+// TestChaosAttemptCapRetriesThenDegrades pins the attempt cap under a
+// query deadline that is far longer: a blackholed shard's exchange ends
+// at the cap as errAttemptTimeout, the shard is retried, and the query
+// returns the live shard's committed partial long before its own
+// deadline.
+func TestChaosAttemptCapRetriesThenDegrades(t *testing.T) {
+	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 36, Videos: 6})
+	shards, err := shard.Split(m, 2)
+	if err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	copts := chaosOptions()
+	copts.AttemptTimeout = 50 * time.Millisecond
+	cl := startChaosCluster(t, shards, copts)
+	q := retrievaltest.Queries(m)[0]
+	cl.proxies[1].Blackhole(true)
+	cl.proxies[1].CutNow()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	ep := cl.coord.sets[1].endpoints[0]
+	if _, err := cl.coord.exchange(ctx, 1, ep, &rpc.RetrieveRequest{Query: q}); !errors.Is(err, errAttemptTimeout) {
+		t.Fatalf("blackholed exchange: err = %v, want errAttemptTimeout", err)
+	}
+
+	start := time.Now()
+	res, err := cl.coord.RetrieveContext(ctx, q)
+	requireCommitted(t, res, err, 1)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("capped attempts took %v of the query's 5s", elapsed)
+	}
+	if got := cl.met.Retries.Value(); got != maxAttempts-1 {
+		t.Fatalf("hmmm_coord_retries_total = %d, want %d", got, maxAttempts-1)
+	}
+}
+
+// TestChaosHedgeLoserClosed pins hedge cancellation over real sockets:
+// a primary replica behind 300 ms of injected latency loses to the
+// hedge, its exchange is abandoned at once, and its connection is
+// closed rather than parked.
+func TestChaosHedgeLoserClosed(t *testing.T) {
+	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 37})
+	shards, err := shard.Split(m, 1)
+	if err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	svc, err := rpc.NewShardService(shards[0], 0, 1, retrieval.Options{}, 1)
+	if err != nil {
+		t.Fatalf("shard service: %v", err)
+	}
+	srv := rpc.NewServer(svc, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	slow, err := faultinject.NewNetProxy(ln.Addr().String())
+	if err != nil {
+		t.Fatalf("proxy: %v", err)
+	}
+	defer slow.Close()
+	slow.SetLatency(300*time.Millisecond, 0)
+	met := NewMetrics(obs.NewRegistry())
+	c, err := New([][]Transport{{
+		rpc.NewClient(slow.Addr(), time.Second, 2),
+		rpc.NewClient(ln.Addr().String(), time.Second, 2),
+	}}, retrieval.Options{}, Options{HedgeMax: 5 * time.Millisecond, AttemptTimeout: 2 * time.Second, Metrics: met})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	defer c.Close()
+
+	start := time.Now()
+	res, err := c.Retrieve(retrievaltest.Queries(m)[0])
+	requireCommitted(t, res, err, 0)
+	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
+		t.Fatalf("hedged query took %v: the losing exchange was not abandoned", elapsed)
+	}
+	if met.Hedges.Value() != 1 || met.HedgeWins.Value() != 1 {
+		t.Fatalf("hedges = %d, wins = %d; want 1, 1", met.Hedges.Value(), met.HedgeWins.Value())
+	}
+	for deadline := time.Now().Add(3 * time.Second); slow.Conns() > 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the hedge loser's connection is still open (%d proxied): parked, not closed", slow.Conns())
+		}
 	}
 }

@@ -56,7 +56,9 @@ type Options struct {
 	HedgeMax time.Duration
 	// AttemptTimeout bounds a single shard attempt even when the query
 	// context has no deadline — the cap that turns a blackholed server
-	// into a retryable failure instead of a hang. Default 2s.
+	// into a retryable failure instead of a hang. It travels as a
+	// deadline value to the Transport (the rpc client makes it the
+	// connection deadline), not as a context per attempt. Default 2s.
 	AttemptTimeout time.Duration
 	// EjectBackoff is the first re-probe backoff of an ejected endpoint;
 	// it doubles per failed probe up to ejectBackoffMax. Default 250ms.
@@ -256,11 +258,7 @@ func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*
 	}
 	req := &rpc.RetrieveRequest{Query: q, Options: rpc.FromOptions(c.opts)}
 	outs := make([]shardOut, len(c.sets))
-	all := make([]int, len(c.sets))
-	for i := range all {
-		all[i] = i
-	}
-	c.scatter(ctx, req, outs, all)
+	c.scatter(ctx, req, outs, nil)
 
 	// Generation consistency: never merge rankings computed on
 	// different model generations. Stale shards are re-queried (a
@@ -334,17 +332,26 @@ type shardOut struct {
 	err  error
 }
 
-// scatter runs the retry loop of every shard in idxs concurrently and
-// returns when all have an outcome. The wait is network I/O, not CPU, so
-// the fan-out is one goroutine per shard whatever GOMAXPROCS is — a
-// bounded pool would queue the later shards' round trips (and start
-// their retry and hedge clocks late) behind the earlier ones. The last
-// shard runs on the caller's goroutine, which would otherwise only wait.
+// scatter runs the retry loop of every shard in idxs (nil: every shard)
+// concurrently and returns when all have an outcome. The wait is network
+// I/O, not CPU, so the fan-out is one goroutine per shard whatever
+// GOMAXPROCS is — a bounded pool would queue the later shards' round
+// trips (and start their retry and hedge clocks late) behind the earlier
+// ones. The last shard runs on the caller's goroutine, which would
+// otherwise only wait.
 func (c *Coordinator) scatter(ctx context.Context, req *rpc.RetrieveRequest, outs []shardOut, idxs []int) {
+	n := len(outs)
+	if idxs != nil {
+		n = len(idxs)
+	}
 	var wg sync.WaitGroup
-	for n, i := range idxs {
+	for k := 0; k < n; k++ {
+		i := k
+		if idxs != nil {
+			i = idxs[k]
+		}
 		o := &outs[i]
-		if n == len(idxs)-1 {
+		if k == n-1 {
 			o.resp, o.err = c.queryShard(ctx, i, req)
 			break
 		}
@@ -458,25 +465,31 @@ func (c *Coordinator) attempt(ctx context.Context, shardIdx int, set *shardSet, 
 // reached the health machine would wedge a half-open probe in probing,
 // where usable() refuses it forever and — with one replica per shard —
 // silently drops the recovered shard from every future query. The
-// attempt timeout bounds how long an abandoned exchange lives; the
-// shared cancel usually ends it at once.
+// attempt cap bounds how long an abandoned exchange lives; the shared
+// cancel usually ends it at once.
+//
+// The cap is a deadline value, computed once: now + AttemptTimeout, or
+// hctx's deadline when that comes first. It sets the server's budget
+// and goes to the Transport beside hctx, so an attempt allocates no
+// context of its own.
 func (c *Coordinator) exchange(hctx context.Context, shardIdx int, ep *endpoint, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error) {
 	if c.met != nil {
 		c.met.ShardRequests.Inc()
 	}
-	actx, acancel := context.WithTimeout(hctx, c.copts.AttemptTimeout)
-	defer acancel()
+	start := time.Now()
+	deadline := start.Add(c.copts.AttemptTimeout)
+	if d, ok := hctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
 	// The server gets 80% of the attempt window as execution budget, so
 	// a truncated partial still has time to travel back before the
 	// client abandons the attempt. req is shared by every shard and
 	// hedge of the query, so the budget goes into a copy.
 	r := *req
-	d, _ := actx.Deadline()
-	if budget := time.Until(d) * 8 / 10; budget > 0 {
+	if budget := deadline.Sub(start) * 8 / 10; budget > 0 {
 		r.BudgetNS = int64(budget)
 	}
-	start := time.Now()
-	resp, err := ep.tr.Retrieve(actx, &r)
+	resp, err := ep.tr.RetrieveBy(hctx, deadline, &r)
 	elapsed := time.Since(start)
 	if c.met != nil {
 		c.met.ShardSeconds.ObserveDuration(elapsed)
@@ -485,8 +498,8 @@ func (c *Coordinator) exchange(hctx context.Context, shardIdx int, ep *endpoint,
 		err = c.identityErr(shardIdx, ep, resp)
 	}
 	if err != nil {
-		if resp == nil && actx.Err() != nil && hctx.Err() == nil {
-			// The attempt cap fired while the query still had budget:
+		if resp == nil && hctx.Err() == nil && !time.Now().Before(deadline) {
+			// The attempt cap passed while the query still had budget:
 			// retryable, unlike a parent deadline.
 			err = errAttemptTimeout
 		}

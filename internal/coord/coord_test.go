@@ -21,12 +21,14 @@ import (
 
 // localTransport is the in-process loopback: it calls the ShardService
 // directly, honoring the request budget exactly like rpc.Server does.
+// The budget ends before the attempt deadline, so the deadline itself
+// needs no watching.
 type localTransport struct {
 	svc  *rpc.ShardService
 	name string
 }
 
-func (t *localTransport) Retrieve(ctx context.Context, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error) {
+func (t *localTransport) RetrieveBy(ctx context.Context, _ time.Time, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error) {
 	if req.BudgetNS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.BudgetNS))
@@ -47,23 +49,34 @@ func (t *localTransport) Close()       {}
 type flakyTransport struct {
 	Transport
 	fail  atomic.Bool  // every Retrieve fails with a transient error
-	delay atomic.Int64 // added latency (ns), honoring ctx
+	delay atomic.Int64 // added latency (ns), honoring ctx and the deadline
 	calls atomic.Int64
 }
 
-func (t *flakyTransport) Retrieve(ctx context.Context, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error) {
+// RetrieveBy delays like a slow network path. A delay that runs past the
+// attempt deadline ends there with the i/o timeout an rpc connection
+// reports; as in rpc.Client, the deadline governs only when it comes
+// before ctx's own.
+func (t *flakyTransport) RetrieveBy(ctx context.Context, deadline time.Time, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error) {
 	t.calls.Add(1)
-	if d := t.delay.Load(); d > 0 {
+	if d := time.Duration(t.delay.Load()); d > 0 {
+		capped := false
+		if cd, ok := ctx.Deadline(); (!ok || deadline.Before(cd)) && time.Until(deadline) < d {
+			d, capped = time.Until(deadline), true
+		}
 		select {
-		case <-time.After(time.Duration(d)):
+		case <-time.After(d):
 		case <-ctx.Done():
 			return nil, ctx.Err()
+		}
+		if capped {
+			return nil, os.ErrDeadlineExceeded
 		}
 	}
 	if t.fail.Load() {
 		return nil, io.ErrUnexpectedEOF
 	}
-	return t.Transport.Retrieve(ctx, req)
+	return t.Transport.RetrieveBy(ctx, deadline, req)
 }
 
 // services returns one ShardService per shard, all at generation gen.

@@ -13,7 +13,11 @@ import (
 // *rpc.Client is the production implementation; the unit suites use an
 // in-process loopback that calls the ShardService directly.
 type Transport interface {
-	Retrieve(ctx context.Context, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error)
+	// RetrieveBy answers req, giving up at deadline — the attempt cap,
+	// never later than ctx's own deadline — or when ctx ends. An attempt
+	// that hits the cap returns any error with a nil response; the
+	// coordinator classifies it by the clock.
+	RetrieveBy(ctx context.Context, deadline time.Time, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error)
 	Status(ctx context.Context) (*rpc.StatusResponse, error)
 	Addr() string
 	Close()

@@ -89,6 +89,14 @@ func (p *NetProxy) CutNow() {
 	}
 }
 
+// Conns reports the proxied connections still open: each live client
+// connection and, once dialed, its backend connection.
+func (p *NetProxy) Conns() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.conns)
+}
+
 // Close stops the proxy, severs live connections, and joins all proxy
 // goroutines.
 func (p *NetProxy) Close() {

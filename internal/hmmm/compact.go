@@ -95,9 +95,7 @@ func (m *Model) CompactSnapshot() *CompactSnapshot {
 		st := &m.States[i]
 		cs.ShotIDs[i] = int64(st.Shot)
 		for _, e := range st.Events {
-			if e.Valid() {
-				cs.EventMask[i] |= 1 << e.Index()
-			}
+			cs.EventMask[i] |= 1 << e.Index()
 		}
 	}
 	for vi, a := range m.LocalA {

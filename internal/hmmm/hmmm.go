@@ -334,9 +334,6 @@ func (m *Model) eventPostings() [][]int {
 	posts := make([][]int, m.NumConcepts())
 	for i := range m.States {
 		for _, e := range m.States[i].Events {
-			if !e.Valid() || e.Index() >= len(posts) {
-				continue
-			}
 			ci := e.Index()
 			if n := len(posts[ci]); n > 0 && posts[ci][n-1] == i {
 				continue // duplicate annotation on one shot

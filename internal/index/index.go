@@ -81,7 +81,8 @@ type Coarse struct {
 // Build derives the coarse index from the model's B1/B1'/P12 rows and
 // annotations. eps is the Eq. 14 denominator floor (the engine passes
 // retrieval.DefaultSimEpsilon so coarse and exact agree on which features
-// count).
+// count). m must be valid (hmmm.Model.Validate): every annotation lies
+// on the concept axis.
 // Cost is O(annotations × K) for the score table plus O(videos ×
 // concepts) for the postings — a small fraction of the engine's dense
 // similarity-table build.
@@ -114,9 +115,6 @@ func Build(m *hmmm.Model, eps float64) *Coarse {
 			}
 			ss := make([]float64, len(st.Events))
 			for ei, ev := range st.Events {
-				if !ev.Valid() {
-					continue
-				}
 				ci := ev.Index()
 				sim := simKernel(b1[s*k:(s+1)*k], bp[ci*k:(ci+1)*k], p12[ci*k:(ci+1)*k], eps)
 				ss[ei] = sim
@@ -152,13 +150,7 @@ func Build(m *hmmm.Model, eps float64) *Coarse {
 					continue
 				}
 				for _, e1 := range m.States[s].Events {
-					if !e1.Valid() {
-						continue
-					}
 					for j2, e2 := range m.States[t].Events {
-						if !e2.Valid() {
-							continue
-						}
 						f := float32(w * stateSims[t][j2])
 						if p := e1.Index()*c + e2.Index(); f > erow[p] {
 							erow[p] = f

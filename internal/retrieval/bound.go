@@ -134,9 +134,6 @@ func (e *Engine) fillBound(b *bounds, v int, fl *videoFlat) bool {
 	entry, pair := fl.blk[:p], fl.blk[p:]
 	for s := lo; s < hi; s++ {
 		for _, ev := range m.States[s].Events {
-			if !ev.Valid() {
-				continue
-			}
 			sim, pi := e.Sim(s, ev), m.Pi1.At(s)
 			if !(sim >= 0 && pi >= 0) {
 				return false

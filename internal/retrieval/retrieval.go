@@ -589,9 +589,7 @@ func (sh *engineShared) buildIndex(m *hmmm.Model) {
 		lo, hi := m.VideoStates(vi)
 		for s := lo; s < hi; s++ {
 			for _, ev := range m.States[s].Events {
-				if ev.Valid() {
-					counts[ev.Index()]++
-				}
+				counts[ev.Index()]++
 			}
 		}
 	})
@@ -605,11 +603,9 @@ func (sh *engineShared) buildIndex(m *hmmm.Model) {
 		lo, hi := m.VideoStates(vi)
 		for s := lo; s < hi; s++ {
 			for _, ev := range m.States[s].Events {
-				if ev.Valid() {
-					ci := ev.Index()
-					sh.postings[next[ci]] = int32(s)
-					next[ci]++
-				}
+				ci := ev.Index()
+				sh.postings[next[ci]] = int32(s)
+				next[ci]++
 			}
 		}
 	})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -13,15 +12,27 @@ import (
 // blocked read/write immediately (the net/http cancellation idiom).
 var aLongTimeAgo = time.Unix(1, 0)
 
+// ctxGrace is how far past a context's deadline the connection deadline
+// sits when that context bounds the exchange: the context's timer fires
+// first and pokes, so the caller sees ctx.Err() rather than a bare i/o
+// timeout; the connection deadline is only the backstop.
+const ctxGrace = 100 * time.Millisecond
+
 // Client is a pooled rpc client for one endpoint address. Connections
 // are dialed lazily, run one request at a time, and are returned to a
 // small idle pool on clean completion; any error discards the
 // connection (the protocol cannot resynchronize mid-stream).
 //
-// Cancellation is exact: a context that expires or is cancelled
-// mid-request pokes the connection deadline, the blocked I/O fails, and
-// Do returns ctx.Err(). That is what lets the coordinator abandon a
-// hedged request's loser without leaking a goroutine or a connection.
+// An exchange is bounded by two things, and neither costs a context of
+// its own. The attempt cap a caller passes to RetrieveBy is the
+// connection deadline (and the dial deadline): when it passes, the
+// blocked I/O fails with an i/o timeout. The caller's context is watched
+// by a context.AfterFunc whose poke — built once per connection at dial
+// — moves that deadline into the past, so a context that expires or is
+// cancelled mid-request fails the blocked I/O at once and the call
+// returns ctx.Err(). That is what lets the coordinator abandon a hedged
+// request's loser without leaking a goroutine or a connection. A
+// connection a poke may have touched is closed, never parked.
 type Client struct {
 	addr        string
 	dialTimeout time.Duration
@@ -36,6 +47,9 @@ type Client struct {
 type clientConn struct {
 	net.Conn
 	frameBufs
+	// poke moves the connection deadline into the past. It is built once
+	// at dial, so arming cancellation per exchange allocates no closure.
+	poke func()
 }
 
 // NewClient returns a client for addr. dialTimeout bounds each dial (0
@@ -65,10 +79,18 @@ func (c *Client) Close() {
 	c.idle = nil
 }
 
-// Retrieve round-trips a retrieval request.
+// Retrieve round-trips a retrieval request bounded by ctx alone.
 func (c *Client) Retrieve(ctx context.Context, req *RetrieveRequest) (*RetrieveResponse, error) {
+	return c.RetrieveBy(ctx, time.Time{}, req)
+}
+
+// RetrieveBy round-trips a retrieval request that gives up at deadline
+// (zero: no cap beyond ctx) or when ctx ends, whichever comes first. A
+// request that hits the cap fails with an i/o timeout; one whose ctx
+// ends returns ctx.Err().
+func (c *Client) RetrieveBy(ctx context.Context, deadline time.Time, req *RetrieveRequest) (*RetrieveResponse, error) {
 	var resp RetrieveResponse
-	if err := c.call(ctx, tagRetrieveReq, req, tagRetrieveResp, &resp); err != nil {
+	if err := c.call(ctx, deadline, tagRetrieveReq, req, tagRetrieveResp, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -77,7 +99,7 @@ func (c *Client) Retrieve(ctx context.Context, req *RetrieveRequest) (*RetrieveR
 // Status round-trips a status probe.
 func (c *Client) Status(ctx context.Context) (*StatusResponse, error) {
 	var resp StatusResponse
-	if err := c.call(ctx, tagStatusReq, &StatusRequest{}, tagStatusResp, &resp); err != nil {
+	if err := c.call(ctx, time.Time{}, tagStatusReq, &StatusRequest{}, tagStatusResp, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -87,28 +109,30 @@ func (c *Client) Status(ctx context.Context) (*StatusResponse, error) {
 // pooled connection before any response bytes arrive is retried once on
 // a fresh dial — the pooled connection may simply have been closed by
 // the server side (drain, idle timeout) since it was parked.
-func (c *Client) call(ctx context.Context, reqTag byte, req any, respTag byte, resp any) error {
+func (c *Client) call(ctx context.Context, deadline time.Time, reqTag byte, req any, respTag byte, resp any) error {
 	for attempt := 0; ; attempt++ {
-		conn, pooled, err := c.conn(ctx)
+		conn, pooled, err := c.conn(ctx, deadline)
 		if err != nil {
 			return err
 		}
-		err = c.roundTrip(ctx, conn, reqTag, req, respTag, resp)
+		err = c.roundTrip(ctx, deadline, conn, reqTag, req, respTag, resp)
 		if err == nil {
 			return nil
 		}
-		// Retry only transport failures on a pooled connection: the
-		// server may have closed it while parked. A ServerError arrived
-		// over a working exchange — redialing cannot change the answer.
-		if pooled && attempt == 0 && ctx.Err() == nil && AsServerError(err) == nil && IsTransient(err) {
+		// Retry only transport failures on a pooled connection, with
+		// time left: the server may have closed it while parked. A
+		// ServerError arrived over a working exchange — redialing cannot
+		// change the answer.
+		if pooled && attempt == 0 && ctx.Err() == nil && (deadline.IsZero() || time.Now().Before(deadline)) &&
+			AsServerError(err) == nil && IsTransient(err) {
 			continue
 		}
 		return err
 	}
 }
 
-// conn pops an idle connection or dials a fresh one.
-func (c *Client) conn(ctx context.Context) (conn *clientConn, pooled bool, err error) {
+// conn pops an idle connection or dials a fresh one by deadline.
+func (c *Client) conn(ctx context.Context, deadline time.Time) (conn *clientConn, pooled bool, err error) {
 	c.mu.Lock()
 	if n := len(c.idle); n > 0 {
 		conn = c.idle[n-1]
@@ -117,41 +141,34 @@ func (c *Client) conn(ctx context.Context) (conn *clientConn, pooled bool, err e
 		return conn, true, nil
 	}
 	c.mu.Unlock()
-	d := net.Dialer{Timeout: c.dialTimeout}
+	d := net.Dialer{Timeout: c.dialTimeout, Deadline: deadline}
 	nc, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		return nil, false, fmt.Errorf("rpc: dial %s: %w", c.addr, err)
 	}
-	return &clientConn{Conn: nc}, false, nil
+	return &clientConn{Conn: nc, poke: func() { nc.SetDeadline(aLongTimeAgo) }}, false, nil
 }
 
-// roundTrip writes one frame and reads the reply on conn, honoring ctx.
-// On success the connection returns to the idle pool; on any failure it
-// is closed.
-func (c *Client) roundTrip(ctx context.Context, conn *clientConn, reqTag byte, req any, respTag byte, resp any) (err error) {
-	// Arm cancellation: the deadline covers ctx's deadline, and the
-	// AfterFunc covers explicit cancel. poked records that the deadline
-	// was yanked so a completed-anyway response cannot park a poisoned
-	// connection in the pool.
-	var poked atomic.Bool
-	if d, ok := ctx.Deadline(); ok {
-		// Small grace past the context deadline: the context timer must
-		// fire first (and poke via AfterFunc) so the caller sees
-		// ctx.Err(), not a bare i/o timeout; the conn deadline is only
-		// the backstop if the AfterFunc is delayed.
-		conn.SetDeadline(d.Add(100 * time.Millisecond))
-	} else {
-		conn.SetDeadline(time.Time{})
+// roundTrip writes one frame and reads the reply on conn, honoring ctx
+// and deadline. On success the connection returns to the idle pool; on
+// any failure it is closed.
+func (c *Client) roundTrip(ctx context.Context, deadline time.Time, conn *clientConn, reqTag byte, req any, respTag byte, resp any) (err error) {
+	// The connection deadline is the attempt cap, unless ctx's own
+	// deadline comes no later: then ctx bounds the exchange, and its
+	// deadline plus ctxGrace is only the backstop.
+	d := deadline
+	if cd, ok := ctx.Deadline(); ok && (d.IsZero() || !d.Before(cd)) {
+		d = cd.Add(ctxGrace)
 	}
-	stop := context.AfterFunc(ctx, func() {
-		poked.Store(true)
-		conn.SetDeadline(aLongTimeAgo)
-	})
+	conn.SetDeadline(d)
+	// stop reports false once the poke has started — in its own
+	// goroutine, perhaps not yet finished — so a connection is parked
+	// only when stop returns true: no poke ran, and none will.
+	stop := context.AfterFunc(ctx, conn.poke)
 	defer func() {
-		stop()
 		// A ServerError rode a clean, fully-framed exchange: the
 		// connection is still usable.
-		if (err == nil || AsServerError(err) != nil) && !poked.Load() {
+		if stop() && (err == nil || AsServerError(err) != nil) {
 			c.park(conn)
 			return
 		}

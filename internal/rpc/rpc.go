@@ -28,11 +28,13 @@
 //
 // The protocol is strictly request/response per connection (no
 // multiplexing): the client owns a small pool of connections and runs
-// one request on each at a time. That keeps cancellation exact — a
-// hedged request's loser is abandoned by poking the connection deadline,
-// and the connection is discarded rather than resynchronized — and it
-// lets each connection own one read and one write frame buffer for its
-// lifetime (frameBufs) instead of allocating per frame.
+// one request on each at a time. That keeps cancellation exact — the
+// caller's attempt cap is the connection deadline, a hedged request's
+// loser is abandoned by a poke (built once per connection) that moves
+// that deadline into the past, and the connection is discarded rather
+// than resynchronized — and it lets each connection own one read and
+// one write frame buffer for its lifetime (frameBufs) instead of
+// allocating per frame.
 //
 // Semantics carried by the protocol, not just bytes:
 //
@@ -97,8 +99,8 @@ const (
 )
 
 // QueryOptions is the result-affecting slice of retrieval.Options a
-// request carries over the wire: exactly the fields covered by
-// coalesce.OptionsKey, because those are the fields that can change the
+// request carries over the wire: exactly the option fields of
+// coalesce.QueryKey, because those are the fields that can change the
 // ranking. They are all per-request: CoarseCandidates is a budget over
 // the coarse index the shard server built at startup (or did not — then
 // a positive budget is refused, and 0 is exact search). The build-time

@@ -12,6 +12,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -243,6 +244,122 @@ func TestClientCancellation(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancellation did not unblock the request")
+	}
+	if n := idleConns(cl); n != 0 {
+		t.Fatalf("a cancelled exchange parked its connection (%d idle)", n)
+	}
+}
+
+// idleConns returns the size of cl's idle pool.
+func idleConns(cl *Client) int {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	return len(cl.idle)
+}
+
+// cancelHandler cancels the calling client's context, then answers: the
+// answer reaches a client whose poke has already started.
+type cancelHandler struct{ cancels chan context.CancelFunc }
+
+func (h *cancelHandler) Retrieve(context.Context, *RetrieveRequest) (*RetrieveResponse, error) {
+	(<-h.cancels)()
+	return &RetrieveResponse{}, nil
+}
+
+func (h *cancelHandler) Status() StatusResponse { return StatusResponse{State: StateReady} }
+
+// countingListener counts accepted connections: the client's dials.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
+}
+
+// TestCancelledExchangeNeverParks pins the park rule: once a context is
+// cancelled its poke has started and may move the connection deadline
+// at any later moment, so the connection is closed even when the answer
+// arrived intact. Over 100 such calls the idle pool stays empty, and
+// the next call dials once and succeeds — it finds no poisoned
+// connection to fail on and redial past.
+func TestCancelledExchangeNeverParks(t *testing.T) {
+	h := &cancelHandler{cancels: make(chan context.CancelFunc, 1)}
+	srv := NewServer(h, nil)
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	ln := &countingListener{Listener: inner}
+	go srv.Serve(ln)
+	defer srv.Close()
+	cl := NewClient(ln.Addr().String(), time.Second, 2)
+	defer cl.Close()
+
+	const calls = 100
+	for i := 0; i < calls; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		h.cancels <- cancel
+		// The answer may beat the poke to the read, or lose to it.
+		if _, err := cl.Retrieve(ctx, &RetrieveRequest{}); err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if n := idleConns(cl); n != 0 {
+			t.Fatalf("call %d parked a connection its cancelled context may poke (%d idle)", i, n)
+		}
+	}
+	h.cancels <- func() {}
+	if _, err := cl.Retrieve(context.Background(), &RetrieveRequest{}); err != nil {
+		t.Fatalf("call after the cancelled ones: %v", err)
+	}
+	if got := ln.accepted.Load(); got != calls+1 {
+		t.Fatalf("%d dials for %d calls, want one each", got, calls+1)
+	}
+}
+
+// TestRetrieveByCap pins the attempt cap RetrieveBy takes: with no
+// context deadline, a request the server never answers fails at the cap
+// with an i/o timeout and its connection is closed. When the context's
+// deadline comes no later than the cap, the context bounds the exchange
+// and the call reports context.DeadlineExceeded.
+func TestRetrieveByCap(t *testing.T) {
+	h := &blockingHandler{release: make(chan struct{}), entered: make(chan struct{}, 1)}
+	srv := NewServer(h, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	defer close(h.release)
+	cl := NewClient(ln.Addr().String(), time.Second, 2)
+	defer cl.Close()
+
+	start := time.Now()
+	_, err = cl.RetrieveBy(context.Background(), start.Add(50*time.Millisecond), &RetrieveRequest{})
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("capped call: err = %v, want an i/o timeout", err)
+	}
+	if elapsed := time.Since(start); elapsed < 50*time.Millisecond || elapsed > 5*time.Second {
+		t.Fatalf("capped call returned after %v, want the 50ms cap", elapsed)
+	}
+	if n := idleConns(cl); n != 0 {
+		t.Fatalf("a timed-out exchange parked its connection (%d idle)", n)
+	}
+
+	for _, capAfter := range []time.Duration{0, time.Second} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		d, _ := ctx.Deadline()
+		_, err := cl.RetrieveBy(ctx, d.Add(capAfter), &RetrieveRequest{})
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("cap %v after the context deadline: err = %v, want context.DeadlineExceeded", capAfter, err)
+		}
 	}
 }
 
