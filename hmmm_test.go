@@ -175,3 +175,38 @@ func TestFacadeClusterVideos(t *testing.T) {
 		t.Errorf("facade clustering purity = %v, want >= 0.8", p)
 	}
 }
+
+// TestEventsQueryAllocs pins that a query given as Events costs one
+// allocation more than the same query given as Steps: RetrieveContext
+// resolves its steps once, and each step's event list is a window of
+// Events rather than a copy.
+func TestEventsQueryAllocs(t *testing.T) {
+	corpus, err := GenerateCorpus(CorpusConfig{Seed: 3, Videos: 6, Shots: 240, Annotated: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := BuildModel(corpus, ModelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := NewEngine(model, SearchOptions{TopK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byEvents := NewQuery(EventGoal, EventFreeKick, EventFoul)
+	bySteps := Query{Steps: []Step{{Events: []Event{EventGoal}}, {Events: []Event{EventFreeKick}}, {Events: []Event{EventFoul}}}}
+	allocs := func(q Query) float64 {
+		if _, err := engine.Retrieve(q); err != nil { // warm the arena pool and the order memo
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if _, err := engine.Retrieve(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	events, steps := allocs(byEvents), allocs(bySteps)
+	if events > steps+1 {
+		t.Errorf("Retrieve of a 3-event query allocates %.1f times given as Events, %.1f given as Steps; want at most one more", events, steps)
+	}
+}

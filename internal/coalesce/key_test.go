@@ -23,16 +23,18 @@ var identityFields = []string{
 }
 
 // ignoredFields are the retrieval.Options fields deliberately
-// excluded from the coalesce key, in two classes. Observer-only fields
+// excluded from the coalesce key, in three classes. Observer-only fields
 // (Metrics, Trace, Tracer) record what happened without affecting it, so
 // an instrumented request and a bare one coalesce together — the
 // explicit requirement the classification test pins. The build-time
 // field NoSimCache is read only by retrieval.NewEngine — a per-request
 // view keeps the engine's setting whatever the request carries — and the
 // engine's differential suites pin results bit-identical across both
-// settings, so it cannot change what a waiter receives.
+// settings, so it cannot change what a waiter receives. The
+// execution-only Deadline is set by the leader after admission, from the
+// budget the key already carries: waiters ride the leader's deadline.
 //
-// Every retrieval.Options field MUST appear in exactly one of these two
+// Every retrieval.Options field MUST appear in exactly one of the two
 // lists; TestOptionsKeyCoversEveryField fails on any new field until it
 // is classified here and (for identity fields) encoded by appendOptions.
 var ignoredFields = []string{
@@ -43,6 +45,8 @@ var ignoredFields = []string{
 	// Build-time, read only by NewEngine; pinned bit-identical by the
 	// differential suites.
 	"NoSimCache",
+	// Execution-only: the leader's deadline, from the keyed budget.
+	"Deadline",
 }
 
 // TestOptionsKeyCoversEveryField enumerates retrieval.Options via

@@ -143,10 +143,13 @@ type Coordinator struct {
 // New builds a coordinator over transports[i] = the replica transports
 // of shard i. baseOpts carries the result-affecting retrieval options
 // (observers are ignored; the coordinator records Metrics instead).
+// Deadline is per request: New drops it, as retrieval.NewEngine does, and
+// a WithOptions view carries it.
 func New(transports [][]Transport, baseOpts retrieval.Options, copts Options) (*Coordinator, error) {
 	if len(transports) == 0 {
 		return nil, errors.New("coord: no shards")
 	}
+	baseOpts.Deadline = time.Time{}
 	copts = copts.withDefaults()
 	c := &Coordinator{
 		opts:   baseOpts,
@@ -209,8 +212,8 @@ func ParseShards(spec string) ([][]string, error) {
 }
 
 // WithOptions returns a coordinator view using opts for its requests
-// (and the merge's TopK) while sharing every endpoint's health state,
-// latency history, and metrics with the receiver.
+// (and the merge's TopK and deadline) while sharing every endpoint's
+// health state, latency history, and metrics with the receiver.
 func (c *Coordinator) WithOptions(opts retrieval.Options) *Coordinator {
 	nc := *c
 	nc.opts = opts
@@ -243,12 +246,14 @@ func (c *Coordinator) Retrieve(q retrieval.Query) (*retrieval.Result, error) {
 
 // RetrieveContext scatters q over the remote shards and gathers the
 // rankings. Shard failures degrade the result (Cost.Truncated +
-// Cost.DegradedShards). The errors returned are q's own validation
-// failures and a shard's bad_request refusal: q has already passed
-// validation here, so a refusal means the shard server is configured
-// differently from this coordinator (a coarse prefilter mismatch, say),
-// which every later query would hit too — the error names the shard and
-// carries the server's message instead of silently emptying results.
+// Cost.DegradedShards); the query's own deadline (the view's
+// Options.Deadline, or ctx's) truncates it without degrading it. The
+// errors returned are q's own validation failures and a shard's
+// bad_request refusal: q has already passed validation here, so a
+// refusal means the shard server is configured differently from this
+// coordinator (a coarse prefilter mismatch, say), which every later
+// query would hit too — the error names the shard and carries the
+// server's message instead of silently emptying results.
 func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*retrieval.Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -288,7 +293,7 @@ func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*
 	}
 
 	target := maxGen()
-	gather := retrieval.Gather{TopK: c.opts.TopK}
+	gather := retrieval.Gather{TopK: c.opts.TopK, Deadline: c.opts.Deadline}
 	expired, degraded := false, 0
 	for i, o := range outs {
 		if se := rpc.AsServerError(o.err); se != nil && se.Code == rpc.CodeBadRequest {
@@ -365,7 +370,8 @@ func (c *Coordinator) scatter(ctx context.Context, req *rpc.RetrieveRequest, out
 }
 
 // queryShard runs the retry loop for one shard: pick a replica, attempt
-// (with hedging), back off with jitter on transient failure.
+// (with hedging), back off with jitter on transient failure. A backoff
+// ends at the query's deadline, and no attempt starts past it.
 func (c *Coordinator) queryShard(ctx context.Context, shardIdx int, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error) {
 	set := c.sets[shardIdx]
 	var lastErr error = errAllEjected
@@ -374,13 +380,17 @@ func (c *Coordinator) queryShard(ctx context.Context, shardIdx int, req *rpc.Ret
 			if c.met != nil {
 				c.met.Retries.Inc()
 			}
+			wait := c.backoff(attempt)
+			if d := c.opts.Deadline; !d.IsZero() {
+				wait = min(wait, time.Until(d))
+			}
 			select {
-			case <-time.After(c.backoff(attempt)):
+			case <-time.After(wait):
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
 		}
-		if err := ctx.Err(); err != nil {
+		if err := c.expired(ctx); err != nil {
 			return nil, err
 		}
 		ep := set.pick(time.Now())
@@ -393,14 +403,27 @@ func (c *Coordinator) queryShard(ctx context.Context, shardIdx int, req *rpc.Ret
 			return resp, nil
 		}
 		lastErr = err
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
+		if err := c.expired(ctx); err != nil {
+			return nil, err
 		}
 		if !rpc.IsTransient(err) && !errors.Is(err, errAttemptTimeout) {
 			return nil, err
 		}
 	}
 	return nil, lastErr
+}
+
+// expired returns what ends the query as a whole: ctx's error, or
+// context.DeadlineExceeded once the view's Options.Deadline has passed.
+// Either is a truncation, never a shard failure.
+func (c *Coordinator) expired(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d := c.opts.Deadline; !d.IsZero() && time.Until(d) <= 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // attempt runs one (possibly hedged) exchange against primary, on the
@@ -469,17 +492,25 @@ func (c *Coordinator) attempt(ctx context.Context, shardIdx int, set *shardSet, 
 // cancel usually ends it at once.
 //
 // The cap is a deadline value, computed once: now + AttemptTimeout, or
-// hctx's deadline when that comes first. It sets the server's budget
-// and goes to the Transport beside hctx, so an attempt allocates no
-// context of its own.
+// the query's deadline — the view's Options.Deadline or hctx's, the
+// earlier — when that comes first. It sets the server's budget and goes
+// to the Transport beside hctx, so an attempt allocates no context of
+// its own. An attempt that runs into the attempt cap is
+// errAttemptTimeout (retryable); one that runs into the query's
+// deadline is context.DeadlineExceeded, a truncation.
 func (c *Coordinator) exchange(hctx context.Context, shardIdx int, ep *endpoint, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error) {
 	if c.met != nil {
 		c.met.ShardRequests.Inc()
 	}
 	start := time.Now()
+	queryDeadline := c.opts.Deadline
+	if d, ok := hctx.Deadline(); ok && (queryDeadline.IsZero() || d.Before(queryDeadline)) {
+		queryDeadline = d
+	}
 	deadline := start.Add(c.copts.AttemptTimeout)
-	if d, ok := hctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
+	capped := queryDeadline.IsZero() || deadline.Before(queryDeadline)
+	if !capped {
+		deadline = queryDeadline
 	}
 	// The server gets 80% of the attempt window as execution budget, so
 	// a truncated partial still has time to travel back before the
@@ -500,8 +531,11 @@ func (c *Coordinator) exchange(hctx context.Context, shardIdx int, ep *endpoint,
 	if err != nil {
 		if resp == nil && hctx.Err() == nil && !time.Now().Before(deadline) {
 			// The attempt cap passed while the query still had budget:
-			// retryable, unlike a parent deadline.
+			// retryable. The query's own deadline is not.
 			err = errAttemptTimeout
+			if !capped {
+				err = context.DeadlineExceeded
+			}
 		}
 		c.noteFailure(ep, err)
 		return nil, err

@@ -20,20 +20,15 @@ import (
 )
 
 // localTransport is the in-process loopback: it calls the ShardService
-// directly, honoring the request budget exactly like rpc.Server does.
-// The budget ends before the attempt deadline, so the deadline itself
-// needs no watching.
+// directly, which honors the request budget itself, as behind
+// rpc.Server. The budget ends before the attempt deadline, so the
+// deadline itself needs no watching.
 type localTransport struct {
 	svc  *rpc.ShardService
 	name string
 }
 
 func (t *localTransport) RetrieveBy(ctx context.Context, _ time.Time, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error) {
-	if req.BudgetNS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.BudgetNS))
-		defer cancel()
-	}
 	return t.svc.Retrieve(ctx, req)
 }
 
@@ -493,6 +488,103 @@ func TestParentDeadlineTruncates(t *testing.T) {
 	}
 	if met.Degraded.Value() != 0 {
 		t.Fatal("parent deadline must not increment hmmm_coord_degraded_total")
+	}
+}
+
+// TestOptionsDeadlineTruncates is TestParentDeadlineTruncates with the
+// query deadline as the view's Options.Deadline, as hmmmd passes it, and
+// the context carrying none: while one of two shards hangs, each query
+// returns the live shard's ranking as a truncated partial soon after the
+// deadline — long before the attempt cap — without retrying the hung
+// shard, counting it as degraded, or charging its health: a run of
+// deadline expiries does not eject it.
+func TestOptionsDeadlineTruncates(t *testing.T) {
+	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 26})
+	shards, err := shard.Split(m, 2)
+	if err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	reg := obs.NewRegistry()
+	met := NewMetrics(reg)
+	copts := fastOptions(met)
+	copts.AttemptTimeout = 10 * time.Second
+	c, flaky := loopbackCoordinator(t, services(t, shards, 1), retrieval.Options{}, copts)
+	flaky[1].delay.Store(int64(5 * time.Second))
+
+	eng, err := retrieval.NewEngine(shards[0].Model, retrieval.Options{})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	q := retrievaltest.Queries(m)[0]
+	want, err := eng.Retrieve(q)
+	if err != nil {
+		t.Fatalf("local: %v", err)
+	}
+	retrievaltest.Lift(want.Matches, shards[0].Offset)
+	want.Matches = retrieval.MergeRanked(want.Matches, 0)
+
+	const budget = 100 * time.Millisecond
+	for i := 0; i < ejectThreshold; i++ {
+		start := time.Now()
+		res, err := c.WithOptions(retrieval.Options{Deadline: start.Add(budget)}).RetrieveContext(context.Background(), q)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatalf("deadline query returned error: %v", err)
+		}
+		if !res.Cost.Truncated || res.Cost.DegradedShards != 0 {
+			t.Fatalf("cost %+v, want a truncation without degraded shards", res.Cost)
+		}
+		if elapsed < budget || elapsed > budget+time.Second {
+			t.Fatalf("query returned after %v, want soon after its %v deadline", elapsed, budget)
+		}
+		retrievaltest.RequireSameMatches(t, "deadline-partial", want.Matches, res.Matches)
+	}
+	if got := met.Degraded.Value(); got != 0 {
+		t.Fatalf("hmmm_coord_degraded_total = %d, want 0", got)
+	}
+	if got := met.Retries.Value(); got != 0 {
+		t.Fatalf("hmmm_coord_retries_total = %d, want 0: a query deadline is not retried", got)
+	}
+	if got := met.Ejections.Value(); got != 0 {
+		t.Fatalf("hmmm_coord_ejections_total = %d, want 0: a query deadline is not a shard failure", got)
+	}
+	if got := flaky[1].calls.Load(); got != ejectThreshold {
+		t.Fatalf("hung shard asked %d times over %d queries, want once each", got, ejectThreshold)
+	}
+}
+
+// TestBackoffEndsAtDeadline: a retry backoff longer than the time left
+// ends at the query's Options.Deadline, and no attempt starts past it:
+// the failing shard is asked once and the query is a truncation, not a
+// degraded answer.
+func TestBackoffEndsAtDeadline(t *testing.T) {
+	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 26})
+	shards, err := shard.Split(m, 2)
+	if err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	met := NewMetrics(obs.NewRegistry())
+	copts := fastOptions(met)
+	copts.RetryBase, copts.RetryMax = 4*time.Second, 4*time.Second
+	c, flaky := loopbackCoordinator(t, services(t, shards, 1), retrieval.Options{}, copts)
+	flaky[1].fail.Store(true)
+
+	const budget = 100 * time.Millisecond
+	start := time.Now()
+	res, err := c.WithOptions(retrieval.Options{Deadline: start.Add(budget)}).
+		RetrieveContext(context.Background(), retrievaltest.Queries(m)[0])
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("deadline query returned error: %v", err)
+	}
+	if !res.Cost.Truncated || res.Cost.DegradedShards != 0 {
+		t.Fatalf("cost %+v, want a truncation without degraded shards", res.Cost)
+	}
+	if elapsed > budget+time.Second {
+		t.Fatalf("query returned after %v: the 2-4s backoff outlived its %v deadline", elapsed, budget)
+	}
+	if got := flaky[1].calls.Load(); got != 1 {
+		t.Fatalf("failing shard asked %d times, want 1", got)
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 // in-process loopback that calls the ShardService directly.
 type Transport interface {
 	// RetrieveBy answers req, giving up at deadline — the attempt cap,
-	// never later than ctx's own deadline — or when ctx ends. An attempt
-	// that hits the cap returns any error with a nil response; the
-	// coordinator classifies it by the clock.
+	// never later than the query's deadline (the view's Options.Deadline
+	// or ctx's own) — or when ctx ends. An attempt that hits the cap
+	// returns any error with a nil response; the coordinator classifies
+	// it by the clock.
 	RetrieveBy(ctx context.Context, deadline time.Time, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error)
 	Status(ctx context.Context) (*rpc.StatusResponse, error)
 	Addr() string

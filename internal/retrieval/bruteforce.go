@@ -52,7 +52,8 @@ func (p *bfPath) match(m *hmmm.Model) Match {
 // product of per-event candidate counts, while the engine expands only the
 // stochastically promising paths.
 func BruteForce(m *hmmm.Model, q Query, topK int) (*Result, error) {
-	if err := q.validateFor(m.NumConcepts()); err != nil {
+	steps := q.steps()
+	if err := q.validateFor(steps, m.NumConcepts()); err != nil {
 		return nil, err
 	}
 	if topK <= 0 {
@@ -72,7 +73,6 @@ func BruteForce(m *hmmm.Model, q Query, topK int) (*Result, error) {
 		if lo == hi {
 			continue
 		}
-		steps := q.steps()
 		var dfs func(j, after int, p *bfPath)
 		dfs = func(j, after int, p *bfPath) {
 			if j == len(steps) {
@@ -123,10 +123,10 @@ func BruteForce(m *hmmm.Model, q Query, topK int) (*Result, error) {
 // gap-constrained queries fall back to explicit enumeration (their
 // candidate spaces are small by construction).
 func GroundTruthCount(m *hmmm.Model, q Query) int {
-	if q.validateFor(m.NumConcepts()) != nil {
+	steps := q.steps()
+	if q.validateFor(steps, m.NumConcepts()) != nil {
 		return 0
 	}
-	steps := q.steps()
 	constrained := q.Scope != nil
 	for _, st := range steps {
 		if st.MinGapMS > 0 || st.MaxGapMS > 0 {

@@ -6,6 +6,7 @@ package retrieval_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -205,5 +206,132 @@ func TestRetrieveContextDeadlineSerialLargeBeam(t *testing.T) {
 	}
 	if elapsed > 500*time.Millisecond {
 		t.Errorf("pathological query overran its deadline by too much: %v", elapsed)
+	}
+}
+
+// TestOptionsDeadline is TestRetrieveContextDeadline with the deadline
+// as a view's Options.Deadline under a background context: the slowed
+// traversal stops within a small multiple of it and returns a ranked
+// partial with Truncated set. A deadline already past stops the search
+// before its first video.
+func TestOptionsDeadline(t *testing.T) {
+	m := cancelModel(t)
+	slow := &faultinject.SlowTracer{PerEvent: time.Millisecond}
+	eng, err := retrieval.NewEngine(m, retrieval.Options{
+		Beam: 8, TopK: 10, CrossVideo: true, Tracer: slow,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	opts := retrieval.Options{Beam: 8, TopK: 10, CrossVideo: true, Tracer: slow, Deadline: start.Add(time.Millisecond)}
+	res, err := eng.WithOptions(opts).RetrieveContext(context.Background(), cancelQuery())
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("expired deadline must not error: %v", err)
+	}
+	if !res.Cost.Truncated {
+		t.Error("Truncated not set on deadline expiry")
+	}
+	if elapsed > 500*time.Millisecond {
+		t.Errorf("deadline overrun: took %v", elapsed)
+	}
+	for i := 1; i < len(res.Matches); i++ {
+		if res.Matches[i].Score > res.Matches[i-1].Score {
+			t.Error("partial result not ranked")
+		}
+	}
+	for _, match := range res.Matches {
+		for _, s := range match.States {
+			if s < 0 || s >= m.NumStates() {
+				t.Fatalf("partial result holds invalid state %d", s)
+			}
+		}
+	}
+
+	opts.Deadline = time.Now().Add(-time.Second)
+	res, err = eng.WithOptions(opts).Retrieve(cancelQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Cost.Truncated || len(res.Matches) != 0 || res.Cost.VideosSeen != 0 {
+		t.Errorf("past deadline: truncated %v, %d matches, %d videos; want an empty truncated result",
+			res.Cost.Truncated, len(res.Matches), res.Cost.VideosSeen)
+	}
+}
+
+// TestOptionsDeadlineUnreachedIdentical: a view with no deadline, or one
+// the search never reaches, returns exactly what Retrieve returns.
+func TestOptionsDeadlineUnreachedIdentical(t *testing.T) {
+	m := cancelModel(t)
+	opts := retrieval.Options{Beam: 4, TopK: 10, AnnotatedOnly: true}
+	eng, err := retrieval.NewEngine(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := cancelQuery()
+	want, err := eng.Retrieve(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []time.Time{{}, time.Now().Add(time.Hour)} {
+		opts.Deadline = d
+		got, err := eng.WithOptions(opts).Retrieve(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("deadline %v: result differs from Retrieve:\n got %+v\nwant %+v", d, got, want)
+		}
+	}
+}
+
+// TestNewEngineIgnoresDeadline: a deadline is per request, so one given
+// to NewEngine (here long past) bounds neither the engine nor the views
+// that inherit its options.
+func TestNewEngineIgnoresDeadline(t *testing.T) {
+	m := cancelModel(t)
+	opts := retrieval.Options{Beam: 4, TopK: 10, AnnotatedOnly: true}
+	plain, err := retrieval.NewEngine(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Deadline = time.Now().Add(-time.Hour)
+	eng, err := retrieval.NewEngine(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := cancelQuery()
+	want, err := plain.Retrieve(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]retrieval.Retriever{"engine": eng, "WithTopK view": eng.WithTopK(10)} {
+		got, err := r.RetrieveContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cost.Truncated || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s built with a past deadline: %+v, want %+v", name, got.Cost, want.Cost)
+		}
+	}
+}
+
+// TestGatherDeadline: Done marks the merged result Truncated once the
+// gather's Deadline has passed, as it does for an ended context.
+func TestGatherDeadline(t *testing.T) {
+	for _, c := range []struct {
+		deadline time.Time
+		want     bool
+	}{
+		{time.Time{}, false},
+		{time.Now().Add(time.Hour), false},
+		{time.Now().Add(-time.Second), true},
+	} {
+		g := retrieval.Gather{Deadline: c.deadline}
+		g.Add(&retrieval.Result{Matches: []retrieval.Match{{States: []int{1}, Score: 1}}}, 0)
+		if got := g.Done(context.Background()).Cost.Truncated; got != c.want {
+			t.Errorf("deadline %v: Truncated = %v, want %v", c.deadline, got, c.want)
+		}
 	}
 }

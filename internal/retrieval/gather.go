@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"slices"
+	"time"
 )
 
 // Retriever is the retrieval contract every serving shape satisfies
@@ -25,7 +26,7 @@ type Retriever interface {
 // offsets, so sequences never collide and keep their tie-break order;
 // children over one space (MATN branches) share an offset and the merge
 // drops their duplicates. Costs sum; Done marks the result Truncated
-// when ctx is spent. A lone non-empty list strictly in rank order and
+// when ctx has ended or Deadline (zero: none) has passed. A lone non-empty list strictly in rank order and
 // within TopK is adopted as is — what MergeRanked would make of it;
 // anything else (a list rescaled into a tie, too) is merged in place:
 // Done may reorder and overwrite the children's Matches slices, as the
@@ -36,10 +37,12 @@ type Retriever interface {
 // with the top score. The zero value is ready to use; TopK 0 means
 // DefaultTopK.
 type Gather struct {
-	TopK    int
-	cost    Cost
-	lists   int // non-empty child lists added
-	matches []Match
+	TopK int
+	// Deadline is the request's Options.Deadline, the children's too.
+	Deadline time.Time
+	cost     Cost
+	lists    int // non-empty child lists added
+	matches  []Match
 }
 
 // Add adds one child's ranking, its state ids shifted by offset in place.
@@ -92,7 +95,7 @@ func (g *Gather) Done(ctx context.Context) Result {
 	if g.lists > 1 || !ranked(g.matches, g.TopK) {
 		out.Matches = merge(g.matches, g.TopK)
 	}
-	if ctx.Err() != nil {
+	if spent(ctx, g.Deadline) {
 		out.Cost.Truncated = true
 	}
 	return out

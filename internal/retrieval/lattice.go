@@ -3,6 +3,7 @@ package retrieval
 import (
 	"context"
 	"slices"
+	"time"
 
 	// The compiler inlines methods only from packages this one imports,
 	// and the per-edge A1 read, mmm.A1Row.At, must inline into lattice.
@@ -111,34 +112,61 @@ func (e *Engine) putArena(ar *arena) {
 }
 
 // ctxPollEdges bounds how many lattice edge relaxations may run between
-// request-context polls: the worst-case extra work after a deadline
-// expires or a client disconnects. Polling costs one predictable-branch
-// counter test per edge plus a ctx.Err() call every interval, which is
-// noise next to the ~100ns edge relaxation itself.
+// request-context polls: the worst-case extra work after a client
+// disconnects. Polling costs one predictable-branch counter test per
+// edge plus a ctx.Err() call every interval, which is noise next to the
+// ~100ns edge relaxation itself. A deadline's clock is read at most once
+// per ctxPollEdges units of work (edges, candidates and boundaries), and
+// at least once per 2×ctxPollEdges: a clock read costs about as much as
+// a thousand counter tests, so reading it at every video boundary would
+// cost an exact search over many small videos more than the timer
+// context the deadline value replaces.
 const ctxPollEdges = 512
 
+// spent reports whether a request must stop: ctx has ended (the client
+// went away, or every coalesced participant left) or deadline, when
+// non-zero, has passed. The clock is read only for a set deadline.
+func spent(ctx context.Context, deadline time.Time) bool {
+	return ctx.Err() != nil || !deadline.IsZero() && time.Until(deadline) <= 0
+}
+
 // searchCtx carries one retrieval's per-search state: the normalized
-// steps, scope, cost counters, the arena, and the request context honored
-// at bounded intervals.
+// steps, scope, cost counters, the arena, and the request context and
+// deadline honored at bounded intervals.
 type searchCtx struct {
 	steps []Step
 	scope *Scope
 	cost  *Cost
 	ar    *arena
-	// ctx, when non-nil, is the per-request context; expired() polls it.
-	ctx   context.Context
-	polls int
+	// ctx and deadline (Options.Deadline, zero for none) bound the
+	// search; expired() polls them.
+	ctx      context.Context
+	deadline time.Time
+	// polls counts units of work: tick calls and boundary polls. The
+	// deadline is next compared with the clock once polls reaches clockAt.
+	polls   int
+	clockAt int
 }
 
-// expired reports whether the request context has been cancelled (query
-// deadline hit or client gone). Called at video and stage boundaries.
+// expired reports whether the search must stop: the request context has
+// ended, or the deadline has passed by the last clock read. Called at
+// video and stage boundaries and by tick; the first call reads the
+// clock, so a search given a spent deadline does no work.
 func (sc *searchCtx) expired() bool {
-	return sc.ctx != nil && sc.ctx.Err() != nil
+	sc.polls++
+	if sc.ctx.Err() != nil {
+		return true
+	}
+	if sc.deadline.IsZero() || sc.polls < sc.clockAt {
+		return false
+	}
+	sc.clockAt = sc.polls + ctxPollEdges
+	return time.Until(sc.deadline) <= 0
 }
 
 // tick is the per-edge-relaxation check: a cheap counter that polls the
-// request context every ctxPollEdges calls, bounding both the poll
-// overhead and the post-cancellation overrun.
+// request every ctxPollEdges calls, bounding both the poll overhead and
+// the post-cancellation overrun.
 func (sc *searchCtx) tick() bool {
 	sc.polls++
 	if sc.polls%ctxPollEdges != 0 {

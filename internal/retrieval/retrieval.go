@@ -125,14 +125,16 @@ func NewQuery(events ...videomodel.Event) Query {
 	return Query{Events: events}
 }
 
-// steps returns the normalized step sequence.
+// steps returns the normalized step sequence. A query given as Events
+// costs one allocation, the step slice: each step's event list is a
+// capacity-clipped window of Events, which nothing writes through.
 func (q Query) steps() []Step {
 	if len(q.Steps) > 0 {
 		return q.Steps
 	}
 	out := make([]Step, len(q.Events))
-	for i, e := range q.Events {
-		out[i] = Step{Events: []videomodel.Event{e}}
+	for i := range q.Events {
+		out[i] = Step{Events: q.Events[i : i+1 : i+1]}
 	}
 	return out
 }
@@ -147,8 +149,10 @@ func (q Query) Len() int {
 
 // Validate checks that the query is non-empty and every event is a real
 // concept.
-func (q Query) Validate() error {
-	steps := q.steps()
+func (q Query) Validate() error { return q.validate(q.steps()) }
+
+// validate is Validate over the query's already-normalized steps.
+func (q Query) validate(steps []Step) error {
 	if len(steps) == 0 {
 		return errors.New("retrieval: empty query pattern")
 	}
@@ -196,12 +200,13 @@ func (q Query) Validate() error {
 // positive or negated event must address one of the model's c concepts.
 // Valid() alone only checks the MaxEvents envelope — a basketball event
 // is a valid Event but out of vocabulary for an 8-concept soccer model,
-// and letting it through would index past B2's columns.
-func (q Query) validateFor(c int) error {
-	if err := q.Validate(); err != nil {
+// and letting it through would index past B2's columns. steps are q's
+// normalized steps, which the caller resolves once and searches with.
+func (q Query) validateFor(steps []Step, c int) error {
+	if err := q.validate(steps); err != nil {
 		return err
 	}
-	for i, st := range q.steps() {
+	for i, st := range steps {
 		for _, e := range st.Events {
 			if e.Index() >= c {
 				return fmt.Errorf("retrieval: query step %d event %v outside the model's %d-concept vocabulary", i, e, c)
@@ -288,7 +293,7 @@ type Result struct {
 
 // Options tunes the engine. NoSimCache and whether CoarseCandidates is
 // positive are build-time, read only by NewEngine; the rest is
-// per-request.
+// per-request, and NewEngine ignores Deadline.
 type Options struct {
 	// TopK bounds the number of returned matches; 0 means DefaultTopK.
 	TopK int
@@ -360,6 +365,14 @@ type Options struct {
 	// Safe to share across the alternation branches of one request; each
 	// branch appends its own spans.
 	Trace *obs.Trace
+	// Deadline, when non-zero, is the request's execution deadline: the
+	// traversal stops at it and returns the matches ranked so far with
+	// Cost.Truncated set, exactly as when the request context ends. It is
+	// a value, not a context timer, so a budgeted request costs no
+	// allocation; the search reads the clock where it polls its context,
+	// at most once per ctxPollEdges units of work. Per request: NewEngine
+	// drops it, and a WithOptions view keeps it.
+	Deadline time.Time
 }
 
 // Default engine parameters.
@@ -543,6 +556,7 @@ func NewEngine(m *hmmm.Model, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("retrieval: invalid model: %w", err)
 	}
 	shared := buildShared(m, opts.NoSimCache, opts.CoarseCandidates > 0)
+	opts.Deadline = time.Time{}
 	return &Engine{m: m, opts: opts.withDefaults(), shared: shared}, nil
 }
 
@@ -642,16 +656,17 @@ func (e *Engine) Retrieve(q Query) (*Result, error) {
 	return e.RetrieveContext(context.Background(), q)
 }
 
-// RetrieveContext is Retrieve honoring a request context: the traversal
-// polls ctx at video boundaries and every ctxPollEdges lattice edge
-// relaxations, so a deadline or client disconnect stops the search within
-// a bounded amount of further work. An expired context is not an error —
-// the matches ranked so far are returned with Cost.Truncated set, turning
-// a pathological query into a fast partial answer instead of unbounded
-// work. With a background (never-cancelled) context the result is
-// bit-identical to Retrieve.
+// RetrieveContext is Retrieve honoring a request context and the view's
+// Options.Deadline: the traversal polls both at video boundaries and
+// every ctxPollEdges lattice edge relaxations, so a deadline or client
+// disconnect stops the search within a bounded amount of further work.
+// Expiry is not an error — the matches ranked so far are returned with
+// Cost.Truncated set, turning a pathological query into a fast partial
+// answer instead of unbounded work. With a background (never-cancelled)
+// context and no Deadline the result is bit-identical to Retrieve.
 func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) {
-	if err := q.validateFor(e.m.NumConcepts()); err != nil {
+	steps := q.steps()
+	if err := q.validateFor(steps, e.m.NumConcepts()); err != nil {
 		return nil, err
 	}
 	if e.opts.CoarseCandidates > 0 && e.shared.coarse == nil {
@@ -665,7 +680,6 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 		t0 = time.Now()
 	}
 	res := &Result{}
-	steps := q.steps()
 	// With certified pruning, videos come off the arena's bound queue
 	// instead of the Step-2 order, and the visit stops at the cut.
 	pruning := e.prunes(q.Scope)
@@ -705,7 +719,7 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 		stopAt = 3 * e.opts.TopK
 	}
 	raw := 0
-	sctx := &searchCtx{steps: steps, scope: q.Scope, cost: &res.Cost, ar: ar, ctx: ctx}
+	sctx := &searchCtx{steps: steps, scope: q.Scope, cost: &res.Cost, ar: ar, ctx: ctx, deadline: e.opts.Deadline}
 	for oi := 0; ; oi++ {
 		vi := -1
 		switch {
@@ -734,7 +748,7 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 	}
 	res.Matches = ar.top.ranking(e.m)
 	e.putArena(ar)
-	if ctx.Err() != nil {
+	if spent(ctx, e.opts.Deadline) {
 		res.Cost.Truncated = true
 	}
 	if timed {

@@ -39,10 +39,10 @@
 // Semantics carried by the protocol, not just bytes:
 //
 //   - Per-request deadlines: RetrieveRequest.BudgetNS is the execution
-//     budget the server must honor (it becomes the context deadline of
-//     the shard-local retrieval, which returns its committed partial
-//     ranking with Cost.Truncated on expiry, exactly like a local
-//     engine).
+//     budget the server must honor (ShardService turns it into the
+//     Options.Deadline value of the shard-local retrieval — no timer
+//     context — which returns its committed partial ranking with
+//     Cost.Truncated on expiry, exactly like a local engine).
 //   - Generation stamps: every RetrieveResponse carries the serving
 //     model's generation, so the coordinator can refuse to merge
 //     rankings computed on different model generations during a rolling

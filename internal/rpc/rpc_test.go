@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -585,6 +586,38 @@ func TestBudgetTruncates(t *testing.T) {
 	}
 	if !got.Cost.Truncated {
 		t.Fatal("budget of 1ns did not set Cost.Truncated")
+	}
+}
+
+// TestServiceBudgetDirect: ShardService.Retrieve honors BudgetNS itself,
+// so a direct call (no Server, background context) with a vanishing
+// budget is truncated exactly like one over the wire, and a generous
+// budget changes nothing.
+func TestServiceBudgetDirect(t *testing.T) {
+	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 13, Videos: 6, MaxShots: 20})
+	shards, _ := shard.Split(m, 1)
+	svc, err := NewShardService(shards[0], 0, 1, retrieval.Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := retrievaltest.Queries(m)[0]
+	got, err := svc.Retrieve(context.Background(), &RetrieveRequest{Query: q, BudgetNS: 1})
+	if err != nil {
+		t.Fatalf("retrieve: %v", err)
+	}
+	if !got.Cost.Truncated {
+		t.Fatal("budget of 1ns did not set Cost.Truncated")
+	}
+	want, err := svc.Retrieve(context.Background(), &RetrieveRequest{Query: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = svc.Retrieve(context.Background(), &RetrieveRequest{Query: q, BudgetNS: int64(time.Hour)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Cost.Truncated || !reflect.DeepEqual(got, want) {
+		t.Fatalf("an unreached budget changed the answer:\n got %+v\nwant %+v", got, want)
 	}
 }
 

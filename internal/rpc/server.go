@@ -7,11 +7,12 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Handler executes requests for a Server. Implementations must be safe
-// for concurrent use; ShardService is the production implementation.
+// for concurrent use and honor RetrieveRequest.BudgetNS themselves: the
+// Server hands every request its base context, which ends only at Close.
+// ShardService is the production implementation.
 type Handler interface {
 	Retrieve(ctx context.Context, req *RetrieveRequest) (*RetrieveResponse, error)
 	Status() StatusResponse
@@ -25,9 +26,10 @@ type Server struct {
 	handler Handler
 	logf    func(format string, args ...any)
 
-	// baseCtx parents every request handler and is cancelled by Close,
-	// so even an unbudgeted retrieval (BudgetNS == 0) cannot outlive the
-	// server and hold up the shutdown grace window.
+	// baseCtx is every request handler's context and is cancelled by
+	// Close, so even an unbudgeted retrieval (BudgetNS == 0) cannot
+	// outlive the server and hold up the shutdown grace window. A budget
+	// is a deadline value the handler applies itself, not a context.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
@@ -176,16 +178,10 @@ func (s *Server) dispatch(conn net.Conn, fb *frameBufs, tag byte, body []byte) e
 		if err := decodeFrame(body, &req); err != nil {
 			return fb.writeFrame(conn, tagError, &ErrorResponse{Code: CodeBadRequest, Msg: err.Error()})
 		}
-		// The handler context descends from baseCtx so Close bounds even
-		// unbudgeted requests; BudgetNS layers the per-request deadline
-		// on top.
-		ctx := s.baseCtx
-		if req.BudgetNS > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.BudgetNS))
-			defer cancel()
-		}
-		resp, err := s.handler.Retrieve(ctx, &req)
+		// The handler runs under baseCtx so Close bounds even unbudgeted
+		// requests; the handler turns BudgetNS into its own deadline
+		// value, so a request builds no timer.
+		resp, err := s.handler.Retrieve(s.baseCtx, &req)
 		if err != nil {
 			code := CodeInternal
 			if se := AsServerError(err); se != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"github.com/videodb/hmmm/internal/retrieval"
 	"github.com/videodb/hmmm/internal/shard"
@@ -26,11 +27,13 @@ type ShardService struct {
 
 // NewShardService builds the service for shard index of a split into
 // `of` shards. base configures the engine the same way Group does:
-// observers are per-process concerns and result-affecting fields are
-// overridden per request from the wire options.
+// observers are per-process concerns, result-affecting fields are
+// overridden per request from the wire options, and the deadline comes
+// from each request's BudgetNS.
 func NewShardService(sh *shard.Shard, index, of int, base retrieval.Options, generation uint64) (*ShardService, error) {
 	base.Metrics = nil
 	base.Trace = nil
+	base.Deadline = time.Time{}
 	engine, err := retrieval.NewEngine(sh.Model, base)
 	if err != nil {
 		return nil, err
@@ -46,8 +49,11 @@ func (s *ShardService) SetGeneration(gen uint64) { s.gen.Store(gen) }
 
 // Retrieve runs the query on the shard engine with the request's
 // result-affecting options and budget, lifts the ranking to parent
-// ids, and stamps the generation. A context expiry is a degraded
-// answer (partial ranking, Cost.Truncated), mirroring the local engine.
+// ids, and stamps the generation. BudgetNS becomes the engine view's
+// Options.Deadline, measured from the call, so a direct call and one
+// through Server behave alike; ctx carries only cancellation. An
+// expired budget or context is a degraded answer (partial ranking,
+// Cost.Truncated), mirroring the local engine.
 // A coarse budget on a server started without the coarse index
 // (retrieval.ErrNoCoarseIndex) is refused as bad_request; a budget of 0
 // is exact search on any server.
@@ -56,6 +62,9 @@ func (s *ShardService) Retrieve(ctx context.Context, req *RetrieveRequest) (*Ret
 		return nil, &ServerError{Code: CodeBadRequest, Msg: err.Error()}
 	}
 	opts := req.Options.Apply(s.base)
+	if req.BudgetNS > 0 {
+		opts.Deadline = time.Now().Add(time.Duration(req.BudgetNS))
+	}
 	// Stamp the generation before searching: if a rollout lands
 	// mid-request the response reports the older generation it actually
 	// computed against, and the coordinator's consistency check catches
@@ -71,7 +80,7 @@ func (s *ShardService) Retrieve(ctx context.Context, req *RetrieveRequest) (*Ret
 	if err != nil {
 		return nil, &ServerError{Code: CodeInternal, Msg: err.Error()}
 	}
-	gather := retrieval.Gather{TopK: opts.TopK}
+	gather := retrieval.Gather{TopK: opts.TopK, Deadline: opts.Deadline}
 	gather.Add(res, s.sh.Offset)
 	out := gather.Done(ctx)
 	return &RetrieveResponse{

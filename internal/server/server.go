@@ -802,27 +802,17 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
 		opts.Trace = qtrace
 		qstart = time.Now()
 	}
-	// Per-request tuning is a view sharing the snapshot engine's caches.
-	engine := snap.engine.WithOptions(opts)
-	var search retrieval.Retriever = engine
-	if s.coordinator != nil {
-		// Coordinator mode: retrieval scatters over remote shard servers.
-		// Observer options (Metrics, Trace) stay local — the coordinator
-		// strips them from the wire request and records hmmm_coord_*
-		// instead; the local engine above still serves Explain and the
-		// admission estimate.
-		search = s.coordinator.WithOptions(opts)
-	}
-
 	// Two-lane admission. Only this leader consumes a lane slot — every
 	// coalesced waiter rides it — and the execution deadline starts
 	// strictly AFTER admission, so time spent in the heavy queue never
-	// burns the budget the search was promised.
+	// burns the budget the search was promised. The estimate reads a
+	// view with the request's tuning that does not outlive it.
 	if s.lanes != nil {
 		est := 0
+		view := snap.engine.WithOptions(opts)
 		for _, q := range queries {
 			q.Scope = scope
-			est += engine.EstimateCost(q)
+			est += view.EstimateCost(q)
 		}
 		release, err := s.lanes.admit(ctx, est, budget)
 		if err != nil {
@@ -830,16 +820,28 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
 		}
 		defer release()
 	}
+	// The budget travels as a deadline value in the views' options: the
+	// engines poll it where they poll ctx, so no timer is built. ctx
+	// still ends the search when every participant has gone.
 	if budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
-		defer cancel()
+		opts.Deadline = time.Now().Add(budget)
+	}
+
+	// Per-request tuning is a view sharing the snapshot engine's caches.
+	engine := snap.engine.WithOptions(opts)
+	var search retrieval.Retriever = engine
+	if s.coordinator != nil {
+		// Coordinator mode: retrieval scatters over remote shard servers.
+		// Observer options (Metrics, Trace) stay local — the coordinator
+		// strips them from the wire request and records hmmm_coord_*
+		// instead; the local engine above still serves Explain.
+		search = s.coordinator.WithOptions(opts)
 	}
 
 	// An MATN may compile to several linear patterns (alternation,
 	// optional steps), and a live delta adds one more list per pattern;
 	// the gather merges those lists, deduplicated by state sequence.
-	gather := retrieval.Gather{TopK: opts.TopK}
+	gather := retrieval.Gather{TopK: opts.TopK, Deadline: opts.Deadline}
 	if err := gather.Search(ctx, search, queries, scope, 0); err != nil {
 		return nil, err
 	}

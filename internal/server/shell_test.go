@@ -46,16 +46,18 @@ func queryBody(t testing.TB, req QueryRequest) []byte {
 // releases. Each is the value measured with go1.24.0 on linux/amd64
 // plus 5% slack.
 const (
-	// maxQueryAllocs is one linear pattern: 28 measured (46–47 before
-	// the canonical request decoder and the response appender, 60–61
-	// before the engine materialized only the ranking it returns,
-	// 122–123 before the pattern memo, merge skip and slab build).
-	maxQueryAllocs = 30
+	// maxQueryAllocs is one linear pattern: 19 measured (26 while the
+	// budget was a timer context, 46–47 before the canonical request
+	// decoder and the response appender, 60–61 before the engine
+	// materialized only the ranking it returns, 122–123 before the
+	// pattern memo, merge skip and slab build).
+	maxQueryAllocs = 20
 	// maxAltQueryAllocs is an alternation whose optional step compiles
 	// to several linear patterns, so the gather merges their rankings:
-	// 47–48 measured (65–66 before the request decoder and response
-	// appender, 118 before the merge ran in place).
-	maxAltQueryAllocs = 51
+	// 38 measured (45 while the budget was a timer context, 65–66
+	// before the request decoder and response appender, 118 before the
+	// merge ran in place).
+	maxAltQueryAllocs = 40
 )
 
 // sinkWriter is a ResponseWriter that keeps the status and body length

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"github.com/videodb/hmmm/internal/hmmm"
 	"github.com/videodb/hmmm/internal/par"
@@ -64,12 +65,14 @@ type Group struct {
 // shard. opts configures the per-shard engines, with two amendments:
 // Metrics and Trace are stripped (K engines recording per-retrieval
 // observations would multiply every counter by the fan-out; the group
-// keeps opts.Trace for its own scatter/merge spans).
+// keeps opts.Trace for its own scatter/merge spans), and Deadline is
+// dropped, as NewEngine drops it: it is per request.
 func NewGroup(m *hmmm.Model, k int, opts retrieval.Options, _ GroupOptions) (*Group, error) {
 	shards, err := Split(m, k)
 	if err != nil {
 		return nil, err
 	}
+	opts.Deadline = time.Time{}
 	g := &Group{shards: shards, opts: opts}
 	g.engines = make([]*retrieval.Engine, len(shards))
 	for i, sh := range shards {
@@ -120,9 +123,10 @@ func (g *Group) Retrieve(q retrieval.Query) (*retrieval.Result, error) {
 // (each shard writes only its own slot, so the merged result is
 // bit-identical for every GOMAXPROCS), and the retrieval.Gather lifts
 // each shard's state ids by the shard's offset into parent-model ids
-// before the deterministic merge. The request context is the only
-// deadline: a shard it stops contributes its partial ranking and marks
-// the merged Cost.Truncated, like a truncated single-engine retrieval.
+// before the deterministic merge. The view's Options.Deadline reaches
+// every shard engine; a shard it (or the request context) stops
+// contributes its partial ranking and marks the merged Cost.Truncated,
+// like a truncated single-engine retrieval.
 func (g *Group) RetrieveContext(ctx context.Context, q retrieval.Query) (*retrieval.Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -145,7 +149,7 @@ func (g *Group) RetrieveContext(ctx context.Context, q retrieval.Query) (*retrie
 
 	endMerge := g.opts.Trace.Span("merge")
 	defer endMerge()
-	gather := retrieval.Gather{TopK: g.opts.TopK}
+	gather := retrieval.Gather{TopK: g.opts.TopK, Deadline: g.opts.Deadline}
 	for i, res := range results {
 		gather.Add(res, g.shards[i].Offset)
 	}
