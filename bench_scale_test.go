@@ -98,15 +98,23 @@ func BenchmarkMillionShot(b *testing.B) {
 			}
 		})
 
-		// The Step-2 order memo on either side of the exact point above
-		// (which, cycling three first steps on one engine, runs on hits):
-		// a fresh engine per iteration walks Π2/A2 every time — its cache
-		// builds happen off the clock — while a warmed one never does.
+		// The Step-2 order memo, miss against hit, in similarity mode
+		// (AnnotatedOnly false): exact mode prunes and never walks
+		// Π2/A2, so only there does a query read the memo. The miss
+		// engine is fresh per iteration and warmed off the clock by a
+		// query with another first step, so its arena and caches are
+		// warm and only the memo misses; the hit engine has seen every
+		// query.
+		similar := base
+		similar.AnnotatedOnly = false
 		b.Run(fmt.Sprintf("scale=%dx/order=miss", pt.factor), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				eng, err := retrieval.NewEngine(m, base)
+				eng, err := retrieval.NewEngine(m, similar)
 				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Retrieve(queries[(i+1)%len(queries)]); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
@@ -117,7 +125,7 @@ func BenchmarkMillionShot(b *testing.B) {
 		})
 
 		b.Run(fmt.Sprintf("scale=%dx/order=hit", pt.factor), func(b *testing.B) {
-			eng, err := retrieval.NewEngine(m, base)
+			eng, err := retrieval.NewEngine(m, similar)
 			if err != nil {
 				b.Fatal(err)
 			}

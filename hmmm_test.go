@@ -2,6 +2,7 @@ package hmmm
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -176,10 +177,10 @@ func TestFacadeClusterVideos(t *testing.T) {
 	}
 }
 
-// TestEventsQueryAllocs pins that a query given as Events costs one
-// allocation more than the same query given as Steps: RetrieveContext
-// resolves its steps once, and each step's event list is a window of
-// Events rather than a copy.
+// TestEventsQueryAllocs pins that a query built by NewQuery from events
+// costs exactly the allocations per Retrieve of the equal Steps literal:
+// a query has one form, and NewQuery's one allocation, the step slice,
+// is paid when the query is built, not on every search.
 func TestEventsQueryAllocs(t *testing.T) {
 	corpus, err := GenerateCorpus(CorpusConfig{Seed: 3, Videos: 6, Shots: 240, Annotated: 42})
 	if err != nil {
@@ -195,6 +196,9 @@ func TestEventsQueryAllocs(t *testing.T) {
 	}
 	byEvents := NewQuery(EventGoal, EventFreeKick, EventFoul)
 	bySteps := Query{Steps: []Step{{Events: []Event{EventGoal}}, {Events: []Event{EventFreeKick}}, {Events: []Event{EventFoul}}}}
+	if !reflect.DeepEqual(byEvents, bySteps) {
+		t.Fatalf("NewQuery = %+v, want %+v", byEvents, bySteps)
+	}
 	allocs := func(q Query) float64 {
 		if _, err := engine.Retrieve(q); err != nil { // warm the arena pool and the order memo
 			t.Fatal(err)
@@ -206,7 +210,7 @@ func TestEventsQueryAllocs(t *testing.T) {
 		})
 	}
 	events, steps := allocs(byEvents), allocs(bySteps)
-	if events > steps+1 {
-		t.Errorf("Retrieve of a 3-event query allocates %.1f times given as Events, %.1f given as Steps; want at most one more", events, steps)
+	if events != steps {
+		t.Errorf("Retrieve of a 3-event query allocates %.1f times built by NewQuery, %.1f given as Steps; want the same", events, steps)
 	}
 }

@@ -26,8 +26,6 @@ func appendOptions(dst []byte, o retrieval.Options) []byte {
 	dst = strconv.AppendBool(dst, o.CrossVideo)
 	dst = append(dst, ";a="...)
 	dst = strconv.AppendBool(dst, o.AnnotatedOnly)
-	dst = append(dst, ";s="...)
-	dst = strconv.AppendBool(dst, o.StopAfterMatches)
 	dst = append(dst, ";c="...)
 	return strconv.AppendInt(dst, int64(o.CoarseCandidates), 10)
 }

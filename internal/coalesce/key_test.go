@@ -18,12 +18,11 @@ var identityFields = []string{
 	"Beam",
 	"CrossVideo",
 	"AnnotatedOnly",
-	"StopAfterMatches",
 	"CoarseCandidates",
 }
 
 // ignoredFields are the retrieval.Options fields deliberately
-// excluded from the coalesce key, in three classes. Observer-only fields
+// excluded from the coalesce key, in four classes. Observer-only fields
 // (Metrics, Trace, Tracer) record what happened without affecting it, so
 // an instrumented request and a bare one coalesce together — the
 // explicit requirement the classification test pins. The build-time
@@ -31,6 +30,9 @@ var identityFields = []string{
 // view keeps the engine's setting whatever the request carries — and the
 // engine's differential suites pin results bit-identical across both
 // settings, so it cannot change what a waiter receives. The
+// server-constant StopAfterMatches comes from the server's configuration,
+// never from a request (server.TestQueryOptionsKeepServerStopAfterMatches),
+// so every request one server keys carries the same value. The
 // execution-only Deadline is set by the leader after admission, from the
 // budget the key already carries: waiters ride the leader's deadline.
 //
@@ -45,6 +47,9 @@ var ignoredFields = []string{
 	// Build-time, read only by NewEngine; pinned bit-identical by the
 	// differential suites.
 	"NoSimCache",
+	// Server-constant: copied from the server's configuration into
+	// every request's options.
+	"StopAfterMatches",
 	// Execution-only: the leader's deadline, from the keyed budget.
 	"Deadline",
 }
@@ -90,7 +95,8 @@ func TestOptionsKeyCoversEveryField(t *testing.T) {
 func optionsKey(o retrieval.Options) string { return string(appendOptions(nil, o)) }
 
 // TestOptionsKeyIgnoresObserverFields: attaching Metrics/Trace/Tracer
-// must not change the key, so instrumented and bare requests coalesce.
+// must not change the key, so instrumented and bare requests coalesce;
+// nor may the build-time and server-constant fields.
 func TestOptionsKeyIgnoresObserverFields(t *testing.T) {
 	base := retrieval.Options{TopK: 10, Beam: 4, CrossVideo: true}
 	instrumented := base
@@ -98,6 +104,7 @@ func TestOptionsKeyIgnoresObserverFields(t *testing.T) {
 	instrumented.Metrics = retrieval.NewMetrics(reg)
 	instrumented.Trace = obs.NewTrace()
 	instrumented.NoSimCache = true
+	instrumented.StopAfterMatches = true
 	if optionsKey(base) != optionsKey(instrumented) {
 		t.Errorf("observer/execution fields leaked into the key:\n%s\n%s",
 			optionsKey(base), optionsKey(instrumented))
@@ -113,7 +120,6 @@ func TestOptionsKeySeparatesIdentityFields(t *testing.T) {
 		"Beam":             {TopK: 10, Beam: 5},
 		"CrossVideo":       {TopK: 10, Beam: 4, CrossVideo: true},
 		"AnnotatedOnly":    {TopK: 10, Beam: 4, AnnotatedOnly: true},
-		"StopAfterMatches": {TopK: 10, Beam: 4, StopAfterMatches: true},
 		"CoarseCandidates": {TopK: 10, Beam: 4, CoarseCandidates: 12},
 	}
 	if len(variants) != len(identityFields) {
@@ -163,15 +169,15 @@ func TestQueryKeyLiteral(t *testing.T) {
 		want       string
 	}{
 		{1, 0, "goal -> free_kick", retrieval.Options{TopK: 10}, nil, 0,
-			"g=1|dg=0|k=10;b=0;x=false;a=false;s=false;c=0|d=0|sc=|q=goal -> free_kick"},
+			"g=1|dg=0|k=10;b=0;x=false;a=false;c=0|d=0|sc=|q=goal -> free_kick"},
 		{123, 4567, "goal", retrieval.Options{TopK: 100, Beam: 250, CrossVideo: true, AnnotatedOnly: true,
 			StopAfterMatches: true, CoarseCandidates: 1024}, &retrieval.Scope{Video: 101, FromMS: 2500, ToMS: 987654}, int64(5e9),
-			"g=123|dg=4567|k=100;b=250;x=true;a=true;s=true;c=1024|d=5000000000|sc=101,2500,987654|q=goal"},
+			"g=123|dg=4567|k=100;b=250;x=true;a=true;c=1024|d=5000000000|sc=101,2500,987654|q=goal"},
 		{math.MaxUint64, 1 << 40, "", retrieval.Options{TopK: -3, Beam: -1}, &retrieval.Scope{}, -250,
-			"g=18446744073709551615|dg=1099511627776|k=-3;b=-1;x=false;a=false;s=false;c=0|d=-250|sc=0,0,0|q="},
+			"g=18446744073709551615|dg=1099511627776|k=-3;b=-1;x=false;a=false;c=0|d=-250|sc=0,0,0|q="},
 		{7, 0, "corner_kick -> goal", retrieval.Options{CoarseCandidates: -5}, &retrieval.Scope{Video: 3, FromMS: -10},
 			math.MinInt64,
-			"g=7|dg=0|k=0;b=0;x=false;a=false;s=false;c=-5|d=-9223372036854775808|sc=3,-10,0|q=corner_kick -> goal"},
+			"g=7|dg=0|k=0;b=0;x=false;a=false;c=-5|d=-9223372036854775808|sc=3,-10,0|q=corner_kick -> goal"},
 	} {
 		if got := QueryKey(c.gen, c.delta, c.pattern, c.opts, c.scope, c.budget); got != c.want {
 			t.Errorf("QueryKey =\n%s\nwant\n%s", got, c.want)

@@ -377,9 +377,6 @@ func (c *Coordinator) queryShard(ctx context.Context, shardIdx int, req *rpc.Ret
 	var lastErr error = errAllEjected
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
-			if c.met != nil {
-				c.met.Retries.Inc()
-			}
 			wait := c.backoff(attempt)
 			if d := c.opts.Deadline; !d.IsZero() {
 				wait = min(wait, time.Until(d))
@@ -397,6 +394,11 @@ func (c *Coordinator) queryShard(ctx context.Context, shardIdx int, req *rpc.Ret
 		if ep == nil {
 			lastErr = errAllEjected
 			continue
+		}
+		// A retry is counted when its request is sent, not when the
+		// backoff, the deadline or the ejections end it first.
+		if attempt > 0 && c.met != nil {
+			c.met.Retries.Inc()
 		}
 		resp, err := c.attempt(ctx, shardIdx, set, ep, req)
 		if err == nil {

@@ -555,8 +555,8 @@ func TestOptionsDeadlineTruncates(t *testing.T) {
 
 // TestBackoffEndsAtDeadline: a retry backoff longer than the time left
 // ends at the query's Options.Deadline, and no attempt starts past it:
-// the failing shard is asked once and the query is a truncation, not a
-// degraded answer.
+// the failing shard is asked once, the retry the deadline ended is not
+// counted, and the query is a truncation, not a degraded answer.
 func TestBackoffEndsAtDeadline(t *testing.T) {
 	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 26})
 	shards, err := shard.Split(m, 2)
@@ -585,6 +585,12 @@ func TestBackoffEndsAtDeadline(t *testing.T) {
 	}
 	if got := flaky[1].calls.Load(); got != 1 {
 		t.Fatalf("failing shard asked %d times, want 1", got)
+	}
+	if got := met.Retries.Value(); got != 0 {
+		t.Fatalf("hmmm_coord_retries_total = %d, want 0: the deadline ended the retry before its request", got)
+	}
+	if got := met.ShardRequests.Value(); got != 2 {
+		t.Fatalf("hmmm_coord_shard_requests_total = %d, want 2: one per shard", got)
 	}
 }
 

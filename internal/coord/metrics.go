@@ -11,7 +11,7 @@ type Metrics struct {
 	// ShardRequests counts individual shard attempts (retries and
 	// hedges included).
 	ShardRequests *obs.Counter
-	// Retries counts shard attempts beyond each shard's first.
+	// Retries counts the shard requests sent beyond each shard's first.
 	Retries *obs.Counter
 	// Hedges counts hedged (second, speculative) requests launched
 	// after the p95-derived delay; HedgeWins counts hedges whose

@@ -228,11 +228,11 @@ func (s *Suite) F2RetrievalTrace() (*Report, error) {
 	}
 	candidates := 0
 	for v := 0; v < s.Model.NumVideos(); v++ {
-		if s.Model.B2.At(v, q.Events[0].Index()) > 0 {
+		if s.Model.B2.At(v, q.Steps[0].Events[0].Index()) > 0 {
 			candidates++
 		}
 	}
-	r.Printf("Step 1   initialize: query R = {%s}, C = %d", queryString(q), q.Len())
+	r.Printf("Step 1   initialize: query R = {%s}, C = %d", queryString(q), len(q.Steps))
 	r.Printf("Step 2   video-level scan (B2 feature check, certified-bound order): %d of %d candidate videos expanded", res.Cost.VideosSeen, candidates)
 	r.Printf("         (the rest bound strictly below the 10th-best score, so they cannot change the ranking)")
 	r.Printf("Step 3-4 lattice traversal: %d edges considered, %d sim() evaluations (Eqs. 12-14)", res.Cost.EdgeEvals, res.Cost.SimEvals)

@@ -7,26 +7,19 @@ import (
 
 	"github.com/videodb/hmmm/internal/hmmm"
 	"github.com/videodb/hmmm/internal/retrieval"
-	"github.com/videodb/hmmm/internal/videomodel"
 )
 
 // Relevance grades a retrieved match against the query's ground truth: the
 // fraction of steps whose state carries every required annotation (1 for
 // an exact pattern, 0 for a fully spurious one).
 func Relevance(m *hmmm.Model, match retrieval.Match, q retrieval.Query) float64 {
-	steps := q.Steps
-	if len(steps) == 0 {
-		for _, e := range q.Events {
-			steps = append(steps, retrieval.Step{Events: []videomodel.Event{e}})
-		}
-	}
-	if len(match.States) == 0 || len(match.States) != len(steps) {
+	if len(match.States) == 0 || len(match.States) != len(q.Steps) {
 		return 0
 	}
 	hit := 0
 	for i, s := range match.States {
 		ok := true
-		for _, e := range steps[i].Events {
+		for _, e := range q.Steps[i].Events {
 			if !m.States[s].HasEvent(e) {
 				ok = false
 				break
@@ -36,7 +29,7 @@ func Relevance(m *hmmm.Model, match retrieval.Match, q retrieval.Query) float64 
 			hit++
 		}
 	}
-	return float64(hit) / float64(len(steps))
+	return float64(hit) / float64(len(q.Steps))
 }
 
 // PrecisionAtK returns the fraction of the first k matches that are exact.

@@ -77,14 +77,8 @@ func QuerySet() []retrieval.Query {
 
 // queryString renders a query pattern.
 func queryString(q retrieval.Query) string {
-	steps := q.Steps
-	if len(steps) == 0 {
-		for _, e := range q.Events {
-			steps = append(steps, retrieval.Step{Events: []videomodel.Event{e}})
-		}
-	}
-	parts := make([]string, len(steps))
-	for i, st := range steps {
+	parts := make([]string, len(q.Steps))
+	for i, st := range q.Steps {
 		names := make([]string, len(st.Events))
 		for j, e := range st.Events {
 			names[j] = e.String()

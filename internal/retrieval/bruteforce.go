@@ -52,10 +52,10 @@ func (p *bfPath) match(m *hmmm.Model) Match {
 // product of per-event candidate counts, while the engine expands only the
 // stochastically promising paths.
 func BruteForce(m *hmmm.Model, q Query, topK int) (*Result, error) {
-	steps := q.steps()
-	if err := q.validateFor(steps, m.NumConcepts()); err != nil {
+	if err := q.validateFor(m.NumConcepts()); err != nil {
 		return nil, err
 	}
+	steps := q.Steps
 	if topK <= 0 {
 		topK = DefaultTopK
 	}
@@ -123,12 +123,11 @@ func BruteForce(m *hmmm.Model, q Query, topK int) (*Result, error) {
 // gap-constrained queries fall back to explicit enumeration (their
 // candidate spaces are small by construction).
 func GroundTruthCount(m *hmmm.Model, q Query) int {
-	steps := q.steps()
-	if q.validateFor(steps, m.NumConcepts()) != nil {
+	if q.validateFor(m.NumConcepts()) != nil {
 		return 0
 	}
 	constrained := q.Scope != nil
-	for _, st := range steps {
+	for _, st := range q.Steps {
 		if st.MinGapMS > 0 || st.MaxGapMS > 0 {
 			constrained = true
 			break
@@ -144,18 +143,18 @@ func GroundTruthCount(m *hmmm.Model, q Query) int {
 			continue
 		}
 		if constrained {
-			total += countConstrained(m, steps, q.Scope, lo, hi)
+			total += countConstrained(m, q.Steps, q.Scope, lo, hi)
 			continue
 		}
 		// counts[j][s] = number of ways to complete steps j.. starting at
 		// state >= s. Computed right to left.
-		c := len(steps)
+		c := len(q.Steps)
 		prev := make([]int, hi-lo+1)
 		for j := c - 1; j >= 0; j-- {
 			cur := make([]int, hi-lo+1)
 			for s := hi - 1; s >= lo; s-- {
 				cur[s-lo] = cur[s-lo+1]
-				if stateHasStep(&m.States[s], steps[j]) {
+				if stateHasStep(&m.States[s], q.Steps[j]) {
 					if j == c-1 {
 						cur[s-lo]++
 					} else {

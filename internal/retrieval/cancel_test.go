@@ -190,9 +190,9 @@ func TestRetrieveContextDeadlineSerialLargeBeam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := retrieval.Query{Events: []videomodel.Event{
+	q := retrieval.NewQuery(
 		videomodel.EventGoal, videomodel.EventFreeKick, videomodel.EventFoul,
-	}}
+	)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	start := time.Now()

@@ -127,3 +127,85 @@ func TestEquationFourteenLiteral(t *testing.T) {
 		}
 	}
 }
+
+// TestEquationsTwelveToFifteenLiteral works the pattern score by hand on
+// the ledger fixture for the two-step query free kick → corner kick:
+//
+//	Eq. 12: w1 = Π1(s1) · sim(s1, e1)
+//	Eq. 13: w2 = w1 · A1(s1, s2) · sim(s2, e2)
+//	Eq. 15: SS = w1 + w2
+//
+// Π1 is uniform before any training (Eq. 4 with no access data), 1/6
+// over the six states. A1 is Eq. 1 per video: video 2's states s2
+// (goal + fk, NE 2) and s3 (corner, NE 1) have suffix sums [3, 1], so
+// A1(s2, s3) = NE(s3) / (3 − 1) = 1/2; video 3's s4 (fk + foul, NE 2)
+// and s5 (corner) give A1(s4, s5) = 1/2 the same way. The sims are
+// TestEquationFourteenLiteral's: sim(s2, fk) = 2.75, sim(s4, fk) = 2.25,
+// sim(s3, corner) = sim(s5, corner) = 1. Video 1's free kick s1 has no
+// later corner, so two sequences match:
+//
+//	(s2, s3): w1 = 2.75/6 = 11/24   w2 = 11/24 · 1/2 · 1 = 11/48
+//	          SS = 11/24 + 11/48 = 11/16
+//	(s4, s5): w1 = 2.25/6 = 3/8     w2 = 3/8 · 1/2 · 1 = 3/16
+//	          SS = 3/8 + 3/16 = 9/16
+//
+// ranked in that order. The sixths round in float64, so each value is
+// also evaluated from the literal factors as the equations order them,
+// and that evaluation must match the engine bit for bit; it stays
+// within 1e-15 relative of the exact fraction. Explain's factors and
+// weights must equal Retrieve's Match.Weights and Score bit for bit.
+func TestEquationsTwelveToFifteenLiteral(t *testing.T) {
+	m := ledgerModel(t)
+	fk, corner := videomodel.EventFreeKick, videomodel.EventCornerKick
+	const pi = 1.0 / 6 // Eq. 4, uniform over six states
+	want := []struct {
+		states        []int
+		sim1, a, sim2 float64
+		w1, w2, ss    float64 // the exact fractions
+	}{
+		{[]int{2, 3}, 2.75, 0.5, 1, 11.0 / 24, 11.0 / 48, 11.0 / 16},
+		{[]int{4, 5}, 2.25, 0.5, 1, 3.0 / 8, 3.0 / 16, 9.0 / 16},
+	}
+	eng, err := retrieval.NewEngine(m, retrieval.Options{AnnotatedOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := retrieval.NewQuery(fk, corner)
+	res, err := eng.Retrieve(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Matches) != len(want) {
+		t.Fatalf("%d matches, want %d: %+v", len(res.Matches), len(want), res.Matches)
+	}
+	near := func(got, exact float64) bool { return math.Abs(got-exact) <= 1e-15*exact }
+	for i, w := range want {
+		match := res.Matches[i]
+		if match.States[0] != w.states[0] || match.States[1] != w.states[1] {
+			t.Fatalf("match %d states %v, want %v", i, match.States, w.states)
+		}
+		w1 := pi * w.sim1       // Eq. 12
+		w2 := w1 * w.a * w.sim2 // Eq. 13
+		ss := w1 + w2           // Eq. 15
+		if !near(w1, w.w1) || !near(w2, w.w2) || !near(ss, w.ss) {
+			t.Fatalf("match %d: the literal evaluation %v, %v, %v strays from %v, %v, %v", i, w1, w2, ss, w.w1, w.w2, w.ss)
+		}
+		if len(match.Weights) != 2 || match.Weights[0] != w1 || match.Weights[1] != w2 || match.Score != ss {
+			t.Errorf("match %d: Retrieve weights %v score %v, want [%v %v] score %v", i, match.Weights, match.Score, w1, w2, ss)
+		}
+		exps, err := eng.Explain(match, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e0, e1 := exps[0], exps[1]
+		if e0.Pi != pi || e0.Sim != w.sim1 || e0.Weight != match.Weights[0] {
+			t.Errorf("match %d step 0: Explain Π1 %v sim %v w %v, want %v %v %v", i, e0.Pi, e0.Sim, e0.Weight, pi, w.sim1, match.Weights[0])
+		}
+		if e1.CrossVideo || e1.Transition != w.a || e1.Sim != w.sim2 || e1.Weight != match.Weights[1] {
+			t.Errorf("match %d step 1: Explain A1 %v sim %v w %v, want %v %v %v", i, e1.Transition, e1.Sim, e1.Weight, w.a, w.sim2, match.Weights[1])
+		}
+		if e0.Weight+e1.Weight != match.Score {
+			t.Errorf("match %d: Explain weights sum to %v, Score %v", i, e0.Weight+e1.Weight, match.Score)
+		}
+	}
+}

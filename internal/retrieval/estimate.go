@@ -35,21 +35,20 @@ func (e *Engine) estimateVideoWork(vi int, steps []Step) int {
 // committing any search work. An invalid query estimates to 0: it will
 // be rejected by Retrieve before doing work anyway.
 func (e *Engine) EstimateCost(q Query) int {
-	steps := q.steps()
-	if len(steps) == 0 {
+	if len(q.Steps) == 0 {
 		return 0
 	}
 	if q.Scope != nil && q.Scope.Video != 0 {
 		for vi, vid := range e.m.VideoIDs {
 			if vid == q.Scope.Video {
-				return e.estimateVideoWork(vi, steps)
+				return e.estimateVideoWork(vi, q.Steps)
 			}
 		}
 		return 0
 	}
 	work := 0
 	for vi := 0; vi < len(e.m.VideoIDs); vi++ {
-		work += e.estimateVideoWork(vi, steps)
+		work += e.estimateVideoWork(vi, q.Steps)
 	}
 	return work
 }

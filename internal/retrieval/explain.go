@@ -40,9 +40,8 @@ const ExplainTopFeatures = 5
 // the answer to "why did this sequence score what it scored". The weights
 // recomputed here equal the engine's within floating-point error.
 func (e *Engine) Explain(match Match, q Query) ([]StepExplanation, error) {
-	steps := q.steps()
-	if len(match.States) != len(steps) {
-		return nil, fmt.Errorf("retrieval: match has %d steps, query has %d", len(match.States), len(steps))
+	if len(match.States) != len(q.Steps) {
+		return nil, fmt.Errorf("retrieval: match has %d steps, query has %d", len(match.States), len(q.Steps))
 	}
 	if len(match.States) == 0 {
 		return nil, errors.New("retrieval: empty match")
@@ -53,7 +52,7 @@ func (e *Engine) Explain(match Match, q Query) ([]StepExplanation, error) {
 		if s < 0 || s >= e.m.NumStates() {
 			return nil, fmt.Errorf("retrieval: match state %d out of range", s)
 		}
-		st := steps[j]
+		st := q.Steps[j]
 		ex := StepExplanation{
 			State: s,
 			Shot:  e.m.States[s].Shot,

@@ -17,8 +17,7 @@ func (e *Engine) SameCaches(o *Engine) bool { return e.shared == o.shared }
 // VideoBound is the certified bound on q's score in video vi, as the
 // pruned visit order keys it.
 func (e *Engine) VideoBound(vi int, q Query) float64 {
-	steps := q.steps()
-	return e.shared.bound.videoBound(vi, steps, boundSlack(steps))
+	return e.shared.bound.videoBound(vi, q.Steps, boundSlack(q.Steps))
 }
 
 // Unpruned returns an engine over the same model and options whose caches
@@ -35,7 +34,7 @@ func (e *Engine) Unpruned() *Engine {
 func (e *Engine) Step2Candidates(q Query) int {
 	n := 0
 	for v := 0; v < e.m.NumVideos(); v++ {
-		if e.videoHasStep(v, q.steps()[0]) {
+		if e.videoHasStep(v, q.Steps[0]) {
 			n++
 		}
 	}

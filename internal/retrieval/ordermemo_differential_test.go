@@ -26,6 +26,8 @@ func memoQueries(m *hmmm.Model) []retrieval.Query {
 		return qs
 	}
 	e0, e1 := present[0], present[1]
+	windowed := retrieval.NewQuery(e0, e1)
+	windowed.Scope = &retrieval.Scope{FromMS: 1000, ToMS: 20000}
 	return append(qs,
 		retrieval.Query{Steps: []retrieval.Step{
 			{Events: []videomodel.Event{e0, e1}},
@@ -34,10 +36,7 @@ func memoQueries(m *hmmm.Model) []retrieval.Query {
 		retrieval.Query{Steps: []retrieval.Step{
 			{Events: []videomodel.Event{e1, e0}},
 		}},
-		retrieval.Query{
-			Events: []videomodel.Event{e0, e1},
-			Scope:  &retrieval.Scope{FromMS: 1000, ToMS: 20000},
-		},
+		windowed,
 	)
 }
 

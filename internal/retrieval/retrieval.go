@@ -111,52 +111,31 @@ func (sc *Scope) contains(startMS int) bool {
 }
 
 // Query is a temporal event pattern R = {e1, ..., eC} sorted by temporal
-// relationship (Section 5). Events is the common single-event-per-step
-// form; Steps, when non-empty, takes precedence and allows conjunction
-// steps. Scope, when non-nil, restricts where the pattern may match.
+// relationship (Section 5): one Step per position, each a conjunction of
+// events. Scope, when non-nil, restricts where the pattern may match.
 type Query struct {
-	Events []videomodel.Event
-	Steps  []Step
-	Scope  *Scope
+	Steps []Step
+	Scope *Scope
 }
 
-// NewQuery builds a single-event-per-step query.
+// NewQuery builds a single-event-per-step query. Each step's event list
+// is a capacity-clipped window of events, which nothing writes through,
+// so the query costs one allocation, the step slice.
 func NewQuery(events ...videomodel.Event) Query {
-	return Query{Events: events}
-}
-
-// steps returns the normalized step sequence. A query given as Events
-// costs one allocation, the step slice: each step's event list is a
-// capacity-clipped window of Events, which nothing writes through.
-func (q Query) steps() []Step {
-	if len(q.Steps) > 0 {
-		return q.Steps
+	steps := make([]Step, len(events))
+	for i := range events {
+		steps[i] = Step{Events: events[i : i+1 : i+1]}
 	}
-	out := make([]Step, len(q.Events))
-	for i := range q.Events {
-		out[i] = Step{Events: q.Events[i : i+1 : i+1]}
-	}
-	return out
-}
-
-// Len returns the number of steps C.
-func (q Query) Len() int {
-	if len(q.Steps) > 0 {
-		return len(q.Steps)
-	}
-	return len(q.Events)
+	return Query{Steps: steps}
 }
 
 // Validate checks that the query is non-empty and every event is a real
 // concept.
-func (q Query) Validate() error { return q.validate(q.steps()) }
-
-// validate is Validate over the query's already-normalized steps.
-func (q Query) validate(steps []Step) error {
-	if len(steps) == 0 {
+func (q Query) Validate() error {
+	if len(q.Steps) == 0 {
 		return errors.New("retrieval: empty query pattern")
 	}
-	for i, st := range steps {
+	for i, st := range q.Steps {
 		if len(st.Events) == 0 {
 			return fmt.Errorf("retrieval: query step %d has no events", i)
 		}
@@ -200,13 +179,12 @@ func (q Query) validate(steps []Step) error {
 // positive or negated event must address one of the model's c concepts.
 // Valid() alone only checks the MaxEvents envelope — a basketball event
 // is a valid Event but out of vocabulary for an 8-concept soccer model,
-// and letting it through would index past B2's columns. steps are q's
-// normalized steps, which the caller resolves once and searches with.
-func (q Query) validateFor(steps []Step, c int) error {
-	if err := q.validate(steps); err != nil {
+// and letting it through would index past B2's columns.
+func (q Query) validateFor(c int) error {
+	if err := q.Validate(); err != nil {
 		return err
 	}
-	for i, st := range steps {
+	for i, st := range q.Steps {
 		for _, e := range st.Events {
 			if e.Index() >= c {
 				return fmt.Errorf("retrieval: query step %d event %v outside the model's %d-concept vocabulary", i, e, c)
@@ -665,10 +643,10 @@ func (e *Engine) Retrieve(q Query) (*Result, error) {
 // answer instead of unbounded work. With a background (never-cancelled)
 // context and no Deadline the result is bit-identical to Retrieve.
 func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) {
-	steps := q.steps()
-	if err := q.validateFor(steps, e.m.NumConcepts()); err != nil {
+	if err := q.validateFor(e.m.NumConcepts()); err != nil {
 		return nil, err
 	}
+	steps := q.Steps
 	if e.opts.CoarseCandidates > 0 && e.shared.coarse == nil {
 		return nil, ErrNoCoarseIndex
 	}
@@ -982,12 +960,11 @@ func compareMatches(x, y Match) int {
 // annotated with all of the corresponding step's events: the ground-truth
 // criterion used by the precision experiments.
 func ExactMatch(m *hmmm.Model, match Match, q Query) bool {
-	steps := q.steps()
-	if len(match.States) != len(steps) {
+	if len(match.States) != len(q.Steps) {
 		return false
 	}
 	for i, s := range match.States {
-		if !stateHasStep(&m.States[s], steps[i]) {
+		if !stateHasStep(&m.States[s], q.Steps[i]) {
 			return false
 		}
 	}

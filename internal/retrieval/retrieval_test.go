@@ -80,10 +80,10 @@ func TestQueryValidate(t *testing.T) {
 	if err := (Query{}).Validate(); err == nil {
 		t.Error("empty query accepted")
 	}
-	if err := (Query{Events: []videomodel.Event{videomodel.EventNone}}).Validate(); err == nil {
+	if err := (NewQuery(videomodel.EventNone)).Validate(); err == nil {
 		t.Error("EventNone accepted")
 	}
-	if err := (Query{Events: []videomodel.Event{videomodel.EventGoal}}).Validate(); err != nil {
+	if err := (NewQuery(videomodel.EventGoal)).Validate(); err != nil {
 		t.Errorf("valid query rejected: %v", err)
 	}
 }
@@ -127,7 +127,7 @@ func TestRetrieveFindsExactPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Events: []videomodel.Event{videomodel.EventGoal, videomodel.EventFreeKick}}
+	q := NewQuery(videomodel.EventGoal, videomodel.EventFreeKick)
 	res, err := e.Retrieve(q)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestRetrieveEmptyQueryError(t *testing.T) {
 
 func TestCrossVideoContinuation(t *testing.T) {
 	m := fixtureModel(t)
-	q := Query{Events: []videomodel.Event{videomodel.EventCornerKick, videomodel.EventFoul}}
+	q := NewQuery(videomodel.EventCornerKick, videomodel.EventFoul)
 
 	// Within any single video there is no corner followed by a foul.
 	same, err := NewEngine(m, Options{AnnotatedOnly: true, CrossVideo: false})
@@ -199,7 +199,7 @@ func TestCrossVideoContinuation(t *testing.T) {
 func TestTemporalOrderWithinVideo(t *testing.T) {
 	m := fixtureModel(t)
 	e, _ := NewEngine(m, Options{AnnotatedOnly: true, Beam: 4})
-	q := Query{Events: []videomodel.Event{videomodel.EventFreeKick, videomodel.EventGoal}}
+	q := NewQuery(videomodel.EventFreeKick, videomodel.EventGoal)
 	res, err := e.Retrieve(q)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestTemporalOrderWithinVideo(t *testing.T) {
 
 func TestBeamWideningFindsMore(t *testing.T) {
 	m := fixtureModel(t)
-	q := Query{Events: []videomodel.Event{videomodel.EventGoal}}
+	q := NewQuery(videomodel.EventGoal)
 	narrow, _ := NewEngine(m, Options{AnnotatedOnly: true, Beam: 1})
 	wide, _ := NewEngine(m, Options{AnnotatedOnly: true, Beam: 8})
 	rn, err := narrow.Retrieve(q)
@@ -238,7 +238,7 @@ func TestBeamWideningFindsMore(t *testing.T) {
 func TestRetrieveDeterministic(t *testing.T) {
 	m := fixtureModel(t)
 	e, _ := NewEngine(m, Options{Beam: 4, CrossVideo: true})
-	q := Query{Events: []videomodel.Event{videomodel.EventGoal, videomodel.EventFreeKick}}
+	q := NewQuery(videomodel.EventGoal, videomodel.EventFreeKick)
 	a, err := e.Retrieve(q)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestRetrieveDeterministic(t *testing.T) {
 
 func TestBruteForceEnumeratesAll(t *testing.T) {
 	m := fixtureModel(t)
-	q := Query{Events: []videomodel.Event{videomodel.EventFreeKick, videomodel.EventGoal}}
+	q := NewQuery(videomodel.EventFreeKick, videomodel.EventGoal)
 	res, err := BruteForce(m, q, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestBruteForceEnumeratesAll(t *testing.T) {
 
 func TestBruteForceRanksDescending(t *testing.T) {
 	m := fixtureModel(t)
-	res, err := BruteForce(m, Query{Events: []videomodel.Event{videomodel.EventGoal}}, 100)
+	res, err := BruteForce(m, NewQuery(videomodel.EventGoal), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestBruteForceErrors(t *testing.T) {
 
 func TestGreedyTopMatchAgreesWithBruteForce(t *testing.T) {
 	m := fixtureModel(t)
-	q := Query{Events: []videomodel.Event{videomodel.EventGoal, videomodel.EventFreeKick}}
+	q := NewQuery(videomodel.EventGoal, videomodel.EventFreeKick)
 	bf, err := BruteForce(m, q, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -346,9 +346,9 @@ func TestGreedyCostLowerThanBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Events: []videomodel.Event{
+	q := NewQuery(
 		videomodel.EventGoal, videomodel.EventFreeKick, videomodel.EventGoal, videomodel.EventFreeKick,
-	}}
+	)
 	bf, err := BruteForce(m, q, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +375,7 @@ func TestOptionsDefaults(t *testing.T) {
 
 func TestExactMatchLengthMismatch(t *testing.T) {
 	m := fixtureModel(t)
-	q := Query{Events: []videomodel.Event{videomodel.EventGoal, videomodel.EventGoal}}
+	q := NewQuery(videomodel.EventGoal, videomodel.EventGoal)
 	if ExactMatch(m, Match{States: []int{3}}, q) {
 		t.Error("length mismatch accepted")
 	}
@@ -384,7 +384,7 @@ func TestExactMatchLengthMismatch(t *testing.T) {
 func BenchmarkRetrieveGreedySmall(b *testing.B) {
 	m := fixtureModel(b)
 	e, _ := NewEngine(m, Options{AnnotatedOnly: true})
-	q := Query{Events: []videomodel.Event{videomodel.EventGoal, videomodel.EventFreeKick}}
+	q := NewQuery(videomodel.EventGoal, videomodel.EventFreeKick)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Retrieve(q); err != nil {
@@ -425,9 +425,9 @@ func TestQueryStepValidation(t *testing.T) {
 	if err := (Query{Steps: []Step{{}}}).Validate(); err == nil {
 		t.Error("empty step accepted")
 	}
-	q := NewQuery(videomodel.EventGoal)
-	if q.Len() != 1 {
-		t.Errorf("Len = %d, want 1", q.Len())
+	q := NewQuery(videomodel.EventGoal, videomodel.EventFoul)
+	if len(q.Steps) != 2 || cap(q.Steps[0].Events) != 1 || q.Steps[1].Events[0] != videomodel.EventFoul {
+		t.Errorf("NewQuery steps = %+v, want one capacity-clipped event per step", q.Steps)
 	}
 }
 
@@ -554,10 +554,8 @@ func TestTopKIsPrefixOfLargerTopK(t *testing.T) {
 func TestScopeRestrictsToVideo(t *testing.T) {
 	m := fixtureModel(t)
 	e, _ := NewEngine(m, Options{AnnotatedOnly: true, Beam: 8})
-	q := Query{
-		Events: []videomodel.Event{videomodel.EventGoal},
-		Scope:  &Scope{Video: 2}, // only v1 (VideoID 2)
-	}
+	q := NewQuery(videomodel.EventGoal)
+	q.Scope = &Scope{Video: 2} // only v1 (VideoID 2)
 	res, err := e.Retrieve(q)
 	if err != nil {
 		t.Fatal(err)
@@ -587,10 +585,8 @@ func TestScopeTimeWindow(t *testing.T) {
 	e, _ := NewEngine(m, Options{AnnotatedOnly: true, Beam: 8})
 	// v1 goals start at 0ms (state 3) and 2000ms (state 5): a window
 	// [1500, 99999) admits only the later one.
-	q := Query{
-		Events: []videomodel.Event{videomodel.EventGoal},
-		Scope:  &Scope{Video: 2, FromMS: 1500, ToMS: 99999},
-	}
+	q := NewQuery(videomodel.EventGoal)
+	q.Scope = &Scope{Video: 2, FromMS: 1500, ToMS: 99999}
 	res, err := e.Retrieve(q)
 	if err != nil {
 		t.Fatal(err)
@@ -605,10 +601,8 @@ func TestScopeDisablesCrossVideoHop(t *testing.T) {
 	e, _ := NewEngine(m, Options{AnnotatedOnly: true, CrossVideo: true, Beam: 8})
 	// corner -> foul only exists across videos; with a video scope the
 	// hop is forbidden, so no exact match may appear.
-	q := Query{
-		Events: []videomodel.Event{videomodel.EventCornerKick, videomodel.EventFoul},
-		Scope:  &Scope{Video: 1},
-	}
+	q := NewQuery(videomodel.EventCornerKick, videomodel.EventFoul)
+	q.Scope = &Scope{Video: 1}
 	res, err := e.Retrieve(q)
 	if err != nil {
 		t.Fatal(err)
@@ -622,8 +616,8 @@ func TestScopeDisablesCrossVideoHop(t *testing.T) {
 
 func TestScopeValidation(t *testing.T) {
 	bad := []Query{
-		{Events: []videomodel.Event{videomodel.EventGoal}, Scope: &Scope{FromMS: -1}},
-		{Events: []videomodel.Event{videomodel.EventGoal}, Scope: &Scope{FromMS: 10, ToMS: 5}},
+		{Steps: NewQuery(videomodel.EventGoal).Steps, Scope: &Scope{FromMS: -1}},
+		{Steps: NewQuery(videomodel.EventGoal).Steps, Scope: &Scope{FromMS: 10, ToMS: 5}},
 	}
 	for i, q := range bad {
 		if err := q.Validate(); err == nil {
@@ -634,10 +628,8 @@ func TestScopeValidation(t *testing.T) {
 
 func TestBruteForceHonorsScope(t *testing.T) {
 	m := fixtureModel(t)
-	q := Query{
-		Events: []videomodel.Event{videomodel.EventGoal},
-		Scope:  &Scope{Video: 2},
-	}
+	q := NewQuery(videomodel.EventGoal)
+	q.Scope = &Scope{Video: 2}
 	res, err := BruteForce(m, q, 10)
 	if err != nil {
 		t.Fatal(err)

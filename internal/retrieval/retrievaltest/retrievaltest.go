@@ -170,21 +170,19 @@ func Queries(m *hmmm.Model) []retrieval.Query {
 	}
 	e0 := present[0]
 	e1 := present[len(present)-1]
-	qs := []retrieval.Query{
-		{Events: []videomodel.Event{e0}},
-		{Events: []videomodel.Event{e1}},
-		{Events: []videomodel.Event{e0, e1}},
-		{Events: []videomodel.Event{e0, e1, e0}},
+	scoped := retrieval.NewQuery(e0)
+	scoped.Scope = &retrieval.Scope{Video: m.VideoIDs[0]}
+	return []retrieval.Query{
+		retrieval.NewQuery(e0),
+		retrieval.NewQuery(e1),
+		retrieval.NewQuery(e0, e1),
+		retrieval.NewQuery(e0, e1, e0),
 		{Steps: []retrieval.Step{
 			{Events: []videomodel.Event{e0}},
 			{Events: []videomodel.Event{e1}, MaxGapMS: 30000},
 		}},
-		{
-			Events: []videomodel.Event{e0},
-			Scope:  &retrieval.Scope{Video: m.VideoIDs[0]},
-		},
+		scoped,
 	}
-	return qs
 }
 
 // PresentEvents lists the events of m's domain that annotate at least
@@ -252,7 +250,7 @@ func NegationQueries(m *hmmm.Model) []retrieval.Query {
 // SingleStep reports whether q has exactly one step — the shape for
 // which the engine (with Beam >= TopK) is provably exhaustive and
 // RequireSameMatches against the oracle applies.
-func SingleStep(q retrieval.Query) bool { return q.Len() == 1 }
+func SingleStep(q retrieval.Query) bool { return len(q.Steps) == 1 }
 
 // Oracle runs the exhaustive brute-force enumerator (the Eqs. 12-15
 // scorer over every annotation-consistent sequence) and returns its

@@ -122,7 +122,7 @@ func TestRetrieveAllocs(t *testing.T) {
 		for _, k := range []int{1, 10, 100} {
 			e := base.WithOptions(Options{TopK: k, AnnotatedOnly: base.opts.AnnotatedOnly, CrossVideo: base.opts.CrossVideo})
 			for _, q := range allocQueries {
-				label := fmt.Sprintf("%s/K=%d/%d-step", name, k, q.Len())
+				label := fmt.Sprintf("%s/K=%d/%d-step", name, k, len(q.Steps))
 				res, err := e.Retrieve(q) // warm the arena and the order memo
 				if err != nil {
 					t.Fatal(err)
@@ -191,13 +191,13 @@ func TestRetrieveMatchSlicesCapped(t *testing.T) {
 			for i, mt := range res.Matches {
 				if cap(mt.States) != len(mt.States) || cap(mt.Shots) != len(mt.Shots) ||
 					cap(mt.Videos) != len(mt.Videos) || cap(mt.Weights) != len(mt.Weights) {
-					t.Fatalf("%s/%d-step: match %d has uncapped slices", name, q.Len(), i)
+					t.Fatalf("%s/%d-step: match %d has uncapped slices", name, len(q.Steps), i)
 				}
 			}
 			next := slices.Clone(res.Matches[1].States)
 			_ = append(res.Matches[0].States, -1)
 			if !slices.Equal(res.Matches[1].States, next) {
-				t.Fatalf("%s/%d-step: appending to match 0 overwrote match 1", name, q.Len())
+				t.Fatalf("%s/%d-step: appending to match 0 overwrote match 1", name, len(q.Steps))
 			}
 		}
 	}

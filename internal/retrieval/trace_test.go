@@ -113,7 +113,7 @@ func TestTracePruneMarksTheCut(t *testing.T) {
 		t.Errorf("prune threshold %v, want the K-th best score %v", cut.Value, res.Matches[1].Score)
 	}
 	for v := 0; v < m.NumVideos(); v++ {
-		if eng.videoHasStep(v, q.steps()[0]) && !entered[v] && eng.VideoBound(v, q) >= cut.Value {
+		if eng.videoHasStep(v, q.Steps[0]) && !entered[v] && eng.VideoBound(v, q) >= cut.Value {
 			t.Errorf("skipped video %d has bound %v >= threshold %v", v, eng.VideoBound(v, q), cut.Value)
 		}
 	}

@@ -21,8 +21,7 @@ type VideoRank struct {
 // pattern?"). The score multiplies Π2 with each queried concept's
 // normalized presence in B2.
 func (e *Engine) RankVideos(q Query) ([]VideoRank, error) {
-	steps := q.steps()
-	if err := q.validateFor(steps, e.m.NumConcepts()); err != nil {
+	if err := q.validateFor(e.m.NumConcepts()); err != nil {
 		return nil, err
 	}
 	// Per-concept column totals of B2 normalize the presence terms.
@@ -33,7 +32,7 @@ func (e *Engine) RankVideos(q Query) ([]VideoRank, error) {
 	out := make([]VideoRank, e.m.NumVideos())
 	for vi := range out {
 		score := e.m.Pi2[vi]
-		for _, st := range steps {
+		for _, st := range q.Steps {
 			for _, ev := range st.Events {
 				ci := ev.Index()
 				if totals[ci] == 0 {

@@ -29,11 +29,12 @@ import (
 // frame.
 
 // wireVersion leads every body. A gob-era body starts with the length
-// of a gob type definition (never 1, 2 or 3), a version-1 request still
-// carried the Eq. 14 epsilon as an f64 after the coarse budget, and a
-// version-2 status response had no domain, so an old peer is refused by
-// errWireVersion instead of being mis-parsed.
-const wireVersion = 3
+// of a gob type definition (never 1 to 4), a version-1 request still
+// carried the Eq. 14 epsilon as an f64 after the coarse budget, a
+// version-2 status response had no domain, and a version-3 request
+// carried a pattern-level event array before its steps, so an old peer
+// is refused by errWireVersion instead of being mis-parsed.
+const wireVersion = 4
 
 // Decode failures. None is transient: the frame arrived whole (a torn
 // one fails in readFrame), so a retry would decode the same bytes.
@@ -51,12 +52,11 @@ const (
 	f64Size         = 8
 )
 
-// QueryOptions' three bools share one flags byte.
+// QueryOptions' two bools share one flags byte.
 const (
 	flagCrossVideo = 1 << iota
 	flagAnnotatedOnly
-	flagStopAfterMatches
-	flagsKnown = flagCrossVideo | flagAnnotatedOnly | flagStopAfterMatches
+	flagsKnown = flagCrossVideo | flagAnnotatedOnly
 )
 
 var le = binary.LittleEndian
@@ -143,9 +143,6 @@ func appendRetrieveRequest(w *writer, m *RetrieveRequest) {
 	if o.AnnotatedOnly {
 		flags |= flagAnnotatedOnly
 	}
-	if o.StopAfterMatches {
-		flags |= flagStopAfterMatches
-	}
 	w.u8(flags)
 
 	q := &m.Query
@@ -155,7 +152,6 @@ func appendRetrieveRequest(w *writer, m *RetrieveRequest) {
 		w.i64(sc.FromMS)
 		w.i64(sc.ToMS)
 	}
-	w.count(len(q.Events))
 	w.count(len(q.Steps))
 	for i := range q.Steps {
 		st := &q.Steps[i]
@@ -164,7 +160,6 @@ func appendRetrieveRequest(w *writer, m *RetrieveRequest) {
 		w.i64(st.MinGapMS)
 		w.i64(st.MaxGapMS)
 	}
-	putIDs(w, q.Events)
 	for i := range q.Steps {
 		putIDs(w, q.Steps[i].Events)
 		putIDs(w, q.Steps[i].Not)
@@ -349,16 +344,14 @@ func decodeRetrieveRequest(r *reader, m *RetrieveRequest) {
 	}
 	o.CrossVideo = flags&flagCrossVideo != 0
 	o.AnnotatedOnly = flags&flagAnnotatedOnly != 0
-	o.StopAfterMatches = flags&flagStopAfterMatches != 0
 
 	q := &m.Query
 	if r.bool() {
 		q.Scope = &retrieval.Scope{Video: videomodel.VideoID(int32(r.u32())), FromMS: r.i64(), ToMS: r.i64()}
 	}
-	nEvents := r.count(idSize)
 	nSteps := r.count(stepHeaderSize)
 	hdr := reader{b: r.take(nSteps * stepHeaderSize)}
-	nIDs := uint64(nEvents)
+	var nIDs uint64
 	for i := 0; i < nSteps; i++ {
 		h := hdr.b[i*stepHeaderSize:]
 		nIDs += uint64(le.Uint32(h)) + uint64(le.Uint32(h[4:]))
@@ -366,9 +359,8 @@ func decodeRetrieveRequest(r *reader, m *RetrieveRequest) {
 	if r.exact(nIDs * idSize); r.err != nil {
 		return
 	}
-	// One backing array holds the pattern's events and every step's.
+	// One backing array holds every step's events.
 	backing := make([]videomodel.Event, nIDs)
-	q.Events, backing = getIDs(r, backing, uint32(nEvents))
 	if nSteps > 0 {
 		q.Steps = make([]retrieval.Step, nSteps)
 	}

@@ -41,11 +41,10 @@ func startStub(t testing.TB, h Handler) string {
 }
 
 // fullRequest exercises every field of the request codec: a scoped,
-// negated, gap-constrained pattern with both query forms filled.
+// negated, gap-constrained pattern with a conjunction step.
 func fullRequest() *RetrieveRequest {
 	return &RetrieveRequest{
 		Query: retrieval.Query{
-			Events: []videomodel.Event{3, 1},
 			Steps: []retrieval.Step{
 				{Events: []videomodel.Event{3, 4}},
 				{Events: []videomodel.Event{1}, Not: []videomodel.Event{2, 5}, MinGapMS: 500, MaxGapMS: 90000},
@@ -54,7 +53,7 @@ func fullRequest() *RetrieveRequest {
 		},
 		Options: QueryOptions{
 			TopK: 10, Beam: 4, CrossVideo: true,
-			AnnotatedOnly: true, StopAfterMatches: true, CoarseCandidates: 64,
+			AnnotatedOnly: true, CoarseCandidates: 64,
 		},
 		BudgetNS: int64(1600 * time.Millisecond),
 	}
@@ -199,15 +198,14 @@ func TestCodecRoundTrip(t *testing.T) {
 	// Empty slices collapse to nil (as they did under gob); a nil Scope
 	// stays nil and a zero Scope stays non-nil.
 	in := &RetrieveRequest{Query: retrieval.Query{
-		Events: []videomodel.Event{},
-		Steps:  []retrieval.Step{{Events: []videomodel.Event{1}, Not: []videomodel.Event{}}},
-		Scope:  &retrieval.Scope{},
+		Steps: []retrieval.Step{{Events: []videomodel.Event{1}, Not: []videomodel.Event{}}},
+		Scope: &retrieval.Scope{},
 	}}
 	var out RetrieveRequest
 	if err := decodeFrame(frameOf(t, tagRetrieveReq, in)[5:], &out); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if out.Query.Events != nil || out.Query.Steps[0].Not != nil {
+	if out.Query.Steps[0].Not != nil {
 		t.Fatalf("empty slices must decode as nil: %+v", out.Query)
 	}
 	if out.Query.Scope == nil || *out.Query.Scope != (retrieval.Scope{}) {
@@ -245,6 +243,7 @@ func TestCodecRejects(t *testing.T) {
 		{"wrong-version", tagRetrieveResp, append([]byte{wireVersion + 1}, resp[6:]...), errWireVersion},
 		{"gob-era", tagRetrieveResp, hexFrame(t, gobResponseFrame)[5:], errWireVersion},
 		{"version-1", tagRetrieveReq, hexFrame(t, v1RequestFrame)[5:], errWireVersion},
+		{"version-3", tagRetrieveReq, hexFrame(t, v3RequestFrame)[5:], errWireVersion},
 		{"empty-body", tagStatusReq, nil, errShort},
 		{"matches-count-huge", tagRetrieveResp, patch(resp, respMatchCountAt, math.MaxInt32)[5:], errShort},
 		{"matches-count-max", tagRetrieveResp, patch(resp, respMatchCountAt, math.MaxUint32)[5:], errShort},
@@ -255,6 +254,7 @@ func TestCodecRejects(t *testing.T) {
 		{"trailing-byte", tagRetrieveResp, append(append([]byte(nil), resp[5:]...), 0), errTrailing},
 		{"status-trailing", tagStatusReq, []byte{wireVersion, 0}, errTrailing},
 		{"unknown-flag", tagRetrieveReq, append(append(append([]byte(nil), req[5:flagsAt]...), 0x80), req[flagsAt+1:]...), errBadValue},
+		{"flag-bit-2", tagRetrieveReq, append(append(append([]byte(nil), req[5:flagsAt]...), req[flagsAt]|1<<2), req[flagsAt+1:]...), errBadValue},
 		{"bool-not-0-or-1", tagRetrieveReq, append(append(append([]byte(nil), req[5:flagsAt+1]...), 2), req[flagsAt+2:]...), errBadValue},
 		{"string-count-huge", tagError, []byte{wireVersion, 0xff, 0xff, 0xff, 0x7f, 'x'}, errShort},
 	}
@@ -351,7 +351,7 @@ func TestLargeFrameDoesNotPinBuffers(t *testing.T) {
 	big := &RetrieveResponse{Matches: []retrieval.Match{{States: make([]int, 1<<18)}}}
 	cl := NewClient(startStub(t, stubHandler{big}), time.Second, 1)
 	defer cl.Close()
-	got, err := cl.Retrieve(context.Background(), &RetrieveRequest{Query: retrieval.Query{Events: make([]videomodel.Event, 1<<18)}})
+	got, err := cl.Retrieve(context.Background(), &RetrieveRequest{Query: retrieval.Query{Steps: []retrieval.Step{{Events: make([]videomodel.Event, 1<<18)}}}})
 	if err != nil {
 		t.Fatalf("retrieve: %v", err)
 	}
@@ -436,12 +436,17 @@ func hexFrame(t testing.TB, h string) []byte {
 // Eq. 14 epsilon of 0.125 after the coarse budget.
 const v1RequestFrame = "00000094520100105e5f000000000a0000000000000004000000000000004000000000000000000000000000c03f070107000000e803000000000000000000000001000002000000020000000200000000000000000000000000000000000000000000000100000002000000f401000000000000905f01000000000003000000010000000300000004000000010000000200000005000000"
 
-// TestGobEraPeerRefused drives recorded gob-era and version-1 request
-// frames at a real server: each is answered with a bad_request error
-// frame naming the version, never mis-parsed into a query.
+// v3RequestFrame is the same request as a version-3 peer framed it: a
+// pattern-level event array (3, 1) counted before the step headers and
+// written before the steps' ids, and StopAfterMatches as flags bit 2.
+const v3RequestFrame = "0000008c520300105e5f000000000a0000000000000004000000000000004000000000000000070107000000e803000000000000000000000001000002000000020000000200000000000000000000000000000000000000000000000100000002000000f401000000000000905f01000000000003000000010000000300000004000000010000000200000005000000"
+
+// TestGobEraPeerRefused drives recorded gob-era, version-1 and version-3
+// request frames at a real server: each is answered with a bad_request
+// error frame naming the version, never mis-parsed into a query.
 func TestGobEraPeerRefused(t *testing.T) {
 	addr := startStub(t, stubHandler{rankedResponse(1)})
-	for _, h := range []string{gobRequestFrame, gobStatusFrame, v1RequestFrame} {
+	for _, h := range []string{gobRequestFrame, gobStatusFrame, v1RequestFrame, v3RequestFrame} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatalf("dial: %v", err)
@@ -484,7 +489,7 @@ func FuzzFrameDecode(f *testing.F) {
 		frameOf(f, tagError, &ErrorResponse{Code: CodeDraining, Msg: "server draining"}),
 		hexFrame(f, gobRequestFrame), hexFrame(f, gobResponseFrame),
 		hexFrame(f, gobStatusFrame), hexFrame(f, gobErrorFrame),
-		hexFrame(f, v1RequestFrame),
+		hexFrame(f, v1RequestFrame), hexFrame(f, v3RequestFrame),
 	}
 	// Length and count fields at 0, 1, and 2^31-1: the envelope's, the
 	// response's match count, and a match's state count.
@@ -704,22 +709,27 @@ func TestCorruptionSweep(t *testing.T) {
 
 // TestQueryOptionsRoundTrip checks that FromOptions carries every wire
 // field and that Apply overlays them onto a server's base options while
-// keeping the base's build-time NoSimCache and its observers.
+// keeping the base's build-time NoSimCache, its StopAfterMatches and its
+// observers.
 func TestQueryOptionsRoundTrip(t *testing.T) {
 	req := retrieval.Options{
 		TopK: 7, Beam: 3, CrossVideo: true, AnnotatedOnly: true,
-		StopAfterMatches: true, CoarseCandidates: 12, NoSimCache: true,
+		CoarseCandidates: 12, NoSimCache: true, StopAfterMatches: true,
 	}
 	tracer := &retrieval.CollectTracer{}
 	base := retrieval.Options{TopK: 1, Beam: 9, Tracer: tracer}
 	got := FromOptions(req).Apply(base)
 	want := req
 	want.NoSimCache = false
+	want.StopAfterMatches = false
 	want.Tracer = tracer
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Apply(FromOptions(req)) = %+v, want %+v", got, want)
 	}
 	if FromOptions(retrieval.Options{}) != (QueryOptions{}) {
 		t.Error("zero options produced non-zero wire options")
+	}
+	if !FromOptions(req).Apply(retrieval.Options{StopAfterMatches: true}).StopAfterMatches {
+		t.Error("Apply overwrote the server's own StopAfterMatches")
 	}
 }

@@ -104,15 +104,15 @@ const (
 // ranking. They are all per-request: CoarseCandidates is a budget over
 // the coarse index the shard server built at startup (or did not — then
 // a positive budget is refused, and 0 is exact search). The build-time
-// NoSimCache and the observers have no wire representation at all — the
-// codec writes these six fields and nothing else — and stay a per-server
-// concern.
+// NoSimCache, the observers and StopAfterMatches (which no request can
+// set: a server takes it from its own configuration) have no wire
+// representation at all — the codec writes these five fields and nothing
+// else — and stay a per-server concern.
 type QueryOptions struct {
 	TopK             int
 	Beam             int
 	CrossVideo       bool
 	AnnotatedOnly    bool
-	StopAfterMatches bool
 	CoarseCandidates int
 }
 
@@ -123,19 +123,18 @@ func FromOptions(o retrieval.Options) QueryOptions {
 		Beam:             o.Beam,
 		CrossVideo:       o.CrossVideo,
 		AnnotatedOnly:    o.AnnotatedOnly,
-		StopAfterMatches: o.StopAfterMatches,
 		CoarseCandidates: o.CoarseCandidates,
 	}
 }
 
 // Apply overlays the wire options onto a server's base options,
-// preserving the base's build-time NoSimCache and its observers.
+// preserving the base's build-time NoSimCache, its StopAfterMatches and
+// its observers.
 func (qo QueryOptions) Apply(base retrieval.Options) retrieval.Options {
 	base.TopK = qo.TopK
 	base.Beam = qo.Beam
 	base.CrossVideo = qo.CrossVideo
 	base.AnnotatedOnly = qo.AnnotatedOnly
-	base.StopAfterMatches = qo.StopAfterMatches
 	base.CoarseCandidates = qo.CoarseCandidates
 	return base
 }

@@ -957,7 +957,7 @@ func explainer(out *queryOutcome, queries []retrieval.Query) func(retrieval.Matc
 		}
 		// Alternation branches share factor structure.
 		for _, q := range queries {
-			if q.Len() != len(match.States) {
+			if len(q.Steps) != len(match.States) {
 				continue
 			}
 			exps, err := exEngine.Explain(match, q)

@@ -35,6 +35,32 @@ func testServer(t *testing.T, threshold int) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// TestQueryOptionsKeepServerStopAfterMatches pins StopAfterMatches as a
+// server constant: a request's options take it from Config.Options
+// whatever the body says, which is why neither the rpc wire nor the
+// coalesce key carries it.
+func TestQueryOptionsKeepServerStopAfterMatches(t *testing.T) {
+	s, _ := testServer(t, 0)
+	bodies := []string{
+		`{"pattern":"goal"}`,
+		`{"pattern":"goal","stop_after_matches":true}`,
+		`{"pattern":"goal","stop_after_matches":false,"top_k":3,"beam":2,"cross_video":true,"similar_shots":true}`,
+	}
+	for _, stop := range []bool{false, true} {
+		s.opts.StopAfterMatches = stop
+		for _, body := range bodies {
+			var req QueryRequest
+			w := httptest.NewRecorder()
+			if !decodeQuery(w, httptest.NewRequest(http.MethodPost, "/api/query", bytes.NewReader([]byte(body))), &req) {
+				t.Fatalf("%s: decode failed: %d %s", body, w.Code, w.Body)
+			}
+			if got := s.queryOptions(req).StopAfterMatches; got != stop {
+				t.Errorf("server StopAfterMatches %v, body %s: request options carry %v", stop, body, got)
+			}
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("nil model accepted")
