@@ -5,7 +5,8 @@
 //
 //	hmmm-experiments [flags]
 //
-//	-exp    string  experiment to run: T1, F1..F5, X1..X3, or "all"
+//	-list           list the experiment IDs and exit
+//	-exp    string  experiment to run: T1, F1..F5, X1..X5, or "all"
 //	-seed   uint    corpus seed (default 42)
 //	-scale  float   corpus scale relative to the paper's 54/11567/506
 //	                (default 1.0; use 0.1 for a quick pass)

@@ -3,7 +3,9 @@
 //
 // Usage:
 //
-//	hmmmctl [-server URL] <command> [args]
+//	hmmmctl [flags] <command> [args]
+//
+//	-server  string  hmmmd base URL (default http://localhost:8077)
 //
 // Commands:
 //
@@ -15,9 +17,6 @@
 //	videos                     list archive videos and their events
 //	query  <pattern> [flags]   run an MATN temporal pattern query, e.g.
 //	                           hmmmctl query "goal -> free_kick" -k 5
-//	                           add -domains all (or basketball,news) to
-//	                           fan the pattern over the server's
-//	                           federation of per-domain archives
 //	parse <pattern>            validate an MATN pattern and show its network
 //	state <index>              inspect one model state (annotated shot)
 //	rank <pattern>             rank videos for a pattern
@@ -26,9 +25,31 @@
 //	                           state indices (from query output)
 //	retrain                    force offline retraining now
 //	ingest [flags]             submit one synthetic video for live ingest
-//	                           (server must run with -ingest), e.g.
+//	                           (the server must run with live ingest on), e.g.
 //	                           hmmmctl ingest -name cam7 -seed 42 \
 //	                             -events goal,none,corner_kick
+//
+// Query flags:
+//
+//	-k        int     top K results (default 10)
+//	-beam     int     beam width (default 4)
+//	-cross            allow cross-video patterns
+//	-similar          admit unannotated similar shots
+//	-video    int     restrict to one video ID
+//	-from-ms  int     restrict to shots starting at/after this time
+//	-to-ms    int     restrict to shots starting before this time
+//	                  (0 = end)
+//	-domains  string  fan the pattern over the server's federation of
+//	                  per-domain archives: "all" or a comma-separated
+//	                  member list such as basketball,news
+//
+// Ingest flags:
+//
+//	-name     string  video name (required)
+//	-seed     uint    renderer seed (default 1)
+//	-events   string  comma-separated shot events, "none" for plain play
+//	                  (default none,goal,none)
+//	-shot-ms  int     rendered shot duration in ms (0 = server default)
 package main
 
 import (
@@ -113,6 +134,7 @@ commands:
       -similar    admit unannotated similar shots
       -video int  restrict to one video ID
       -from-ms / -to-ms   restrict to a time window
+      -domains list       federated query over these members ("all" = every one)
   parse <pattern>          validate an MATN pattern, show its network
   state <index>            inspect one model state
   rank <pattern>           rank videos for a pattern (level-2 matrices)
@@ -124,7 +146,7 @@ commands:
       -seed uint     renderer seed (default 1)
       -events list   comma-separated shot events, "none" for plain play
                      (default "none,goal,none")
-      -shot-ms int   rendered shot duration in ms (default 3000)
+      -shot-ms int   rendered shot duration in ms (0 = server default)
 `)
 }
 

@@ -70,10 +70,7 @@
 //	                             the journal
 //	-compact-after     int       fold the delta into a full rebuild once
 //	                             it holds this many videos (default 8;
-//	                             0 disables the size trigger)
-//	-compact-age       duration  fold once the oldest delta video is this
-//	                             old, checked at accept time (default 0 =
-//	                             disabled)
+//	                             0 disables)
 //
 // Resilience flags:
 //
@@ -189,7 +186,6 @@ func main() {
 		ingestLog    = flag.String("ingest-log", "", "crash-safe ingest journal path (empty = memory only)")
 		ingestSnap   = flag.String("ingest-snapshot", "", "persist the merged corpus here at each compaction; resume from it at boot")
 		compactAfter = flag.Int("compact-after", 8, "fold the delta into a full rebuild once it holds this many videos (0 disables)")
-		compactAge   = flag.Duration("compact-age", 0, "fold once the oldest delta video is this old, checked at accept time (0 disables)")
 
 		queryTimeout = flag.Duration("query-timeout", 10*time.Second, "per-query deadline (0 disables)")
 		maxInflight  = flag.Int("max-inflight", 64, "max concurrently served requests (0 disables shedding)")
@@ -231,7 +227,7 @@ func main() {
 			log.Fatal(err)
 		}
 		liveCfg.LogPath, liveCfg.SnapshotPath = *ingestLog, *ingestSnap
-		liveCfg.CompactAfter, liveCfg.CompactAge = *compactAfter, *compactAge
+		liveCfg.CompactAfter = *compactAfter
 		fmt.Printf("live ingest on: classifier trained in %.1fs, journal=%s snapshot=%s compact-after=%d\n",
 			time.Since(start).Seconds(), orMemory(*ingestLog), orMemory(*ingestSnap), *compactAfter)
 	}

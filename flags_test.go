@@ -14,9 +14,12 @@ import (
 	"testing"
 )
 
-// flagCommands are the serving and load commands whose package doc is
-// their flag reference.
-var flagCommands = []string{"cmd/hmmmd", "cmd/hmmm-shardd", "cmd/hmmmload"}
+// flagCommands are the commands whose package doc is their flag
+// reference.
+var flagCommands = []string{
+	"cmd/hmmmd", "cmd/hmmm-shardd", "cmd/hmmmload",
+	"cmd/hmmm-gen", "cmd/hmmmctl", "cmd/hmmm-experiments",
+}
 
 // flagDefiners maps each flag-defining function of package flag (and
 // method of flag.FlagSet) to the index of its name argument.

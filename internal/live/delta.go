@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/videodb/hmmm/internal/hmmm"
 	"github.com/videodb/hmmm/internal/ingest"
@@ -34,12 +33,6 @@ type Config struct {
 	// CompactAfter triggers background compaction once the delta holds at
 	// least this many videos (0 disables the size trigger).
 	CompactAfter int
-
-	// CompactAge triggers compaction once the oldest delta video has been
-	// pending at least this long. The age is evaluated when an ingest is
-	// accepted (there is no timer goroutine), so a quiet system keeps its
-	// delta until the next arrival. 0 disables the age trigger.
-	CompactAge time.Duration
 
 	// SnapshotPath, when set, durably persists the compacted model before
 	// the journal is truncated; on restart a snapshot at this path serves
@@ -101,15 +94,6 @@ func NewDelta(records []Record, offset int, gen uint64, build hmmm.BuildOptions,
 		return nil, fmt.Errorf("live: delta engine: %w", err)
 	}
 	return &Delta{Records: records, Model: m, Engine: engine, Offset: offset, Gen: gen}, nil
-}
-
-// OldestUnixMS returns the accept time of the oldest record, or 0 when
-// the delta is nil or empty.
-func (d *Delta) OldestUnixMS() int64 {
-	if d == nil || len(d.Records) == 0 {
-		return 0
-	}
-	return d.Records[0].AcceptedUnixMS
 }
 
 // Len returns the number of delta videos; safe on a nil Delta.

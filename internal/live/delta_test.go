@@ -28,11 +28,8 @@ func TestNewDeltaBuildsPartialModel(t *testing.T) {
 	if d.Offset != 42 || d.Gen != 7 || d.Len() != 3 {
 		t.Fatalf("delta bookkeeping: offset=%d gen=%d len=%d", d.Offset, d.Gen, d.Len())
 	}
-	if d.OldestUnixMS() != records[0].AcceptedUnixMS {
-		t.Fatalf("oldest accept time %d, want %d", d.OldestUnixMS(), records[0].AcceptedUnixMS)
-	}
 	var nilDelta *Delta
-	if nilDelta.Len() != 0 || nilDelta.Generation() != 0 || nilDelta.OldestUnixMS() != 0 {
+	if nilDelta.Len() != 0 || nilDelta.Generation() != 0 {
 		t.Fatal("nil delta accessors must be zero")
 	}
 	if _, err := NewDelta(nil, 0, 1, hmmm.BuildOptions{}, deltaOptions()); err == nil {

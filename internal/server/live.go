@@ -396,25 +396,11 @@ func (s *Server) waitCompaction(ctx context.Context) error {
 	}
 }
 
-// compactDue evaluates the compaction triggers against the published
-// delta. Reads only the snapshot and config, so it is safe without
-// retrainMu.
+// compactDue evaluates the size trigger against the published delta.
+// Reads only the snapshot and config, so it is safe without retrainMu.
 func (s *Server) compactDue() bool {
-	ls := s.live
-	d := s.current.Load().delta
-	if d.Len() == 0 {
-		return false
-	}
-	if ls.cfg.CompactAfter > 0 && d.Len() >= ls.cfg.CompactAfter {
-		return true
-	}
-	if ls.cfg.CompactAge > 0 {
-		if oldest := d.OldestUnixMS(); oldest > 0 &&
-			time.Since(time.UnixMilli(oldest)) >= ls.cfg.CompactAge {
-			return true
-		}
-	}
-	return false
+	after := s.live.cfg.CompactAfter
+	return after > 0 && s.current.Load().delta.Len() >= after
 }
 
 // compactLocked folds the delta into the main model with retrainMu

@@ -94,10 +94,13 @@ func (s *Server) withMaxBytes(h http.Handler) http.Handler {
 
 // decodeJSON decodes a request body holding exactly one JSON value into
 // v, writing the error response itself on failure: 413 when the body
-// blew the size cap, 400 for malformed JSON, including anything but
-// whitespace after the value. Returns false when the caller should stop.
+// blew the size cap, 400 for malformed JSON, including an unknown field
+// (a misspelled option must not silently take the server default) and
+// anything but whitespace after the value. Returns false when the caller
+// should stop.
 func decodeJSON(w http.ResponseWriter, body io.Reader, v any) bool {
 	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {
 		jb := getJSONBuf()

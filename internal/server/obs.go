@@ -146,8 +146,8 @@ func routeLabel(r *http.Request) string {
 	p := r.URL.Path
 	switch p {
 	case "/api/health", "/api/stats", "/api/events", "/api/videos",
-		"/api/parse", "/api/query", "/api/ingest", "/api/feedback",
-		"/api/retrain", "/api/videos/rank", "/metrics":
+		"/api/parse", "/api/query", "/api/query/federated", "/api/ingest",
+		"/api/feedback", "/api/retrain", "/api/videos/rank", "/metrics":
 		return p
 	}
 	if strings.HasPrefix(p, "/api/states/") {

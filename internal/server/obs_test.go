@@ -342,6 +342,7 @@ func TestSlowQueryLog(t *testing.T) {
 func TestRouteLabel(t *testing.T) {
 	cases := map[string]string{
 		"/api/query":            "/api/query",
+		"/api/query/federated":  "/api/query/federated",
 		"/api/health":           "/api/health",
 		"/metrics":              "/metrics",
 		"/api/states/17":        "/api/states/{id}",

@@ -249,6 +249,30 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestUnknownFieldRejected: a misspelled request field is a 400 naming
+// the field, not the server default and a 200.
+func TestUnknownFieldRejected(t *testing.T) {
+	_, ts := resilientServer(t, Config{})
+	cases := []struct{ path, body, field string }{
+		{"/api/query", `{"pattern":"goal","topk":3}`, "topk"},
+		{"/api/query", `{"pattern":"goal","similar_shot":true}`, "similar_shot"},
+		{"/api/videos/rank", `{"pattern":"goal","top_kk":3}`, "top_kk"},
+		{"/api/feedback", `{"state":[0,1]}`, "state"},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e ErrorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || !strings.Contains(e.Error, `"`+tc.field+`"`) {
+			t.Errorf("%s %s: status %d, error %q; want a 400 naming %q", tc.path, tc.body, resp.StatusCode, e.Error, tc.field)
+		}
+	}
+}
+
 // TestQueryTimeoutReturnsPartial: a query whose deadline expires
 // mid-traversal answers 200 with the matches ranked so far and
 // cost.truncated set, instead of 504 or running to completion.

@@ -38,25 +38,38 @@ func testServer(t *testing.T, threshold int) (*Server, *httptest.Server) {
 // TestQueryOptionsKeepServerStopAfterMatches pins StopAfterMatches as a
 // server constant: a request's options take it from Config.Options
 // whatever the body says, which is why neither the rpc wire nor the
-// coalesce key carries it.
+// coalesce key carries it. A body that names it is refused as an
+// unknown field.
 func TestQueryOptionsKeepServerStopAfterMatches(t *testing.T) {
 	s, _ := testServer(t, 0)
+	decode := func(body string) (QueryRequest, *httptest.ResponseRecorder, bool) {
+		var req QueryRequest
+		w := httptest.NewRecorder()
+		ok := decodeQuery(w, httptest.NewRequest(http.MethodPost, "/api/query", bytes.NewReader([]byte(body))), &req)
+		return req, w, ok
+	}
 	bodies := []string{
 		`{"pattern":"goal"}`,
-		`{"pattern":"goal","stop_after_matches":true}`,
-		`{"pattern":"goal","stop_after_matches":false,"top_k":3,"beam":2,"cross_video":true,"similar_shots":true}`,
+		`{"pattern":"goal","top_k":3,"beam":2,"cross_video":true,"similar_shots":true}`,
 	}
 	for _, stop := range []bool{false, true} {
 		s.opts.StopAfterMatches = stop
 		for _, body := range bodies {
-			var req QueryRequest
-			w := httptest.NewRecorder()
-			if !decodeQuery(w, httptest.NewRequest(http.MethodPost, "/api/query", bytes.NewReader([]byte(body))), &req) {
+			req, w, ok := decode(body)
+			if !ok {
 				t.Fatalf("%s: decode failed: %d %s", body, w.Code, w.Body)
 			}
 			if got := s.queryOptions(req).StopAfterMatches; got != stop {
 				t.Errorf("server StopAfterMatches %v, body %s: request options carry %v", stop, body, got)
 			}
+		}
+	}
+	for _, body := range []string{
+		`{"pattern":"goal","stop_after_matches":true}`,
+		`{"pattern":"goal","stop_after_matches":false,"top_k":3}`,
+	} {
+		if _, w, ok := decode(body); ok || w.Code != http.StatusBadRequest {
+			t.Errorf("%s: decoded=%v status %d, want a 400", body, ok, w.Code)
 		}
 	}
 }

@@ -26,20 +26,38 @@ type ArchiveConfig struct {
 	Videos    int
 	Shots     int // total shots across the archive
 	Annotated int // of which annotated with an event
-	// FeatureDim is the length of the per-shot feature vectors (the
-	// model's K). 0 means DefaultFeatureDim.
-	FeatureDim int
-	// Domain selects the event vocabulary and timeline grammar. Nil
-	// keeps the legacy soccer generation path bit-for-bit (the scale
-	// benchmarks and recall gates pin its exact output); a non-nil
-	// domain sequences annotations through the domain's Start/Follow
-	// grammar and scales feature jitter by each event's Emphasis.
+	// Domain selects the event vocabulary and timeline grammar. Nil means
+	// the soccer vocabulary under a flat grammar (every Start and Follow
+	// weight 1, every Emphasis 1): the paper corpus the scale benchmarks
+	// and recall gates run on.
 	Domain *videomodel.Domain
 }
 
-// DefaultFeatureDim matches the dimensionality of the Table-1 visual +
-// audio feature extractors used at paper scale.
-const DefaultFeatureDim = 20
+// featureDim is the length of the per-shot feature vectors (the model's
+// K), matching the Table-1 visual + audio feature extractors.
+const featureDim = 20
+
+// flatSoccer is the nil-Domain vocabulary: soccer's event names with no
+// timeline preference, so only each video's genre boost shapes its
+// annotations.
+var flatSoccer = func() *videomodel.Domain {
+	n := videomodel.Soccer().NumEvents()
+	ones := make([]float64, n)
+	for i := range ones {
+		ones[i] = 1
+	}
+	events := make([]videomodel.EventSpec, n)
+	follow := make([][]float64, n)
+	for i, ev := range videomodel.Soccer().Events {
+		events[i] = videomodel.EventSpec{Name: ev.Name, Emphasis: 1}
+		follow[i] = ones
+	}
+	d, err := videomodel.NewDomain("soccer", events, ones, follow)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}()
 
 // PaperArchive is the paper's corpus shape: 54 videos, 11,567 shots,
 // 506 annotated events.
@@ -64,11 +82,12 @@ func ScaledArchive(seed uint64, factor int) ArchiveConfig {
 
 // GenerateArchive builds a synthetic archive and the feature vectors of
 // its annotated shots (the only ones hmmm.Build consumes). Shots and
-// annotations are spread evenly across videos; each video draws its
-// annotations from a genre-weighted event distribution (a broadcast
-// archive's videos are not i.i.d. — a match with one goal tends to have
-// more), and each annotated shot's features are its class centroid plus
-// Gaussian jitter, clamped to [0, 1]. Deterministic given the config.
+// annotations are spread evenly across videos, annotations at evenly
+// spaced positions. A video's first annotation is drawn from the
+// domain's Start weights and each later one from Follow[prev], times a
+// per-video genre boost (a match with one goal tends to have more). An
+// annotated shot's features are its class centroid plus Gaussian jitter
+// of σ = 0.06/Emphasis, clamped to [0, 1]. Deterministic given the config.
 func GenerateArchive(cfg ArchiveConfig) (*videomodel.Archive, map[videomodel.ShotID][]float64, error) {
 	if cfg.Videos <= 0 || cfg.Shots < cfg.Videos {
 		return nil, nil, fmt.Errorf("synthvideo: archive needs >= 1 shot per video, got %d shots / %d videos",
@@ -77,22 +96,19 @@ func GenerateArchive(cfg ArchiveConfig) (*videomodel.Archive, map[videomodel.Sho
 	if cfg.Annotated < 1 || cfg.Annotated > cfg.Shots {
 		return nil, nil, fmt.Errorf("synthvideo: %d annotated of %d shots", cfg.Annotated, cfg.Shots)
 	}
-	k := cfg.FeatureDim
-	if k <= 0 {
-		k = DefaultFeatureDim
+	d := cfg.Domain
+	if d == nil {
+		d = flatSoccer
 	}
 
 	root := xrand.New(cfg.Seed*6364136223846793005 + 1442695040888963407)
-	if cfg.Domain != nil {
-		return generateDomainArchive(cfg, cfg.Domain, k, root)
-	}
-
+	events := d.AllEvents()
 	// Per-class feature centroids, away from the [0, 1] boundary so
 	// jitter rarely clamps (clamping would distort the class mean B1').
-	centroids := make([][]float64, videomodel.NumEvents)
+	centroids := make([][]float64, len(events))
 	crng := root.Fork(0)
 	for c := range centroids {
-		centroids[c] = make([]float64, k)
+		centroids[c] = make([]float64, featureDim)
 		for f := range centroids[c] {
 			centroids[c][f] = crng.Range(0.15, 0.85)
 		}
@@ -100,7 +116,6 @@ func GenerateArchive(cfg ArchiveConfig) (*videomodel.Archive, map[videomodel.Sho
 
 	videos := make([]*videomodel.Video, cfg.Videos)
 	feats := make(map[videomodel.ShotID][]float64, cfg.Annotated)
-	events := videomodel.AllEvents()
 	sid := videomodel.ShotID(0)
 	for vi := range videos {
 		// Even split with the remainder spread over the leading videos.
@@ -117,99 +132,8 @@ func GenerateArchive(cfg ArchiveConfig) (*videomodel.Archive, map[videomodel.Sho
 		}
 
 		rng := root.Fork(uint64(vi) + 1)
-		// Genre weights: two preferred event classes per video dominate
-		// its annotations.
-		weights := make([]float64, len(events))
-		for i := range weights {
-			weights[i] = 1
-		}
-		perm := rng.Perm(len(events))
-		weights[perm[0]] = 4
-		weights[perm[1]] = 2.5
-
-		v := &videomodel.Video{ID: videomodel.VideoID(vi + 1)}
-		// Annotated shots sit at evenly spaced positions so every video
-		// has temporal structure for the A1 chain.
-		annEvery := 0
-		if nAnn > 0 {
-			annEvery = nShots / nAnn
-		}
-		t := 0
-		annotated := 0
-		for i := 0; i < nShots; i++ {
-			dur := 2000 + rng.Intn(6000)
-			s := &videomodel.Shot{
-				ID: sid, Video: v.ID, Index: i,
-				StartMS: t, EndMS: t + dur,
-			}
-			sid++
-			t += dur
-			if annEvery > 0 && i%annEvery == 0 && annotated < nAnn {
-				e := events[rng.Choice(weights)]
-				s.Events = append(s.Events, e)
-				if rng.Bool(0.2) {
-					alt := events[rng.Choice(weights)]
-					if alt != e {
-						s.Events = append(s.Events, alt)
-					}
-				}
-				annotated++
-				f := make([]float64, k)
-				c := centroids[e.Index()]
-				for fi := range f {
-					f[fi] = clamp01(c[fi] + rng.Norm(0, 0.06))
-				}
-				feats[s.ID] = f
-			}
-			v.Shots = append(v.Shots, s)
-		}
-		videos[vi] = v
-	}
-	a, err := videomodel.NewArchive(videos)
-	if err != nil {
-		return nil, nil, fmt.Errorf("synthvideo: %w", err)
-	}
-	return a, feats, nil
-}
-
-// generateDomainArchive is the domain-parameterized generation path: the
-// same corpus shape as the legacy soccer path (even shot/annotation
-// split, evenly spaced annotated shots, centroid-plus-jitter features)
-// but with the annotation sequence driven by the domain's timeline
-// grammar — each video's first annotation drawn from the Start weights
-// and every following one from Follow[prev] — and the jitter of each
-// event scaled by 1/Emphasis, so tight concepts (a news anchor desk)
-// cluster harder than loose ones (a commercial).
-func generateDomainArchive(cfg ArchiveConfig, d *videomodel.Domain, k int, root *xrand.RNG) (*videomodel.Archive, map[videomodel.ShotID][]float64, error) {
-	events := d.AllEvents()
-	centroids := make([][]float64, len(events))
-	crng := root.Fork(0)
-	for c := range centroids {
-		centroids[c] = make([]float64, k)
-		for f := range centroids[c] {
-			centroids[c][f] = crng.Range(0.15, 0.85)
-		}
-	}
-
-	videos := make([]*videomodel.Video, cfg.Videos)
-	feats := make(map[videomodel.ShotID][]float64, cfg.Annotated)
-	sid := videomodel.ShotID(0)
-	for vi := range videos {
-		nShots := cfg.Shots / cfg.Videos
-		if vi < cfg.Shots%cfg.Videos {
-			nShots++
-		}
-		nAnn := cfg.Annotated / cfg.Videos
-		if vi < cfg.Annotated%cfg.Videos {
-			nAnn++
-		}
-		if nAnn > nShots {
-			nAnn = nShots
-		}
-
-		rng := root.Fork(uint64(vi) + 1)
-		// Genre boost on top of the grammar: two preferred event classes
-		// per video, multiplying whatever the grammar proposes.
+		// Genre boost: two preferred event classes per video, multiplying
+		// whatever the grammar proposes.
 		boost := make([]float64, len(events))
 		for i := range boost {
 			boost[i] = 1
@@ -268,7 +192,7 @@ func generateDomainArchive(cfg ArchiveConfig, d *videomodel.Domain, k int, root 
 					}
 				}
 				annotated++
-				f := make([]float64, k)
+				f := make([]float64, featureDim)
 				c := centroids[e.Index()]
 				sigma := 0.06 / d.Spec(e).Emphasis
 				for fi := range f {

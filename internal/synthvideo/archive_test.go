@@ -1,13 +1,16 @@
 package synthvideo
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"github.com/videodb/hmmm/internal/videomodel"
 )
 
 func TestGenerateArchiveShape(t *testing.T) {
-	cfg := ArchiveConfig{Seed: 7, Videos: 6, Shots: 300, Annotated: 40, FeatureDim: 8}
+	cfg := ArchiveConfig{Seed: 7, Videos: 6, Shots: 300, Annotated: 40}
 	a, feats, err := GenerateArchive(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -24,8 +27,8 @@ func TestGenerateArchiveShape(t *testing.T) {
 		shots[s.ID] = s
 	}
 	for id, f := range feats {
-		if len(f) != 8 {
-			t.Fatalf("shot %d has %d features, want 8", id, len(f))
+		if len(f) != featureDim {
+			t.Fatalf("shot %d has %d features, want %d", id, len(f), featureDim)
 		}
 		for i, v := range f {
 			if v < 0 || v > 1 {
@@ -93,7 +96,7 @@ func TestGenerateArchiveDeterministic(t *testing.T) {
 // relies on: shots of one class cluster around their centroid, so the
 // per-class feature means are distinguishable.
 func TestGenerateArchiveClassSeparation(t *testing.T) {
-	a, feats, err := GenerateArchive(ArchiveConfig{Seed: 11, Videos: 8, Shots: 2000, Annotated: 600, FeatureDim: 6})
+	a, feats, err := GenerateArchive(ArchiveConfig{Seed: 11, Videos: 8, Shots: 2000, Annotated: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +108,7 @@ func TestGenerateArchiveClassSeparation(t *testing.T) {
 		}
 		e := s.Events[0]
 		if means[e] == nil {
-			means[e] = make([]float64, 6)
+			means[e] = make([]float64, featureDim)
 		}
 		for i, v := range feats[s.ID] {
 			means[e][i] += v
@@ -128,7 +131,7 @@ func TestGenerateArchiveClassSeparation(t *testing.T) {
 	for i := 0; i < len(classes); i++ {
 		for j := i + 1; j < len(classes); j++ {
 			var dist float64
-			for f := 0; f < 6; f++ {
+			for f := 0; f < featureDim; f++ {
 				d := means[classes[i]][f] - means[classes[j]][f]
 				dist += d * d
 			}
@@ -170,5 +173,78 @@ func TestGenerateArchiveRejectsBadConfig(t *testing.T) {
 		if _, _, err := GenerateArchive(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+}
+
+// archiveFingerprint hashes everything GenerateArchive returns: every
+// shot's identity, timing and events in archive order, then the exact
+// bits of every feature vector in shot order.
+func archiveFingerprint(a *videomodel.Archive, feats map[videomodel.ShotID][]float64) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	shots := a.AllShots()
+	put(uint64(len(a.Videos)))
+	put(uint64(len(shots)))
+	put(uint64(len(feats)))
+	for _, s := range shots {
+		put(uint64(s.ID))
+		put(uint64(s.Video))
+		put(uint64(s.Index))
+		put(uint64(s.StartMS))
+		put(uint64(s.EndMS))
+		put(uint64(len(s.Events)))
+		for _, e := range s.Events {
+			put(uint64(e))
+		}
+	}
+	for _, s := range shots {
+		f, ok := feats[s.ID]
+		if !ok {
+			continue
+		}
+		put(uint64(s.ID))
+		put(uint64(len(f)))
+		for _, v := range f {
+			put(math.Float64bits(v))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestGenerateArchiveFingerprint freezes the generator's output bit for
+// bit. Every benchmark workload and every scale and recall gate runs on
+// these archives, so a change to the sampling (draw order, weights,
+// jitter) must show here as a deliberate change to a literal.
+func TestGenerateArchiveFingerprint(t *testing.T) {
+	withDomain := func(cfg ArchiveConfig, d *videomodel.Domain) ArchiveConfig {
+		cfg.Domain = d
+		return cfg
+	}
+	cases := []struct {
+		name string
+		cfg  ArchiveConfig
+		want uint64
+	}{
+		{"paper/1", PaperArchive(1), 0x61c33f4615be5343},
+		{"paper/2006", PaperArchive(2006), 0x576db0fa3c4bc138},
+		{"scaled/2006x10", ScaledArchive(2006, 10), 0x8b4811a3e4eea4c7},
+		{"scaled/2006x100", ScaledArchive(2006, 100), 0x63a6e5aa845a4d3f},
+		{"basketball/2006", withDomain(PaperArchive(2006), videomodel.Basketball()), 0x9d035d2b1575004f},
+		{"news/2006", withDomain(PaperArchive(2006), videomodel.News()), 0x7f9808e81a568db8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, feats, err := GenerateArchive(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := archiveFingerprint(a, feats); got != tc.want {
+				t.Errorf("fingerprint %#016x, want %#016x", got, tc.want)
+			}
+		})
 	}
 }

@@ -30,6 +30,7 @@ var optionTypes = []struct{ pkg, name string }{
 	{"internal/hmmm", "BuildOptions"},
 	{"internal/dataset", "Config"},
 	{"internal/live", "Config"},
+	{"internal/synthvideo", "ArchiveConfig"},
 }
 
 // optionSeams are the fields only tests set: each lets a test substitute
