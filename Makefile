@@ -15,7 +15,7 @@ note = $(1)$(if $(BENCH_NOTE),; $(BENCH_NOTE))
 # Offline-pipeline benchmarks captured into BENCH_build.json.
 BENCH_BUILD_PATTERN := BenchmarkBuildPaperScale|BenchmarkRetrainPaperScale
 
-.PHONY: fmt build vet test race race-all smoke examples verify e2e bench bench-build bench-scale bench-million bench-serving bench-serving-smoke bench-ingest bench-federated cover fuzz loc clean
+.PHONY: fmt build vet test race race-all smoke examples fma-check verify e2e bench bench-build bench-scale bench-million bench-serving bench-serving-smoke bench-ingest bench-federated cover fuzz loc clean
 
 # Packages whose per-package coverage `make cover` gates at 80%.
 COVER_GATED := internal/matrix internal/mmm internal/hmmm internal/boot internal/shard internal/retrieval internal/matn internal/index internal/coord internal/rpc internal/live internal/videomodel internal/fed internal/atomicwrite internal/store internal/coalesce internal/obs
@@ -65,7 +65,24 @@ examples:
 		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
 	done
 
-verify: fmt vet build test race smoke examples
+# The Go spec lets a compiler fuse x*y + z into one rounding; amd64's
+# never does, so every bit-identity gate and frozen record here is an
+# amd64 fact unless the other targets compute the same bits. fma-check
+# cross-compiles the numeric packages for every GOARCH whose compiler
+# fuses (offline: the toolchain builds the standard library from
+# GOROOT) and fails on any fused multiply-add in their assembly,
+# printing its file:line. An explicit float64(x*y) conversion forbids
+# the fusion.
+FMA_PKGS := retrieval hmmm mmm matrix
+FMA_ARCHES := arm64 ppc64le s390x riscv64 loong64
+fma-check:
+	@ok=1; for arch in $(FMA_ARCHES); do \
+		out=$$(GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS:%=./internal/%) 2>&1) || { echo "$$out"; exit 1; }; \
+		fused=$$(echo "$$out" | awk '$$4 ~ /^(FN?M(ADD|SUB)[DS]?|WFN?M[AS][DS]B)$$/ {print $$3, $$4}' | tr -d '()' | sed 's|$(CURDIR)/||' | sort -u); \
+		if [ -n "$$fused" ]; then echo "fma-check: $$arch fuses:"; echo "$$fused"; ok=0; fi; \
+	done; [ $$ok -eq 1 ] && echo "fma-check: no fused multiply-add on $(FMA_ARCHES)"
+
+verify: fmt vet build test race smoke examples fma-check
 
 # End-to-end distributed serving: builds cmd/hmmm-shardd, boots 3 real
 # shard processes plus an in-process coordinator, and proves the

@@ -17,12 +17,14 @@ import (
 // Coordinator.RetrieveContext over two loopback rpc.Server shards, as
 // hmmmd runs it under a query deadline. It counts the whole process: the
 // coordinator, both rpc clients, and both shard servers' decode,
-// retrieval and encode. Measured with go1.24.0 on linux/amd64: 47, plus
-// 5% slack (68 when each shard server built a timer context for the
-// budget and each step of the Events query was copied on every
-// validation; 87 when every exchange also allocated a timeout context,
-// a cancellation closure and its flag).
-const maxRetrieveAllocs = 49
+// retrieval and encode. Measured with go1.24.0 on linux/amd64: 20, plus
+// 5% slack (44 when every exchange copied the request to set its budget
+// and boxed its response, and every shard server built a new request,
+// response and ranking per request; 68 when each shard server also
+// built a timer context for the budget and each step of the Events
+// query was copied on every validation; 87 when every exchange also
+// allocated a timeout context, a cancellation closure and its flag).
+const maxRetrieveAllocs = 21
 
 // TestCoordinatorRetrieveAllocs pins the fleet query's allocations, so
 // a per-attempt context or per-exchange closure cannot quietly return.

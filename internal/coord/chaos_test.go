@@ -302,7 +302,7 @@ func TestChaosAttemptCapRetriesThenDegrades(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	ep := cl.coord.sets[1].endpoints[0]
-	if _, err := cl.coord.exchange(ctx, 1, ep, &rpc.RetrieveRequest{Query: q}); !errors.Is(err, errAttemptTimeout) {
+	if err := cl.coord.exchange(ctx, 1, ep, &rpc.RetrieveRequest{Query: q}, new(rpc.RetrieveResponse)); !errors.Is(err, errAttemptTimeout) {
 		t.Fatalf("blackholed exchange: err = %v, want errAttemptTimeout", err)
 	}
 

@@ -331,9 +331,10 @@ func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*
 	return &out, nil
 }
 
-// shardOut is the outcome of one shard's retry loop.
+// shardOut is the outcome of one shard's retry loop: the response every
+// exchange for the shard decodes into (read only when err is nil).
 type shardOut struct {
-	resp *rpc.RetrieveResponse
+	resp rpc.RetrieveResponse
 	err  error
 }
 
@@ -357,22 +358,23 @@ func (c *Coordinator) scatter(ctx context.Context, req *rpc.RetrieveRequest, out
 		}
 		o := &outs[i]
 		if k == n-1 {
-			o.resp, o.err = c.queryShard(ctx, i, req)
+			o.err = c.queryShard(ctx, i, req, &o.resp)
 			break
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			o.resp, o.err = c.queryShard(ctx, i, req)
+			o.err = c.queryShard(ctx, i, req, &o.resp)
 		}()
 	}
 	wg.Wait()
 }
 
-// queryShard runs the retry loop for one shard: pick a replica, attempt
-// (with hedging), back off with jitter on transient failure. A backoff
-// ends at the query's deadline, and no attempt starts past it.
-func (c *Coordinator) queryShard(ctx context.Context, shardIdx int, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error) {
+// queryShard runs the retry loop for one shard into resp: pick a
+// replica, attempt (with hedging), back off with jitter on transient
+// failure. A backoff ends at the query's deadline, and no attempt starts
+// past it.
+func (c *Coordinator) queryShard(ctx context.Context, shardIdx int, req *rpc.RetrieveRequest, resp *rpc.RetrieveResponse) error {
 	set := c.sets[shardIdx]
 	var lastErr error = errAllEjected
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -384,11 +386,11 @@ func (c *Coordinator) queryShard(ctx context.Context, shardIdx int, req *rpc.Ret
 			select {
 			case <-time.After(wait):
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return ctx.Err()
 			}
 		}
 		if err := c.expired(ctx); err != nil {
-			return nil, err
+			return err
 		}
 		ep := set.pick(time.Now())
 		if ep == nil {
@@ -400,19 +402,19 @@ func (c *Coordinator) queryShard(ctx context.Context, shardIdx int, req *rpc.Ret
 		if attempt > 0 && c.met != nil {
 			c.met.Retries.Inc()
 		}
-		resp, err := c.attempt(ctx, shardIdx, set, ep, req)
+		err := c.attempt(ctx, shardIdx, set, ep, req, resp)
 		if err == nil {
-			return resp, nil
+			return nil
 		}
 		lastErr = err
 		if err := c.expired(ctx); err != nil {
-			return nil, err
+			return err
 		}
 		if !rpc.IsTransient(err) && !errors.Is(err, errAttemptTimeout) {
-			return nil, err
+			return err
 		}
 	}
-	return nil, lastErr
+	return lastErr
 }
 
 // expired returns what ends the query as a whole: ctx's error, or
@@ -428,15 +430,18 @@ func (c *Coordinator) expired(ctx context.Context) error {
 	return nil
 }
 
-// attempt runs one (possibly hedged) exchange against primary, on the
-// calling goroutine. A shard with a single replica can never hedge, so
-// that is all it costs. With replicas, a timer armed at the p95-derived
-// hedge delay launches — only if it fires — a speculative second request
-// to another replica on the timer's goroutine; the first success wins
-// and the shared cancel abandons the loser.
-func (c *Coordinator) attempt(ctx context.Context, shardIdx int, set *shardSet, primary *endpoint, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error) {
+// attempt runs one (possibly hedged) exchange against primary into
+// resp, on the calling goroutine. A shard with a single replica can
+// never hedge, so that is all it costs. With replicas, a timer armed at
+// the p95-derived hedge delay launches — only if it fires — a
+// speculative second request to another replica on the timer's
+// goroutine; the first success wins and the shared cancel abandons the
+// loser. The hedge decodes into a response of its own, because an
+// abandoned hedge can still be running after attempt returns; a winning
+// hedge's answer is copied into resp.
+func (c *Coordinator) attempt(ctx context.Context, shardIdx int, set *shardSet, primary *endpoint, req *rpc.RetrieveRequest, resp *rpc.RetrieveResponse) error {
 	if len(set.endpoints) == 1 {
-		return c.exchange(ctx, shardIdx, primary, req)
+		return c.exchange(ctx, shardIdx, primary, req, resp)
 	}
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -460,26 +465,28 @@ func (c *Coordinator) attempt(ctx context.Context, shardIdx int, set *shardSet, 
 		if c.met != nil {
 			c.met.Hedges.Inc()
 		}
-		if resp, err := c.exchange(hctx, shardIdx, other, req); err == nil {
-			won = resp
+		hr := new(rpc.RetrieveResponse)
+		if err := c.exchange(hctx, shardIdx, other, req, hr); err == nil {
+			won = hr
 			cancel() // unblock the primary's goroutine
 		}
 	})
 
-	resp, err := c.exchange(hctx, shardIdx, primary, req)
+	err := c.exchange(hctx, shardIdx, primary, req, resp)
 	if timer.Stop() || err == nil {
 		// No hedge was launched, or the primary answered anyway: a hedge
 		// still in flight is abandoned by the deferred cancel and settles
 		// its own outcome.
-		return resp, err
+		return err
 	}
 	if won := <-hedged; won != nil {
 		if c.met != nil {
 			c.met.HedgeWins.Inc()
 		}
-		return won, nil
+		*resp = *won
+		return nil
 	}
-	return nil, err
+	return err
 }
 
 // exchange runs one request against ep under the attempt cap and
@@ -499,8 +506,9 @@ func (c *Coordinator) attempt(ctx context.Context, shardIdx int, set *shardSet, 
 // to the Transport beside hctx, so an attempt allocates no context of
 // its own. An attempt that runs into the attempt cap is
 // errAttemptTimeout (retryable); one that runs into the query's
-// deadline is context.DeadlineExceeded, a truncation.
-func (c *Coordinator) exchange(hctx context.Context, shardIdx int, ep *endpoint, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error) {
+// deadline is context.DeadlineExceeded, a truncation. The answer is
+// decoded into resp, read only when the exchange succeeds.
+func (c *Coordinator) exchange(hctx context.Context, shardIdx int, ep *endpoint, req *rpc.RetrieveRequest, resp *rpc.RetrieveResponse) error {
 	if c.met != nil {
 		c.met.ShardRequests.Inc()
 	}
@@ -517,36 +525,33 @@ func (c *Coordinator) exchange(hctx context.Context, shardIdx int, ep *endpoint,
 	// The server gets 80% of the attempt window as execution budget, so
 	// a truncated partial still has time to travel back before the
 	// client abandons the attempt. req is shared by every shard and
-	// hedge of the query, so the budget goes into a copy.
-	r := *req
-	if budget := deadline.Sub(start) * 8 / 10; budget > 0 {
-		r.BudgetNS = int64(budget)
-	}
-	resp, err := ep.tr.RetrieveBy(hctx, deadline, &r)
+	// hedge of the query, so the budget travels beside it.
+	budget := max(deadline.Sub(start)*8/10, 0)
+	err := ep.tr.RetrieveBy(hctx, deadline, budget, req, resp)
 	elapsed := time.Since(start)
 	if c.met != nil {
 		c.met.ShardSeconds.ObserveDuration(elapsed)
+	}
+	if err != nil && hctx.Err() == nil && !time.Now().Before(deadline) {
+		// The attempt cap passed while the query still had budget:
+		// retryable. The query's own deadline is not.
+		err = errAttemptTimeout
+		if !capped {
+			err = context.DeadlineExceeded
+		}
 	}
 	if err == nil {
 		err = c.identityErr(shardIdx, ep, resp)
 	}
 	if err != nil {
-		if resp == nil && hctx.Err() == nil && !time.Now().Before(deadline) {
-			// The attempt cap passed while the query still had budget:
-			// retryable. The query's own deadline is not.
-			err = errAttemptTimeout
-			if !capped {
-				err = context.DeadlineExceeded
-			}
-		}
 		c.noteFailure(ep, err)
-		return nil, err
+		return err
 	}
 	ep.lat.ObserveDuration(elapsed)
 	if ep.success(resp.Generation) && c.met != nil {
 		c.met.Readmissions.Inc()
 	}
-	return resp, nil
+	return nil
 }
 
 // identityErr rejects a response stamped with the wrong shard identity:

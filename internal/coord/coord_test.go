@@ -28,8 +28,15 @@ type localTransport struct {
 	name string
 }
 
-func (t *localTransport) RetrieveBy(ctx context.Context, _ time.Time, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error) {
-	return t.svc.Retrieve(ctx, req)
+func (t *localTransport) RetrieveBy(ctx context.Context, _ time.Time, budget time.Duration, req *rpc.RetrieveRequest, resp *rpc.RetrieveResponse) error {
+	r := *req
+	r.BudgetNS = int64(budget)
+	out, err := t.svc.Retrieve(ctx, &r)
+	if err != nil {
+		return err
+	}
+	*resp = *out
+	return nil
 }
 
 func (t *localTransport) Status(ctx context.Context) (*rpc.StatusResponse, error) {
@@ -46,14 +53,16 @@ type flakyTransport struct {
 	fail  atomic.Bool  // every Retrieve fails with a transient error
 	delay atomic.Int64 // added latency (ns), honoring ctx and the deadline
 	calls atomic.Int64
+	resp  atomic.Pointer[rpc.RetrieveResponse] // the last call's response
 }
 
 // RetrieveBy delays like a slow network path. A delay that runs past the
 // attempt deadline ends there with the i/o timeout an rpc connection
 // reports; as in rpc.Client, the deadline governs only when it comes
 // before ctx's own.
-func (t *flakyTransport) RetrieveBy(ctx context.Context, deadline time.Time, req *rpc.RetrieveRequest) (*rpc.RetrieveResponse, error) {
+func (t *flakyTransport) RetrieveBy(ctx context.Context, deadline time.Time, budget time.Duration, req *rpc.RetrieveRequest, resp *rpc.RetrieveResponse) error {
 	t.calls.Add(1)
+	t.resp.Store(resp)
 	if d := time.Duration(t.delay.Load()); d > 0 {
 		capped := false
 		if cd, ok := ctx.Deadline(); (!ok || deadline.Before(cd)) && time.Until(deadline) < d {
@@ -62,16 +71,16 @@ func (t *flakyTransport) RetrieveBy(ctx context.Context, deadline time.Time, req
 		select {
 		case <-time.After(d):
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 		if capped {
-			return nil, os.ErrDeadlineExceeded
+			return os.ErrDeadlineExceeded
 		}
 	}
 	if t.fail.Load() {
-		return nil, io.ErrUnexpectedEOF
+		return io.ErrUnexpectedEOF
 	}
-	return t.Transport.RetrieveBy(ctx, deadline, req)
+	return t.Transport.RetrieveBy(ctx, deadline, budget, req, resp)
 }
 
 // services returns one ShardService per shard, all at generation gen.
@@ -351,7 +360,7 @@ func TestHedging(t *testing.T) {
 
 	slow := &flakyTransport{Transport: &localTransport{svc: svc, name: "slow"}}
 	slow.delay.Store(int64(300 * time.Millisecond))
-	fast := &localTransport{svc: svc, name: "fast"}
+	fast := &flakyTransport{Transport: &localTransport{svc: svc, name: "fast"}}
 	c, err := New([][]Transport{{slow, fast}}, retrieval.Options{}, Options{
 		HedgeMax:       5 * time.Millisecond,
 		AttemptTimeout: 2 * time.Second,
@@ -375,6 +384,11 @@ func TestHedging(t *testing.T) {
 	}
 	if met.Hedges.Value() != 1 || met.HedgeWins.Value() != 1 {
 		t.Fatalf("hedges = %d, wins = %d; want 1, 1", met.Hedges.Value(), met.HedgeWins.Value())
+	}
+	// An abandoned hedge can still be running after its attempt returns,
+	// so it decodes into a response of its own, never the shard's.
+	if primary, hedge := slow.resp.Load(), fast.resp.Load(); primary == nil || primary == hedge {
+		t.Fatalf("the hedge decoded into the primary's response %p (its own: %p)", primary, hedge)
 	}
 }
 

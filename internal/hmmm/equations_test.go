@@ -1,6 +1,7 @@
 package hmmm
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -19,8 +20,10 @@ import (
 //	video 3: shot 6 free kick  [8, 10]   (state 4)
 //	         shot 7 corner     [2, 40]   (state 5)
 //
-// Unannotated shots are not states and carry no feature vector.
-func ledgerArchive(t *testing.T) *Model {
+// Unannotated shots are not states and carry no feature vector. opts
+// (at most one) are the build options; the default keeps the uniform
+// Eq. 7 P1,2.
+func ledgerArchive(t *testing.T, opts ...BuildOptions) *Model {
 	t.Helper()
 	goal, fk, corner := videomodel.EventGoal, videomodel.EventFreeKick, videomodel.EventCornerKick
 	shots := [][]struct {
@@ -51,7 +54,11 @@ func ledgerArchive(t *testing.T) *Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Build(a, feats, BuildOptions{})
+	var o BuildOptions
+	if len(opts) > 0 {
+		o = opts[0]
+	}
+	m, err := Build(a, feats, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +120,87 @@ func TestEquationElevenLiteral(t *testing.T) {
 		for k := 0; k < 2; k++ {
 			if got := m.B1Prime.At(c, k); got != w[k] {
 				t.Errorf("B1'(%s, %d) = %v, want %v", videomodel.EventFromIndex(c), k, got, w[k])
+			}
+		}
+	}
+}
+
+// TestEquationsEightToTenLiteral works Eqs. 8-10 by hand on the ledger
+// fixture with P1,2 learned: for each event concept c, the weight of
+// feature k is the inverse standard deviation (over the states
+// annotated with c) of B1's column k, normalized over the K features:
+// P1,2(c, k) = (1/σ_ck) / Σ_k' (1/σ_ck'). σ is the population std (the
+// mean squared deviation's root). The B1 rows are
+// TestEquationThreeLiteral's.
+//
+//	goal      states 0, 2:    k0 [0, 0.25]       mean 0.125, σ² = (0.125² + 0.125²)/2     = 1/64, σ = 0.125
+//	                          k1 [0, 0.25]       mean 0.125, σ = 0.125
+//	                          1/σ = [8, 8], Σ 16 → P1,2 = [0.5, 0.5]
+//	free kick states 1, 2, 4: k0 [0.5, 0.25, 0.75] mean 0.5,  σ² = (0 + 0.25² + 0.25²)/3 = 1/24
+//	                          k1 [0.5, 0.25, 0]    mean 0.25, σ² = (0.25² + 0 + 0.25²)/3 = 1/24
+//	                          1/σ = [√24, √24]   → P1,2 = [0.5, 0.5]
+//	corner    states 3, 5:    k0 [1, 0]          mean 0.5,   σ² = (0.5² + 0.5²)/2     = 1/4, σ = 0.5
+//	                          k1 [1, 0.75]       mean 0.875, σ² = (0.125² + 0.125²)/2 = 1/64, σ = 0.125
+//	                          1/σ = [2, 8], Σ 10  → P1,2 = [0.2, 0.8]
+//
+// Every other concept annotates fewer than two states and keeps the
+// uniform Eq. 7 row 1/K = 0.5. Every σ but free kick's is a power of
+// two, and free kick's two are equal, so each weight is the double
+// nearest its literal.
+func TestEquationsEightToTenLiteral(t *testing.T) {
+	m := ledgerArchive(t, BuildOptions{LearnP12: true})
+	goal, fk, corner := videomodel.EventGoal, videomodel.EventFreeKick, videomodel.EventCornerKick
+	cases := []struct {
+		c      videomodel.Event
+		states []int
+		inputs [2][]float64 // B1 column k over the states, Eq. 8's inputs
+		std    [2]float64
+		want   [2]float64
+	}{
+		{goal, []int{0, 2}, [2][]float64{{0, 0.25}, {0, 0.25}}, [2]float64{0.125, 0.125}, [2]float64{0.5, 0.5}},
+		{fk, []int{1, 2, 4}, [2][]float64{{0.5, 0.25, 0.75}, {0.5, 0.25, 0}}, [2]float64{0.2041241452319315, 0.2041241452319315}, [2]float64{0.5, 0.5}},
+		{corner, []int{3, 5}, [2][]float64{{1, 0}, {1, 0.75}}, [2]float64{0.5, 0.125}, [2]float64{0.2, 0.8}},
+	}
+	learned := map[videomodel.Event]bool{}
+	for _, tc := range cases {
+		learned[tc.c] = true
+		for k := 0; k < 2; k++ {
+			for i, s := range tc.states {
+				if got := m.B1.At(s, k); got != tc.inputs[k][i] {
+					t.Errorf("%s: B1(%d,%d) = %v, want the input %v", tc.c, s, k, got, tc.inputs[k][i])
+				}
+			}
+			// The literal σ against the definition, worked in the
+			// comment above: σ² is the mean squared deviation.
+			var mean, ss float64
+			for _, v := range tc.inputs[k] {
+				mean += v
+			}
+			mean /= float64(len(tc.inputs[k]))
+			for _, v := range tc.inputs[k] {
+				ss += float64((v - mean) * (v - mean))
+			}
+			if got := math.Sqrt(ss / float64(len(tc.inputs[k]))); got != tc.std[k] {
+				t.Errorf("%s: σ of feature %d = %v, want %v", tc.c, k, got, tc.std[k])
+			}
+		}
+		inv0, inv1 := 1/tc.std[0], 1/tc.std[1]
+		if w0, w1 := inv0/(inv0+inv1), inv1/(inv0+inv1); w0 != tc.want[0] || w1 != tc.want[1] {
+			t.Errorf("%s: Eqs. 9-10 over σ %v give [%v %v], want %v", tc.c, tc.std, w0, w1, tc.want)
+		}
+		for k, w := range tc.want {
+			if got := m.P12.At(tc.c.Index(), k); got != w {
+				t.Errorf("P1,2(%s, %d) = %v, want %v", tc.c, k, got, w)
+			}
+		}
+	}
+	for c := 0; c < m.NumConcepts(); c++ {
+		if learned[videomodel.EventFromIndex(c)] {
+			continue
+		}
+		for k := 0; k < 2; k++ {
+			if got := m.P12.At(c, k); got != 0.5 {
+				t.Errorf("P1,2(%s, %d) = %v, want the uniform Eq. 7 weight 0.5", videomodel.EventFromIndex(c), k, got)
 			}
 		}
 	}

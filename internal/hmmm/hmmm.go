@@ -371,7 +371,7 @@ func (m *Model) learnP12(posts [][]int) {
 			var ss float64
 			for _, si := range idx {
 				d := m.B1.At(si, f) - mean
-				ss += d * d
+				ss += float64(d * d)
 			}
 			std := math.Sqrt(ss / float64(len(idx)))
 			if std < minStd {
@@ -587,7 +587,7 @@ func (m *Model) StationaryPi1() ([]float64, error) {
 		w := m.Pi2[vi]
 		for i, p := range pi {
 			out[lo+i] = w * p
-			total += w * p
+			total += float64(w * p)
 		}
 	}
 	if total == 0 {
@@ -608,7 +608,7 @@ func (m *Model) MeanA1Entropy() float64 {
 	for _, a := range m.LocalA {
 		n += a.Rows()
 		if a.Rows() > 0 {
-			sum += mmm.MeanEntropy(a) * float64(a.Rows())
+			sum += float64(mmm.MeanEntropy(a) * float64(a.Rows()))
 		}
 	}
 	if n == 0 {

@@ -125,7 +125,7 @@ func blendUniform(p []float64, s float64) []float64 {
 	u := 1 / float64(len(p))
 	out := make([]float64, len(p))
 	for i, v := range p {
-		out[i] = (1-s)*v + s*u
+		out[i] = float64((1-s)*v) + float64(s*u)
 	}
 	return out
 }

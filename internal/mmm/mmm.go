@@ -284,7 +284,7 @@ func RowEntropy(a *A1) []float64 {
 		var h float64
 		for _, p := range a.Row(i, buf) {
 			if p > 0 {
-				h -= p * math.Log2(p)
+				h -= float64(p * math.Log2(p))
 			}
 		}
 		out[i] = h

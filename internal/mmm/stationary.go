@@ -74,13 +74,13 @@ func Stationary(a *A1, opts StationaryOptions) ([]float64, error) {
 			out := next[i:]
 			for k, v := range a.Row(i, row) {
 				if v != 0 {
-					out[k] += pi[i] * v
+					out[k] += float64(pi[i] * v)
 				}
 			}
 		}
 		if damping > 0 {
 			for j := range next {
-				next[j] = (1-damping)*next[j] + damping*uniform
+				next[j] = float64((1-damping)*next[j]) + float64(damping*uniform)
 			}
 		}
 		var delta float64

@@ -232,7 +232,7 @@ func boundSlack(steps []Step) float64 {
 	for _, st := range steps {
 		t += 3 * (len(st.Events) + 2)
 	}
-	return 1 + float64(t)*0x1p-52
+	return 1 + float64(float64(t)*0x1p-52)
 }
 
 // videoBound returns UB for video v, widened by slack: no complete
@@ -266,7 +266,7 @@ func (b *bounds) videoBound(v int, steps []Step, slack float64) float64 {
 			}
 			f += least
 		}
-		w *= f / float64(len(steps[j].Events))
+		w = float64(w * (f / float64(len(steps[j].Events))))
 		ub += w
 	}
 	return ub * slack

@@ -149,7 +149,7 @@ func (e *Engine) QueryByExample(raw []float64, concept videomodel.Event, topK in
 			if d < 0 {
 				d = -d
 			}
-			sim += w * (1 - d)
+			sim += float64(w * (1 - d))
 		}
 		matches = append(matches, Match{
 			States: []int{s},

@@ -136,7 +136,7 @@ func spent(ctx context.Context, deadline time.Time) bool {
 type searchCtx struct {
 	steps []Step
 	scope *Scope
-	cost  *Cost
+	cost  Cost
 	ar    *arena
 	// ctx and deadline (Options.Deadline, zero for none) bound the
 	// search; expired() polls them.
@@ -203,7 +203,7 @@ func (e *Engine) searchVideo(vi int, ctx *searchCtx) int {
 // valid until the next beginVideo.
 func (e *Engine) lattice(vi, j0 int, entry []int32, ctx *searchCtx) []int32 {
 	ar := ctx.ar
-	cost := ctx.cost
+	cost := &ctx.cost
 	beam := e.opts.Beam
 	cur, next := ar.bufA, ar.bufB
 	// Every return stores the (possibly re-grown) buffers back for reuse.
@@ -281,7 +281,7 @@ func (e *Engine) lattice(vi, j0 int, entry []int32, ctx *searchCtx) []int32 {
 					}
 					cost.EdgeEvals++
 					li := int(s) - lo
-					w := c.w * row.At(li-from) * e.simCounted(int(s), st, cost)
+					w := float64(c.w * row.At(li-from) * e.simCounted(int(s), st, cost))
 					if ar.relaxEpoch[li] == ar.epoch {
 						// Viterbi relaxation: keep the best path per state.
 						old := &ar.cells[next[ar.relaxSlot[li]]]

@@ -642,13 +642,26 @@ func (e *Engine) Retrieve(q Query) (*Result, error) {
 // Cost.Truncated set, turning a pathological query into a fast partial
 // answer instead of unbounded work. With a background (never-cancelled)
 // context and no Deadline the result is bit-identical to Retrieve.
+// It is RetrieveInto with fresh storage.
 func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) {
-	if err := q.validateFor(e.m.NumConcepts()); err != nil {
+	res, err := e.RetrieveInto(ctx, q, nil)
+	if err != nil {
 		return nil, err
+	}
+	return &res, nil
+}
+
+// RetrieveInto is RetrieveContext ranking into buf: the returned
+// Matches and their slices are carved from buf's storage, which the next
+// RetrieveInto with the same buf overwrites. A nil buf means fresh
+// storage the caller owns, as RetrieveContext returns.
+func (e *Engine) RetrieveInto(ctx context.Context, q Query, buf *RankBuf) (Result, error) {
+	if err := q.validateFor(e.m.NumConcepts()); err != nil {
+		return Result{}, err
 	}
 	steps := q.Steps
 	if e.opts.CoarseCandidates > 0 && e.shared.coarse == nil {
-		return nil, ErrNoCoarseIndex
+		return Result{}, ErrNoCoarseIndex
 	}
 	// Stage timing backs both Options.Metrics and Options.Trace; with
 	// neither configured no clock is read.
@@ -657,13 +670,15 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 	if timed {
 		t0 = time.Now()
 	}
-	res := &Result{}
 	// With certified pruning, videos come off the arena's bound queue
 	// instead of the Step-2 order, and the visit stops at the cut.
 	pruning := e.prunes(q.Scope)
+	// sctx stays on the stack and its Cost accumulates every stage's
+	// counts, so a ranking into buf allocates nothing.
+	sctx := searchCtx{steps: steps, scope: q.Scope, ctx: ctx, deadline: e.opts.Deadline}
 	var order []int
 	if !pruning {
-		order = e.videoOrder(steps, q.Scope, &res.Cost)
+		order = e.videoOrder(steps, q.Scope, &sctx.cost)
 	}
 	if q.Scope != nil && q.Scope.Video != 0 {
 		scoped := order[:0:0]
@@ -685,6 +700,7 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 		order = scoped
 	}
 	ar := e.getArena()
+	sctx.ar = ar
 	if pruning {
 		e.queueBounds(ar, steps)
 	}
@@ -697,7 +713,6 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 		stopAt = 3 * e.opts.TopK
 	}
 	raw := 0
-	sctx := &searchCtx{steps: steps, scope: q.Scope, cost: &res.Cost, ar: ar, ctx: ctx, deadline: e.opts.Deadline}
 	for oi := 0; ; oi++ {
 		vi := -1
 		switch {
@@ -712,10 +727,10 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 		if vi < 0 || sctx.expired() {
 			break
 		}
-		res.Cost.VideosSeen++
+		sctx.cost.VideosSeen++
 		e.emit(TraceEvent{Kind: TraceVideoEnter, Video: vi, N: oi})
 		ar.beginVideo()
-		raw += e.searchVideo(vi, sctx)
+		raw += e.searchVideo(vi, &sctx)
 		if stopAt > 0 && raw >= stopAt {
 			e.emit(TraceEvent{Kind: TraceEarlyStop, N: raw})
 			break
@@ -724,7 +739,7 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 	if timed {
 		t2 = time.Now()
 	}
-	res.Matches = ar.top.ranking(e.m)
+	res := Result{Matches: ar.top.ranking(e.m, buf), Cost: sctx.cost}
 	e.putArena(ar)
 	if spent(ctx, e.opts.Deadline) {
 		res.Cost.Truncated = true

@@ -2,6 +2,7 @@ package retrieval
 
 import (
 	"slices"
+	"unsafe"
 
 	"github.com/videodb/hmmm/internal/hmmm"
 	"github.com/videodb/hmmm/internal/videomodel"
@@ -142,9 +143,10 @@ func (t *topK) down(i int) {
 // ranking sorts the held paths once and materializes them: one []Match
 // and one slab each for States, Shots, Videos and Weights, every match
 // holding capacity-capped sub-slices so an append by a consumer never
-// writes into the next match's range. It returns nil when nothing is
-// held, and leaves the heap unordered.
-func (t *topK) ranking(m *hmmm.Model) []Match {
+// writes into the next match's range. The slabs come from buf, or are
+// fresh when buf is nil. It returns nil when nothing is held, and leaves
+// the heap unordered.
+func (t *topK) ranking(m *hmmm.Model, buf *RankBuf) []Match {
 	h := t.heap
 	if len(h) == 0 {
 		return nil
@@ -158,12 +160,15 @@ func (t *topK) ranking(m *hmmm.Model) []Match {
 		}
 		return 0
 	})
+	if buf == nil {
+		buf = new(RankBuf)
+	}
 	n, total := t.n, len(h)*t.n
-	out := make([]Match, len(h))
-	states := make([]int, total)
-	shots := make([]videomodel.ShotID, total)
-	videos := make([]videomodel.VideoID, total)
-	weights := make([]float64, total)
+	out := grown(&buf.matches, len(h))
+	states := grown(&buf.states, total)
+	shots := grown(&buf.shots, total)
+	videos := grown(&buf.videos, total)
+	weights := grown(&buf.weights, total)
 	for i, e := range h {
 		lo, hi := i*n, (i+1)*n
 		out[i] = Match{
@@ -181,4 +186,38 @@ func (t *topK) ranking(m *hmmm.Model) []Match {
 		}
 	}
 	return out
+}
+
+// RankBuf is storage a retrieval materializes its ranking into
+// (Engine.RetrieveInto): the match array and the four slabs the matches'
+// slices are carved from. A caller that serves one retrieval at a time —
+// a shard server's connection — keeps one and reuses it, so a warm
+// ranking allocates nothing; each use overwrites the ranking the
+// previous one returned. The zero value is ready to use.
+type RankBuf struct {
+	matches []Match
+	states  []int
+	shots   []videomodel.ShotID
+	videos  []videomodel.VideoID
+	weights []float64
+}
+
+// Size returns the bytes b's storage holds, for a caller that drops a
+// buffer one large ranking grew.
+func (b *RankBuf) Size() int {
+	return cap(b.matches)*int(unsafe.Sizeof(Match{})) +
+		cap(b.states)*int(unsafe.Sizeof(int(0))) +
+		cap(b.shots)*int(unsafe.Sizeof(videomodel.ShotID(0))) +
+		cap(b.videos)*int(unsafe.Sizeof(videomodel.VideoID(0))) +
+		cap(b.weights)*int(unsafe.Sizeof(float64(0)))
+}
+
+// grown returns *s resliced to n elements, reallocating it only when its
+// capacity is short; the contents are stale and must be overwritten.
+func grown[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	*s = (*s)[:n]
+	return *s
 }

@@ -68,7 +68,7 @@ func TestTopKEqualsSortTruncate(t *testing.T) {
 			if len(want) == 0 {
 				want = nil
 			}
-			if got := ar.top.ranking(m); !reflect.DeepEqual(got, want) {
+			if got := ar.top.ranking(m, nil); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d, n=%d, K=%d over %d paths:\ngot  %+v\nwant %+v", trial, n, k, len(all), got, want)
 			}
 		}
@@ -138,6 +138,17 @@ func TestRetrieveAllocs(t *testing.T) {
 				})
 				if got != want {
 					t.Errorf("%s: %.1f allocations per Retrieve, want %.0f (%d matches)", label, got, want, len(res.Matches))
+				}
+				// Into a warm buffer, the Result and the slabs are reused.
+				var buf RankBuf
+				into := func() {
+					if _, err := e.RetrieveInto(context.Background(), q, &buf); err != nil {
+						t.Fatal(err)
+					}
+				}
+				into()
+				if got := testing.AllocsPerRun(20, into); got != 0 {
+					t.Errorf("%s: %.1f allocations per RetrieveInto a warm buffer, want 0", label, got)
 				}
 			}
 		}

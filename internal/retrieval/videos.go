@@ -74,7 +74,7 @@ func (e *Engine) SimilarVideos(vi int, alpha float64, topK int) ([]VideoRank, er
 		if vj == vi {
 			continue
 		}
-		score := alpha*cosine(base, e.m.B2.Row(vj)) + (1-alpha)*e.m.A2.At(vi, vj)
+		score := float64(alpha*cosine(base, e.m.B2.Row(vj))) + float64((1-alpha)*e.m.A2.At(vi, vj))
 		out = append(out, VideoRank{VideoIdx: vj, VideoID: e.m.VideoIDs[vj], Score: score})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -92,9 +92,9 @@ func (e *Engine) SimilarVideos(vi int, alpha float64, topK int) ([]VideoRank, er
 func cosine(a, b []float64) float64 {
 	var dot, na, nb float64
 	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
+		dot += float64(a[i] * b[i])
+		na += float64(a[i] * a[i])
+		nb += float64(b[i] * b[i])
 	}
 	if na == 0 || nb == 0 {
 		return 0

@@ -79,21 +79,27 @@ func (c *Client) Close() {
 	c.idle = nil
 }
 
-// Retrieve round-trips a retrieval request bounded by ctx alone.
+// Retrieve round-trips a retrieval request bounded by ctx alone, with
+// req's own BudgetNS, into a fresh response.
 func (c *Client) Retrieve(ctx context.Context, req *RetrieveRequest) (*RetrieveResponse, error) {
-	return c.RetrieveBy(ctx, time.Time{}, req)
+	resp := new(RetrieveResponse)
+	if err := c.RetrieveBy(ctx, time.Time{}, time.Duration(req.BudgetNS), req, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
 // RetrieveBy round-trips a retrieval request that gives up at deadline
 // (zero: no cap beyond ctx) or when ctx ends, whichever comes first. A
 // request that hits the cap fails with an i/o timeout; one whose ctx
-// ends returns ctx.Err().
-func (c *Client) RetrieveBy(ctx context.Context, deadline time.Time, req *RetrieveRequest) (*RetrieveResponse, error) {
-	var resp RetrieveResponse
-	if err := c.call(ctx, deadline, tagRetrieveReq, req, tagRetrieveResp, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+// ends returns ctx.Err(). budget goes on the wire in place of
+// req.BudgetNS, and req is only read, so concurrent calls may share it.
+// The answer is decoded into resp, overwriting every field; its matches
+// are freshly allocated and the caller's. On error resp is partly
+// written and must not be used.
+func (c *Client) RetrieveBy(ctx context.Context, deadline time.Time, budget time.Duration, req *RetrieveRequest, resp *RetrieveResponse) error {
+	msg := budgetedRequest{req, budget}
+	return c.call(ctx, deadline, tagRetrieveReq, &msg, tagRetrieveResp, resp)
 }
 
 // Status round-trips a status probe.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
+	"unsafe"
 
 	"github.com/videodb/hmmm/internal/retrieval"
 	"github.com/videodb/hmmm/internal/videomodel"
@@ -103,13 +105,29 @@ func putIDs[T ~int](w *writer, ids []T) {
 	}
 }
 
+// budgetedRequest is a retrieve request frame whose execution budget is
+// budget rather than the request's own BudgetNS: what Client.RetrieveBy
+// sends, so one request can be shared by every shard and retry of a
+// query and none of them writes it.
+type budgetedRequest struct {
+	*RetrieveRequest
+	budget time.Duration
+}
+
+// errNoWireForm refuses a message of a type the codec does not know. It
+// names no type: a message formatted into an error would escape to the
+// heap on every call.
+var errNoWireForm = errors.New("no wire form for the message type")
+
 // appendBody appends msg's versioned body to b. msg is a pointer to one
-// of the five message types.
+// of the five message types, or a *budgetedRequest.
 func appendBody(b []byte, msg any) ([]byte, error) {
 	w := writer{b: append(b, wireVersion)}
 	switch m := msg.(type) {
 	case *RetrieveRequest:
-		appendRetrieveRequest(&w, m)
+		appendRetrieveRequest(&w, m, time.Duration(m.BudgetNS))
+	case *budgetedRequest:
+		appendRetrieveRequest(&w, m.RetrieveRequest, m.budget)
 	case *RetrieveResponse:
 		appendRetrieveResponse(&w, m)
 	case *StatusRequest:
@@ -125,13 +143,13 @@ func appendBody(b []byte, msg any) ([]byte, error) {
 		w.str(m.Code)
 		w.str(m.Msg)
 	default:
-		w.err = fmt.Errorf("no wire form for %T", msg)
+		w.err = errNoWireForm
 	}
 	return w.b, w.err
 }
 
-func appendRetrieveRequest(w *writer, m *RetrieveRequest) {
-	w.u64(uint64(m.BudgetNS))
+func appendRetrieveRequest(w *writer, m *RetrieveRequest, budget time.Duration) {
+	w.u64(uint64(budget))
 	o := &m.Options
 	w.i64(o.TopK)
 	w.i64(o.Beam)
@@ -299,8 +317,12 @@ func getIDs[T ~int](r *reader, backing []T, n uint32) (out, rest []T) {
 	return out, rest
 }
 
-// decodeFrame decodes a frame body into msg, a pointer to a zero value
-// of the message type the frame's tag names.
+// decodeFrame decodes a frame body into msg, a pointer to a message of
+// the type the frame's tag names, or a *requestBuf for a request. Every
+// field is overwritten, so msg may hold an earlier decode: a request
+// reuses its Steps array and Scope, a requestBuf its id backing as well.
+// msg must own that storage. A response's matches are always fresh —
+// they become the caller's ranking. On error msg is partly written.
 func decodeFrame(body []byte, msg any) error {
 	r := reader{b: body}
 	if v := r.u8(); r.err == nil && v != wireVersion {
@@ -308,7 +330,10 @@ func decodeFrame(body []byte, msg any) error {
 	}
 	switch m := msg.(type) {
 	case *RetrieveRequest:
-		decodeRetrieveRequest(&r, m)
+		var ids []videomodel.Event // fresh backing
+		decodeRetrieveRequest(&r, m, &ids)
+	case *requestBuf:
+		decodeRetrieveRequest(&r, &m.RetrieveRequest, &m.ids)
 	case *RetrieveResponse:
 		decodeRetrieveResponse(&r, m)
 	case *StatusRequest:
@@ -324,7 +349,7 @@ func decodeFrame(body []byte, msg any) error {
 		m.Code = r.str()
 		m.Msg = r.str()
 	default:
-		return fmt.Errorf("rpc: decoding frame: no wire form for %T", msg)
+		return fmt.Errorf("rpc: decoding frame: %w", errNoWireForm)
 	}
 	if r.exact(0); r.err != nil {
 		return fmt.Errorf("rpc: decoding frame: %w", r.err)
@@ -332,7 +357,23 @@ func decodeFrame(body []byte, msg any) error {
 	return nil
 }
 
-func decodeRetrieveRequest(r *reader, m *RetrieveRequest) {
+// requestBuf is the request a server connection decodes every request
+// frame into, with the backing array its steps' id windows are carved
+// from: kept between decodes, so a warm connection decodes a request
+// without allocating.
+type requestBuf struct {
+	RetrieveRequest
+	ids []videomodel.Event
+}
+
+// size returns the bytes rb's storage holds.
+func (rb *requestBuf) size() int {
+	return cap(rb.Query.Steps)*int(unsafe.Sizeof(retrieval.Step{})) + cap(rb.ids)*int(unsafe.Sizeof(videomodel.Event(0)))
+}
+
+// decodeRetrieveRequest decodes into m, reusing m's Steps array and
+// Scope, with every step's ids carved from *ids (grown when short).
+func decodeRetrieveRequest(r *reader, m *RetrieveRequest, ids *[]videomodel.Event) {
 	m.BudgetNS = int64(r.u64())
 	o := &m.Options
 	o.TopK = r.i64()
@@ -347,7 +388,12 @@ func decodeRetrieveRequest(r *reader, m *RetrieveRequest) {
 
 	q := &m.Query
 	if r.bool() {
-		q.Scope = &retrieval.Scope{Video: videomodel.VideoID(int32(r.u32())), FromMS: r.i64(), ToMS: r.i64()}
+		if q.Scope == nil {
+			q.Scope = new(retrieval.Scope)
+		}
+		*q.Scope = retrieval.Scope{Video: videomodel.VideoID(int32(r.u32())), FromMS: r.i64(), ToMS: r.i64()}
+	} else {
+		q.Scope = nil
 	}
 	nSteps := r.count(stepHeaderSize)
 	hdr := reader{b: r.take(nSteps * stepHeaderSize)}
@@ -360,9 +406,17 @@ func decodeRetrieveRequest(r *reader, m *RetrieveRequest) {
 		return
 	}
 	// One backing array holds every step's events.
-	backing := make([]videomodel.Event, nIDs)
-	if nSteps > 0 {
+	if uint64(cap(*ids)) < nIDs {
+		*ids = make([]videomodel.Event, nIDs)
+	}
+	backing := (*ids)[:nIDs]
+	switch {
+	case nSteps == 0:
+		q.Steps = nil
+	case cap(q.Steps) < nSteps:
 		q.Steps = make([]retrieval.Step, nSteps)
+	default:
+		q.Steps = q.Steps[:nSteps]
 	}
 	for i := range q.Steps {
 		st := &q.Steps[i]
@@ -395,10 +449,12 @@ func decodeRetrieveResponse(r *reader, m *RetrieveResponse) {
 		nVideos += uint64(le.Uint32(h[16:]))
 		nWeights += uint64(le.Uint32(h[20:]))
 	}
+	m.Matches = nil
 	if r.exact((nStates+nShots+nVideos)*idSize + nWeights*f64Size); r.err != nil || n == 0 {
 		return
 	}
-	// Four flat backing arrays, whatever TopK is.
+	// Four flat backing arrays, whatever TopK is, all fresh: they become
+	// the caller's ranking.
 	m.Matches = make([]retrieval.Match, n)
 	states := make([]int, nStates)
 	shots := make([]videomodel.ShotID, nShots)

@@ -11,6 +11,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -22,8 +23,9 @@ import (
 // stubHandler answers every retrieval with a fixed response.
 type stubHandler struct{ resp *RetrieveResponse }
 
-func (h stubHandler) Retrieve(context.Context, *RetrieveRequest) (*RetrieveResponse, error) {
-	return h.resp, nil
+func (h stubHandler) RetrieveInto(_ context.Context, _ *RetrieveRequest, resp *RetrieveResponse) error {
+	*resp = *h.resp
+	return nil
 }
 func (h stubHandler) Status() StatusResponse { return StatusResponse{State: StateReady, OfShards: 1} }
 
@@ -471,16 +473,92 @@ func TestGobEraPeerRefused(t *testing.T) {
 	}
 }
 
+// dirtyRequest is a larger request than any seed: three steps, scoped,
+// with negations and gaps — what a reused request holds before a
+// smaller one is decoded over it.
+func dirtyRequest() *RetrieveRequest {
+	req := fullRequest()
+	req.Query.Steps = append(req.Query.Steps, retrieval.Step{
+		Events: []videomodel.Event{1, 2, 3, 4, 5, 6}, Not: []videomodel.Event{7, 8}, MinGapMS: 1, MaxGapMS: 2,
+	})
+	return req
+}
+
+// dirtied returns a message for tag that already holds an earlier,
+// larger decode (a reused request takes the server connection's
+// requestBuf form), and the message a decode into it is compared by.
+func dirtied(tb testing.TB, tag byte) (dst, msg any) {
+	tb.Helper()
+	var earlier any
+	switch tag {
+	case tagRetrieveReq:
+		rb := new(requestBuf)
+		dst, msg, earlier = rb, &rb.RetrieveRequest, dirtyRequest()
+	case tagRetrieveResp:
+		dst, earlier = new(RetrieveResponse), rankedResponse(10)
+	case tagStatusResp:
+		dst, earlier = new(StatusResponse), &StatusResponse{State: StateDraining, Generation: 3, Shard: 2, OfShards: 5, Videos: 171, States: 115670, Domain: "basketball"}
+	case tagError:
+		dst, earlier = new(ErrorResponse), &ErrorResponse{Code: CodeBadRequest, Msg: "retrieval: empty query pattern"}
+	default:
+		dst = messageFor(tag)
+	}
+	if msg == nil {
+		msg = dst
+	}
+	if earlier != nil {
+		if err := decodeFrame(frameOf(tb, tag, earlier)[5:], dst); err != nil {
+			tb.Fatalf("dirtying a %c message: %v", tag, err)
+		}
+	}
+	return dst, msg
+}
+
+// sameMessage is reflect.DeepEqual with a response's scores and weights
+// compared by their bits, so that a NaN the wire carried equals itself.
+func sameMessage(a, b any) bool {
+	ra, ok := a.(*RetrieveResponse)
+	rb, ok2 := b.(*RetrieveResponse)
+	if !ok || !ok2 {
+		return reflect.DeepEqual(a, b)
+	}
+	if len(ra.Matches) != len(rb.Matches) || (ra.Matches == nil) != (rb.Matches == nil) {
+		return false
+	}
+	ha, hb := *ra, *rb
+	ha.Matches, hb.Matches = nil, nil
+	if !reflect.DeepEqual(ha, hb) {
+		return false
+	}
+	bitsEqual := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for i := range ra.Matches {
+		ma, mb := ra.Matches[i], rb.Matches[i]
+		if !bitsEqual(ma.Score, mb.Score) || (ma.Weights == nil) != (mb.Weights == nil) || !slices.EqualFunc(ma.Weights, mb.Weights, bitsEqual) {
+			return false
+		}
+		ma.Score, mb.Score, ma.Weights, mb.Weights = 0, 0, nil, nil
+		if !reflect.DeepEqual(ma, mb) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzFrameDecode feeds arbitrary bytes through the envelope and the
 // body codec of whichever message the tag names. It must never panic,
 // never allocate more than a small multiple of the frame's own length
 // (counts are checked against the remaining bytes before any make), and
 // whatever it accepts must re-encode to exactly the bytes it was given —
-// the decoder admits one spelling per message.
+// the decoder admits one spelling per message. Decoded into a message
+// an earlier, larger decode left dirty (as a server connection reuses
+// its request), it must give exactly what it gives into a zero one.
 func FuzzFrameDecode(f *testing.F) {
 	seeds := [][]byte{
 		frameOf(f, tagRetrieveReq, fullRequest()),
 		frameOf(f, tagRetrieveReq, &RetrieveRequest{Query: retrieval.NewQuery(2, 6)}),
+		frameOf(f, tagRetrieveReq, &RetrieveRequest{Query: retrieval.Query{Steps: []retrieval.Step{{Not: []videomodel.Event{4}}}}}),
+		frameOf(f, tagRetrieveReq, &RetrieveRequest{}),
+		frameOf(f, tagRetrieveReq, dirtyRequest()),
 		frameOf(f, tagRetrieveResp, rankedResponse(3)),
 		frameOf(f, tagRetrieveResp, specialsResponse()),
 		frameOf(f, tagRetrieveResp, &RetrieveResponse{Generation: 1, OfShards: 2}), // empty ranking
@@ -534,11 +612,18 @@ func FuzzFrameDecode(f *testing.F) {
 		if grew > limit {
 			t.Fatalf("decoding a %d-byte frame allocated %d bytes (limit %d)", len(frame), grew, limit)
 		}
+		dst, reused := dirtied(t, tag)
+		if derr := decodeFrame(body, dst); (derr == nil) != (err == nil) {
+			t.Fatalf("decode into a zero message: err %v; into a dirty one: err %v", err, derr)
+		}
 		if err != nil {
 			if IsTransient(err) {
 				t.Fatalf("decode failure classified transient: %v", err)
 			}
 			return
+		}
+		if !sameMessage(reused, msg) {
+			t.Fatalf("%c decoded into a dirty message = %+v, into a zero one = %+v", tag, reused, msg)
 		}
 		var out bytes.Buffer
 		var enc frameBufs

@@ -34,7 +34,9 @@
 // that deadline into the past, and the connection is discarded rather
 // than resynchronized — and it lets each connection own one read and
 // one write frame buffer for its lifetime (frameBufs) instead of
-// allocating per frame.
+// allocating per frame; a server connection likewise owns the request,
+// response and ranking storage it reuses for every retrieval
+// (connBufs).
 //
 // Semantics carried by the protocol, not just bytes:
 //
@@ -167,6 +169,11 @@ type RetrieveResponse struct {
 	// for those.
 	Shard    int
 	OfShards int
+	// rank, on a server connection's response, is the connection's
+	// ranking storage: ShardService ranks into it, so Matches alias it
+	// until the connection's next request. It never travels; nil means
+	// fresh storage.
+	rank *retrieval.RankBuf
 }
 
 // StatusRequest asks for the server's health/readiness report.

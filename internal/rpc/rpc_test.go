@@ -201,16 +201,17 @@ type blockingHandler struct {
 	entered chan struct{}
 }
 
-func (h *blockingHandler) Retrieve(ctx context.Context, req *RetrieveRequest) (*RetrieveResponse, error) {
+func (h *blockingHandler) RetrieveInto(ctx context.Context, _ *RetrieveRequest, resp *RetrieveResponse) error {
 	select {
 	case h.entered <- struct{}{}:
 	default:
 	}
 	select {
 	case <-h.release:
-		return &RetrieveResponse{}, nil
+		*resp = RetrieveResponse{}
+		return nil
 	case <-ctx.Done():
-		return nil, &ServerError{Code: CodeInternal, Msg: ctx.Err().Error()}
+		return &ServerError{Code: CodeInternal, Msg: ctx.Err().Error()}
 	}
 }
 
@@ -262,9 +263,10 @@ func idleConns(cl *Client) int {
 // answer reaches a client whose poke has already started.
 type cancelHandler struct{ cancels chan context.CancelFunc }
 
-func (h *cancelHandler) Retrieve(context.Context, *RetrieveRequest) (*RetrieveResponse, error) {
+func (h *cancelHandler) RetrieveInto(_ context.Context, _ *RetrieveRequest, resp *RetrieveResponse) error {
 	(<-h.cancels)()
-	return &RetrieveResponse{}, nil
+	*resp = RetrieveResponse{}
+	return nil
 }
 
 func (h *cancelHandler) Status() StatusResponse { return StatusResponse{State: StateReady} }
@@ -342,7 +344,7 @@ func TestRetrieveByCap(t *testing.T) {
 	defer cl.Close()
 
 	start := time.Now()
-	_, err = cl.RetrieveBy(context.Background(), start.Add(50*time.Millisecond), &RetrieveRequest{})
+	err = cl.RetrieveBy(context.Background(), start.Add(50*time.Millisecond), 0, &RetrieveRequest{}, new(RetrieveResponse))
 	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("capped call: err = %v, want an i/o timeout", err)
 	}
@@ -356,7 +358,7 @@ func TestRetrieveByCap(t *testing.T) {
 	for _, capAfter := range []time.Duration{0, time.Second} {
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		d, _ := ctx.Deadline()
-		_, err := cl.RetrieveBy(ctx, d.Add(capAfter), &RetrieveRequest{})
+		err := cl.RetrieveBy(ctx, d.Add(capAfter), 0, &RetrieveRequest{}, new(RetrieveResponse))
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("cap %v after the context deadline: err = %v, want context.DeadlineExceeded", capAfter, err)

@@ -7,14 +7,21 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"github.com/videodb/hmmm/internal/retrieval"
 )
 
 // Handler executes requests for a Server. Implementations must be safe
 // for concurrent use and honor RetrieveRequest.BudgetNS themselves: the
 // Server hands every request its base context, which ends only at Close.
 // ShardService is the production implementation.
+//
+// RetrieveInto answers req into resp, overwriting every exported field.
+// Both belong to the connection, which reuses them for its next
+// request: the handler must not retain req, resp, or any slice of
+// either past return. On error resp is ignored.
 type Handler interface {
-	Retrieve(ctx context.Context, req *RetrieveRequest) (*RetrieveResponse, error)
+	RetrieveInto(ctx context.Context, req *RetrieveRequest, resp *RetrieveResponse) error
 	Status() StatusResponse
 }
 
@@ -122,12 +129,40 @@ func (s *Server) Close() error {
 	return nil
 }
 
+// connBufs is what one server connection owns for its lifetime and
+// reuses between its serial exchanges: the frame buffers, the request
+// every request frame decodes into, and the response the handler
+// answers into with the ranking storage its matches are carved from. A
+// warm connection therefore answers a retrieval without allocating its
+// request, response or ranking.
+type connBufs struct {
+	frameBufs
+	req  requestBuf
+	resp RetrieveResponse
+	rank retrieval.RankBuf
+}
+
+// trim ends an exchange: like the frame buffers, a request or ranking
+// one large exchange grew past maxKeptBuf is dropped, and the response
+// lets go of the ranking it answered with.
+func (c *connBufs) trim() {
+	c.frameBufs.trim()
+	if c.req.size() > maxKeptBuf {
+		c.req = requestBuf{}
+	}
+	if c.rank.Size() > maxKeptBuf {
+		c.rank = retrieval.RankBuf{}
+	}
+	c.resp = RetrieveResponse{rank: &c.rank}
+}
+
 // serveConn runs the request/response loop for one connection until the
 // peer hangs up, a protocol error occurs, or the server closes.
 func (s *Server) serveConn(conn net.Conn) {
-	var fb frameBufs // this connection's, for its lifetime
+	c := new(connBufs) // this connection's, for its lifetime
+	c.resp.rank = &c.rank
 	for {
-		tag, body, err := fb.readFrame(conn)
+		tag, body, err := c.readFrame(conn)
 		if err != nil {
 			// EOF, reset, and closed-connection errors are the normal
 			// end of a connection; anything else is a protocol error
@@ -138,11 +173,11 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		if err := s.dispatch(conn, &fb, tag, body); err != nil {
+		if err := s.dispatch(conn, c, tag, body); err != nil {
 			s.logf("rpc: %s: %v", conn.RemoteAddr(), err)
 			return
 		}
-		fb.trim()
+		c.trim()
 	}
 }
 
@@ -158,7 +193,8 @@ func quietClose(err error) bool {
 // dispatch handles one decoded frame. A returned error tears down the
 // connection (protocol-level failure); request-level failures are
 // answered with an ErrorResponse frame and keep the connection.
-func (s *Server) dispatch(conn net.Conn, fb *frameBufs, tag byte, body []byte) error {
+func (s *Server) dispatch(conn net.Conn, c *connBufs, tag byte, body []byte) error {
+	fb := &c.frameBufs
 	switch tag {
 	case tagStatusReq:
 		if err := decodeFrame(body, &StatusRequest{}); err != nil {
@@ -174,22 +210,20 @@ func (s *Server) dispatch(conn net.Conn, fb *frameBufs, tag byte, body []byte) e
 		if s.draining.Load() {
 			return fb.writeFrame(conn, tagError, &ErrorResponse{Code: CodeDraining, Msg: "server draining"})
 		}
-		var req RetrieveRequest
-		if err := decodeFrame(body, &req); err != nil {
+		if err := decodeFrame(body, &c.req); err != nil {
 			return fb.writeFrame(conn, tagError, &ErrorResponse{Code: CodeBadRequest, Msg: err.Error()})
 		}
 		// The handler runs under baseCtx so Close bounds even unbudgeted
 		// requests; the handler turns BudgetNS into its own deadline
 		// value, so a request builds no timer.
-		resp, err := s.handler.Retrieve(s.baseCtx, &req)
-		if err != nil {
+		if err := s.handler.RetrieveInto(s.baseCtx, &c.req.RetrieveRequest, &c.resp); err != nil {
 			code := CodeInternal
 			if se := AsServerError(err); se != nil {
 				code = se.Code
 			}
 			return fb.writeFrame(conn, tagError, &ErrorResponse{Code: code, Msg: err.Error()})
 		}
-		return fb.writeFrame(conn, tagRetrieveResp, resp)
+		return fb.writeFrame(conn, tagRetrieveResp, &c.resp)
 
 	default:
 		return fb.writeFrame(conn, tagError, &ErrorResponse{Code: CodeBadRequest, Msg: "unknown frame tag"})

@@ -56,10 +56,22 @@ func (s *ShardService) SetGeneration(gen uint64) { s.gen.Store(gen) }
 // Cost.Truncated), mirroring the local engine.
 // A coarse budget on a server started without the coarse index
 // (retrieval.ErrNoCoarseIndex) is refused as bad_request; a budget of 0
-// is exact search on any server.
+// is exact search on any server. It is RetrieveInto on a fresh
+// response, whose ranking the caller owns.
 func (s *ShardService) Retrieve(ctx context.Context, req *RetrieveRequest) (*RetrieveResponse, error) {
+	resp := new(RetrieveResponse)
+	if err := s.RetrieveInto(ctx, req, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// RetrieveInto is Retrieve answering into resp: the Handler method. The
+// ranking is carved from resp's ranking storage when resp is a server
+// connection's, so a warm connection's answer allocates none.
+func (s *ShardService) RetrieveInto(ctx context.Context, req *RetrieveRequest, resp *RetrieveResponse) error {
 	if err := req.Query.Validate(); err != nil {
-		return nil, &ServerError{Code: CodeBadRequest, Msg: err.Error()}
+		return &ServerError{Code: CodeBadRequest, Msg: err.Error()}
 	}
 	opts := req.Options.Apply(s.base)
 	if req.BudgetNS > 0 {
@@ -70,23 +82,24 @@ func (s *ShardService) Retrieve(ctx context.Context, req *RetrieveRequest) (*Ret
 	// computed against, and the coordinator's consistency check catches
 	// the skew.
 	gen := s.gen.Load()
-	res, err := s.engine.WithOptions(opts).RetrieveContext(ctx, req.Query)
+	res, err := s.engine.WithOptions(opts).RetrieveInto(ctx, req.Query, resp.rank)
 	if errors.Is(err, retrieval.ErrNoCoarseIndex) {
-		return nil, &ServerError{Code: CodeBadRequest, Msg: fmt.Sprintf(
+		return &ServerError{Code: CodeBadRequest, Msg: fmt.Sprintf(
 			"coarse prefilter mismatch: the request asks for %d coarse candidates, this shard server runs without the coarse index; "+
 				"give hmmmd -coarse-candidates and hmmm-shardd -coarse-candidates both positive, or hmmmd -coarse-candidates 0",
 			req.Options.CoarseCandidates)}
 	}
 	if err != nil {
-		return nil, &ServerError{Code: CodeInternal, Msg: err.Error()}
+		return &ServerError{Code: CodeInternal, Msg: err.Error()}
 	}
 	gather := retrieval.Gather{TopK: opts.TopK, Deadline: opts.Deadline}
-	gather.Add(res, s.sh.Offset)
+	gather.Add(&res, s.sh.Offset)
 	out := gather.Done(ctx)
-	return &RetrieveResponse{
+	*resp = RetrieveResponse{
 		Matches: out.Matches, Cost: out.Cost, Generation: gen,
-		Shard: s.index, OfShards: s.of,
-	}, nil
+		Shard: s.index, OfShards: s.of, rank: resp.rank,
+	}
+	return nil
 }
 
 // Status reports the shard's identity and size; the Server overlays the
