@@ -195,7 +195,7 @@ func BenchmarkShardedRetrieval(b *testing.B) {
 				// Warm every engine's order memo, as serving traffic does,
 				// so a short run does not time the first query per step.
 				for _, q := range queries {
-					if _, err := r.RetrieveContext(ctx, q); err != nil {
+					if _, err := r.RetrieveInto(ctx, q, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -203,7 +203,7 @@ func BenchmarkShardedRetrieval(b *testing.B) {
 				b.ResetTimer()
 				videos := 0
 				for i := 0; i < b.N; i++ {
-					res, err := r.RetrieveContext(ctx, queries[i%len(queries)])
+					res, err := r.RetrieveInto(ctx, queries[i%len(queries)], nil)
 					if err != nil {
 						b.Fatal(err)
 					}

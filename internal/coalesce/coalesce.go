@@ -41,14 +41,21 @@ func (e *PanicError) Error() string {
 // call is one in-flight execution: the leader runs fn, waiters block on
 // done. refs counts live participants (leader's request + waiters);
 // cancel fires the execution context when refs drains to zero before
-// completion.
+// completion. A call no waiter joined goes back to the group's pool for
+// reuse: done is made only when the first waiter attaches, and stop and
+// watching, the leader's handshake with its watcher, are kept across
+// uses.
 type call[V any] struct {
-	done    chan struct{}
-	val     V
-	err     error
-	refs    int
-	execCtx context.Context
-	cancel  context.CancelFunc
+	done   chan struct{}
+	val    V
+	err    error
+	refs   int
+	cancel context.CancelFunc
+	// stop (capacity 1) tells the watcher fn has returned; watching
+	// counts the watcher until it has exited, after which no goroutine
+	// but the leader's holds the call.
+	stop     chan struct{}
+	watching sync.WaitGroup
 }
 
 // Group coalesces concurrent calls by key. The zero value is not ready;
@@ -57,6 +64,8 @@ type call[V any] struct {
 type Group[V any] struct {
 	mu    sync.Mutex
 	calls map[string]*call[V]
+	// free holds calls no waiter joined, for reuse.
+	free sync.Pool
 
 	// Requests counts every Do entry, Leaders the calls that executed
 	// fn, Hits the calls that attached to an in-flight execution.
@@ -75,7 +84,9 @@ func NewGroup[V any]() *Group[V] {
 // Do executes fn for key, coalescing with any identical in-flight call:
 // the first caller (the leader) runs fn and every concurrent caller with
 // the same key receives the same result. The returned bool reports
-// whether this caller was the leader.
+// whether the call was shared: always for a waiter, and for the leader
+// when a waiter attached — a leader that was alone may reuse what v
+// points to once it is done with v.
 //
 // fn receives the group's private execution context, NOT ctx: it stays
 // live until fn returns or every participant's ctx is done, whichever
@@ -89,25 +100,33 @@ func NewGroup[V any]() *Group[V] {
 func (g *Group[V]) Do(ctx context.Context, key string, fn func(ctx context.Context) (V, error)) (V, bool, error) {
 	if g == nil {
 		v, err := fn(ctx)
-		return v, true, err
+		return v, false, err
 	}
 	g.Requests.Inc()
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
 		c.refs++
+		if c.done == nil {
+			c.done = make(chan struct{})
+		}
+		done := c.done
 		g.mu.Unlock()
 		g.Hits.Inc()
 		select {
-		case <-c.done:
-			return c.val, false, c.err
+		case <-done:
+			return c.val, true, c.err
 		case <-ctx.Done():
 			g.leave(c)
 			var zero V
-			return zero, false, ctx.Err()
+			return zero, true, ctx.Err()
 		}
 	}
 	execCtx, cancel := context.WithCancel(context.Background())
-	c := &call[V]{done: make(chan struct{}), refs: 1, execCtx: execCtx, cancel: cancel}
+	c, _ := g.free.Get().(*call[V])
+	if c == nil {
+		c = &call[V]{stop: make(chan struct{}, 1)}
+	}
+	c.refs, c.cancel = 1, cancel
 	g.calls[key] = c
 	g.mu.Unlock()
 	g.Leaders.Inc()
@@ -115,12 +134,15 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func(ctx context.Conte
 	// The leader's own request counts as a participant: if its client
 	// disconnects while waiters remain, execution continues for them; if
 	// it was the last one standing, leaving cancels the execution. The
-	// watcher exits on completion, so it never outlives the call.
+	// leader waits for the watcher to exit, so it never outlives the
+	// call.
+	c.watching.Add(1)
 	go func() {
+		defer c.watching.Done()
 		select {
 		case <-ctx.Done():
 			g.leave(c)
-		case <-c.done:
+		case <-c.stop:
 		}
 	}()
 
@@ -137,15 +159,32 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func(ctx context.Conte
 
 	g.mu.Lock()
 	delete(g.calls, key)
-	close(c.done)
+	shared := c.done != nil
+	if shared {
+		close(c.done)
+	}
 	g.mu.Unlock()
 	// Release the execution context's resources; everyone interested has
 	// the result (or the PanicError) by now.
 	cancel()
+	c.stop <- struct{}{}
+	c.watching.Wait()
 	if panicked != nil {
 		panic(panicked)
 	}
-	return c.val, true, c.err
+	v, err := c.val, c.err
+	if !shared {
+		// No waiter holds the call: empty the stop token a watcher that
+		// left through ctx never took, and reuse it.
+		select {
+		case <-c.stop:
+		default:
+		}
+		var zero V
+		c.val, c.err, c.cancel = zero, nil, nil
+		g.free.Put(c)
+	}
+	return v, shared, err
 }
 
 // leave drops one participant; the last one out cancels the execution

@@ -31,7 +31,7 @@ func TestSingleExecutionFanOut(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := g.Do(context.Background(), "k", func(ctx context.Context) (int, error) {
+			v, shared, err := g.Do(context.Background(), "k", func(ctx context.Context) (int, error) {
 				execs.Add(1)
 				close(started)
 				<-release
@@ -39,6 +39,10 @@ func TestSingleExecutionFanOut(t *testing.T) {
 			})
 			if err != nil {
 				t.Errorf("Do: %v", err)
+			}
+			// The leader's call was shared too: waiters attached to it.
+			if !shared {
+				t.Errorf("caller %d: shared = false, want true for the leader and every waiter", i)
 			}
 			results[i] = v
 		}(i)
@@ -157,6 +161,68 @@ func TestLastParticipantCancelsExecution(t *testing.T) {
 	}
 }
 
+// TestReusedCallWatchesItsLeader runs a leader whose client leaves
+// mid-execution, then a second solo leader on the same group, which may
+// reuse the first one's call: its execution context must start live and
+// still be cancelled when its own client leaves. A stop token left from
+// the first call would end the second watcher at once.
+func TestReusedCallWatchesItsLeader(t *testing.T) {
+	g := NewGroup[int]()
+	for round := 0; round < 3; round++ {
+		lctx, lcancel := context.WithCancel(context.Background())
+		started := make(chan struct{})
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := g.Do(lctx, "k", func(ctx context.Context) (int, error) {
+				if err := ctx.Err(); err != nil {
+					return 0, fmt.Errorf("execution context dead on arrival: %w", err)
+				}
+				close(started)
+				select {
+				case <-ctx.Done():
+					return 0, ctx.Err()
+				case <-time.After(5 * time.Second):
+					return 0, errors.New("execution context never cancelled")
+				}
+			})
+			done <- err
+		}()
+		select {
+		case <-started:
+		case err := <-done:
+			t.Fatalf("round %d: %v", round, err)
+		}
+		lcancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: leader err = %v, want context.Canceled", round, err)
+		}
+	}
+}
+
+// TestSoloLeaderAllocs pins what a leader no waiter joins costs: its
+// call comes from the group's pool and no done channel is made, which
+// leaves the watcher goroutine's closure and the execution context.
+func TestSoloLeaderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	const maxSoloAllocs = 4
+	g := NewGroup[int]()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fn := func(context.Context) (int, error) { return 1, nil }
+	got := testing.AllocsPerRun(200, func() {
+		if _, shared, err := g.Do(ctx, "k", fn); err != nil || shared {
+			t.Fatalf("solo Do: shared=%v err=%v", shared, err)
+		}
+	})
+	if got > maxSoloAllocs {
+		t.Errorf("a solo Do allocates %.1f times, ceiling %d", got, maxSoloAllocs)
+	} else {
+		t.Logf("a solo Do allocates %.1f times (ceiling %d)", got, maxSoloAllocs)
+	}
+}
+
 // TestLeaderPanicPropagatesError: waiters get a *PanicError, the leader
 // goroutine re-panics with the original value.
 func TestLeaderPanicPropagatesError(t *testing.T) {
@@ -210,12 +276,12 @@ func TestDistinctKeysRunIndependently(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, leader, err := g.Do(context.Background(), fmt.Sprintf("k%d", i), func(ctx context.Context) (int, error) {
+			v, shared, err := g.Do(context.Background(), fmt.Sprintf("k%d", i), func(ctx context.Context) (int, error) {
 				execs.Add(1)
 				return i, nil
 			})
-			if err != nil || !leader || v != i {
-				t.Errorf("key k%d: v=%d leader=%v err=%v", i, v, leader, err)
+			if err != nil || shared || v != i {
+				t.Errorf("key k%d: v=%d shared=%v err=%v", i, v, shared, err)
 			}
 		}(i)
 	}
@@ -231,12 +297,12 @@ func TestSequentialCallsDoNotShare(t *testing.T) {
 	g := NewGroup[int]()
 	var execs atomic.Int64
 	for i := 0; i < 3; i++ {
-		_, leader, err := g.Do(context.Background(), "k", func(ctx context.Context) (int, error) {
+		_, shared, err := g.Do(context.Background(), "k", func(ctx context.Context) (int, error) {
 			execs.Add(1)
 			return i, nil
 		})
-		if err != nil || !leader {
-			t.Fatalf("call %d: leader=%v err=%v", i, leader, err)
+		if err != nil || shared {
+			t.Fatalf("call %d: shared=%v err=%v", i, shared, err)
 		}
 	}
 	if got := execs.Load(); got != 3 {
@@ -249,14 +315,14 @@ func TestSequentialCallsDoNotShare(t *testing.T) {
 func TestNilGroupPassesThrough(t *testing.T) {
 	var g *Group[int]
 	ctx := context.WithValue(context.Background(), ctxKey{}, "v")
-	v, leader, err := g.Do(ctx, "k", func(fctx context.Context) (int, error) {
+	v, shared, err := g.Do(ctx, "k", func(fctx context.Context) (int, error) {
 		if fctx != ctx {
 			t.Error("nil group must pass the caller's ctx through")
 		}
 		return 7, nil
 	})
-	if v != 7 || !leader || err != nil {
-		t.Errorf("nil group Do = (%d, %v, %v)", v, leader, err)
+	if v != 7 || shared || err != nil {
+		t.Errorf("nil group Do = (%d, %v, %v)", v, shared, err)
 	}
 }
 

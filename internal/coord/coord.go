@@ -244,8 +244,19 @@ func (c *Coordinator) Retrieve(q retrieval.Query) (*retrieval.Result, error) {
 	return c.RetrieveContext(context.Background(), q)
 }
 
-// RetrieveContext scatters q over the remote shards and gathers the
-// rankings. Shard failures degrade the result (Cost.Truncated +
+// RetrieveContext is RetrieveInto with fresh storage.
+func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*retrieval.Result, error) {
+	res, err := c.RetrieveInto(ctx, q, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
+
+// RetrieveInto scatters q over the remote shards and gathers the
+// rankings, merging several in buf's match array (the Retriever
+// method; the matches' slices are the shards' decoded answers). Shard
+// failures degrade the result (Cost.Truncated +
 // Cost.DegradedShards); the query's own deadline (the view's
 // Options.Deadline, or ctx's) truncates it without degrading it. The
 // errors returned are q's own validation failures and a shard's
@@ -254,9 +265,9 @@ func (c *Coordinator) Retrieve(q retrieval.Query) (*retrieval.Result, error) {
 // coordinator (a coarse prefilter mismatch, say), which every later
 // query would hit too — the error names the shard and carries the
 // server's message instead of silently emptying results.
-func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*retrieval.Result, error) {
+func (c *Coordinator) RetrieveInto(ctx context.Context, q retrieval.Query, buf *retrieval.RankBuf) (retrieval.Result, error) {
 	if err := q.Validate(); err != nil {
-		return nil, err
+		return retrieval.Result{}, err
 	}
 	if c.met != nil {
 		c.met.Queries.Inc()
@@ -293,11 +304,11 @@ func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*
 	}
 
 	target := maxGen()
-	gather := retrieval.Gather{TopK: c.opts.TopK, Deadline: c.opts.Deadline}
+	gather := retrieval.Gather{TopK: c.opts.TopK, Deadline: c.opts.Deadline, Buf: buf}
 	expired, degraded := false, 0
 	for i, o := range outs {
 		if se := rpc.AsServerError(o.err); se != nil && se.Code == rpc.CodeBadRequest {
-			return nil, fmt.Errorf("coord: shard %d refused the query: %w", i, o.err)
+			return retrieval.Result{}, fmt.Errorf("coord: shard %d refused the query: %w", i, o.err)
 		}
 		if o.err != nil {
 			// A parent-context expiry is a truncation (the caller's
@@ -328,7 +339,7 @@ func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*
 			c.met.DegradedShards.Add(uint64(degraded))
 		}
 	}
-	return &out, nil
+	return out, nil
 }
 
 // shardOut is the outcome of one shard's retry loop: the response every

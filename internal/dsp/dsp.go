@@ -51,14 +51,22 @@ func FFT(x []complex128) error {
 			half := length / 2
 			for k := 0; k < half; k++ {
 				u := x[start+k]
-				v := x[start+k+half] * w
+				v := cmul(x[start+k+half], w)
 				x[start+k] = u + v
 				x[start+k+half] = u - v
-				w *= wl
+				w = cmul(w, wl)
 			}
 		}
 	}
 	return nil
+}
+
+// cmul is a*b as Go's complex multiply computes it, with each product
+// rounded on its own: the spec lets a compiler fuse a product into the
+// following add or subtract, and the float64 conversions forbid that.
+func cmul(a, b complex128) complex128 {
+	ar, ai, br, bi := real(a), imag(a), real(b), imag(b)
+	return complex(float64(ar*br)-float64(ai*bi), float64(ar*bi)+float64(ai*br))
 }
 
 // Spectrum returns the magnitude spectrum of the real signal frame. The
@@ -103,7 +111,7 @@ func RMS(samples []float64) float64 {
 	}
 	var sum float64
 	for _, v := range samples {
-		sum += v * v
+		sum += float64(v * v)
 	}
 	return math.Sqrt(sum / float64(len(samples)))
 }
@@ -131,7 +139,7 @@ func SubBandRMS(spectrum []float64, sampleRate int, b Band) float64 {
 	for i, mag := range spectrum {
 		f := float64(i) * binHz
 		if f >= b.LowHz && f < b.HighHz {
-			sum += mag * mag
+			sum += float64(mag * mag)
 			n++
 		}
 	}
@@ -152,7 +160,7 @@ func SpectralFlux(prev, cur []float64) float64 {
 	var sum float64
 	for i := 0; i < n; i++ {
 		d := cur[i] - prev[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum)
 }
@@ -197,7 +205,7 @@ func SeriesStats(series []float64) Stats {
 	var ss float64
 	for _, v := range series {
 		d := v - st.Mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	st.Std = math.Sqrt(ss / float64(len(series)))
 	return st

@@ -121,7 +121,7 @@ func extractVisual(frames []*videomodel.Frame, v []float64) {
 			} else {
 				l := float64(f.Luma[i])
 				bgSum += l
-				bgSumSq += l * l
+				bgSumSq += float64(l * l)
 				bgN++
 			}
 		}
@@ -129,7 +129,7 @@ func extractVisual(frames []*videomodel.Frame, v []float64) {
 		if bgN > 0 {
 			mean := bgSum / float64(bgN)
 			bgMeanSum += mean
-			bgVarSum += bgSumSq/float64(bgN) - mean*mean
+			bgVarSum += bgSumSq/float64(bgN) - float64(mean*mean)
 		}
 
 		// Luma histogram for histo_change.

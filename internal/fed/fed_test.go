@@ -434,8 +434,8 @@ func loopbackCoordinator(t *testing.T, m *hmmm.Model, k int, opts retrieval.Opti
 // answers bad_request.
 type failingRetriever struct{ err error }
 
-func (f failingRetriever) RetrieveContext(context.Context, retrieval.Query) (*retrieval.Result, error) {
-	return nil, f.err
+func (f failingRetriever) RetrieveInto(context.Context, retrieval.Query, *retrieval.RankBuf) (retrieval.Result, error) {
+	return retrieval.Result{}, f.err
 }
 
 func (f failingRetriever) WithTopK(int) retrieval.Retriever { return f }

@@ -307,11 +307,11 @@ func TestNewEngineIgnoresDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, r := range map[string]retrieval.Retriever{"engine": eng, "WithTopK view": eng.WithTopK(10)} {
-		got, err := r.RetrieveContext(context.Background(), q)
+		got, err := r.RetrieveInto(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Cost.Truncated || !reflect.DeepEqual(got, want) {
+		if got.Cost.Truncated || !reflect.DeepEqual(&got, want) {
 			t.Errorf("%s built with a past deadline: %+v, want %+v", name, got.Cost, want.Cost)
 		}
 	}

@@ -238,9 +238,9 @@ func TestGatherRanksASingleListOutOfOrder(t *testing.T) {
 // TestGatherAdoptsWithoutAllocating pins the in-place contract: lifting
 // and adopting one ranked list allocates nothing, and merging two
 // same-offset lists that share a sequence allocates nothing in Done —
-// the whole gather at most once, for the append in Add when the first
-// list has no spare capacity. MergeRanked allocates exactly once, for
-// its copy.
+// the whole gather once, for the merge array, or not at all with a warm
+// Buf. The merge never writes into a child's spare capacity.
+// MergeRanked allocates exactly once, for its copy.
 func TestGatherAdoptsWithoutAllocating(t *testing.T) {
 	res := &retrieval.Result{Matches: []retrieval.Match{
 		{States: []int{0, 1}, Score: 2}, {States: []int{0, 2}, Score: 1},
@@ -263,25 +263,33 @@ func TestGatherAdoptsWithoutAllocating(t *testing.T) {
 	b := []retrieval.Match{{States: []int{0, 2}, Score: 3}, {States: []int{4}, Score: 0.5}}
 	want := []retrieval.Match{b[0], a[0], b[1]}
 	for _, c := range []struct {
-		spare  int
+		name   string
+		buf    *retrieval.RankBuf
 		allocs float64
-	}{{len(b), 0}, {0, 1}} {
-		// Each run restores the lists Done reordered and overwrote.
-		bufA, bufB := make([]retrieval.Match, len(a), len(a)+c.spare), slices.Clone(b)
+	}{{"fresh storage", nil, 1}, {"a warm Buf", new(retrieval.RankBuf), 0}} {
+		// Each run restores the lists Done reordered and overwrote. The
+		// first list has room for the second, which the merge must leave
+		// alone: a child's array may be a reused buffer's window.
+		bufA, bufB := make([]retrieval.Match, len(a), len(a)+len(b)), slices.Clone(b)
 		var out retrieval.Result
 		allocs := testing.AllocsPerRun(100, func() {
 			copy(bufA, a)
 			copy(bufB, b)
-			g := retrieval.Gather{}
+			g := retrieval.Gather{Buf: c.buf}
 			g.Add(&retrieval.Result{Matches: bufA}, 0)
 			g.Add(&retrieval.Result{Matches: bufB}, 0)
 			out = g.Done(ctx)
 		})
 		if !reflect.DeepEqual(out.Matches, want) {
-			t.Fatalf("merge of two branches: %+v, want %+v", out.Matches, want)
+			t.Fatalf("merge of two branches into %s: %+v, want %+v", c.name, out.Matches, want)
 		}
 		if allocs != c.allocs {
-			t.Fatalf("merge of two branches (spare capacity %d) allocated %.0f times, want %.0f", c.spare, allocs, c.allocs)
+			t.Fatalf("merge of two branches into %s allocated %.0f times, want %.0f", c.name, allocs, c.allocs)
+		}
+		for _, m := range bufA[len(a):cap(bufA)] {
+			if m.States != nil {
+				t.Fatalf("merge into %s wrote into the first list's spare capacity", c.name)
+			}
 		}
 	}
 
@@ -352,13 +360,13 @@ type scriptedRetriever struct {
 	asked   []retrieval.Query
 }
 
-func (r *scriptedRetriever) RetrieveContext(_ context.Context, q retrieval.Query) (*retrieval.Result, error) {
+func (r *scriptedRetriever) RetrieveInto(_ context.Context, q retrieval.Query, _ *retrieval.RankBuf) (retrieval.Result, error) {
 	i := len(r.asked)
 	r.asked = append(r.asked, q)
 	if i < len(r.errs) && r.errs[i] != nil {
-		return nil, r.errs[i]
+		return retrieval.Result{}, r.errs[i]
 	}
-	return r.results[i], nil
+	return *r.results[i], nil
 }
 
 func (r *scriptedRetriever) WithTopK(int) retrieval.Retriever { return r }

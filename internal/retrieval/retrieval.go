@@ -651,10 +651,11 @@ func (e *Engine) RetrieveContext(ctx context.Context, q Query) (*Result, error) 
 	return &res, nil
 }
 
-// RetrieveInto is RetrieveContext ranking into buf: the returned
-// Matches and their slices are carved from buf's storage, which the next
-// RetrieveInto with the same buf overwrites. A nil buf means fresh
-// storage the caller owns, as RetrieveContext returns.
+// RetrieveInto is RetrieveContext ranking into buf, the Retriever
+// method: the returned Matches and their slices are carved from buf's
+// storage, which the next RetrieveInto with the same buf overwrites. A
+// nil buf means fresh storage the caller owns, as RetrieveContext
+// returns.
 func (e *Engine) RetrieveInto(ctx context.Context, q Query, buf *RankBuf) (Result, error) {
 	if err := q.validateFor(e.m.NumConcepts()); err != nil {
 		return Result{}, err

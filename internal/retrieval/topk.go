@@ -189,11 +189,12 @@ func (t *topK) ranking(m *hmmm.Model, buf *RankBuf) []Match {
 }
 
 // RankBuf is storage a retrieval materializes its ranking into
-// (Engine.RetrieveInto): the match array and the four slabs the matches'
-// slices are carved from. A caller that serves one retrieval at a time —
-// a shard server's connection — keeps one and reuses it, so a warm
-// ranking allocates nothing; each use overwrites the ranking the
-// previous one returned. The zero value is ready to use.
+// (Retriever.RetrieveInto): the match array and the four slabs the
+// matches' slices are carved from. A caller that serves one retrieval at
+// a time — a shard server's connection, a Gather that Reset reuses —
+// keeps one and reuses it, so a warm ranking allocates nothing; each use
+// overwrites the ranking the previous one returned. A Gather's Buf keeps
+// only the match array, for its merge. The zero value is ready to use.
 type RankBuf struct {
 	matches []Match
 	states  []int

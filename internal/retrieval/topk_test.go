@@ -227,7 +227,7 @@ func TestWithTopKView(t *testing.T) {
 	for qi, q := range equivQueries(m) {
 		for _, k := range []int{1, 3} {
 			view := eng.WithTopK(k)
-			got, err := view.RetrieveContext(context.Background(), q)
+			got, err := view.RetrieveInto(context.Background(), q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

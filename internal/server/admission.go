@@ -136,12 +136,12 @@ func waitAllowance(budget time.Duration) time.Duration {
 }
 
 // admit blocks until the query's lane grants a slot and returns the
-// release function, or returns a *shedError (mapped to 503 +
-// Retry-After) / the context error. cost is the query's estimated
+// lane, whose release frees it, or returns a *shedError (mapped to 503
+// + Retry-After) / the context error. cost is the query's estimated
 // lattice work; budget its would-be execution deadline — the deadline
 // itself must be started by the caller only after admit returns, so
 // queue wait never burns search budget.
-func (lc *laneController) admit(ctx context.Context, cost int, budget time.Duration) (func(), error) {
+func (lc *laneController) admit(ctx context.Context, cost int, budget time.Duration) (*lane, error) {
 	if cost <= lc.fastCost {
 		return lc.acquire(ctx, &lc.fast, budget)
 	}
@@ -158,32 +158,25 @@ func (lc *laneController) admit(ctx context.Context, cost int, budget time.Durat
 		}
 	}
 	lc.queued.Inc()
-	release, err := lc.acquire(ctx, &lc.heavy, budget)
+	l, err := lc.acquire(ctx, &lc.heavy, budget)
 	lc.queued.Dec()
 	<-lc.queue
-	return release, err
+	return l, err
 }
 
-// acquire takes one slot of l, waiting at most the budget's allowance.
-func (lc *laneController) acquire(ctx context.Context, l *lane, budget time.Duration) (func(), error) {
-	granted := func() func() {
-		l.admitted.Inc()
-		l.inflight.Inc()
-		return func() {
-			l.inflight.Dec()
-			<-l.slots
-		}
-	}
+// acquire takes one slot of l, waiting at most the budget's allowance,
+// and returns l.
+func (lc *laneController) acquire(ctx context.Context, l *lane, budget time.Duration) (*lane, error) {
 	select {
 	case l.slots <- struct{}{}:
-		return granted(), nil
+		return l.granted(), nil
 	default:
 	}
 	timer := time.NewTimer(waitAllowance(budget))
 	defer timer.Stop()
 	select {
 	case l.slots <- struct{}{}:
-		return granted(), nil
+		return l.granted(), nil
 	case <-ctx.Done():
 		l.shed.Inc()
 		return nil, ctx.Err()
@@ -195,6 +188,19 @@ func (lc *laneController) acquire(ctx context.Context, l *lane, budget time.Dura
 			retryAfter: shedRetryAfter(),
 		}
 	}
+}
+
+// granted counts a slot just taken of l and returns l.
+func (l *lane) granted() *lane {
+	l.admitted.Inc()
+	l.inflight.Inc()
+	return l
+}
+
+// release frees the slot admit granted.
+func (l *lane) release() {
+	l.inflight.Dec()
+	<-l.slots
 }
 
 // lanes snapshots the controller for /api/health and /api/stats.

@@ -49,8 +49,8 @@ func TestLaneClassification(t *testing.T) {
 	if got := lc.fast.inflight.Value(); got != 1 {
 		t.Fatalf("fast inflight = %d, want 1", got)
 	}
-	relFast()
-	relHeavy()
+	relFast.release()
+	relHeavy.release()
 	if lc.fast.inflight.Value() != 0 || lc.heavy.inflight.Value() != 0 {
 		t.Error("release did not drain the inflight gauges")
 	}
@@ -61,11 +61,11 @@ func TestLaneClassification(t *testing.T) {
 // waiting.
 func TestHeavyQueueFullShedsImmediately(t *testing.T) {
 	lc := testLaneController(10, 1, 1, 1)
-	release, err := lc.admit(context.Background(), 100, 0)
+	slot, err := lc.admit(context.Background(), 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer release()
+	defer slot.release()
 
 	// One waiter occupies the single queue slot.
 	waiter := make(chan error, 1)
@@ -110,11 +110,11 @@ func TestHeavyQueueFullShedsImmediately(t *testing.T) {
 // useless answer arriving after it expired in queue.
 func TestQueuedShedBeforeDeadline(t *testing.T) {
 	lc := testLaneController(10, 1, 1, 4)
-	release, err := lc.admit(context.Background(), 100, 0)
+	slot, err := lc.admit(context.Background(), 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer release()
+	defer slot.release()
 
 	const budget = 400 * time.Millisecond
 	start := time.Now()
@@ -322,7 +322,7 @@ func TestShedErrorsCarryJitteredHint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer relHeavy()
+	defer relHeavy.release()
 	lc.queue <- struct{}{}
 	defer func() { <-lc.queue }()
 
@@ -342,7 +342,7 @@ func TestShedErrorsCarryJitteredHint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer relFast()
+	defer relFast.release()
 	for i := 0; i < 5; i++ {
 		_, err := lc.admit(context.Background(), 1, 2*time.Millisecond)
 		var shed *shedError

@@ -10,7 +10,6 @@ import (
 
 	"github.com/videodb/hmmm/internal/client"
 	"github.com/videodb/hmmm/internal/coord"
-	"github.com/videodb/hmmm/internal/dataset"
 	"github.com/videodb/hmmm/internal/hmmm"
 	"github.com/videodb/hmmm/internal/retrieval"
 	"github.com/videodb/hmmm/internal/rpc"
@@ -23,19 +22,33 @@ import (
 // two serving shapes end to end.
 func coordPair(t *testing.T, k int) (plain, coordinated *httptest.Server, srv *Server, shardSrvs []*rpc.Server) {
 	t.Helper()
-	c, err := dataset.Build(dataset.Config{Seed: 31, Videos: 5, Shots: 200, Annotated: 50, Fast: true})
+	m := testModel(t)
+	co, shardSrvs := loopbackCoordinator(t, m, k)
+	ps, err := New(Config{Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := hmmm.Build(c.Archive, c.Features, hmmm.BuildOptions{LearnP12: true})
+	cs, err := New(Config{Model: m.Clone(), Coordinator: co})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain = httptest.NewServer(ps.Handler())
+	coordinated = httptest.NewServer(cs.Handler())
+	t.Cleanup(plain.Close)
+	t.Cleanup(coordinated.Close)
+	return plain, coordinated, cs, shardSrvs
+}
+
+// loopbackCoordinator splits m into k shards, serves each from an
+// rpc.Server on loopback TCP, and returns a coordinator over them.
+func loopbackCoordinator(t testing.TB, m *hmmm.Model, k int) (*coord.Coordinator, []*rpc.Server) {
+	t.Helper()
 	shards, err := shard.Split(m, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var transports [][]coord.Transport
+	var shardSrvs []*rpc.Server
 	for i, sh := range shards {
 		svc, err := rpc.NewShardService(sh, i, len(shards), retrieval.Options{}, 1)
 		if err != nil {
@@ -61,20 +74,7 @@ func coordPair(t *testing.T, k int) (plain, coordinated *httptest.Server, srv *S
 		t.Fatal(err)
 	}
 	t.Cleanup(co.Close)
-
-	ps, err := New(Config{Model: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := New(Config{Model: m.Clone(), Coordinator: co})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain = httptest.NewServer(ps.Handler())
-	coordinated = httptest.NewServer(cs.Handler())
-	t.Cleanup(plain.Close)
-	t.Cleanup(coordinated.Close)
-	return plain, coordinated, cs, shardSrvs
+	return co, shardSrvs
 }
 
 // TestCoordQueryMatchesLocal is the HTTP layer of the distributed

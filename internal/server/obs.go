@@ -160,10 +160,12 @@ func routeLabel(r *http.Request) string {
 }
 
 // statusWriter captures the response status code for the request
-// metrics. Unwrap keeps http.ResponseController working through it.
+// metrics. Unwrap keeps http.ResponseController working through it. It
+// lives in its request value, which rq points back to.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	rq     *request
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -202,10 +204,14 @@ func codeClass(status int) string {
 // withObs is the outermost middleware: it observes every response the
 // stack produces, including recovery's 500s and admission's shed 503s,
 // attributing each to its normalized route and status class with its
-// wall-clock latency.
+// wall-clock latency. It takes the request's pooled value, whose
+// statusWriter the handlers write through, and releases it once the
+// response is written.
 func (s *Server) withObs(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
+		rq := requests.Get().(*request)
+		sw := &rq.sw
+		sw.ResponseWriter = w
 		start := time.Now()
 		h.ServeHTTP(sw, r)
 		if sw.status == 0 {
@@ -215,6 +221,7 @@ func (s *Server) withObs(h http.Handler) http.Handler {
 		route := routeLabel(r)
 		s.metrics.requests.With(route, codeClass(sw.status)).Inc()
 		s.metrics.latency.With(route).ObserveDuration(time.Since(start))
+		rq.release()
 	})
 }
 

@@ -769,28 +769,86 @@ type queryOutcome struct {
 	fresh int
 }
 
+// request is the server-side state of one HTTP request, taken from
+// requests by withObs and released once the response is written: the
+// statusWriter the request metrics read and, for /api/query, what the
+// retrieval ranks into — the gather with its per-branch buffers and
+// merge array, the engine, delta and coordinator views by value, and
+// the outcome. A warm query allocates none of them. The outcome's
+// matches live in the gather's buffers and its engine is the value's
+// own, so an outcome a coalesced waiter shares keeps its value out of
+// the pool: the waiter may still be rendering from it, and the GC takes
+// the value once both are done.
+type request struct {
+	sw     statusWriter
+	gather retrieval.Gather
+	merge  retrieval.RankBuf
+	engine retrieval.Engine
+	delta  retrieval.Engine
+	coord  coord.Coordinator
+	out    queryOutcome
+	// shared marks out as read by a coalesced waiter.
+	shared bool
+}
+
+var requests = sync.Pool{New: func() any {
+	rq := new(request)
+	rq.sw.rq = rq
+	rq.gather.Buf = &rq.merge
+	return rq
+}}
+
+// requestOf returns the request value withObs took for w. A handler
+// mounted without withObs (a benchmark's bare mux) gets a fresh one,
+// which the GC takes.
+func requestOf(w http.ResponseWriter) *request {
+	if sw, ok := w.(*statusWriter); ok {
+		return sw.rq
+	}
+	return requests.New().(*request)
+}
+
+// release returns rq to requests unless a waiter shares its outcome.
+// It drops the gather's buffers when one large ranking grew them past
+// maxKeptBuf, and every reference into the request's snapshot and
+// writer.
+func (rq *request) release() {
+	if rq.shared {
+		return
+	}
+	rq.gather.Trim(maxKeptBuf)
+	rq.gather.Reset(0, time.Time{})
+	rq.engine, rq.delta = retrieval.Engine{}, retrieval.Engine{}
+	rq.coord = coord.Coordinator{}
+	rq.out = queryOutcome{}
+	rq.sw.ResponseWriter, rq.sw.status = nil, 0
+	requests.Put(rq)
+}
+
 // executeQuery runs one query through the coalescer (or directly when
 // coalescing is off — a nil group passes through). The key pins the
 // model generation of the snapshot loaded HERE: the leader executes on
 // exactly this snapshot, so two requests straddling a retrain publish
-// never share a result one of them could prove stale.
-func (s *Server) executeQuery(ctx context.Context, req QueryRequest, canonical string,
+// never share a result one of them could prove stale. A leader ranks
+// into rq; a waiter's outcome is its leader's.
+func (s *Server) executeQuery(ctx context.Context, rq *request, req QueryRequest, canonical string,
 	queries []retrieval.Query, scope *retrieval.Scope, opts retrieval.Options,
 	budget time.Duration) (*queryOutcome, error) {
 	snap := s.current.Load()
 	key := coalesce.QueryKey(snap.gen, snap.delta.Generation(), canonical, opts, scope, int64(budget))
-	out, _, err := s.coalescer.Do(ctx, key, func(execCtx context.Context) (*queryOutcome, error) {
-		return s.runQuery(execCtx, req, snap, queries, scope, opts, budget)
+	out, shared, err := s.coalescer.Do(ctx, key, func(execCtx context.Context) (*queryOutcome, error) {
+		return s.runQuery(execCtx, rq, req, snap, queries, scope, opts, budget)
 	})
+	rq.shared = shared && out == &rq.out
 	return out, err
 }
 
 // runQuery is the leader body of one query execution: lane admission,
-// deadline start, retrieval over every compiled pattern, merge, and
-// slow-query accounting. ctx is the coalescer's execution context — it
-// stays live until every participant has gone, so one impatient waiter
-// never cancels a retrieval others still want.
-func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
+// deadline start, retrieval over every compiled pattern into rq, merge,
+// and slow-query accounting. ctx is the coalescer's execution context —
+// it stays live until every participant has gone, so one impatient
+// waiter never cancels a retrieval others still want.
+func (s *Server) runQuery(ctx context.Context, rq *request, req QueryRequest, snap *snapshot,
 	queries []retrieval.Query, scope *retrieval.Scope, opts retrieval.Options,
 	budget time.Duration) (*queryOutcome, error) {
 	// With the slow-query log enabled, attach a per-request trace so a
@@ -814,11 +872,11 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
 			q.Scope = scope
 			est += view.EstimateCost(q)
 		}
-		release, err := s.lanes.admit(ctx, est, budget)
+		slot, err := s.lanes.admit(ctx, est, budget)
 		if err != nil {
 			return nil, err
 		}
-		defer release()
+		defer slot.release()
 	}
 	// The budget travels as a deadline value in the views' options: the
 	// engines poll it where they poll ctx, so no timer is built. ctx
@@ -827,21 +885,25 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
 		opts.Deadline = time.Now().Add(budget)
 	}
 
-	// Per-request tuning is a view sharing the snapshot engine's caches.
-	engine := snap.engine.WithOptions(opts)
-	var search retrieval.Retriever = engine
+	// Per-request tuning is a view sharing the snapshot engine's caches,
+	// kept by value in rq: copied out of WithOptions, it is never put on
+	// the heap.
+	rq.engine = *snap.engine.WithOptions(opts)
+	var search retrieval.Retriever = &rq.engine
 	if s.coordinator != nil {
 		// Coordinator mode: retrieval scatters over remote shard servers.
 		// Observer options (Metrics, Trace) stay local — the coordinator
 		// strips them from the wire request and records hmmm_coord_*
 		// instead; the local engine above still serves Explain.
-		search = s.coordinator.WithOptions(opts)
+		rq.coord = *s.coordinator.WithOptions(opts)
+		search = &rq.coord
 	}
 
 	// An MATN may compile to several linear patterns (alternation,
 	// optional steps), and a live delta adds one more list per pattern;
 	// the gather merges those lists, deduplicated by state sequence.
-	gather := retrieval.Gather{TopK: opts.TopK, Deadline: opts.Deadline}
+	gather := &rq.gather
+	gather.Reset(opts.TopK, opts.Deadline)
 	if err := gather.Search(ctx, search, queries, scope, 0); err != nil {
 		return nil, err
 	}
@@ -849,7 +911,8 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
 	// sub-model, one more (small) child of the gather at its offset; a
 	// spent deadline skips it exactly like a later alternation branch.
 	if snap.delta != nil && !gather.Truncated() {
-		if err := gather.Search(ctx, snap.delta.Engine.WithOptions(opts), queries, scope, snap.delta.Offset); err != nil {
+		rq.delta = *snap.delta.Engine.WithOptions(opts)
+		if err := gather.Search(ctx, &rq.delta, queries, scope, snap.delta.Offset); err != nil {
 			return nil, err
 		}
 	}
@@ -857,7 +920,8 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest, snap *snapshot,
 	if qtrace != nil {
 		s.recordSlowQuery(req, qtrace, time.Since(qstart), len(res.Matches), len(queries), res.Cost, opts)
 	}
-	return &queryOutcome{snap: snap, engine: engine, matches: res.Matches, cost: res.Cost, fresh: snap.delta.Len()}, nil
+	rq.out = queryOutcome{snap: snap, engine: &rq.engine, matches: res.Matches, cost: res.Cost, fresh: snap.delta.Len()}
+	return &rq.out, nil
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -886,7 +950,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// runQuery, after admission. It participates in the coalesce key so
 	// every rider shares the leader's truncation behavior.
 	budget := s.effectiveQueryTimeout(req.TimeoutMS)
-	out, err := s.executeQuery(r.Context(), req, pattern.canonical, queries, scope, s.queryOptions(req), budget)
+	out, err := s.executeQuery(r.Context(), requestOf(w), req, pattern.canonical, queries, scope, s.queryOptions(req), budget)
 	if err != nil {
 		var shed *shedError
 		switch {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"github.com/videodb/hmmm/internal/api"
+	"github.com/videodb/hmmm/internal/live"
 	"github.com/videodb/hmmm/internal/matn"
 	"github.com/videodb/hmmm/internal/retrieval"
 	"github.com/videodb/hmmm/internal/videomodel"
@@ -44,20 +46,30 @@ func queryBody(t testing.TB, req QueryRequest) []byte {
 // retrieval, merge, response build and encode — and not the test's
 // request or response writer, whose construction varies between Go
 // releases. Each is the value measured with go1.24.0 on linux/amd64
-// plus 5% slack.
+// plus 5% slack, rounded up.
 const (
-	// maxQueryAllocs is one linear pattern: 19 measured (26 while the
+	// maxQueryAllocs is one linear pattern: 6 measured (19 while each
+	// request ranked into fresh storage and the shell, the coalesce
+	// leader and the lane release allocated per request, 26 while the
 	// budget was a timer context, 46–47 before the canonical request
 	// decoder and the response appender, 60–61 before the engine
 	// materialized only the ranking it returns, 122–123 before the
 	// pattern memo, merge skip and slab build).
-	maxQueryAllocs = 20
+	maxQueryAllocs = 7
 	// maxAltQueryAllocs is an alternation whose optional step compiles
 	// to several linear patterns, so the gather merges their rankings:
-	// 38 measured (45 while the budget was a timer context, 65–66
-	// before the request decoder and response appender, 118 before the
-	// merge ran in place).
-	maxAltQueryAllocs = 40
+	// 6 measured (38 before the pooled request value, 45 while the
+	// budget was a timer context, 65–66 before the request decoder and
+	// response appender, 118 before the merge ran in place).
+	maxAltQueryAllocs = 7
+	// maxLiveQueryAllocs is the linear pattern on a server whose live
+	// delta holds an ingested video, so the gather has a main child and
+	// a delta child: 6 measured.
+	maxLiveQueryAllocs = 7
+	// maxCoordQueryAllocs is the linear pattern in coordinator mode over
+	// two loopback rpc shard servers: 27 measured, nearly all of them the
+	// scatter, the two exchanges and the decoded shard answers.
+	maxCoordQueryAllocs = 29
 )
 
 // sinkWriter is a ResponseWriter that keeps the status and body length
@@ -74,24 +86,41 @@ func (w *sinkWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p)
 
 // TestQueryHandlerAllocs pins the /api/query path's allocation count so
 // a regression in the shell (a per-match or per-step allocation, a
-// per-request parse) or in the merge of several compiled patterns fails
-// the build rather than a benchmark.
+// per-request parse), in the merge of several compiled patterns or of a
+// live delta, or in the coordinator's scatter fails the build rather
+// than a benchmark.
 func TestQueryHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
-	s, err := New(Config{Model: testModel(t), Coalesce: true, FastLaneCost: 1000,
-		MaxInflight: 64, QueryTimeout: 10 * time.Second})
+	served := Config{Coalesce: true, FastLaneCost: 1000, MaxInflight: 64, QueryTimeout: 10 * time.Second}
+	cfg := served
+	cfg.Model = testModel(t)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := s.Handler()
+	ls, lts := newLiveServer(t, live.Config{LogPath: filepath.Join(t.TempDir(), "journal")}, served)
+	mustIngest(t, lts, "alloc-live", 41)
+	if d := ls.current.Load().delta; d.Len() == 0 {
+		t.Fatal("the live server serves no delta")
+	}
+	cfg = served
+	cfg.Model = testModel(t)
+	cfg.Coordinator, _ = loopbackCoordinator(t, cfg.Model, 2)
+	cs, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
-		pattern string
-		ceiling int
+		name, pattern string
+		h             http.Handler
+		ceiling       int
 	}{
-		{"goal -> free_kick", maxQueryAllocs},
-		{"goal | foul -> free_kick?", maxAltQueryAllocs},
+		{"linear", "goal -> free_kick", s.Handler(), maxQueryAllocs},
+		{"alternation", "goal | foul -> free_kick?", s.Handler(), maxAltQueryAllocs},
+		{"live delta", "goal -> free_kick", ls.Handler(), maxLiveQueryAllocs},
+		{"coordinator", "goal -> free_kick", cs.Handler(), maxCoordQueryAllocs},
 	} {
 		body := queryBody(t, QueryRequest{Pattern: c.pattern, TopK: 10})
 		// One request and one writer serve every run; the body-cap
@@ -108,17 +137,17 @@ func TestQueryHandlerAllocs(t *testing.T) {
 			req.Body = rc
 			clear(w.header)
 			w.code, w.n = 0, 0
-			h.ServeHTTP(w, req)
+			c.h.ServeHTTP(w, req)
 			if w.code != http.StatusOK || w.n == 0 {
-				t.Fatalf("%q: status %d, %d body bytes", c.pattern, w.code, w.n)
+				t.Fatalf("%s %q: status %d, %d body bytes", c.name, c.pattern, w.code, w.n)
 			}
 		}
-		run() // warm the pattern memo, the engine's caches and the buffer pool
+		run() // warm the pattern memo, the engine's caches and the pools
 		if got := testing.AllocsPerRun(200, run); got > float64(c.ceiling) {
-			t.Errorf("/api/query %q allocates %.1f times per request, ceiling %d (measured with go1.24.0, running %s)",
-				c.pattern, got, c.ceiling, runtime.Version())
+			t.Errorf("/api/query %s %q allocates %.1f times per request, ceiling %d (measured with go1.24.0, running %s)",
+				c.name, c.pattern, got, c.ceiling, runtime.Version())
 		} else {
-			t.Logf("/api/query %q allocates %.1f times per request (ceiling %d)", c.pattern, got, c.ceiling)
+			t.Logf("/api/query %s %q allocates %.1f times per request (ceiling %d)", c.name, c.pattern, got, c.ceiling)
 		}
 	}
 }

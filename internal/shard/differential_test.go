@@ -342,7 +342,7 @@ func TestGroupWithTopK(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := view.RetrieveContext(context.Background(), q)
+				got, err := view.RetrieveInto(context.Background(), q, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

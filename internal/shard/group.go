@@ -117,9 +117,20 @@ func (g *Group) Retrieve(q retrieval.Query) (*retrieval.Result, error) {
 	return g.RetrieveContext(context.Background(), q)
 }
 
-// RetrieveContext scatters q across the shard engines and gathers the
-// per-shard rankings into one global ranking; see the Group docs for
-// the sharded semantics. The scatter reuses the internal/par fan-out
+// RetrieveContext is RetrieveInto with fresh storage.
+func (g *Group) RetrieveContext(ctx context.Context, q retrieval.Query) (*retrieval.Result, error) {
+	res, err := g.RetrieveInto(ctx, q, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
+
+// RetrieveInto scatters q across the shard engines and gathers the
+// per-shard rankings into one global ranking, merging several in buf's
+// match array (the Retriever method; the shards rank concurrently, in
+// fresh storage); see the Group docs for the sharded semantics. The
+// scatter reuses the internal/par fan-out
 // (each shard writes only its own slot, so the merged result is
 // bit-identical for every GOMAXPROCS), and the retrieval.Gather lifts
 // each shard's state ids by the shard's offset into parent-model ids
@@ -127,15 +138,15 @@ func (g *Group) Retrieve(q retrieval.Query) (*retrieval.Result, error) {
 // every shard engine; a shard it (or the request context) stops
 // contributes its partial ranking and marks the merged Cost.Truncated,
 // like a truncated single-engine retrieval.
-func (g *Group) RetrieveContext(ctx context.Context, q retrieval.Query) (*retrieval.Result, error) {
+func (g *Group) RetrieveInto(ctx context.Context, q retrieval.Query, buf *retrieval.RankBuf) (retrieval.Result, error) {
 	if err := q.Validate(); err != nil {
-		return nil, err
+		return retrieval.Result{}, err
 	}
 	endScatter := g.opts.Trace.Span("scatter")
-	results := make([]*retrieval.Result, len(g.engines))
+	results := make([]retrieval.Result, len(g.engines))
 	errs := make([]error, len(g.engines))
 	par.For(len(g.engines), func(i int) {
-		res, err := g.engines[i].RetrieveContext(ctx, q)
+		res, err := g.engines[i].RetrieveInto(ctx, q, nil)
 		if err != nil {
 			errs[i] = fmt.Errorf("shard %d: %w", i, err)
 			return
@@ -144,15 +155,14 @@ func (g *Group) RetrieveContext(ctx context.Context, q retrieval.Query) (*retrie
 	})
 	endScatter()
 	if err := par.FirstErr(errs); err != nil {
-		return nil, err
+		return retrieval.Result{}, err
 	}
 
 	endMerge := g.opts.Trace.Span("merge")
 	defer endMerge()
-	gather := retrieval.Gather{TopK: g.opts.TopK, Deadline: g.opts.Deadline}
-	for i, res := range results {
-		gather.Add(res, g.shards[i].Offset)
+	gather := retrieval.Gather{TopK: g.opts.TopK, Deadline: g.opts.Deadline, Buf: buf}
+	for i := range results {
+		gather.Add(&results[i], g.shards[i].Offset)
 	}
-	out := gather.Done(ctx)
-	return &out, nil
+	return gather.Done(ctx), nil
 }

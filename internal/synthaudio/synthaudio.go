@@ -78,14 +78,14 @@ func Synthesize(rng *xrand.RNG, class videomodel.Event, durationMS int) *videomo
 	for i := 0; i < n; i++ {
 		t := float64(i) / SampleRate
 		white := rng.Norm(0, 1)
-		lp = lpA*lp + (1-lpA)*white
+		lp = float64(lpA*lp) + float64((1-lpA)*white)
 
-		amp := base * (1 + excite*math.Sin(2*math.Pi*lfoHz*t+lfoPhase))
+		amp := float64(base * (1 + float64(excite*math.Sin(float64(2*math.Pi*lfoHz*t)+lfoPhase))))
 		if p.Roar > 0 {
 			pos := float64(i) / float64(n)
-			amp += p.Roar * roarEnvelope(pos, roarPeak)
+			amp += float64(p.Roar * roarEnvelope(pos, roarPeak))
 		}
-		samples[i] += amp * lp * 3 // low-pass attenuates; rescale
+		samples[i] += float64(amp * lp * 3) // low-pass attenuates; rescale
 	}
 
 	// Referee whistle: a 2.2-2.8 kHz tone burst in the first half second,
@@ -98,8 +98,8 @@ func Synthesize(rng *xrand.RNG, class videomodel.Event, durationMS int) *videomo
 		for i := start; i < start+dur && i < n; i++ {
 			t := float64(i-start) / SampleRate
 			env := math.Sin(math.Pi * float64(i-start) / float64(dur)) // fade in/out
-			vib := 1 + 0.01*math.Sin(2*math.Pi*30*t)
-			samples[i] += level * env * math.Sin(2*math.Pi*f0*vib*t)
+			vib := 1 + float64(0.01*math.Sin(2*math.Pi*30*t))
+			samples[i] += float64(level * env * math.Sin(2*math.Pi*f0*vib*t))
 		}
 	}
 
@@ -107,10 +107,10 @@ func Synthesize(rng *xrand.RNG, class videomodel.Event, durationMS int) *videomo
 	if p.Boo > 0 {
 		phase := 0.0
 		for i := 0; i < n; i++ {
-			freq := 150 + 100*math.Abs(math.Sin(float64(i)/7000))
+			freq := 150 + float64(100*math.Abs(math.Sin(float64(i)/7000)))
 			phase += 2 * math.Pi * freq / SampleRate
-			env := 0.5 + 0.5*math.Sin(float64(i)/4000+1)
-			samples[i] += p.Boo * env * 0.5 * math.Sin(phase+0.3*rng.Norm(0, 1))
+			env := 0.5 + float64(0.5*math.Sin(float64(i)/4000+1))
+			samples[i] += float64(p.Boo * env * 0.5 * math.Sin(phase+float64(0.3*rng.Norm(0, 1))))
 		}
 	}
 
@@ -123,8 +123,8 @@ func Synthesize(rng *xrand.RNG, class videomodel.Event, durationMS int) *videomo
 		for i := 0; i < n; i++ {
 			t := float64(i) / SampleRate
 			gate := math.Max(0, math.Sin(2*math.Pi*sylHz*t))
-			v := math.Sin(2*math.Pi*f0*t) + 0.5*math.Sin(2*math.Pi*2*f0*t) + 0.25*math.Sin(2*math.Pi*3*f0*t)
-			samples[i] += p.Speech * gate * v * 0.5
+			v := math.Sin(2*math.Pi*f0*t) + float64(0.5*math.Sin(2*math.Pi*2*f0*t)) + float64(0.25*math.Sin(2*math.Pi*3*f0*t))
+			samples[i] += float64(p.Speech * gate * v * 0.5)
 		}
 	}
 

@@ -148,7 +148,7 @@ func GenerateArchive(cfg ArchiveConfig) (*videomodel.Archive, map[videomodel.Sho
 		pick := func(base []float64) videomodel.Event {
 			total := 0.0
 			for i := range weights {
-				weights[i] = base[i] * boost[i]
+				weights[i] = float64(base[i] * boost[i])
 				total += weights[i]
 			}
 			if total == 0 {

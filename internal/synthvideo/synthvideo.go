@@ -118,7 +118,7 @@ func (r *Renderer) RenderShot(rng *xrand.RNG, class videomodel.Event, durationMS
 	// Per-shot jitter: every shot of a class looks similar but not
 	// identical, exactly like real footage.
 	grass := clamp01(p.GrassFrac + rng.Norm(0, 0.05))
-	pan := p.PanSpeed * rng.Range(0.7, 1.3)
+	pan := float64(p.PanSpeed * rng.Range(0.7, 1.3))
 	bgMean := p.BgMean + rng.Norm(0, 5)
 	bgStd := p.BgStd * rng.Range(0.8, 1.2)
 	flicker := p.Flicker * rng.Range(0.7, 1.3)

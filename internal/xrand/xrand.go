@@ -61,7 +61,7 @@ func (r *RNG) Intn(n int) int {
 
 // Range returns a uniform value in [lo, hi).
 func (r *RNG) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Norm returns a normally distributed value with the given mean and
@@ -73,7 +73,7 @@ func (r *RNG) Norm(mean, std float64) float64 {
 	}
 	u2 := r.Float64()
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + std*z
+	return mean + float64(std*z)
 }
 
 // Bool returns true with probability p.
