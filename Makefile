@@ -68,13 +68,15 @@ examples:
 # The Go spec lets a compiler fuse x*y + z into one rounding; amd64's
 # never does, so every bit-identity gate and frozen record here is an
 # amd64 fact unless the other targets compute the same bits. fma-check
-# cross-compiles the numeric packages, and those that generate every
+# cross-compiles the numeric packages, those that generate every
 # golden's inputs (the synthetic archive, its audio and its features),
-# for every GOARCH whose compiler fuses (offline: the toolchain builds the standard library from
+# and the ingest classifier, clustering, shot detection, the metrics
+# histogram, the experiment tables and the recall statistics, for every
+# GOARCH whose compiler fuses (offline: the toolchain builds the standard library from
 # GOROOT) and fails on any fused multiply-add in their assembly,
 # printing its file:line. An explicit float64(x*y) conversion forbids
 # the fusion.
-FMA_PKGS := retrieval hmmm mmm matrix xrand synthvideo synthaudio features dsp
+FMA_PKGS := retrieval hmmm mmm matrix xrand synthvideo synthaudio features dsp mining obs experiments cluster shotdetect retrieval/retrievaltest
 FMA_ARCHES := arm64 ppc64le s390x riscv64 loong64
 fma-check:
 	@ok=1; for arch in $(FMA_ARCHES); do \

@@ -2,38 +2,45 @@ package coord
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"runtime"
 	"testing"
 	"time"
 
+	"github.com/videodb/hmmm/internal/hmmm"
 	"github.com/videodb/hmmm/internal/retrieval"
 	"github.com/videodb/hmmm/internal/retrieval/retrievaltest"
 	"github.com/videodb/hmmm/internal/rpc"
 	"github.com/videodb/hmmm/internal/shard"
 )
 
-// maxRetrieveAllocs is the allocation ceiling of one warm
-// Coordinator.RetrieveContext over two loopback rpc.Server shards, as
-// hmmmd runs it under a query deadline. It counts the whole process: the
-// coordinator, both rpc clients, and both shard servers' decode,
-// retrieval and encode. Measured with go1.24.0 on linux/amd64: 20, plus
-// 5% slack (44 when every exchange copied the request to set its budget
-// and boxed its response, and every shard server built a new request,
-// response and ranking per request; 68 when each shard server also
-// built a timer context for the budget and each step of the Events
-// query was copied on every validation; 87 when every exchange also
-// allocated a timeout context, a cancellation closure and its flag).
-const maxRetrieveAllocs = 21
+// maxRetrieveAllocs is the allocation ceiling of one warm two-shard
+// Coordinator.RetrieveInto into a kept RankBuf over loopback rpc.Server
+// shards, as hmmmd runs it under a query deadline. It counts the whole
+// process: the coordinator, both rpc clients, and both shard servers'
+// decode, retrieval and encode. Measured with go1.24.0 on linux/amd64:
+// 5 — the one shard goroutine's closure and each exchange's two-part
+// cancellation watcher — plus 5% slack, rounded up (19 when every
+// exchange decoded into fresh storage and every query built its request,
+// outcomes and WaitGroup; 44 when every exchange also copied the request
+// to set its budget and boxed its response, and every shard server built
+// a new request, response and ranking per request; 68 when each shard
+// server also built a timer context for the budget and each step of the
+// Events query was copied on every validation; 87 when every exchange
+// also allocated a timeout context, a cancellation closure and its
+// flag).
+const maxRetrieveAllocs = 6
 
-// TestCoordinatorRetrieveAllocs pins the fleet query's allocations, so
-// a per-attempt context or per-exchange closure cannot quietly return.
-func TestCoordinatorRetrieveAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under -race")
-	}
-	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 38, Videos: 6})
-	shards, err := shard.Split(m, 2)
+// maxPerShardAllocs bounds what one more shard adds to a warm query: its
+// goroutine's closure and its exchange's cancellation watcher (3).
+const maxPerShardAllocs = 3
+
+// loopbackFleet starts k rpc.Server shards of m on loopback listeners
+// and returns a coordinator over them.
+func loopbackFleet(t *testing.T, m *hmmm.Model, k int) *Coordinator {
+	t.Helper()
+	shards, err := shard.Split(m, k)
 	if err != nil {
 		t.Fatalf("split: %v", err)
 	}
@@ -57,22 +64,48 @@ func TestCoordinatorRetrieveAllocs(t *testing.T) {
 		t.Fatalf("coordinator: %v", err)
 	}
 	t.Cleanup(c.Close)
+	return c
+}
 
-	// hmmmd hands the coordinator its query deadline as a value.
+// queryAllocs measures one warm RetrieveInto of q on c into one kept
+// RankBuf, under a query deadline as hmmmd hands it over.
+func queryAllocs(t *testing.T, c *Coordinator, q retrieval.Query) float64 {
+	t.Helper()
 	view := c.WithOptions(retrieval.Options{TopK: 10, Deadline: time.Now().Add(time.Minute)})
 	ctx := context.Background()
-	q := retrievaltest.Queries(m)[0]
+	var buf retrieval.RankBuf
 	run := func() {
-		res, err := view.RetrieveContext(ctx, q)
-		if err != nil || res.Cost.Truncated {
-			t.Fatalf("fleet query: err %v, cost %+v", err, res.Cost)
+		res, err := view.RetrieveInto(ctx, q, &buf)
+		if err != nil || res.Cost.Truncated || len(res.Matches) == 0 {
+			t.Fatalf("fleet query: err %v, %d matches, cost %+v", err, len(res.Matches), res.Cost)
 		}
 	}
-	run() // dial both shards and warm their engines
-	if got := testing.AllocsPerRun(200, run); got > maxRetrieveAllocs {
-		t.Errorf("Coordinator.RetrieveContext allocates %.1f times per query, ceiling %d (measured with go1.24.0, running %s)",
+	run() // dial every shard and warm the engines and the buffer
+	return testing.AllocsPerRun(200, run)
+}
+
+// TestCoordinatorRetrieveAllocs pins the fleet query's allocations, so
+// a per-attempt context, a per-exchange closure or a per-shard decode
+// cannot quietly return, and sweeps 2, 3 and 4 loopback shards to pin
+// what each further shard costs.
+func TestCoordinatorRetrieveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	m := retrievaltest.RandomModel(t, retrievaltest.Config{Seed: 38, Videos: 6})
+	q := retrievaltest.Queries(m)[0]
+	counts := map[int]float64{}
+	for _, k := range []int{2, 3, 4} {
+		counts[k] = queryAllocs(t, loopbackFleet(t, m, k), q)
+		t.Logf("%d shards: Coordinator.RetrieveInto allocates %.1f times per query", k, counts[k])
+	}
+	if got := counts[2]; got > maxRetrieveAllocs {
+		t.Errorf("two-shard Coordinator.RetrieveInto allocates %.1f times per query, ceiling %d (measured with go1.24.0, running %s)",
 			got, maxRetrieveAllocs, runtime.Version())
-	} else {
-		t.Logf("Coordinator.RetrieveContext allocates %.1f times per query (ceiling %d)", got, maxRetrieveAllocs)
+	}
+	for _, k := range []int{3, 4} {
+		if slope := counts[k] - counts[k-1]; slope > maxPerShardAllocs {
+			t.Errorf("shard %d adds %.1f allocations per query, ceiling %d: %s", k, slope, maxPerShardAllocs, fmt.Sprint(counts))
+		}
 	}
 }

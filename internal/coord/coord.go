@@ -32,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -135,6 +136,9 @@ type Coordinator struct {
 
 	rngMu *sync.Mutex
 	rng   *rand.Rand
+	// scatters holds released scatter states for reuse; shared with
+	// WithOptions views.
+	scatters *sync.Pool
 	// domain is the event vocabulary every endpoint reported at the
 	// last successful WaitReady; shared with WithOptions views.
 	domain *atomic.Pointer[string]
@@ -152,12 +156,13 @@ func New(transports [][]Transport, baseOpts retrieval.Options, copts Options) (*
 	baseOpts.Deadline = time.Time{}
 	copts = copts.withDefaults()
 	c := &Coordinator{
-		opts:   baseOpts,
-		copts:  copts,
-		met:    copts.Metrics,
-		rngMu:  &sync.Mutex{},
-		rng:    rand.New(rand.NewSource(int64(copts.Seed))),
-		domain: &atomic.Pointer[string]{},
+		opts:     baseOpts,
+		copts:    copts,
+		met:      copts.Metrics,
+		rngMu:    &sync.Mutex{},
+		rng:      rand.New(rand.NewSource(int64(copts.Seed))),
+		scatters: &sync.Pool{New: func() any { return new(scatterState) }},
+		domain:   &atomic.Pointer[string]{},
 	}
 	for i, group := range transports {
 		if len(group) == 0 {
@@ -254,15 +259,17 @@ func (c *Coordinator) RetrieveContext(ctx context.Context, q retrieval.Query) (*
 }
 
 // RetrieveInto scatters q over the remote shards and gathers the
-// rankings, merging several in buf's match array (the Retriever
-// method; the matches' slices are the shards' decoded answers). Shard
-// failures degrade the result (Cost.Truncated +
-// Cost.DegradedShards); the query's own deadline (the view's
-// Options.Deadline, or ctx's) truncates it without degrading it. The
-// errors returned are q's own validation failures and a shard's
-// bad_request refusal: q has already passed validation here, so a
-// refusal means the shard server is configured differently from this
-// coordinator (a coarse prefilter mismatch, say), which every later
+// rankings (the Retriever method): shard i's answer is decoded into
+// buf's child buffer i (RankBuf.Children), and several are merged in
+// buf's match array, so with a kept buf a warm query allocates no
+// ranking storage; a nil buf means fresh storage. An answer a hedge won
+// stays in the hedge's own fresh storage. Shard failures degrade the
+// result (Cost.Truncated + Cost.DegradedShards); the query's own
+// deadline (the view's Options.Deadline, or ctx's) truncates it without
+// degrading it. The errors returned are q's own validation failures and
+// a shard's bad_request refusal: q has already passed validation here,
+// so a refusal means the shard server is configured differently from
+// this coordinator (a coarse prefilter mismatch, say), which every later
 // query would hit too — the error names the shard and carries the
 // server's message instead of silently emptying results.
 func (c *Coordinator) RetrieveInto(ctx context.Context, q retrieval.Query, buf *retrieval.RankBuf) (retrieval.Result, error) {
@@ -272,9 +279,11 @@ func (c *Coordinator) RetrieveInto(ctx context.Context, q retrieval.Query, buf *
 	if c.met != nil {
 		c.met.Queries.Inc()
 	}
-	req := &rpc.RetrieveRequest{Query: q, Options: rpc.FromOptions(c.opts)}
-	outs := make([]shardOut, len(c.sets))
-	c.scatter(ctx, req, outs, nil)
+	st := c.scatters.Get().(*scatterState)
+	defer c.recycle(st)
+	st.prepare(q, c.opts, buf, len(c.sets))
+	outs := st.outs
+	c.scatter(ctx, st, nil)
 
 	// Generation consistency: never merge rankings computed on
 	// different model generations. Stale shards are re-queried (a
@@ -300,7 +309,7 @@ func (c *Coordinator) RetrieveInto(ctx context.Context, q retrieval.Query, buf *
 		if len(stale) == 0 {
 			break
 		}
-		c.scatter(ctx, req, outs, stale)
+		c.scatter(ctx, st, stale)
 	}
 
 	target := maxGen()
@@ -342,50 +351,118 @@ func (c *Coordinator) RetrieveInto(ctx context.Context, q retrieval.Query, buf *
 	return out, nil
 }
 
+// scatterState is one query's scatter storage: the request every
+// exchange of the query encodes (with its own copy of the query's
+// scope), each shard's outcome, and the wait for the shards'
+// goroutines. A query takes one from the coordinator's pool and
+// recycle hands it back, so a warm query allocates none of it.
+type scatterState struct {
+	req   rpc.RetrieveRequest
+	scope retrieval.Scope
+	outs  []shardOut
+	wg    sync.WaitGroup
+}
+
 // shardOut is the outcome of one shard's retry loop: the response every
-// exchange for the shard decodes into (read only when err is nil).
+// exchange for the shard decodes into (read only when err is nil), and
+// whether an attempt launched a hedge.
 type shardOut struct {
 	resp rpc.RetrieveResponse
 	err  error
+	// hedged marks a shard whose hedge timer fired: the hedge may still
+	// be encoding the state's request after the query returns.
+	hedged bool
+}
+
+// prepare readies st for q over n shards: shard i decodes into buf's
+// child buffer i, or fresh storage when buf is nil.
+func (st *scatterState) prepare(q retrieval.Query, opts retrieval.Options, buf *retrieval.RankBuf, n int) {
+	st.req = rpc.RetrieveRequest{Query: q, Options: rpc.FromOptions(opts)}
+	if q.Scope != nil {
+		// A hedge that outlives the query still reads the scope, which
+		// the caller may reuse once the query has returned.
+		st.scope = *q.Scope
+		st.req.Query.Scope = &st.scope
+	}
+	if cap(st.outs) < n {
+		st.outs = make([]shardOut, n)
+	}
+	st.outs = st.outs[:n]
+	kids := buf.Children(n)
+	for i := range st.outs {
+		st.outs[i] = shardOut{}
+		if kids != nil {
+			st.outs[i].resp.Rank = &kids[i]
+		}
+	}
+}
+
+// poisonedOut is what a race build leaves in a recycled state's
+// outcomes: a success from a generation no shard serves, with a NaN
+// match, so a read after release corrupts the ranking visibly.
+var poisonedOut = shardOut{resp: rpc.RetrieveResponse{
+	Matches:    []retrieval.Match{{Score: math.NaN(), States: []int{-1}}},
+	Generation: math.MaxUint64,
+	Shard:      -1,
+}}
+
+// recycle hands st back for another query, zeroing its request and
+// dropping its outcomes (a race build poisons them), unless one of its
+// shards launched a hedge: that hedge may still be encoding st.req, so
+// st is left to the GC. The outcomes' rankings live in the caller's
+// buffer or in fresh storage, never in st.
+func (c *Coordinator) recycle(st *scatterState) {
+	for i := range st.outs {
+		if st.outs[i].hedged {
+			return
+		}
+	}
+	st.req, st.scope = rpc.RetrieveRequest{}, retrieval.Scope{}
+	for i := range st.outs {
+		st.outs[i] = shardOut{}
+		if raceEnabled {
+			st.outs[i] = poisonedOut
+		}
+	}
+	c.scatters.Put(st)
 }
 
 // scatter runs the retry loop of every shard in idxs (nil: every shard)
-// concurrently and returns when all have an outcome. The wait is network
-// I/O, not CPU, so the fan-out is one goroutine per shard whatever
-// GOMAXPROCS is — a bounded pool would queue the later shards' round
-// trips (and start their retry and hedge clocks late) behind the earlier
-// ones. The last shard runs on the caller's goroutine, which would
-// otherwise only wait.
-func (c *Coordinator) scatter(ctx context.Context, req *rpc.RetrieveRequest, outs []shardOut, idxs []int) {
-	n := len(outs)
+// concurrently into st's outcomes and returns when all have one. The
+// wait is network I/O, not CPU, so the fan-out is one goroutine per
+// shard whatever GOMAXPROCS is — a bounded pool would queue the later
+// shards' round trips (and start their retry and hedge clocks late)
+// behind the earlier ones. The last shard runs on the caller's
+// goroutine, which would otherwise only wait.
+func (c *Coordinator) scatter(ctx context.Context, st *scatterState, idxs []int) {
+	n := len(st.outs)
 	if idxs != nil {
 		n = len(idxs)
 	}
-	var wg sync.WaitGroup
 	for k := 0; k < n; k++ {
 		i := k
 		if idxs != nil {
 			i = idxs[k]
 		}
-		o := &outs[i]
+		o := &st.outs[i]
 		if k == n-1 {
-			o.err = c.queryShard(ctx, i, req, &o.resp)
+			o.err = c.queryShard(ctx, i, &st.req, o)
 			break
 		}
-		wg.Add(1)
+		st.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			o.err = c.queryShard(ctx, i, req, &o.resp)
+			defer st.wg.Done()
+			o.err = c.queryShard(ctx, i, &st.req, o)
 		}()
 	}
-	wg.Wait()
+	st.wg.Wait()
 }
 
-// queryShard runs the retry loop for one shard into resp: pick a
+// queryShard runs the retry loop for one shard into o.resp: pick a
 // replica, attempt (with hedging), back off with jitter on transient
 // failure. A backoff ends at the query's deadline, and no attempt starts
 // past it.
-func (c *Coordinator) queryShard(ctx context.Context, shardIdx int, req *rpc.RetrieveRequest, resp *rpc.RetrieveResponse) error {
+func (c *Coordinator) queryShard(ctx context.Context, shardIdx int, req *rpc.RetrieveRequest, o *shardOut) error {
 	set := c.sets[shardIdx]
 	var lastErr error = errAllEjected
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -413,7 +490,7 @@ func (c *Coordinator) queryShard(ctx context.Context, shardIdx int, req *rpc.Ret
 		if attempt > 0 && c.met != nil {
 			c.met.Retries.Inc()
 		}
-		err := c.attempt(ctx, shardIdx, set, ep, req, resp)
+		err := c.attempt(ctx, shardIdx, set, ep, req, o)
 		if err == nil {
 			return nil
 		}
@@ -442,15 +519,18 @@ func (c *Coordinator) expired(ctx context.Context) error {
 }
 
 // attempt runs one (possibly hedged) exchange against primary into
-// resp, on the calling goroutine. A shard with a single replica can
+// o.resp, on the calling goroutine. A shard with a single replica can
 // never hedge, so that is all it costs. With replicas, a timer armed at
 // the p95-derived hedge delay launches — only if it fires — a
 // speculative second request to another replica on the timer's
 // goroutine; the first success wins and the shared cancel abandons the
-// loser. The hedge decodes into a response of its own, because an
+// loser. The hedge decodes into a fresh response of its own, because an
 // abandoned hedge can still be running after attempt returns; a winning
-// hedge's answer is copied into resp.
-func (c *Coordinator) attempt(ctx context.Context, shardIdx int, set *shardSet, primary *endpoint, req *rpc.RetrieveRequest, resp *rpc.RetrieveResponse) error {
+// hedge's answer is copied into o.resp, its matches still in that fresh
+// storage. A fired timer marks o.hedged: the hedge may still be reading
+// req after the query has returned.
+func (c *Coordinator) attempt(ctx context.Context, shardIdx int, set *shardSet, primary *endpoint, req *rpc.RetrieveRequest, o *shardOut) error {
+	resp := &o.resp
 	if len(set.endpoints) == 1 {
 		return c.exchange(ctx, shardIdx, primary, req, resp)
 	}
@@ -484,7 +564,9 @@ func (c *Coordinator) attempt(ctx context.Context, shardIdx int, set *shardSet, 
 	})
 
 	err := c.exchange(hctx, shardIdx, primary, req, resp)
-	if timer.Stop() || err == nil {
+	stopped := timer.Stop()
+	o.hedged = o.hedged || !stopped
+	if stopped || err == nil {
 		// No hedge was launched, or the primary answered anyway: a hedge
 		// still in flight is abandoned by the deferred cancel and settles
 		// its own outcome.
@@ -494,7 +576,9 @@ func (c *Coordinator) attempt(ctx context.Context, shardIdx int, set *shardSet, 
 		if c.met != nil {
 			c.met.HedgeWins.Inc()
 		}
+		rank := resp.Rank
 		*resp = *won
+		resp.Rank = rank
 		return nil
 	}
 	return err

@@ -21,8 +21,9 @@ import (
 
 // localTransport is the in-process loopback: it calls the ShardService
 // directly, which honors the request budget itself, as behind
-// rpc.Server. The budget ends before the attempt deadline, so the
-// deadline itself needs no watching.
+// rpc.Server, and ranks into resp.Rank as an rpc.Client decodes into
+// it. The budget ends before the attempt deadline, so the deadline
+// itself needs no watching.
 type localTransport struct {
 	svc  *rpc.ShardService
 	name string
@@ -31,12 +32,7 @@ type localTransport struct {
 func (t *localTransport) RetrieveBy(ctx context.Context, _ time.Time, budget time.Duration, req *rpc.RetrieveRequest, resp *rpc.RetrieveResponse) error {
 	r := *req
 	r.BudgetNS = int64(budget)
-	out, err := t.svc.Retrieve(ctx, &r)
-	if err != nil {
-		return err
-	}
-	*resp = *out
-	return nil
+	return t.svc.RetrieveInto(ctx, &r, resp)
 }
 
 func (t *localTransport) Status(ctx context.Context) (*rpc.StatusResponse, error) {
@@ -54,6 +50,10 @@ type flakyTransport struct {
 	delay atomic.Int64 // added latency (ns), honoring ctx and the deadline
 	calls atomic.Int64
 	resp  atomic.Pointer[rpc.RetrieveResponse] // the last call's response
+	// stale makes every odd-numbered call answer as the generation
+	// before: a query's first scatter finds the shard stale, and its
+	// re-query round finds it current.
+	stale atomic.Bool
 }
 
 // RetrieveBy delays like a slow network path. A delay that runs past the
@@ -61,7 +61,7 @@ type flakyTransport struct {
 // reports; as in rpc.Client, the deadline governs only when it comes
 // before ctx's own.
 func (t *flakyTransport) RetrieveBy(ctx context.Context, deadline time.Time, budget time.Duration, req *rpc.RetrieveRequest, resp *rpc.RetrieveResponse) error {
-	t.calls.Add(1)
+	n := t.calls.Add(1)
 	t.resp.Store(resp)
 	if d := time.Duration(t.delay.Load()); d > 0 {
 		capped := false
@@ -80,7 +80,11 @@ func (t *flakyTransport) RetrieveBy(ctx context.Context, deadline time.Time, bud
 	if t.fail.Load() {
 		return io.ErrUnexpectedEOF
 	}
-	return t.Transport.RetrieveBy(ctx, deadline, budget, req, resp)
+	err := t.Transport.RetrieveBy(ctx, deadline, budget, req, resp)
+	if err == nil && t.stale.Load() && n%2 == 1 {
+		resp.Generation--
+	}
+	return err
 }
 
 // services returns one ShardService per shard, all at generation gen.

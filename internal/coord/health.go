@@ -16,12 +16,14 @@ type Transport interface {
 	// RetrieveBy answers req with budget as its execution budget
 	// (req.BudgetNS is ignored, and req is shared by every concurrent
 	// exchange of a query, so it is only read) into resp, which the
-	// caller owns: every field is overwritten, and the matches must be
-	// the caller's, never storage the transport reuses. It gives up at
-	// deadline — the attempt cap, never later than the query's deadline
-	// (the view's Options.Deadline or ctx's own) — or when ctx ends. An
-	// attempt that hits the cap returns any error; the coordinator
-	// classifies it by the clock. On error resp is not read.
+	// caller owns: every field but Rank is overwritten, and the matches
+	// are carved from resp.Rank — the caller's buffer, which the
+	// transport must not touch once the call returns — or from fresh
+	// storage when Rank is nil, never from storage the transport reuses.
+	// It gives up at deadline — the attempt cap, never later than the
+	// query's deadline (the view's Options.Deadline or ctx's own) — or
+	// when ctx ends. An attempt that hits the cap returns any error; the
+	// coordinator classifies it by the clock. On error resp is not read.
 	RetrieveBy(ctx context.Context, deadline time.Time, budget time.Duration, req *rpc.RetrieveRequest, resp *rpc.RetrieveResponse) error
 	Status(ctx context.Context) (*rpc.StatusResponse, error)
 	Addr() string

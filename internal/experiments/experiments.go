@@ -60,7 +60,7 @@ func (s *Suite) T1FeatureTable() (*Report, error) {
 			var ss float64
 			for _, i := range idx {
 				d := m.B1.At(i, f) - mean
-				ss += d * d
+				ss += float64(d * d)
 			}
 			withinSum += ss / float64(len(idx))
 			withinN++
@@ -69,7 +69,7 @@ func (s *Suite) T1FeatureTable() (*Report, error) {
 		if len(classMeans) > 1 {
 			g := grand / float64(len(classMeans))
 			for _, cm := range classMeans {
-				between += (cm - g) * (cm - g)
+				between += float64((cm - g) * (cm - g))
 			}
 			between /= float64(len(classMeans) - 1)
 		}

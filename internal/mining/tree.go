@@ -201,12 +201,12 @@ func (t *Tree) bestSplit(samples []Sample, idx []int, cfg Config) (feature int, 
 				continue
 			}
 			pL := float64(nLeft) / float64(total)
-			cond := pL*entropyCounts(leftCounts, nLeft) + (1-pL)*entropyCounts(rightCounts, total-nLeft)
+			cond := float64(pL*entropyCounts(leftCounts, nLeft)) + float64((1-pL)*entropyCounts(rightCounts, total-nLeft))
 			gain := baseEntropy - cond
 			if gain <= 1e-12 {
 				continue
 			}
-			splitInfo := -pL*math.Log2(pL) - (1-pL)*math.Log2(1-pL)
+			splitInfo := float64(-pL*math.Log2(pL)) - float64((1-pL)*math.Log2(1-pL))
 			if splitInfo < 1e-9 {
 				continue
 			}
@@ -239,7 +239,7 @@ func entropyCounts(counts []int, total int) float64 {
 			continue
 		}
 		p := float64(c) / float64(total)
-		h -= p * math.Log2(p)
+		h -= float64(p * math.Log2(p))
 	}
 	return h
 }
@@ -269,7 +269,7 @@ func pessimisticErrors(n *node, z float64) float64 {
 	}
 	errs := float64(n.total - n.counts[n.label])
 	p := errs / float64(n.total)
-	return errs + z*math.Sqrt(float64(n.total)*p*(1-p)+0.25)
+	return errs + float64(z*math.Sqrt(float64(float64(n.total)*p*(1-p))+0.25))
 }
 
 // Predict returns the predicted label for the feature vector.

@@ -114,7 +114,7 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(s.Count)
+	rank := float64(q * float64(s.Count))
 	cum := 0.0
 	for i, bound := range s.Bounds {
 		prev := cum
@@ -125,7 +125,7 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 				lower = s.Bounds[i-1]
 			}
 			frac := (rank - prev) / float64(s.Counts[i])
-			return lower + (bound-lower)*frac
+			return lower + float64((bound-lower)*frac)
 		}
 	}
 	return s.Bounds[len(s.Bounds)-1]

@@ -390,7 +390,7 @@ func (rs *RecallStats) Observe(want, got []retrieval.Match, k int) {
 		want = want[:k]
 	}
 	r := RecallAtK(want, got, k)
-	rs.Hits += int(r*float64(len(want)) + 0.5)
+	rs.Hits += int(float64(r*float64(len(want))) + 0.5)
 	rs.Wanted += len(want)
 	if rs.Queries == 0 || r < rs.Min {
 		rs.Min = r

@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"math"
 	"slices"
 	"unsafe"
 
@@ -160,15 +161,8 @@ func (t *topK) ranking(m *hmmm.Model, buf *RankBuf) []Match {
 		}
 		return 0
 	})
-	if buf == nil {
-		buf = new(RankBuf)
-	}
 	n, total := t.n, len(h)*t.n
-	out := grown(&buf.matches, len(h))
-	states := grown(&buf.states, total)
-	shots := grown(&buf.shots, total)
-	videos := grown(&buf.videos, total)
-	weights := grown(&buf.weights, total)
+	out, states, shots, videos, weights := buf.Carve(len(h), total, total, total, total)
 	for i, e := range h {
 		lo, hi := i*n, (i+1)*n
 		out[i] = Match{
@@ -194,23 +188,79 @@ func (t *topK) ranking(m *hmmm.Model, buf *RankBuf) []Match {
 // a time — a shard server's connection, a Gather that Reset reuses —
 // keeps one and reuses it, so a warm ranking allocates nothing; each use
 // overwrites the ranking the previous one returned. A Gather's Buf keeps
-// only the match array, for its merge. The zero value is ready to use.
+// only the match array, for its merge. A retriever that merges children
+// (the coordinator over its shards) ranks child i into Children's i-th
+// buffer and merges into the parent's match array, so one kept RankBuf
+// holds the whole tree. The zero value is ready to use.
 type RankBuf struct {
-	matches []Match
-	states  []int
-	shots   []videomodel.ShotID
-	videos  []videomodel.VideoID
-	weights []float64
+	matches  []Match
+	states   []int
+	shots    []videomodel.ShotID
+	videos   []videomodel.VideoID
+	weights  []float64
+	children []RankBuf
 }
 
-// Size returns the bytes b's storage holds, for a caller that drops a
-// buffer one large ranking grew.
+// Carve returns b's match array and its four slabs resliced to the given
+// lengths, reallocating only a slab whose capacity is short: storage for
+// one ranking, whose contents are stale and must be overwritten (a race
+// build poisons them first, so a reader of the previous ranking sees
+// NaN scores and -1 states). A nil b returns fresh storage.
+func (b *RankBuf) Carve(n, nStates, nShots, nVideos, nWeights int) ([]Match, []int, []videomodel.ShotID, []videomodel.VideoID, []float64) {
+	if b == nil {
+		return make([]Match, n), make([]int, nStates), make([]videomodel.ShotID, nShots),
+			make([]videomodel.VideoID, nVideos), make([]float64, nWeights)
+	}
+	if raceEnabled {
+		b.poison()
+	}
+	return grown(&b.matches, n), grown(&b.states, nStates), grown(&b.shots, nShots),
+		grown(&b.videos, nVideos), grown(&b.weights, nWeights)
+}
+
+// poison overwrites every match and slab b holds with values no ranking
+// carries, so a read through a ranking b has since been handed out again
+// for sees NaN scores and weights and -1 states, shots and videos. It
+// writes b's own arrays only: a merge array's matches may window other
+// buffers, so their headers are replaced, not written through.
+func (b *RankBuf) poison() {
+	fill(b.matches[:cap(b.matches)], Match{Score: math.NaN(), States: poisonStates})
+	fill(b.states[:cap(b.states)], -1)
+	fill(b.shots[:cap(b.shots)], -1)
+	fill(b.videos[:cap(b.videos)], -1)
+	fill(b.weights[:cap(b.weights)], math.NaN())
+}
+
+// poisonStates is the state sequence of a poisoned match.
+var poisonStates = []int{-1}
+
+// Children returns b's first n child buffers, growing b to hold them and
+// keeping the ones it already has; nil when b is nil (the children rank
+// in fresh storage). The slice stays valid while b is not grown again,
+// so a caller takes it once, before its children rank concurrently.
+func (b *RankBuf) Children(n int) []RankBuf {
+	if b == nil {
+		return nil
+	}
+	if len(b.children) < n {
+		b.children = append(b.children, make([]RankBuf, n-len(b.children))...)
+	}
+	return b.children[:n]
+}
+
+// Size returns the bytes b's storage holds, its children's included, for
+// a caller that drops a buffer one large ranking grew.
 func (b *RankBuf) Size() int {
-	return cap(b.matches)*int(unsafe.Sizeof(Match{})) +
+	size := cap(b.matches)*int(unsafe.Sizeof(Match{})) +
 		cap(b.states)*int(unsafe.Sizeof(int(0))) +
 		cap(b.shots)*int(unsafe.Sizeof(videomodel.ShotID(0))) +
 		cap(b.videos)*int(unsafe.Sizeof(videomodel.VideoID(0))) +
-		cap(b.weights)*int(unsafe.Sizeof(float64(0)))
+		cap(b.weights)*int(unsafe.Sizeof(float64(0))) +
+		cap(b.children)*int(unsafe.Sizeof(RankBuf{}))
+	for i := range b.children {
+		size += b.children[i].Size()
+	}
+	return size
 }
 
 // grown returns *s resliced to n elements, reallocating it only when its
@@ -221,4 +271,11 @@ func grown[T any](s *[]T, n int) []T {
 	}
 	*s = (*s)[:n]
 	return *s
+}
+
+// fill sets every element of s to v.
+func fill[T any](s []T, v T) {
+	for i := range s {
+		s[i] = v
+	}
 }

@@ -94,9 +94,11 @@ func (c *Client) Retrieve(ctx context.Context, req *RetrieveRequest) (*RetrieveR
 // request that hits the cap fails with an i/o timeout; one whose ctx
 // ends returns ctx.Err(). budget goes on the wire in place of
 // req.BudgetNS, and req is only read, so concurrent calls may share it.
-// The answer is decoded into resp, overwriting every field; its matches
-// are freshly allocated and the caller's. On error resp is partly
-// written and must not be used.
+// The answer is decoded into resp, overwriting every field but Rank; its
+// matches are carved from resp.Rank, which the caller keeps and may
+// reuse once the call returns, or from fresh storage when Rank is nil.
+// Either way they are the caller's. On error resp is partly written and
+// must not be used.
 func (c *Client) RetrieveBy(ctx context.Context, deadline time.Time, budget time.Duration, req *RetrieveRequest, resp *RetrieveResponse) error {
 	msg := budgetedRequest{req, budget}
 	return c.call(ctx, deadline, tagRetrieveReq, &msg, tagRetrieveResp, resp)

@@ -321,8 +321,9 @@ func getIDs[T ~int](r *reader, backing []T, n uint32) (out, rest []T) {
 // the type the frame's tag names, or a *requestBuf for a request. Every
 // field is overwritten, so msg may hold an earlier decode: a request
 // reuses its Steps array and Scope, a requestBuf its id backing as well.
-// msg must own that storage. A response's matches are always fresh —
-// they become the caller's ranking. On error msg is partly written.
+// msg must own that storage. A response's matches are carved from its
+// Rank (the caller's, kept between decodes), or from fresh storage when
+// Rank is nil. On error msg is partly written.
 func decodeFrame(body []byte, msg any) error {
 	r := reader{b: body}
 	if v := r.u8(); r.err == nil && v != wireVersion {
@@ -453,16 +454,13 @@ func decodeRetrieveResponse(r *reader, m *RetrieveResponse) {
 	if r.exact((nStates+nShots+nVideos)*idSize + nWeights*f64Size); r.err != nil || n == 0 {
 		return
 	}
-	// Four flat backing arrays, whatever TopK is, all fresh: they become
-	// the caller's ranking.
-	m.Matches = make([]retrieval.Match, n)
-	states := make([]int, nStates)
-	shots := make([]videomodel.ShotID, nShots)
-	videos := make([]videomodel.VideoID, nVideos)
-	weights := make([]float64, nWeights)
+	// The match array and four flat slabs, whatever TopK is: the
+	// caller's Rank, or fresh storage.
+	matches, states, shots, videos, weights := m.Rank.Carve(n, int(nStates), int(nShots), int(nVideos), int(nWeights))
+	m.Matches = matches
 	for i := range m.Matches {
 		mt := &m.Matches[i]
-		mt.Score = hdr.f64()
+		*mt = retrieval.Match{Score: hdr.f64()}
 		nSt, nSh, nVi, nWe := hdr.u32(), hdr.u32(), hdr.u32(), hdr.u32()
 		mt.States, states = getIDs(r, states, nSt)
 		mt.Shots, shots = getIDs(r, shots, nSh)

@@ -287,8 +287,9 @@ func TestCodecRejects(t *testing.T) {
 }
 
 // TestCodecAllocs pins the codec's allocation profile: encoding into a
-// connection's warmed buffer allocates nothing, and decoding a response
-// costs the same handful of allocations whatever TopK is.
+// connection's warmed buffer allocates nothing, decoding a response
+// costs the same handful of allocations whatever TopK is, and none into
+// a kept Rank.
 func TestCodecAllocs(t *testing.T) {
 	var fb frameBufs
 	req := fullRequest()
@@ -312,6 +313,14 @@ func TestCodecAllocs(t *testing.T) {
 			}
 		}); n > 8 {
 			t.Errorf("topK %d: response decode = %v allocs, want <= 8", topK, n)
+		}
+		kept := RetrieveResponse{Rank: new(retrieval.RankBuf)}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := decodeFrame(body, &kept); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("topK %d: response decode into a kept Rank = %v allocs, want 0", topK, n)
 		}
 	}
 	body := frameOf(t, tagRetrieveReq, req)[5:]
@@ -486,7 +495,9 @@ func dirtyRequest() *RetrieveRequest {
 
 // dirtied returns a message for tag that already holds an earlier,
 // larger decode (a reused request takes the server connection's
-// requestBuf form), and the message a decode into it is compared by.
+// requestBuf form, a reused response carries the Rank its matches were
+// carved from, as the coordinator's shard buffers do), and the message a
+// decode into it is compared by.
 func dirtied(tb testing.TB, tag byte) (dst, msg any) {
 	tb.Helper()
 	var earlier any
@@ -495,7 +506,7 @@ func dirtied(tb testing.TB, tag byte) (dst, msg any) {
 		rb := new(requestBuf)
 		dst, msg, earlier = rb, &rb.RetrieveRequest, dirtyRequest()
 	case tagRetrieveResp:
-		dst, earlier = new(RetrieveResponse), rankedResponse(10)
+		dst, earlier = &RetrieveResponse{Rank: new(retrieval.RankBuf)}, rankedResponse(10)
 	case tagStatusResp:
 		dst, earlier = new(StatusResponse), &StatusResponse{State: StateDraining, Generation: 3, Shard: 2, OfShards: 5, Videos: 171, States: 115670, Domain: "basketball"}
 	case tagError:
@@ -515,7 +526,9 @@ func dirtied(tb testing.TB, tag byte) (dst, msg any) {
 }
 
 // sameMessage is reflect.DeepEqual with a response's scores and weights
-// compared by their bits, so that a NaN the wire carried equals itself.
+// compared by their bits, so that a NaN the wire carried equals itself,
+// and a response's Rank (where its matches live, not what they are)
+// ignored.
 func sameMessage(a, b any) bool {
 	ra, ok := a.(*RetrieveResponse)
 	rb, ok2 := b.(*RetrieveResponse)
@@ -526,7 +539,7 @@ func sameMessage(a, b any) bool {
 		return false
 	}
 	ha, hb := *ra, *rb
-	ha.Matches, hb.Matches = nil, nil
+	ha.Matches, hb.Matches, ha.Rank, hb.Rank = nil, nil, nil, nil
 	if !reflect.DeepEqual(ha, hb) {
 		return false
 	}
@@ -551,7 +564,8 @@ func sameMessage(a, b any) bool {
 // whatever it accepts must re-encode to exactly the bytes it was given —
 // the decoder admits one spelling per message. Decoded into a message
 // an earlier, larger decode left dirty (as a server connection reuses
-// its request), it must give exactly what it gives into a zero one.
+// its request, and the coordinator a shard's response and ranking
+// buffer), it must give exactly what it gives into a zero one.
 func FuzzFrameDecode(f *testing.F) {
 	seeds := [][]byte{
 		frameOf(f, tagRetrieveReq, fullRequest()),
@@ -562,6 +576,8 @@ func FuzzFrameDecode(f *testing.F) {
 		frameOf(f, tagRetrieveResp, rankedResponse(3)),
 		frameOf(f, tagRetrieveResp, specialsResponse()),
 		frameOf(f, tagRetrieveResp, &RetrieveResponse{Generation: 1, OfShards: 2}), // empty ranking
+		// A match without weights, decoded over one that had them.
+		frameOf(f, tagRetrieveResp, &RetrieveResponse{Generation: 2, Matches: []retrieval.Match{{Score: 0.5, States: []int{3}}}}),
 		frameOf(f, tagStatusReq, &StatusRequest{}),
 		frameOf(f, tagStatusResp, &StatusResponse{State: StateReady, Generation: 1, OfShards: 2, Videos: 86, States: 57835}),
 		frameOf(f, tagError, &ErrorResponse{Code: CodeDraining, Msg: "server draining"}),

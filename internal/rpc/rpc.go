@@ -169,11 +169,13 @@ type RetrieveResponse struct {
 	// for those.
 	Shard    int
 	OfShards int
-	// rank, on a server connection's response, is the connection's
-	// ranking storage: ShardService ranks into it, so Matches alias it
-	// until the connection's next request. It never travels; nil means
-	// fresh storage.
-	rank *retrieval.RankBuf
+	// Rank is the storage Matches are carved from, kept by whoever owns
+	// the response: a server connection's, which ShardService ranks
+	// into, or a client caller's, which the decode writes into (the
+	// coordinator passes one child buffer per shard). Matches alias it
+	// until its next use. It never travels, and nothing overwrites it;
+	// nil means fresh storage.
+	Rank *retrieval.RankBuf
 }
 
 // StatusRequest asks for the server's health/readiness report.
@@ -271,8 +273,17 @@ type frameBufs struct {
 	r, w []byte
 }
 
-// trim ends an exchange: a buffer grown past maxKeptBuf is released.
+// trim ends an exchange: a buffer grown past maxKeptBuf is released. A
+// race build poisons what it keeps, so a body read after its exchange
+// reads 0xA5 bytes.
 func (fb *frameBufs) trim() {
+	if raceEnabled {
+		for _, b := range [2][]byte{fb.r[:cap(fb.r)], fb.w[:cap(fb.w)]} {
+			for i := range b {
+				b[i] = 0xA5
+			}
+		}
+	}
 	if cap(fb.r) > maxKeptBuf {
 		fb.r = nil
 	}

@@ -153,14 +153,14 @@ func (c *connBufs) trim() {
 	if c.rank.Size() > maxKeptBuf {
 		c.rank = retrieval.RankBuf{}
 	}
-	c.resp = RetrieveResponse{rank: &c.rank}
+	c.resp = RetrieveResponse{Rank: &c.rank}
 }
 
 // serveConn runs the request/response loop for one connection until the
 // peer hangs up, a protocol error occurs, or the server closes.
 func (s *Server) serveConn(conn net.Conn) {
 	c := new(connBufs) // this connection's, for its lifetime
-	c.resp.rank = &c.rank
+	c.resp.Rank = &c.rank
 	for {
 		tag, body, err := c.readFrame(conn)
 		if err != nil {

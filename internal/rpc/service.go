@@ -67,8 +67,8 @@ func (s *ShardService) Retrieve(ctx context.Context, req *RetrieveRequest) (*Ret
 }
 
 // RetrieveInto is Retrieve answering into resp: the Handler method. The
-// ranking is carved from resp's ranking storage when resp is a server
-// connection's, so a warm connection's answer allocates none.
+// ranking is carved from resp.Rank (a server connection's, so a warm
+// connection's answer allocates none), or is fresh when Rank is nil.
 func (s *ShardService) RetrieveInto(ctx context.Context, req *RetrieveRequest, resp *RetrieveResponse) error {
 	if err := req.Query.Validate(); err != nil {
 		return &ServerError{Code: CodeBadRequest, Msg: err.Error()}
@@ -82,7 +82,7 @@ func (s *ShardService) RetrieveInto(ctx context.Context, req *RetrieveRequest, r
 	// computed against, and the coordinator's consistency check catches
 	// the skew.
 	gen := s.gen.Load()
-	res, err := s.engine.WithOptions(opts).RetrieveInto(ctx, req.Query, resp.rank)
+	res, err := s.engine.WithOptions(opts).RetrieveInto(ctx, req.Query, resp.Rank)
 	if errors.Is(err, retrieval.ErrNoCoarseIndex) {
 		return &ServerError{Code: CodeBadRequest, Msg: fmt.Sprintf(
 			"coarse prefilter mismatch: the request asks for %d coarse candidates, this shard server runs without the coarse index; "+
@@ -97,7 +97,7 @@ func (s *ShardService) RetrieveInto(ctx context.Context, req *RetrieveRequest, r
 	out := gather.Done(ctx)
 	*resp = RetrieveResponse{
 		Matches: out.Matches, Cost: out.Cost, Generation: gen,
-		Shard: s.index, OfShards: s.of, rank: resp.rank,
+		Shard: s.index, OfShards: s.of, Rank: resp.Rank,
 	}
 	return nil
 }

@@ -112,7 +112,8 @@ func queryOutcomeFor(t *testing.T, s *Server, req QueryRequest) (*queryOutcome, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.runQuery(context.Background(), requests.New().(*request), req, snap, pattern.queries, requestScope(req), s.queryOptions(req), 0)
+	rq := requests.New().(*request)
+	out, err := s.runQuery(context.Background(), rq, req, snap, pattern.queries, requestScope(rq, req), s.queryOptions(req), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -771,16 +771,17 @@ type queryOutcome struct {
 
 // request is the server-side state of one HTTP request, taken from
 // requests by withObs and released once the response is written: the
-// statusWriter the request metrics read and, for /api/query, what the
-// retrieval ranks into — the gather with its per-branch buffers and
-// merge array, the engine, delta and coordinator views by value, and
-// the outcome. A warm query allocates none of them. The outcome's
+// statusWriter the request metrics read and, for /api/query, the
+// request's scope and what the retrieval ranks into — the gather with
+// its per-branch buffers and merge array, the engine, delta and
+// coordinator views by value, and the outcome. A warm query allocates none of them. The outcome's
 // matches live in the gather's buffers and its engine is the value's
 // own, so an outcome a coalesced waiter shares keeps its value out of
 // the pool: the waiter may still be rendering from it, and the GC takes
 // the value once both are done.
 type request struct {
 	sw     statusWriter
+	scope  retrieval.Scope
 	gather retrieval.Gather
 	merge  retrieval.RankBuf
 	engine retrieval.Engine
@@ -936,7 +937,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	queries := pattern.queries
 
-	scope := requestScope(req)
+	rq := requestOf(w)
+	scope := requestScope(rq, req)
 	if scope != nil {
 		probe := queries[0]
 		probe.Scope = scope
@@ -950,7 +952,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// runQuery, after admission. It participates in the coalesce key so
 	// every rider shares the leader's truncation behavior.
 	budget := s.effectiveQueryTimeout(req.TimeoutMS)
-	out, err := s.executeQuery(r.Context(), requestOf(w), req, pattern.canonical, queries, scope, s.queryOptions(req), budget)
+	out, err := s.executeQuery(r.Context(), rq, req, pattern.canonical, queries, scope, s.queryOptions(req), budget)
 	if err != nil {
 		var shed *shedError
 		switch {
@@ -975,16 +977,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeQueryResponse(w, req.Pattern, len(queries), out, explain)
 }
 
-// requestScope is a query's time/video scope, nil when it sets none.
-func requestScope(req QueryRequest) *retrieval.Scope {
+// requestScope is a query's time/video scope, held in rq, or nil when it
+// sets none.
+func requestScope(rq *request, req QueryRequest) *retrieval.Scope {
 	if req.ScopeVideo == 0 && req.ScopeFromMS == 0 && req.ScopeToMS == 0 {
 		return nil
 	}
-	return &retrieval.Scope{
+	rq.scope = retrieval.Scope{
 		Video:  videomodel.VideoID(req.ScopeVideo),
 		FromMS: req.ScopeFromMS,
 		ToMS:   req.ScopeToMS,
 	}
+	return &rq.scope
 }
 
 // queryOptions is the server's retrieval options tuned by one request.

@@ -136,7 +136,7 @@ func (d *Detector) adaptiveThreshold(diffs []float64, i int) float64 {
 		dev[j] = math.Abs(v - med)
 	}
 	// 1.4826 scales MAD to the std of a normal distribution.
-	threshold := med + d.cfg.K*1.4826*median(dev)
+	threshold := med + float64(d.cfg.K*1.4826*median(dev))
 	if threshold < d.cfg.MinThreshold {
 		threshold = d.cfg.MinThreshold
 	}
